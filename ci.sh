@@ -24,6 +24,20 @@ echo "== testkit gate (oracles, invariants, properties) =="
 PROPTEST_CASES=64 cargo test -q -p vsmooth-testkit
 cargo test -q -p vsmooth-repro --test oracle_validation
 
+echo "== shared JSON module gate =="
+# The one escaper every artifact writer uses must round-trip any
+# string through parse_json; re-run the property with a pinned case
+# count so the gate is identical run-to-run.
+PROPTEST_CASES=512 cargo test -q -p vsmooth-trace --lib json
+
+echo "== benchmark harness (facade API and pinned digests) =="
+# perfbench/ is a workspace of its own that drives the program only
+# through the vsmooth facade, so the workspace steps above never build
+# it. Its tests catch a facade change that would break the benchmark,
+# and pins_match_the_inline_backend pins the trace bytes, health JSON,
+# audit JSON and report digests it measures.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== shard equivalence gate (coordinator vs sharded runtime) =="
 # The differential oracle for the shard-per-worker runtime: every
 # artifact class (report, trace JSON, profile JSON, health JSON, obs

@@ -12,6 +12,7 @@ use vsmooth::profile::ProfileConfig;
 use vsmooth::sched::OnlineDroop;
 use vsmooth::serve::{synthetic_jobs, Service, ServiceConfig};
 use vsmooth::trace::Tracer;
+use vsmooth::Instruments;
 
 fn bench(c: &mut Criterion) {
     let lab = vsmooth_bench::lab();
@@ -25,39 +26,28 @@ fn bench(c: &mut Criterion) {
     let jobs = synthetic_jobs(2010, 120, slice);
     let workers = cfg.threads;
 
-    c.bench_function("profile_overhead/unprofiled", |b| {
-        b.iter(|| {
-            service
-                .run(&jobs, &OnlineDroop, workers)
-                .expect("service run")
-        })
-    });
-    c.bench_function("profile_overhead/profiled", |b| {
-        b.iter(|| {
-            service
-                .run_profiled(
-                    &jobs,
-                    &OnlineDroop,
-                    workers,
-                    &Tracer::disabled(),
-                    ProfileConfig::default(),
-                )
-                .expect("service run")
-        })
-    });
-    c.bench_function("profile_overhead/profiled+traced", |b| {
-        b.iter(|| {
-            service
-                .run_profiled(
-                    &jobs,
-                    &OnlineDroop,
-                    workers,
-                    &Tracer::enabled(),
-                    ProfileConfig::default(),
-                )
-                .expect("service run")
-        })
-    });
+    for (name, traced, profiled) in [
+        ("profile_overhead/unprofiled", false, false),
+        ("profile_overhead/profiled", false, true),
+        ("profile_overhead/profiled+traced", true, true),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let tracer = if traced {
+                    Tracer::enabled()
+                } else {
+                    Tracer::disabled()
+                };
+                let mut inst = Instruments::new().traced(&tracer);
+                if profiled {
+                    inst = inst.profiled(ProfileConfig::default());
+                }
+                service
+                    .run_with(&jobs, &OnlineDroop, workers, &inst)
+                    .expect("service run")
+            })
+        });
+    }
 }
 
 criterion_group!(benches, bench);

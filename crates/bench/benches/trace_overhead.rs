@@ -9,6 +9,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use vsmooth::sched::OnlineDroop;
 use vsmooth::serve::{synthetic_jobs, Service, ServiceConfig};
 use vsmooth::trace::Tracer;
+use vsmooth::Instruments;
 
 fn bench(c: &mut Criterion) {
     let lab = vsmooth_bench::lab();
@@ -22,27 +23,24 @@ fn bench(c: &mut Criterion) {
     let jobs = synthetic_jobs(2010, 120, slice);
     let workers = cfg.threads;
 
-    c.bench_function("trace_overhead/disabled", |b| {
-        b.iter(|| {
-            service
-                .run_traced(&jobs, &OnlineDroop, workers, &Tracer::disabled())
-                .expect("service run")
-        })
-    });
-    c.bench_function("trace_overhead/spans", |b| {
-        b.iter(|| {
-            service
-                .run_traced(&jobs, &OnlineDroop, workers, &Tracer::spans_only())
-                .expect("service run")
-        })
-    });
-    c.bench_function("trace_overhead/spans+droops", |b| {
-        b.iter(|| {
-            service
-                .run_traced(&jobs, &OnlineDroop, workers, &Tracer::enabled())
-                .expect("service run")
-        })
-    });
+    for (name, tracer) in [
+        (
+            "trace_overhead/disabled",
+            Tracer::disabled as fn() -> Tracer,
+        ),
+        ("trace_overhead/spans", Tracer::spans_only),
+        ("trace_overhead/spans+droops", Tracer::enabled),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let tracer = tracer();
+                let inst = Instruments::new().traced(&tracer);
+                service
+                    .run_with(&jobs, &OnlineDroop, workers, &inst)
+                    .expect("service run")
+            })
+        });
+    }
 }
 
 criterion_group!(benches, bench);

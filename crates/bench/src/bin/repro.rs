@@ -29,8 +29,10 @@
 //! `/profile` over loopback HTTP while the jobs execute, then the
 //! binary self-probes every endpoint and reports the statuses.
 
+use vsmooth::monitor::MonitorConfig;
+use vsmooth::profile::ProfileConfig;
 use vsmooth::report;
-use vsmooth::VsmoothError;
+use vsmooth::{Instruments, VsmoothError};
 
 fn main() -> Result<(), VsmoothError> {
     let mut trace_out: Option<String> = None;
@@ -153,24 +155,23 @@ fn main() -> Result<(), VsmoothError> {
         let tracer = vsmooth::trace::Tracer::enabled();
         // Profiling and monitoring ride on the same service pass: the
         // schedule (and thus the trace and metrics) is identical either
-        // way. When both are requested the monitor gets its own pass
-        // (same stream, same schedule) since a pass carries one
-        // instrument.
-        let (traced, profile, health) = if profile_out.is_some() {
-            let (report, profile) = lab.serve_profiled(2010, 120, &tracer)?;
-            let health = match monitor_out {
-                Some(_) => Some(
-                    lab.serve_monitored(2010, 120, &vsmooth::trace::Tracer::disabled())?
-                        .1,
-                ),
-                None => None,
-            };
-            (report, Some(profile), health)
+        // way. When both are requested the monitor gets its own
+        // untraced pass (same stream, same schedule): arming it on the
+        // profiled pass would add alert instants to the trace and
+        // alert series to the metrics snapshot.
+        let traced = Instruments::new().traced(&tracer);
+        let monitored = Instruments::new().monitored(MonitorConfig::default());
+        let observed = if profile_out.is_some() {
+            let mut observed =
+                lab.serve(2010, 120, None, &traced.profiled(ProfileConfig::default()))?;
+            if monitor_out.is_some() {
+                observed.health = lab.serve(2010, 120, None, &monitored)?.health;
+            }
+            observed
         } else if monitor_out.is_some() {
-            let (report, health) = lab.serve_monitored(2010, 120, &tracer)?;
-            (report, None, Some(health))
+            lab.serve(2010, 120, None, &traced.monitored(MonitorConfig::default()))?
         } else {
-            (lab.serve_traced(2010, 120, &tracer)?, None, None)
+            lab.serve(2010, 120, None, &traced)?
         };
         if let Some(path) = &trace_out {
             std::fs::write(path, tracer.to_chrome_json()).expect("write trace JSON");
@@ -181,10 +182,11 @@ fn main() -> Result<(), VsmoothError> {
             );
         }
         if let Some(path) = &metrics_out {
-            std::fs::write(path, traced.snapshot.render_prometheus()).expect("write metrics");
+            std::fs::write(path, observed.report.snapshot.render_prometheus())
+                .expect("write metrics");
             println!("wrote Prometheus metrics snapshot to {path}");
         }
-        if let (Some(path), Some(profile)) = (&profile_out, &profile) {
+        if let (Some(path), Some(profile)) = (&profile_out, &observed.profile) {
             std::fs::write(path, profile.to_json()).expect("write profile JSON");
             println!(
                 "wrote droop attribution profile ({} droops, {} co-schedules) to {path}",
@@ -192,7 +194,7 @@ fn main() -> Result<(), VsmoothError> {
                 profile.workloads.len()
             );
         }
-        if let (Some(path), Some(health)) = (&monitor_out, &health) {
+        if let (Some(path), Some(health)) = (&monitor_out, &observed.health) {
             std::fs::write(path, health.to_json()).expect("write health JSON");
             println!(
                 "wrote health report ({} epochs, {} alerts, {} postmortems) to {path}",
@@ -213,7 +215,7 @@ fn main() -> Result<(), VsmoothError> {
             std::io::BufWriter::new(file),
             vsmooth::trace::StreamConfig::default(),
         );
-        lab.serve_traced(2010, 120, &tracer)?;
+        lab.serve(2010, 120, None, &Instruments::new().traced(&tracer))?;
         let stats = tracer
             .finish_stream()
             .expect("streaming tracer")
@@ -246,8 +248,9 @@ fn main() -> Result<(), VsmoothError> {
         let local = server.local_addr();
         println!("obs: listening on http://{local}/ for one monitored pass");
         let obs = ObsConfig::new(server.hub());
-        let (observed, health) =
-            lab.serve_observed(2010, 120, &vsmooth::trace::Tracer::disabled(), obs)?;
+        let monitored = Instruments::new().monitored(MonitorConfig::default());
+        let run = lab.serve(2010, 120, Some(obs), &monitored)?;
+        let (observed, health) = (run.report, run.health.expect("monitored pass"));
         for path in [
             "/metrics",
             "/healthz",

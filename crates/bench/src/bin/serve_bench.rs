@@ -32,6 +32,7 @@ use vsmooth::profile::ProfileConfig;
 use vsmooth::sched::OnlineDroop;
 use vsmooth::serve::{synthetic_jobs, Service, ServiceConfig};
 use vsmooth::trace::{StreamConfig, Tracer};
+use vsmooth::Instruments;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 const ROUNDS: usize = 5;
@@ -137,17 +138,16 @@ fn main() {
         overhead("traced", &|| {
             let tracer = Tracer::enabled();
             service
-                .run_traced(&jobs, &OnlineDroop, 1, &tracer)
+                .run_with(&jobs, &OnlineDroop, 1, &Instruments::new().traced(&tracer))
                 .expect("service run");
         }),
         overhead("profiled", &|| {
             service
-                .run_profiled(
+                .run_with(
                     &jobs,
                     &OnlineDroop,
                     1,
-                    &Tracer::disabled(),
-                    ProfileConfig::default(),
+                    &Instruments::new().profiled(ProfileConfig::default()),
                 )
                 .expect("service run");
         }),
@@ -165,7 +165,7 @@ fn main() {
         overhead("streaming", &|| {
             let tracer = Tracer::streaming_to_writer(std::io::sink(), StreamConfig::default());
             service
-                .run_traced(&jobs, &OnlineDroop, 1, &tracer)
+                .run_with(&jobs, &OnlineDroop, 1, &Instruments::new().traced(&tracer))
                 .expect("service run");
             tracer
                 .finish_stream()
@@ -312,14 +312,14 @@ fn main() {
     let full_records = {
         let tracer = Tracer::enabled();
         service
-            .run_traced(&jobs, &OnlineDroop, 1, &tracer)
+            .run_with(&jobs, &OnlineDroop, 1, &Instruments::new().traced(&tracer))
             .expect("service run");
         tracer.len() as u64
     };
     let stream_stats = {
         let tracer = Tracer::streaming_to_writer(std::io::sink(), StreamConfig::default());
         service
-            .run_traced(&jobs, &OnlineDroop, 1, &tracer)
+            .run_with(&jobs, &OnlineDroop, 1, &Instruments::new().traced(&tracer))
             .expect("service run");
         tracer
             .finish_stream()
@@ -359,7 +359,7 @@ fn main() {
             let start = Instant::now();
             if checkpointed {
                 campaign
-                    .run_checkpointed(2, &ckpt_path, None)
+                    .run_checkpointed(2, &ckpt_path, None, None)
                     .expect("fleet sweep");
             } else {
                 campaign.run(2).expect("fleet sweep");

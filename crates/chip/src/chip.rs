@@ -6,9 +6,9 @@
 //! (Sec. III-C.) The chip sums per-core current draws into the PDN
 //! model and senses the resulting die voltage every cycle.
 
-use crate::session::{DroopCrossing, MeasureState};
+use crate::runner::{Capture, Captured};
+use crate::session::MeasureState;
 use crate::stats::RunStats;
-use crate::window::{DroopWindow, WindowConfig};
 use crate::ChipError;
 use serde::{Deserialize, Serialize};
 use vsmooth_pdn::{DecapConfig, DiscreteStateSpace, LadderConfig, VrmRipple};
@@ -260,7 +260,8 @@ impl Chip {
         cycles: u64,
         interval_cycles: u64,
     ) -> Result<RunStats, ChipError> {
-        self.run_inner(sources, cycles, interval_cycles, None, None)
+        self.run_inner(sources, cycles, interval_cycles, Capture::None, None, None)
+            .map(|c| c.stats)
     }
 
     /// Like [`Chip::run`], but additionally captures the raw voltage
@@ -278,76 +279,43 @@ impl Chip {
         trace_cycles: u64,
     ) -> Result<(RunStats, Vec<f64>), ChipError> {
         let mut trace = Vec::with_capacity(trace_cycles.min(cycles) as usize);
-        let stats = self.run_inner(
+        let captured = self.run_inner(
             sources,
             cycles,
             interval_cycles,
+            Capture::None,
             Some((&mut trace, trace_cycles)),
             None,
         )?;
-        Ok((stats, trace))
+        Ok((captured.stats, trace))
     }
 
-    /// Like [`Chip::run`], but additionally logs every individual
-    /// droop event at the given margin (percent below nominal) as a
-    /// [`DroopCrossing`] with its measured-cycle timestamp and depth —
-    /// the record an observability layer turns into a typed event log.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Chip::run`].
-    pub fn run_with_droop_log(
-        &mut self,
-        sources: &mut [&mut dyn StimulusSource],
-        cycles: u64,
-        interval_cycles: u64,
-        margin_pct: f64,
-    ) -> Result<(RunStats, Vec<DroopCrossing>), ChipError> {
-        self.check_sources(sources.len())?;
-        if interval_cycles == 0 {
-            return Err(ChipError::InvalidConfig("interval_cycles must be non-zero"));
-        }
-        self.warm_up(sources);
-        let mut state = MeasureState::new(self, interval_cycles);
-        state.enable_droop_capture(margin_pct);
-        state.run(self, sources, cycles, None, None);
-        let crossings = state.take_droop_crossings();
-        Ok((state.into_stats(self), crossings))
-    }
-
-    /// Like [`Chip::run_with_droop_log`], but every crossing
-    /// additionally freezes a triggered pre/post waveform
-    /// [`DroopWindow`] shaped by `window`: per-cycle voltage deviation
-    /// and per-core current around the trigger, the counter deltas over
-    /// the window and the stall events inside it — the raw material for
-    /// droop root-cause attribution (`vsmooth-profile`).
+    /// Like [`Chip::run`], but also records what `capture` asks for:
+    /// every droop event at a margin (percent below nominal) as a
+    /// [`DroopCrossing`](crate::DroopCrossing) with its measured-cycle
+    /// timestamp and depth, and optionally a triggered pre/post
+    /// waveform [`DroopWindow`](crate::DroopWindow) per crossing —
+    /// per-cycle voltage deviation and per-core current around the
+    /// trigger, the counter deltas over the window and the stall
+    /// events inside it, the raw material for droop root-cause
+    /// attribution (`vsmooth-profile`).
     ///
     /// Windows still collecting their tail when the run ends are
-    /// force-finalized (marked [`truncated`](DroopWindow::truncated)),
-    /// so exactly one window per crossing is returned.
+    /// force-finalized (marked
+    /// [`truncated`](crate::DroopWindow::truncated)), so exactly one
+    /// window per crossing is returned.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Chip::run`].
-    pub fn run_with_droop_windows(
+    pub fn run_captured(
         &mut self,
         sources: &mut [&mut dyn StimulusSource],
         cycles: u64,
         interval_cycles: u64,
-        margin_pct: f64,
-        window: WindowConfig,
-    ) -> Result<(RunStats, Vec<DroopCrossing>, Vec<DroopWindow>), ChipError> {
-        self.check_sources(sources.len())?;
-        if interval_cycles == 0 {
-            return Err(ChipError::InvalidConfig("interval_cycles must be non-zero"));
-        }
-        self.warm_up(sources);
-        let mut state = MeasureState::new(self, interval_cycles);
-        state.enable_window_capture(self, margin_pct, window);
-        state.run(self, sources, cycles, None, None);
-        let crossings = state.take_droop_crossings();
-        let windows = state.flush_droop_windows(self);
-        Ok((state.into_stats(self), crossings, windows))
+        capture: Capture,
+    ) -> Result<Captured, ChipError> {
+        self.run_inner(sources, cycles, interval_cycles, capture, None, None)
     }
 
     /// Like [`Chip::run`], but consults `hook` before every cycle with
@@ -361,7 +329,15 @@ impl Chip {
         interval_cycles: u64,
         hook: &mut dyn FnMut(f64) -> crate::resilient::CycleControl,
     ) -> Result<RunStats, ChipError> {
-        self.run_inner(sources, cycles, interval_cycles, None, Some(hook))
+        self.run_inner(
+            sources,
+            cycles,
+            interval_cycles,
+            Capture::None,
+            None,
+            Some(hook),
+        )
+        .map(|c| c.stats)
     }
 
     fn run_inner(
@@ -369,17 +345,29 @@ impl Chip {
         sources: &mut [&mut dyn StimulusSource],
         cycles: u64,
         interval_cycles: u64,
+        capture: Capture,
         trace: Option<(&mut Vec<f64>, u64)>,
         hook: Option<&mut dyn FnMut(f64) -> crate::resilient::CycleControl>,
-    ) -> Result<RunStats, ChipError> {
+    ) -> Result<Captured, ChipError> {
         self.check_sources(sources.len())?;
         if interval_cycles == 0 {
             return Err(ChipError::InvalidConfig("interval_cycles must be non-zero"));
         }
         self.warm_up(sources);
         let mut state = MeasureState::new(self, interval_cycles);
+        match capture {
+            Capture::None => {}
+            Capture::Crossings(margin) => state.enable_droop_capture(margin),
+            Capture::Windows(margin, window) => state.enable_window_capture(self, margin, window),
+        }
         state.run(self, sources, cycles, trace, hook);
-        Ok(state.into_stats(self))
+        let crossings = state.take_droop_crossings();
+        let windows = state.flush_droop_windows(self);
+        Ok(Captured {
+            stats: state.into_stats(self),
+            crossings,
+            windows,
+        })
     }
 
     /// Validates that `count` stimulus sources match the core count.

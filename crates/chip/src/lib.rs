@@ -50,8 +50,8 @@ pub use probe::{
 };
 pub use resilient::ResilientRunStats;
 pub use runner::{
-    run_pair, run_pair_logged, run_pair_profiled, run_workload, run_workload_logged,
-    run_workload_profiled, workload_pair_intervals, ChipSource,
+    fan_out, run_pair, run_pair_with, run_workload, run_workload_with, workload_pair_intervals,
+    Capture, Captured, ChipSource,
 };
 pub use session::{ChipSession, DroopCrossing, SliceStats};
 pub use stats::{RunStats, PHASE_MARGIN_PCT};

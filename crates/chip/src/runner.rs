@@ -8,6 +8,8 @@ use crate::session::DroopCrossing;
 use crate::stats::RunStats;
 use crate::window::{DroopWindow, WindowConfig};
 use crate::ChipError;
+use std::collections::VecDeque;
+use std::sync::Mutex;
 use vsmooth_uarch::{IdleLoop, StimulusSource};
 use vsmooth_workload::{Threading, Workload};
 
@@ -58,16 +60,32 @@ impl<T: ChipSource + ?Sized> ChipSource for &T {
     }
 }
 
-/// How much per-event instrumentation a runner-level measurement
-/// carries along.
+/// What a chip-level measurement captures besides its aggregate
+/// statistics.
 #[derive(Debug, Clone, Copy)]
-enum Instrument {
+pub enum Capture {
     /// Aggregate statistics only.
-    Plain,
-    /// Timestamped droop crossings at the given margin.
-    Logged(f64),
-    /// Crossings plus a triggered waveform window per crossing.
-    Profiled(f64, WindowConfig),
+    None,
+    /// Timestamped droop crossings at the given margin (percent below
+    /// nominal).
+    Crossings(f64),
+    /// Crossings at the given margin plus a triggered waveform window
+    /// per crossing, shaped by the [`WindowConfig`] — the capture an
+    /// attribution profiler consumes.
+    Windows(f64, WindowConfig),
+}
+
+/// A measurement's statistics plus what its [`Capture`] recorded (both
+/// lists empty under [`Capture::None`]; `windows` empty unless
+/// [`Capture::Windows`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Captured {
+    /// Aggregate run statistics.
+    pub stats: RunStats,
+    /// Every droop event at the capture margin, in cycle order.
+    pub crossings: Vec<DroopCrossing>,
+    /// One window per crossing, in trigger order.
+    pub windows: Vec<DroopWindow>,
 }
 
 /// Runs one workload to completion on the chip.
@@ -83,53 +101,21 @@ pub fn run_workload(
     workload: &Workload,
     fidelity: Fidelity,
 ) -> Result<RunStats, ChipError> {
-    run_workload_inner(cfg, workload, fidelity, Instrument::Plain).map(|(stats, _, _)| stats)
+    run_workload_with(cfg, workload, fidelity, Capture::None).map(|c| c.stats)
 }
 
-/// Like [`run_workload`], but also returns every droop event at the
-/// given margin as a timestamped [`DroopCrossing`] log.
+/// Like [`run_workload`], but also records what `capture` asks for
+/// (see [`Chip::run_captured`]).
 ///
 /// # Errors
 ///
 /// Same conditions as [`run_workload`].
-pub fn run_workload_logged(
+pub fn run_workload_with(
     cfg: &impl ChipSource,
     workload: &Workload,
     fidelity: Fidelity,
-    margin_pct: f64,
-) -> Result<(RunStats, Vec<DroopCrossing>), ChipError> {
-    run_workload_inner(cfg, workload, fidelity, Instrument::Logged(margin_pct))
-        .map(|(stats, crossings, _)| (stats, crossings))
-}
-
-/// Like [`run_workload_logged`], but every crossing additionally
-/// freezes a triggered pre/post waveform [`DroopWindow`] shaped by
-/// `window` — the capture an attribution profiler consumes.
-///
-/// # Errors
-///
-/// Same conditions as [`run_workload`].
-pub fn run_workload_profiled(
-    cfg: &impl ChipSource,
-    workload: &Workload,
-    fidelity: Fidelity,
-    margin_pct: f64,
-    window: WindowConfig,
-) -> Result<(RunStats, Vec<DroopCrossing>, Vec<DroopWindow>), ChipError> {
-    run_workload_inner(
-        cfg,
-        workload,
-        fidelity,
-        Instrument::Profiled(margin_pct, window),
-    )
-}
-
-fn run_workload_inner(
-    cfg: &impl ChipSource,
-    workload: &Workload,
-    fidelity: Fidelity,
-    instrument: Instrument,
-) -> Result<(RunStats, Vec<DroopCrossing>, Vec<DroopWindow>), ChipError> {
+    capture: Capture,
+) -> Result<Captured, ChipError> {
     fidelity.validate()?;
     let cpi = fidelity.cycles_per_interval();
     let total = u64::from(workload.total_intervals()) * cpi;
@@ -142,7 +128,7 @@ fn run_workload_inner(
             let mut sources: Vec<&mut dyn StimulusSource> = Vec::with_capacity(num_cores);
             sources.push(&mut stream);
             sources.extend(idles.iter_mut().map(|i| i as &mut dyn StimulusSource));
-            run_instrumented(&mut chip, &mut sources, total, cpi, instrument)
+            chip.run_captured(&mut sources, total, cpi, capture)
         }
         Threading::Multi => {
             let mut streams: Vec<_> = (0..num_cores as u64)
@@ -152,27 +138,7 @@ fn run_workload_inner(
                 .iter_mut()
                 .map(|s| s as &mut dyn StimulusSource)
                 .collect();
-            run_instrumented(&mut chip, &mut sources, total, cpi, instrument)
-        }
-    }
-}
-
-fn run_instrumented(
-    chip: &mut Chip,
-    sources: &mut [&mut dyn StimulusSource],
-    total: u64,
-    cpi: u64,
-    instrument: Instrument,
-) -> Result<(RunStats, Vec<DroopCrossing>, Vec<DroopWindow>), ChipError> {
-    match instrument {
-        Instrument::Plain => chip
-            .run(sources, total, cpi)
-            .map(|s| (s, Vec::new(), Vec::new())),
-        Instrument::Logged(margin) => chip
-            .run_with_droop_log(sources, total, cpi, margin)
-            .map(|(s, c)| (s, c, Vec::new())),
-        Instrument::Profiled(margin, window) => {
-            chip.run_with_droop_windows(sources, total, cpi, margin, window)
+            chip.run_captured(&mut sources, total, cpi, capture)
         }
     }
 }
@@ -192,56 +158,22 @@ pub fn run_pair(
     b: &Workload,
     fidelity: Fidelity,
 ) -> Result<RunStats, ChipError> {
-    run_pair_inner(cfg, a, b, fidelity, Instrument::Plain).map(|(stats, _, _)| stats)
+    run_pair_with(cfg, a, b, fidelity, Capture::None).map(|c| c.stats)
 }
 
-/// Like [`run_pair`], but also returns every droop event at the given
-/// margin as a timestamped [`DroopCrossing`] log.
+/// Like [`run_pair`], but also records what `capture` asks for (see
+/// [`Chip::run_captured`]).
 ///
 /// # Errors
 ///
 /// Same conditions as [`run_pair`].
-pub fn run_pair_logged(
+pub fn run_pair_with(
     cfg: &impl ChipSource,
     a: &Workload,
     b: &Workload,
     fidelity: Fidelity,
-    margin_pct: f64,
-) -> Result<(RunStats, Vec<DroopCrossing>), ChipError> {
-    run_pair_inner(cfg, a, b, fidelity, Instrument::Logged(margin_pct))
-        .map(|(stats, crossings, _)| (stats, crossings))
-}
-
-/// Like [`run_pair_logged`], but every crossing additionally freezes a
-/// triggered pre/post waveform [`DroopWindow`] shaped by `window`.
-///
-/// # Errors
-///
-/// Same conditions as [`run_pair`].
-pub fn run_pair_profiled(
-    cfg: &impl ChipSource,
-    a: &Workload,
-    b: &Workload,
-    fidelity: Fidelity,
-    margin_pct: f64,
-    window: WindowConfig,
-) -> Result<(RunStats, Vec<DroopCrossing>, Vec<DroopWindow>), ChipError> {
-    run_pair_inner(
-        cfg,
-        a,
-        b,
-        fidelity,
-        Instrument::Profiled(margin_pct, window),
-    )
-}
-
-fn run_pair_inner(
-    cfg: &impl ChipSource,
-    a: &Workload,
-    b: &Workload,
-    fidelity: Fidelity,
-    instrument: Instrument,
-) -> Result<(RunStats, Vec<DroopCrossing>, Vec<DroopWindow>), ChipError> {
+    capture: Capture,
+) -> Result<Captured, ChipError> {
     if cfg.chip_config().num_cores != 2 {
         return Err(ChipError::InvalidConfig(
             "pair runs require a two-core chip",
@@ -259,7 +191,38 @@ fn run_pair_inner(
     sa.set_looping(true);
     sb.set_looping(true);
     let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut sa, &mut sb];
-    run_instrumented(&mut chip, &mut sources, total, cpi, instrument)
+    chip.run_captured(&mut sources, total, cpi, capture)
+}
+
+/// Maps `f` over `items` on `threads` scoped OS threads (at least
+/// one), each claiming the next unclaimed item from a shared queue, and
+/// returns the results in input order — so independent runs fan out
+/// while everything downstream, including which error is reported
+/// first, sees one canonical order whatever the thread count.
+pub fn fan_out<T: Send, R: Send>(
+    items: impl IntoIterator<Item = T>,
+    threads: usize,
+    f: impl Fn(T) -> R + Sync,
+) -> Vec<R> {
+    let queue: Mutex<VecDeque<(usize, T)>> = Mutex::new(items.into_iter().enumerate().collect());
+    let n = queue.lock().expect("queue lock").len();
+    let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
+    std::thread::scope(|scope| {
+        for _ in 0..threads.max(1) {
+            scope.spawn(|| loop {
+                let item = queue.lock().expect("queue lock").pop_front();
+                let Some((idx, item)) = item else { break };
+                let out = f(item);
+                results.lock().expect("results lock")[idx] = Some(out);
+            });
+        }
+    });
+    results
+        .into_inner()
+        .expect("results lock")
+        .into_iter()
+        .map(|slot| slot.expect("every queued item completes"))
+        .collect()
 }
 
 /// Duration (in intervals) of a pair run: the longer program's length.
@@ -326,60 +289,46 @@ mod tests {
     }
 
     #[test]
-    fn logged_runs_match_plain_runs() {
+    fn captures_only_add_records_to_the_plain_run() {
         let w = by_name("482.sphinx3").unwrap();
         let f = Fidelity::Custom(2_000);
         let plain = run_workload(&cfg(), &w, f).unwrap();
-        let (logged, crossings) = run_workload_logged(&cfg(), &w, f, 2.5).unwrap();
-        assert_eq!(plain.droops, logged.droops);
-        assert_eq!(plain.core_counters, logged.core_counters);
-        assert_eq!(crossings.len() as u64, logged.emergencies(2.5));
+        let none = run_workload_with(&cfg(), &w, f, Capture::None).unwrap();
+        assert_eq!(none.stats, plain);
+        assert!(none.crossings.is_empty() && none.windows.is_empty());
+        let logged = run_workload_with(&cfg(), &w, f, Capture::Crossings(2.5)).unwrap();
+        assert_eq!(logged.stats, plain);
+        assert_eq!(logged.crossings.len() as u64, plain.emergencies(2.5));
+        assert!(logged.windows.is_empty());
+        let windows = Capture::Windows(2.5, WindowConfig::default());
+        let profiled = run_workload_with(&cfg(), &w, f, windows).unwrap();
+        assert_eq!(profiled.stats, plain);
+        assert_eq!(profiled.crossings, logged.crossings);
+        assert_eq!(profiled.windows.len(), profiled.crossings.len());
     }
 
     #[test]
-    fn logged_pair_run_returns_crossings() {
+    fn pair_capture_returns_a_window_per_crossing() {
         let a = by_name("482.sphinx3").unwrap();
         let b = by_name("429.mcf").unwrap();
-        let (stats, crossings) =
-            run_pair_logged(&cfg(), &a, &b, Fidelity::Custom(1_000), 2.5).unwrap();
-        assert_eq!(crossings.len() as u64, stats.emergencies(2.5));
-        for ev in &crossings {
-            assert!(ev.cycle < stats.cycles);
+        let capture = Capture::Windows(2.5, WindowConfig::default());
+        let c = run_pair_with(&cfg(), &a, &b, Fidelity::Custom(1_000), capture).unwrap();
+        assert_eq!(c.crossings.len() as u64, c.stats.emergencies(2.5));
+        assert_eq!(c.crossings.len(), c.windows.len());
+        for (win, ev) in c.windows.iter().zip(&c.crossings) {
+            assert!(ev.cycle < c.stats.cycles);
             assert!(ev.depth_pct >= 2.5);
+            assert_eq!(win.trigger_cycle, ev.cycle);
         }
     }
 
     #[test]
-    fn profiled_runs_match_logged_runs() {
-        let w = by_name("482.sphinx3").unwrap();
-        let f = Fidelity::Custom(2_000);
-        let (logged, crossings) = run_workload_logged(&cfg(), &w, f, 2.5).unwrap();
-        let (profiled, pcrossings, windows) =
-            run_workload_profiled(&cfg(), &w, f, 2.5, WindowConfig::default()).unwrap();
-        assert_eq!(logged, profiled);
-        assert_eq!(crossings, pcrossings);
-        assert_eq!(windows.len(), crossings.len());
-        assert_eq!(windows.len() as u64, profiled.emergencies(2.5));
-    }
-
-    #[test]
-    fn profiled_pair_run_returns_windows() {
-        let a = by_name("482.sphinx3").unwrap();
-        let b = by_name("429.mcf").unwrap();
-        let (stats, crossings, windows) = run_pair_profiled(
-            &cfg(),
-            &a,
-            &b,
-            Fidelity::Custom(1_000),
-            2.5,
-            WindowConfig::default(),
-        )
-        .unwrap();
-        assert_eq!(crossings.len(), windows.len());
-        assert_eq!(windows.len() as u64, stats.emergencies(2.5));
-        for (win, crossing) in windows.iter().zip(&crossings) {
-            assert_eq!(win.trigger_cycle, crossing.cycle);
+    fn fan_out_returns_results_in_input_order() {
+        for threads in [0, 1, 3, 8] {
+            let out = fan_out(0..50u64, threads, |x| x * x);
+            assert_eq!(out, (0..50u64).map(|x| x * x).collect::<Vec<_>>());
         }
+        assert!(fan_out(Vec::<u8>::new(), 4, |x| x).is_empty());
     }
 
     #[test]
@@ -393,8 +342,8 @@ mod tests {
         );
         let b = by_name("429.mcf").unwrap();
         assert_eq!(
-            run_pair_logged(&cfg(), &w, &b, f, 2.5).unwrap(),
-            run_pair_logged(&batch, &w, &b, f, 2.5).unwrap()
+            run_pair_with(&cfg(), &w, &b, f, Capture::Crossings(2.5)).unwrap(),
+            run_pair_with(&batch, &w, &b, f, Capture::Crossings(2.5)).unwrap()
         );
     }
 

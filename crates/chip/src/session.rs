@@ -374,26 +374,6 @@ impl ChipSession {
         Ok(self.state.run(&mut self.chip, sources, cycles, None, None))
     }
 
-    /// Like [`ChipSession::begin`], but with profiling armed from the
-    /// first measured cycle: droop crossings are logged at `margin_pct`
-    /// and every crossing freezes a pre/post waveform [`DroopWindow`]
-    /// shaped by `window` (see [`ChipSession::enable_profiling`]).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ChipSession::begin`].
-    pub fn begin_profiled(
-        chip: Chip,
-        warmup_sources: &mut [&mut dyn StimulusSource],
-        interval_cycles: u64,
-        margin_pct: f64,
-        window: WindowConfig,
-    ) -> Result<Self, ChipError> {
-        let mut session = Self::begin(chip, warmup_sources, interval_cycles)?;
-        session.enable_profiling(margin_pct, window);
-        Ok(session)
-    }
-
     /// Starts logging individual [`DroopCrossing`] events at the given
     /// margin (percent below nominal). Only cycles run after this call
     /// are captured; call once right after [`ChipSession::begin`] to
@@ -728,7 +708,8 @@ mod tests {
             post_cycles: 80,
             ..Default::default()
         };
-        let mut session = ChipSession::begin_profiled(chip(), &mut warm, 5_000, 2.5, wcfg).unwrap();
+        let mut session = ChipSession::begin(chip(), &mut warm, 5_000).unwrap();
+        session.enable_profiling(2.5, wcfg);
         let mut windows = Vec::new();
         let mut crossings = Vec::new();
         for _ in 0..6 {

@@ -493,18 +493,8 @@ impl Lab {
         jobs: usize,
     ) -> Result<Vec<vsmooth_serve::ServiceReport>, VsmoothError> {
         use vsmooth_sched::{OnlineDroop, OnlineIpc, PairPolicy, RandomPairing, SameWorkload};
-        use vsmooth_serve::{synthetic_jobs, Service, ServiceConfig};
 
-        // A quantum well below the figure-regeneration interval keeps
-        // the service re-pairing often enough for telemetry to matter.
-        let slice = (self.cfg.fidelity.cycles_per_interval() / 8).clamp(500, 4_000);
-        let mut cfg = ServiceConfig::new(self.chip(DecapConfig::proc100()));
-        cfg.slice_cycles = slice;
-        let service = Service::new(cfg)?;
-        // Arrivals at roughly the drain rate: bursts back the queue up
-        // (so pairing has choices) without making the finish time
-        // packing-bound.
-        let stream = synthetic_jobs(seed, jobs, slice);
+        let (service, stream) = self.service(seed, jobs, None)?;
         let policies: [&dyn PairPolicy; 4] = [
             &OnlineDroop,
             &OnlineIpc,
@@ -521,143 +511,53 @@ impl Lab {
             .collect()
     }
 
-    /// The observability run behind `repro --trace-out` /
-    /// `--metrics-out`: the same submission stream as
-    /// [`Lab::serve_comparison`] under the online droop policy,
-    /// recorded into `tracer` (spans, droop events, labeled metrics).
-    ///
-    /// # Errors
-    ///
-    /// Propagates service errors.
-    pub fn serve_traced(
-        &self,
-        seed: u64,
-        jobs: usize,
-        tracer: &vsmooth_trace::Tracer,
-    ) -> Result<vsmooth_serve::ServiceReport, VsmoothError> {
-        use vsmooth_sched::OnlineDroop;
-        use vsmooth_serve::{synthetic_jobs, Service, ServiceConfig};
-
-        let slice = (self.cfg.fidelity.cycles_per_interval() / 8).clamp(500, 4_000);
-        let mut cfg = ServiceConfig::new(self.chip(DecapConfig::proc100()));
-        cfg.slice_cycles = slice;
-        let service = Service::new(cfg)?;
-        let stream = synthetic_jobs(seed, jobs, slice);
-        service
-            .run_traced(&stream, &OnlineDroop, self.cfg.threads, tracer)
-            .map_err(VsmoothError::from)
-    }
-
-    /// The run behind `repro --profile-out`: like [`Lab::serve_traced`]
-    /// but with droop attribution — every margin crossing freezes a
-    /// triggered waveform window that is scored into a per-co-schedule
-    /// [`ProfileReport`](vsmooth_profile::ProfileReport) (and, when
-    /// `tracer` records, into `droop_window` spans on the chip
-    /// timelines).
-    ///
-    /// # Errors
-    ///
-    /// Propagates service errors.
-    pub fn serve_profiled(
-        &self,
-        seed: u64,
-        jobs: usize,
-        tracer: &vsmooth_trace::Tracer,
-    ) -> Result<(vsmooth_serve::ServiceReport, vsmooth_profile::ProfileReport), VsmoothError> {
-        use vsmooth_sched::OnlineDroop;
-        use vsmooth_serve::{synthetic_jobs, Service, ServiceConfig};
-
-        let slice = (self.cfg.fidelity.cycles_per_interval() / 8).clamp(500, 4_000);
-        let mut cfg = ServiceConfig::new(self.chip(DecapConfig::proc100()));
-        cfg.slice_cycles = slice;
-        let service = Service::new(cfg)?;
-        let stream = synthetic_jobs(seed, jobs, slice);
-        service
-            .run_profiled(
-                &stream,
-                &OnlineDroop,
-                self.cfg.threads,
-                tracer,
-                vsmooth_profile::ProfileConfig::default(),
-            )
-            .map_err(VsmoothError::from)
-    }
-
-    /// The run behind `repro --monitor-out`: like [`Lab::serve_traced`]
-    /// but with a live health [`Monitor`](vsmooth_monitor::Monitor)
-    /// attached — streaming window aggregation per scheduling epoch,
-    /// CUSUM/burn-rate/threshold SLO rules, and flight-recorder
-    /// postmortems sealed when a rule fires. Returns the service report
-    /// alongside the final
-    /// [`HealthReport`](vsmooth_monitor::HealthReport).
-    ///
-    /// # Errors
-    ///
-    /// Propagates service errors.
-    pub fn serve_monitored(
-        &self,
-        seed: u64,
-        jobs: usize,
-        tracer: &vsmooth_trace::Tracer,
-    ) -> Result<(vsmooth_serve::ServiceReport, vsmooth_monitor::HealthReport), VsmoothError> {
-        use vsmooth_sched::OnlineDroop;
-        use vsmooth_serve::{synthetic_jobs, Service, ServiceConfig};
-
-        let slice = (self.cfg.fidelity.cycles_per_interval() / 8).clamp(500, 4_000);
-        let mut cfg = ServiceConfig::new(self.chip(DecapConfig::proc100()));
-        cfg.slice_cycles = slice;
-        let service = Service::new(cfg)?;
-        let stream = synthetic_jobs(seed, jobs, slice);
-        service
-            .run_monitored(
-                &stream,
-                &OnlineDroop,
-                self.cfg.threads,
-                tracer,
-                vsmooth_monitor::MonitorConfig::default(),
-            )
-            .map_err(VsmoothError::from)
-    }
-
-    /// The run behind `repro --serve-http`: the monitored service run
-    /// of [`Lab::serve_monitored`] with live operational endpoints
-    /// attached — the coordinator publishes an
+    /// The observed service run behind `repro`'s artifact flags: the
+    /// same submission stream as [`Lab::serve_comparison`] under the
+    /// online droop policy, recorded into whatever `inst` arms (spans
+    /// and droop events, droop attribution, live health monitoring).
+    /// With `obs` set, the coordinator also publishes an
     /// [`ObsSnapshot`](vsmooth_obs::ObsSnapshot) into `obs.hub` every
     /// `obs.publish_every` epochs, so an
     /// [`ObsServer`](vsmooth_obs::ObsServer) holding the same hub can
-    /// serve `/metrics`, `/healthz`, `/status`, `/trace/recent` and
-    /// `/profile` while jobs execute. Publishing is strictly
-    /// observational: the returned reports are byte-identical to the
-    /// un-observed monitored run.
+    /// serve its endpoints while jobs execute. Neither changes the
+    /// returned report.
     ///
     /// # Errors
     ///
-    /// Propagates service errors.
-    pub fn serve_observed(
+    /// Propagates service errors, including the service's rejection of
+    /// `inst.metrics` (its report embeds its own registry).
+    pub fn serve(
         &self,
         seed: u64,
         jobs: usize,
-        tracer: &vsmooth_trace::Tracer,
-        obs: vsmooth_obs::ObsConfig,
-    ) -> Result<(vsmooth_serve::ServiceReport, vsmooth_monitor::HealthReport), VsmoothError> {
-        use vsmooth_sched::OnlineDroop;
+        obs: Option<vsmooth_obs::ObsConfig>,
+        inst: &crate::Instruments,
+    ) -> Result<crate::Observed<vsmooth_serve::ServiceReport>, VsmoothError> {
+        let (service, stream) = self.service(seed, jobs, obs)?;
+        service
+            .run_with(&stream, &vsmooth_sched::OnlineDroop, self.cfg.threads, inst)
+            .map_err(VsmoothError::from)
+    }
+
+    /// The service and submission stream every `serve*` runner shares.
+    fn service(
+        &self,
+        seed: u64,
+        jobs: usize,
+        obs: Option<vsmooth_obs::ObsConfig>,
+    ) -> Result<(vsmooth_serve::Service, Vec<vsmooth_serve::JobSpec>), VsmoothError> {
         use vsmooth_serve::{synthetic_jobs, Service, ServiceConfig};
 
+        // A quantum well below the figure-regeneration interval keeps
+        // the service re-pairing often enough for telemetry to matter.
         let slice = (self.cfg.fidelity.cycles_per_interval() / 8).clamp(500, 4_000);
         let mut cfg = ServiceConfig::new(self.chip(DecapConfig::proc100()));
         cfg.slice_cycles = slice;
-        cfg.obs = Some(obs);
-        let service = Service::new(cfg)?;
-        let stream = synthetic_jobs(seed, jobs, slice);
-        service
-            .run_monitored(
-                &stream,
-                &OnlineDroop,
-                self.cfg.threads,
-                tracer,
-                vsmooth_monitor::MonitorConfig::default(),
-            )
-            .map_err(VsmoothError::from)
+        cfg.obs = obs;
+        // Arrivals at roughly the drain rate: bursts back the queue up
+        // (so pairing has choices) without making the finish time
+        // packing-bound.
+        Ok((Service::new(cfg)?, synthetic_jobs(seed, jobs, slice)))
     }
 
     /// A seeded heterogeneous fleet sweep (see [`crate::fleet`]): the

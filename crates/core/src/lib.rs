@@ -78,6 +78,9 @@ pub use vsmooth_pdn as pdn;
 pub use vsmooth_profile as profile;
 /// Typical-case design analysis and the measurement campaign.
 pub use vsmooth_resilience as resilience;
+/// The observation descriptor every run owner takes, and the result
+/// it hands back.
+pub use vsmooth_resilience::{Instruments, Observed};
 /// The noise-aware thread scheduler.
 pub use vsmooth_sched as sched;
 /// The online noise-aware scheduling service.

@@ -15,12 +15,11 @@ use crate::checkpoint::{Checkpoint, RunRecord};
 use crate::report::{ChipReport, FleetReport};
 use crate::spec::{ChipVariant, FleetJob, FleetRun, FleetSpec};
 use crate::FleetError;
-use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
-use vsmooth_chip::{run_pair, run_workload, ChipBatch, RunStats, PHASE_MARGIN_PCT};
+use std::sync::Arc;
+use vsmooth_chip::{fan_out, run_pair, run_workload, ChipBatch, RunStats, PHASE_MARGIN_PCT};
 use vsmooth_obs::{FleetStatus, ObsSnapshot, TelemetryHub};
-use vsmooth_resilience::{measure_worst_case_margin, WorstCaseMargin};
+use vsmooth_resilience::{measure_worst_case_margin, Instruments, Observed, WorstCaseMargin};
 use vsmooth_stats::MetricsRegistry;
 use vsmooth_trace::{ArgValue, Tracer, PID_CAMPAIGN};
 
@@ -38,6 +37,16 @@ pub enum FleetOutcome {
         /// Where the checkpoint was saved.
         checkpoint: PathBuf,
     },
+}
+
+impl FleetOutcome {
+    /// The final report if the sweep ran to completion.
+    pub fn into_report(self) -> Option<FleetReport> {
+        match self {
+            Self::Complete(report) => Some(report),
+            Self::Interrupted { .. } => None,
+        }
+    }
 }
 
 /// Executes a [`FleetSpec`].
@@ -77,54 +86,59 @@ impl FleetCampaign {
     ///
     /// Returns the first simulation error encountered.
     pub fn run(&self, threads: usize) -> Result<FleetReport, FleetError> {
-        let mut ckpt = Checkpoint::new(self.spec.fingerprint(), self.spec.total_runs());
-        self.execute(threads, &mut ckpt, None, None, None, None)?;
-        self.assemble(&ckpt, None)
+        self.run_with(threads, &Instruments::new())
+            .map(|o| o.report)
     }
 
-    /// Like [`run`](Self::run), recording every completed run into
-    /// `tracer`: one span per run on the campaign track (one virtual
-    /// thread per chip, runs laid end to end on a per-chip cumulative
-    /// clock) plus a running per-chip droop counter. Spans are emitted
-    /// coordinator-side in canonical run order, so the trace bytes are
-    /// thread-count-independent — and a streaming tracer bounds the
-    /// sweep's telemetry memory however large the fleet grows.
+    /// Like [`run`](Self::run), recording into whatever `inst` arms.
+    /// Every record is made coordinator-side in canonical run order,
+    /// so each artifact is thread-count-independent.
+    ///
+    /// * `tracer`: one span per run on the campaign track (one virtual
+    ///   thread per chip, runs laid end to end on a per-chip cumulative
+    ///   clock) plus a running per-chip droop counter — a streaming
+    ///   tracer bounds the sweep's telemetry memory however large the
+    ///   fleet grows.
+    /// * `metrics`: per-chip run/cycle/droop counters plus the final
+    ///   report's margin gauges.
     ///
     /// # Errors
     ///
-    /// Returns the first simulation error encountered.
-    pub fn run_traced(&self, threads: usize, tracer: &Tracer) -> Result<FleetReport, FleetError> {
-        let mut ckpt = Checkpoint::new(self.spec.fingerprint(), self.spec.total_runs());
-        if tracer.is_enabled() {
-            tracer.process_name(PID_CAMPAIGN, "fleet sweep");
-            for variant in self.spec.variants() {
-                tracer.thread_name(PID_CAMPAIGN, variant.index as u64, variant.id());
-            }
-        }
-        self.execute(threads, &mut ckpt, None, None, None, Some(tracer))?;
-        self.assemble(&ckpt, None)
-    }
-
-    /// Like [`run`](Self::run), with operational telemetry: per-chip
-    /// run/cycle/droop counters recorded at merge time (run order, so
-    /// snapshots are thread-count-independent) plus the final report's
-    /// margin gauges.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first simulation error encountered.
-    pub fn run_with_metrics(
+    /// [`FleetError::InvalidSpec`] if `inst` arms a profiler or monitor
+    /// (a sweep keeps per-run summaries only, no waveforms or epochs),
+    /// plus the first simulation error encountered.
+    pub fn run_with(
         &self,
         threads: usize,
-        metrics: &MetricsRegistry,
-    ) -> Result<FleetReport, FleetError> {
+        inst: &Instruments,
+    ) -> Result<Observed<FleetReport>, FleetError> {
+        if inst.profile.is_some() || inst.monitor.is_some() {
+            return Err(FleetError::InvalidSpec(
+                "a fleet sweep records traces and metrics only; \
+                 profile or monitor a CampaignSpec instead",
+            ));
+        }
         let mut ckpt = Checkpoint::new(self.spec.fingerprint(), self.spec.total_runs());
-        self.execute(threads, &mut ckpt, None, None, Some(metrics), None)?;
-        self.assemble(&ckpt, Some(metrics))
+        let tracer = inst.tracer.filter(|t| t.is_enabled());
+        if let Some(t) = tracer {
+            t.process_name(PID_CAMPAIGN, "fleet sweep");
+            for variant in self.spec.variants() {
+                t.thread_name(PID_CAMPAIGN, variant.index as u64, variant.id());
+            }
+        }
+        self.execute(threads, &mut ckpt, None, None, inst.metrics, tracer)?;
+        Ok(Observed {
+            report: self.assemble(&ckpt, inst.metrics)?,
+            profile: None,
+            health: None,
+        })
     }
 
     /// Runs the sweep with durable checkpoints at `path`, resuming any
-    /// compatible checkpoint already there. On success the completed
+    /// compatible checkpoint already there. With `stop_after` set the
+    /// sweep stops at the first checkpoint boundary after that many
+    /// *newly* completed runs — the hook that simulates a mid-flight
+    /// kill with a durable checkpoint left behind. On completion the
     /// checkpoint remains on disk alongside the returned report.
     ///
     /// # Errors
@@ -135,37 +149,11 @@ impl FleetCampaign {
         &self,
         threads: usize,
         path: &Path,
-        metrics: Option<&MetricsRegistry>,
-    ) -> Result<FleetReport, FleetError> {
-        let mut ckpt = self.load_or_new(path)?;
-        self.execute(threads, &mut ckpt, Some(path), None, metrics, None)?;
-        self.assemble(&ckpt, metrics)
-    }
-
-    /// Like [`run_checkpointed`](Self::run_checkpointed), but stops at
-    /// the first checkpoint boundary after `stop_after` *newly*
-    /// completed runs — the test hook that simulates a mid-flight kill
-    /// with a durable checkpoint left behind.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`run_checkpointed`](Self::run_checkpointed).
-    pub fn run_interruptible(
-        &self,
-        threads: usize,
-        path: &Path,
-        stop_after: usize,
+        stop_after: Option<usize>,
         metrics: Option<&MetricsRegistry>,
     ) -> Result<FleetOutcome, FleetError> {
         let mut ckpt = self.load_or_new(path)?;
-        self.execute(
-            threads,
-            &mut ckpt,
-            Some(path),
-            Some(stop_after),
-            metrics,
-            None,
-        )?;
+        self.execute(threads, &mut ckpt, Some(path), stop_after, metrics, None)?;
         if ckpt.is_complete() {
             Ok(FleetOutcome::Complete(self.assemble(&ckpt, metrics)?))
         } else {
@@ -212,7 +200,6 @@ impl FleetCampaign {
         // Per-chip cumulative clocks for trace emission: runs on one
         // chip lay end to end on that chip's virtual-thread timeline.
         let mut clocks: Vec<(u64, u64)> = vec![(0, 0); self.spec.chips];
-        let threads = threads.max(1);
         let variants = self.spec.variants();
         let pending: Vec<FleetRun> = self
             .spec
@@ -224,46 +211,31 @@ impl FleetCampaign {
             return Ok(());
         }
         let batches = self.build_batches(&variants)?;
+        let fidelity = self.spec.fidelity;
         let mut fresh = 0usize;
         let mut saves = 0u64;
         let mut since_save = 0usize;
         for chunk in pending.chunks(self.spec.checkpoint_every) {
-            let n = chunk.len();
-            let queue: Mutex<VecDeque<(usize, FleetRun)>> =
-                Mutex::new(chunk.iter().cloned().enumerate().collect());
-            type Slot = Option<Result<RunRecord, FleetError>>;
-            let results: Mutex<Vec<Slot>> = Mutex::new((0..n).map(|_| None).collect());
-            let batches = &batches;
-            let fidelity = self.spec.fidelity;
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    scope.spawn(|| loop {
-                        let item = queue.lock().expect("queue lock").pop_front();
-                        let Some((slot, run)) = item else { break };
-                        let batch = &batches[run.chip];
-                        let label = run.job.label();
-                        let stats = match &run.job {
-                            FleetJob::Single(w) => run_workload(batch, w, fidelity),
-                            FleetJob::Pair(a, b) => run_pair(batch, a, b, fidelity),
-                        };
-                        let outcome =
-                            stats
-                                .map(|s| to_record(&run, &label, &s))
-                                .map_err(|source| FleetError::Run {
-                                    run: run.index,
-                                    label: label.clone(),
-                                    source,
-                                });
-                        results.lock().expect("results lock")[slot] = Some(outcome);
-                    });
-                }
+            let collected = fan_out(chunk, threads, |run| {
+                let batch = &batches[run.chip];
+                let label = run.job.label();
+                let stats = match &run.job {
+                    FleetJob::Single(w) => run_workload(batch, w, fidelity),
+                    FleetJob::Pair(a, b) => run_pair(batch, a, b, fidelity),
+                };
+                stats
+                    .map(|s| to_record(run, &label, &s))
+                    .map_err(|source| FleetError::Run {
+                        run: run.index,
+                        label,
+                        source,
+                    })
             });
             // Coordinator-side merge in run order: counters, checkpoint
             // records and (later) the report see one canonical order
             // regardless of thread count.
-            let collected = results.into_inner().expect("results lock");
-            for slot in collected {
-                let rec = slot.expect("every queued run completes")?;
+            for outcome in collected {
+                let rec = outcome?;
                 if let Some(m) = metrics {
                     let chip_id = variants[rec.chip].id();
                     let labels: &[(&str, &str)] = &[("chip", &chip_id)];
@@ -271,7 +243,7 @@ impl FleetCampaign {
                     m.counter_with("fleet_cycles_total", labels, rec.cycles);
                     m.counter_with("fleet_droops_total", labels, rec.droops);
                 }
-                if let Some(t) = tracer.filter(|t| t.is_enabled()) {
+                if let Some(t) = tracer {
                     let (cycles_before, droops_before) = clocks[rec.chip];
                     t.complete(
                         rec.label.clone(),
@@ -389,27 +361,12 @@ impl FleetCampaign {
     /// per chip and merged by index, so they are not checkpointed: a
     /// resumed sweep reproduces them exactly.
     fn probe_margins(&self, batches: &[ChipBatch]) -> Result<Vec<WorstCaseMargin>, FleetError> {
-        let queue: Mutex<VecDeque<usize>> = Mutex::new((0..batches.len()).collect());
-        type Slot = Option<Result<WorstCaseMargin, FleetError>>;
-        let results: Mutex<Vec<Slot>> = Mutex::new((0..batches.len()).map(|_| None).collect());
         let cycles = self.spec.probe_cycles;
-        std::thread::scope(|scope| {
-            for _ in 0..batches.len().clamp(1, 8) {
-                scope.spawn(|| loop {
-                    let item = queue.lock().expect("queue lock").pop_front();
-                    let Some(idx) = item else { break };
-                    let outcome =
-                        measure_worst_case_margin(&batches[idx], cycles).map_err(FleetError::Chip);
-                    results.lock().expect("results lock")[idx] = Some(outcome);
-                });
-            }
-        });
-        results
-            .into_inner()
-            .expect("results lock")
-            .into_iter()
-            .map(|slot| slot.expect("every probe completes"))
-            .collect()
+        fan_out(batches, batches.len().clamp(1, 8), |batch| {
+            measure_worst_case_margin(batch, cycles).map_err(FleetError::Chip)
+        })
+        .into_iter()
+        .collect()
     }
 }
 
@@ -461,7 +418,7 @@ mod tests {
         let straight = FleetCampaign::new(small_spec(23)).unwrap().run(3).unwrap();
         // Kill after the first checkpoint chunk…
         let campaign = FleetCampaign::new(small_spec(23)).unwrap();
-        let outcome = campaign.run_interruptible(3, &path, 1, None).unwrap();
+        let outcome = campaign.run_checkpointed(3, &path, Some(1), None).unwrap();
         let FleetOutcome::Interrupted {
             completed, total, ..
         } = outcome
@@ -470,7 +427,11 @@ mod tests {
         };
         assert!(completed > 0 && completed < total, "{completed}/{total}");
         // …and resume from the durable checkpoint.
-        let resumed = campaign.run_checkpointed(3, &path, None).unwrap();
+        let resumed = campaign
+            .run_checkpointed(3, &path, None, None)
+            .unwrap()
+            .into_report()
+            .expect("resumed sweep completes");
         assert_eq!(resumed.to_json(), straight.to_json());
         assert_eq!(resumed.render(), straight.render());
         // The completed checkpoint artifact remains on disk.
@@ -484,11 +445,11 @@ mod tests {
         let path = tmp("spec-mismatch");
         let _ = fs::remove_file(&path);
         let campaign = FleetCampaign::new(small_spec(31)).unwrap();
-        let outcome = campaign.run_interruptible(2, &path, 1, None).unwrap();
+        let outcome = campaign.run_checkpointed(2, &path, Some(1), None).unwrap();
         assert!(matches!(outcome, FleetOutcome::Interrupted { .. }));
         let other = FleetCampaign::new(small_spec(32)).unwrap();
         assert!(matches!(
-            other.run_checkpointed(2, &path, None),
+            other.run_checkpointed(2, &path, None, None),
             Err(FleetError::Checkpoint(
                 crate::CheckpointError::SpecMismatch { .. }
             ))
@@ -519,8 +480,9 @@ mod tests {
         let metrics = MetricsRegistry::new();
         let report = FleetCampaign::new(small_spec(53))
             .unwrap()
-            .run_with_metrics(2, &metrics)
-            .unwrap();
+            .run_with(2, &Instruments::new().with_metrics(&metrics))
+            .unwrap()
+            .report;
         let snap = metrics.snapshot();
         // One count per run per chip, plus the report-level re-export.
         assert_eq!(
@@ -539,7 +501,7 @@ mod tests {
             let tracer = Tracer::enabled();
             FleetCampaign::new(small_spec(61))
                 .unwrap()
-                .run_traced(threads, &tracer)
+                .run_with(threads, &Instruments::new().traced(&tracer))
                 .unwrap();
             tracer.to_chrome_json()
         };
@@ -563,7 +525,7 @@ mod tests {
         );
         FleetCampaign::new(small_spec(61))
             .unwrap()
-            .run_traced(2, &tracer)
+            .run_with(2, &Instruments::new().traced(&tracer))
             .unwrap();
         let stats = tracer.finish_stream().unwrap().unwrap();
         assert_eq!(stats.dropped_total(), 0);
@@ -604,7 +566,7 @@ mod tests {
         let hub = Arc::new(TelemetryHub::new());
         let mut campaign = FleetCampaign::new(small_spec(71)).unwrap();
         campaign.attach_hub(Arc::clone(&hub));
-        campaign.run_checkpointed(2, &path, None).unwrap();
+        campaign.run_checkpointed(2, &path, None, None).unwrap();
         let fleet = hub.latest().fleet.clone().expect("fleet status");
         assert_eq!(fleet.checkpoint_age_runs, 0);
         assert_eq!(fleet.checkpoints_saved, 5);

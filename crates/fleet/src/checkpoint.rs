@@ -22,6 +22,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use vsmooth_trace::json;
 
 /// Schema tag written to and required from every checkpoint file.
 pub const CHECKPOINT_SCHEMA: &str = "vsmooth-fleet-ckpt-v1";
@@ -171,7 +172,7 @@ impl Checkpoint {
                  \"max_droop_pct\": {:.4}, \"peak_to_peak_pct\": {:.4}, \"ipc\": {:.4}}}{comma}",
                 rec.run,
                 rec.chip,
-                escape_json(&rec.label),
+                json::escape(&rec.label),
                 rec.cycles,
                 rec.droops,
                 rec.max_droop_pct.to_bits(),
@@ -326,12 +327,13 @@ fn parse_record(line: &str, lineno: usize) -> Result<RunRecord, CheckpointError>
             .parse::<u64>()
             .map_err(|e| malformed(lineno, format!("bad {key}: {e}")))
     };
-    let label_raw = get("label")?;
-    let label = label_raw
-        .strip_prefix('"')
-        .and_then(|s| s.strip_suffix('"'))
-        .ok_or_else(|| malformed(lineno, "label must be a JSON string"))?
-        .to_string();
+    // The label is the one free-text field: read it with the JSON
+    // string reader, which knows where an escaped string ends.
+    let label_at = line
+        .find("\"label\": ")
+        .ok_or_else(|| malformed(lineno, "record missing \"label\""))?;
+    let label = json::read_string(&line[label_at + "\"label\": ".len()..])
+        .map_err(|e| malformed(lineno, format!("label must be a JSON string: {e}")))?;
     Ok(RunRecord {
         run: usize::try_from(num("run")?)
             .map_err(|e| malformed(lineno, format!("bad run index: {e}")))?,
@@ -344,25 +346,6 @@ fn parse_record(line: &str, lineno: usize) -> Result<RunRecord, CheckpointError>
         peak_to_peak_pct: f64::from_bits(num("p2p_bits")?),
         ipc: f64::from_bits(num("ipc_bits")?),
     })
-}
-
-/// Minimal JSON string escaping (labels are workload names, but a
-/// hostile label must not break the file).
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -406,6 +389,36 @@ mod tests {
         );
         // Serialization itself is deterministic.
         assert_eq!(ckpt.to_json(), parsed.to_json());
+    }
+
+    #[test]
+    fn hostile_labels_round_trip_exactly() {
+        let mut ckpt = Checkpoint::new(7, 6);
+        for (run, label) in [
+            "a,b",
+            "a\"b",
+            "a\\b",
+            "tab\there",
+            "x}, \"cycles\": 9",
+            "cr\rlf",
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            ckpt.record(RunRecord {
+                run,
+                chip: 0,
+                label: label.to_string(),
+                cycles: 10 + run as u64,
+                droops: 1,
+                max_droop_pct: 1.5,
+                peak_to_peak_pct: 2.5,
+                ipc: 0.5,
+            });
+        }
+        let json = ckpt.to_json();
+        assert!(vsmooth_trace::parse_json(&json).is_ok(), "{json}");
+        assert_eq!(Checkpoint::parse(&json).unwrap(), ckpt);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::spec::ChipVariant;
 use std::fmt::Write as _;
 use vsmooth_resilience::WorstCaseMargin;
 use vsmooth_stats::MetricsRegistry;
+use vsmooth_trace::json;
 
 /// Schema tag of the JSON report artifact.
 pub const REPORT_SCHEMA: &str = "vsmooth-fleet-v1";
@@ -215,10 +216,10 @@ impl FleetReport {
                  \"droop_rate_per_kcycle\": {:.4}, \"worst_observed_droop_pct\": {:.4}, \
                  \"probe_droop_pct\": {:.4}, \"worst_case_margin_pct\": {:.4}, \
                  \"sheddable_margin_pct\": {:.4}}}{comma}",
-                c.id,
+                json::escape(&c.id),
                 c.node_nm,
                 c.decap_pct,
-                c.op_name,
+                json::escape(&c.op_name),
                 c.guard_pct,
                 c.runs,
                 c.cycles,
@@ -311,6 +312,17 @@ mod tests {
         let again = FleetReport::new(9, 4, vec![chip("chip00", 7.0), chip("chip01", 9.0)]);
         assert_eq!(rep.to_json(), again.to_json());
         assert_eq!(rep.render(), again.render());
+    }
+
+    #[test]
+    fn hostile_ids_and_op_names_stay_valid_json() {
+        let mut c = chip("chip\"00\\", 7.0);
+        c.op_name = "turbo\n\"x\"".to_string();
+        let rep = FleetReport::new(9, 2, vec![c]);
+        let doc = vsmooth_trace::parse_json(&rep.to_json()).expect("valid JSON");
+        let row = &doc.get("chips").and_then(|c| c.as_array()).unwrap()[0];
+        assert_eq!(row.get("id").and_then(|v| v.as_str()), Some("chip\"00\\"));
+        assert_eq!(row.get("op").and_then(|v| v.as_str()), Some("turbo\n\"x\""));
     }
 
     #[test]

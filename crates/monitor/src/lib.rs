@@ -21,8 +21,8 @@
 //!   the moment an alert fires, re-validated offline by
 //!   [`validate_postmortem`].
 //! * [`Monitor`] / [`HealthReport`] — the coordinator-facing facade
-//!   wired through `Service::run_monitored` and
-//!   `CampaignSpec::run_monitored`.
+//!   armed by `Instruments::monitored` on `Service::run_with` and
+//!   `CampaignSpec::run_with`.
 //!
 //! # Determinism contract
 //!
@@ -61,7 +61,6 @@
 #![warn(missing_docs)]
 
 pub mod detector;
-mod json;
 #[allow(clippy::module_inception)]
 pub mod monitor;
 pub mod recorder;

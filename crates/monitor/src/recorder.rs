@@ -11,11 +11,11 @@
 //! [`validate_postmortem`], mirroring the Chrome-trace exporter's
 //! validator.
 
-use crate::json::{escape_json, json_f64};
 use crate::slo::Alert;
 use crate::window::WindowSnapshot;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use vsmooth_trace::json::{escape, json_f64};
 use vsmooth_trace::{parse_json, DroopEvent};
 
 /// Schema tag stamped on every postmortem bundle.
@@ -163,7 +163,7 @@ fn window_json(out: &mut String, w: &WindowSnapshot) {
 pub(crate) fn alert_json(out: &mut String, a: &Alert) {
     out.push_str(&format!(
         "{{\"rule\": \"{}\", \"severity\": \"{}\", \"fired_at_cycle\": {}, \"fired_at_kcycle\": {}, ",
-        escape_json(&a.rule),
+        escape(&a.rule),
         a.severity.label(),
         a.fired_at_cycle,
         json_f64(a.fired_at_kcycle()),
@@ -189,27 +189,13 @@ impl PostmortemBundle {
         alert_json(&mut out, &self.alert);
         out.push_str(",\n  \"droop_events\": [\n");
         for (i, e) in self.droop_events.iter().enumerate() {
-            let workloads = e
-                .workloads
-                .iter()
-                .map(|w| format!("\"{}\"", escape_json(w)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&format!(
-                "    {{\"chip\": {}, \"core\": {}, \"cycle\": {}, \"depth_pct\": {}, \
-                 \"workloads\": [{}], \"phase\": \"{}\"}}{}\n",
-                e.chip,
-                e.core,
-                e.cycle,
-                json_f64(e.depth_pct),
-                workloads,
-                escape_json(&e.phase),
-                if i + 1 == self.droop_events.len() {
-                    ""
-                } else {
-                    ","
-                },
-            ));
+            out.push_str("    ");
+            e.push_json(&mut out);
+            out.push_str(if i + 1 == self.droop_events.len() {
+                "\n"
+            } else {
+                ",\n"
+            });
         }
         out.push_str("  ],\n  \"slices\": [\n");
         for (i, s) in self.slices.iter().enumerate() {
@@ -218,7 +204,7 @@ impl PostmortemBundle {
                  \"droops\": {}, \"max_droop_pct\": {}}}{}\n",
                 s.start_cycle,
                 s.chip,
-                escape_json(&s.label),
+                escape(&s.label),
                 s.cycles,
                 s.droops,
                 json_f64(s.max_droop_pct),

@@ -2,13 +2,14 @@
 //! final windowed signals, with deterministic JSON/text renders and a
 //! metrics exporter.
 
-use crate::json::{escape_json, json_f64};
 use crate::recorder::{alert_json, PostmortemBundle};
 use crate::slo::{Alert, AlertPhase, Severity};
 use crate::window::WindowSnapshot;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use vsmooth_stats::MetricsRegistry;
+use vsmooth_trace::json::{escape, json_f64};
+use vsmooth_trace::{ArgValue, Tracer, PID_MONITOR};
 
 /// Schema tag stamped on every health-report JSON document.
 pub const HEALTH_SCHEMA: &str = "vsmooth-health-v1";
@@ -182,6 +183,37 @@ impl HealthReport {
         metrics.gauge_set("monitor_mean_queue_depth", self.last.mean_queue_depth);
     }
 
+    /// Records every alert into `tracer` on the [`PID_MONITOR`]
+    /// timeline: an `alert` instant at its firing cycle and, once
+    /// resolved, an `alert-resolved` instant. Naming the process is
+    /// left to the caller, which knows where in its record stream the
+    /// name belongs.
+    pub fn emit_alert_instants(&self, tracer: &Tracer) {
+        for alert in &self.alerts {
+            tracer.instant(
+                alert.rule.clone(),
+                "alert",
+                PID_MONITOR,
+                0,
+                alert.fired_at_cycle,
+                vec![
+                    ("severity", ArgValue::from(alert.severity.label())),
+                    ("droops", ArgValue::from(alert.window.droops)),
+                ],
+            );
+            if let Some(resolved) = alert.resolved_at_cycle {
+                tracer.instant(
+                    alert.rule.clone(),
+                    "alert-resolved",
+                    PID_MONITOR,
+                    0,
+                    resolved,
+                    vec![("severity", ArgValue::from(alert.severity.label()))],
+                );
+            }
+        }
+    }
+
     /// Deterministic `vsmooth-health-v1` JSON. Postmortem bundles are
     /// embedded verbatim, so the document also contains each
     /// `vsmooth-postmortem-v1` sub-document.
@@ -211,7 +243,7 @@ impl HealthReport {
             }
             out.push_str(&format!(
                 "{{\"rule\": \"{}\", \"phase\": \"{}\"}}",
-                escape_json(name),
+                escape(name),
                 phase.label()
             ));
         }

@@ -52,7 +52,6 @@
 #![warn(missing_docs)]
 
 mod hub;
-mod json;
 mod server;
 
 pub use hub::{

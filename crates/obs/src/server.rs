@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 use vsmooth_stats::MetricsRegistry;
 
 use crate::hub::{ObsSnapshot, ShardsStatus, TelemetryHub};
-use crate::json::{escape_json, json_f64};
+use vsmooth_trace::json::{escape, json_f64};
 
 /// Schema tag on the `/status` JSON document.
 pub const OBS_STATUS_SCHEMA: &str = "vsmooth-obs-v1";
@@ -573,7 +573,7 @@ fn status_json(hub: &TelemetryHub, snap: &ObsSnapshot) -> String {
                 }
                 out.push_str(&format!(
                     "{{\"rule\": \"{}\", \"severity\": \"{}\"}}",
-                    escape_json(rule),
+                    escape(rule),
                     severity.label()
                 ));
             }
@@ -717,22 +717,9 @@ fn trace_json(snap: &ObsSnapshot, n: usize) -> String {
         recent.len()
     ));
     for (i, d) in recent.iter().enumerate() {
-        let workloads: Vec<String> = d
-            .workloads
-            .iter()
-            .map(|w| format!("\"{}\"", escape_json(w)))
-            .collect();
-        out.push_str(&format!(
-            "    {{\"chip\": {}, \"core\": {}, \"cycle\": {}, \"depth_pct\": {}, \
-             \"workloads\": [{}], \"phase\": \"{}\"}}{}\n",
-            d.chip,
-            d.core,
-            d.cycle,
-            json_f64(d.depth_pct),
-            workloads.join(", "),
-            escape_json(&d.phase),
-            if i + 1 < recent.len() { "," } else { "" }
-        ));
+        out.push_str("    ");
+        d.push_json(&mut out);
+        out.push_str(if i + 1 < recent.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ]\n}\n");
     out

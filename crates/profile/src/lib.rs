@@ -34,7 +34,7 @@
 //! # Examples
 //!
 //! ```
-//! use vsmooth_chip::{run_workload_profiled, ChipConfig, Fidelity};
+//! use vsmooth_chip::{run_workload_with, Capture, ChipConfig, Fidelity};
 //! use vsmooth_pdn::DecapConfig;
 //! use vsmooth_profile::{ProfileConfig, Profiler};
 //! use vsmooth_workload::by_name;
@@ -42,14 +42,14 @@
 //! let cfg = ChipConfig::core2_duo(DecapConfig::proc100());
 //! let sphinx = by_name("482.sphinx3").expect("in catalog");
 //! let pcfg = ProfileConfig::default();
-//! let (stats, _crossings, windows) =
-//!     run_workload_profiled(&cfg, &sphinx, Fidelity::Custom(2_000), 2.5, pcfg.window)?;
+//! let capture = Capture::Windows(2.5, pcfg.window);
+//! let run = run_workload_with(&cfg, &sphinx, Fidelity::Custom(2_000), capture)?;
 //! let mut profiler = Profiler::new(2.5, pcfg);
-//! for w in &windows {
+//! for w in &run.windows {
 //!     profiler.record("482.sphinx3", w);
 //! }
 //! let report = profiler.report();
-//! assert_eq!(report.total_droops, stats.emergencies(2.5));
+//! assert_eq!(report.total_droops, run.stats.emergencies(2.5));
 //! # Ok::<(), vsmooth_chip::ChipError>(())
 //! ```
 

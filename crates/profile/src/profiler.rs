@@ -304,7 +304,7 @@ impl Profiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vsmooth_chip::{run_workload_profiled, ChipConfig, Fidelity};
+    use vsmooth_chip::{run_workload_with, Capture, ChipConfig, Fidelity};
     use vsmooth_pdn::{DecapConfig, ImpedanceProfile, LadderConfig};
     use vsmooth_uarch::StallEvent;
     use vsmooth_workload::by_name;
@@ -312,15 +312,9 @@ mod tests {
     fn sphinx_windows() -> (u64, Vec<DroopWindow>) {
         let cfg = ChipConfig::core2_duo(DecapConfig::proc100());
         let sphinx = by_name("482.sphinx3").unwrap();
-        let (stats, _, windows) = run_workload_profiled(
-            &cfg,
-            &sphinx,
-            Fidelity::Custom(4_000),
-            2.5,
-            ProfileConfig::default().window,
-        )
-        .unwrap();
-        (stats.emergencies(2.5), windows)
+        let capture = Capture::Windows(2.5, ProfileConfig::default().window);
+        let c = run_workload_with(&cfg, &sphinx, Fidelity::Custom(4_000), capture).unwrap();
+        (c.stats.emergencies(2.5), c.windows)
     }
 
     #[test]

@@ -6,6 +6,7 @@ use crate::profiler::NoiseProfile;
 use std::fmt::Write as _;
 use vsmooth_chip::DroopWindow;
 use vsmooth_stats::MetricsRegistry;
+use vsmooth_trace::json::escape;
 use vsmooth_trace::{ArgValue, Tracer};
 use vsmooth_uarch::StallEvent;
 
@@ -134,7 +135,7 @@ impl ProfileReport {
             }
             out.push_str("\n    {\n");
             let p = &w.profile;
-            let _ = writeln!(out, "      \"label\": \"{}\",", escape_json(&w.label));
+            let _ = writeln!(out, "      \"label\": \"{}\",", escape(&w.label));
             let _ = writeln!(out, "      \"droops\": {},", p.droops);
             let _ = writeln!(out, "      \"truncated_windows\": {},", p.truncated_windows);
             let _ = writeln!(out, "      \"mean_depth_pct\": {:.4},", p.mean_depth_pct());
@@ -265,25 +266,6 @@ fn json_u64_array(values: &[u64]) -> String {
         let _ = write!(out, "{v}");
     }
     out.push(']');
-    out
-}
-
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
     out
 }
 

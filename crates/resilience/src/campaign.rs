@@ -8,20 +8,17 @@
 //! Runs are independent, so the campaign fans out over OS threads and
 //! merges results in deterministic order.
 
+use crate::instruments::{Instruments, Observed};
 use crate::CampaignError;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::Mutex;
 use vsmooth_chip::sense::CrossingGrid;
 use vsmooth_chip::{
-    run_pair, run_pair_logged, run_pair_profiled, run_workload, run_workload_logged,
-    run_workload_profiled, ChipBatch, ChipConfig, DroopCrossing, DroopWindow, Fidelity, RunStats,
-    WindowConfig, PHASE_MARGIN_PCT,
+    fan_out, run_pair_with, run_workload_with, Capture, ChipBatch, ChipConfig, Fidelity, RunStats,
+    PHASE_MARGIN_PCT,
 };
-use vsmooth_monitor::{EpochSample, HealthReport, Monitor, MonitorConfig, SliceRecord};
-use vsmooth_profile::{emit_window_span, ProfileConfig, ProfileReport, Profiler};
-use vsmooth_stats::MetricsRegistry;
+use vsmooth_monitor::{EpochSample, Monitor, SliceRecord};
+use vsmooth_profile::{emit_window_span, Profiler};
 use vsmooth_trace::{ArgValue, DroopEvent, Tracer, PID_CAMPAIGN, PID_MONITOR};
 use vsmooth_workload::{parsec, spec2006, Workload};
 
@@ -42,6 +39,28 @@ impl fmt::Display for RunId {
             Self::Single(n) => write!(f, "{n}"),
             Self::Multi(n) => write!(f, "{n} (MT)"),
             Self::Pair(a, b) => write!(f, "{a}+{b}"),
+        }
+    }
+}
+
+impl RunId {
+    /// The workload names the run executes, core 0 first.
+    fn workloads(&self) -> Vec<String> {
+        match self {
+            Self::Single(n) | Self::Multi(n) => vec![n.clone()],
+            Self::Pair(a, b) => vec![a.clone(), b.clone()],
+        }
+    }
+
+    /// A margin crossing of this run as a typed droop event.
+    fn droop_event(&self, idx: usize, cycle: u64, depth_pct: f64) -> DroopEvent {
+        DroopEvent {
+            chip: idx,
+            core: 0,
+            cycle,
+            depth_pct,
+            workloads: self.workloads(),
+            phase: "campaign".to_string(),
         }
     }
 }
@@ -150,154 +169,53 @@ impl CampaignSpec {
     ///
     /// Returns the first simulation error encountered.
     pub fn run(self, threads: usize) -> Result<CampaignResult, CampaignError> {
-        self.run_instrumented(threads, None, &Tracer::disabled(), None, None)
+        self.run_with(threads, &Instruments::new())
+            .map(|o| o.report)
     }
 
-    /// Like [`CampaignSpec::run`], but records operational telemetry
-    /// into `metrics`: run/cycle/droop counters (exact, order-free
-    /// sums, so the snapshot is identical for every thread count) plus
-    /// a droops-per-kilocycle histogram recorded at merge time in
-    /// specification order.
+    /// Like [`CampaignSpec::run`], recording into whatever `inst` arms.
+    /// Workers only simulate; every record is made on the coordinator
+    /// in specification order, so each artifact is identical for every
+    /// thread count.
+    ///
+    /// * `metrics`: run/cycle/droop counters plus a
+    ///   droops-per-kilocycle histogram, and the profile's and health
+    ///   report's series when those are armed.
+    /// * `tracer`: one span per run on the campaign timeline (tid =
+    ///   specification index, spanning `[0, cycles)` of that run's
+    ///   private clock), a typed [`DroopEvent`] per margin crossing in
+    ///   [`vsmooth_trace::TraceMode::Full`], a `droop_window` span per
+    ///   profiled window and the monitor's alert instants.
+    /// * `profile`: every crossing's triggered waveform window is
+    ///   scored into a per-run profile labelled by [`RunId`].
+    /// * `monitor`: each run is one monitoring epoch on a cumulative
+    ///   virtual clock (its crossings the droop evidence, the run
+    ///   itself a [`SliceRecord`]).
     ///
     /// # Errors
     ///
-    /// Returns the first simulation error encountered.
-    pub fn run_with_metrics(
+    /// Returns the first simulation error in specification order.
+    pub fn run_with(
         self,
         threads: usize,
-        metrics: &MetricsRegistry,
-    ) -> Result<CampaignResult, CampaignError> {
-        self.run_instrumented(threads, Some(metrics), &Tracer::disabled(), None, None)
-    }
-
-    /// Like [`CampaignSpec::run_with_metrics`], but additionally
-    /// records into `tracer`: one span per run on the campaign
-    /// timeline (tid = specification index, spanning `[0, cycles)` of
-    /// that run's private virtual clock) and, in
-    /// [`vsmooth_trace::TraceMode::Full`], a typed [`DroopEvent`] for
-    /// every margin crossing. Workers log crossings into their run's
-    /// result slot; the coordinator emits all trace records in
-    /// specification order, so the trace is identical for every thread
-    /// count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first simulation error encountered.
-    pub fn run_traced(
-        self,
-        threads: usize,
-        metrics: Option<&MetricsRegistry>,
-        tracer: &Tracer,
-    ) -> Result<CampaignResult, CampaignError> {
-        self.run_instrumented(threads, metrics, tracer, None, None)
-    }
-
-    /// Like [`CampaignSpec::run_traced`], but additionally profiles
-    /// every droop of every run: margin crossings freeze triggered
-    /// waveform windows ([`DroopWindow`]) that workers attach to their
-    /// run's result slot; the coordinator scores them in specification
-    /// order into a per-run [`ProfileReport`] (labels are the
-    /// [`RunId`] display strings), emits each window as a
-    /// `droop_window` span on the campaign timeline, and — when
-    /// `metrics` is given — exports the attribution counters into it.
-    /// The profile artifact is byte-identical for every thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first simulation error encountered.
-    pub fn run_profiled(
-        self,
-        threads: usize,
-        metrics: Option<&MetricsRegistry>,
-        tracer: &Tracer,
-        cfg: ProfileConfig,
-    ) -> Result<(CampaignResult, ProfileReport), CampaignError> {
-        let margin = CrossingGrid::droop_grid().quantized_margin(PHASE_MARGIN_PCT);
-        let mut profiler = Profiler::new(margin, cfg);
-        let result = self.run_instrumented(threads, metrics, tracer, Some(&mut profiler), None)?;
-        let report = profiler.report();
-        if let Some(m) = metrics {
-            report.export_metrics(m);
-        }
-        Ok((result, report))
-    }
-
-    /// Like [`CampaignSpec::run_traced`], but feeds every run through a
-    /// live health [`Monitor`]: each completed run becomes one
-    /// monitoring epoch on a cumulative virtual clock (its margin
-    /// crossings become [`DroopEvent`] evidence, the run itself a
-    /// [`SliceRecord`]), SLO rules are evaluated after every epoch, and
-    /// firing rules seal flight-recorder postmortems. All feeding
-    /// happens on the coordinator in specification order, so the alert
-    /// sequence and postmortem bytes are identical for every thread
-    /// count. When `metrics` is given the final [`HealthReport`]
-    /// exports its `alerts_total` counters and windowed gauges into it;
-    /// when `tracer` is enabled, alert fire/resolve instants land on
-    /// the [`PID_MONITOR`] timeline.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first simulation error encountered.
-    pub fn run_monitored(
-        self,
-        threads: usize,
-        metrics: Option<&MetricsRegistry>,
-        tracer: &Tracer,
-        cfg: MonitorConfig,
-    ) -> Result<(CampaignResult, HealthReport), CampaignError> {
-        let mut monitor = Monitor::new(cfg);
-        let result = self.run_instrumented(threads, metrics, tracer, None, Some(&mut monitor))?;
-        let report = monitor.report();
-        if let Some(m) = metrics {
-            report.export_metrics(m);
-        }
-        if tracer.is_enabled() {
-            tracer.process_name(PID_MONITOR, "monitor");
-            for alert in &report.alerts {
-                tracer.instant(
-                    alert.rule.clone(),
-                    "alert",
-                    PID_MONITOR,
-                    0,
-                    alert.fired_at_cycle,
-                    vec![
-                        ("severity", ArgValue::from(alert.severity.label())),
-                        ("droops", ArgValue::from(alert.window.droops)),
-                    ],
-                );
-                if let Some(resolved) = alert.resolved_at_cycle {
-                    tracer.instant(
-                        alert.rule.clone(),
-                        "alert-resolved",
-                        PID_MONITOR,
-                        0,
-                        resolved,
-                        vec![("severity", ArgValue::from(alert.severity.label()))],
-                    );
-                }
-            }
-        }
-        Ok((result, report))
-    }
-
-    fn run_instrumented(
-        self,
-        threads: usize,
-        metrics: Option<&MetricsRegistry>,
-        tracer: &Tracer,
-        profiler: Option<&mut Profiler>,
-        monitor: Option<&mut Monitor>,
-    ) -> Result<CampaignResult, CampaignError> {
+        inst: &Instruments,
+    ) -> Result<Observed<CampaignResult>, CampaignError> {
         if self.specs.is_empty() {
             return Err(CampaignError::EmptySpec);
         }
-        let threads = threads.max(1);
-        let n = self.specs.len();
-        let queue: Mutex<VecDeque<(usize, RunSpec)>> =
-            Mutex::new(self.specs.into_iter().enumerate().collect());
-        type Slot =
-            Option<Result<(CampaignRun, Vec<DroopCrossing>, Vec<DroopWindow>), CampaignError>>;
-        let results: Mutex<Vec<Slot>> = Mutex::new((0..n).map(|_| None).collect());
+        let off = Tracer::disabled();
+        let tracer = inst.tracer.unwrap_or(&off);
+        let metrics = inst.metrics;
+        // Capture at the grid-quantized margin so per-event logs agree
+        // exactly with `RunStats::emergencies(PHASE_MARGIN_PCT)`.
+        let margin = CrossingGrid::droop_grid().quantized_margin(PHASE_MARGIN_PCT);
+        let mut profiler = inst.profile.map(|cfg| Profiler::new(margin, cfg));
+        let mut monitor = inst.monitor.clone().map(Monitor::new);
+        let capture = match inst.profile {
+            Some(cfg) => Capture::Windows(margin, cfg.window),
+            None if tracer.wants_droop_events() || monitor.is_some() => Capture::Crossings(margin),
+            None => Capture::None,
+        };
         // One-time ladder/uarch setup shared by every run: workers stamp
         // chips from the batch instead of re-discretizing the PDN per run.
         let chip = &ChipBatch::new(self.chip.clone()).map_err(|e| CampaignError::Run {
@@ -305,84 +223,41 @@ impl CampaignSpec {
             source: e,
         })?;
         let fidelity = self.fidelity;
-        // Profiling workers capture triggered windows alongside the
-        // crossing log (the `WindowConfig` is `Copy`, so it crosses
-        // into the worker closures without touching the profiler).
-        let wcfg: Option<WindowConfig> = profiler.as_ref().map(|p| p.config().window);
-        // Capture at the grid-quantized margin so per-event logs agree
-        // exactly with `RunStats::emergencies(PHASE_MARGIN_PCT)`.
-        let margin = (tracer.wants_droop_events() || wcfg.is_some() || monitor.is_some())
-            .then(|| CrossingGrid::droop_grid().quantized_margin(PHASE_MARGIN_PCT));
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let item = queue.lock().expect("queue lock").pop_front();
-                    let Some((idx, spec)) = item else { break };
-                    let id = spec.id();
-                    let stats = match (&spec, margin, wcfg) {
-                        (RunSpec::Single(w) | RunSpec::Multi(w), None, _) => {
-                            run_workload(chip, w, fidelity).map(|s| (s, Vec::new(), Vec::new()))
-                        }
-                        (RunSpec::Single(w) | RunSpec::Multi(w), Some(margin), None) => {
-                            run_workload_logged(chip, w, fidelity, margin)
-                                .map(|(s, c)| (s, c, Vec::new()))
-                        }
-                        (RunSpec::Single(w) | RunSpec::Multi(w), Some(margin), Some(wc)) => {
-                            run_workload_profiled(chip, w, fidelity, margin, wc)
-                        }
-                        (RunSpec::Pair(a, b), None, _) => {
-                            run_pair(chip, a, b, fidelity).map(|s| (s, Vec::new(), Vec::new()))
-                        }
-                        (RunSpec::Pair(a, b), Some(margin), None) => {
-                            run_pair_logged(chip, a, b, fidelity, margin)
-                                .map(|(s, c)| (s, c, Vec::new()))
-                        }
-                        (RunSpec::Pair(a, b), Some(margin), Some(wc)) => {
-                            run_pair_profiled(chip, a, b, fidelity, margin, wc)
-                        }
-                    };
-                    if let (Some(m), Ok((stats, _, _))) = (metrics, &stats) {
+        let runs = fan_out(self.specs, threads, |spec| {
+            let captured = match &spec {
+                RunSpec::Single(w) | RunSpec::Multi(w) => {
+                    run_workload_with(chip, w, fidelity, capture)
+                }
+                RunSpec::Pair(a, b) => run_pair_with(chip, a, b, fidelity, capture),
+            };
+            match captured {
+                Ok(c) => {
+                    if let Some(m) = metrics {
                         m.counter_add("campaign_runs_total", 1);
-                        m.counter_add("campaign_cycles_total", stats.cycles);
-                        m.counter_add("campaign_droops_total", stats.emergencies(PHASE_MARGIN_PCT));
+                        m.counter_add("campaign_cycles_total", c.stats.cycles);
+                        m.counter_add(
+                            "campaign_droops_total",
+                            c.stats.emergencies(PHASE_MARGIN_PCT),
+                        );
                     }
-                    let outcome = stats
-                        .map(|(stats, crossings, windows)| {
-                            (
-                                CampaignRun {
-                                    id: id.clone(),
-                                    stats,
-                                },
-                                crossings,
-                                windows,
-                            )
-                        })
-                        .map_err(|e| CampaignError::Run {
-                            id: id.to_string(),
-                            source: e,
-                        });
-                    results.lock().expect("results lock")[idx] = Some(outcome);
-                });
+                    Ok((spec.id(), c))
+                }
+                Err(source) => Err(CampaignError::Run {
+                    id: spec.id().to_string(),
+                    source,
+                }),
             }
-        });
-        let collected = results.into_inner().expect("results lock");
-        let mut runs = Vec::with_capacity(n);
-        let mut crossings_by_run = Vec::with_capacity(n);
-        let mut windows_by_run = Vec::with_capacity(n);
-        for slot in collected {
-            let (run, crossings, windows) = slot.expect("every queued run completes")?;
-            runs.push(run);
-            crossings_by_run.push(crossings);
-            windows_by_run.push(windows);
-        }
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
         if let Some(m) = metrics {
             // Histogram observations happen here, after the merge, so
             // their order (and thus the float accumulation) is the
             // specification order regardless of thread count.
-            for run in &runs {
+            for (_, c) in &runs {
                 m.observe(
                     "campaign_droops_per_kilocycle",
-                    run.stats.droops_per_kilocycle(PHASE_MARGIN_PCT),
+                    c.stats.droops_per_kilocycle(PHASE_MARGIN_PCT),
                 );
             }
         }
@@ -390,84 +265,62 @@ impl CampaignSpec {
             // Coordinator-side emission in specification order: the
             // trace byte stream is thread-count-independent.
             tracer.process_name(PID_CAMPAIGN, "campaign");
-            for (idx, (run, crossings)) in runs.iter().zip(&crossings_by_run).enumerate() {
+            for (idx, (id, c)) in runs.iter().enumerate() {
                 tracer.complete(
-                    run.id.to_string(),
+                    id.to_string(),
                     "campaign",
                     PID_CAMPAIGN,
                     idx as u64,
                     0,
-                    run.stats.cycles,
+                    c.stats.cycles,
                     vec![(
                         "droops",
-                        ArgValue::from(run.stats.emergencies(PHASE_MARGIN_PCT)),
+                        ArgValue::from(c.stats.emergencies(PHASE_MARGIN_PCT)),
                     )],
                 );
-                let workloads = match &run.id {
-                    RunId::Single(n) | RunId::Multi(n) => vec![n.clone()],
-                    RunId::Pair(a, b) => vec![a.clone(), b.clone()],
-                };
-                for crossing in crossings {
-                    tracer.droop(DroopEvent {
-                        chip: idx,
-                        core: 0,
-                        cycle: crossing.cycle,
-                        depth_pct: crossing.depth_pct,
-                        workloads: workloads.clone(),
-                        phase: "campaign".to_string(),
-                    });
+                for crossing in &c.crossings {
+                    tracer.droop(id.droop_event(idx, crossing.cycle, crossing.depth_pct));
                 }
             }
         }
-        if let Some(mon) = monitor {
+        if let Some(mon) = monitor.as_mut() {
             // Coordinator-side feeding in specification order on a
             // cumulative virtual clock (runs laid end to end): the
             // health artifacts are thread-count-independent. Each run
             // is one monitoring epoch.
             let mut offset = 0u64;
-            for (idx, (run, crossings)) in runs.iter().zip(&crossings_by_run).enumerate() {
-                let workloads = match &run.id {
-                    RunId::Single(n) | RunId::Multi(n) => vec![n.clone()],
-                    RunId::Pair(a, b) => vec![a.clone(), b.clone()],
-                };
-                for crossing in crossings {
-                    mon.on_droop(DroopEvent {
-                        chip: idx,
-                        core: 0,
-                        cycle: offset + crossing.cycle,
-                        depth_pct: crossing.depth_pct,
-                        workloads: workloads.clone(),
-                        phase: "campaign".to_string(),
-                    });
+            for (idx, (id, c)) in runs.iter().enumerate() {
+                for crossing in &c.crossings {
+                    mon.on_droop(id.droop_event(idx, offset + crossing.cycle, crossing.depth_pct));
                 }
-                let droops = run.stats.emergencies(PHASE_MARGIN_PCT);
+                let droops = c.stats.emergencies(PHASE_MARGIN_PCT);
                 mon.on_slice(SliceRecord {
                     start_cycle: offset,
                     chip: idx,
-                    label: run.id.to_string(),
-                    cycles: run.stats.cycles,
+                    label: id.to_string(),
+                    cycles: c.stats.cycles,
                     droops,
-                    max_droop_pct: run.stats.max_droop_pct(),
+                    max_droop_pct: c.stats.max_droop_pct(),
                 });
                 mon.on_epoch(EpochSample {
-                    end_cycle: offset + run.stats.cycles,
-                    cycles: run.stats.cycles,
+                    end_cycle: offset + c.stats.cycles,
+                    cycles: c.stats.cycles,
                     droops,
-                    min_margin_pct: PHASE_MARGIN_PCT - run.stats.max_droop_pct(),
-                    mean_margin_pct: PHASE_MARGIN_PCT + run.stats.sensor.summary().mean(),
+                    min_margin_pct: PHASE_MARGIN_PCT - c.stats.max_droop_pct(),
+                    mean_margin_pct: PHASE_MARGIN_PCT + c.stats.sensor.summary().mean(),
                     queue_depth: 0,
-                    running_jobs: workloads.len(),
+                    running_jobs: id.workloads().len(),
                 });
-                offset += run.stats.cycles;
+                offset += c.stats.cycles;
             }
         }
-        if let Some(p) = profiler {
+        if let Some(p) = profiler.as_mut() {
             // Score windows strictly in specification order: the
             // profiler's internal float accumulation — and therefore
             // the JSON artifact — is thread-count-independent.
-            for (idx, (run, windows)) in runs.iter().zip(&windows_by_run).enumerate() {
-                let label = run.id.to_string();
-                for window in windows {
+            for (idx, (id, c)) in runs.iter().enumerate() {
+                let label = id.to_string();
+                for window in &c.windows {
                     let att = p.record(&label, window);
                     if tracer.is_enabled() {
                         emit_window_span(
@@ -482,6 +335,8 @@ impl CampaignSpec {
                 }
             }
         }
+        let profile = profiler.map(|p| p.report());
+        let health = monitor.map(|m| m.report());
         if let Some(m) = metrics {
             if tracer.is_streaming() {
                 // Streaming-pipeline self-observation lands in the same
@@ -489,8 +344,26 @@ impl CampaignSpec {
                 // keep their exact historical snapshots.
                 tracer.export_telemetry(m);
             }
+            if let Some(p) = &profile {
+                p.export_metrics(m);
+            }
+            if let Some(h) = &health {
+                h.export_metrics(m);
+            }
         }
-        Ok(CampaignResult { runs })
+        if let (Some(h), true) = (&health, tracer.is_enabled()) {
+            tracer.process_name(PID_MONITOR, "monitor");
+            h.emit_alert_instants(tracer);
+        }
+        let runs = runs
+            .into_iter()
+            .map(|(id, c)| CampaignRun { id, stats: c.stats })
+            .collect();
+        Ok(Observed {
+            report: CampaignResult { runs },
+            profile,
+            health,
+        })
     }
 }
 
@@ -550,7 +423,10 @@ impl CampaignResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vsmooth_monitor::MonitorConfig;
     use vsmooth_pdn::DecapConfig;
+    use vsmooth_profile::ProfileConfig;
+    use vsmooth_stats::MetricsRegistry;
 
     fn chip() -> ChipConfig {
         ChipConfig::core2_duo(DecapConfig::proc100())
@@ -612,40 +488,30 @@ mod tests {
     }
 
     #[test]
-    fn metrics_record_counters_identically_across_thread_counts() {
-        let snapshot_at = |threads: usize| {
-            let metrics = MetricsRegistry::new();
+    fn metrics_and_trace_are_identical_across_thread_counts() {
+        let artifacts_at = |threads: usize| {
+            let (metrics, tracer) = (MetricsRegistry::new(), Tracer::enabled());
             let spec = CampaignSpec::reduced(chip(), Fidelity::Custom(400), 2);
             let expected = spec.len() as u64;
-            let result = spec.run_with_metrics(threads, &metrics).unwrap();
+            let inst = Instruments::new().with_metrics(&metrics).traced(&tracer);
+            let result = spec.run_with(threads, &inst).unwrap().report;
             let snap = metrics.snapshot();
             assert_eq!(snap.counter("campaign_runs_total"), expected);
             let cycles: u64 = result.runs().iter().map(|r| r.stats.cycles).sum();
             assert_eq!(snap.counter("campaign_cycles_total"), cycles);
             let hist = snap.histogram("campaign_droops_per_kilocycle").unwrap();
             assert_eq!(hist.count, expected);
-            snap
-        };
-        assert_eq!(snapshot_at(1).render(), snapshot_at(4).render());
-    }
-
-    #[test]
-    fn traced_campaign_logs_spans_and_droops_deterministically() {
-        let trace_at = |threads: usize| {
-            let tracer = Tracer::enabled();
-            let spec = CampaignSpec::reduced(chip(), Fidelity::Custom(400), 2);
-            let result = spec.run_traced(threads, None, &tracer).unwrap();
-            let total: u64 = result
+            let droops: u64 = result
                 .runs()
                 .iter()
                 .map(|r| r.stats.emergencies(PHASE_MARGIN_PCT))
                 .sum();
-            assert_eq!(tracer.droops_total(), total);
+            assert_eq!(tracer.droops_total(), droops);
             let spans = tracer.records().iter().filter(|r| r.is_span()).count();
             assert_eq!(spans, result.runs().len());
-            tracer.to_chrome_json()
+            (snap.render(), tracer.to_chrome_json())
         };
-        assert_eq!(trace_at(1), trace_at(4));
+        assert_eq!(artifacts_at(1), artifacts_at(4));
     }
 
     #[test]
@@ -653,9 +519,12 @@ mod tests {
         let tracer = Tracer::enabled();
         let metrics = MetricsRegistry::new();
         let spec = CampaignSpec::reduced(chip(), Fidelity::Custom(4_000), 2);
-        let (result, profile) = spec
-            .run_profiled(2, Some(&metrics), &tracer, ProfileConfig::default())
-            .unwrap();
+        let inst = Instruments::new()
+            .traced(&tracer)
+            .with_metrics(&metrics)
+            .profiled(ProfileConfig::default());
+        let observed = spec.run_with(2, &inst).unwrap();
+        let (result, profile) = (observed.report, observed.profile.unwrap());
         // Acceptance: profile droop counts equal the RunStats emergency
         // counts, per run and in total.
         let total: u64 = result
@@ -681,33 +550,35 @@ mod tests {
         assert!(tracer.to_chrome_json().contains("droop_window"));
     }
 
-    #[test]
-    fn profiled_campaign_json_is_thread_count_independent() {
-        let profile_at = |threads: usize| {
-            CampaignSpec::reduced(chip(), Fidelity::Custom(3_000), 2)
-                .run_profiled(threads, None, &Tracer::disabled(), ProfileConfig::default())
-                .unwrap()
-                .1
-                .to_json()
-        };
-        let one = profile_at(1);
-        assert_eq!(one, profile_at(4));
-        assert!(one.contains("vsmooth-profile-v1"));
+    /// The profile and health JSON of a run with `inst` armed.
+    fn artifacts(threads: usize, inst: &Instruments) -> (Option<String>, Option<String>) {
+        let observed = CampaignSpec::reduced(chip(), Fidelity::Custom(3_000), 2)
+            .run_with(threads, inst)
+            .unwrap();
+        if let Some(health) = &observed.health {
+            // One monitoring epoch per campaign run.
+            assert_eq!(health.epochs, observed.report.runs().len() as u64);
+        }
+        (
+            observed.profile.map(|p| p.to_json()),
+            observed.health.map(|h| h.to_json()),
+        )
     }
 
     #[test]
-    fn monitored_campaign_health_is_thread_count_independent() {
-        let health_at = |threads: usize| {
-            let (result, health) = CampaignSpec::reduced(chip(), Fidelity::Custom(3_000), 2)
-                .run_monitored(threads, None, &Tracer::disabled(), MonitorConfig::default())
-                .unwrap();
-            // One monitoring epoch per campaign run.
-            assert_eq!(health.epochs, result.runs().len() as u64);
-            health.to_json()
-        };
-        let one = health_at(1);
-        assert_eq!(one, health_at(4));
-        assert!(one.contains("vsmooth-health-v1"));
+    fn profile_and_health_are_thread_count_independent_alone_or_together() {
+        let profile_only = Instruments::new().profiled(ProfileConfig::default());
+        let monitor_only = Instruments::new().monitored(MonitorConfig::default());
+        let both = profile_only.clone().monitored(MonitorConfig::default());
+        let reference = (artifacts(1, &profile_only).0, artifacts(1, &monitor_only).1);
+        assert!(reference.0.as_ref().unwrap().contains("vsmooth-profile-v1"));
+        assert!(reference.1.as_ref().unwrap().contains("vsmooth-health-v1"));
+        assert_eq!(artifacts(4, &profile_only).0, reference.0);
+        assert_eq!(artifacts(4, &monitor_only).1, reference.1);
+        // One pass arming both yields each single-instrument artifact.
+        for threads in [1, 4] {
+            assert_eq!(artifacts(threads, &both), reference, "{threads} threads");
+        }
     }
 
     #[test]
@@ -723,9 +594,14 @@ mod tests {
             }],
             ..MonitorConfig::default()
         };
-        let (result, health) = CampaignSpec::reduced(chip(), Fidelity::Custom(4_000), 2)
-            .run_monitored(2, Some(&metrics), &tracer, cfg)
+        let inst = Instruments::new()
+            .traced(&tracer)
+            .with_metrics(&metrics)
+            .monitored(cfg);
+        let observed = CampaignSpec::reduced(chip(), Fidelity::Custom(4_000), 2)
+            .run_with(2, &inst)
             .unwrap();
+        let (result, health) = (observed.report, observed.health.unwrap());
         assert_eq!(health.epochs, result.runs().len() as u64);
         assert!(
             health.alerts.iter().any(|a| a.rule == "any_droops"),

@@ -13,6 +13,9 @@
 //!   11 PARSEC + 29×29 pairs) with thread-parallel execution.
 //! * [`margin`] — worst-case-margin determination with the power virus
 //!   (Sec. II-C).
+//! * [`instruments`] — the observation descriptor ([`Instruments`]) and
+//!   result ([`Observed`]) shared by every run owner: campaigns here,
+//!   fleet sweeps and the scheduling service downstream.
 //!
 //! # Examples
 //!
@@ -35,10 +38,12 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
+pub mod instruments;
 pub mod margin;
 pub mod model;
 
 pub use campaign::{CampaignResult, CampaignRun, CampaignSpec, RunId};
+pub use instruments::{Instruments, Observed};
 pub use margin::{measure_worst_case_margin, WorstCaseMargin};
 pub use model::{
     frequency_gain, margin_grid, margin_sweeps, performance_improvement, ImprovementHeatmap,

@@ -58,6 +58,10 @@ pub use passrate::{
 };
 pub use policy::Policy;
 pub use sliding::{sliding_window, SlidingWindow};
+/// The run-owner observation descriptor and result, re-exported so the
+/// scheduling service can take them without its own edge to
+/// `vsmooth-resilience`.
+pub use vsmooth_resilience::{Instruments, Observed};
 
 use std::error::Error;
 use std::fmt;

@@ -9,9 +9,7 @@
 
 use crate::SchedError;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
-use std::sync::Mutex;
-use vsmooth_chip::{run_pair, ChipConfig, Fidelity, RunStats, PHASE_MARGIN_PCT};
+use vsmooth_chip::{fan_out, run_pair, ChipConfig, Fidelity, RunStats, PHASE_MARGIN_PCT};
 use vsmooth_workload::{spec2006, Workload};
 
 /// Measured statistics for every ordered pair of a benchmark list.
@@ -44,31 +42,17 @@ impl PairOracle {
             return Err(SchedError::EmptyPool);
         }
         let names: Vec<String> = workloads.iter().map(|w| w.name().to_string()).collect();
-        let queue: Mutex<VecDeque<(usize, usize)>> =
-            Mutex::new((0..n).flat_map(|i| (0..n).map(move |j| (i, j))).collect());
-        let results: Mutex<Vec<Option<Result<RunStats, SchedError>>>> =
-            Mutex::new((0..n * n).map(|_| None).collect());
-        std::thread::scope(|scope| {
-            for _ in 0..threads.max(1) {
-                scope.spawn(|| loop {
-                    let item = queue.lock().expect("queue lock").pop_front();
-                    let Some((i, j)) = item else { break };
-                    let outcome =
-                        run_pair(chip, &workloads[i], &workloads[j], fidelity).map_err(|e| {
-                            SchedError::Measurement {
-                                pair: format!("{}+{}", workloads[i].name(), workloads[j].name()),
-                                source: e,
-                            }
-                        });
-                    results.lock().expect("results lock")[i * n + j] = Some(outcome);
-                });
-            }
-        });
-        let collected = results.into_inner().expect("results lock");
-        let mut stats = Vec::with_capacity(n * n);
-        for slot in collected {
-            stats.push(slot.expect("all pairs measured")?);
-        }
+        let pairs = (0..n).flat_map(|i| (0..n).map(move |j| (i, j)));
+        let stats = fan_out(pairs, threads, |(i, j)| {
+            run_pair(chip, &workloads[i], &workloads[j], fidelity).map_err(|e| {
+                SchedError::Measurement {
+                    pair: format!("{}+{}", workloads[i].name(), workloads[j].name()),
+                    source: e,
+                }
+            })
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()?;
         Ok(Self { names, stats })
     }
 

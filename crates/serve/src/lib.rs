@@ -57,6 +57,7 @@ pub use control::RuntimeMode;
 pub use job::{synthetic_jobs, CompletedJob, JobSpec};
 pub use service::{Service, ServiceConfig, ServiceReport};
 pub use telemetry::{TelemetryBook, WorkloadProfile};
+pub use vsmooth_sched::{Instruments, Observed};
 // Re-exported so callers can wire `ServiceConfig::obs` without naming
 // the obs crate directly, and read audit events without naming trace.
 pub use vsmooth_obs::{

@@ -42,9 +42,7 @@ use vsmooth_monitor::{EpochSample, HealthReport, Monitor, SliceRecord};
 use vsmooth_obs::{ObsConfig, ObsSnapshot, ServiceStatus};
 use vsmooth_profile::{emit_window_span, Profiler};
 use vsmooth_stats::MetricsRegistry;
-use vsmooth_trace::{
-    chip_pid, ArgValue, DroopEvent, ShardStreams, TraceBuffer, Tracer, PID_JOBS, PID_MONITOR,
-};
+use vsmooth_trace::{chip_pid, ArgValue, DroopEvent, ShardStreams, TraceBuffer, Tracer, PID_JOBS};
 
 /// Virtual thread id hosting `droop_window` spans on a chip timeline
 /// (cores are threads 0 and 1).
@@ -597,29 +595,7 @@ impl<'a> Merge<'a> {
             // in the same snapshot the report embeds.
             h.export_metrics(self.metrics);
             if self.tracer.is_enabled() {
-                for alert in &h.alerts {
-                    self.tracer.instant(
-                        alert.rule.clone(),
-                        "alert",
-                        PID_MONITOR,
-                        0,
-                        alert.fired_at_cycle,
-                        vec![
-                            ("severity", ArgValue::from(alert.severity.label())),
-                            ("droops", ArgValue::from(alert.window.droops)),
-                        ],
-                    );
-                    if let Some(resolved) = alert.resolved_at_cycle {
-                        self.tracer.instant(
-                            alert.rule.clone(),
-                            "alert-resolved",
-                            PID_MONITOR,
-                            0,
-                            resolved,
-                            vec![("severity", ArgValue::from(alert.severity.label()))],
-                        );
-                    }
-                }
+                h.emit_alert_instants(self.tracer);
             }
         }
         if self.tracer.is_streaming() {

@@ -61,8 +61,8 @@ use vsmooth_chip::{
 };
 use vsmooth_monitor::{HealthReport, HealthSummary, Monitor, MonitorConfig};
 use vsmooth_obs::ObsConfig;
-use vsmooth_profile::{ProfileConfig, ProfileReport, Profiler};
-use vsmooth_sched::PairPolicy;
+use vsmooth_profile::Profiler;
+use vsmooth_sched::{Instruments, Observed, PairPolicy};
 use vsmooth_stats::{MetricsRegistry, MetricsSnapshot};
 use vsmooth_trace::{
     chip_pid, DecisionEvent, DecisionKind, ShardStreams, Tracer, DEFAULT_SHARD_RING, PID_JOBS,
@@ -198,9 +198,9 @@ pub struct ServiceReport {
     pub snapshot: MetricsSnapshot,
     /// Every completed job, in completion order.
     pub completed: Vec<CompletedJob>,
-    /// Health digest when the run was monitored
-    /// ([`Service::run_monitored`]); `None` otherwise, so unmonitored
-    /// reports compare equal across observation modes.
+    /// Health digest when the run was monitored (a monitor armed in
+    /// [`Service::run_with`]); `None` otherwise, so unmonitored reports
+    /// compare equal across observation modes.
     pub health: Option<HealthSummary>,
     /// The sealed decision audit when [`ServiceConfig::audit`] was
     /// armed; `None` otherwise, so unaudited reports compare equal
@@ -316,82 +316,12 @@ impl Service {
         policy: &dyn PairPolicy,
         workers: usize,
     ) -> Result<ServiceReport, ServeError> {
-        self.run_traced(jobs, policy, workers, &Tracer::disabled())
+        self.run_with(jobs, policy, workers, &Instruments::new())
+            .map(|o| o.report)
     }
 
-    /// Like [`Service::run`], but records the run into `tracer`:
-    ///
-    /// * per-job spans on the jobs timeline — an `admit` instant at
-    ///   arrival, a `queue` span from arrival to placement, and a span
-    ///   named after the workload from start to completion;
-    /// * per-slice spans on each chip's timeline (one per occupied
-    ///   core per epoch);
-    /// * in [`vsmooth_trace::TraceMode::Full`], a typed
-    ///   [`DroopEvent`](vsmooth_trace::DroopEvent) for every margin
-    ///   crossing, replayed from the slice logs in `(epoch, chip)`
-    ///   order.
-    ///
-    /// All trace timestamps are virtual cycles and every record is
-    /// emitted by the merge layer, so the trace byte stream is
-    /// independent of `workers` and of the runtime mode (the same
-    /// invariance the report has).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Service::run`].
-    pub fn run_traced(
-        &self,
-        jobs: &[JobSpec],
-        policy: &dyn PairPolicy,
-        workers: usize,
-        tracer: &Tracer,
-    ) -> Result<ServiceReport, ServeError> {
-        self.run_inner(jobs, policy, workers, tracer, None, None)
-    }
-
-    /// Like [`Service::run_traced`], but additionally profiles every
-    /// droop: each margin crossing freezes a triggered waveform window
-    /// ([`vsmooth_chip::DroopWindow`]) that is scored into a
-    /// per-co-schedule [`ProfileReport`] (labels are the resident
-    /// workloads joined with `+`). Capture windows also appear as
-    /// `droop_window` spans on a dedicated `profile` thread of each
-    /// chip's trace timeline.
-    ///
-    /// Windows are scored by the merge layer in `(epoch, chip)` order,
-    /// so the profile artifact — like the report and the trace — is
-    /// byte-identical for any worker count.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Service::run`].
-    pub fn run_profiled(
-        &self,
-        jobs: &[JobSpec],
-        policy: &dyn PairPolicy,
-        workers: usize,
-        tracer: &Tracer,
-        cfg: ProfileConfig,
-    ) -> Result<(ServiceReport, ProfileReport), ServeError> {
-        let margin = CrossingGrid::droop_grid().quantized_margin(PHASE_MARGIN_PCT);
-        let mut profiler = Profiler::new(margin, cfg);
-        let report = self.run_inner(jobs, policy, workers, tracer, Some(&mut profiler), None)?;
-        Ok((report, profiler.report()))
-    }
-
-    /// Like [`Service::run_traced`], but with live health monitoring:
-    /// a [`Monitor`] built from `cfg` watches the run epoch by epoch —
-    /// sliding-window droop rate / voltage margin / throttle-fraction
-    /// signals, CUSUM anomaly detection, SLO burn-rate and threshold
-    /// rules — and a flight recorder seals a `vsmooth-postmortem-v1`
-    /// bundle the moment any rule fires.
-    ///
-    /// All monitor feeding happens in the merge layer in `(epoch,
-    /// chip)` order, so the alert sequence, the [`HealthReport`] JSON,
-    /// and every postmortem bundle are byte-identical for any worker
-    /// count. The returned [`ServiceReport`] carries the compact
-    /// digest in [`ServiceReport::health`], and the registry snapshot
-    /// includes `alerts_total{rule,severity}` plus the `monitor_*`
-    /// windowed gauges.
+    /// [`Service::run_with`] with a tracer and monitor armed. Kept
+    /// because the benchmark in `perfbench/` calls it.
     ///
     /// # Errors
     ///
@@ -404,25 +334,60 @@ impl Service {
         tracer: &Tracer,
         cfg: MonitorConfig,
     ) -> Result<(ServiceReport, HealthReport), ServeError> {
-        let mut monitor = Monitor::new(cfg);
-        let report = self.run_inner(jobs, policy, workers, tracer, None, Some(&mut monitor))?;
-        Ok((report, monitor.report()))
+        let inst = Instruments::new().traced(tracer).monitored(cfg);
+        self.run_with(jobs, policy, workers, &inst)
+            .map(|o| (o.report, o.health.expect("an armed monitor seals a report")))
     }
 
-    fn run_inner(
+    /// Like [`Service::run`], recording into whatever `inst` arms. The
+    /// merge layer makes every record in `(epoch, chip)` order, so each
+    /// artifact, like the report, is byte-identical for any `workers`
+    /// and runtime mode.
+    ///
+    /// * `tracer`: job lifecycle spans (an `admit` instant, `queue` and
+    ///   run spans), per-slice chip spans and, in
+    ///   [`vsmooth_trace::TraceMode::Full`], a typed droop event per
+    ///   margin crossing, all on the virtual-cycle clock.
+    /// * `profile`: every crossing's triggered waveform window is
+    ///   scored into a per-co-schedule profile (labels join the
+    ///   resident workloads with `+`) and drawn as a `droop_window`
+    ///   span on each chip's `profile` thread.
+    /// * `monitor`: a [`Monitor`] watches the run epoch by epoch and
+    ///   seals a `vsmooth-postmortem-v1` bundle whenever a rule fires;
+    ///   the report carries its digest in [`ServiceReport::health`]
+    ///   and its `alerts_total` and `monitor_*` series.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Service::run`], plus
+    /// [`ServeError::InvalidConfig`] if `inst.metrics` is set: the
+    /// service owns the registry its report embeds.
+    pub fn run_with(
         &self,
         jobs: &[JobSpec],
         policy: &dyn PairPolicy,
         workers: usize,
-        tracer: &Tracer,
-        mut profiler: Option<&mut Profiler>,
-        monitor: Option<&mut Monitor>,
-    ) -> Result<ServiceReport, ServeError> {
+        inst: &Instruments,
+    ) -> Result<Observed<ServiceReport>, ServeError> {
+        if inst.metrics.is_some() {
+            return Err(ServeError::InvalidConfig(
+                "a service owns the metrics registry its report embeds; \
+                 read ServiceReport::snapshot instead of arming Instruments::metrics",
+            ));
+        }
         for job in jobs {
             if by_name(&job.workload).is_none() {
                 return Err(ServeError::UnknownWorkload(job.workload.clone()));
             }
         }
+        let off = Tracer::disabled();
+        let tracer = inst.tracer.unwrap_or(&off);
+        // Capture at the grid-quantized margin so per-event logs agree
+        // exactly with the aggregate droop counts in `SliceStats`
+        // (which come from the crossing grid).
+        let margin = CrossingGrid::droop_grid().quantized_margin(PHASE_MARGIN_PCT);
+        let mut profiler = inst.profile.map(|cfg| Profiler::new(margin, cfg));
+        let mut monitor = inst.monitor.clone().map(Monitor::new);
         let metrics = MetricsRegistry::new();
         metrics.describe(
             "serve_jobs_admitted_total",
@@ -482,18 +447,12 @@ impl Service {
                 tracer.process_name(PID_MONITOR, "monitor");
             }
         }
-        // Capture at the grid-quantized margin so per-event logs agree
-        // exactly with the aggregate droop counts in `SliceStats`
-        // (which come from the crossing grid).
-        let margin = CrossingGrid::droop_grid().quantized_margin(PHASE_MARGIN_PCT);
-        if let Some(p) = profiler.as_deref_mut() {
-            // Profiling arms crossing *and* window capture; the
-            // profiler's own margin must match what the sessions
-            // trigger at.
-            debug_assert_eq!(p.margin_pct(), margin);
-            // Attribution and trace spans never read the per-core
-            // current series, and windows are consumed in-service, so
-            // skip the scope's most expensive channel.
+        if let Some(p) = &profiler {
+            // Profiling arms crossing *and* window capture at the
+            // profiler's own margin. Attribution and trace spans never
+            // read the per-core current series, and windows are
+            // consumed in-service, so skip the scope's most expensive
+            // channel.
             let window = WindowConfig {
                 capture_currents: false,
                 ..p.config().window
@@ -535,8 +494,8 @@ impl Service {
         let mut merge = Merge::new(
             &metrics,
             tracer,
-            profiler,
-            monitor,
+            profiler.as_mut(),
+            monitor.as_mut(),
             obs,
             Arc::clone(&stats),
             streams.clone(),
@@ -734,14 +693,19 @@ impl Service {
             merged += 1;
         }
         let cells = backend.finish()?;
-        merge.finalize(
+        let report = merge.finalize(
             cells,
             policy.name(),
             epochs,
             now,
             busy_core_quanta,
             self.cfg.chips,
-        )
+        )?;
+        Ok(Observed {
+            report,
+            profile: profiler.map(|p| p.report()),
+            health: monitor.map(|m| m.report()),
+        })
     }
 
     fn build_pool(&self, fast_warmup: bool) -> Result<Vec<ChipCell>, ServeError> {
@@ -934,6 +898,7 @@ mod tests {
     use super::*;
     use crate::job::synthetic_jobs;
     use vsmooth_pdn::DecapConfig;
+    use vsmooth_profile::{ProfileConfig, ProfileReport};
     use vsmooth_sched::{OnlineDroop, RandomPairing};
 
     fn small_cfg() -> ServiceConfig {
@@ -941,6 +906,41 @@ mod tests {
         cfg.chips = 2;
         cfg.slice_cycles = 500;
         cfg
+    }
+
+    fn traced(service: &Service, jobs: &[JobSpec], workers: usize, t: &Tracer) -> ServiceReport {
+        let inst = Instruments::new().traced(t);
+        service
+            .run_with(jobs, &OnlineDroop, workers, &inst)
+            .unwrap()
+            .report
+    }
+
+    fn profiled(
+        service: &Service,
+        jobs: &[JobSpec],
+        workers: usize,
+        t: &Tracer,
+    ) -> (ServiceReport, ProfileReport) {
+        let inst = Instruments::new()
+            .traced(t)
+            .profiled(ProfileConfig::default());
+        let o = service
+            .run_with(jobs, &OnlineDroop, workers, &inst)
+            .unwrap();
+        (o.report, o.profile.unwrap())
+    }
+
+    #[test]
+    fn a_metrics_instrument_is_a_typed_config_error() {
+        let service = Service::new(small_cfg()).unwrap();
+        let metrics = MetricsRegistry::new();
+        let inst = Instruments::new().with_metrics(&metrics);
+        let jobs = synthetic_jobs(3, 2, 1_000);
+        assert!(matches!(
+            service.run_with(&jobs, &OnlineDroop, 1, &inst),
+            Err(ServeError::InvalidConfig(_))
+        ));
     }
 
     #[test]
@@ -1078,7 +1078,7 @@ mod tests {
         let service = Service::new(small_cfg()).unwrap();
         let plain = service.run(&jobs, &OnlineDroop, 2).unwrap();
         let tracer = Tracer::enabled();
-        let traced = service.run_traced(&jobs, &OnlineDroop, 2, &tracer).unwrap();
+        let traced = traced(&service, &jobs, 2, &tracer);
         // Tracing is pure observation: the schedule and report are
         // unchanged.
         assert_eq!(plain, traced);
@@ -1105,30 +1105,11 @@ mod tests {
     }
 
     #[test]
-    fn trace_bytes_are_identical_across_worker_counts() {
-        let jobs = synthetic_jobs(13, 9, 1_000);
-        let run = |workers: usize| {
-            let tracer = Tracer::enabled();
-            let service = Service::new(small_cfg()).unwrap();
-            service
-                .run_traced(&jobs, &OnlineDroop, workers, &tracer)
-                .unwrap();
-            tracer.to_chrome_json()
-        };
-        let one = run(1);
-        assert_eq!(one, run(2));
-        assert_eq!(one, run(8));
-        assert!(one.contains("traceEvents"));
-    }
-
-    #[test]
     fn profiled_run_attributes_every_droop() {
         let jobs = synthetic_jobs(17, 8, 1_200);
         let service = Service::new(small_cfg()).unwrap();
         let tracer = Tracer::enabled();
-        let (report, profile) = service
-            .run_profiled(&jobs, &OnlineDroop, 2, &tracer, ProfileConfig::default())
-            .unwrap();
+        let (report, profile) = profiled(&service, &jobs, 2, &tracer);
         // Acceptance: every droop the report counts got a captured,
         // scored window — no more, no less.
         assert_eq!(profile.total_droops, report.droops);
@@ -1144,53 +1125,6 @@ mod tests {
         let spans = tracer.records().iter().filter(|r| r.is_span()).count();
         assert!(spans > 0);
         assert!(tracer.to_chrome_json().contains("droop_window"));
-    }
-
-    #[test]
-    fn profile_json_is_identical_across_worker_counts() {
-        let jobs = synthetic_jobs(29, 10, 1_000);
-        let run = |workers: usize| {
-            let service = Service::new(small_cfg()).unwrap();
-            let (report, profile) = service
-                .run_profiled(
-                    &jobs,
-                    &OnlineDroop,
-                    workers,
-                    &Tracer::disabled(),
-                    ProfileConfig::default(),
-                )
-                .unwrap();
-            (report, profile.to_json())
-        };
-        let (report_one, json_one) = run(1);
-        let (report_two, json_two) = run(2);
-        let (report_eight, json_eight) = run(8);
-        assert_eq!(json_one, json_two);
-        assert_eq!(json_one, json_eight);
-        assert_eq!(report_one, report_two);
-        assert_eq!(report_one, report_eight);
-        assert!(json_one.contains("vsmooth-profile-v1"));
-    }
-
-    #[test]
-    fn profiling_does_not_change_the_schedule() {
-        let jobs = synthetic_jobs(7, 8, 1_200);
-        let service = Service::new(small_cfg()).unwrap();
-        let plain = service.run(&jobs, &OnlineDroop, 2).unwrap();
-        let (profiled, _) = service
-            .run_profiled(
-                &jobs,
-                &OnlineDroop,
-                2,
-                &Tracer::disabled(),
-                ProfileConfig::default(),
-            )
-            .unwrap();
-        // Profiling is pure observation: same jobs, same clock, same
-        // droops (the report differs only in the extra metric series).
-        assert_eq!(plain.droops, profiled.droops);
-        assert_eq!(plain.virtual_cycles, profiled.virtual_cycles);
-        assert_eq!(plain.completed, profiled.completed);
     }
 
     #[test]
@@ -1279,67 +1213,67 @@ mod tests {
     }
 
     #[test]
-    fn monitored_run_does_not_change_the_schedule() {
+    fn instruments_do_not_change_the_schedule() {
         let jobs = synthetic_jobs(7, 8, 1_200);
         let service = Service::new(small_cfg()).unwrap();
         let plain = service.run(&jobs, &OnlineDroop, 2).unwrap();
-        let (monitored, health) = service
-            .run_monitored(
-                &jobs,
-                &OnlineDroop,
-                2,
-                &Tracer::disabled(),
-                MonitorConfig::default(),
-            )
-            .unwrap();
-        // Monitoring is pure observation: same schedule, same physics.
-        assert_eq!(plain.droops, monitored.droops);
-        assert_eq!(plain.virtual_cycles, monitored.virtual_cycles);
-        assert_eq!(plain.completed, monitored.completed);
+        let inst = Instruments::new()
+            .profiled(ProfileConfig::default())
+            .monitored(MonitorConfig::default());
+        let observed = service.run_with(&jobs, &OnlineDroop, 2, &inst).unwrap();
+        let (armed, health) = (observed.report, observed.health.unwrap());
+        // Profiling and monitoring are pure observation: same schedule,
+        // same physics (the report differs only in the extra series).
+        assert_eq!(plain.droops, armed.droops);
+        assert_eq!(plain.virtual_cycles, armed.virtual_cycles);
+        assert_eq!(plain.completed, armed.completed);
         // One monitoring epoch per scheduling epoch, digest attached.
-        assert_eq!(health.epochs, monitored.epochs);
-        assert_eq!(monitored.health_snapshot(), Some(&health.summary()));
+        assert_eq!(health.epochs, armed.epochs);
+        assert_eq!(armed.health_snapshot(), Some(&health.summary()));
         assert!(plain.health.is_none());
         // Monitor gauges landed in the embedded snapshot.
-        assert!(monitored
+        assert!(armed
             .snapshot
             .gauge("monitor_droop_rate_per_kilocycle")
             .is_some());
         assert_eq!(
-            monitored.snapshot.counter("monitor_epochs_total"),
+            armed.snapshot.counter("monitor_epochs_total"),
             health.epochs
         );
-        assert!(monitored.render().contains("health"));
+        assert!(armed.render().contains("health"));
     }
 
     #[test]
-    fn health_artifacts_are_identical_across_worker_counts() {
+    fn instrument_artifacts_are_identical_across_worker_counts() {
         let jobs = synthetic_jobs(41, 10, 1_000);
         let run = |workers: usize| {
+            let tracer = Tracer::enabled();
+            let inst = Instruments::new()
+                .traced(&tracer)
+                .profiled(ProfileConfig::default())
+                .monitored(MonitorConfig::default());
             let service = Service::new(small_cfg()).unwrap();
-            let (report, health) = service
-                .run_monitored(
-                    &jobs,
-                    &OnlineDroop,
-                    workers,
-                    &Tracer::disabled(),
-                    MonitorConfig::default(),
-                )
+            let o = service
+                .run_with(&jobs, &OnlineDroop, workers, &inst)
                 .unwrap();
-            (report, health)
+            let (profile, health) = (o.profile.unwrap(), o.health.unwrap());
+            (o.report, tracer.to_chrome_json(), profile.to_json(), health)
         };
-        let (report_one, health_one) = run(1);
-        let (report_two, health_two) = run(2);
-        let (report_eight, health_eight) = run(8);
-        assert_eq!(report_one, report_two);
-        assert_eq!(report_one, report_eight);
-        // Alert sequences and the full health JSON — postmortem bytes
-        // included — must not depend on the worker count.
-        assert_eq!(health_one.alerts, health_two.alerts);
-        assert_eq!(health_one.to_json(), health_two.to_json());
-        assert_eq!(health_one.to_json(), health_eight.to_json());
-        for (a, b) in health_one.postmortems.iter().zip(&health_eight.postmortems) {
-            assert_eq!(a.to_json(), b.to_json());
+        let (report, trace, profile, health) = run(1);
+        assert!(trace.contains("traceEvents"));
+        assert!(profile.contains("vsmooth-profile-v1"));
+        for workers in [2, 8] {
+            let (r, t, p, h) = run(workers);
+            assert_eq!(report, r, "report at {workers} workers");
+            assert_eq!(trace, t, "trace at {workers} workers");
+            assert_eq!(profile, p, "profile at {workers} workers");
+            // Alert sequences and the full health JSON — postmortem
+            // bytes included — must not depend on the worker count.
+            assert_eq!(health.alerts, h.alerts);
+            assert_eq!(health.to_json(), h.to_json(), "health at {workers} workers");
+            for (a, b) in health.postmortems.iter().zip(&h.postmortems) {
+                assert_eq!(a.to_json(), b.to_json());
+            }
         }
     }
 

@@ -115,7 +115,7 @@ impl DecisionEvent {
         opt(out, "chip", self.chip.map(|c| c as u64));
         opt(out, "core", self.core.map(|c| c as u64));
         out.push_str(",\"reason\":\"");
-        crate::export::escape_json(self.reason, out);
+        crate::json::escape_into(self.reason, out);
         out.push_str("\"}");
     }
 }

@@ -5,7 +5,9 @@
 //! trace however many OS threads simulated it, so nothing
 //! thread-timing-dependent may enter a record.
 
+use crate::json::{escape_into, json_f64};
 use serde::{Deserialize, Serialize};
+use std::fmt::Write as _;
 
 /// Virtual process id of the job timeline (admission queue + per-job
 /// lifecycle spans) in exported traces.
@@ -51,6 +53,29 @@ pub struct DroopEvent {
     /// Phase label of the emitting context (e.g. `epoch42`,
     /// `campaign`).
     pub phase: String,
+}
+
+impl DroopEvent {
+    /// Appends the event as one JSON object, the form both the
+    /// postmortem bundle and the `/trace/recent` endpoint embed.
+    pub fn push_json(&self, out: &mut String) {
+        let _ = write!(
+            out,
+            "{{\"chip\": {}, \"core\": {}, \"cycle\": {}, \"depth_pct\": {}, \"workloads\": [",
+            self.chip,
+            self.core,
+            self.cycle,
+            json_f64(self.depth_pct)
+        );
+        for (i, w) in self.workloads.iter().enumerate() {
+            out.push_str(if i == 0 { "\"" } else { ", \"" });
+            escape_into(w, out);
+            out.push('"');
+        }
+        out.push_str("], \"phase\": \"");
+        escape_into(&self.phase, out);
+        out.push_str("\"}");
+    }
 }
 
 /// One value attached to a record's `args` map.

@@ -12,8 +12,9 @@
 //! * [`DroopEvent`] — the typed emergency record: chip, core, cycle,
 //!   depth, resident workloads, phase.
 //! * [`export`] — Chrome trace-event JSON (viewable in
-//!   `chrome://tracing` / Perfetto) plus a minimal JSON parser so the
-//!   artifact can be validated offline.
+//!   `chrome://tracing` / Perfetto), validated offline.
+//! * [`json`] — the workspace's one JSON string escaper, float format
+//!   and minimal parser, shared by every artifact writer.
 //!
 //! # Determinism contract
 //!
@@ -52,6 +53,7 @@
 pub mod audit;
 pub mod event;
 pub mod export;
+pub mod json;
 pub mod shard_stream;
 pub mod stream;
 pub mod tracer;
@@ -60,7 +62,8 @@ pub use audit::{DecisionEvent, DecisionKind, AUDIT_SCHEMA};
 pub use event::{
     chip_pid, ArgValue, Args, DroopEvent, TraceRecord, PID_CAMPAIGN, PID_JOBS, PID_MONITOR,
 };
-pub use export::{chrome_trace_json, parse_json, validate_chrome_trace, JsonValue, TraceShape};
+pub use export::{chrome_trace_json, validate_chrome_trace, TraceShape};
+pub use json::{parse_json, JsonValue};
 pub use shard_stream::{ShardLaneStats, ShardStreams, TaggedBundle, DEFAULT_SHARD_RING};
 pub use stream::{
     ChromeJsonSink, DropReason, SamplerConfig, SinkStats, StreamConfig, TelemetryStats, TraceSink,

@@ -29,7 +29,7 @@ use vsmooth::monitor::{
 use vsmooth::pdn::DecapConfig;
 use vsmooth::sched::SameWorkload;
 use vsmooth::serve::{JobSpec, Service, ServiceConfig, ServiceReport};
-use vsmooth::trace::Tracer;
+use vsmooth::Instruments;
 
 /// Virtual cycle at which the noisy burst begins.
 const NOISY_AT: u64 = 14_000;
@@ -108,13 +108,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let run =
         |workers: usize| -> Result<(ServiceReport, HealthReport), Box<dyn std::error::Error>> {
             let service = Service::new(cfg.clone())?;
-            Ok(service.run_monitored(
-                &jobs,
-                &SameWorkload,
-                workers,
-                &Tracer::disabled(),
-                monitor_config(),
-            )?)
+            let inst = Instruments::new().monitored(monitor_config());
+            let run = service.run_with(&jobs, &SameWorkload, workers, &inst)?;
+            Ok((run.report, run.health.expect("monitor armed")))
         };
 
     let (report, health) = run(1)?;

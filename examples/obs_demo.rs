@@ -33,7 +33,8 @@ use vsmooth::obs::{http_get, http_send_raw, ObsConfig, ObsServer, ObsSnapshot};
 use vsmooth::pdn::DecapConfig;
 use vsmooth::sched::SameWorkload;
 use vsmooth::serve::{AuditConfig, JobSpec, Service, ServiceConfig};
-use vsmooth::trace::{parse_json, Tracer};
+use vsmooth::trace::parse_json;
+use vsmooth::Instruments;
 
 /// Virtual cycle at which the noisy burst begins.
 const NOISY_AT: u64 = 14_000;
@@ -128,13 +129,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // sealed as the vsmooth-audit-v1 artifact below.
     monitored_cfg.audit = Some(AuditConfig::default());
     let service = Service::new(monitored_cfg)?;
-    let (report, health) = service.run_monitored(
-        &degradation_jobs(),
-        &SameWorkload,
-        2,
-        &Tracer::disabled(),
-        monitor_config(),
-    )?;
+    let inst = Instruments::new().monitored(monitor_config());
+    let run = service.run_with(&degradation_jobs(), &SameWorkload, 2, &inst)?;
+    let (report, health) = (run.report, run.health.expect("monitor armed"));
 
     let flips = transitions.lock().expect("transition log").clone();
     assert_eq!(
@@ -233,13 +230,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut profiled_cfg = cfg.clone();
     profiled_cfg.obs = Some(ObsConfig::new(server.hub()));
     let service = Service::new(profiled_cfg)?;
-    service.run_profiled(
-        &degradation_jobs(),
-        &SameWorkload,
-        2,
-        &Tracer::disabled(),
-        vsmooth::profile::ProfileConfig::default(),
-    )?;
+    let inst = Instruments::new().profiled(vsmooth::profile::ProfileConfig::default());
+    service.run_with(&degradation_jobs(), &SameWorkload, 2, &inst)?;
     let profile = http_get(addr, "/profile")?;
     println!("GET /profile -> {} (after a profiled pass)", profile.status);
     assert_eq!(profile.status, 200);

@@ -25,7 +25,7 @@ use vsmooth::pdn::{DecapConfig, ImpedanceProfile, LadderConfig};
 use vsmooth::profile::{ProfileConfig, ProfileReport};
 use vsmooth::sched::OnlineDroop;
 use vsmooth::serve::{synthetic_jobs, Service, ServiceConfig};
-use vsmooth::trace::Tracer;
+use vsmooth::Instruments;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
@@ -41,14 +41,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let run = |workers: usize| -> Result<(u64, ProfileReport), Box<dyn std::error::Error>> {
         let service = Service::new(cfg.clone())?;
-        let (report, profile) = service.run_profiled(
-            &jobs,
-            &OnlineDroop,
-            workers,
-            &Tracer::disabled(),
-            ProfileConfig::default(),
-        )?;
-        Ok((report.droops, profile))
+        let inst = Instruments::new().profiled(ProfileConfig::default());
+        let run = service.run_with(&jobs, &OnlineDroop, workers, &inst)?;
+        Ok((run.report.droops, run.profile.expect("profiler armed")))
     };
 
     let (droops, profile) = run(1)?;

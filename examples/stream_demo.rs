@@ -23,6 +23,7 @@ use vsmooth::sched::OnlineDroop;
 use vsmooth::serve::{synthetic_jobs, Service, ServiceConfig};
 use vsmooth::stats::MetricsRegistry;
 use vsmooth::trace::{validate_chrome_trace, SamplerConfig, StreamConfig, Tracer};
+use vsmooth::Instruments;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let trace_path = std::env::args()
@@ -38,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Baseline: how much would Full mode have to hold in memory?
     let full_records = {
         let tracer = Tracer::enabled();
-        service.run_traced(&jobs, &OnlineDroop, 1, &tracer)?;
+        service.run_with(&jobs, &OnlineDroop, 1, &Instruments::new().traced(&tracer))?;
         tracer.len() as u64
     };
     println!("full-mode baseline: {full_records} records buffered for one wave");
@@ -55,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let tracer = Tracer::streaming_to_writer(file, soak_cfg);
     let mut waves = 0u32;
     while tracer.telemetry().expect("telemetry").records_seen < 10 * full_records {
-        service.run_traced(&jobs, &OnlineDroop, 2, &tracer)?;
+        service.run_with(&jobs, &OnlineDroop, 2, &Instruments::new().traced(&tracer))?;
         waves += 1;
     }
     let stats = tracer
@@ -95,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..StreamConfig::default()
         };
         let tracer = Tracer::streaming(cfg);
-        service.run_traced(&jobs, &OnlineDroop, 1, &tracer)?;
+        service.run_with(&jobs, &OnlineDroop, 1, &Instruments::new().traced(&tracer))?;
         let stats = tracer.telemetry().expect("telemetry");
         let bytes = tracer.to_chrome_json().into_bytes();
         Ok((bytes, stats))

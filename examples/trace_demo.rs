@@ -21,6 +21,7 @@ use vsmooth::pdn::DecapConfig;
 use vsmooth::sched::OnlineDroop;
 use vsmooth::serve::{synthetic_jobs, Service, ServiceConfig};
 use vsmooth::trace::{validate_chrome_trace, Tracer};
+use vsmooth::Instruments;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut args = std::env::args().skip(1);
@@ -39,7 +40,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let run = |workers: usize| -> Result<(String, String), Box<dyn std::error::Error>> {
         let tracer = Tracer::enabled();
         let service = Service::new(cfg.clone())?;
-        let report = service.run_traced(&jobs, &OnlineDroop, workers, &tracer)?;
+        let inst = Instruments::new().traced(&tracer);
+        let report = service
+            .run_with(&jobs, &OnlineDroop, workers, &inst)?
+            .report;
         Ok((tracer.to_chrome_json(), report.snapshot.render_prometheus()))
     };
 

@@ -4,13 +4,16 @@
 
 use std::collections::BTreeSet;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use vsmooth::chip::Fidelity;
 use vsmooth::experiments::{ExperimentConfig, Lab};
 use vsmooth::fleet::{
-    Checkpoint, CheckpointError, FleetCampaign, FleetError, FleetOutcome, FleetSpec,
+    Checkpoint, CheckpointError, FleetCampaign, FleetError, FleetOutcome, FleetReport, FleetSpec,
     CHECKPOINT_SCHEMA, REPORT_SCHEMA, SHIPPED_MARGIN_PCT,
 };
+use vsmooth::monitor::MonitorConfig;
+use vsmooth::profile::ProfileConfig;
+use vsmooth::Instruments;
 
 fn spec(seed: u64) -> FleetSpec {
     let mut spec = FleetSpec::new(seed, 6, 8);
@@ -27,6 +30,15 @@ fn tmp(tag: &str) -> PathBuf {
     ))
 }
 
+/// Resumes `campaign` from `path` and runs it to completion.
+fn resume(campaign: &FleetCampaign, path: &Path) -> FleetReport {
+    campaign
+        .run_checkpointed(4, path, None, None)
+        .unwrap()
+        .into_report()
+        .expect("an unbounded resume completes")
+}
+
 #[test]
 fn killed_and_resumed_sweep_reports_identical_bytes() {
     let path = tmp("resume");
@@ -34,7 +46,7 @@ fn killed_and_resumed_sweep_reports_identical_bytes() {
     let campaign = FleetCampaign::new(spec(2010)).unwrap();
     let straight = campaign.run(4).unwrap();
 
-    let outcome = campaign.run_interruptible(4, &path, 15, None).unwrap();
+    let outcome = campaign.run_checkpointed(4, &path, Some(15), None).unwrap();
     let FleetOutcome::Interrupted {
         completed, total, ..
     } = outcome
@@ -50,14 +62,14 @@ fn killed_and_resumed_sweep_reports_identical_bytes() {
     assert_eq!(ckpt.completed(), completed);
 
     // Resume, finish, compare bytes — report and render both.
-    let resumed = campaign.run_checkpointed(4, &path, None).unwrap();
+    let resumed = resume(&campaign, &path);
     assert_eq!(resumed.to_json(), straight.to_json());
     assert_eq!(resumed.render(), straight.render());
     assert!(resumed.to_json().contains(REPORT_SCHEMA));
 
     // A second resume over the now-complete checkpoint re-runs nothing
     // and still reproduces the same bytes.
-    let again = campaign.run_checkpointed(4, &path, None).unwrap();
+    let again = resume(&campaign, &path);
     assert_eq!(again.to_json(), straight.to_json());
     let _ = fs::remove_file(&path);
 }
@@ -95,7 +107,7 @@ fn corrupted_checkpoints_fail_with_typed_errors_not_panics() {
     fs::write(&path, "{ this is not a checkpoint }").unwrap();
     let campaign = FleetCampaign::new(spec(3)).unwrap();
     assert!(matches!(
-        campaign.run_checkpointed(2, &path, None),
+        campaign.run_checkpointed(2, &path, None, None),
         Err(FleetError::Checkpoint(CheckpointError::Malformed { .. }))
     ));
     // A version-bumped schema tag → SchemaMismatch.
@@ -103,7 +115,7 @@ fn corrupted_checkpoints_fail_with_typed_errors_not_panics() {
     ckpt_text = ckpt_text.replace(CHECKPOINT_SCHEMA, "vsmooth-fleet-ckpt-v2");
     fs::write(&path, &ckpt_text).unwrap();
     assert!(matches!(
-        campaign.run_checkpointed(2, &path, None),
+        campaign.run_checkpointed(2, &path, None, None),
         Err(FleetError::Checkpoint(
             CheckpointError::SchemaMismatch { .. }
         ))
@@ -114,10 +126,23 @@ fn corrupted_checkpoints_fail_with_typed_errors_not_panics() {
         .save(&path)
         .unwrap();
     assert!(matches!(
-        campaign.run_checkpointed(2, &path, None),
+        campaign.run_checkpointed(2, &path, None, None),
         Err(FleetError::Checkpoint(CheckpointError::SpecMismatch { .. }))
     ));
     let _ = fs::remove_file(&path);
+}
+
+#[test]
+fn profile_and_monitor_instruments_are_typed_spec_errors() {
+    let campaign = FleetCampaign::new(spec(5)).unwrap();
+    let monitored = Instruments::new().monitored(MonitorConfig::default());
+    let profiled = Instruments::new().profiled(ProfileConfig::default());
+    for inst in [monitored, profiled] {
+        assert!(matches!(
+            campaign.run_with(1, &inst),
+            Err(FleetError::InvalidSpec(_))
+        ));
+    }
 }
 
 #[test]

@@ -10,6 +10,7 @@ use vsmooth::serve::{
     synthetic_jobs, JobSpec, RuntimeMode, ServeError, Service, ServiceConfig, ServiceReport,
 };
 use vsmooth::trace::{validate_chrome_trace, Tracer};
+use vsmooth::Instruments;
 
 fn run(policy: &dyn PairPolicy, workers: usize) -> ServiceReport {
     run_traced(policy, workers, &Tracer::disabled())
@@ -22,8 +23,9 @@ fn run_traced(policy: &dyn PairPolicy, workers: usize, tracer: &Tracer) -> Servi
     let service = Service::new(cfg).expect("valid config");
     let jobs = synthetic_jobs(19, 18, 900);
     service
-        .run_traced(&jobs, policy, workers, tracer)
+        .run_with(&jobs, policy, workers, &Instruments::new().traced(tracer))
         .expect("service run")
+        .report
 }
 
 #[test]

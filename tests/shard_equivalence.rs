@@ -10,7 +10,8 @@
 //! 2. the Chrome trace JSON,
 //! 3. the `vsmooth-profile-v1` attribution JSON,
 //! 4. the monitor health report JSON (alerts and postmortems
-//!    included),
+//!    included) — 3 and 4 also from passes that arm the profiler and
+//!    the monitor together,
 //! 5. the obs hub snapshot stream (every periodic publish plus the
 //!    final one) — including the decision ring riding in each
 //!    snapshot,
@@ -31,9 +32,10 @@ use vsmooth::obs::{ObsConfig, ObsSnapshot, TelemetryHub};
 use vsmooth::pdn::DecapConfig;
 use vsmooth::profile::ProfileConfig;
 use vsmooth::sched::OnlineDroop;
-use vsmooth::serve::{AuditConfig, JobSpec, RuntimeMode, Service, ServiceConfig};
+use vsmooth::serve::{AuditConfig, JobSpec, RuntimeMode, Service, ServiceConfig, ServiceReport};
 use vsmooth::testkit::gen_job_stream;
 use vsmooth::trace::Tracer;
+use vsmooth::{Instruments, Observed};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -47,6 +49,18 @@ fn config(runtime: RuntimeMode) -> ServiceConfig {
 
 fn jobs(seed: u64) -> Vec<JobSpec> {
     gen_job_stream(&mut TestRng::new(seed), 14, 900)
+}
+
+fn run_with(
+    runtime: RuntimeMode,
+    workers: usize,
+    jobs: &[JobSpec],
+    inst: &Instruments,
+) -> Observed<ServiceReport> {
+    Service::new(config(runtime))
+        .unwrap()
+        .run_with(jobs, &OnlineDroop, workers, inst)
+        .unwrap()
 }
 
 #[test]
@@ -76,10 +90,7 @@ fn trace_json_matches_coordinator_at_every_shard_count() {
     let jobs = jobs(0xB0B);
     let run = |runtime, workers| {
         let tracer = Tracer::enabled();
-        Service::new(config(runtime))
-            .unwrap()
-            .run_traced(&jobs, &OnlineDroop, workers, &tracer)
-            .unwrap();
+        run_with(runtime, workers, &jobs, &Instruments::new().traced(&tracer));
         tracer.to_chrome_json()
     };
     let reference = run(RuntimeMode::Coordinator, 1);
@@ -93,30 +104,44 @@ fn trace_json_matches_coordinator_at_every_shard_count() {
     }
 }
 
+/// The coordinator reference and every shard count, for the inputs a
+/// single-instrument artifact must also match from a pass that arms
+/// the profiler and the monitor together.
+fn every_backend() -> impl Iterator<Item = (RuntimeMode, usize)> {
+    std::iter::once((RuntimeMode::Coordinator, 1))
+        .chain(SHARD_COUNTS.map(|shards| (RuntimeMode::Sharded, shards)))
+}
+
+fn both_instruments() -> Instruments<'static> {
+    Instruments::new()
+        .profiled(ProfileConfig::default())
+        .monitored(MonitorConfig::default())
+}
+
 #[test]
 fn profile_json_matches_coordinator_at_every_shard_count() {
     let jobs = jobs(0xCAFE);
-    let run = |runtime, workers| {
-        let (report, profile) = Service::new(config(runtime))
-            .unwrap()
-            .run_profiled(
-                &jobs,
-                &OnlineDroop,
-                workers,
-                &Tracer::disabled(),
-                ProfileConfig::default(),
-            )
-            .unwrap();
-        (report, profile.to_json())
+    let profile_only = Instruments::new().profiled(ProfileConfig::default());
+    let run = |runtime, workers, inst| {
+        let observed = run_with(runtime, workers, &jobs, inst);
+        (observed.report, observed.profile.unwrap().to_json())
     };
-    let (reference_report, reference_json) = run(RuntimeMode::Coordinator, 1);
+    let (reference_report, reference_json) = run(RuntimeMode::Coordinator, 1, &profile_only);
     assert!(reference_json.contains("vsmooth-profile-v1"));
     for shards in SHARD_COUNTS {
-        let (report, json) = run(RuntimeMode::Sharded, shards);
+        let (report, json) = run(RuntimeMode::Sharded, shards, &profile_only);
         assert_eq!(reference_report, report, "report diverged at {shards}");
         assert_eq!(
             reference_json, json,
             "profile JSON diverged at {shards} shards"
+        );
+    }
+    let both = both_instruments();
+    for (runtime, workers) in every_backend() {
+        assert_eq!(
+            reference_json,
+            run(runtime, workers, &both).1,
+            "profile JSON of the monitored pass diverged under {runtime:?} at {workers}"
         );
     }
 }
@@ -124,21 +149,14 @@ fn profile_json_matches_coordinator_at_every_shard_count() {
 #[test]
 fn health_json_matches_coordinator_at_every_shard_count() {
     let jobs = jobs(0xD00D);
-    let run = |runtime, workers| {
-        Service::new(config(runtime))
-            .unwrap()
-            .run_monitored(
-                &jobs,
-                &OnlineDroop,
-                workers,
-                &Tracer::disabled(),
-                MonitorConfig::default(),
-            )
-            .unwrap()
+    let monitor_only = Instruments::new().monitored(MonitorConfig::default());
+    let run = |runtime, workers, inst| {
+        let observed = run_with(runtime, workers, &jobs, inst);
+        (observed.report, observed.health.unwrap())
     };
-    let (reference_report, reference_health) = run(RuntimeMode::Coordinator, 1);
+    let (reference_report, reference_health) = run(RuntimeMode::Coordinator, 1, &monitor_only);
     for shards in SHARD_COUNTS {
-        let (report, health) = run(RuntimeMode::Sharded, shards);
+        let (report, health) = run(RuntimeMode::Sharded, shards, &monitor_only);
         assert_eq!(reference_report, report, "report diverged at {shards}");
         assert_eq!(
             reference_health.alerts, health.alerts,
@@ -153,6 +171,14 @@ fn health_json_matches_coordinator_at_every_shard_count() {
         for (a, b) in reference_health.postmortems.iter().zip(&health.postmortems) {
             assert_eq!(a.to_json(), b.to_json(), "postmortem diverged at {shards}");
         }
+    }
+    let both = both_instruments();
+    for (runtime, workers) in every_backend() {
+        assert_eq!(
+            reference_health.to_json(),
+            run(runtime, workers, &both).1.to_json(),
+            "health JSON of the profiled pass diverged under {runtime:?} at {workers}"
+        );
     }
 }
 

@@ -16,6 +16,7 @@ use vsmooth::serve::{synthetic_jobs, Service, ServiceConfig, ServiceReport};
 use vsmooth::trace::{
     validate_chrome_trace, DropReason, SamplerConfig, StreamConfig, TelemetryStats, Tracer,
 };
+use vsmooth::Instruments;
 
 /// A `Write` target whose bytes survive the sink taking ownership.
 #[derive(Clone, Default)]
@@ -76,9 +77,11 @@ fn run_traced_with_obs(
     cfg.obs = obs;
     let service = Service::new(cfg).expect("valid config");
     let jobs = synthetic_jobs(19, jobs_n, 900);
+    let inst = Instruments::new().traced(tracer);
     service
-        .run_traced(&jobs, &OnlineDroop as &dyn PairPolicy, workers, tracer)
+        .run_with(&jobs, &OnlineDroop as &dyn PairPolicy, workers, &inst)
         .expect("service run")
+        .report
 }
 
 fn streaming_run(workers: usize, jobs_n: usize, cfg: StreamConfig) -> (Vec<u8>, TelemetryStats) {
