@@ -24,6 +24,14 @@ echo "== testkit gate (oracles, invariants, properties) =="
 PROPTEST_CASES=64 cargo test -q -p vsmooth-testkit
 cargo test -q -p vsmooth-repro --test oracle_validation
 
+echo "== fused kernel gate (fused kernel vs reference loop) =="
+# Every figure, campaign, fleet sweep and probe runs on the fused chip
+# kernel. P5 holds it to the reference loop bit for bit on generated
+# chips, regulators and PDNs, all three run shapes, crossing captures
+# and interval lengths that do and do not divide the warm-up; this is
+# the gate on the kernel every figure runs on, so it gets more cases.
+PROPTEST_CASES=256 cargo test -q -p vsmooth-testkit --test properties_chip
+
 echo "== shared JSON module gate =="
 # The one escaper every artifact writer uses must round-trip any
 # string through parse_json; re-run the property with a pinned case

@@ -42,7 +42,9 @@ fn run_session(check: bool) -> vsmooth::chip::RunStats {
         let report = session.invariant_report().expect("armed");
         assert!(report.is_clean(), "violations: {:?}", report.violations);
     }
-    session.finish()
+    session
+        .finish()
+        .expect("reference slices keep complete stats")
 }
 
 #[test]

@@ -1,0 +1,41 @@
+//! Golden-file test pinning the reproduction's printed tables.
+//!
+//! `repro` prints every figure and table of the paper. This test runs
+//! the built binary at quick fidelity (`VSMOOTH_BENCH=quick`, set on
+//! the child process only) and compares its stdout line by line with
+//! `tests/golden/repro_quick.txt`, leaving out the header line, which
+//! carries the host's thread count. A change that moves any printed
+//! number fails here. If the move is intended, regenerate the golden:
+//!
+//! ```text
+//! VSMOOTH_BENCH=quick cargo run --release -p vsmooth-bench --bin repro \
+//!     > crates/bench/tests/golden/repro_quick.txt
+//! ```
+
+use std::process::Command;
+
+#[test]
+fn quick_repro_prints_the_golden_tables() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .env("VSMOOTH_BENCH", "quick")
+        .output()
+        .expect("repro starts");
+    assert!(
+        out.status.success(),
+        "repro failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("repro prints UTF-8");
+    let golden = include_str!("golden/repro_quick.txt");
+    let (got, want): (Vec<&str>, Vec<&str>) = (
+        stdout.lines().skip(1).collect(),
+        golden.lines().skip(1).collect(),
+    );
+    if let Some((i, (g, w))) = got.iter().zip(&want).enumerate().find(|(_, (g, w))| g != w) {
+        panic!(
+            "line {} differs from the golden:\n  got:  {g}\n  want: {w}",
+            i + 2
+        );
+    }
+    assert_eq!(got.len(), want.len(), "line count differs from the golden");
+}

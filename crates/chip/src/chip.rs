@@ -6,6 +6,7 @@
 //! (Sec. III-C.) The chip sums per-core current draws into the PDN
 //! model and senses the resulting die voltage every cycle.
 
+use crate::fastpath::{self, FastCache};
 use crate::runner::{Capture, Captured};
 use crate::session::MeasureState;
 use crate::stats::RunStats;
@@ -353,14 +354,30 @@ impl Chip {
         if interval_cycles == 0 {
             return Err(ChipError::InvalidConfig("interval_cycles must be non-zero"));
         }
-        self.warm_up(sources);
+        // Plain and crossing-capturing runs take the complete fused
+        // kernel; windows, traces and hooks read whole-chip state
+        // mid-cycle and take the reference loop. Decided before the
+        // warm-up touches the chip or the sources.
+        let fused = match (&capture, &trace, &hook) {
+            (Capture::None | Capture::Crossings(_), None, None) => FastCache::build(self),
+            _ => None,
+        };
+        match &fused {
+            Some(cache) => fastpath::warm_up_sources(self, cache, sources),
+            None => self.warm_up(sources),
+        }
         let mut state = MeasureState::new(self, interval_cycles);
         match capture {
             Capture::None => {}
             Capture::Crossings(margin) => state.enable_droop_capture(margin),
             Capture::Windows(margin, window) => state.enable_window_capture(self, margin, window),
         }
-        state.run(self, sources, cycles, trace, hook);
+        match &fused {
+            Some(cache) => fastpath::run_measurement(self, &mut state, cache, sources, cycles),
+            None => {
+                state.run(self, sources, cycles, trace, hook);
+            }
+        }
         let crossings = state.take_droop_crossings();
         let windows = state.flush_droop_windows(self);
         Ok(Captured {
@@ -368,6 +385,14 @@ impl Chip {
             crossings,
             windows,
         })
+    }
+
+    /// Whether [`Chip::run`] and [`Chip::run_captured`] without windows
+    /// run on this chip's fused kernel: two cores, an 8-state PDN with
+    /// two inputs and a tabulable ripple period. Other chips measure on
+    /// the reference loop: the same bits at under half the speed.
+    pub fn runs_fused(&self) -> bool {
+        FastCache::build(self).is_some()
     }
 
     /// Validates that `count` stimulus sources match the core count.

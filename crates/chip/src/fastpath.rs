@@ -1,35 +1,42 @@
-//! Fused fast-slice kernel: the per-cycle chip loop monomorphized and
-//! flattened for the serving runtime's shard workers.
+//! Fused kernel: the per-cycle chip loop monomorphized and flattened
+//! into one loop over fixed-size arrays.
 //!
 //! The reference per-cycle path ([`Chip::step_cycle`] +
 //! [`MeasureState::run`]) walks a `Vec`-backed state-space model
 //! through bounds-checked `Mat` indexing, dispatches stimulus sources
 //! through `&mut dyn`, and recomputes the VRM ripple phase with a
 //! division every cycle. None of that changes the physics — it is pure
-//! interpretation overhead, and it dominates the serving throughput
-//! row of `BENCH_serve.json`.
+//! interpretation overhead.
 //!
-//! This module specializes the loop for the service's common case
-//! (2-core chip, 8-state PDN with 2 inputs, interval-aligned slices,
-//! no waveform windows, no invariant checker) into one fused loop over
+//! This module specializes the loop for the platform's shape (2-core
+//! chip, 8-state PDN with 2 inputs, interval-aligned slices, no
+//! waveform windows, no invariant checker) into one fused loop over
 //! fixed-size arrays with closure-typed stimulus sources. The kernel
 //! reproduces the reference floating-point accumulation order
 //! *exactly* — same adds, same order, same clamps — so every value it
-//! produces is bit-identical to the reference loop. That property is
-//! what lets the sharded serving runtime use it while still promising
-//! byte-identical artifacts against the single-threaded coordinator
-//! (`tests/shard_equivalence.rs`), and it is enforced by the identity
-//! tests at the bottom of this file.
+//! produces is bit-identical to the reference loop. The identity tests
+//! at the bottom of this file and testkit's P5 property enforce that.
 //!
-//! Two measurement channels the serving layer never reads are *not*
-//! maintained by the fast kernel: the voltage sensor's
-//! histogram/summary and the overshoot crossing grid. A session driven
-//! through [`ChipSession::run_slice_fast`] therefore reports
-//! [`SliceStats`], droop crossings, the droop grid and the interval
-//! timeline exactly, but its final [`RunStats`](crate::RunStats)
-//! under-counts sensor samples and overshoots. The service consumes
-//! only the former set; callers that need full `RunStats` should use
-//! [`ChipSession::run_slice`].
+//! The kernel comes in two flavours, picked by `const FULL: bool`:
+//!
+//! * `FULL = true` also records every sensed sample in the voltage
+//!   sensor's histogram/summary and feeds the overshoot grid, so a
+//!   fused measurement yields the complete [`RunStats`](crate::RunStats)
+//!   bit for bit. [`Chip::run`] and [`Chip::run_captured`] without
+//!   windows run every measurement this way, and with them the paper's
+//!   campaign, the fleet sweeps, the pair oracle and the probes.
+//! * `FULL = false` (lean) skips those two channels. The serving
+//!   runtime's shard workers drive sessions through
+//!   [`ChipSession::run_slice_fast`](crate::ChipSession::run_slice_fast)
+//!   this way: no serve caller reads `RunStats`, and the two channels
+//!   would cost about a fifth of the service's throughput. A session
+//!   that ran lean cycles refuses to hand out `RunStats`
+//!   ([`ChipError::IncompleteStats`]).
+//!
+//! Everything the kernel cannot do runs on the reference loop, which
+//! stays the oracle: waveform windows, raw traces, rollback hooks, the
+//! invariant checker, [`ChipSession::run_slice`](crate::ChipSession::run_slice),
+//! and chips [`FastCache::build`] rejects.
 
 use crate::chip::Chip;
 use crate::session::{DroopCapture, MeasureState, SliceStats};
@@ -235,10 +242,13 @@ fn step_pdn(cache: &FastCache, x: &mut [f64; 8], u0: f64, u1: f64) -> f64 {
 ///
 /// Mirrors [`MeasureState::run`] + [`Chip::step_cycle`] cycle for
 /// cycle (stimulus → core tick → regulator trim → PDN step → ripple →
-/// deviation → droop grid → droop capture), skipping only the sensor
-/// histogram/summary and overshoot grid (see the module docs). The
-/// caller must have checked [`fast_slice_supported`].
-pub(crate) fn run_slice_fast<S0, S1>(
+/// deviation → droop grid → droop capture). With `FULL` the deviation
+/// comes from [`VoltageSensor::record`](crate::sense::VoltageSensor::record)
+/// and the overshoot grid observes it right after the droop grid, the
+/// reference loop's order; without it both channels are skipped (see
+/// the module docs). The caller must have checked
+/// [`fast_slice_supported`].
+pub(crate) fn run_slice_fast<const FULL: bool, S0, S1>(
     chip: &mut Chip,
     state: &mut MeasureState,
     cache: &FastCache,
@@ -277,7 +287,9 @@ where
     {
         let (head, tail) = chip.cores.split_at_mut(1);
         let (core0, core1) = (&mut head[0], &mut tail[0]);
+        let sensor = &mut state.sensor;
         let droops = &mut state.droops;
+        let overshoots = &mut state.overshoots;
         let mut capture = state.capture.as_mut();
         for _ in 0..cycles {
             let mut total = 0.0;
@@ -294,10 +306,17 @@ where
             if phase == period {
                 phase = 0;
             }
-            let dev = 100.0 * (sensed - nominal) / nominal;
+            let dev = if FULL {
+                sensor.record(sensed)
+            } else {
+                100.0 * (sensed - nominal) / nominal
+            };
             min_dev = min_dev.min(dev);
             sum_dev += dev;
             droops.observe(dev);
+            if FULL {
+                overshoots.observe(dev);
+            }
             if let Some(cap) = capture.as_deref_mut() {
                 observe_capture(cap, mc, dev);
             }
@@ -337,6 +356,56 @@ where
         },
         core_deltas,
     }
+}
+
+/// [`Chip::warm_up`] over a one-shot run's `dyn` source pair, through
+/// the fused kernel. Only for chips [`FastCache::build`] accepted.
+pub(crate) fn warm_up_sources(
+    chip: &mut Chip,
+    cache: &FastCache,
+    sources: &mut [&mut dyn StimulusSource],
+) {
+    let [s0, s1] = sources else {
+        unreachable!("FastCache only accepts two-core chips")
+    };
+    warm_up_fast(chip, cache, || s0.next(), || s1.next());
+}
+
+/// [`MeasureState::run`] over a whole one-shot measurement on a chip
+/// [`FastCache::build`] accepted: every whole interval through the
+/// `FULL` kernel, then a final partial interval (which pushes no
+/// timeline entry) on the reference loop. The caller's `dyn` sources
+/// are called through closures, so each stream's own `next` stays
+/// exact at every interval length: a mix change in mid-interval when
+/// the warm-up is not a whole number of intervals, and a looping
+/// stream's restart.
+pub(crate) fn run_measurement(
+    chip: &mut Chip,
+    state: &mut MeasureState,
+    cache: &FastCache,
+    sources: &mut [&mut dyn StimulusSource],
+    cycles: u64,
+) {
+    let interval = state.interval_cycles;
+    let [s0, s1] = &mut *sources else {
+        unreachable!("FastCache only accepts two-core chips")
+    };
+    for _ in 0..cycles / interval {
+        run_slice_fast::<true, _, _>(chip, state, cache, || s0.next(), || s1.next(), interval);
+    }
+    #[cfg(test)]
+    FULL_CYCLES.set(FULL_CYCLES.get() + cycles / interval * interval);
+    let tail = cycles % interval;
+    if tail > 0 {
+        state.run(chip, sources, tail, None, None);
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Measured cycles this thread ran through the `FULL` kernel, so the
+    /// routing tests can see which loop a measurement took.
+    pub(crate) static FULL_CYCLES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// The droop-capture hysteresis, verbatim from [`MeasureState::run`].
@@ -397,6 +466,7 @@ impl crate::ChipSession {
                     chip,
                     state,
                     fast: Some(cache),
+                    lean_cycles: 0,
                 })
             }
             None => {
@@ -410,10 +480,18 @@ impl crate::ChipSession {
 
     /// Like [`run_slice`](crate::ChipSession::run_slice), but with
     /// closure-typed sources: interval-aligned slices on a qualifying
-    /// session run through the fused kernel, everything else falls back
-    /// to the reference loop via [`FnSource`]. Results are
-    /// bit-identical either way; see the module docs for the two
-    /// `RunStats` channels the fused kernel does not maintain.
+    /// session run through the lean fused kernel, everything else falls
+    /// back to the reference loop via [`FnSource`]. The returned
+    /// [`SliceStats`], droop crossings, droop grid and interval timeline
+    /// are bit-identical either way. The lean kernel is what the
+    /// serving shards run: it skips the voltage sensor and the
+    /// overshoot grid, which no serve caller reads and which would cost
+    /// them about a fifth of their throughput. So once a slice has run
+    /// lean, [`stats`](crate::ChipSession::stats) and
+    /// [`finish`](crate::ChipSession::finish) return
+    /// [`ChipError::IncompleteStats`] instead of under-counted
+    /// `RunStats`; callers that need them use `run_slice`, or a one-shot
+    /// [`Chip::run`], which runs the complete fused kernel.
     ///
     /// # Errors
     ///
@@ -436,9 +514,17 @@ impl crate::ChipSession {
             }
             // Disjoint field borrows: the cache is read-only while chip
             // and measurement state advance.
-            let Self { chip, state, fast } = self;
+            let Self {
+                chip,
+                state,
+                fast,
+                lean_cycles,
+            } = self;
             if let Some(cache) = fast.as_ref() {
-                return Ok(run_slice_fast(chip, state, cache, s0, s1, cycles));
+                *lean_cycles += cycles;
+                return Ok(run_slice_fast::<false, _, _>(
+                    chip, state, cache, s0, s1, cycles,
+                ));
             }
         }
         let mut w0 = FnSource(s0);
@@ -452,8 +538,11 @@ impl crate::ChipSession {
 mod tests {
     use super::*;
     use crate::chip::ChipConfig;
+    use crate::resilient::CycleControl;
+    use crate::runner::{Capture, Captured};
+    use crate::window::WindowConfig;
     use crate::ChipSession;
-    use vsmooth_pdn::DecapConfig;
+    use vsmooth_pdn::{DecapConfig, LadderConfig};
     use vsmooth_uarch::IdleLoop;
     use vsmooth_workload::by_name;
 
@@ -463,7 +552,269 @@ mod tests {
 
     #[test]
     fn fast_cache_builds_for_the_platform_chip() {
-        assert!(FastCache::build(&chip()).is_some());
+        // The three decap configurations the campaign measures; the
+        // facade pins the configs `Lab` and a fleet actually build.
+        for decap in [
+            DecapConfig::proc100(),
+            DecapConfig::proc25(),
+            DecapConfig::proc3(),
+        ] {
+            let c = Chip::new(ChipConfig::core2_duo(decap)).unwrap();
+            assert!(FastCache::build(&c).is_some() && c.runs_fused());
+        }
+    }
+
+    /// The reference loop's one-shot measurement, as `Chip::run_inner`
+    /// runs it on chips the fused kernel does not cover: reference
+    /// warm-up, then `MeasureState::run` over every cycle.
+    fn reference_run(
+        mut chip: Chip,
+        sources: &mut [&mut dyn StimulusSource],
+        cycles: u64,
+        interval_cycles: u64,
+        capture: Capture,
+    ) -> Captured {
+        chip.warm_up(sources);
+        let mut state = MeasureState::new(&chip, interval_cycles);
+        if let Capture::Crossings(margin) = capture {
+            state.enable_droop_capture(margin);
+        }
+        state.run(&mut chip, sources, cycles, None, None);
+        Captured {
+            crossings: state.take_droop_crossings(),
+            windows: Vec::new(),
+            stats: state.into_stats(&chip),
+        }
+    }
+
+    /// Measured cycles the `FULL` kernel ran on this thread during `f`.
+    fn full_cycles_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+        let before = FULL_CYCLES.get();
+        let out = f();
+        (FULL_CYCLES.get() - before, out)
+    }
+
+    /// The campaign's three run shapes over fresh sources: a single
+    /// with an idle partner, one stream per core of a multi-threaded
+    /// program, and a looping pair. Returns the sources and the
+    /// measured cycles the runners would use.
+    fn shape(kind: usize, cpi: u64) -> (Vec<Box<dyn StimulusSource>>, u64) {
+        let astar = by_name("473.astar").unwrap();
+        match kind {
+            0 => (
+                vec![
+                    Box::new(astar.stream(0, cpi)),
+                    Box::new(IdleLoop::default()),
+                ],
+                u64::from(astar.total_intervals()) * cpi,
+            ),
+            1 => {
+                let w = by_name("bodytrack").unwrap();
+                (
+                    vec![Box::new(w.stream(0, cpi)), Box::new(w.stream(1, cpi))],
+                    u64::from(w.total_intervals()) * cpi,
+                )
+            }
+            _ => {
+                let mcf = by_name("429.mcf").unwrap();
+                let (mut a, mut b) = (astar.stream(0, cpi), mcf.stream(1, cpi));
+                a.set_looping(true);
+                b.set_looping(true);
+                let intervals = astar.total_intervals().max(mcf.total_intervals());
+                (vec![Box::new(a), Box::new(b)], u64::from(intervals) * cpi)
+            }
+        }
+    }
+
+    /// Measures one run shape through `Chip::run_captured` and through
+    /// the reference loop, `tail` cycles past its last whole interval,
+    /// and asserts the two agree with every whole interval run fused.
+    fn assert_fused_matches_reference(
+        cfg: &ChipConfig,
+        cpi: u64,
+        kind: usize,
+        capture: Capture,
+        tail: u64,
+    ) {
+        let run = |fused: bool| {
+            let (mut boxes, cycles) = shape(kind, cpi);
+            let mut sources: Vec<&mut dyn StimulusSource> = boxes
+                .iter_mut()
+                .map(|b| -> &mut dyn StimulusSource { &mut **b })
+                .collect();
+            let mut chip = Chip::new(cfg.clone()).unwrap();
+            if fused {
+                full_cycles_in(|| {
+                    let run = chip.run_captured(&mut sources, cycles + tail, cpi, capture);
+                    run.unwrap()
+                })
+            } else {
+                let run = reference_run(chip, &mut sources, cycles + tail, cpi, capture);
+                (cycles, run)
+            }
+        };
+        let (full, fused) = run(true);
+        let (whole, reference) = run(false);
+        let at = format!("cpi {cpi}, shape {kind}, {capture:?}, tail {tail}");
+        assert_eq!(full, whole, "{at}: not every whole interval ran fused");
+        assert_eq!(fused, reference, "{at}");
+        if matches!(capture, Capture::Crossings(_)) {
+            assert!(!fused.crossings.is_empty(), "{at}: no droops to compare");
+        }
+    }
+
+    #[test]
+    fn one_shot_runs_equal_the_reference_loop() {
+        // Interval lengths that do (4 000) and do not (3 000, 7 001,
+        // 30 000) divide the 8 000-cycle warm-up, so streams change mix
+        // in mid-interval; the looping pair restarts astar inside
+        // `next()`.
+        for decap in [DecapConfig::proc100(), DecapConfig::proc3()] {
+            let cfg = ChipConfig::core2_duo(decap);
+            for cpi in [3_000, 4_000, 7_001, 30_000] {
+                for kind in 0..3 {
+                    for capture in [Capture::None, Capture::Crossings(2.5)] {
+                        assert_fused_matches_reference(&cfg, cpi, kind, capture, 0);
+                    }
+                }
+            }
+        }
+        // A partial final interval, which no campaign caller produces,
+        // runs on the reference loop and pushes no timeline entry.
+        let cfg = ChipConfig::core2_duo(DecapConfig::proc100());
+        for kind in 0..3 {
+            assert_fused_matches_reference(&cfg, 3_000, kind, Capture::Crossings(2.5), 1_234);
+        }
+    }
+
+    #[test]
+    fn measurements_route_to_the_kernel_that_can_run_them() {
+        fn idle_pair() -> [IdleLoop; 2] {
+            [IdleLoop::new(0), IdleLoop::new(1)]
+        }
+        let full_in = |capture: Capture| {
+            let [mut a, mut b] = idle_pair();
+            let mut s: Vec<&mut dyn StimulusSource> = vec![&mut a, &mut b];
+            full_cycles_in(|| chip().run_captured(&mut s, 6_000, 2_000, capture).unwrap()).0
+        };
+        // Plain and crossing-capturing runs take the complete kernel…
+        assert_eq!(full_in(Capture::None), 6_000);
+        assert_eq!(full_in(Capture::Crossings(2.5)), 6_000);
+        let [mut a, mut b] = idle_pair();
+        let mut s: Vec<&mut dyn StimulusSource> = vec![&mut a, &mut b];
+        assert_eq!(full_cycles_in(|| chip().run(&mut s, 6_000, 2_000)).0, 6_000);
+
+        // …windows, traces and hooks take the reference loop…
+        assert_eq!(full_in(Capture::Windows(2.5, WindowConfig::default())), 0);
+        let [mut a, mut b] = idle_pair();
+        let mut s: Vec<&mut dyn StimulusSource> = vec![&mut a, &mut b];
+        let traced = full_cycles_in(|| chip().run_with_trace(&mut s, 6_000, 2_000, 100));
+        assert_eq!(traced.0, 0);
+        let [mut a, mut b] = idle_pair();
+        let mut s: Vec<&mut dyn StimulusSource> = vec![&mut a, &mut b];
+        let hooked = full_cycles_in(|| {
+            chip().run_with_hook(&mut s, 6_000, 2_000, &mut |_| CycleControl::Normal)
+        });
+        assert_eq!(hooked.0, 0);
+
+        // …and so do chips the kernel is not specialized for: a
+        // three-stage PDN (6 states) and a single core.
+        let mut cfg = ChipConfig::core2_duo(DecapConfig::proc100());
+        let stages = cfg.pdn.stages()[..3].to_vec();
+        cfg.pdn = LadderConfig::new("three-stage", stages, cfg.pdn.nominal_voltage()).unwrap();
+        let mut three = Chip::new(cfg).unwrap();
+        assert!(!three.runs_fused());
+        let [mut a, mut b] = idle_pair();
+        let mut s: Vec<&mut dyn StimulusSource> = vec![&mut a, &mut b];
+        assert_eq!(full_cycles_in(|| three.run(&mut s, 6_000, 2_000)).0, 0);
+        let mut cfg = ChipConfig::core2_duo(DecapConfig::proc100());
+        cfg.num_cores = 1;
+        let mut single = Chip::new(cfg).unwrap();
+        assert!(!single.runs_fused());
+        let mut a = IdleLoop::new(0);
+        let mut s: Vec<&mut dyn StimulusSource> = vec![&mut a];
+        assert_eq!(full_cycles_in(|| single.run(&mut s, 6_000, 2_000)).0, 0);
+
+        // Sessions never run the complete kernel: `run_slice` is the
+        // reference loop, `run_slice_fast` the lean kernel.
+        let [mut a, mut b] = idle_pair();
+        let mut warm: Vec<&mut dyn StimulusSource> = vec![&mut a, &mut b];
+        let mut session = ChipSession::begin(chip(), &mut warm, 2_000).unwrap();
+        let (full, _) = full_cycles_in(|| {
+            let mut s: Vec<&mut dyn StimulusSource> = vec![&mut a, &mut b];
+            session.run_slice(&mut s, 2_000).unwrap();
+            session
+                .run_slice_fast(
+                    || StimulusSource::next(&mut a),
+                    || StimulusSource::next(&mut b),
+                    2_000,
+                )
+                .unwrap();
+        });
+        assert_eq!(full, 0);
+        assert_eq!(session.lean_cycles, 2_000);
+    }
+
+    #[test]
+    fn lean_sessions_refuse_to_hand_out_stats() {
+        // sphinx3 over 10 × 600 cycles. The lean kernel feeds neither
+        // the sensor nor the overshoot grid, so its stats would hold 0
+        // samples, 0 % swing and 0 % droop next to the reference
+        // session's 6 000 samples.
+        let w = by_name("482.sphinx3").unwrap();
+        let slice = 600u64;
+        let reference = {
+            let mut s = w.stream(0, slice);
+            let mut idle = IdleLoop::default();
+            let mut warm: Vec<&mut dyn StimulusSource> = vec![&mut s, &mut idle];
+            let mut session = ChipSession::begin(chip(), &mut warm, slice).unwrap();
+            for _ in 0..10 {
+                let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut s, &mut idle];
+                session.run_slice(&mut sources, slice).unwrap();
+            }
+            session.finish().unwrap()
+        };
+        assert_eq!(reference.sensor.histogram().total(), 6_000);
+        assert!(reference.peak_to_peak_pct() > 0.0 && reference.max_droop_pct() > 0.0);
+
+        let mut s = w.stream(0, slice);
+        let mut idle = IdleLoop::default();
+        let mut session = ChipSession::begin_fast(
+            chip(),
+            || StimulusSource::next(&mut s),
+            || StimulusSource::next(&mut idle),
+            slice,
+        )
+        .unwrap();
+        for _ in 0..10 {
+            session
+                .run_slice_fast(
+                    || StimulusSource::next(&mut s),
+                    || StimulusSource::next(&mut idle),
+                    slice,
+                )
+                .unwrap();
+        }
+        let lean = Err(ChipError::IncompleteStats { lean_cycles: 6_000 });
+        assert_eq!(session.stats(), lean);
+        assert_eq!(session.finish(), lean);
+
+        // A fused warm-up measures nothing, so a session that began
+        // fast but ran reference slices hands out the reference stats.
+        let mut s = w.stream(0, slice);
+        let mut idle = IdleLoop::default();
+        let mut session = ChipSession::begin_fast(
+            chip(),
+            || StimulusSource::next(&mut s),
+            || StimulusSource::next(&mut idle),
+            slice,
+        )
+        .unwrap();
+        for _ in 0..10 {
+            let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut s, &mut idle];
+            session.run_slice(&mut sources, slice).unwrap();
+        }
+        assert_eq!(session.finish(), Ok(reference));
     }
 
     #[test]
@@ -627,8 +978,11 @@ mod tests {
             .unwrap();
         assert_eq!(s.cycles, 1_000);
         // …and the session is now unaligned, so full-interval slices
-        // fall back too until the boundary is restored.
+        // fall back too until the boundary is restored. Fallback slices
+        // run the reference loop, so the statistics stay complete.
         assert!(!fast_slice_supported(&session.state, 2_000));
+        assert_eq!(session.lean_cycles, 0);
+        assert!(session.stats().is_ok());
         // Windows force the reference loop outright.
         let mut windowed = {
             let mut w0 = IdleLoop::new(4);

@@ -76,6 +76,13 @@ pub enum ChipError {
     },
     /// An underlying PDN error.
     Pdn(vsmooth_pdn::PdnError),
+    /// A session's statistics were asked for after some of its slices
+    /// ran on the lean fused kernel, which leaves the voltage sensor
+    /// and the overshoot grid behind.
+    IncompleteStats {
+        /// Measured cycles the lean kernel ran.
+        lean_cycles: u64,
+    },
 }
 
 impl fmt::Display for ChipError {
@@ -89,6 +96,11 @@ impl fmt::Display for ChipError {
                 )
             }
             Self::Pdn(e) => write!(f, "power delivery network error: {e}"),
+            Self::IncompleteStats { lean_cycles } => write!(
+                f,
+                "{lean_cycles} measured cycles ran on the lean fused kernel, \
+                 which records no sensor samples or overshoots"
+            ),
         }
     }
 }

@@ -313,7 +313,7 @@ impl SliceStats {
 ///     let slice = session.run_slice(&mut sources, 5_000)?;
 ///     assert_eq!(slice.cycles, 5_000);
 /// }
-/// let stats = session.finish();
+/// let stats = session.finish()?;
 /// assert_eq!(stats.cycles, 20_000);
 /// assert_eq!(stats.droops_per_interval.len(), 4);
 /// # Ok::<(), vsmooth_chip::ChipError>(())
@@ -326,6 +326,9 @@ pub struct ChipSession {
     /// (`crate::fastpath`), built on first use and reused for the
     /// session's lifetime (the PDN matrices and ripple are immutable).
     pub(crate) fast: Option<crate::fastpath::FastCache>,
+    /// Measured cycles run on the lean fused kernel, which leaves the
+    /// sensor and overshoot grid behind (see [`ChipSession::finish`]).
+    pub(crate) lean_cycles: u64,
 }
 
 impl ChipSession {
@@ -353,6 +356,7 @@ impl ChipSession {
             chip,
             state,
             fast: None,
+            lean_cycles: 0,
         })
     }
 
@@ -459,13 +463,32 @@ impl ChipSession {
 
     /// A snapshot of the accumulated statistics without ending the
     /// session.
-    pub fn stats(&self) -> RunStats {
-        self.state.clone().into_stats(&self.chip)
+    ///
+    /// # Errors
+    ///
+    /// Same condition as [`ChipSession::finish`].
+    pub fn stats(&self) -> Result<RunStats, ChipError> {
+        self.complete()?;
+        Ok(self.state.clone().into_stats(&self.chip))
     }
 
     /// Ends the session, yielding the accumulated statistics.
-    pub fn finish(self) -> RunStats {
-        self.state.into_stats(&self.chip)
+    ///
+    /// # Errors
+    ///
+    /// [`ChipError::IncompleteStats`] if any slice ran on the lean fused
+    /// kernel ([`ChipSession::run_slice_fast`]), which does not feed the
+    /// voltage sensor or the overshoot grid.
+    pub fn finish(self) -> Result<RunStats, ChipError> {
+        self.complete()?;
+        Ok(self.state.into_stats(&self.chip))
+    }
+
+    fn complete(&self) -> Result<(), ChipError> {
+        match self.lean_cycles {
+            0 => Ok(()),
+            lean_cycles => Err(ChipError::IncompleteStats { lean_cycles }),
+        }
     }
 }
 
@@ -510,7 +533,7 @@ mod tests {
                 let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut s, &mut idle];
                 session.run_slice(&mut sources, 10_000).unwrap();
             }
-            session.finish()
+            session.finish().unwrap()
         };
 
         assert_eq!(one_shot.cycles, sliced.cycles);
@@ -534,7 +557,7 @@ mod tests {
             let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut s, &mut idle];
             slice_droops += session.run_slice(&mut sources, 5_000).unwrap().droops;
         }
-        let stats = session.finish();
+        let stats = session.finish().unwrap();
         assert_eq!(stats.emergencies(PHASE_MARGIN_PCT), slice_droops);
     }
 
@@ -551,7 +574,7 @@ mod tests {
                 m.merge(d);
             }
         }
-        let stats = session.finish();
+        let stats = session.finish().unwrap();
         assert_eq!(merged, stats.core_counters);
     }
 
@@ -591,7 +614,7 @@ mod tests {
             captured.extend(session.take_droop_crossings());
         }
         let total = session.measured_cycles();
-        let stats = session.finish();
+        let stats = session.finish().unwrap();
         assert_eq!(captured.len() as u64, stats.emergencies(2.5));
         assert!(!captured.is_empty(), "sphinx3 should droop past 2.5%");
         // Events are ordered, in range, and at least margin deep.
@@ -627,7 +650,7 @@ mod tests {
         for ev in &second {
             assert!(ev.cycle >= 15_000, "drained event from the first slice");
         }
-        let stats = session.finish();
+        let stats = session.finish().unwrap();
         assert_eq!((first.len() + second.len()) as u64, stats.emergencies(2.5));
     }
 
@@ -645,7 +668,7 @@ mod tests {
         let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut s, &mut idle];
         session.run_slice(&mut sources, 10_000).unwrap();
 
-        let before_rearm = session.stats().emergencies(3.0);
+        let before_rearm = session.stats().unwrap().emergencies(3.0);
         session.capture_droops(3.0);
         let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut s, &mut idle];
         session.run_slice(&mut sources, 20_000).unwrap();
@@ -655,7 +678,7 @@ mod tests {
             assert!(ev.cycle >= 10_000);
             assert!(ev.depth_pct >= 3.0);
         }
-        let stats = session.finish();
+        let stats = session.finish().unwrap();
         assert_eq!(
             events.len() as u64,
             stats.emergencies(3.0) - before_rearm,
@@ -675,7 +698,7 @@ mod tests {
         let mut session = ChipSession::begin(chip(), &mut warm, 5_000).unwrap();
         let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut s, &mut idle];
         let slice = session.run_slice(&mut sources, 15_000).unwrap();
-        let stats = session.finish();
+        let stats = session.finish().unwrap();
         let sensor_mean = stats.sensor.summary().mean();
         assert!((slice.mean_dev_pct - sensor_mean).abs() < 1e-9);
         assert!(slice.mean_dev_pct > -PHASE_MARGIN_PCT);
@@ -719,7 +742,7 @@ mod tests {
             crossings.extend(session.take_droop_crossings());
         }
         windows.extend(session.flush_droop_windows());
-        let stats = session.finish();
+        let stats = session.finish().unwrap();
         assert_eq!(windows.len() as u64, stats.emergencies(2.5));
         assert_eq!(windows.len(), crossings.len());
         assert!(!windows.is_empty(), "sphinx3 should droop past 2.5%");
@@ -781,7 +804,7 @@ mod tests {
             }
             let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut s, &mut idle];
             session.run_slice(&mut sources, 15_000).unwrap();
-            session.finish()
+            session.finish().unwrap()
         };
         let plain = run(false);
         let profiled = run(true);
@@ -825,7 +848,7 @@ mod tests {
             }
             let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut s, &mut idle];
             session.run_slice(&mut sources, 15_000).unwrap();
-            session.finish()
+            session.finish().unwrap()
         };
         let plain = run(false);
         let logged = run(true);
@@ -872,7 +895,7 @@ mod tests {
             }
             let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut s, &mut idle];
             session.run_slice(&mut sources, 15_000).unwrap();
-            session.finish()
+            session.finish().unwrap()
         };
         let plain = run(false);
         let checked = run(true);

@@ -665,3 +665,35 @@ pub struct Fig19 {
     /// IPC-policy pass counts per recovery cost.
     pub ipc: Vec<vsmooth_sched::ScheduledPassRow>,
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vsmooth_chip::Chip;
+    use vsmooth_fleet::FleetSpec;
+
+    /// The campaigns, the pair oracle and the fleet sweeps run on the
+    /// fused kernel only while every chip they build is one it covers.
+    /// A config change that would send them back to the reference loop
+    /// (same bits, half the speed) fails here instead.
+    #[test]
+    fn lab_and_fleet_chips_run_on_the_fused_kernel() {
+        let lab = Lab::new(ExperimentConfig::quick());
+        let decaps = [
+            DecapConfig::proc100(),
+            DecapConfig::proc25(),
+            DecapConfig::proc3(),
+        ];
+        let mut cfgs: Vec<ChipConfig> = decaps.into_iter().map(|d| lab.chip(d)).collect();
+        // Six chips cover every node × decap × DVFS combination the
+        // default spec cycles through.
+        let spec = FleetSpec::new(7, 6, 1);
+        for variant in spec.variants() {
+            cfgs.push(variant.chip_config().expect("valid variant"));
+        }
+        for cfg in cfgs {
+            let chip = Chip::new(cfg).expect("valid chip");
+            assert!(chip.runs_fused(), "{:?}", chip.config());
+        }
+    }
+}

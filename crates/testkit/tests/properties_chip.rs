@@ -2,52 +2,147 @@
 //! generation (properties P5–P7 of `DESIGN.md` §10).
 
 use proptest::prelude::*;
-use vsmooth_chip::{Chip, ChipConfig, ChipSession, InvariantConfig};
-use vsmooth_pdn::DecapConfig;
-use vsmooth_testkit::generator::{gen_chip, gen_workload, strategy_of};
+use vsmooth_chip::chip::VrmRegulator;
+use vsmooth_chip::{Capture, Chip, ChipConfig, ChipSession, InvariantConfig};
+use vsmooth_pdn::{DecapConfig, LadderConfig};
+use vsmooth_testkit::generator::{gen_chip, gen_stage, gen_workload, strategy_of};
 use vsmooth_uarch::{IdleLoop, StimulusSource};
 use vsmooth_workload::Workload;
 
-/// Custom-fidelity measurement interval used by all three properties.
+/// Custom-fidelity measurement interval used by P6 and P7.
 const CPI: u64 = 300;
 
 fn workload_strategy() -> impl Strategy<Value = Workload> {
     strategy_of(|rng: &mut TestRng| gen_workload(rng, "prop"))
 }
 
+/// The campaign's three run shapes.
+#[derive(Debug)]
+enum Shape {
+    /// A single program with an idle partner.
+    Single(Workload),
+    /// One stream instance per core, as multi-threaded programs run.
+    PerCore(Workload),
+    /// A looping pair, run until the longer program ends.
+    Pair(Workload, Workload),
+}
+
+impl Shape {
+    /// Fresh sources for this shape, plus its whole-interval length.
+    fn sources(&self, cpi: u64) -> (Vec<Box<dyn StimulusSource>>, u32) {
+        match self {
+            Self::Single(w) => (
+                vec![Box::new(w.stream(0, cpi)), Box::new(IdleLoop::default())],
+                w.total_intervals(),
+            ),
+            Self::PerCore(w) => (
+                vec![Box::new(w.stream(0, cpi)), Box::new(w.stream(1, cpi))],
+                w.total_intervals(),
+            ),
+            Self::Pair(a, b) => {
+                let (mut sa, mut sb) = (a.stream(0, cpi), b.stream(1, cpi));
+                sa.set_looping(true);
+                sb.set_looping(true);
+                (
+                    vec![Box::new(sa), Box::new(sb)],
+                    a.total_intervals().max(b.total_intervals()),
+                )
+            }
+        }
+    }
+}
+
+/// One P5 scenario: a generated chip, a run shape over generated
+/// workloads, an interval length and an optional crossing capture.
+#[derive(Debug)]
+struct Scenario {
+    chip: ChipConfig,
+    /// Whether the chip's PDN was swapped for a 1–3-stage ladder, whose
+    /// state dimension (2–6) the fused kernel does not cover.
+    small_pdn: bool,
+    shape: Shape,
+    cpi: u64,
+    margin: Option<f64>,
+}
+
+fn gen_scenario(rng: &mut TestRng) -> Scenario {
+    let mut chip = gen_chip(rng);
+    let small_pdn = match rng.below(4) {
+        0 => {
+            chip.regulator = VrmRegulator::none();
+            false
+        }
+        1 => {
+            let stages = (0..1 + rng.below(3)).map(|_| gen_stage(rng)).collect();
+            let vdd = 0.8 + 0.9 * rng.unit_f64();
+            chip.pdn = LadderConfig::new("p5-small", stages, vdd).expect("valid stages");
+            true
+        }
+        _ => false,
+    };
+    let shape = match rng.below(3) {
+        0 => Shape::Single(gen_workload(rng, "p5")),
+        1 => Shape::PerCore(gen_workload(rng, "p5")),
+        _ => Shape::Pair(gen_workload(rng, "p5-a"), gen_workload(rng, "p5-b")),
+    };
+    // 400 and 1 000 divide the 8 000-cycle warm-up; 300 and 1 300 do
+    // not, so streams change mix in mid-interval.
+    let cpi = [300, 400, 1_000, 1_300][rng.below(4) as usize];
+    // On the droop grid's lines, where P6 holds the capture to it.
+    let margin = (rng.below(2) == 0).then(|| 0.5 + 0.25 * rng.below(19) as f64);
+    Scenario {
+        chip,
+        small_pdn,
+        shape,
+        cpi,
+        margin,
+    }
+}
+
+fn dyn_sources(boxes: &mut [Box<dyn StimulusSource>]) -> Vec<&mut dyn StimulusSource> {
+    boxes
+        .iter_mut()
+        .map(|b| -> &mut dyn StimulusSource { &mut **b })
+        .collect()
+}
+
 proptest! {
-    /// P5 — slice-split invariance: measuring a workload in one shot
-    /// and interval-by-interval through a session must yield identical
-    /// statistics, for any generated workload. The session layer is a
-    /// pure refactoring of the one-shot loop; any drift is a bug.
+    /// P5 — the fused kernel against the reference loop: a one-shot
+    /// `Chip::run_captured` (the fused kernel on every chip it covers)
+    /// and an interval-by-interval reference session must yield
+    /// identical statistics and droop crossings, on generated chips,
+    /// regulators and PDNs, in all three run shapes, with and without
+    /// a capture, at intervals that do and do not divide the warm-up.
     #[test]
-    fn sliced_measurement_equals_one_shot(w in workload_strategy()) {
-        let cfg = ChipConfig::core2_duo(DecapConfig::proc100());
-        let intervals = w.total_intervals();
-        let total = u64::from(intervals) * CPI;
+    fn sliced_measurement_equals_one_shot(sc in strategy_of(gen_scenario)) {
+        let capture = sc.margin.map_or(Capture::None, Capture::Crossings);
 
         let one_shot = {
-            let mut chip = Chip::new(cfg.clone()).expect("chip");
-            let mut s = w.stream(0, CPI);
-            let mut idle = IdleLoop::default();
-            let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut s, &mut idle];
-            chip.run(&mut sources, total, CPI).expect("run")
+            let mut chip = Chip::new(sc.chip.clone()).expect("chip");
+            prop_assert_eq!(chip.runs_fused(), !sc.small_pdn, "kernel routing");
+            let (mut boxes, intervals) = sc.shape.sources(sc.cpi);
+            let mut sources = dyn_sources(&mut boxes);
+            let total = u64::from(intervals) * sc.cpi;
+            chip.run_captured(&mut sources, total, sc.cpi, capture).expect("run")
         };
 
-        let sliced = {
-            let chip = Chip::new(cfg).expect("chip");
-            let mut s = w.stream(0, CPI);
-            let mut idle = IdleLoop::default();
-            let mut warm: Vec<&mut dyn StimulusSource> = vec![&mut s, &mut idle];
-            let mut session = ChipSession::begin(chip, &mut warm, CPI).expect("begin");
-            for _ in 0..intervals {
-                let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut s, &mut idle];
-                session.run_slice(&mut sources, CPI).expect("slice");
+        let (sliced, crossings) = {
+            let chip = Chip::new(sc.chip.clone()).expect("chip");
+            let (mut boxes, intervals) = sc.shape.sources(sc.cpi);
+            let mut sources = dyn_sources(&mut boxes);
+            let mut session = ChipSession::begin(chip, &mut sources, sc.cpi).expect("begin");
+            if let Some(margin) = sc.margin {
+                session.capture_droops(margin);
             }
-            session.finish()
+            for _ in 0..intervals {
+                session.run_slice(&mut sources, sc.cpi).expect("slice");
+            }
+            let crossings = session.take_droop_crossings();
+            (session.finish().expect("reference slices keep complete stats"), crossings)
         };
 
-        prop_assert_eq!(one_shot, sliced);
+        prop_assert_eq!(&one_shot.stats, &sliced);
+        prop_assert_eq!(&one_shot.crossings, &crossings);
     }
 
     /// P6 — per-event droop capture vs aggregate grid: at any margin
@@ -71,7 +166,7 @@ proptest! {
             session.run_slice(&mut sources, CPI).expect("slice");
         }
         let captured = session.take_droop_crossings();
-        let stats = session.finish();
+        let stats = session.finish().expect("reference slices keep complete stats");
         prop_assert_eq!(
             captured.len() as u64,
             stats.emergencies(margin),
