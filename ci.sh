@@ -37,6 +37,10 @@ echo "== shared JSON module gate =="
 # string through parse_json; re-run the property with a pinned case
 # count so the gate is identical run-to-run.
 PROPTEST_CASES=512 cargo test -q -p vsmooth-trace --lib json
+# The trace renderer skips the `write!` formatter on its hot path; its
+# property holds every record kind, hostile strings and edge-case
+# floats to a formatter-based renderer byte for byte.
+PROPTEST_CASES=512 cargo test -q -p vsmooth-trace --lib export
 
 echo "== benchmark harness (facade API and pinned digests) =="
 # perfbench/ is a workspace of its own that drives the program only

@@ -15,6 +15,7 @@ use crate::recorder::{FlightRecorder, PostmortemBundle, RecorderConfig, SliceRec
 use crate::report::{HealthReport, HealthStatus};
 use crate::slo::{Alert, AlertPhase, RuleEvent, RuleState, Severity, Signal, SloRule};
 use crate::window::{EpochSample, SlidingWindow, WindowSnapshot};
+use std::sync::Arc;
 use vsmooth_trace::DroopEvent;
 
 /// Configuration for one [`Monitor`].
@@ -104,8 +105,9 @@ impl Monitor {
         }
     }
 
-    /// Feeds one droop crossing into the flight recorder.
-    pub fn on_droop(&mut self, event: DroopEvent) {
+    /// Feeds one droop crossing into the flight recorder, which keeps
+    /// the shared event (no copy) until a postmortem seals it.
+    pub fn on_droop(&mut self, event: Arc<DroopEvent>) {
         self.recorder.record_droop(event);
     }
 
@@ -224,14 +226,14 @@ mod tests {
             m.on_epoch(hot_sample(i * 1_000, 0));
         }
         for i in 10..20u64 {
-            m.on_droop(DroopEvent {
+            m.on_droop(Arc::new(DroopEvent {
                 chip: 0,
                 core: 0,
                 cycle: i * 1_000,
                 depth_pct: 2.8,
                 workloads: vec!["482.sphinx3".into(); 2],
                 phase: format!("epoch{i}"),
-            });
+            }));
             m.on_epoch(hot_sample(i * 1_000, 6));
         }
     }

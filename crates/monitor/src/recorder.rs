@@ -15,6 +15,7 @@ use crate::slo::Alert;
 use crate::window::WindowSnapshot;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::Arc;
 use vsmooth_trace::json::{escape, json_f64};
 use vsmooth_trace::{parse_json, DroopEvent};
 
@@ -60,10 +61,13 @@ pub struct SliceRecord {
 }
 
 /// Bounded rings of recent evidence, always on while monitoring.
+///
+/// The droop ring holds shared events, so the service's obs ring can
+/// hold the same allocations; sealing copies them out.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     cfg: RecorderConfig,
-    droops: VecDeque<DroopEvent>,
+    droops: VecDeque<Arc<DroopEvent>>,
     slices: VecDeque<SliceRecord>,
     snapshots: VecDeque<WindowSnapshot>,
 }
@@ -80,7 +84,7 @@ impl FlightRecorder {
     }
 
     /// Records one droop event, evicting the oldest at capacity.
-    pub fn record_droop(&mut self, event: DroopEvent) {
+    pub fn record_droop(&mut self, event: Arc<DroopEvent>) {
         if self.cfg.droop_events == 0 {
             return;
         }
@@ -122,7 +126,7 @@ impl FlightRecorder {
     pub fn seal(&self, alert: &Alert) -> PostmortemBundle {
         PostmortemBundle {
             alert: alert.clone(),
-            droop_events: self.droops.iter().cloned().collect(),
+            droop_events: self.droops.iter().map(|e| DroopEvent::clone(e)).collect(),
             slices: self.slices.iter().cloned().collect(),
             snapshots: self.snapshots.iter().cloned().collect(),
         }
@@ -331,15 +335,15 @@ mod tests {
     use super::*;
     use crate::slo::Severity;
 
-    fn droop(cycle: u64) -> DroopEvent {
-        DroopEvent {
+    fn droop(cycle: u64) -> Arc<DroopEvent> {
+        Arc::new(DroopEvent {
             chip: 0,
             core: 0,
             cycle,
             depth_pct: 2.9,
             workloads: vec!["482.sphinx3".into(), "482.sphinx3".into()],
             phase: "epoch3".into(),
-        }
+        })
     }
 
     fn alert() -> Alert {

@@ -148,8 +148,11 @@ pub struct ObsSnapshot {
     pub fleet: Option<FleetStatus>,
     /// The most recent droop crossings behind `/trace/recent`, oldest
     /// first. This ring is an independent coordinator-side copy; the
-    /// streaming tracer's own ring is never drained on its behalf.
-    pub recent_droops: Vec<DroopEvent>,
+    /// streaming tracer's own ring is never drained on its behalf. The
+    /// events are shared with the publisher's ring (and the monitor's
+    /// flight recorder), so a publish costs a refcount bump per event,
+    /// not a deep copy.
+    pub recent_droops: Vec<Arc<DroopEvent>>,
     /// Latest `vsmooth-profile-v1` JSON behind `/profile`.
     pub profile_json: Option<Arc<String>>,
     /// Live shard-runtime introspection behind `/shards` (absent on
@@ -205,9 +208,15 @@ impl TelemetryHub {
     /// Publishes a new snapshot: one allocation, one pointer swap.
     /// The previous snapshot stays alive until its last reader drops
     /// it, so readers never observe a torn or partially updated view.
+    /// When the hub held the last reference, the replaced snapshot is
+    /// freed after the slot lock is released, so a concurrent
+    /// [`latest`](Self::latest) never waits on that deallocation.
     pub fn publish(&self, snapshot: ObsSnapshot) {
         let fresh = Arc::new(snapshot);
-        *self.slot.lock().expect("hub slot") = fresh;
+        // The guard is a temporary of this statement, so the lock is
+        // released before the replaced snapshot is dropped below.
+        let replaced = std::mem::replace(&mut *self.slot.lock().expect("hub slot"), fresh);
+        drop(replaced);
         self.last_publish_ms.store(
             self.created.elapsed().as_millis().min(u64::MAX as u128) as u64,
             Ordering::Relaxed,

@@ -839,13 +839,15 @@ mod tests {
             })
             .collect();
         snap.recent_droops = (0..5)
-            .map(|i| DroopEvent {
-                chip: 0,
-                core: 0,
-                cycle: 600 * (i as u64 + 1),
-                depth_pct: 3.5,
-                workloads: vec!["482.sphinx3".into()],
-                phase: format!("epoch{i}"),
+            .map(|i| {
+                Arc::new(DroopEvent {
+                    chip: 0,
+                    core: 0,
+                    cycle: 600 * (i as u64 + 1),
+                    depth_pct: 3.5,
+                    workloads: vec!["482.sphinx3".into()],
+                    phase: format!("epoch{i}"),
+                })
             })
             .collect();
         snap

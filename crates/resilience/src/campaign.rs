@@ -12,6 +12,7 @@ use crate::instruments::{Instruments, Observed};
 use crate::CampaignError;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 use vsmooth_chip::sense::CrossingGrid;
 use vsmooth_chip::{
     fan_out, run_pair_with, run_workload_with, Capture, ChipBatch, ChipConfig, Fidelity, RunStats,
@@ -279,7 +280,7 @@ impl CampaignSpec {
                     )],
                 );
                 for crossing in &c.crossings {
-                    tracer.droop(id.droop_event(idx, crossing.cycle, crossing.depth_pct));
+                    tracer.droop(&id.droop_event(idx, crossing.cycle, crossing.depth_pct));
                 }
             }
         }
@@ -291,7 +292,8 @@ impl CampaignSpec {
             let mut offset = 0u64;
             for (idx, (id, c)) in runs.iter().enumerate() {
                 for crossing in &c.crossings {
-                    mon.on_droop(id.droop_event(idx, offset + crossing.cycle, crossing.depth_pct));
+                    let event = id.droop_event(idx, offset + crossing.cycle, crossing.depth_pct);
+                    mon.on_droop(Arc::new(event));
                 }
                 let droops = c.stats.emergencies(PHASE_MARGIN_PCT);
                 mon.on_slice(SliceRecord {

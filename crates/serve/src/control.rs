@@ -4,14 +4,21 @@
 //! those logs travel over.
 //!
 //! The decision loop never touches an artifact sink (metrics, tracer,
-//! monitor, profiler, obs hub, telemetry book). It only *decides* —
-//! admissions, placements, grants, analytic completions — and records
-//! each epoch as an [`EpochRec`]. Every observable side effect is
-//! produced later by the merge layer (`crate::merge`) replaying those
-//! records against the per-chip [`SliceLog`]s, in exactly the order
-//! the historical single-coordinator loop produced them. Byte-identity
-//! of every artifact therefore holds by construction, regardless of
-//! which shard executed which slice when.
+//! monitor, profiler, obs hub). It only *decides* — admissions,
+//! placements, grants, analytic completions — and records each epoch
+//! as an [`EpochRec`]. Every observable side effect is produced later
+//! by the merge layer (`crate::merge`) replaying those records against
+//! the per-chip [`SliceLog`]s, in exactly the order the historical
+//! single-coordinator loop produced them. Byte-identity of every
+//! artifact therefore holds by construction, regardless of which shard
+//! executed which slice when.
+//!
+//! The one piece of merge state the loop reads is the telemetry book
+//! placement scores against. The merge folds each finished epoch into
+//! the book on its own, ahead of that epoch's replay, so the loop can
+//! place and grant the next epoch first and leave the rest of the
+//! replay to overlap the shards' next slice. Each `CoreSlice`
+//! carries its job's workload for that fold.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -51,9 +58,12 @@ pub(crate) struct PlaceRec {
 /// decision loop's analytic completion check says this slice is the
 /// job's last (streams advance one cycle per cycle and never loop, so
 /// `executed >= total_cycles` is exactly `EventStream::is_finished`).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub(crate) struct CoreSlice {
     pub job: u64,
+    /// The job's workload: the telemetry-book key its slice folds
+    /// into, and the label of its slice span and droop events.
+    pub workload: String,
     pub finishes: bool,
 }
 

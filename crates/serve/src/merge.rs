@@ -5,6 +5,15 @@
 //! jobs — in exactly the order the historical single-coordinator loop
 //! produced them.
 //!
+//! Each epoch merges in two steps. [`Merge::fold`] folds the epoch's
+//! slice telemetry into the [`TelemetryBook`], the one piece of merge
+//! state placement reads; [`Merge::replay`] produces everything else.
+//! The two touch disjoint state, so the decision loop folds finished
+//! epochs before it places, grants the next epoch, and only then
+//! replays them — the replay overlaps the shards' next slice instead
+//! of idling them. Folds and replays each run in epoch order, and an
+//! epoch is always folded before it is replayed.
+//!
 //! The replay is keyed by `(epoch, chip)`: epoch records are replayed
 //! in epoch order, and within an epoch busy chips are walked in
 //! chip-index order. Which shard executed a slice, in what real-time
@@ -83,8 +92,9 @@ pub(crate) struct Merge<'a> {
     recent_cap: usize,
     /// The /trace/recent ring: an independent coordinator-side copy
     /// of recent crossings (the tracer's own ring stays
-    /// exporter-owned).
-    recent: Option<VecDeque<DroopEvent>>,
+    /// exporter-owned). Each event is shared with the monitor's flight
+    /// recorder and every snapshot published while it is in the ring.
+    recent: Option<VecDeque<Arc<DroopEvent>>>,
     /// The live introspection scoreboard, read (never written) at
     /// publish boundaries for the snapshot's `shards` section.
     stats: Arc<RuntimeStats>,
@@ -167,22 +177,43 @@ impl<'a> Merge<'a> {
     }
 
     /// The placement loop scores candidates against this book; the
-    /// decision loop must be merge-synced before reading it.
+    /// decision loop must have folded every prior epoch before reading
+    /// it.
     pub(crate) fn book(&self) -> &TelemetryBook {
         &self.book
+    }
+
+    /// Folds one epoch's slice telemetry into the book: every busy
+    /// core's counter delta with its chip's droop rate, in `(chip,
+    /// core)` order, exactly the observations (and order) the
+    /// historical loop folded. `logs` are the epoch's slice logs in
+    /// `rec.busy` order. Nothing else reads or writes the book, so an
+    /// epoch may be folded any time before its replay.
+    pub(crate) fn fold<'l>(
+        &mut self,
+        rec: &EpochRec,
+        logs: impl IntoIterator<Item = &'l SliceLog>,
+    ) {
+        for (b, log) in rec.busy.iter().zip(logs) {
+            let dpk = log.stats.droops_per_kilocycle();
+            for (cs, delta) in b.cores.iter().zip(&log.stats.core_deltas) {
+                if let Some(cs) = cs {
+                    self.book.observe(&cs.workload, delta, dpk);
+                }
+            }
+        }
     }
 
     /// Synthesizes one busy chip's slice spans through the shared
     /// builder — the fallback when no shard-built bundle arrived, and
     /// the debug-time oracle when one did.
-    fn synth_slice_spans(&self, b: &BusyChip, now: u64, cycles: u64) -> TraceBuffer {
+    fn synth_slice_spans(b: &BusyChip, now: u64, cycles: u64) -> TraceBuffer {
         slice_span_buffer(
             b.chip,
             now,
             cycles,
             b.cores.iter().enumerate().filter_map(|(core, cs)| {
-                cs.as_ref()
-                    .map(|cs| (core, self.running[&cs.job].spec.workload.as_str(), cs.job))
+                cs.as_ref().map(|cs| (core, cs.workload.as_str(), cs.job))
             }),
         )
     }
@@ -195,13 +226,13 @@ impl<'a> Merge<'a> {
         })
     }
 
-    /// Replays one epoch record with its busy chips' logs (in
-    /// `rec.busy` order) and, when spans are streamed, the shard-built
-    /// span bundles aligned with those logs (`None` entries are
-    /// synthesized). Returns the typed overflow error when the record
-    /// ends in an admission overflow, after replaying the admissions
-    /// that preceded it — leaving metrics and trace state exactly as
-    /// the historical in-line loop left them.
+    /// Replays one epoch record, already [folded](Self::fold), with
+    /// its busy chips' logs (in `rec.busy` order) and, when spans are
+    /// streamed, the shard-built span bundles aligned with those logs
+    /// (`None` entries are synthesized). Returns the typed overflow
+    /// error when the record ends in an admission overflow, after
+    /// replaying the admissions that preceded it — leaving metrics and
+    /// trace state exactly as the historical in-line loop left them.
     pub(crate) fn replay(
         &mut self,
         rec: &EpochRec,
@@ -315,7 +346,6 @@ impl<'a> Merge<'a> {
                 epoch_margin_weight +=
                     (PHASE_MARGIN_PCT + slice.mean_dev_pct) * slice.cycles as f64;
             }
-            let dpk = slice.droops_per_kilocycle();
             if slice.droops > 0 {
                 self.metrics.observe("droop_depth_pct", slice.max_droop_pct);
             }
@@ -327,14 +357,14 @@ impl<'a> Merge<'a> {
                     Some(bundle) => {
                         debug_assert_eq!(
                             bundle,
-                            self.synth_slice_spans(b, now, slice.cycles),
+                            Self::synth_slice_spans(b, now, slice.cycles),
                             "shard-built slice spans drifted from the merge synthesis"
                         );
                         self.tracer.merge(bundle);
                     }
                     None => self
                         .tracer
-                        .merge(self.synth_slice_spans(b, now, slice.cycles)),
+                        .merge(Self::synth_slice_spans(b, now, slice.cycles)),
                 }
             }
             if self.tracer.wants_droop_events()
@@ -346,7 +376,7 @@ impl<'a> Merge<'a> {
                     .cores
                     .iter()
                     .flatten()
-                    .map(|cs| self.running[&cs.job].spec.workload.clone())
+                    .map(|cs| cs.workload.clone())
                     .collect();
                 // Busy chips only ever advance one slice per epoch, so
                 // every captured crossing maps onto this slice's
@@ -354,34 +384,29 @@ impl<'a> Merge<'a> {
                 let slice_start = log.session_start;
                 if self.tracer.wants_droop_events() || self.monitor.is_some() || self.obs.is_some()
                 {
+                    let phase = format!("epoch{}", rec.index);
                     for crossing in &log.crossings {
-                        let event = DroopEvent {
+                        // One event per crossing, shared by every
+                        // consumer: the tracer renders from a borrow,
+                        // the flight recorder and the obs ring hold
+                        // the same allocation.
+                        let event = Arc::new(DroopEvent {
                             chip: b.chip,
                             core: 0,
                             cycle: now + (crossing.cycle - slice_start),
                             depth_pct: crossing.depth_pct,
                             workloads: workloads.clone(),
-                            phase: format!("epoch{}", rec.index),
-                        };
+                            phase: phase.clone(),
+                        });
+                        self.tracer.droop(&event);
+                        if let Some(m) = self.monitor.as_deref_mut() {
+                            m.on_droop(Arc::clone(&event));
+                        }
                         if let Some(ring) = self.recent.as_mut() {
                             if ring.len() == self.recent_cap {
                                 ring.pop_front();
                             }
-                            ring.push_back(event.clone());
-                        }
-                        match (
-                            self.monitor.as_deref_mut(),
-                            self.tracer.wants_droop_events(),
-                        ) {
-                            (Some(m), true) => {
-                                self.tracer.droop(event.clone());
-                                m.on_droop(event);
-                            }
-                            (Some(m), false) => m.on_droop(event),
-                            (None, true) => self.tracer.droop(event),
-                            // Obs-only run: the ring copy above was
-                            // the sole consumer.
-                            (None, false) => {}
+                            ring.push_back(event);
                         }
                     }
                 }
@@ -408,12 +433,10 @@ impl<'a> Merge<'a> {
                 let Some(cs) = &b.cores[core] else {
                     continue;
                 };
-                let delta = &slice.core_deltas[core];
                 let meta = self.running.get_mut(&cs.job).expect("placed job tracked");
                 meta.executed_cycles += slice.cycles;
-                meta.instructions += delta.instructions();
+                meta.instructions += slice.core_deltas[core].instructions();
                 meta.attributed_droops += slice.droops;
-                self.book.observe(&meta.spec.workload, delta, dpk);
                 if cs.finishes {
                     let meta = self.running.remove(&cs.job).expect("placed job tracked");
                     self.metrics.counter_add("serve_jobs_completed_total", 1);

@@ -6,10 +6,11 @@
 //! Since the shard-per-worker refactor the service is split in three:
 //!
 //! * **The decision loop** (this module) owns all scheduling state —
-//!   the pending/ready queues, a shadow of every chip's occupancy, and
-//!   the telemetry book scores read at placement. It never touches an
-//!   artifact sink; each epoch's decisions are recorded as an
-//!   [`EpochRec`] and execution is delegated to a [`Backend`].
+//!   the pending/ready queues and a shadow of every chip's occupancy —
+//!   and reads the telemetry book, which the merge layer folds, at
+//!   placement. It never touches an artifact sink; each epoch's
+//!   decisions are recorded as an [`EpochRec`] and execution is
+//!   delegated to a [`Backend`].
 //! * **The execution backend** (`crate::shard`) advances chips:
 //!   in-line on this thread (the reference backend) or on a pool of
 //!   long-lived shard workers with per-shard run queues and
@@ -20,7 +21,10 @@
 //!   against slice logs in `(epoch, chip)` order, reconstructing
 //!   metrics, trace records, monitor feed, profiler attribution and
 //!   obs snapshots in exactly the order the historical
-//!   single-coordinator loop produced them.
+//!   single-coordinator loop produced them. The telemetry book is
+//!   folded first, on its own: before placing, the loop folds every
+//!   finished epoch into the book, grants the next epoch, and only then
+//!   replays the rest, so that replay overlaps the shards' next slice.
 //!
 //! # Determinism
 //!
@@ -29,8 +33,8 @@
 //!
 //! * Scheduling decisions (admission, pairing, placement) happen in
 //!   the decision loop between epochs, never concurrently, and the
-//!   loop syncs the merge through every prior epoch before any
-//!   decision that reads the telemetry book.
+//!   loop folds every prior epoch into the telemetry book before any
+//!   decision that reads it.
 //! * Executors only advance disjoint chips; their logs are keyed
 //!   `(epoch, chip)` and merged in that order regardless of which
 //!   shard ran what, when, or how much work was stolen.
@@ -513,10 +517,9 @@ impl Service {
         let mut ready: VecDeque<JobSpec> = VecDeque::new();
         let mut shadows: Vec<ShadowChip> =
             (0..self.cfg.chips).map(|_| ShadowChip::default()).collect();
-        // The epoch script: `script[e]` is epoch `e`'s record, replayed
-        // by the merge layer once the epoch's slice logs are in.
-        let mut script: Vec<EpochRec> = Vec::new();
-        let mut merged = 0u64;
+        // The epoch script: epoch `e`'s record, folded and replayed by
+        // the merge layer once the epoch's slice logs are in.
+        let mut script = EpochScript::default();
         let mut now = 0u64;
         let mut epochs = 0u64;
         let mut busy_core_quanta = 0u64;
@@ -549,11 +552,8 @@ impl Service {
                                 reason: "queue_overflow",
                             });
                         }
-                        script.push(rec);
-                        backend.wait_through(epochs)?;
-                        for r in &script[merged as usize..] {
-                            drive_epoch(&mut merge, &mut backend, r)?;
-                        }
+                        script.recs.push(rec);
+                        script.drain(&mut merge, &mut backend)?;
                         return Err(ServeError::QueueOverflow {
                             capacity,
                             job: overflowing,
@@ -584,15 +584,12 @@ impl Service {
                 continue;
             }
             if !ready.is_empty() && shadows.iter().any(|s| s.occupied() < 2) {
-                // Placement is about to read the telemetry book: sync
-                // the merge through every prior epoch first, so the
-                // pairing scores see exactly the observations the
-                // historical loop would have folded by now.
-                backend.wait_through(epochs)?;
-                while merged < epochs {
-                    drive_epoch(&mut merge, &mut backend, &script[merged as usize])?;
-                    merged += 1;
-                }
+                // Placement is about to read the telemetry book: fold
+                // every prior epoch into it first, so the pairing
+                // scores see exactly the observations the historical
+                // loop would have folded by now. The rest of those
+                // epochs' replay waits until this epoch is granted.
+                script.fold_through(epochs, &mut merge, &mut backend)?;
                 self.place(
                     &mut shadows,
                     &mut ready,
@@ -615,6 +612,7 @@ impl Service {
                         let finishes = job.executed_cycles >= job.total_cycles;
                         cores[core] = Some(CoreSlice {
                             job: job.spec.id,
+                            workload: job.spec.workload.clone(),
                             finishes,
                         });
                         if finishes {
@@ -663,7 +661,7 @@ impl Service {
             backend.grant(epochs, now, &busy_chips)?;
             rec.queue_depth_after = ready.len();
             rec.running_after = shadows.iter().map(ShadowChip::occupied).sum();
-            script.push(rec);
+            script.recs.push(rec);
             stats
                 .epochs_decided
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -672,26 +670,21 @@ impl Service {
             }
             now += self.cfg.slice_cycles;
             epochs += 1;
-            // Opportunistic merge: replay every epoch whose logs are
-            // already in. Keeps obs publishes flowing while shards
-            // work, bounds retained logs, and — on the in-line
-            // backend, where logs are always ready — runs the merge in
-            // exact lockstep with the historical loop.
-            while merged < epochs && backend.ready_through(merged + 1)? {
-                drive_epoch(&mut merge, &mut backend, &script[merged as usize])?;
-                merged += 1;
-            }
+            // The shards now run this epoch's slices while this thread
+            // replays the epochs placement folded, then opportunistically
+            // merges every epoch whose logs are already in. Keeps obs
+            // publishes flowing while shards work, bounds retained
+            // logs, and — on the in-line backend, where logs are always
+            // ready — runs the merge in exact lockstep with the
+            // historical loop.
+            script.merge_ready(&mut merge, &mut backend)?;
             if let Some(oc) = obs {
                 if let Some(pace) = oc.pace {
                     std::thread::sleep(pace);
                 }
             }
         }
-        backend.wait_through(epochs)?;
-        while merged < epochs {
-            drive_epoch(&mut merge, &mut backend, &script[merged as usize])?;
-            merged += 1;
-        }
+        script.drain(&mut merge, &mut backend)?;
         let cells = backend.finish()?;
         let report = merge.finalize(
             cells,
@@ -872,25 +865,88 @@ impl Service {
     }
 }
 
-/// Replays one epoch: collects the epoch's slice logs from the backend
-/// (in `rec.busy`'s chip order — the caller must have established
-/// availability) and hands them to the merge layer.
-fn drive_epoch(merge: &mut Merge, backend: &mut Backend, rec: &EpochRec) -> Result<(), ServeError> {
-    let logs: Vec<SliceLog> = rec
-        .busy
-        .iter()
-        .map(|b| backend.take_log(rec.index, b.chip))
-        .collect();
-    // Shard-streamed slice spans, where they arrived: one optional
-    // buffer per busy chip, in the same order as `logs`. Missing
-    // entries (inline backend, streaming off, or ring drop) are
-    // re-synthesized by the merge layer from the epoch record.
-    let spans = rec
-        .busy
-        .iter()
-        .map(|b| backend.take_spans(rec.index, b.chip))
-        .collect();
-    merge.replay(rec, &logs, spans)
+/// The epoch script and how far the merge has got through it: every
+/// epoch below `folded` is in the telemetry book, every epoch below
+/// `merged` is fully replayed, and `merged <= folded <= recs.len()`.
+/// Both advance strictly in epoch order; the fold may run ahead of the
+/// replay, never behind it.
+#[derive(Debug, Default)]
+struct EpochScript {
+    /// `recs[e]` is epoch `e`'s record.
+    recs: Vec<EpochRec>,
+    folded: u64,
+    merged: u64,
+}
+
+impl EpochScript {
+    /// Folds every epoch below `bound` into the telemetry book, waiting
+    /// for their slice logs first. The logs stay with the backend for
+    /// the replay.
+    fn fold_through(
+        &mut self,
+        bound: u64,
+        merge: &mut Merge,
+        backend: &mut Backend,
+    ) -> Result<(), ServeError> {
+        backend.wait_through(bound)?;
+        while self.folded < bound {
+            let rec = &self.recs[self.folded as usize];
+            merge.fold(rec, rec.busy.iter().map(|b| backend.log(rec.index, b.chip)));
+            self.folded += 1;
+        }
+        Ok(())
+    }
+
+    /// Replays every folded epoch not yet replayed: collects each
+    /// epoch's slice logs from the backend (in `rec.busy`'s chip order)
+    /// and hands them to the merge layer.
+    fn replay_folded(
+        &mut self,
+        merge: &mut Merge,
+        backend: &mut Backend,
+    ) -> Result<(), ServeError> {
+        while self.merged < self.folded {
+            let rec = &self.recs[self.merged as usize];
+            let logs: Vec<SliceLog> = rec
+                .busy
+                .iter()
+                .map(|b| backend.take_log(rec.index, b.chip))
+                .collect();
+            // Shard-streamed slice spans, where they arrived: one
+            // optional buffer per busy chip, in the same order as
+            // `logs`. Missing entries (inline backend, streaming off,
+            // or ring drop) are re-synthesized by the merge layer from
+            // the epoch record.
+            let spans = rec
+                .busy
+                .iter()
+                .map(|b| backend.take_spans(rec.index, b.chip))
+                .collect();
+            merge.replay(rec, &logs, spans)?;
+            self.merged += 1;
+        }
+        Ok(())
+    }
+
+    /// Replays every folded epoch, then folds and replays each further
+    /// epoch whose logs are already in, without blocking.
+    fn merge_ready(&mut self, merge: &mut Merge, backend: &mut Backend) -> Result<(), ServeError> {
+        self.replay_folded(merge, backend)?;
+        while self.merged < self.recs.len() as u64 && backend.ready_through(self.merged + 1)? {
+            self.fold_through(self.merged + 1, merge, backend)?;
+            self.replay_folded(merge, backend)?;
+        }
+        Ok(())
+    }
+
+    /// Folds and replays the whole script, waiting for every log. Runs
+    /// at the end of a run and on a queue overflow: there it replays
+    /// the epochs placement already folded, then the later ones, and
+    /// the overflow record's own replay surfaces the typed error last.
+    fn drain(&mut self, merge: &mut Merge, backend: &mut Backend) -> Result<(), ServeError> {
+        self.fold_through(self.recs.len() as u64, merge, backend)?;
+        self.replay_folded(merge, backend)
+    }
 }
 
 #[cfg(test)]

@@ -655,6 +655,18 @@ impl Backend {
         }
     }
 
+    /// Lends the merge layer one received log for the telemetry-book
+    /// fold; the replay takes it later. Panics if absent — the caller
+    /// must have established availability first.
+    pub(crate) fn log(&self, epoch: u64, chip: usize) -> &SliceLog {
+        let logs = match self {
+            Self::Inline(exec) => &exec.logs,
+            Self::Sharded(pool) => &pool.received,
+        };
+        logs.get(&(epoch, chip))
+            .expect("granted slice log available at fold time")
+    }
+
     /// Hands the merge layer one received log. Panics if absent — the
     /// caller must have established availability first.
     pub(crate) fn take_log(&mut self, epoch: u64, chip: usize) -> SliceLog {

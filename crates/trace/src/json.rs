@@ -13,20 +13,31 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Appends `s` to `out`, escaped for a JSON string literal.
+///
+/// Every character that needs escaping is ASCII, and no byte of a
+/// multi-byte UTF-8 sequence is ASCII, so the scan runs over bytes and
+/// copies each run between escapes in one push — a string that needs
+/// no escaping, the common case, is a single `push_str`.
 pub(crate) fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
         }
+        out.push_str(&s[start..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        start = i + 1;
     }
+    out.push_str(&s[start..]);
 }
 
 /// `s` escaped for a JSON string literal.
@@ -38,7 +49,48 @@ pub fn escape(s: &str) -> String {
 
 /// A float in the fixed four-decimal format of every JSON artifact.
 pub fn json_f64(x: f64) -> String {
-    format!("{x:.4}")
+    let mut out = String::new();
+    push_f64(&mut out, x);
+    out
+}
+
+/// Integer-valued floats up to this magnitude (2^53) take
+/// [`push_f64`]'s digit-loop path.
+pub(crate) const INT_FAST_PATH_BOUND: f64 = 9_007_199_254_740_992.0;
+
+/// Appends `v` in decimal without the formatting machinery.
+pub(crate) fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    for &d in &digits[at..] {
+        out.push(char::from(d));
+    }
+}
+
+/// Appends `x` exactly as `{x:.4}` renders it. An integer-valued
+/// finite `x` with `|x| <= 2^53` is its sign, its integer digits and
+/// `.0000` — `{:.4}` prints the exact decimal value, which for such an
+/// `x` is an integer that `u64` holds exactly — so that case skips the
+/// float formatter; `-0.0` keeps its sign. NaN, the infinities, larger
+/// magnitudes and every non-integer value go through `{:.4}`.
+pub(crate) fn push_f64(out: &mut String, x: f64) {
+    if x.fract() == 0.0 && x.abs() <= INT_FAST_PATH_BOUND {
+        if x.is_sign_negative() {
+            out.push('-');
+        }
+        push_u64(out, x.abs() as u64);
+        out.push_str(".0000");
+    } else {
+        let _ = write!(out, "{x:.4}");
+    }
 }
 
 /// A parsed JSON value (offline stand-in for `serde_json::Value`).

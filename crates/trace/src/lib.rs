@@ -33,7 +33,7 @@
 //! let tracer = Tracer::enabled();
 //! tracer.process_name(PID_JOBS, "jobs");
 //! tracer.complete("429.mcf", "job", PID_JOBS, 0, 1_000, 5_000, vec![]);
-//! tracer.droop(DroopEvent {
+//! tracer.droop(&DroopEvent {
 //!     chip: 0,
 //!     core: 0,
 //!     cycle: 2_400,

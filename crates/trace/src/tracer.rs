@@ -332,8 +332,9 @@ impl Tracer {
 
     /// Records one typed droop event: an instant on the chip's
     /// timeline plus a `droops_total` counter sample (the running
-    /// total across the whole run).
-    pub fn droop(&self, event: DroopEvent) {
+    /// total across the whole run). Borrows the event, so one event
+    /// can also feed the monitor and the obs ring without a copy.
+    pub fn droop(&self, event: &DroopEvent) {
         if !self.wants_droop_events() {
             return;
         }
@@ -350,7 +351,7 @@ impl Tracer {
             args: vec![
                 ("depth_pct", ArgValue::F64(event.depth_pct)),
                 ("workloads", ArgValue::Str(event.workloads.join("+"))),
-                ("phase", ArgValue::Str(event.phase)),
+                ("phase", ArgValue::Str(event.phase.clone())),
             ],
         });
         state.push(TraceRecord::Counter {
@@ -524,7 +525,7 @@ mod tests {
         t.complete("x", "job", PID_JOBS, 0, 0, 10, vec![]);
         t.instant("y", "job", PID_JOBS, 0, 5, vec![]);
         t.counter("c", PID_JOBS, 5, 1.0);
-        t.droop(droop(0, 7));
+        t.droop(&droop(0, 7));
         t.process_name(PID_JOBS, "jobs");
         t.span("s", "job", PID_JOBS, 0, 0).finish(4);
         assert!(t.is_empty());
@@ -537,7 +538,7 @@ mod tests {
         assert!(t.is_enabled());
         assert!(!t.wants_droop_events());
         t.complete("x", "job", PID_JOBS, 0, 0, 10, vec![]);
-        t.droop(droop(0, 3));
+        t.droop(&droop(0, 3));
         assert_eq!(t.len(), 1);
         assert_eq!(t.droops_total(), 0);
     }
@@ -545,8 +546,8 @@ mod tests {
     #[test]
     fn droop_emits_instant_plus_running_counter() {
         let t = Tracer::enabled();
-        t.droop(droop(1, 10));
-        t.droop(droop(1, 30));
+        t.droop(&droop(1, 10));
+        t.droop(&droop(1, 30));
         let records = t.records();
         assert_eq!(records.len(), 4);
         assert!(records[0].is_instant());
@@ -593,10 +594,10 @@ mod tests {
     #[test]
     fn take_records_drains_but_keeps_droop_total() {
         let mut t = Tracer::enabled();
-        t.droop(droop(0, 1));
+        t.droop(&droop(0, 1));
         assert_eq!(t.take_records().len(), 2);
         assert!(t.is_empty());
-        t.droop(droop(0, 2));
+        t.droop(&droop(0, 2));
         let TraceRecord::Counter { value, .. } = &t.records()[1] else {
             panic!("expected counter");
         };
@@ -630,7 +631,7 @@ mod tests {
         assert!(t.is_streaming());
         assert!(t.wants_droop_events());
         assert!(Tracer::enabled().telemetry().is_none());
-        t.droop(droop(2, 40));
+        t.droop(&droop(2, 40));
         assert_eq!(t.droops_total(), 1);
         assert_eq!(t.len(), 2);
         let stats = t.telemetry().expect("streaming tracers have stats");

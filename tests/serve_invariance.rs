@@ -3,11 +3,16 @@
 //! metrics snapshot — must be byte-identical however many worker
 //! threads simulate the chip pool.
 
+use std::sync::{Arc, Mutex};
+
 use vsmooth::chip::ChipConfig;
+use vsmooth::monitor::MonitorConfig;
+use vsmooth::obs::{ObsConfig, ObsSnapshot, TelemetryHub};
 use vsmooth::pdn::DecapConfig;
 use vsmooth::sched::{OnlineDroop, OnlineIpc, PairPolicy, RandomPairing};
 use vsmooth::serve::{
-    synthetic_jobs, JobSpec, RuntimeMode, ServeError, Service, ServiceConfig, ServiceReport,
+    synthetic_jobs, AuditConfig, JobSpec, RuntimeMode, ServeError, Service, ServiceConfig,
+    ServiceReport,
 };
 use vsmooth::trace::{validate_chrome_trace, Tracer};
 use vsmooth::Instruments;
@@ -120,5 +125,104 @@ fn queue_overflow_sheds_the_same_job_under_sharding() {
     // calls; the shed job must not change there either.
     for workers in [2usize, 8] {
         assert_eq!(overflow(RuntimeMode::Auto, workers), reference);
+    }
+}
+
+/// What a run that ends in a queue overflow leaves behind: the error,
+/// the trace, and every obs snapshot published before it.
+struct OverflowArtifacts {
+    error: ServeError,
+    trace: String,
+    publishes: Vec<ObsSnapshot>,
+}
+
+fn overflow_mid_run(runtime: RuntimeMode, workers: usize) -> OverflowArtifacts {
+    const WORKLOADS: [&str; 4] = ["429.mcf", "482.sphinx3", "473.astar", "462.libquantum"];
+    // Six jobs trickle in while the pool has room, so slices run and
+    // every instrument has recorded state; then a burst of fourteen at
+    // one cycle overflows the queue with epochs already executed.
+    let jobs: Vec<JobSpec> = (0..20u64)
+        .map(|id| JobSpec {
+            id,
+            workload: WORKLOADS[id as usize % WORKLOADS.len()].into(),
+            arrival_cycle: if id < 6 { id * 700 } else { 9_000 },
+        })
+        .collect();
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&seen);
+    let mut obs = ObsConfig::new(Arc::new(TelemetryHub::new()));
+    obs.on_publish = Some(Arc::new(move |snap: &ObsSnapshot| {
+        sink.lock().unwrap().push(snap.clone());
+    }));
+    let mut cfg = ServiceConfig::new(ChipConfig::core2_duo(DecapConfig::proc100()));
+    cfg.chips = 2;
+    cfg.slice_cycles = 600;
+    cfg.queue_capacity = Some(3);
+    cfg.runtime = runtime;
+    cfg.audit = Some(AuditConfig::default());
+    cfg.obs = Some(obs);
+    let tracer = Tracer::enabled();
+    let inst = Instruments::new()
+        .traced(&tracer)
+        .monitored(MonitorConfig::default());
+    let error =
+        match Service::new(cfg)
+            .expect("valid config")
+            .run_with(&jobs, &OnlineDroop, workers, &inst)
+        {
+            Err(e) => e,
+            Ok(_) => panic!("expected QueueOverflow under {runtime:?}/{workers}"),
+        };
+    OverflowArtifacts {
+        error,
+        trace: tracer.to_chrome_json(),
+        publishes: Arc::try_unwrap(seen).unwrap().into_inner().unwrap(),
+    }
+}
+
+#[test]
+fn mid_run_queue_overflow_leaves_the_same_artifacts_under_sharding() {
+    // The overflow drain replays every epoch decided before the
+    // overflowing admission, so the trace, the metrics and every
+    // published snapshot must end exactly where the in-line
+    // coordinator leaves them — at every shard count.
+    let reference = overflow_mid_run(RuntimeMode::Coordinator, 1);
+    assert!(matches!(
+        reference.error,
+        ServeError::QueueOverflow { capacity: 3, .. }
+    ));
+    let shape = validate_chrome_trace(&reference.trace).expect("valid Chrome trace");
+    assert!(
+        shape.spans > 0 && shape.droops > 0,
+        "slices ran before the overflow"
+    );
+    let last = reference
+        .publishes
+        .last()
+        .expect("epochs published before the overflow");
+    assert!(!last.decisions.is_empty() && !last.recent_droops.is_empty());
+    assert!(last.health.is_some());
+    for shards in [1usize, 2, 4, 8] {
+        let sharded = overflow_mid_run(RuntimeMode::Sharded, shards);
+        assert_eq!(sharded.error, reference.error, "error at {shards} shards");
+        assert!(
+            sharded.trace == reference.trace,
+            "trace JSON diverged at {shards} shards"
+        );
+        assert_eq!(
+            sharded.publishes.len(),
+            reference.publishes.len(),
+            "publish count at {shards} shards"
+        );
+        let (a, b) = (last, sharded.publishes.last().unwrap());
+        assert_eq!(a.metrics, b.metrics, "metrics at {shards} shards");
+        assert_eq!(a.health, b.health, "health at {shards} shards");
+        assert_eq!(a.service, b.service, "status at {shards} shards");
+        assert_eq!(a.decisions, b.decisions, "decisions at {shards} shards");
+        assert_eq!(
+            a.recent_droops, b.recent_droops,
+            "droops at {shards} shards"
+        );
+        assert_eq!(a.profile_json, b.profile_json, "profile at {shards} shards");
     }
 }

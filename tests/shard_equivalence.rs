@@ -13,8 +13,10 @@
 //!    included) — 3 and 4 also from passes that arm the profiler and
 //!    the monitor together,
 //! 5. the obs hub snapshot stream (every periodic publish plus the
-//!    final one) — including the decision ring riding in each
-//!    snapshot,
+//!    final one) — including the decision ring and the recent-droop
+//!    ring riding in each snapshot — under the arming an operator runs
+//!    (streaming trace, monitor, decision audit, a publish every
+//!    epoch), together with that run's streamed trace bytes,
 //! 6. the `vsmooth-audit-v1` decision audit artifact.
 //!
 //! The single documented exception is `ObsSnapshot::shards`: the
@@ -23,6 +25,7 @@
 //! only by the shard runtime. Its slice tallies must still *sum* to
 //! `serve_slices_total` at the final publish.
 
+use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
@@ -34,7 +37,7 @@ use vsmooth::profile::ProfileConfig;
 use vsmooth::sched::OnlineDroop;
 use vsmooth::serve::{AuditConfig, JobSpec, RuntimeMode, Service, ServiceConfig, ServiceReport};
 use vsmooth::testkit::gen_job_stream;
-use vsmooth::trace::Tracer;
+use vsmooth::trace::{validate_chrome_trace, StreamConfig, Tracer};
 use vsmooth::{Instruments, Observed};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -182,45 +185,102 @@ fn health_json_matches_coordinator_at_every_shard_count() {
     }
 }
 
-/// Runs a monitored+profiled service with obs publishing armed and
-/// returns every snapshot the hub published, in publish order.
-fn observed_snapshots(runtime: RuntimeMode, workers: usize, jobs: &[JobSpec]) -> Vec<ObsSnapshot> {
+/// A `Write` target whose bytes survive the streaming sink taking
+/// ownership of it.
+#[derive(Clone, Default)]
+struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+/// Runs the service with every always-on instrument armed — a
+/// streaming tracer, the monitor, the decision audit and an obs hub
+/// publishing every epoch — and returns every snapshot the hub
+/// published, in publish order, plus the streamed trace bytes.
+fn observed_snapshots(
+    runtime: RuntimeMode,
+    workers: usize,
+    jobs: &[JobSpec],
+) -> (Vec<ObsSnapshot>, Vec<u8>) {
     let seen = Arc::new(Mutex::new(Vec::new()));
     let sink = Arc::clone(&seen);
     let mut cfg = config(runtime);
+    cfg.audit = Some(AuditConfig::default());
     let mut oc = ObsConfig::new(Arc::new(TelemetryHub::new()));
-    oc.publish_every = 2;
     oc.on_publish = Some(Arc::new(move |snap: &ObsSnapshot| {
         sink.lock().unwrap().push(snap.clone());
     }));
     cfg.obs = Some(oc);
+    let trace = SharedBuf::default();
+    let tracer = Tracer::streaming_to_writer(trace.clone(), StreamConfig::default());
+    let inst = Instruments::new()
+        .traced(&tracer)
+        .monitored(MonitorConfig::default());
     Service::new(cfg)
         .unwrap()
-        .run_monitored(
-            jobs,
-            &OnlineDroop,
-            workers,
-            &Tracer::disabled(),
-            MonitorConfig::default(),
-        )
+        .run_with(jobs, &OnlineDroop, workers, &inst)
         .unwrap();
-    Arc::try_unwrap(seen).unwrap().into_inner().unwrap()
+    tracer
+        .finish_stream()
+        .expect("streaming tracer")
+        .expect("sink flush");
+    let snapshots = Arc::try_unwrap(seen).unwrap().into_inner().unwrap();
+    let bytes = trace.0.lock().unwrap().clone();
+    (snapshots, bytes)
+}
+
+/// A metrics snapshot rendered without the streaming pipeline's
+/// wall-clock flush-latency series, the one series (present only at
+/// the final publish) that is not a function of the inputs.
+fn deterministic_metrics(snap: &ObsSnapshot) -> String {
+    snap.metrics
+        .render()
+        .lines()
+        .filter(|l| !l.contains("telemetry_flush_latency_us"))
+        .flat_map(|l| [l, "\n"])
+        .collect()
 }
 
 #[test]
 fn obs_snapshot_stream_matches_coordinator_at_every_shard_count() {
     let jobs = jobs(0xFEED);
-    let reference = observed_snapshots(RuntimeMode::Coordinator, 1, &jobs);
+    let (reference, reference_trace) = observed_snapshots(RuntimeMode::Coordinator, 1, &jobs);
     assert!(reference.len() > 2, "expected several periodic publishes");
+    let last = reference.last().unwrap();
+    assert!(!last.decisions.is_empty(), "expected audited decisions");
+    assert!(!last.recent_droops.is_empty(), "expected recent droops");
+    let shape = validate_chrome_trace(std::str::from_utf8(&reference_trace).unwrap())
+        .expect("valid streamed trace");
+    assert!(shape.spans > 0 && shape.droops > 0);
     for shards in SHARD_COUNTS {
-        let sharded = observed_snapshots(RuntimeMode::Sharded, shards, &jobs);
+        let (sharded, trace) = observed_snapshots(RuntimeMode::Sharded, shards, &jobs);
+        assert!(
+            reference_trace == trace,
+            "streamed trace bytes diverged at {shards} shards"
+        );
         assert_eq!(
             reference.len(),
             sharded.len(),
             "publish count diverged at {shards} shards"
         );
         for (i, (a, b)) in reference.iter().zip(&sharded).enumerate() {
-            assert_eq!(a.metrics, b.metrics, "metrics diverged at {shards}/{i}");
+            if i + 1 < reference.len() {
+                assert_eq!(a.metrics, b.metrics, "metrics diverged at {shards}/{i}");
+            } else {
+                assert_eq!(
+                    deterministic_metrics(a),
+                    deterministic_metrics(b),
+                    "final metrics diverged at {shards}"
+                );
+            }
             assert_eq!(a.health, b.health, "health diverged at {shards}/{i}");
             assert_eq!(
                 a.recent_droops, b.recent_droops,
