@@ -25,11 +25,13 @@ PROPTEST_CASES=64 cargo test -q -p vsmooth-testkit
 cargo test -q -p vsmooth-repro --test oracle_validation
 
 echo "== fused kernel gate (fused kernel vs reference loop) =="
-# Every figure, campaign, fleet sweep and probe runs on the fused chip
-# kernel. P5 holds it to the reference loop bit for bit on generated
-# chips, regulators and PDNs, all three run shapes, crossing captures
+# Every measurement runs one loop on the fused physics step: figures,
+# campaigns, fleet sweeps, probes, profiled windows, traces, rollbacks
+# and the serving shards. P5 holds it to the reference step bit for bit
+# on generated chips, regulators and PDNs, all three run shapes, no
+# capture, crossing captures and waveform windows of generated shapes,
 # and interval lengths that do and do not divide the warm-up; this is
-# the gate on the kernel every figure runs on, so it gets more cases.
+# the gate on the step every figure runs on, so it gets more cases.
 PROPTEST_CASES=256 cargo test -q -p vsmooth-testkit --test properties_chip
 
 echo "== shared JSON module gate =="

@@ -1,8 +1,8 @@
 //! Quick machine-readable serve benchmark: the scheduling-service
-//! throughput of the `serve_throughput` bench and the instrumentation
-//! overhead of the `trace_overhead` / `profile_overhead` /
-//! `monitor_guard` paths, condensed into medians and written as a
-//! small JSON artifact so CI can track the perf trajectory.
+//! throughput per worker count and the overhead of each armed
+//! instrument (traced, profiled, monitored, ...), condensed into
+//! medians and written as a small JSON artifact so CI can track the
+//! perf trajectory.
 //!
 //! ```text
 //! cargo run -p vsmooth-bench --bin serve_bench --release [BENCH_serve.json]

@@ -11,6 +11,17 @@
 //! VSMOOTH_BENCH=quick cargo run --release -p vsmooth-bench --bin repro \
 //!     > crates/bench/tests/golden/repro_quick.txt
 //! ```
+//!
+//! A second case pins the service pass's `--profile-out` artifact, the
+//! `vsmooth-profile-v1` JSON built from every droop window the chips
+//! captured, byte for byte against
+//! `tests/golden/repro_quick_profile.json`. Its bytes do not depend on
+//! the thread count. Regenerate it the same way:
+//!
+//! ```text
+//! VSMOOTH_BENCH=quick cargo run --release -p vsmooth-bench --bin repro -- \
+//!     --profile-out crates/bench/tests/golden/repro_quick_profile.json
+//! ```
 
 use std::process::Command;
 
@@ -38,4 +49,38 @@ fn quick_repro_prints_the_golden_tables() {
         );
     }
     assert_eq!(got.len(), want.len(), "line count differs from the golden");
+}
+
+#[test]
+fn quick_repro_writes_the_golden_profile() {
+    let path = std::env::temp_dir().join(format!(
+        "vsmooth_golden_profile_{}.json",
+        std::process::id()
+    ));
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .env("VSMOOTH_BENCH", "quick")
+        .arg("--profile-out")
+        .arg(&path)
+        .output()
+        .expect("repro starts");
+    assert!(
+        out.status.success(),
+        "repro failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let got = std::fs::read_to_string(&path).expect("repro wrote the profile");
+    std::fs::remove_file(&path).expect("remove the profile");
+    let want = include_str!("golden/repro_quick_profile.json");
+    if let Some((i, (g, w))) = got
+        .lines()
+        .zip(want.lines())
+        .enumerate()
+        .find(|(_, (g, w))| g != w)
+    {
+        panic!(
+            "profile line {} differs from the golden:\n  got:  {g}\n  want: {w}",
+            i + 1
+        );
+    }
+    assert_eq!(got, want, "profile bytes differ from the golden");
 }

@@ -6,9 +6,9 @@
 //! (Sec. III-C.) The chip sums per-core current draws into the PDN
 //! model and senses the resulting die voltage every cycle.
 
-use crate::fastpath::{self, FastCache};
+use crate::fastpath::FastCache;
 use crate::runner::{Capture, Captured};
-use crate::session::MeasureState;
+use crate::session::{self, MeasureState, ReferenceStep};
 use crate::stats::RunStats;
 use crate::ChipError;
 use serde::{Deserialize, Serialize};
@@ -131,8 +131,8 @@ impl ChipConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Chip {
-    // Fields are crate-visible so the fused fast-slice kernel
-    // (`crate::fastpath`) can mirror `step_cycle` without indirection.
+    // Fields are crate-visible so the fused step (`crate::fastpath`)
+    // can mirror `step_cycle` with its state in locals.
     pub(crate) cfg: ChipConfig,
     pub(crate) cores: Vec<Core>,
     pub(crate) pdn: DiscreteStateSpace,
@@ -319,29 +319,10 @@ impl Chip {
         self.run_inner(sources, cycles, interval_cycles, capture, None, None)
     }
 
-    /// Like [`Chip::run`], but consults `hook` before every cycle with
-    /// the previously sensed voltage; the hook decides whether the cycle
-    /// executes the program or a rollback (see
-    /// [`crate::resilient::CycleControl`]).
-    pub(crate) fn run_with_hook(
-        &mut self,
-        sources: &mut [&mut dyn StimulusSource],
-        cycles: u64,
-        interval_cycles: u64,
-        hook: &mut dyn FnMut(f64) -> crate::resilient::CycleControl,
-    ) -> Result<RunStats, ChipError> {
-        self.run_inner(
-            sources,
-            cycles,
-            interval_cycles,
-            Capture::None,
-            None,
-            Some(hook),
-        )
-        .map(|c| c.stats)
-    }
-
-    fn run_inner(
+    /// The one-shot measurement behind every `run*` entry point:
+    /// warm-up, then `cycles` measured cycles with whatever `capture`,
+    /// `trace` and `hook` arm.
+    pub(crate) fn run_inner(
         &mut self,
         sources: &mut [&mut dyn StimulusSource],
         cycles: u64,
@@ -354,28 +335,36 @@ impl Chip {
         if interval_cycles == 0 {
             return Err(ChipError::InvalidConfig("interval_cycles must be non-zero"));
         }
-        // Plain and crossing-capturing runs take the complete fused
-        // kernel; windows, traces and hooks read whole-chip state
-        // mid-cycle and take the reference loop. Decided before the
-        // warm-up touches the chip or the sources.
-        let fused = match (&capture, &trace, &hook) {
-            (Capture::None | Capture::Crossings(_), None, None) => FastCache::build(self),
-            _ => None,
-        };
-        match &fused {
-            Some(cache) => fastpath::warm_up_sources(self, cache, sources),
-            None => self.warm_up(sources),
-        }
-        let mut state = MeasureState::new(self, interval_cycles);
-        match capture {
-            Capture::None => {}
-            Capture::Crossings(margin) => state.enable_droop_capture(margin),
-            Capture::Windows(margin, window) => state.enable_window_capture(self, margin, window),
-        }
-        match &fused {
-            Some(cache) => fastpath::run_measurement(self, &mut state, cache, sources, cycles),
+        // Chips the fused step covers warm up and measure on it, with
+        // every observer `capture`, `trace` and `hook` arm; the others
+        // run the reference step.
+        let mut state;
+        match FastCache::build(self) {
+            Some(cache) => {
+                let [s0, s1] = sources else {
+                    unreachable!("FastCache only accepts two-core chips")
+                };
+                cache.warm_up(self, || s0.next(), || s1.next());
+                state = MeasureState::new(self, interval_cycles);
+                state.arm(self, capture);
+                cache.with_step(
+                    self,
+                    false,
+                    || s0.next(),
+                    || s1.next(),
+                    |step| state.run::<true, _>(step, cycles, trace, hook),
+                );
+            }
             None => {
-                state.run(self, sources, cycles, trace, hook);
+                self.warm_up(sources);
+                state = MeasureState::new(self, interval_cycles);
+                state.arm(self, capture);
+                let mut step = ReferenceStep {
+                    chip: self,
+                    sources,
+                    warmup: false,
+                };
+                state.run::<true, _>(&mut step, cycles, trace, hook);
             }
         }
         let crossings = state.take_droop_crossings();
@@ -387,10 +376,10 @@ impl Chip {
         })
     }
 
-    /// Whether [`Chip::run`] and [`Chip::run_captured`] without windows
-    /// run on this chip's fused kernel: two cores, an 8-state PDN with
-    /// two inputs and a tabulable ripple period. Other chips measure on
-    /// the reference loop: the same bits at under half the speed.
+    /// Whether this chip's measurements run on the fused step: two
+    /// cores, an 8-state PDN with two inputs and a tabulable ripple
+    /// period. Other chips measure on the reference step: the same bits
+    /// at under half the speed.
     pub fn runs_fused(&self) -> bool {
         FastCache::build(self).is_some()
     }
@@ -409,9 +398,18 @@ impl Chip {
     /// Runs the configured warm-up and resets the performance counters
     /// so measurement starts from the settled operating point.
     pub(crate) fn warm_up(&mut self, sources: &mut [&mut dyn StimulusSource]) {
-        for _ in 0..self.cfg.warmup_cycles {
-            self.step_cycle(sources, true, false);
-        }
+        let cycles = self.cfg.warmup_cycles;
+        let mut step = ReferenceStep {
+            chip: self,
+            sources,
+            warmup: true,
+        };
+        session::warm_up(&mut step, cycles);
+        self.reset_counters();
+    }
+
+    /// Zeroes every core's performance counters.
+    pub(crate) fn reset_counters(&mut self) {
         for core in &mut self.cores {
             core.reset_counters();
         }
@@ -425,21 +423,6 @@ impl Chip {
     /// Snapshot of every core's performance counters.
     pub fn core_counters(&self) -> Vec<vsmooth_uarch::PerfCounters> {
         self.cores.iter().map(|c| *c.counters()).collect()
-    }
-
-    /// Number of cores on the chip.
-    pub(crate) fn core_count(&self) -> usize {
-        self.cores.len()
-    }
-
-    /// One core's counters, borrowed (no per-cycle allocation).
-    pub(crate) fn core_perf(&self, core: usize) -> &vsmooth_uarch::PerfCounters {
-        self.cores[core].counters()
-    }
-
-    /// One core's current draw after the last tick, in amperes.
-    pub(crate) fn core_current(&self, core: usize) -> f64 {
-        self.cores[core].current()
     }
 }
 

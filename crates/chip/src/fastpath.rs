@@ -1,58 +1,51 @@
-//! Fused kernel: the per-cycle chip loop monomorphized and flattened
-//! into one loop over fixed-size arrays.
+//! Fused step: the chip's per-cycle physics monomorphized and flattened
+//! over fixed-size arrays.
 //!
-//! The reference per-cycle path ([`Chip::step_cycle`] +
-//! [`MeasureState::run`]) walks a `Vec`-backed state-space model
-//! through bounds-checked `Mat` indexing, dispatches stimulus sources
-//! through `&mut dyn`, and recomputes the VRM ripple phase with a
-//! division every cycle. None of that changes the physics — it is pure
-//! interpretation overhead.
+//! The reference step ([`Chip::step_cycle`]) walks a `Vec`-backed
+//! state-space model through bounds-checked `Mat` indexing, dispatches
+//! stimulus sources through `&mut dyn`, and recomputes the VRM ripple
+//! phase with a division every cycle. None of that changes the physics
+//! — it is pure interpretation overhead.
 //!
-//! This module specializes the loop for the platform's shape (2-core
-//! chip, 8-state PDN with 2 inputs, interval-aligned slices, no
-//! waveform windows, no invariant checker) into one fused loop over
-//! fixed-size arrays with closure-typed stimulus sources. The kernel
+//! [`FusedStep`] specializes the step for the platform's shape (2-core
+//! chip, 8-state PDN with 2 inputs): fixed-size arrays, closure-typed
+//! sources, a one-period ripple table, and the electrical state held
+//! in the step, written back to the chip when the loop ends. It
 //! reproduces the reference floating-point accumulation order
-//! *exactly* — same adds, same order, same clamps — so every value it
-//! produces is bit-identical to the reference loop. The identity tests
-//! at the bottom of this file and testkit's P5 property enforce that.
+//! *exactly* — same adds, same order, same clamps — so every value is
+//! bit-identical; the identity tests at the bottom of this file and
+//! testkit's P5 property enforce that. The crate's one
+//! measurement loop (`MeasureState::run`) drives both steps, so on a
+//! chip [`FastCache::build`] accepts every measurement runs fused —
+//! captures, waveform windows, traces, rollback hooks, invariants, any
+//! slice length — except [`ChipSession::begin`](crate::ChipSession::begin)
+//! and [`ChipSession::run_slice`](crate::ChipSession::run_slice).
 //!
-//! The kernel comes in two flavours, picked by `const FULL: bool`:
+//! The loop comes in two flavours, picked by `const FULL: bool`:
 //!
-//! * `FULL = true` also records every sensed sample in the voltage
-//!   sensor's histogram/summary and feeds the overshoot grid, so a
-//!   fused measurement yields the complete [`RunStats`](crate::RunStats)
-//!   bit for bit. [`Chip::run`] and [`Chip::run_captured`] without
-//!   windows run every measurement this way, and with them the paper's
+//! * `FULL = true` also feeds the voltage sensor's histogram/summary and
+//!   the overshoot grid, so the [`RunStats`](crate::RunStats) are
+//!   complete: [`Chip::run`] and its siblings, and with them the paper's
 //!   campaign, the fleet sweeps, the pair oracle and the probes.
-//! * `FULL = false` (lean) skips those two channels. The serving
-//!   runtime's shard workers drive sessions through
-//!   [`ChipSession::run_slice_fast`](crate::ChipSession::run_slice_fast)
-//!   this way: no serve caller reads `RunStats`, and the two channels
-//!   would cost about a fifth of the service's throughput. A session
-//!   that ran lean cycles refuses to hand out `RunStats`
-//!   ([`ChipError::IncompleteStats`]).
-//!
-//! Everything the kernel cannot do runs on the reference loop, which
-//! stays the oracle: waveform windows, raw traces, rollback hooks, the
-//! invariant checker, [`ChipSession::run_slice`](crate::ChipSession::run_slice),
-//! and chips [`FastCache::build`] rejects.
+//! * `FULL = false` (lean) skips those two channels:
+//!   [`ChipSession::run_slice_fast`](crate::ChipSession::run_slice_fast),
+//!   so the serving shards, which read no `RunStats` and would lose about
+//!   a fifth of their throughput to them. A session that ran lean
+//!   cycles refuses to hand out `RunStats` ([`ChipError::IncompleteStats`]).
 
 use crate::chip::Chip;
-use crate::session::{DroopCapture, MeasureState, SliceStats};
-use crate::stats::PHASE_MARGIN_PCT;
+use crate::session::{self, MeasureState, PhysicsStep, SliceStats};
 use crate::ChipError;
-use vsmooth_uarch::{CycleStimulus, PerfCounters, StimulusSource};
+use vsmooth_uarch::{Core, CycleStimulus, StimulusSource};
 
 /// Largest ripple period we precompute a lookup table for. The
 /// platform's VRM switches every 1 900 cycles; anything vastly larger
-/// would just waste cache, so such configs fall back to the reference
-/// loop.
+/// would just waste cache, so such configs run the reference step.
 const MAX_RIPPLE_TABLE: u64 = 1 << 16;
 
 /// Adapter exposing a closure as a [`StimulusSource`], so callers that
-/// hold closure-typed sources can still run the reference loop when a
-/// slice does not qualify for the fused kernel.
+/// hold closure-typed sources can still run the reference step on a
+/// chip the fused step does not cover.
 pub(crate) struct FnSource<F: FnMut() -> CycleStimulus + Send>(pub(crate) F);
 
 impl<F: FnMut() -> CycleStimulus + Send> StimulusSource for FnSource<F> {
@@ -65,13 +58,13 @@ impl<F: FnMut() -> CycleStimulus + Send> StimulusSource for FnSource<F> {
     }
 }
 
-/// Precomputed coefficients for the fused kernel: the discretized PDN
+/// Precomputed coefficients for the fused step: the discretized PDN
 /// matrices copied into fixed-size arrays plus the VRM ripple unrolled
 /// into a one-period lookup table.
 ///
 /// Matrices and ripple are immutable after [`Chip::new`], so the cache
-/// is built once per session; only the PDN state vector is copied in
-/// and written back around each fast slice.
+/// is built once per session; only the electrical state is copied in
+/// and written back around each run of the loop.
 #[derive(Debug, Clone)]
 pub(crate) struct FastCache {
     /// Ad transposed: `adt[col][row]`. The state update walks columns
@@ -133,74 +126,77 @@ impl FastCache {
             ripple,
         })
     }
-}
 
-/// Whether a slice of `cycles` can run through the fused kernel right
-/// now: no waveform windows or invariant checker armed (those hooks
-/// read whole-chip state mid-cycle), and the slice must start and end
-/// on interval boundaries so the interval-timeline push can be hoisted
-/// out of the loop.
-pub(crate) fn fast_slice_supported(state: &MeasureState, cycles: u64) -> bool {
-    state.window.is_none()
-        && state.invariants.is_none()
-        && cycles == state.interval_cycles
-        && state.measured_cycles.is_multiple_of(state.interval_cycles)
-}
-
-/// Runs the chip's configured warm-up through the fused kernel and
-/// resets the performance counters — bit-identical to
-/// [`Chip::warm_up`] over the same sources.
-pub(crate) fn warm_up_fast<S0, S1>(chip: &mut Chip, cache: &FastCache, mut s0: S0, mut s1: S1)
-where
-    S0: FnMut() -> CycleStimulus,
-    S1: FnMut() -> CycleStimulus,
-{
-    // Reference: `step_cycle(sources, warmup=true, recovery=false)` for
-    // `warmup_cycles`, then counter reset. The warm-up boost multiplies
-    // the current EMA by 50 before the 0.05 clamp.
-    let reg = chip.cfg.regulator;
-    let has_reg = reg.gain > 0.0;
-    let ema = (reg.current_ema * 50.0).min(0.05);
-    let vnom = chip.nominal_voltage();
-    let base = vnom - reg.offset_volts;
-    let rll = chip.cfg.pdn.total_series_resistance() - reg.load_line_ohms;
-    let (clamp_lo, clamp_hi) = (vnom * 0.9, vnom * 1.1);
-    let cycles = chip.cfg.warmup_cycles;
-    let period = cache.ripple.len();
-    let mut phase = (chip.cycle % period as u64) as usize;
-
-    let mut x = [0.0f64; 8];
-    x.copy_from_slice(chip.pdn.state());
-    let mut vs = chip.vs;
-    let mut i_avg = chip.i_avg;
-    let mut last_v = chip.last_v;
+    /// [`Chip::warm_up`] on the fused step: bit-identical over the same
+    /// sources.
+    pub(crate) fn warm_up<S0, S1>(&self, chip: &mut Chip, s0: S0, s1: S1)
+    where
+        S0: FnMut() -> CycleStimulus,
+        S1: FnMut() -> CycleStimulus,
     {
-        let (head, tail) = chip.cores.split_at_mut(1);
-        let (core0, core1) = (&mut head[0], &mut tail[0]);
-        for _ in 0..cycles {
-            let mut total = 0.0;
-            total += core0.tick(s0());
-            total += core1.tick(s1());
-            if has_reg {
-                i_avg += ema * (total - i_avg);
-                vs = (base + i_avg * rll).clamp(clamp_lo, clamp_hi);
-            }
-            last_v = step_pdn(cache, &mut x, vs, total);
-            // Warm-up discards the sensed value; only the phase advances.
-            phase += 1;
-            if phase == period {
-                phase = 0;
-            }
-        }
+        let cycles = chip.cfg.warmup_cycles;
+        self.with_step(chip, true, s0, s1, |step| session::warm_up(step, cycles));
+        chip.reset_counters();
     }
-    chip.pdn.set_state(&x);
-    chip.cycle += cycles;
-    chip.vs = vs;
-    chip.i_avg = i_avg;
-    chip.last_v = last_v;
-    for core in &mut chip.cores {
-        core.reset_counters();
+
+    /// Runs `f` on a fused step over `chip`, then writes the step's
+    /// electrical state back. `warmup` selects the regulator's
+    /// accelerated warm-up trim, as in [`Chip::step_cycle`].
+    pub(crate) fn with_step<S0, S1, R>(
+        &self,
+        chip: &mut Chip,
+        warmup: bool,
+        s0: S0,
+        s1: S1,
+        f: impl FnOnce(&mut FusedStep<'_, S0, S1>) -> R,
+    ) -> R
+    where
+        S0: FnMut() -> CycleStimulus,
+        S1: FnMut() -> CycleStimulus,
+    {
+        let reg = chip.cfg.regulator;
+        let vnom = chip.nominal_voltage();
+        let boost = if warmup { 50.0 } else { 1.0 };
+        let mut x = [0.0f64; 8];
+        x.copy_from_slice(chip.pdn.state());
+        let Ok(cores) = <&mut [Core; 2]>::try_from(chip.cores.as_mut_slice()) else {
+            unreachable!("FastCache only accepts two-core chips")
+        };
+        let mut step = FusedStep {
+            cache: self,
+            ripple: &self.ripple,
+            cores,
+            s0,
+            s1,
+            x,
+            vs: chip.vs,
+            i_avg: chip.i_avg,
+            last_v: chip.last_v,
+            phase: (chip.cycle % self.ripple.len() as u64) as usize,
+            cycles: 0,
+            has_reg: reg.gain > 0.0,
+            ema: (reg.current_ema * boost).min(0.05),
+            base: vnom - reg.offset_volts,
+            rll: chip.cfg.pdn.total_series_resistance() - reg.load_line_ohms,
+            clamp: (vnom * 0.9, vnom * 1.1),
+        };
+        let out = f(&mut step);
+        chip.pdn.set_state(&step.x);
+        chip.cycle += step.cycles;
+        chip.vs = step.vs;
+        chip.i_avg = step.i_avg;
+        chip.last_v = step.last_v;
+        #[cfg(test)]
+        FUSED_CYCLES.set(FUSED_CYCLES.get() + step.cycles);
+        out
     }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Cycles this thread ran on the fused step (warm-up included), so
+    /// the routing tests can see which step a measurement took.
+    pub(crate) static FUSED_CYCLES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// One fused PDN step: `x ← Ad·x + Bd·u`, returning `y = C·x + D·u`.
@@ -238,194 +234,66 @@ fn step_pdn(cache: &FastCache, x: &mut [f64; 8], u0: f64, u1: f64) -> f64 {
     y
 }
 
-/// Advances one interval-aligned slice through the fused kernel.
-///
-/// Mirrors [`MeasureState::run`] + [`Chip::step_cycle`] cycle for
-/// cycle (stimulus → core tick → regulator trim → PDN step → ripple →
-/// deviation → droop grid → droop capture). With `FULL` the deviation
-/// comes from [`VoltageSensor::record`](crate::sense::VoltageSensor::record)
-/// and the overshoot grid observes it right after the droop grid, the
-/// reference loop's order; without it both channels are skipped (see
-/// the module docs). The caller must have checked
-/// [`fast_slice_supported`].
-pub(crate) fn run_slice_fast<const FULL: bool, S0, S1>(
-    chip: &mut Chip,
-    state: &mut MeasureState,
-    cache: &FastCache,
-    mut s0: S0,
-    mut s1: S1,
+/// The fused step over a two-core chip: [`Chip::step_cycle`]'s physics
+/// (stimulus → core tick → regulator trim → PDN step → ripple) with the
+/// electrical state held here instead of in the chip, and written back
+/// by [`FastCache::with_step`].
+pub(crate) struct FusedStep<'c, S0, S1> {
+    cache: &'c FastCache,
+    /// `cache.ripple`, borrowed once so the per-cycle lookup and wrap
+    /// read no pointer through `cache`.
+    ripple: &'c [f64],
+    cores: &'c mut [Core; 2],
+    s0: S0,
+    s1: S1,
+    x: [f64; 8],
+    vs: f64,
+    i_avg: f64,
+    last_v: f64,
+    phase: usize,
+    /// Cycles stepped so far (the chip's cycle counter advances by this).
     cycles: u64,
-) -> SliceStats
+    has_reg: bool,
+    ema: f64,
+    base: f64,
+    rll: f64,
+    clamp: (f64, f64),
+}
+
+impl<S0, S1> PhysicsStep for FusedStep<'_, S0, S1>
 where
     S0: FnMut() -> CycleStimulus,
     S1: FnMut() -> CycleStimulus,
 {
-    debug_assert!(fast_slice_supported(state, cycles));
-    let droops_before = state.droops.events_at(PHASE_MARGIN_PCT);
-    let counters_before = chip.core_counters();
-
-    let reg = chip.cfg.regulator;
-    let has_reg = reg.gain > 0.0;
-    let ema = (reg.current_ema * 1.0).min(0.05);
-    let vnom = chip.nominal_voltage();
-    let base = vnom - reg.offset_volts;
-    let rll = chip.cfg.pdn.total_series_resistance() - reg.load_line_ohms;
-    let (clamp_lo, clamp_hi) = (vnom * 0.9, vnom * 1.1);
-    let nominal = state.sensor.nominal();
-    let period = cache.ripple.len();
-    let mut phase = (chip.cycle % period as u64) as usize;
-
-    let mut x = [0.0f64; 8];
-    x.copy_from_slice(chip.pdn.state());
-    let mut vs = chip.vs;
-    let mut i_avg = chip.i_avg;
-    let mut last_v = chip.last_v;
-    let mut sensed = state.last_sensed;
-    let mut mc = state.measured_cycles;
-    let mut min_dev = 0.0f64;
-    let mut sum_dev = 0.0f64;
-    {
-        let (head, tail) = chip.cores.split_at_mut(1);
-        let (core0, core1) = (&mut head[0], &mut tail[0]);
-        let sensor = &mut state.sensor;
-        let droops = &mut state.droops;
-        let overshoots = &mut state.overshoots;
-        let mut capture = state.capture.as_mut();
-        for _ in 0..cycles {
-            let mut total = 0.0;
-            total += core0.tick(s0());
-            total += core1.tick(s1());
-            if has_reg {
-                i_avg += ema * (total - i_avg);
-                vs = (base + i_avg * rll).clamp(clamp_lo, clamp_hi);
-            }
-            let v = step_pdn(cache, &mut x, vs, total);
-            last_v = v;
-            sensed = v + cache.ripple[phase];
-            phase += 1;
-            if phase == period {
-                phase = 0;
-            }
-            let dev = if FULL {
-                sensor.record(sensed)
-            } else {
-                100.0 * (sensed - nominal) / nominal
-            };
-            min_dev = min_dev.min(dev);
-            sum_dev += dev;
-            droops.observe(dev);
-            if FULL {
-                overshoots.observe(dev);
-            }
-            if let Some(cap) = capture.as_deref_mut() {
-                observe_capture(cap, mc, dev);
-            }
-            mc += 1;
-        }
-    }
-    chip.pdn.set_state(&x);
-    chip.cycle += cycles;
-    chip.vs = vs;
-    chip.i_avg = i_avg;
-    chip.last_v = last_v;
-    state.last_sensed = sensed;
-    state.measured_cycles = mc;
-    // The slice is interval-aligned, so exactly its final cycle lands on
-    // an interval boundary; the reference loop's per-cycle check reduces
-    // to this single push.
-    let now_events = state.droops.events_at(PHASE_MARGIN_PCT);
-    state.droops_per_interval.push(
-        (now_events - state.interval_start_events) as f64 * 1000.0 / state.interval_cycles as f64,
-    );
-    state.interval_start_events = now_events;
-
-    let core_deltas: Vec<PerfCounters> = chip
-        .core_counters()
-        .iter()
-        .zip(&counters_before)
-        .map(|(now, then)| now.delta_since(then))
-        .collect();
-    SliceStats {
-        cycles,
-        droops: state.droops.events_at(PHASE_MARGIN_PCT) - droops_before,
-        max_droop_pct: -min_dev,
-        mean_dev_pct: if cycles == 0 {
-            0.0
+    #[inline(always)]
+    fn step(&mut self, recovery: bool) -> f64 {
+        let [core0, core1] = &mut *self.cores;
+        let mut total = 0.0;
+        if recovery {
+            total += core0.tick(CycleStimulus::Idle);
+            total += core1.tick(CycleStimulus::Idle);
         } else {
-            sum_dev / cycles as f64
-        },
-        core_deltas,
-    }
-}
-
-/// [`Chip::warm_up`] over a one-shot run's `dyn` source pair, through
-/// the fused kernel. Only for chips [`FastCache::build`] accepted.
-pub(crate) fn warm_up_sources(
-    chip: &mut Chip,
-    cache: &FastCache,
-    sources: &mut [&mut dyn StimulusSource],
-) {
-    let [s0, s1] = sources else {
-        unreachable!("FastCache only accepts two-core chips")
-    };
-    warm_up_fast(chip, cache, || s0.next(), || s1.next());
-}
-
-/// [`MeasureState::run`] over a whole one-shot measurement on a chip
-/// [`FastCache::build`] accepted: every whole interval through the
-/// `FULL` kernel, then a final partial interval (which pushes no
-/// timeline entry) on the reference loop. The caller's `dyn` sources
-/// are called through closures, so each stream's own `next` stays
-/// exact at every interval length: a mix change in mid-interval when
-/// the warm-up is not a whole number of intervals, and a looping
-/// stream's restart.
-pub(crate) fn run_measurement(
-    chip: &mut Chip,
-    state: &mut MeasureState,
-    cache: &FastCache,
-    sources: &mut [&mut dyn StimulusSource],
-    cycles: u64,
-) {
-    let interval = state.interval_cycles;
-    let [s0, s1] = &mut *sources else {
-        unreachable!("FastCache only accepts two-core chips")
-    };
-    for _ in 0..cycles / interval {
-        run_slice_fast::<true, _, _>(chip, state, cache, || s0.next(), || s1.next(), interval);
-    }
-    #[cfg(test)]
-    FULL_CYCLES.set(FULL_CYCLES.get() + cycles / interval * interval);
-    let tail = cycles % interval;
-    if tail > 0 {
-        state.run(chip, sources, tail, None, None);
-    }
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Measured cycles this thread ran through the `FULL` kernel, so the
-    /// routing tests can see which loop a measurement took.
-    pub(crate) static FULL_CYCLES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// The droop-capture hysteresis, verbatim from [`MeasureState::run`].
-#[inline]
-fn observe_capture(cap: &mut DroopCapture, measured_cycle: u64, dev: f64) {
-    let depth = -dev;
-    if depth >= cap.margin_pct {
-        if cap.below {
-            if let Some(last) = cap.events.last_mut() {
-                last.depth_pct = last.depth_pct.max(depth);
-            }
-        } else {
-            cap.below = true;
-            cap.events.push(crate::session::DroopCrossing {
-                cycle: measured_cycle,
-                depth_pct: depth,
-            });
+            total += core0.tick((self.s0)());
+            total += core1.tick((self.s1)());
         }
-    } else {
-        cap.below = false;
+        if self.has_reg {
+            self.i_avg += self.ema * (total - self.i_avg);
+            self.vs = (self.base + self.i_avg * self.rll).clamp(self.clamp.0, self.clamp.1);
+        }
+        let v = step_pdn(self.cache, &mut self.x, self.vs, total);
+        self.last_v = v;
+        let sensed = v + self.ripple[self.phase];
+        self.phase += 1;
+        if self.phase == self.ripple.len() {
+            self.phase = 0;
+        }
+        self.cycles += 1;
+        sensed
+    }
+
+    #[inline(always)]
+    fn cores(&self) -> &[Core] {
+        &self.cores[..]
     }
 }
 
@@ -435,9 +303,9 @@ fn observe_capture(cap: &mut DroopCapture, measured_cycle: u64, dev: f64) {
 /// slices.
 impl crate::ChipSession {
     /// Like [`begin`](crate::ChipSession::begin), but warm-up sources
-    /// are closures and the warm-up runs through the fused kernel when
-    /// the chip qualifies (falling back to the reference loop when
-    /// not). Bit-identical to `begin` over equivalent sources.
+    /// are closures and the warm-up runs on the fused step when the
+    /// chip qualifies (on the reference step when not). Bit-identical
+    /// to `begin` over equivalent sources.
     ///
     /// # Errors
     ///
@@ -456,42 +324,38 @@ impl crate::ChipSession {
         if interval_cycles == 0 {
             return Err(ChipError::InvalidConfig("interval_cycles must be non-zero"));
         }
-        match FastCache::build(&chip) {
-            Some(cache) => {
-                let mut chip = chip;
-                chip.check_sources(2)?;
-                warm_up_fast(&mut chip, &cache, s0, s1);
-                let state = MeasureState::new(&chip, interval_cycles);
-                Ok(Self {
-                    chip,
-                    state,
-                    fast: Some(cache),
-                    lean_cycles: 0,
-                })
-            }
-            None => {
-                let mut w0 = FnSource(s0);
-                let mut w1 = FnSource(s1);
-                let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut w0, &mut w1];
-                Self::begin(chip, &mut sources, interval_cycles)
-            }
-        }
+        let Some(cache) = FastCache::build(&chip) else {
+            let mut w0 = FnSource(s0);
+            let mut w1 = FnSource(s1);
+            let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut w0, &mut w1];
+            return Self::begin(chip, &mut sources, interval_cycles);
+        };
+        let mut chip = chip;
+        cache.warm_up(&mut chip, s0, s1);
+        Ok(Self {
+            state: MeasureState::new(&chip, interval_cycles),
+            chip,
+            fast: Some(cache),
+            lean_cycles: 0,
+        })
     }
 
     /// Like [`run_slice`](crate::ChipSession::run_slice), but with
-    /// closure-typed sources: interval-aligned slices on a qualifying
-    /// session run through the lean fused kernel, everything else falls
-    /// back to the reference loop via [`FnSource`]. The returned
-    /// [`SliceStats`], droop crossings, droop grid and interval timeline
-    /// are bit-identical either way. The lean kernel is what the
-    /// serving shards run: it skips the voltage sensor and the
-    /// overshoot grid, which no serve caller reads and which would cost
-    /// them about a fifth of their throughput. So once a slice has run
-    /// lean, [`stats`](crate::ChipSession::stats) and
+    /// closure-typed sources, on the lean fused step whenever the chip
+    /// qualifies (on the reference step via [`FnSource`] when not). A
+    /// slice may be any length and every armed observer — crossing
+    /// capture, waveform windows, the invariant checker — rides along;
+    /// the returned [`SliceStats`], droop crossings, windows, invariant
+    /// report, droop grid and interval timeline are bit-identical
+    /// either way. The lean step is what the serving shards run: it
+    /// skips the voltage sensor and the overshoot grid, which no serve
+    /// caller reads and which would cost them about a fifth of their
+    /// throughput. So once a slice has run lean,
+    /// [`stats`](crate::ChipSession::stats) and
     /// [`finish`](crate::ChipSession::finish) return
     /// [`ChipError::IncompleteStats`] instead of under-counted
     /// `RunStats`; callers that need them use `run_slice`, or a one-shot
-    /// [`Chip::run`], which runs the complete fused kernel.
+    /// [`Chip::run`], which runs the complete fused step.
     ///
     /// # Errors
     ///
@@ -508,29 +372,20 @@ impl crate::ChipSession {
         S1: FnMut() -> CycleStimulus + Send,
     {
         self.chip.check_sources(2)?;
-        if fast_slice_supported(&self.state, cycles) {
-            if self.fast.is_none() {
-                self.fast = FastCache::build(&self.chip);
-            }
-            // Disjoint field borrows: the cache is read-only while chip
-            // and measurement state advance.
-            let Self {
-                chip,
-                state,
-                fast,
-                lean_cycles,
-            } = self;
-            if let Some(cache) = fast.as_ref() {
-                *lean_cycles += cycles;
-                return Ok(run_slice_fast::<false, _, _>(
-                    chip, state, cache, s0, s1, cycles,
-                ));
-            }
+        if self.fast.is_none() {
+            self.fast = FastCache::build(&self.chip);
         }
-        let mut w0 = FnSource(s0);
-        let mut w1 = FnSource(s1);
-        let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut w0, &mut w1];
-        self.run_slice(&mut sources, cycles)
+        let Some(cache) = self.fast.as_ref() else {
+            let mut w0 = FnSource(s0);
+            let mut w1 = FnSource(s1);
+            let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut w0, &mut w1];
+            return self.run_slice(&mut sources, cycles);
+        };
+        let state = &mut self.state;
+        self.lean_cycles += cycles;
+        Ok(cache.with_step(&mut self.chip, false, s0, s1, |step| {
+            state.run::<false, _>(step, cycles, None, None)
+        }))
     }
 }
 
@@ -538,8 +393,10 @@ impl crate::ChipSession {
 mod tests {
     use super::*;
     use crate::chip::ChipConfig;
-    use crate::resilient::CycleControl;
+    use crate::invariant::InvariantConfig;
+    use crate::resilient::{with_rollback, CycleControl};
     use crate::runner::{Capture, Captured};
+    use crate::session::ReferenceStep;
     use crate::window::WindowConfig;
     use crate::ChipSession;
     use vsmooth_pdn::{DecapConfig, LadderConfig};
@@ -564,34 +421,40 @@ mod tests {
         }
     }
 
-    /// The reference loop's one-shot measurement, as `Chip::run_inner`
-    /// runs it on chips the fused kernel does not cover: reference
-    /// warm-up, then `MeasureState::run` over every cycle.
+    /// The reference step's one-shot measurement, as `Chip::run_inner`
+    /// runs it on chips the fused step does not cover: reference
+    /// warm-up, then the measurement loop on the reference step over
+    /// every cycle, with the same observers armed.
     fn reference_run(
         mut chip: Chip,
         sources: &mut [&mut dyn StimulusSource],
         cycles: u64,
         interval_cycles: u64,
         capture: Capture,
+        trace: Option<(&mut Vec<f64>, u64)>,
+        hook: Option<&mut dyn FnMut(f64) -> CycleControl>,
     ) -> Captured {
         chip.warm_up(sources);
         let mut state = MeasureState::new(&chip, interval_cycles);
-        if let Capture::Crossings(margin) = capture {
-            state.enable_droop_capture(margin);
-        }
-        state.run(&mut chip, sources, cycles, None, None);
+        state.arm(&chip, capture);
+        let mut step = ReferenceStep {
+            chip: &mut chip,
+            sources,
+            warmup: false,
+        };
+        state.run::<true, _>(&mut step, cycles, trace, hook);
         Captured {
             crossings: state.take_droop_crossings(),
-            windows: Vec::new(),
+            windows: state.flush_droop_windows(&chip),
             stats: state.into_stats(&chip),
         }
     }
 
-    /// Measured cycles the `FULL` kernel ran on this thread during `f`.
-    fn full_cycles_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
-        let before = FULL_CYCLES.get();
+    /// Cycles the fused step ran on this thread during `f`.
+    fn fused_cycles_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
+        let before = FUSED_CYCLES.get();
         let out = f();
-        (FULL_CYCLES.get() - before, out)
+        (FUSED_CYCLES.get() - before, out)
     }
 
     /// The campaign's three run shapes over fresh sources: a single
@@ -626,9 +489,16 @@ mod tests {
         }
     }
 
+    fn dyn_sources(boxes: &mut [Box<dyn StimulusSource>]) -> Vec<&mut dyn StimulusSource> {
+        boxes
+            .iter_mut()
+            .map(|b| -> &mut dyn StimulusSource { &mut **b })
+            .collect()
+    }
+
     /// Measures one run shape through `Chip::run_captured` and through
-    /// the reference loop, `tail` cycles past its last whole interval,
-    /// and asserts the two agree with every whole interval run fused.
+    /// the reference step, `tail` cycles past its last whole interval,
+    /// and asserts the two agree with every cycle run fused.
     fn assert_fused_matches_reference(
         cfg: &ChipConfig,
         cpi: u64,
@@ -638,53 +508,128 @@ mod tests {
     ) {
         let run = |fused: bool| {
             let (mut boxes, cycles) = shape(kind, cpi);
-            let mut sources: Vec<&mut dyn StimulusSource> = boxes
-                .iter_mut()
-                .map(|b| -> &mut dyn StimulusSource { &mut **b })
-                .collect();
+            let mut sources = dyn_sources(&mut boxes);
             let mut chip = Chip::new(cfg.clone()).unwrap();
             if fused {
-                full_cycles_in(|| {
+                fused_cycles_in(|| {
                     let run = chip.run_captured(&mut sources, cycles + tail, cpi, capture);
                     run.unwrap()
                 })
             } else {
-                let run = reference_run(chip, &mut sources, cycles + tail, cpi, capture);
-                (cycles, run)
+                let run =
+                    reference_run(chip, &mut sources, cycles + tail, cpi, capture, None, None);
+                (cfg.warmup_cycles + cycles + tail, run)
             }
         };
-        let (full, fused) = run(true);
-        let (whole, reference) = run(false);
+        let (fused_cycles, fused) = run(true);
+        let (all_cycles, reference) = run(false);
         let at = format!("cpi {cpi}, shape {kind}, {capture:?}, tail {tail}");
-        assert_eq!(full, whole, "{at}: not every whole interval ran fused");
+        assert_eq!(fused_cycles, all_cycles, "{at}: not every cycle ran fused");
         assert_eq!(fused, reference, "{at}");
-        if matches!(capture, Capture::Crossings(_)) {
+        if !matches!(capture, Capture::None) {
             assert!(!fused.crossings.is_empty(), "{at}: no droops to compare");
+        }
+        if matches!(capture, Capture::Windows(..)) {
+            assert_eq!(fused.windows.len(), fused.crossings.len(), "{at}");
         }
     }
 
     #[test]
-    fn one_shot_runs_equal_the_reference_loop() {
+    fn one_shot_runs_equal_the_reference_step() {
         // Interval lengths that do (4 000) and do not (3 000, 7 001,
         // 30 000) divide the 8 000-cycle warm-up, so streams change mix
         // in mid-interval; the looping pair restarts astar inside
         // `next()`.
+        let windows = Capture::Windows(
+            2.5,
+            WindowConfig {
+                pre_cycles: 40,
+                post_cycles: 70,
+                capture_currents: true,
+            },
+        );
         for decap in [DecapConfig::proc100(), DecapConfig::proc3()] {
             let cfg = ChipConfig::core2_duo(decap);
             for cpi in [3_000, 4_000, 7_001, 30_000] {
                 for kind in 0..3 {
-                    for capture in [Capture::None, Capture::Crossings(2.5)] {
+                    for capture in [Capture::None, Capture::Crossings(2.5), windows] {
                         assert_fused_matches_reference(&cfg, cpi, kind, capture, 0);
                     }
                 }
             }
         }
         // A partial final interval, which no campaign caller produces,
-        // runs on the reference loop and pushes no timeline entry.
+        // pushes no timeline entry; the countdown carries it fused.
         let cfg = ChipConfig::core2_duo(DecapConfig::proc100());
         for kind in 0..3 {
-            assert_fused_matches_reference(&cfg, 3_000, kind, Capture::Crossings(2.5), 1_234);
+            assert_fused_matches_reference(&cfg, 3_000, kind, windows, 1_234);
         }
+    }
+
+    #[test]
+    fn traced_runs_equal_the_reference_step() {
+        // The Fig. 11 probe: the raw sensed waveform of the first
+        // `limit` measured cycles, next to the run's statistics.
+        let (cycles, cpi, limit) = (12_000, 3_000, 5_000);
+        let w = by_name("482.sphinx3").unwrap();
+        let (mut s, mut idle) = (w.stream(0, cpi), IdleLoop::default());
+        let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut s, &mut idle];
+        let (fused_cycles, fused) = fused_cycles_in(|| {
+            chip()
+                .run_with_trace(&mut sources, cycles, cpi, limit)
+                .unwrap()
+        });
+        let (mut s, mut idle) = (w.stream(0, cpi), IdleLoop::default());
+        let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut s, &mut idle];
+        let mut trace = Vec::new();
+        let reference = reference_run(
+            chip(),
+            &mut sources,
+            cycles,
+            cpi,
+            Capture::None,
+            Some((&mut trace, limit)),
+            None,
+        );
+        assert_eq!(fused_cycles, 8_000 + cycles);
+        assert_eq!(fused.1.len() as u64, limit);
+        assert_eq!(fused.1, trace, "trace buffers diverged");
+        assert_eq!(fused.0, reference.stats);
+    }
+
+    #[test]
+    fn resilient_runs_equal_the_reference_step() {
+        // Proc3 at a 4.5 % margin with 200-cycle rollbacks: the
+        // detector fires, so recovery cycles idle both cores mid-run.
+        let cfg = ChipConfig::core2_duo(DecapConfig::proc3());
+        let (cycles, cpi, margin, cost) = (60_000, 20_000, 4.5, 200);
+        let w = by_name("482.sphinx3").unwrap();
+        let (mut s, mut idle) = (w.stream(0, 4_000), IdleLoop::default());
+        let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut s, &mut idle];
+        let mut c = Chip::new(cfg.clone()).unwrap();
+        let (fused_cycles, fused) = fused_cycles_in(|| {
+            c.run_resilient(&mut sources, cycles, cpi, margin, cost)
+                .unwrap()
+        });
+        let (mut s, mut idle) = (w.stream(0, 4_000), IdleLoop::default());
+        let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut s, &mut idle];
+        let c = Chip::new(cfg).unwrap();
+        let reference = with_rollback(c.nominal_voltage(), margin, cost, |hook| {
+            let run = reference_run(
+                c,
+                &mut sources,
+                cycles,
+                cpi,
+                Capture::None,
+                None,
+                Some(hook),
+            );
+            Ok(run.stats)
+        })
+        .unwrap();
+        assert_eq!(fused_cycles, 8_000 + cycles);
+        assert!(fused.emergencies > 0 && fused.recovery_cycles > 0);
+        assert_eq!(fused, reference);
     }
 
     #[test]
@@ -692,67 +637,100 @@ mod tests {
         fn idle_pair() -> [IdleLoop; 2] {
             [IdleLoop::new(0), IdleLoop::new(1)]
         }
-        let full_in = |capture: Capture| {
+        for decap in [
+            DecapConfig::proc100(),
+            DecapConfig::proc25(),
+            DecapConfig::proc3(),
+        ] {
+            let cfg = ChipConfig::core2_duo(decap);
+            let chip = || Chip::new(cfg.clone()).unwrap();
+            let all = cfg.warmup_cycles + 6_000;
+            // Every one-shot measurement warms up and measures on the
+            // fused step, whatever it observes…
+            let one_shot = |run: &dyn Fn(&mut Chip, &mut [&mut dyn StimulusSource])| {
+                let [mut a, mut b] = idle_pair();
+                let mut s: Vec<&mut dyn StimulusSource> = vec![&mut a, &mut b];
+                let mut c = chip();
+                fused_cycles_in(|| run(&mut c, &mut s)).0
+            };
+            assert_eq!(one_shot(&|c, s| drop(c.run(s, 6_000, 2_000))), all);
+            for capture in [
+                Capture::None,
+                Capture::Crossings(2.5),
+                Capture::Windows(2.5, WindowConfig::default()),
+            ] {
+                let fused = one_shot(&|c, s| drop(c.run_captured(s, 6_000, 2_000, capture)));
+                assert_eq!(fused, all, "{capture:?}");
+            }
+            assert_eq!(
+                one_shot(&|c, s| drop(c.run_with_trace(s, 6_000, 2_000, 100))),
+                all
+            );
+            assert_eq!(
+                one_shot(&|c, s| drop(c.run_resilient(s, 6_000, 2_000, 2.3, 100))),
+                all
+            );
+
+            // …and so does every session slice but `begin` and
+            // `run_slice`, which keep the reference step: armed,
+            // unaligned or plain, a `run_slice_fast` slice runs fused.
             let [mut a, mut b] = idle_pair();
-            let mut s: Vec<&mut dyn StimulusSource> = vec![&mut a, &mut b];
-            full_cycles_in(|| chip().run_captured(&mut s, 6_000, 2_000, capture).unwrap()).0
-        };
-        // Plain and crossing-capturing runs take the complete kernel…
-        assert_eq!(full_in(Capture::None), 6_000);
-        assert_eq!(full_in(Capture::Crossings(2.5)), 6_000);
-        let [mut a, mut b] = idle_pair();
-        let mut s: Vec<&mut dyn StimulusSource> = vec![&mut a, &mut b];
-        assert_eq!(full_cycles_in(|| chip().run(&mut s, 6_000, 2_000)).0, 6_000);
+            let (fused, mut session) = fused_cycles_in(|| {
+                let mut warm: Vec<&mut dyn StimulusSource> = vec![&mut a, &mut b];
+                ChipSession::begin(chip(), &mut warm, 2_000).unwrap()
+            });
+            assert_eq!(fused, 0);
+            session.enable_profiling(2.5, WindowConfig::default());
+            session.enable_invariants(InvariantConfig::default());
+            let (fused, _) = fused_cycles_in(|| {
+                let mut s: Vec<&mut dyn StimulusSource> = vec![&mut a, &mut b];
+                session.run_slice(&mut s, 2_000).unwrap()
+            });
+            assert_eq!(fused, 0);
+            let (fused, _) = fused_cycles_in(|| {
+                let s0 = || StimulusSource::next(&mut a);
+                session.run_slice_fast(s0, || StimulusSource::next(&mut b), 1_000)
+            });
+            assert_eq!(fused, 1_000);
+            let (fused, _) = fused_cycles_in(|| {
+                let (s0, s1) = (|| StimulusSource::next(&mut a), || IdleLoop::new(1).next());
+                ChipSession::begin_fast(chip(), s0, s1, 2_000).unwrap()
+            });
+            assert_eq!(fused, cfg.warmup_cycles);
+        }
 
-        // …windows, traces and hooks take the reference loop…
-        assert_eq!(full_in(Capture::Windows(2.5, WindowConfig::default())), 0);
-        let [mut a, mut b] = idle_pair();
-        let mut s: Vec<&mut dyn StimulusSource> = vec![&mut a, &mut b];
-        let traced = full_cycles_in(|| chip().run_with_trace(&mut s, 6_000, 2_000, 100));
-        assert_eq!(traced.0, 0);
-        let [mut a, mut b] = idle_pair();
-        let mut s: Vec<&mut dyn StimulusSource> = vec![&mut a, &mut b];
-        let hooked = full_cycles_in(|| {
-            chip().run_with_hook(&mut s, 6_000, 2_000, &mut |_| CycleControl::Normal)
-        });
-        assert_eq!(hooked.0, 0);
-
-        // …and so do chips the kernel is not specialized for: a
-        // three-stage PDN (6 states) and a single core.
+        // Chips the fused step is not specialized for run the reference
+        // step everywhere: a three-stage PDN (6 states) and a single
+        // core.
         let mut cfg = ChipConfig::core2_duo(DecapConfig::proc100());
         let stages = cfg.pdn.stages()[..3].to_vec();
         cfg.pdn = LadderConfig::new("three-stage", stages, cfg.pdn.nominal_voltage()).unwrap();
-        let mut three = Chip::new(cfg).unwrap();
+        let mut three = Chip::new(cfg.clone()).unwrap();
         assert!(!three.runs_fused());
         let [mut a, mut b] = idle_pair();
         let mut s: Vec<&mut dyn StimulusSource> = vec![&mut a, &mut b];
-        assert_eq!(full_cycles_in(|| three.run(&mut s, 6_000, 2_000)).0, 0);
+        let capture = Capture::Windows(2.5, WindowConfig::default());
+        assert_eq!(
+            fused_cycles_in(|| three.run_captured(&mut s, 6_000, 2_000, capture)).0,
+            0
+        );
+        let [mut a, mut b] = idle_pair();
+        let (fused, mut session) = fused_cycles_in(|| {
+            let (s0, s1) = (|| StimulusSource::next(&mut a), || IdleLoop::new(1).next());
+            ChipSession::begin_fast(Chip::new(cfg).unwrap(), s0, s1, 2_000).unwrap()
+        });
+        let (fused_slice, _) = fused_cycles_in(|| {
+            let s0 = || StimulusSource::next(&mut a);
+            session.run_slice_fast(s0, || StimulusSource::next(&mut b), 2_000)
+        });
+        assert_eq!((fused, fused_slice, session.lean_cycles), (0, 0, 0));
         let mut cfg = ChipConfig::core2_duo(DecapConfig::proc100());
         cfg.num_cores = 1;
         let mut single = Chip::new(cfg).unwrap();
         assert!(!single.runs_fused());
         let mut a = IdleLoop::new(0);
         let mut s: Vec<&mut dyn StimulusSource> = vec![&mut a];
-        assert_eq!(full_cycles_in(|| single.run(&mut s, 6_000, 2_000)).0, 0);
-
-        // Sessions never run the complete kernel: `run_slice` is the
-        // reference loop, `run_slice_fast` the lean kernel.
-        let [mut a, mut b] = idle_pair();
-        let mut warm: Vec<&mut dyn StimulusSource> = vec![&mut a, &mut b];
-        let mut session = ChipSession::begin(chip(), &mut warm, 2_000).unwrap();
-        let (full, _) = full_cycles_in(|| {
-            let mut s: Vec<&mut dyn StimulusSource> = vec![&mut a, &mut b];
-            session.run_slice(&mut s, 2_000).unwrap();
-            session
-                .run_slice_fast(
-                    || StimulusSource::next(&mut a),
-                    || StimulusSource::next(&mut b),
-                    2_000,
-                )
-                .unwrap();
-        });
-        assert_eq!(full, 0);
-        assert_eq!(session.lean_cycles, 2_000);
+        assert_eq!(fused_cycles_in(|| single.run(&mut s, 6_000, 2_000)).0, 0);
     }
 
     #[test]
@@ -861,79 +839,108 @@ mod tests {
         assert_chip_state_eq(reference.chip(), fast.chip());
     }
 
+    /// Everything a session's slices observed, drained after each slice
+    /// (windows flushed at the end).
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        stats: Vec<SliceStats>,
+        crossings: Vec<crate::DroopCrossing>,
+        windows: Vec<crate::DroopWindow>,
+        /// The invariant report's `Debug` rendering (`None` unarmed).
+        invariants: String,
+    }
+
+    /// Drives the same seeded workload/idle pair through `slices`
+    /// slices of `slice` cycles on a reference session (`begin` +
+    /// `run_slice`) or a fast one (`begin_fast` + `run_slice_fast`,
+    /// hoisting the stream's mix the way the serving shard does), with
+    /// crossing capture at 2.5 % if `capture`, and waveform windows and
+    /// the invariant checker if `armed`.
+    fn observed_session(
+        fast: bool,
+        (capture, armed): (bool, bool),
+        slice: u64,
+        slices: u64,
+    ) -> (ChipSession, Observed) {
+        let w = by_name("482.sphinx3").unwrap();
+        let interval = 2_000;
+        let mut s = w.stream(7, interval);
+        s.set_looping(true);
+        let mut idle = IdleLoop::new(3);
+        let (mut i0, mut i1) = (IdleLoop::new(0), IdleLoop::new(1));
+        let mut session = if fast {
+            let (w0, w1) = (|| i0.next(), || i1.next());
+            ChipSession::begin_fast(chip(), w0, w1, interval).unwrap()
+        } else {
+            let mut warm: Vec<&mut dyn StimulusSource> = vec![&mut i0, &mut i1];
+            ChipSession::begin(chip(), &mut warm, interval).unwrap()
+        };
+        if capture {
+            session.capture_droops(2.5);
+        }
+        if armed {
+            let window = WindowConfig {
+                pre_cycles: 48,
+                post_cycles: 80,
+                capture_currents: true,
+            };
+            session.enable_profiling(2.5, window);
+            session.enable_invariants(InvariantConfig::default());
+        }
+        let mut seen = Observed {
+            stats: Vec::new(),
+            crossings: Vec::new(),
+            windows: Vec::new(),
+            invariants: String::new(),
+        };
+        for _ in 0..slices {
+            let stats = if fast {
+                let mix = s.current_prepared();
+                let s0 = || s.step_prepared(&mix);
+                session.run_slice_fast(s0, || StimulusSource::next(&mut idle), slice)
+            } else {
+                let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut s, &mut idle];
+                session.run_slice(&mut sources, slice)
+            };
+            seen.stats.push(stats.unwrap());
+            seen.crossings.extend(session.take_droop_crossings());
+            seen.windows.extend(session.take_droop_windows());
+        }
+        seen.windows.extend(session.flush_droop_windows());
+        seen.invariants = format!("{:?}", session.invariant_report());
+        (session, seen)
+    }
+
     /// Drives the same seeded workload/idle pair through the reference
-    /// slice loop and the fused kernel and asserts every observable is
+    /// slice loop and the fused step and asserts every observable is
     /// bit-identical: slice stats, droop crossings, and the full chip
     /// electrical state (checked by running a further *reference* slice
     /// on both sessions and comparing again).
     #[test]
     fn fast_slices_match_reference_slices_bits() {
-        let w = by_name("482.sphinx3").unwrap();
-        let slice = 2_000u64;
-        let slices = 12;
-
-        let run_reference = |capture: bool| {
-            let mut s = w.stream(7, slice);
-            s.set_looping(true);
-            let mut idle = IdleLoop::new(3);
-            let mut i0 = IdleLoop::new(0);
-            let mut i1 = IdleLoop::new(1);
-            let mut warm: Vec<&mut dyn StimulusSource> = vec![&mut i0, &mut i1];
-            let mut session = ChipSession::begin(chip(), &mut warm, slice).unwrap();
-            if capture {
-                session.capture_droops(2.5);
-            }
-            let mut stats = Vec::new();
-            let mut crossings = Vec::new();
-            for _ in 0..slices {
-                let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut s, &mut idle];
-                stats.push(session.run_slice(&mut sources, slice).unwrap());
-                crossings.extend(session.take_droop_crossings());
-            }
-            (session, stats, crossings)
-        };
-        let run_fast = |capture: bool| {
-            let mut s = w.stream(7, slice);
-            s.set_looping(true);
-            let mut idle = IdleLoop::new(3);
-            let mut i0 = IdleLoop::new(0);
-            let mut i1 = IdleLoop::new(1);
-            let mut session = ChipSession::begin_fast(
-                chip(),
-                || StimulusSource::next(&mut i0),
-                || StimulusSource::next(&mut i1),
-                slice,
-            )
-            .unwrap();
-            if capture {
-                session.capture_droops(2.5);
-            }
-            let mut stats = Vec::new();
-            let mut crossings = Vec::new();
-            for _ in 0..slices {
-                // Hoist the mix exactly the way the serving shard does.
-                let mix = s.current_prepared();
-                stats.push(
-                    session
-                        .run_slice_fast(
-                            || s.step_prepared(&mix),
-                            || StimulusSource::next(&mut idle),
-                            slice,
-                        )
-                        .unwrap(),
-                );
-                crossings.extend(session.take_droop_crossings());
-            }
-            (session, stats, crossings)
-        };
-
-        for capture in [false, true] {
-            let (mut ref_session, ref_stats, ref_crossings) = run_reference(capture);
-            let (mut fast_session, fast_stats, fast_crossings) = run_fast(capture);
-            assert_eq!(ref_stats, fast_stats, "slice stats diverged");
-            assert_eq!(ref_crossings, fast_crossings, "crossings diverged");
-            if capture {
-                assert!(!ref_crossings.is_empty(), "scenario needs droops");
+        // Whole intervals unobserved, then with crossings, windows and
+        // invariants armed, then half intervals with crossings, which
+        // start and end mid-interval.
+        for (observers, slice, slices) in [
+            ((false, false), 2_000, 12),
+            ((true, true), 2_000, 12),
+            ((true, false), 1_000, 23),
+        ] {
+            let (mut ref_session, reference) = observed_session(false, observers, slice, slices);
+            let (mut fast_session, fast) = observed_session(true, observers, slice, slices);
+            let (capture, armed) = observers;
+            let at = format!("capture {capture}, armed {armed}, slice {slice}");
+            assert_eq!(reference, fast, "{at}: observations diverged");
+            assert_eq!(
+                reference.crossings.is_empty(),
+                !capture,
+                "{at}: scenario needs droops"
+            );
+            assert_eq!(fast_session.lean_cycles, slice * slices, "{at}");
+            if armed {
+                assert_eq!(reference.windows.len(), reference.crossings.len(), "{at}");
+                let report = fast_session.invariant_report().expect("armed");
+                assert!(report.is_clean() && report.cycles_checked == slice * slices);
             }
             assert_eq!(
                 ref_session.measured_cycles(),
@@ -950,12 +957,15 @@ mod tests {
             let mut sb: Vec<&mut dyn StimulusSource> = vec![&mut b0, &mut b1];
             let tail_ref = ref_session.run_slice(&mut sa, slice).unwrap();
             let tail_fast = fast_session.run_slice(&mut sb, slice).unwrap();
-            assert_eq!(tail_ref, tail_fast, "post-slice reference runs diverged");
+            assert_eq!(
+                tail_ref, tail_fast,
+                "{at}: post-slice reference runs diverged"
+            );
         }
     }
 
     #[test]
-    fn unaligned_or_windowed_slices_fall_back_to_reference() {
+    fn unaligned_and_windowed_slices_run_lean() {
         let mut i0 = IdleLoop::new(0);
         let mut i1 = IdleLoop::new(1);
         let mut session = ChipSession::begin_fast(
@@ -965,8 +975,7 @@ mod tests {
             2_000,
         )
         .unwrap();
-        // A half-interval slice cannot use the fused kernel…
-        assert!(!fast_slice_supported(&session.state, 1_000));
+        // A half-interval slice runs on the lean fused step…
         let mut a = IdleLoop::new(2);
         let mut b = IdleLoop::new(3);
         let s = session
@@ -977,21 +986,36 @@ mod tests {
             )
             .unwrap();
         assert_eq!(s.cycles, 1_000);
-        // …and the session is now unaligned, so full-interval slices
-        // fall back too until the boundary is restored. Fallback slices
-        // run the reference loop, so the statistics stay complete.
-        assert!(!fast_slice_supported(&session.state, 2_000));
-        assert_eq!(session.lean_cycles, 0);
-        assert!(session.stats().is_ok());
-        // Windows force the reference loop outright.
+        assert_eq!(session.lean_cycles, 1_000);
+        // …and so does a whole interval from the unaligned position, so
+        // the statistics are incomplete.
+        session
+            .run_slice_fast(
+                || StimulusSource::next(&mut a),
+                || StimulusSource::next(&mut b),
+                2_000,
+            )
+            .unwrap();
+        assert_eq!(session.lean_cycles, 3_000);
+        let lean = Err(ChipError::IncompleteStats { lean_cycles: 3_000 });
+        assert_eq!(session.stats(), lean);
+        // Windows ride the lean step too, on a session that warmed up on
+        // the reference step.
         let mut windowed = {
             let mut w0 = IdleLoop::new(4);
             let mut w1 = IdleLoop::new(5);
             let mut warm: Vec<&mut dyn StimulusSource> = vec![&mut w0, &mut w1];
             ChipSession::begin(chip(), &mut warm, 2_000).unwrap()
         };
-        windowed.enable_profiling(2.5, crate::window::WindowConfig::default());
-        assert!(!fast_slice_supported(&windowed.state, 2_000));
+        windowed.enable_profiling(2.5, WindowConfig::default());
+        windowed
+            .run_slice_fast(
+                || StimulusSource::next(&mut a),
+                || StimulusSource::next(&mut b),
+                2_000,
+            )
+            .unwrap();
+        assert_eq!(windowed.lean_cycles, 2_000);
     }
 
     fn assert_chip_state_eq(a: &Chip, b: &Chip) {
@@ -1003,10 +1027,10 @@ mod tests {
             assert_eq!(xa.to_bits(), xb.to_bits(), "PDN state diverged");
         }
         assert_eq!(a.core_counters(), b.core_counters(), "counters diverged");
-        for core in 0..2 {
+        for (core, (ca, cb)) in a.cores.iter().zip(&b.cores).enumerate() {
             assert_eq!(
-                a.core_current(core).to_bits(),
-                b.core_current(core).to_bits(),
+                ca.current().to_bits(),
+                cb.current().to_bits(),
                 "core {core} current diverged"
             );
         }

@@ -30,10 +30,9 @@
 //!    deltas equals the chip's cumulative counters since arming (the
 //!    slice telemetry is a lossless partition of the totals).
 
-use crate::chip::Chip;
 use crate::sense::CrossingGrid;
 use crate::stats::PHASE_MARGIN_PCT;
-use vsmooth_uarch::{PerfCounters, StallEvent};
+use vsmooth_uarch::{Core, PerfCounters, StallEvent};
 
 /// Configuration for the invariant checker.
 #[derive(Debug, Clone)]
@@ -155,9 +154,9 @@ pub(crate) struct InvariantState {
 }
 
 impl InvariantState {
-    pub(crate) fn new(chip: &Chip, grid: &CrossingGrid, cfg: InvariantConfig) -> Self {
+    pub(crate) fn new(cores: &[Core], grid: &CrossingGrid, cfg: InvariantConfig) -> Self {
         let margin_pct = grid.quantized_margin(cfg.margin_pct);
-        let counters_base = chip.core_counters();
+        let counters_base: Vec<PerfCounters> = cores.iter().map(|c| *c.counters()).collect();
         Self {
             margin_pct,
             below: false,
@@ -188,7 +187,7 @@ impl InvariantState {
 
     /// Per-cycle checks: voltage physics, current sign, clock
     /// monotonicity, and the shadow droop counter.
-    pub(crate) fn on_cycle(&mut self, chip: &Chip, cycle: u64, v: f64, dev_pct: f64) {
+    pub(crate) fn on_cycle(&mut self, cores: &[Core], cycle: u64, v: f64, dev_pct: f64) {
         self.cycles_checked += 1;
         if !v.is_finite() {
             self.record(
@@ -206,8 +205,8 @@ impl InvariantState {
                 ),
             );
         }
-        for core in 0..chip.core_count() {
-            let i = chip.core_current(core);
+        for (core, c) in cores.iter().enumerate() {
+            let i = c.current();
             if !i.is_finite() || i < 0.0 {
                 self.record(
                     cycle,
@@ -244,7 +243,7 @@ impl InvariantState {
     /// the shadow-vs-grid droop-count cross-check.
     pub(crate) fn on_slice(
         &mut self,
-        chip: &Chip,
+        cores: &[Core],
         slice_cycles: u64,
         core_deltas: &[PerfCounters],
         grid: &CrossingGrid,
@@ -299,16 +298,15 @@ impl InvariantState {
         for (m, d) in self.merged_deltas.iter_mut().zip(core_deltas) {
             m.merge(d);
         }
-        let now = chip.core_counters();
         let mut mismatches = Vec::new();
         for (core, ((merged, base), current)) in self
             .merged_deltas
             .iter()
             .zip(&self.counters_base)
-            .zip(&now)
+            .zip(cores)
             .enumerate()
         {
-            let since_arm = current.delta_since(base);
+            let since_arm = current.counters().delta_since(base);
             // Integer fields must telescope exactly; instructions are
             // an f64 accumulator, so summing slice deltas may differ
             // from the cumulative difference by rounding — allow a

@@ -11,6 +11,7 @@
 //! methodology inside this reproduction.
 
 use crate::chip::Chip;
+use crate::runner::Capture;
 use crate::stats::RunStats;
 use crate::ChipError;
 use serde::{Deserialize, Serialize};
@@ -73,53 +74,76 @@ impl Chip {
         margin_pct: f64,
         recovery_cost: u64,
     ) -> Result<ResilientRunStats, ChipError> {
-        if margin_pct <= 0.0 || !margin_pct.is_finite() {
-            return Err(ChipError::InvalidConfig("margin must be positive"));
-        }
-        let threshold = self.nominal_voltage() * (1.0 - margin_pct / 100.0);
-        let mut emergencies = 0u64;
-        let mut recovery_cycles = 0u64;
-        let mut recovering: u64 = 0;
-        // After a rollback the clocks ramp back up and the current surge
-        // of re-execution would immediately re-trip a naive detector
-        // (a recovery storm). Real resilient designs mask the detector
-        // through the post-recovery ramp; so does this one.
-        const POST_RECOVERY_GRACE: u64 = 200;
-        let mut grace: u64 = 0;
-        let mut below = false;
-        let stats = self.run_with_hook(sources, cycles, interval_cycles, &mut |v| {
-            if recovering > 0 {
-                recovering -= 1;
-                recovery_cycles += 1;
-                if recovering == 0 {
-                    grace = POST_RECOVERY_GRACE;
-                }
-                return CycleControl::Recovery;
-            }
-            if grace > 0 {
-                grace -= 1;
-                below = v < threshold;
-                return CycleControl::Normal;
-            }
-            if v < threshold {
-                if !below {
-                    below = true;
-                    emergencies += 1;
-                    recovering = recovery_cost;
-                }
-            } else {
-                below = false;
-            }
-            CycleControl::Normal
-        })?;
-        Ok(ResilientRunStats {
-            stats,
-            margin_pct,
-            recovery_cost,
-            emergencies,
-            recovery_cycles,
+        with_rollback(self.nominal_voltage(), margin_pct, recovery_cost, |hook| {
+            let run = self.run_inner(
+                sources,
+                cycles,
+                interval_cycles,
+                Capture::None,
+                None,
+                Some(hook),
+            )?;
+            Ok(run.stats)
         })
     }
+}
+
+/// [`Chip::run_resilient`]'s detector and rollback around a
+/// measurement: `measure` runs the measurement loop with the hook it is
+/// handed consulted before every cycle, with the previously sensed
+/// voltage.
+pub(crate) fn with_rollback(
+    nominal: f64,
+    margin_pct: f64,
+    recovery_cost: u64,
+    measure: impl FnOnce(&mut dyn FnMut(f64) -> CycleControl) -> Result<RunStats, ChipError>,
+) -> Result<ResilientRunStats, ChipError> {
+    if margin_pct <= 0.0 || !margin_pct.is_finite() {
+        return Err(ChipError::InvalidConfig("margin must be positive"));
+    }
+    let threshold = nominal * (1.0 - margin_pct / 100.0);
+    let mut emergencies = 0u64;
+    let mut recovery_cycles = 0u64;
+    let mut recovering: u64 = 0;
+    // After a rollback the clocks ramp back up and the current surge
+    // of re-execution would immediately re-trip a naive detector
+    // (a recovery storm). Real resilient designs mask the detector
+    // through the post-recovery ramp; so does this one.
+    const POST_RECOVERY_GRACE: u64 = 200;
+    let mut grace: u64 = 0;
+    let mut below = false;
+    let stats = measure(&mut |v| {
+        if recovering > 0 {
+            recovering -= 1;
+            recovery_cycles += 1;
+            if recovering == 0 {
+                grace = POST_RECOVERY_GRACE;
+            }
+            return CycleControl::Recovery;
+        }
+        if grace > 0 {
+            grace -= 1;
+            below = v < threshold;
+            return CycleControl::Normal;
+        }
+        if v < threshold {
+            if !below {
+                below = true;
+                emergencies += 1;
+                recovering = recovery_cost;
+            }
+        } else {
+            below = false;
+        }
+        CycleControl::Normal
+    })?;
+    Ok(ResilientRunStats {
+        stats,
+        margin_pct,
+        recovery_cost,
+        emergencies,
+        recovery_cycles,
+    })
 }
 
 /// Per-cycle control decision from the resilience hook.

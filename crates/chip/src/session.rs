@@ -11,15 +11,62 @@
 //! timeline) and exposes [`ChipSession::run_slice`]; the final
 //! [`RunStats`] is identical in structure to what a one-shot run
 //! produces over the same cycles.
+//!
+//! This module also holds the crate's one measurement loop
+//! (`MeasureState::run`) and one warm-up loop, generic over the physics
+//! step: the reference step ([`Chip::step_cycle`], the oracle) or the
+//! fused step (`crate::fastpath`), which computes the same bits. Every
+//! observer rides the one loop, so each sees the same cycles on either.
 
 use crate::chip::Chip;
 use crate::invariant::{InvariantConfig, InvariantReport, InvariantState, InvariantViolation};
 use crate::resilient::CycleControl;
+use crate::runner::Capture;
 use crate::sense::{CrossingGrid, VoltageSensor};
 use crate::stats::{RunStats, PHASE_MARGIN_PCT};
 use crate::window::{DroopWindow, WindowCapture, WindowConfig};
 use crate::ChipError;
-use vsmooth_uarch::{PerfCounters, StimulusSource};
+use vsmooth_uarch::{Core, PerfCounters, StimulusSource};
+
+/// One cycle of chip physics: stimulus, core ticks, regulator trim, PDN
+/// step and ripple. The measurement and warm-up loops drive every chip
+/// through this.
+pub(crate) trait PhysicsStep {
+    /// Advances one cycle and returns the sensed die voltage. Under
+    /// `recovery` the program pauses: no source is advanced and every
+    /// core idle-gates.
+    fn step(&mut self, recovery: bool) -> f64;
+
+    /// The chip's cores as of the latest step.
+    fn cores(&self) -> &[Core];
+}
+
+/// The reference step, [`Chip::step_cycle`] over `dyn` sources: the
+/// oracle the fused step is held to.
+pub(crate) struct ReferenceStep<'c, 's, 'a> {
+    pub(crate) chip: &'c mut Chip,
+    pub(crate) sources: &'s mut [&'a mut dyn StimulusSource],
+    /// Whether the regulator runs its accelerated warm-up loop.
+    pub(crate) warmup: bool,
+}
+
+impl PhysicsStep for ReferenceStep<'_, '_, '_> {
+    fn step(&mut self, recovery: bool) -> f64 {
+        self.chip.step_cycle(self.sources, self.warmup, recovery)
+    }
+
+    fn cores(&self) -> &[Core] {
+        &self.chip.cores
+    }
+}
+
+/// Runs `cycles` warm-up cycles on `step`, which the caller built in
+/// warm-up mode; the sensed voltages are discarded.
+pub(crate) fn warm_up(step: &mut impl PhysicsStep, cycles: u64) {
+    for _ in 0..cycles {
+        step.step(false);
+    }
+}
 
 /// One margin-crossing droop event captured during a measurement.
 ///
@@ -40,29 +87,53 @@ pub struct DroopCrossing {
 
 /// Active droop-event capture: margin, hysteresis state, event log.
 #[derive(Debug, Clone)]
-pub(crate) struct DroopCapture {
-    pub(crate) margin_pct: f64,
-    pub(crate) below: bool,
-    pub(crate) events: Vec<DroopCrossing>,
+struct DroopCapture {
+    margin_pct: f64,
+    below: bool,
+    events: Vec<DroopCrossing>,
+}
+
+impl DroopCapture {
+    /// Feeds one measured cycle's deviation; returns whether a new
+    /// crossing starts on it.
+    #[inline]
+    fn observe(&mut self, cycle: u64, dev: f64) -> bool {
+        let depth = -dev;
+        if depth >= self.margin_pct {
+            if self.below {
+                // Still inside the same event: track its floor.
+                if let Some(last) = self.events.last_mut() {
+                    last.depth_pct = last.depth_pct.max(depth);
+                }
+            } else {
+                self.below = true;
+                self.events.push(DroopCrossing {
+                    cycle,
+                    depth_pct: depth,
+                });
+                return true;
+            }
+        } else {
+            self.below = false;
+        }
+        false
+    }
 }
 
 /// Accumulated measurement state shared by one-shot runs and sessions.
-///
-/// Fields are crate-visible so the fused fast-slice kernel
-/// (`crate::fastpath`) can advance the measurement without indirection.
 #[derive(Debug, Clone)]
 pub(crate) struct MeasureState {
-    pub(crate) sensor: VoltageSensor,
-    pub(crate) droops: CrossingGrid,
-    pub(crate) overshoots: CrossingGrid,
-    pub(crate) droops_per_interval: Vec<f64>,
-    pub(crate) interval_cycles: u64,
-    pub(crate) interval_start_events: u64,
-    pub(crate) measured_cycles: u64,
-    pub(crate) last_sensed: f64,
-    pub(crate) capture: Option<DroopCapture>,
-    pub(crate) window: Option<WindowCapture>,
-    pub(crate) invariants: Option<InvariantState>,
+    sensor: VoltageSensor,
+    droops: CrossingGrid,
+    overshoots: CrossingGrid,
+    droops_per_interval: Vec<f64>,
+    interval_cycles: u64,
+    interval_start_events: u64,
+    measured_cycles: u64,
+    last_sensed: f64,
+    capture: Option<DroopCapture>,
+    window: Option<WindowCapture>,
+    invariants: Option<InvariantState>,
 }
 
 impl MeasureState {
@@ -89,7 +160,7 @@ impl MeasureState {
     /// [`InvariantConfig`]. Re-arming resets the checker's baselines
     /// and drops unread violations.
     pub(crate) fn enable_invariants(&mut self, chip: &Chip, cfg: InvariantConfig) {
-        self.invariants = Some(InvariantState::new(chip, &self.droops, cfg));
+        self.invariants = Some(InvariantState::new(&chip.cores, &self.droops, cfg));
     }
 
     /// Snapshot of the checker's findings (`None` when disarmed).
@@ -134,7 +205,16 @@ impl MeasureState {
         cfg: WindowConfig,
     ) {
         self.enable_droop_capture(margin_pct);
-        self.window = Some(WindowCapture::new(chip, cfg));
+        self.window = Some(WindowCapture::new(&chip.cores, cfg));
+    }
+
+    /// Arms what a one-shot measurement's `capture` asks for.
+    pub(crate) fn arm(&mut self, chip: &Chip, capture: Capture) {
+        match capture {
+            Capture::None => {}
+            Capture::Crossings(margin) => self.enable_droop_capture(margin),
+            Capture::Windows(margin, window) => self.enable_window_capture(chip, margin, window),
+        }
     }
 
     /// Drains the windows whose post-trigger tail is complete.
@@ -150,93 +230,125 @@ impl MeasureState {
     pub(crate) fn flush_droop_windows(&mut self, chip: &Chip) -> Vec<DroopWindow> {
         match self.window.as_mut() {
             Some(w) => {
-                w.flush(chip);
+                w.flush(&chip.cores);
                 w.take_windows()
             }
             None => Vec::new(),
         }
     }
 
-    /// Advances the chip `cycles` measured cycles, updating sensor,
-    /// grids and the interval timeline. Returns the per-slice summary.
-    pub(crate) fn run(
+    /// The measurement loop: advances `step` by `cycles` measured cycles,
+    /// feeding per cycle the rollback `hook` (with the previous sensed
+    /// voltage), the step, the sensor, both grids, crossing and window
+    /// capture, the invariant checker and the raw `trace` (its first
+    /// `limit` cycles), and the interval timeline at every interval
+    /// boundary, wherever in an interval the slice starts and ends.
+    /// Lean (`!FULL`) skips the sensor and the overshoot grid, computing
+    /// the deviation as the sensor does. Returns the per-slice summary.
+    // Inlined into each caller, so a fused step's state can stay in
+    // registers across the loop instead of behind `step`.
+    #[inline(always)]
+    pub(crate) fn run<const FULL: bool, P: PhysicsStep>(
         &mut self,
-        chip: &mut Chip,
-        sources: &mut [&mut dyn StimulusSource],
+        step: &mut P,
         cycles: u64,
         mut trace: Option<(&mut Vec<f64>, u64)>,
         mut hook: Option<&mut dyn FnMut(f64) -> CycleControl>,
     ) -> SliceStats {
-        let droops_before = self.droops.events_at(PHASE_MARGIN_PCT);
-        let counters_before = chip.core_counters();
+        let Self {
+            sensor,
+            droops,
+            overshoots,
+            droops_per_interval,
+            interval_cycles,
+            interval_start_events,
+            measured_cycles,
+            last_sensed,
+            capture,
+            window,
+            invariants,
+        } = self;
+        let interval = *interval_cycles;
+        let droops_before = droops.events_at(PHASE_MARGIN_PCT);
+        let counters_before: Vec<PerfCounters> =
+            step.cores().iter().map(|c| *c.counters()).collect();
+        let nominal = sensor.nominal();
+        let first = *measured_cycles;
+        let mut mc = first;
+        let mut sensed = *last_sensed;
+        let mut capture = capture.as_mut();
+        // Windows, invariants and traces are rarely armed: one branch
+        // per cycle covers all three.
+        let observed = window.is_some() || invariants.is_some() || trace.is_some();
+        let mut to_boundary = interval - mc % interval;
         let mut min_dev = 0.0f64;
         let mut sum_dev = 0.0f64;
-        for c in 0..cycles {
-            let recovery = match hook.as_mut() {
-                Some(h) => h(self.last_sensed) == CycleControl::Recovery,
-                None => false,
-            };
-            let v = chip.step_cycle(sources, false, recovery);
-            self.last_sensed = v;
-            let dev = self.sensor.record(v);
-            min_dev = min_dev.min(dev);
-            sum_dev += dev;
-            self.droops.observe(dev);
-            self.overshoots.observe(dev);
-            let mut crossing_started = false;
-            if let Some(cap) = self.capture.as_mut() {
-                let depth = -dev;
-                if depth >= cap.margin_pct {
-                    if cap.below {
-                        // Still inside the same event: track its floor.
-                        if let Some(last) = cap.events.last_mut() {
-                            last.depth_pct = last.depth_pct.max(depth);
-                        }
-                    } else {
-                        cap.below = true;
-                        cap.events.push(DroopCrossing {
-                            cycle: self.measured_cycles,
-                            depth_pct: depth,
-                        });
-                        crossing_started = true;
-                    }
+        let mut left = cycles;
+        while left > 0 {
+            // Run up to the next interval boundary, then extend the
+            // timeline once.
+            let run = left.min(to_boundary);
+            for _ in 0..run {
+                let recovery = match hook.as_mut() {
+                    Some(h) => h(sensed) == CycleControl::Recovery,
+                    None => false,
+                };
+                let v = step.step(recovery);
+                sensed = v;
+                let dev = if FULL {
+                    sensor.record(v)
                 } else {
-                    cap.below = false;
+                    100.0 * (v - nominal) / nominal
+                };
+                min_dev = min_dev.min(dev);
+                sum_dev += dev;
+                droops.observe(dev);
+                if FULL {
+                    overshoots.observe(dev);
                 }
-            }
-            if let Some(win) = self.window.as_mut() {
-                win.on_cycle(chip, self.measured_cycles, dev, crossing_started);
-            }
-            if let Some(inv) = self.invariants.as_mut() {
-                inv.on_cycle(chip, self.measured_cycles, v, dev);
-            }
-            if let Some((buf, limit)) = trace.as_mut() {
-                if c < *limit {
-                    buf.push(v);
+                let crossing_started = match capture.as_deref_mut() {
+                    Some(cap) => cap.observe(mc, dev),
+                    None => false,
+                };
+                if observed {
+                    if let Some(win) = window.as_mut() {
+                        win.on_cycle(step.cores(), mc, dev, crossing_started);
+                    }
+                    if let Some(inv) = invariants.as_mut() {
+                        inv.on_cycle(step.cores(), mc, v, dev);
+                    }
+                    if let Some((buf, limit)) = trace.as_mut() {
+                        if mc - first < *limit {
+                            buf.push(v);
+                        }
+                    }
                 }
+                mc += 1;
             }
-            self.measured_cycles += 1;
-            if self.measured_cycles.is_multiple_of(self.interval_cycles) {
-                let now = self.droops.events_at(PHASE_MARGIN_PCT);
-                self.droops_per_interval.push(
-                    (now - self.interval_start_events) as f64 * 1000.0
-                        / self.interval_cycles as f64,
-                );
-                self.interval_start_events = now;
+            left -= run;
+            to_boundary -= run;
+            if to_boundary == 0 {
+                let now = droops.events_at(PHASE_MARGIN_PCT);
+                droops_per_interval
+                    .push((now - *interval_start_events) as f64 * 1000.0 / interval as f64);
+                *interval_start_events = now;
+                to_boundary = interval;
             }
         }
-        let core_deltas: Vec<PerfCounters> = chip
-            .core_counters()
+        *measured_cycles = mc;
+        *last_sensed = sensed;
+        let core_deltas: Vec<PerfCounters> = step
+            .cores()
             .iter()
             .zip(&counters_before)
-            .map(|(now, then)| now.delta_since(then))
+            .map(|(core, then)| core.counters().delta_since(then))
             .collect();
-        if let Some(inv) = self.invariants.as_mut() {
-            inv.on_slice(chip, cycles, &core_deltas, &self.droops);
+        if let Some(inv) = invariants.as_mut() {
+            inv.on_slice(step.cores(), cycles, &core_deltas, droops);
         }
         SliceStats {
             cycles,
-            droops: self.droops.events_at(PHASE_MARGIN_PCT) - droops_before,
+            droops: droops.events_at(PHASE_MARGIN_PCT) - droops_before,
             max_droop_pct: -min_dev,
             mean_dev_pct: if cycles == 0 {
                 0.0
@@ -322,11 +434,11 @@ impl SliceStats {
 pub struct ChipSession {
     pub(crate) chip: Chip,
     pub(crate) state: MeasureState,
-    /// Precomputed coefficients for the fused fast-slice kernel
-    /// (`crate::fastpath`), built on first use and reused for the
-    /// session's lifetime (the PDN matrices and ripple are immutable).
+    /// Precomputed coefficients for the fused step (`crate::fastpath`),
+    /// built on first use and reused for the session's lifetime (the
+    /// PDN matrices and ripple are immutable).
     pub(crate) fast: Option<crate::fastpath::FastCache>,
-    /// Measured cycles run on the lean fused kernel, which leaves the
+    /// Measured cycles run on the lean fused step, which leaves the
     /// sensor and overshoot grid behind (see [`ChipSession::finish`]).
     pub(crate) lean_cycles: u64,
 }
@@ -335,6 +447,8 @@ impl ChipSession {
     /// Warms the chip up under `warmup_sources` (its configured warm-up
     /// cycle count), resets the performance counters and opens a
     /// measurement with interval boundaries every `interval_cycles`.
+    /// Runs on the reference step, the oracle;
+    /// [`begin_fast`](ChipSession::begin_fast) is the fused twin.
     ///
     /// # Errors
     ///
@@ -364,7 +478,10 @@ impl ChipSession {
     ///
     /// Sources may differ between slices (that is the point: the
     /// service re-pairs jobs at slice boundaries); only the count must
-    /// match the core count.
+    /// match the core count. A slice may be any length. It runs on the
+    /// reference step, the oracle, and keeps the statistics complete;
+    /// [`run_slice_fast`](ChipSession::run_slice_fast) runs the same
+    /// loop on the lean fused step.
     ///
     /// # Errors
     ///
@@ -375,7 +492,12 @@ impl ChipSession {
         cycles: u64,
     ) -> Result<SliceStats, ChipError> {
         self.chip.check_sources(sources.len())?;
-        Ok(self.state.run(&mut self.chip, sources, cycles, None, None))
+        let mut step = ReferenceStep {
+            chip: &mut self.chip,
+            sources,
+            warmup: false,
+        };
+        Ok(self.state.run::<true, _>(&mut step, cycles, None, None))
     }
 
     /// Starts logging individual [`DroopCrossing`] events at the given
@@ -542,6 +664,21 @@ mod tests {
         assert_eq!(one_shot.droops_per_interval, sliced.droops_per_interval);
         assert_eq!(one_shot.sensor, sliced.sensor);
         assert_eq!(one_shot.core_counters, sliced.core_counters);
+
+        // Slices that start and end mid-interval: the timeline's
+        // countdown carries across slice boundaries.
+        let unaligned = {
+            let mut s = w.stream(0, 10_000);
+            let mut idle = IdleLoop::default();
+            let mut warm: Vec<&mut dyn StimulusSource> = vec![&mut s, &mut idle];
+            let mut session = ChipSession::begin(chip(), &mut warm, 10_000).unwrap();
+            for cycles in [3_500, 7_000, 12_345, 17_155] {
+                let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut s, &mut idle];
+                session.run_slice(&mut sources, cycles).unwrap();
+            }
+            session.finish().unwrap()
+        };
+        assert_eq!(one_shot, unaligned);
     }
 
     #[test]

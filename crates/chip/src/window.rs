@@ -12,6 +12,10 @@
 //!
 //! The capture is purely observational — it never feeds back into the
 //! simulation — and costs one `Option` branch per cycle when disabled.
+//! It reads only the chip's cores, never the whole chip, so the one
+//! measurement loop feeds it on either physics step: a profiled run
+//! captures on the fused step wherever the chip qualifies, and the
+//! reference step yields the same windows bit for bit.
 //!
 //! # Hot-path budget
 //!
@@ -31,9 +35,8 @@
 //! fields are integer arithmetic; `committed` is the evicted snapshot's
 //! own value, not a re-summed float).
 
-use crate::chip::Chip;
 use std::collections::VecDeque;
-use vsmooth_uarch::{PerfCounters, StallEvent};
+use vsmooth_uarch::{Core, PerfCounters, StallEvent};
 
 /// Shape of the capture window around each droop trigger.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -209,7 +212,7 @@ pub(crate) struct WindowCapture {
     /// Per-core event counts after the latest recorded cycle. Only the
     /// event array is kept between cycles (events are rare, so the
     /// store is usually skipped); full counters are read straight off
-    /// the chip whenever a snapshot or seal needs them.
+    /// the cores whenever a snapshot or seal needs them.
     prev_events: Vec<[u64; 5]>,
     /// Samples recorded since arming.
     seen: u64,
@@ -224,12 +227,12 @@ pub(crate) struct WindowCapture {
 }
 
 impl WindowCapture {
-    pub(crate) fn new(chip: &Chip, cfg: WindowConfig) -> Self {
+    pub(crate) fn new(chip_cores: &[Core], cfg: WindowConfig) -> Self {
         let cfg = WindowConfig {
             pre_cycles: cfg.pre_cycles.max(1),
             ..cfg
         };
-        let cores = chip.core_count();
+        let cores = chip_cores.len();
         let cur_cores = if cfg.capture_currents { cores } else { 0 };
         let span = cfg.pre_cycles + cfg.post_cycles;
         Self {
@@ -244,11 +247,13 @@ impl WindowCapture {
                 .collect(),
             pos_span: span - 1,
             pos_pre: cfg.pre_cycles - 1,
-            base: (0..cores)
-                .map(|c| CounterSnap::of(chip.core_perf(c)))
+            base: chip_cores
+                .iter()
+                .map(|c| CounterSnap::of(c.counters()))
                 .collect(),
-            prev_events: (0..cores)
-                .map(|c| chip.core_perf(c).event_counts_raw())
+            prev_events: chip_cores
+                .iter()
+                .map(|c| c.counters().event_counts_raw())
                 .collect(),
             seen: 0,
             last_cycle: 0,
@@ -259,9 +264,10 @@ impl WindowCapture {
         }
     }
 
-    /// Records one measured cycle. `triggered` marks a new
-    /// [`DroopCrossing`](crate::DroopCrossing) starting on this cycle.
-    pub(crate) fn on_cycle(&mut self, chip: &Chip, cycle: u64, dev_pct: f64, triggered: bool) {
+    /// Records one measured cycle of the chip's `cores`. `triggered`
+    /// marks a new [`DroopCrossing`](crate::DroopCrossing) starting on
+    /// this cycle.
+    pub(crate) fn on_cycle(&mut self, cores: &[Core], cycle: u64, dev_pct: f64, triggered: bool) {
         // 1. Advance the shared history cursors, then snapshot every
         //    core and detect freshly fired events by diffing the
         //    free-running counters, exactly the way the window's
@@ -286,8 +292,8 @@ impl WindowCapture {
         //    from `pre` cycles ago) becomes the base "just before the
         //    oldest sample".
         let evict = self.seen >= pre as u64;
-        for core in 0..self.cores {
-            let now = chip.core_perf(core);
+        for (core, c) in cores.iter().enumerate() {
+            let now = c.counters();
             let now_events = now.event_counts_raw();
             let prev_events = self.prev_events[core];
             if now_events != prev_events {
@@ -305,7 +311,7 @@ impl WindowCapture {
             *slot = CounterSnap::of(now);
             // Empty when current capture is configured off.
             if let Some(buf) = self.cur_hist.get_mut(core) {
-                buf[ps] = chip.core_current(core);
+                buf[ps] = c.current();
             }
         }
         self.dev_hist[ps] = dev_pct;
@@ -330,7 +336,7 @@ impl WindowCapture {
             .is_some_and(|p| p.trigger_cycle + self.cfg.post_cycles as u64 == cycle)
         {
             let p = self.pending.pop_front().expect("front checked");
-            let w = self.seal(chip, &p, self.cfg.post_cycles, false);
+            let w = self.seal(cores, &p, self.cfg.post_cycles, false);
             self.done.push(w);
         }
 
@@ -354,7 +360,7 @@ impl WindowCapture {
                 pre_len,
                 base: (0..self.cores)
                     .map(|c| {
-                        let now = chip.core_perf(c);
+                        let now = cores[c].counters();
                         let b = &self.base[c];
                         let mut events = now.event_counts_raw();
                         for (count, inside) in events.iter_mut().zip(&in_window[c]) {
@@ -370,7 +376,7 @@ impl WindowCapture {
                     .collect(),
             };
             if self.cfg.post_cycles == 0 {
-                let w = self.seal(chip, &p, 0, false);
+                let w = self.seal(cores, &p, 0, false);
                 self.done.push(w);
             } else {
                 self.pending.push_back(p);
@@ -379,13 +385,13 @@ impl WindowCapture {
     }
 
     /// Materializes a pending window out of the shared history rings
-    /// against the chip's current counters (seals always happen on the
+    /// against the cores' current counters (seals always happen on the
     /// window's own last cycle, so "current" is exact). `post_elapsed`
     /// is the tail length actually recorded (`post_cycles` except under
     /// a flush).
     fn seal(
         &self,
-        chip: &Chip,
+        cores: &[Core],
         p: &PendingWindow,
         post_elapsed: usize,
         truncated: bool,
@@ -416,7 +422,7 @@ impl WindowCapture {
                 .base
                 .iter()
                 .enumerate()
-                .map(|(c, base)| chip.core_perf(c).delta_since(base))
+                .map(|(c, base)| cores[c].counters().delta_since(base))
                 .collect(),
             events: self
                 .events
@@ -428,10 +434,10 @@ impl WindowCapture {
     }
 
     /// Force-finalizes every in-flight window (truncated tails).
-    pub(crate) fn flush(&mut self, chip: &Chip) {
+    pub(crate) fn flush(&mut self, cores: &[Core]) {
         while let Some(p) = self.pending.pop_front() {
             let post_elapsed = (self.last_cycle - p.trigger_cycle) as usize;
-            let w = self.seal(chip, &p, post_elapsed, true);
+            let w = self.seal(cores, &p, post_elapsed, true);
             self.done.push(w);
         }
     }

@@ -7,11 +7,11 @@
 //! produce the same logs ([`SliceLog`]); the merge layer cannot tell
 //! them apart — which is exactly the differential oracle
 //! `tests/shard_equivalence.rs` enforces. The shard backend advances
-//! busy chips through the fused fast-slice kernel
-//! ([`ChipSession::run_slice_fast`], bit-identical to the reference
-//! loop and falling back to it automatically whenever window capture
-//! or the invariant checker needs whole-state visibility); the in-line
-//! backend keeps the historical dyn-dispatch reference loop.
+//! chips on the lean fused step ([`ChipSession::run_slice_fast`],
+//! bit-identical to the reference step with window capture and the
+//! invariant checker riding along); the in-line backend keeps the
+//! historical dyn-dispatch reference step, so every sharded run is
+//! also a differential test of the fused step.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::Ordering;
@@ -37,8 +37,8 @@ pub(crate) struct ChipCell {
 }
 
 impl ChipCell {
-    /// Advances this chip one quantum through the historical reference
-    /// loop; empty cores run the idle loop, exactly like an OS idle
+    /// Advances this chip one quantum on the historical reference
+    /// step; empty cores run the idle loop, exactly like an OS idle
     /// thread.
     fn run_reference_slice(&mut self, cycles: u64) -> Result<SliceStats, ChipError> {
         let [c0, c1] = &mut self.cores;
@@ -55,12 +55,11 @@ impl ChipCell {
         self.session.run_slice(&mut sources, cycles)
     }
 
-    /// Advances this chip one quantum through the fused fast-slice
-    /// kernel, with each resident stream's event mix hoisted out of
-    /// the cycle loop. Job streams never loop and always advance in
-    /// whole slice-aligned intervals here, which is precisely the
-    /// regime where hoisted-mix stepping is bit-identical to
-    /// `EventStream::next`.
+    /// Advances this chip one quantum on the lean fused step, with each
+    /// resident stream's event mix hoisted out of the cycle loop. Job
+    /// streams never loop and always advance in whole slice-aligned
+    /// intervals here, which is precisely the regime where hoisted-mix
+    /// stepping is bit-identical to `EventStream::next`.
     fn run_fast_slice(&mut self, cycles: u64) -> Result<SliceStats, ChipError> {
         let [c0, c1] = &mut self.cores;
         let [i0, i1] = &mut self.idle;

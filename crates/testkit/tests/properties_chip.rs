@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use vsmooth_chip::chip::VrmRegulator;
-use vsmooth_chip::{Capture, Chip, ChipConfig, ChipSession, InvariantConfig};
+use vsmooth_chip::{Capture, Chip, ChipConfig, ChipSession, InvariantConfig, WindowConfig};
 use vsmooth_pdn::{DecapConfig, LadderConfig};
 use vsmooth_testkit::generator::{gen_chip, gen_stage, gen_workload, strategy_of};
 use vsmooth_uarch::{IdleLoop, StimulusSource};
@@ -53,16 +53,17 @@ impl Shape {
 }
 
 /// One P5 scenario: a generated chip, a run shape over generated
-/// workloads, an interval length and an optional crossing capture.
+/// workloads, an interval length and a capture: none, crossings, or
+/// crossings plus waveform windows of a generated shape.
 #[derive(Debug)]
 struct Scenario {
     chip: ChipConfig,
     /// Whether the chip's PDN was swapped for a 1–3-stage ladder, whose
-    /// state dimension (2–6) the fused kernel does not cover.
+    /// state dimension (2–6) the fused step does not cover.
     small_pdn: bool,
     shape: Shape,
     cpi: u64,
-    margin: Option<f64>,
+    capture: Capture,
 }
 
 fn gen_scenario(rng: &mut TestRng) -> Scenario {
@@ -89,13 +90,27 @@ fn gen_scenario(rng: &mut TestRng) -> Scenario {
     // not, so streams change mix in mid-interval.
     let cpi = [300, 400, 1_000, 1_300][rng.below(4) as usize];
     // On the droop grid's lines, where P6 holds the capture to it.
-    let margin = (rng.below(2) == 0).then(|| 0.5 + 0.25 * rng.below(19) as f64);
+    let margin = 0.5 + 0.25 * rng.below(19) as f64;
+    let capture = match rng.below(3) {
+        0 => Capture::None,
+        1 => Capture::Crossings(margin),
+        // A zero lead-in is clamped to the trigger cycle; a zero tail
+        // seals each window on its trigger.
+        _ => Capture::Windows(
+            margin,
+            WindowConfig {
+                pre_cycles: rng.below(160) as usize,
+                post_cycles: rng.below(240) as usize,
+                capture_currents: rng.below(2) == 0,
+            },
+        ),
+    };
     Scenario {
         chip,
         small_pdn,
         shape,
         cpi,
-        margin,
+        capture,
     }
 }
 
@@ -107,42 +122,52 @@ fn dyn_sources(boxes: &mut [Box<dyn StimulusSource>]) -> Vec<&mut dyn StimulusSo
 }
 
 proptest! {
-    /// P5 — the fused kernel against the reference loop: a one-shot
-    /// `Chip::run_captured` (the fused kernel on every chip it covers)
+    /// P5 — the fused step against the reference step: a one-shot
+    /// `Chip::run_captured` (the fused step on every chip it covers)
     /// and an interval-by-interval reference session must yield
-    /// identical statistics and droop crossings, on generated chips,
-    /// regulators and PDNs, in all three run shapes, with and without
-    /// a capture, at intervals that do and do not divide the warm-up.
+    /// identical statistics, droop crossings and waveform windows, on
+    /// generated chips, regulators and PDNs, in all three run shapes,
+    /// with no capture, a crossing capture or windows of a generated
+    /// shape (currents on and off), at intervals that do and do not
+    /// divide the warm-up.
     #[test]
     fn sliced_measurement_equals_one_shot(sc in strategy_of(gen_scenario)) {
-        let capture = sc.margin.map_or(Capture::None, Capture::Crossings);
-
         let one_shot = {
             let mut chip = Chip::new(sc.chip.clone()).expect("chip");
             prop_assert_eq!(chip.runs_fused(), !sc.small_pdn, "kernel routing");
             let (mut boxes, intervals) = sc.shape.sources(sc.cpi);
             let mut sources = dyn_sources(&mut boxes);
             let total = u64::from(intervals) * sc.cpi;
-            chip.run_captured(&mut sources, total, sc.cpi, capture).expect("run")
+            chip.run_captured(&mut sources, total, sc.cpi, sc.capture).expect("run")
         };
 
-        let (sliced, crossings) = {
+        let (sliced, crossings, windows) = {
             let chip = Chip::new(sc.chip.clone()).expect("chip");
             let (mut boxes, intervals) = sc.shape.sources(sc.cpi);
             let mut sources = dyn_sources(&mut boxes);
             let mut session = ChipSession::begin(chip, &mut sources, sc.cpi).expect("begin");
-            if let Some(margin) = sc.margin {
-                session.capture_droops(margin);
+            match sc.capture {
+                Capture::None => {}
+                Capture::Crossings(margin) => session.capture_droops(margin),
+                Capture::Windows(margin, window) => session.enable_profiling(margin, window),
             }
+            let mut windows = Vec::new();
             for _ in 0..intervals {
                 session.run_slice(&mut sources, sc.cpi).expect("slice");
+                windows.extend(session.take_droop_windows());
             }
+            windows.extend(session.flush_droop_windows());
             let crossings = session.take_droop_crossings();
-            (session.finish().expect("reference slices keep complete stats"), crossings)
+            (
+                session.finish().expect("reference slices keep complete stats"),
+                crossings,
+                windows,
+            )
         };
 
         prop_assert_eq!(&one_shot.stats, &sliced);
         prop_assert_eq!(&one_shot.crossings, &crossings);
+        prop_assert_eq!(&one_shot.windows, &windows);
     }
 
     /// P6 — per-event droop capture vs aggregate grid: at any margin

@@ -11,8 +11,9 @@
 //!   one chip is busy and its owner's queue is the only non-empty one.
 //!
 //! The invariant-checked variant additionally arms the vsmooth-chip
-//! physical-invariant checker on every cell (which also forces the
-//! shards through the reference cycle loop, covering both kernels).
+//! physical-invariant checker on every cell; the shards check on the
+//! fused step and the coordinator on the reference step, so both steps
+//! are covered.
 //!
 //! Conservation is the oracle: no job is lost or duplicated under
 //! stealing — admitted == completed == submitted, completed ids are
@@ -173,9 +174,9 @@ fn shard_slice_tallies_reconcile_with_the_slice_counter_under_stealing() {
 #[test]
 fn invariant_checked_stress_run_is_clean_and_conserved() {
     let jobs = hot_burst(7, 18);
-    // The checker rides along on every cell (and pushes the shards
-    // onto the reference cycle loop); a healthy run must produce zero
-    // violations and the exact coordinator artifacts.
+    // The checker rides along on every cell (on the fused step in the
+    // shards, the reference step in the coordinator); a healthy run must
+    // produce zero violations and the exact coordinator artifacts.
     let reference = Service::new(config(3, true, RuntimeMode::Coordinator))
         .unwrap()
         .run(&jobs, &OnlineDroop, 1)
