@@ -15,6 +15,12 @@ cargo fmt --check
 echo "== clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (intra-doc links) =="
+# Every intra-doc link must resolve, unambiguously, and public docs
+# must not link private items, so deleting or hiding an item cannot
+# leave a dangling link behind.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== testkit gate (oracles, invariants, properties) =="
 # Differential oracles, the campaign-scale invariant sweep, and the
 # seeded metamorphic property suites. The workspace test step above

@@ -342,7 +342,7 @@ impl crate::ChipSession {
 
     /// Like [`run_slice`](crate::ChipSession::run_slice), but with
     /// closure-typed sources, on the lean fused step whenever the chip
-    /// qualifies (on the reference step via [`FnSource`] when not). A
+    /// qualifies (on the reference step via `FnSource` when not). A
     /// slice may be any length and every armed observer — crossing
     /// capture, waveform windows, the invariant checker — rides along;
     /// the returned [`SliceStats`], droop crossings, windows, invariant

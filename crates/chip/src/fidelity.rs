@@ -40,7 +40,8 @@ impl Fidelity {
     ///
     /// # Errors
     ///
-    /// [`ChipError::InvalidConfig`] for `Custom(0)`.
+    /// [`ChipError::InvalidConfig`](crate::ChipError::InvalidConfig)
+    /// for `Custom(0)`.
     pub fn validate(self) -> Result<(), crate::ChipError> {
         match self {
             Self::Custom(0) => Err(crate::ChipError::InvalidConfig(

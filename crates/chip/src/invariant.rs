@@ -20,8 +20,8 @@
 //! 4. **Monotone virtual clock** — measured cycles advance by exactly
 //!    one, with no repeats or gaps.
 //! 5. **Droop-count agreement** — an independent hysteresis counter at
-//!    the quantized check margin must equal the
-//!    [`CrossingGrid`](crate::CrossingGrid) aggregate, every slice.
+//!    the quantized check margin must equal the [`CrossingGrid`]
+//!    aggregate, every slice.
 //! 6. **Counter/cycle conservation** — each per-slice
 //!    [`PerfCounters`] delta spans exactly the slice's cycles, stall
 //!    cycles never exceed cycles, and no stall-event count exceeds the

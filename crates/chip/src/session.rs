@@ -14,7 +14,7 @@
 //!
 //! This module also holds the crate's one measurement loop
 //! (`MeasureState::run`) and one warm-up loop, generic over the physics
-//! step: the reference step ([`Chip::step_cycle`], the oracle) or the
+//! step: the reference step (`Chip::step_cycle`, the oracle) or the
 //! fused step (`crate::fastpath`), which computes the same bits. Every
 //! observer rides the one loop, so each sees the same cycles on either.
 

@@ -3,7 +3,7 @@
 //! The paper's root-cause methodology is scope-style: trigger on a
 //! margin crossing, keep the waveform around it, and read off which
 //! microarchitectural events led in (Sec. III, Figs. 7–8). A
-//! [`WindowCapture`] rides inside the measurement loop and keeps a
+//! `WindowCapture` rides inside the measurement loop and keeps a
 //! rolling lead-in of per-cycle voltage deviation, per-core current
 //! and per-core counter snapshots. On every
 //! [`DroopCrossing`](crate::DroopCrossing) it freezes that lead-in and
@@ -31,7 +31,7 @@
 //! materialized as one bulk copy per series when its tail completes.
 //! Full `PerfCounters` are *not* ring-buffered per cycle; the
 //! trigger-time base snapshot is reconstructed from a compact
-//! [`CounterSnap`] ring, field-exact with the naive approach (integer
+//! `CounterSnap` ring, field-exact with the naive approach (integer
 //! fields are integer arithmetic; `committed` is the evicted snapshot's
 //! own value, not a re-summed float).
 

@@ -2,7 +2,7 @@
 //!
 //! A [`SloRule`] names a condition over [`WindowSnapshot`] signals —
 //! a plain threshold, a multi-window error-budget burn rate, or a
-//! CUSUM anomaly — plus hysteresis counts. The [`RuleState`] machine
+//! CUSUM anomaly — plus hysteresis counts. The `RuleState` machine
 //! walks pending → firing → resolved: a rule must breach for
 //! `fire_after` consecutive evaluations before an [`Alert`] fires and
 //! must then clear for `resolve_after` evaluations before it

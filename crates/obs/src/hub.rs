@@ -13,7 +13,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use vsmooth_monitor::HealthStatus;
 use vsmooth_stats::MetricsSnapshot;
@@ -78,17 +78,9 @@ pub struct ShardStatus {
     pub slices_stolen: u64,
     /// High-water mark of the shard's event-lane occupancy.
     pub lane_occupancy_hwm: u64,
-    /// Trace bundles the shard offered to its streaming ring.
-    pub stream_bundles: u64,
-    /// Trace bundles dropped because the ring was full (the merge
-    /// synthesizes the identical records, so drops cost CPU, not
-    /// bytes).
+    /// Always zero: shards build no trace records, so they drop none.
+    /// Kept only because the `perfbench` harness reads it.
     pub stream_dropped: u64,
-    /// High-water mark of the shard's streaming-ring occupancy.
-    pub stream_ring_hwm: u64,
-    /// The streaming ring's capacity, in bundles (0 when the run is
-    /// not streaming per-shard telemetry).
-    pub stream_ring_capacity: u64,
 }
 
 /// Live runtime introspection of the shard-per-worker backend, behind
@@ -282,10 +274,6 @@ pub struct ObsConfig {
     /// Capacity of the coordinator-side recent-droop ring behind
     /// `/trace/recent`.
     pub recent_droops: usize,
-    /// Optional per-epoch sleep, so demos and by-hand scraping have
-    /// wall time to observe a run that would otherwise finish in
-    /// microseconds. Leave `None` for production and benches.
-    pub pace: Option<Duration>,
     /// Called after every publish with the snapshot just published —
     /// the deterministic hook integration tests scrape from, instead
     /// of racing wall-clock against the epoch loop.
@@ -293,13 +281,12 @@ pub struct ObsConfig {
 }
 
 impl ObsConfig {
-    /// Publishing every epoch into `hub`, 256-droop ring, no pacing.
+    /// Publishing every epoch into `hub`, 256-droop ring.
     pub fn new(hub: Arc<TelemetryHub>) -> Self {
         Self {
             hub,
             publish_every: 1,
             recent_droops: 256,
-            pace: None,
             on_publish: None,
         }
     }
@@ -310,7 +297,6 @@ impl std::fmt::Debug for ObsConfig {
         f.debug_struct("ObsConfig")
             .field("publish_every", &self.publish_every)
             .field("recent_droops", &self.recent_droops)
-            .field("pace", &self.pace)
             .field("on_publish", &self.on_publish.as_ref().map(|_| "Fn"))
             .finish_non_exhaustive()
     }

@@ -238,14 +238,6 @@ fn serve_loop(listener: TcpListener, hub: &TelemetryHub, stop: &AtomicBool) {
         "High-water mark of each shard's event-lane occupancy, in pending slice records.",
     );
     metrics.describe(
-        "serve_shard_stream_bundles",
-        "Trace-span bundles each shard offered to its streaming ring.",
-    );
-    metrics.describe(
-        "serve_shard_stream_dropped",
-        "Trace-span bundles dropped at each shard's full streaming ring (merge resynthesizes them).",
-    );
-    metrics.describe(
         "serve_cell_queue_hwm",
         "High-water mark of each chip cell's command-queue depth.",
     );
@@ -610,16 +602,6 @@ fn set_shard_gauges(metrics: &MetricsRegistry, shards: &ShardsStatus) {
             &[("shard", shard)],
             s.lane_occupancy_hwm as f64,
         );
-        metrics.gauge_with(
-            "serve_shard_stream_bundles",
-            &[("shard", shard)],
-            s.stream_bundles as f64,
-        );
-        metrics.gauge_with(
-            "serve_shard_stream_dropped",
-            &[("shard", shard)],
-            s.stream_dropped as f64,
-        );
     }
     for (chip, hwm) in shards.cell_queue_hwm.iter().enumerate() {
         let chip = chip.to_string();
@@ -645,7 +627,7 @@ fn set_shard_gauges(metrics: &MetricsRegistry, shards: &ShardsStatus) {
 }
 
 fn shards_json(shards: &ShardsStatus) -> String {
-    let mut out = String::with_capacity(512 + shards.shards.len() * 192);
+    let mut out = String::with_capacity(512 + shards.shards.len() * 96);
     out.push_str(&format!("{{\n  \"schema\": \"{OBS_SHARDS_SCHEMA}\",\n"));
     out.push_str(&format!("  \"grants\": {},\n", shards.grants));
     out.push_str(&format!(
@@ -672,16 +654,11 @@ fn shards_json(shards: &ShardsStatus) -> String {
     for (i, s) in shards.shards.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"shard\": {}, \"slices_owned\": {}, \"slices_stolen\": {}, \
-             \"lane_occupancy_hwm\": {}, \"stream_bundles\": {}, \"stream_dropped\": {}, \
-             \"stream_ring_hwm\": {}, \"stream_ring_capacity\": {}}}{}\n",
+             \"lane_occupancy_hwm\": {}}}{}\n",
             s.shard,
             s.slices_owned,
             s.slices_stolen,
             s.lane_occupancy_hwm,
-            s.stream_bundles,
-            s.stream_dropped,
-            s.stream_ring_hwm,
-            s.stream_ring_capacity,
             if i + 1 < shards.shards.len() { "," } else { "" }
         ));
     }
@@ -796,20 +773,14 @@ mod tests {
                     slices_owned: 10,
                     slices_stolen: 2,
                     lane_occupancy_hwm: 3,
-                    stream_bundles: 12,
                     stream_dropped: 0,
-                    stream_ring_hwm: 4,
-                    stream_ring_capacity: 256,
                 },
                 ShardStatus {
                     shard: 1,
                     slices_owned: 12,
                     slices_stolen: 0,
                     lane_occupancy_hwm: 2,
-                    stream_bundles: 12,
-                    stream_dropped: 1,
-                    stream_ring_hwm: 5,
-                    stream_ring_capacity: 256,
+                    stream_dropped: 0,
                 },
             ],
             cell_queue_hwm: vec![2, 2, 1],

@@ -1,6 +1,6 @@
 //! Voltage-regulator-module switching ripple.
 //!
-//! Fig. 11 of the paper shows a "sawtooth-like waveform [that] is the
+//! Fig. 11 of the paper shows a "sawtooth-like waveform \[that\] is the
 //! switching frequency of the voltage regulator module (VRM). This is
 //! background activity" underneath the microbenchmark spikes. The chip
 //! simulator superimposes this ripple on the VRM source voltage so that

@@ -184,9 +184,9 @@ impl CampaignSpec {
     ///   report's series when those are armed.
     /// * `tracer`: one span per run on the campaign timeline (tid =
     ///   specification index, spanning `[0, cycles)` of that run's
-    ///   private clock), a typed [`DroopEvent`] per margin crossing in
-    ///   [`vsmooth_trace::TraceMode::Full`], a `droop_window` span per
-    ///   profiled window and the monitor's alert instants.
+    ///   private clock), a typed [`DroopEvent`] per margin crossing, a
+    ///   `droop_window` span per profiled window and the monitor's
+    ///   alert instants.
     /// * `profile`: every crossing's triggered waveform window is
     ///   scored into a per-run profile labelled by [`RunId`].
     /// * `monitor`: each run is one monitoring epoch on a cumulative

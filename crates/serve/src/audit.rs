@@ -1,8 +1,7 @@
 //! The scheduler decision audit log.
 //!
 //! With [`ServiceConfig::audit`](crate::ServiceConfig) armed, the
-//! decision loop records a typed
-//! [`DecisionEvent`](vsmooth_trace::DecisionEvent) for every admit,
+//! decision loop records a typed [`DecisionEvent`] for every admit,
 //! place, grant, shed and demote it takes, and the merge layer folds
 //! those events into this bounded ring *at replay time* — in
 //! `(epoch, chip)` order, like every other artifact — so the ring's

@@ -6,9 +6,9 @@
 //! The decision loop never touches an artifact sink (metrics, tracer,
 //! monitor, profiler, obs hub). It only *decides* — admissions,
 //! placements, grants, analytic completions — and records each epoch
-//! as an [`EpochRec`]. Every observable side effect is produced later
+//! as an `EpochRec`. Every observable side effect is produced later
 //! by the merge layer (`crate::merge`) replaying those records against
-//! the per-chip [`SliceLog`]s, in exactly the order the historical
+//! the per-chip `SliceLog`s, in exactly the order the historical
 //! single-coordinator loop produced them. Byte-identity of every
 //! artifact therefore holds by construction, regardless of which shard
 //! executed which slice when.
@@ -119,12 +119,11 @@ impl EpochRec {
     }
 }
 
-/// A job as a chip cell holds it: the instance-seeded event stream
-/// plus the workload name the shard needs to label slice spans.
+/// A job as a chip cell holds it: its id and instance-seeded event
+/// stream.
 #[derive(Debug)]
 pub(crate) struct CellJob {
     pub id: u64,
-    pub workload: String,
     pub stream: EventStream,
 }
 
@@ -137,10 +136,8 @@ pub(crate) enum CellCmd {
     /// Install `job` on `core` (the decision loop only targets cores
     /// its shadow occupancy knows are free).
     AddJob { core: usize, job: CellJob },
-    /// Advance the chip one scheduling quantum for epoch `epoch`,
-    /// whose virtual clock at the slice's start is `now` (the shard
-    /// needs it to stamp slice-span timestamps).
-    Grant { epoch: u64, now: u64 },
+    /// Advance the chip one scheduling quantum for epoch `epoch`.
+    Grant { epoch: u64 },
 }
 
 /// Everything one executed slice produced, tagged `(shard, epoch,

@@ -18,7 +18,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use vsmooth_obs::{LatencyStats, ShardStatus, ShardsStatus};
-use vsmooth_trace::ShardStreams;
 
 /// Per-shard execution counters.
 #[derive(Debug, Default)]
@@ -96,32 +95,18 @@ impl RuntimeStats {
 
     /// Snapshots the scoreboard into the published obs section.
     /// `epochs_merged` comes from the merge layer (lag = decided −
-    /// merged); `streams` is the per-shard trace ring, when streaming.
-    pub(crate) fn status(
-        &self,
-        epochs_merged: u64,
-        streams: Option<&ShardStreams>,
-    ) -> ShardsStatus {
-        let lane_stats = streams.map(|s| s.lane_stats());
+    /// merged).
+    pub(crate) fn status(&self, epochs_merged: u64) -> ShardsStatus {
         let shards = self
             .shards
             .iter()
             .enumerate()
-            .map(|(i, counters)| {
-                let lane = lane_stats
-                    .as_ref()
-                    .and_then(|stats| stats.get(i).copied())
-                    .unwrap_or_default();
-                ShardStatus {
-                    shard: i,
-                    slices_owned: counters.owned.load(Ordering::Relaxed),
-                    slices_stolen: counters.stolen.load(Ordering::Relaxed),
-                    lane_occupancy_hwm: counters.lane_hwm.load(Ordering::Relaxed),
-                    stream_bundles: lane.offered,
-                    stream_dropped: lane.dropped,
-                    stream_ring_hwm: lane.peak_occupancy,
-                    stream_ring_capacity: lane.capacity,
-                }
+            .map(|(i, counters)| ShardStatus {
+                shard: i,
+                slices_owned: counters.owned.load(Ordering::Relaxed),
+                slices_stolen: counters.stolen.load(Ordering::Relaxed),
+                lane_occupancy_hwm: counters.lane_hwm.load(Ordering::Relaxed),
+                stream_dropped: 0,
             })
             .collect();
         let epochs_decided = self.epochs_decided.load(Ordering::Relaxed);
@@ -156,7 +141,7 @@ mod tests {
         stats.record_slice(0, false);
         stats.record_slice(1, true);
         assert_eq!(stats.slices_total(), 3);
-        let status = stats.status(0, None);
+        let status = stats.status(0);
         assert_eq!(status.shards[0].slices_owned, 2);
         assert_eq!(status.shards[1].slices_stolen, 1);
         assert_eq!(status.cell_queue_hwm, vec![0, 0, 0]);
@@ -168,7 +153,7 @@ mod tests {
         stats.record_decision_latency(10);
         stats.record_decision_latency(30);
         stats.epochs_decided.store(8, Ordering::Relaxed);
-        let status = stats.status(5, None);
+        let status = stats.status(5);
         assert_eq!(status.merge_lag_epochs, 3);
         assert_eq!(status.decision_latency.count, 2);
         assert_eq!(status.decision_latency.total_us, 40);

@@ -27,23 +27,19 @@
 //! are execution-dependent by design — only the total slice count
 //! reconciles deterministically (`tests/shard_stress.rs`).
 //!
-//! Slice-span trace records take one of two equivalent paths: when the
-//! sharded backend streams spans, each shard builds its slices' spans
-//! locally (through [`slice_span_buffer`], the shared builder) and the
-//! merge stitches the `(shard, epoch, seq)`-tagged bundles into the
-//! global stream at exactly the point the historical loop emitted
-//! them; when a bundle was ring-dropped — or spans are not streamed at
-//! all — the merge synthesizes identical records through the same
-//! builder. Either way the exported bytes are the same.
+//! The merge is the only producer of trace records: executors hand
+//! back slice logs, and the replay records every span, instant and
+//! droop event from them, slice spans included, in `(epoch, chip)`
+//! order.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
 use crate::audit::{AuditConfig, AuditLog};
-use crate::control::{BusyChip, EpochRec, SliceLog};
+use crate::control::{EpochRec, SliceLog};
 use crate::introspect::RuntimeStats;
 use crate::job::CompletedJob;
-use crate::shard::{slice_span_buffer, ChipCell};
+use crate::shard::{ChipCell, DrainPlan};
 use crate::telemetry::TelemetryBook;
 use crate::ServeError;
 use vsmooth_chip::{DroopWindow, PHASE_MARGIN_PCT};
@@ -51,7 +47,7 @@ use vsmooth_monitor::{EpochSample, HealthReport, Monitor, SliceRecord};
 use vsmooth_obs::{ObsConfig, ObsSnapshot, ServiceStatus};
 use vsmooth_profile::{emit_window_span, Profiler};
 use vsmooth_stats::MetricsRegistry;
-use vsmooth_trace::{chip_pid, ArgValue, DroopEvent, ShardStreams, TraceBuffer, Tracer, PID_JOBS};
+use vsmooth_trace::{chip_pid, ArgValue, DroopEvent, Tracer, PID_JOBS};
 
 /// Virtual thread id hosting `droop_window` spans on a chip timeline
 /// (cores are threads 0 and 1).
@@ -98,9 +94,9 @@ pub(crate) struct Merge<'a> {
     /// The live introspection scoreboard, read (never written) at
     /// publish boundaries for the snapshot's `shards` section.
     stats: Arc<RuntimeStats>,
-    /// The per-shard streaming rings, for their lane stats in the
-    /// `shards` section. `None` when spans are not streamed.
-    streams: Option<Arc<ShardStreams>>,
+    /// The run's capture plan: which slice channels were drained and
+    /// which consumers want droop events.
+    drain: DrainPlan,
     /// Whether this run executes on the sharded backend — the `shards`
     /// section is published only then (a coordinator run has no shard
     /// runtime to introspect; `/shards` answers 404).
@@ -137,7 +133,7 @@ impl<'a> Merge<'a> {
         monitor: Option<&'a mut Monitor>,
         obs: Option<&'a ObsConfig>,
         stats: Arc<RuntimeStats>,
-        streams: Option<Arc<ShardStreams>>,
+        drain: DrainPlan,
         sharded: bool,
         audit: Option<&AuditConfig>,
         chips: usize,
@@ -157,7 +153,7 @@ impl<'a> Merge<'a> {
             recent_cap,
             recent,
             stats,
-            streams,
+            drain,
             sharded,
             audit: audit.map(|a| AuditLog::new(a.capacity)),
             slice_cycles,
@@ -204,41 +200,18 @@ impl<'a> Merge<'a> {
         }
     }
 
-    /// Synthesizes one busy chip's slice spans through the shared
-    /// builder — the fallback when no shard-built bundle arrived, and
-    /// the debug-time oracle when one did.
-    fn synth_slice_spans(b: &BusyChip, now: u64, cycles: u64) -> TraceBuffer {
-        slice_span_buffer(
-            b.chip,
-            now,
-            cycles,
-            b.cores.iter().enumerate().filter_map(|(core, cs)| {
-                cs.as_ref().map(|cs| (core, cs.workload.as_str(), cs.job))
-            }),
-        )
-    }
-
     /// The snapshot sections carrying live/audit runtime state.
     fn shards_section(&self) -> Option<vsmooth_obs::ShardsStatus> {
-        self.sharded.then(|| {
-            self.stats
-                .status(self.epochs_merged, self.streams.as_deref())
-        })
+        self.sharded.then(|| self.stats.status(self.epochs_merged))
     }
 
     /// Replays one epoch record, already [folded](Self::fold), with
-    /// its busy chips' logs (in `rec.busy` order) and, when spans are
-    /// streamed, the shard-built span bundles aligned with those logs
-    /// (`None` entries are synthesized). Returns the typed overflow
-    /// error when the record ends in an admission overflow, after
-    /// replaying the admissions that preceded it — leaving metrics and
-    /// trace state exactly as the historical in-line loop left them.
-    pub(crate) fn replay(
-        &mut self,
-        rec: &EpochRec,
-        logs: &[SliceLog],
-        spans: Vec<Option<TraceBuffer>>,
-    ) -> Result<(), ServeError> {
+    /// its busy chips' logs (in `rec.busy` order). Returns the typed
+    /// overflow error when the record ends in an admission overflow,
+    /// after replaying the admissions that preceded it — leaving
+    /// metrics and trace state exactly as the historical in-line loop
+    /// left them.
+    pub(crate) fn replay(&mut self, rec: &EpochRec, logs: &[SliceLog]) -> Result<(), ServeError> {
         let now = rec.now;
         if !rec.decisions.is_empty() {
             if let Some(log) = self.audit.as_mut() {
@@ -314,9 +287,7 @@ impl<'a> Merge<'a> {
         let mut epoch_droops = 0u64;
         let mut epoch_min_margin = PHASE_MARGIN_PCT;
         let mut epoch_margin_weight = 0.0f64;
-        let mut spans = spans.into_iter();
         for (b, log) in rec.busy.iter().zip(logs) {
-            let stitched = spans.next().flatten();
             let slice = &log.stats;
             for (core, cs) in b.cores.iter().enumerate() {
                 // The decision loop predicted this slice's completions
@@ -350,28 +321,23 @@ impl<'a> Merge<'a> {
                 self.metrics.observe("droop_depth_pct", slice.max_droop_pct);
             }
             if self.tracer.is_enabled() {
-                // Stitch the shard-built bundle in, or synthesize the
-                // identical records when none was delivered; either
-                // way the global stream's bytes are the same.
-                match stitched {
-                    Some(bundle) => {
-                        debug_assert_eq!(
-                            bundle,
-                            Self::synth_slice_spans(b, now, slice.cycles),
-                            "shard-built slice spans drifted from the merge synthesis"
+                // One `slice` span per resident core, in core order,
+                // named after its workload.
+                for (core, cs) in b.cores.iter().enumerate() {
+                    if let Some(cs) = cs {
+                        self.tracer.complete(
+                            cs.workload.as_str(),
+                            "slice",
+                            chip_pid(b.chip),
+                            core as u64,
+                            now,
+                            slice.cycles,
+                            vec![("job", ArgValue::from(cs.job))],
                         );
-                        self.tracer.merge(bundle);
                     }
-                    None => self
-                        .tracer
-                        .merge(Self::synth_slice_spans(b, now, slice.cycles)),
                 }
             }
-            if self.tracer.wants_droop_events()
-                || self.profiler.is_some()
-                || self.monitor.is_some()
-                || self.obs.is_some()
-            {
+            if self.drain.crossings {
                 let workloads: Vec<String> = b
                     .cores
                     .iter()
@@ -382,8 +348,7 @@ impl<'a> Merge<'a> {
                 // every captured crossing maps onto this slice's
                 // window of the virtual clock.
                 let slice_start = log.session_start;
-                if self.tracer.wants_droop_events() || self.monitor.is_some() || self.obs.is_some()
-                {
+                if self.drain.droop_events {
                     let phase = format!("epoch{}", rec.index);
                     for crossing in &log.crossings {
                         // One event per crossing, shared by every

@@ -9,8 +9,8 @@
 //!   the pending/ready queues and a shadow of every chip's occupancy —
 //!   and reads the telemetry book, which the merge layer folds, at
 //!   placement. It never touches an artifact sink; each epoch's
-//!   decisions are recorded as an [`EpochRec`] and execution is
-//!   delegated to a [`Backend`].
+//!   decisions are recorded as an `EpochRec` and execution is
+//!   delegated to a `Backend`.
 //! * **The execution backend** (`crate::shard`) advances chips:
 //!   in-line on this thread (the reference backend) or on a pool of
 //!   long-lived shard workers with per-shard run queues and
@@ -68,10 +68,7 @@ use vsmooth_obs::ObsConfig;
 use vsmooth_profile::Profiler;
 use vsmooth_sched::{Instruments, Observed, PairPolicy};
 use vsmooth_stats::{MetricsRegistry, MetricsSnapshot};
-use vsmooth_trace::{
-    chip_pid, DecisionEvent, DecisionKind, ShardStreams, Tracer, DEFAULT_SHARD_RING, PID_JOBS,
-    PID_MONITOR,
-};
+use vsmooth_trace::{chip_pid, DecisionEvent, DecisionKind, Tracer, PID_JOBS, PID_MONITOR};
 use vsmooth_uarch::{IdleLoop, StimulusSource};
 use vsmooth_workload::by_name;
 
@@ -349,8 +346,7 @@ impl Service {
     /// and runtime mode.
     ///
     /// * `tracer`: job lifecycle spans (an `admit` instant, `queue` and
-    ///   run spans), per-slice chip spans and, in
-    ///   [`vsmooth_trace::TraceMode::Full`], a typed droop event per
+    ///   run spans), per-slice chip spans and a typed droop event per
     ///   margin crossing, all on the virtual-cycle clock.
     /// * `profile`: every crossing's triggered waveform window is
     ///   scored into a per-co-schedule profile (labels join the
@@ -430,12 +426,15 @@ impl Service {
             if sharded { workers.max(1) } else { 1 },
             self.cfg.chips,
         ));
-        // Per-shard streaming telemetry: shards build their own slice
-        // spans and stream them through bounded rings the merge layer
-        // stitches (or re-synthesizes on drop) in `(epoch, chip)`
-        // order. Only worth arming when there is a tracer to feed.
-        let streams = (sharded && tracer.is_enabled())
-            .then(|| Arc::new(ShardStreams::new(workers.max(1), DEFAULT_SHARD_RING)));
+        // The capture plan, decided once: the sessions are armed from
+        // it, executors drain it, and the merge branches on it.
+        let droop_events = tracer.wants_droop_events() || monitor.is_some() || obs.is_some();
+        let drain = DrainPlan {
+            crossings: droop_events || profiler.is_some(),
+            droop_events,
+            windows: profiler.is_some(),
+            invariants: self.cfg.invariants,
+        };
         let mut cells = self.build_pool(sharded)?;
         if tracer.is_enabled() {
             tracer.process_name(PID_JOBS, "jobs");
@@ -464,31 +463,21 @@ impl Service {
             for cell in &mut cells {
                 cell.session.enable_profiling(margin, window);
             }
-        } else if tracer.wants_droop_events() || monitor.is_some() || obs.is_some() {
+        } else if drain.crossings {
             for cell in &mut cells {
                 cell.session.capture_droops(margin);
             }
         }
-        if self.cfg.invariants {
+        if drain.invariants {
             for cell in &mut cells {
                 cell.session.enable_invariants(InvariantConfig::default());
             }
         }
-        let drain = DrainPlan {
-            crossings: tracer.wants_droop_events()
-                || profiler.is_some()
-                || monitor.is_some()
-                || obs.is_some(),
-            windows: profiler.is_some(),
-            invariants: self.cfg.invariants,
-            stream_spans: streams.is_some(),
-        };
         let mut backend = if sharded {
             Backend::sharded(
                 cells,
                 workers.max(1),
                 Arc::clone(&stats),
-                streams.clone(),
                 self.cfg.slice_cycles,
                 drain,
             )
@@ -502,7 +491,7 @@ impl Service {
             monitor.as_mut(),
             obs,
             Arc::clone(&stats),
-            streams.clone(),
+            drain,
             sharded,
             self.cfg.audit.as_ref(),
             self.cfg.chips,
@@ -658,7 +647,7 @@ impl Service {
                 busy_chips.len() as u64,
                 std::sync::atomic::Ordering::Relaxed,
             );
-            backend.grant(epochs, now, &busy_chips)?;
+            backend.grant(epochs, &busy_chips)?;
             rec.queue_depth_after = ready.len();
             rec.running_after = shadows.iter().map(ShadowChip::occupied).sum();
             script.recs.push(rec);
@@ -678,11 +667,6 @@ impl Service {
             // ready — runs the merge in exact lockstep with the
             // historical loop.
             script.merge_ready(&mut merge, &mut backend)?;
-            if let Some(oc) = obs {
-                if let Some(pace) = oc.pace {
-                    std::thread::sleep(pace);
-                }
-            }
         }
         script.drain(&mut merge, &mut backend)?;
         let cells = backend.finish()?;
@@ -836,7 +820,6 @@ impl Service {
             core,
             CellJob {
                 id: spec.id,
-                workload: spec.workload.clone(),
                 stream,
             },
         );
@@ -912,17 +895,7 @@ impl EpochScript {
                 .iter()
                 .map(|b| backend.take_log(rec.index, b.chip))
                 .collect();
-            // Shard-streamed slice spans, where they arrived: one
-            // optional buffer per busy chip, in the same order as
-            // `logs`. Missing entries (inline backend, streaming off,
-            // or ring drop) are re-synthesized by the merge layer from
-            // the epoch record.
-            let spans = rec
-                .busy
-                .iter()
-                .map(|b| backend.take_spans(rec.index, b.chip))
-                .collect();
-            merge.replay(rec, &logs, spans)?;
+            merge.replay(rec, &logs)?;
             self.merged += 1;
         }
         Ok(())
@@ -1158,6 +1131,65 @@ mod tests {
         let prom = traced.snapshot.render_prometheus();
         assert!(prom.contains("droops_total{policy=\"Droop(online)\"}"));
         assert!(prom.contains("queue_wait_kcycles{quantile=\"0.99\"}"));
+    }
+
+    #[test]
+    fn slice_spans_tile_each_completed_jobs_run() {
+        use std::collections::BTreeMap;
+        use vsmooth_trace::{ArgValue, TraceRecord};
+        /// One slice span's `(pid, tid, name, ts, dur)`.
+        type SliceSpan = (u32, u64, String, u64, u64);
+        let jobs = synthetic_jobs(29, 10, 1_000);
+        let cfg = small_cfg();
+        let slice_cycles = cfg.slice_cycles;
+        let service = Service::new(cfg).unwrap();
+        // One worker runs the in-line coordinator; 2 and 8 run shards.
+        for workers in [1, 2, 8] {
+            let tracer = Tracer::enabled();
+            let report = traced(&service, &jobs, workers, &tracer);
+            // Job id -> its slice spans, in record order.
+            let mut by_job: BTreeMap<u64, Vec<SliceSpan>> = BTreeMap::new();
+            for record in tracer.records() {
+                let TraceRecord::Span {
+                    name,
+                    cat: "slice",
+                    pid,
+                    tid,
+                    ts,
+                    dur,
+                    args,
+                } = record
+                else {
+                    continue;
+                };
+                let [("job", ArgValue::U64(job))] = args.as_slice() else {
+                    panic!("a slice span's only arg is its job id, got {args:?}");
+                };
+                by_job
+                    .entry(*job)
+                    .or_default()
+                    .push((pid, tid, name, ts, dur));
+            }
+            assert_eq!(by_job.len(), report.completed.len(), "{workers} workers");
+            for job in &report.completed {
+                let spans = by_job
+                    .remove(&job.spec.id)
+                    .unwrap_or_else(|| panic!("job {} has no slice spans", job.spec.id));
+                let (pid, tid) = (spans[0].0, spans[0].1);
+                let mut cursor = job.started_cycle;
+                let mut executed = 0;
+                for (p, t, name, ts, dur) in spans {
+                    assert_eq!((p, t), (pid, tid), "job {} moved track", job.spec.id);
+                    assert_eq!(name, job.spec.workload);
+                    assert_eq!(ts, cursor, "job {} spans leave a gap", job.spec.id);
+                    assert_eq!(dur, slice_cycles);
+                    cursor += dur;
+                    executed += dur;
+                }
+                assert_eq!(cursor, job.finished_cycle, "job {}", job.spec.id);
+                assert_eq!(executed, job.executed_cycles, "job {}", job.spec.id);
+            }
+        }
     }
 
     #[test]

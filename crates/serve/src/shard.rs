@@ -6,10 +6,12 @@
 //! Both backends consume the same command stream ([`CellCmd`]) and
 //! produce the same logs ([`SliceLog`]); the merge layer cannot tell
 //! them apart — which is exactly the differential oracle
-//! `tests/shard_equivalence.rs` enforces. The shard backend advances
-//! chips on the lean fused step ([`ChipSession::run_slice_fast`],
-//! bit-identical to the reference step with window capture and the
-//! invariant checker riding along); the in-line backend keeps the
+//! `tests/shard_equivalence.rs` enforces. Executors only simulate and
+//! drain the captures the [`DrainPlan`] names; the merge layer makes
+//! every trace record. The shard backend advances chips on the lean
+//! fused step ([`ChipSession::run_slice_fast`], bit-identical to the
+//! reference step with window capture and the invariant checker
+//! riding along); the in-line backend keeps the
 //! historical dyn-dispatch reference step, so every sharded run is
 //! also a differential test of the fused step.
 
@@ -22,7 +24,6 @@ use crate::control::{CellCmd, CellJob, EventBus, ShardEvent, SliceLog, TokenBoar
 use crate::introspect::RuntimeStats;
 use crate::ServeError;
 use vsmooth_chip::{ChipError, ChipSession, SliceStats};
-use vsmooth_trace::{chip_pid, ArgValue, ShardStreams, TaggedBundle, TraceBuffer};
 use vsmooth_uarch::{IdleLoop, StimulusSource};
 
 /// One pool member: a warmed-up measurement session plus whatever is
@@ -111,49 +112,21 @@ impl ChipCell {
     }
 }
 
-/// Which per-slice channels executors must drain into [`SliceLog`]s.
-/// Mirrors the session arming the service configured, so logs carry
-/// exactly what the merge layer will consume.
+/// Which per-slice channels a run captures, decided once by the
+/// service from its armed instruments. The service arms each chip
+/// session from it, executors drain exactly these channels into
+/// [`SliceLog`]s, and the merge layer branches on it, so no layer
+/// re-derives what another already decided.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct DrainPlan {
+    /// Margin crossings are captured and drained: some consumer (the
+    /// tracer, profiler, monitor or obs) reads them.
     pub crossings: bool,
+    /// The tracer, monitor or obs wants each crossing as a
+    /// `DroopEvent`. Implies `crossings`.
+    pub droop_events: bool,
     pub windows: bool,
     pub invariants: bool,
-    /// Whether shards build each slice's trace spans locally and
-    /// stream them through the per-shard ring (tracer enabled on the
-    /// sharded backend). The merge layer stitches the bundles into the
-    /// global stream — or resynthesizes identical records when a full
-    /// ring dropped one — so this flag never changes a single exported
-    /// byte.
-    pub stream_spans: bool,
-}
-
-/// Builds the per-slice trace spans of one busy chip: one `slice` span
-/// per resident core, in core order, named after the workload.
-///
-/// This is THE span builder — the shard streaming path and the merge
-/// layer's synthesis fallback both call it, so the two byte streams
-/// cannot drift apart (and `Merge::replay` debug-asserts they agree
-/// record for record).
-pub(crate) fn slice_span_buffer<'a>(
-    chip: usize,
-    now: u64,
-    cycles: u64,
-    residents: impl Iterator<Item = (usize, &'a str, u64)>,
-) -> TraceBuffer {
-    let mut buf = TraceBuffer::new();
-    for (core, workload, job) in residents {
-        buf.span(
-            workload,
-            "slice",
-            chip_pid(chip),
-            core as u64,
-            now,
-            cycles,
-            vec![("job", ArgValue::from(job))],
-        );
-    }
-    buf
 }
 
 /// The `(shard, seq, epoch, chip)` identity stamped onto one executed
@@ -223,10 +196,6 @@ struct PoolShared {
     /// determinism-pinned metrics are recorded by the merge layer,
     /// never here.
     stats: Arc<RuntimeStats>,
-    /// Per-shard bounded rings carrying shard-built slice-span
-    /// bundles to the merge layer; `Some` exactly when
-    /// [`DrainPlan::stream_spans`] is set.
-    streams: Option<Arc<ShardStreams>>,
     slice_cycles: u64,
     drain: DrainPlan,
 }
@@ -266,20 +235,7 @@ fn shard_main(me: usize, shared: &PoolShared) {
                     );
                     slot.cell.cores[core] = Some(job);
                 }
-                CellCmd::Grant { epoch, now } => {
-                    // Residents must be captured before the slice runs:
-                    // `exec_slice` pops finished jobs, and the spans
-                    // are labeled with whoever was on-core *during*
-                    // the quantum.
-                    let residents: [Option<(String, u64)>; 2] = if shared.drain.stream_spans {
-                        let mut r = [None, None];
-                        for (core, resident) in slot.cell.cores.iter().enumerate() {
-                            r[core] = resident.as_ref().map(|j| (j.workload.clone(), j.id));
-                        }
-                        r
-                    } else {
-                        [None, None]
-                    };
+                CellCmd::Grant { epoch } => {
                     let tag = SliceTag {
                         shard: me,
                         seq,
@@ -291,28 +247,6 @@ fn shard_main(me: usize, shared: &PoolShared) {
                     match outcome {
                         Ok(log) => {
                             shared.stats.record_slice(me, token.stolen);
-                            if let Some(streams) = &shared.streams {
-                                let records = slice_span_buffer(
-                                    chip,
-                                    now,
-                                    log.stats.cycles,
-                                    residents.iter().enumerate().filter_map(|(c, r)| {
-                                        r.as_ref().map(|(w, id)| (c, w.as_str(), *id))
-                                    }),
-                                );
-                                // Offer before publishing the log: the
-                                // merge layer only looks for a bundle
-                                // once the log has arrived, so this
-                                // order guarantees the bundle is
-                                // visible by then (or counted dropped).
-                                streams.offer(TaggedBundle {
-                                    shard: me,
-                                    seq,
-                                    epoch,
-                                    chip,
-                                    records,
-                                });
-                            }
                             seq += 1;
                             let occupancy = shared.bus.publish(me, ShardEvent::Slice(log));
                             shared.stats.shards[me]
@@ -351,11 +285,7 @@ pub(crate) struct ShardPool {
     /// Chip index → shard that executed its previous slice, for the
     /// ownership-churn introspection counter.
     last_executor: Vec<Option<usize>>,
-    /// Shard-built slice-span bundles pulled off the streaming rings,
-    /// keyed like `received` for the merge layer's stitch.
-    received_spans: BTreeMap<(u64, usize), TraceBuffer>,
     scratch: Vec<ShardEvent>,
-    bundle_scratch: Vec<TaggedBundle>,
     failure: Option<ChipError>,
 }
 
@@ -364,7 +294,6 @@ impl ShardPool {
         cells: Vec<ChipCell>,
         shards: usize,
         stats: Arc<RuntimeStats>,
-        streams: Option<Arc<ShardStreams>>,
         slice_cycles: u64,
         drain: DrainPlan,
     ) -> Self {
@@ -383,7 +312,6 @@ impl ShardPool {
             tokens: TokenBoard::new(shards),
             bus: EventBus::new(shards),
             stats,
-            streams,
             slice_cycles,
             drain,
         });
@@ -405,9 +333,7 @@ impl ShardPool {
             seen: 0,
             next_seq: vec![0; shards],
             last_executor: vec![None; chips],
-            received_spans: BTreeMap::new(),
             scratch: Vec::new(),
-            bundle_scratch: Vec::new(),
             failure: None,
         }
     }
@@ -426,11 +352,11 @@ impl ShardPool {
         self.note_queue_depth(chip, depth);
     }
 
-    fn grant(&mut self, epoch: u64, now: u64, busy: &[usize]) {
+    fn grant(&mut self, epoch: u64, busy: &[usize]) {
         for &chip in busy {
             let depth = {
                 let mut slot = self.shared.cells[chip].lock().expect("cell lock");
-                slot.cmds.push_back(CellCmd::Grant { epoch, now });
+                slot.cmds.push_back(CellCmd::Grant { epoch });
                 slot.cmds.len()
             };
             self.note_queue_depth(chip, depth);
@@ -441,11 +367,7 @@ impl ShardPool {
             .push_many(busy.iter().map(|&chip| (self.owner_of[chip], chip)));
     }
 
-    /// Non-blocking: drains the bus into `received` and the streaming
-    /// rings into `received_spans`. The bus drains first — a shard
-    /// offers its span bundle before publishing the matching log, so
-    /// once a log is visible here its bundle is either on the ring or
-    /// already counted as dropped.
+    /// Non-blocking: drains the bus into `received`.
     fn pump(&mut self) -> Result<(), ServeError> {
         self.shared.bus.drain(&mut self.scratch);
         for event in self.scratch.drain(..) {
@@ -467,13 +389,6 @@ impl ShardPool {
                     self.received.insert((log.epoch, log.chip), log);
                 }
                 ShardEvent::Failed { error } => self.failure = Some(error),
-            }
-        }
-        if let Some(streams) = &self.shared.streams {
-            streams.drain_into(&mut self.bundle_scratch);
-            for bundle in self.bundle_scratch.drain(..) {
-                self.received_spans
-                    .insert((bundle.epoch, bundle.chip), bundle.records);
             }
         }
         match self.failure.clone() {
@@ -575,18 +490,10 @@ impl Backend {
         cells: Vec<ChipCell>,
         shards: usize,
         stats: Arc<RuntimeStats>,
-        streams: Option<Arc<ShardStreams>>,
         slice_cycles: u64,
         drain: DrainPlan,
     ) -> Self {
-        Self::Sharded(ShardPool::new(
-            cells,
-            shards,
-            stats,
-            streams,
-            slice_cycles,
-            drain,
-        ))
+        Self::Sharded(ShardPool::new(cells, shards, stats, slice_cycles, drain))
     }
 
     /// Queues a placement at its chip cell.
@@ -600,10 +507,9 @@ impl Backend {
         }
     }
 
-    /// Grants `busy` chips one quantum for `epoch` starting at virtual
-    /// cycle `now`. In-line: executes immediately. Sharded: enqueues
-    /// grant commands and chip tokens.
-    pub(crate) fn grant(&mut self, epoch: u64, now: u64, busy: &[usize]) -> Result<(), ServeError> {
+    /// Grants `busy` chips one quantum for `epoch`. In-line: executes
+    /// immediately. Sharded: enqueues grant commands and chip tokens.
+    pub(crate) fn grant(&mut self, epoch: u64, busy: &[usize]) -> Result<(), ServeError> {
         match self {
             Self::Inline(exec) => {
                 for &chip in busy {
@@ -625,11 +531,10 @@ impl Backend {
                     exec.seq += 1;
                     exec.logs.insert((epoch, chip), log);
                 }
-                let _ = now;
                 Ok(())
             }
             Self::Sharded(pool) => {
-                pool.grant(epoch, now, busy);
+                pool.grant(epoch, busy);
                 Ok(())
             }
         }
@@ -675,17 +580,6 @@ impl Backend {
         };
         logs.remove(&(epoch, chip))
             .expect("granted slice log available at merge time")
-    }
-
-    /// Hands the merge layer the shard-built slice-span bundle for one
-    /// `(epoch, chip)`, if streaming delivered it. `None` means the
-    /// bundle was ring-dropped (or spans are not streamed at all) and
-    /// the merge layer must synthesize the identical records itself.
-    pub(crate) fn take_spans(&mut self, epoch: u64, chip: usize) -> Option<TraceBuffer> {
-        match self {
-            Self::Inline(_) => None,
-            Self::Sharded(pool) => pool.received_spans.remove(&(epoch, chip)),
-        }
     }
 
     /// Shuts the backend down and returns the cells in chip order for

@@ -9,10 +9,10 @@
 //!   single-stage step/pulse responses via an exact 2×2 matrix
 //!   exponential, resonance search) that the state-space simulation
 //!   must agree with to stated tolerances.
-//! * [`reference`] — a brute-force reference implementation of the
-//!   batch scheduler's greedy pair selection, written as repeated
-//!   argmax rather than a pre-sorted sweep, for cross-checking
-//!   `vsmooth-sched` on small workload sets.
+//! * [`reference`](mod@reference) — a brute-force reference
+//!   implementation of the batch scheduler's greedy pair selection,
+//!   written as repeated argmax rather than a pre-sorted sweep, for
+//!   cross-checking `vsmooth-sched` on small workload sets.
 //! * [`generator`] — a seeded scenario generator (plain seeded-RNG
 //!   functions that double as `proptest` strategies) producing random
 //!   ladders, decap configurations, chips, workload pools and job

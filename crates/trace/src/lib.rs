@@ -19,11 +19,12 @@
 //! # Determinism contract
 //!
 //! Timestamps are **virtual cycles**; no wall-clock value, thread id,
-//! or allocation address ever enters a record. Worker threads fill
-//! private [`TraceBuffer`]s (or chip-session droop captures) and a
-//! coordinator merges them in a fixed order, so the exported bytes are
-//! identical whatever the worker-thread count — enforced end to end by
-//! the `serve_invariance` integration test.
+//! or allocation address ever enters a record. Worker threads only
+//! simulate and hand back counters and chip-session droop captures;
+//! one coordinator-side producer makes every record from them in a
+//! fixed order, so the exported bytes are identical whatever the
+//! worker-thread count — enforced end to end by the `serve_invariance`
+//! integration test.
 //!
 //! # Examples
 //!
@@ -54,7 +55,6 @@ pub mod audit;
 pub mod event;
 pub mod export;
 pub mod json;
-pub mod shard_stream;
 pub mod stream;
 pub mod tracer;
 
@@ -64,8 +64,7 @@ pub use event::{
 };
 pub use export::{chrome_trace_json, validate_chrome_trace, TraceShape};
 pub use json::{parse_json, JsonValue};
-pub use shard_stream::{ShardLaneStats, ShardStreams, TaggedBundle, DEFAULT_SHARD_RING};
 pub use stream::{
     ChromeJsonSink, DropReason, SamplerConfig, SinkStats, StreamConfig, TelemetryStats, TraceSink,
 };
-pub use tracer::{SpanGuard, TraceBuffer, TraceMode, Tracer};
+pub use tracer::{SpanGuard, Tracer};

@@ -1,10 +1,11 @@
 //! The streaming telemetry pipeline: bounded memory, typed drops,
 //! deterministic sampling.
 //!
-//! Full-mode tracing buffers every [`TraceRecord`] until the run ends —
+//! A buffering tracer keeps every [`TraceRecord`] until the run ends —
 //! fine for a figure regeneration, fatal for a soak that never stops.
-//! [`TraceMode::Streaming`](crate::TraceMode) replaces the unbounded
-//! `Vec` with a fixed-capacity ring feeding an optional [`TraceSink`]:
+//! A streaming tracer ([`Tracer::streaming`](crate::Tracer::streaming)
+//! and its siblings) replaces the unbounded `Vec` with a
+//! fixed-capacity ring feeding an optional [`TraceSink`]:
 //!
 //! ```text
 //! record ──sampler──▶ ring (fixed capacity) ──watermark──▶ sink ──▶ io::Write
@@ -29,7 +30,7 @@
 //!   chunks flushed, flush latency samples, and the peak ring
 //!   occupancy a soak asserts stayed under capacity.
 //!
-//! Wall-clock time appears only in [`TelemetryStats::flush_latency_us`]
+//! Wall-clock time appears only in [`SinkStats::flush_latency_us`]
 //! (operational metrics); it never enters the trace byte stream, so
 //! streamed traces keep the crate's determinism contract.
 
@@ -177,7 +178,8 @@ impl TelemetryStats {
         }
     }
 
-    /// Lands the pipeline's self-observation in a [`MetricsRegistry`]:
+    /// Lands the pipeline's self-observation in a
+    /// [`MetricsRegistry`](vsmooth_stats::MetricsRegistry):
     /// `telemetry_records_dropped_total{reason=…}` (every reason, so
     /// zeros are explicit), seen/written counters, sampler-decision
     /// counters, ring occupancy gauges, `telemetry_bytes_flushed_total`

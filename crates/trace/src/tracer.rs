@@ -1,15 +1,17 @@
 //! The recorder: cheap when disabled, deterministic when enabled.
 //!
-//! A [`Tracer`] is created once per run in one of three modes. Every
-//! recording method first checks the mode with a plain branch, so a
-//! disabled tracer costs one predictable-false comparison per call
-//! site and never takes the lock — that is the "zero overhead when
-//! disabled" budget the serve hot path relies on.
+//! A [`Tracer`] is created once per run: disabled, buffering
+//! everything, or streaming everything through the bounded
+//! [`stream`](crate::stream) pipeline. Every recording method first
+//! checks the mode with a plain branch, so a disabled tracer costs one
+//! predictable-false comparison per call site and never takes the lock
+//! — that is the "zero overhead when disabled" budget the serve hot
+//! path relies on.
 //!
-//! Worker threads never write to the shared tracer directly. They fill
-//! private [`TraceBuffer`]s (or, for droop events, drain the chip
-//! session's capture) and the coordinator merges them in a fixed order
-//! — chip index, then record order — so the exported byte stream is
+//! Worker threads never write to a tracer. They hand back slice
+//! counters and the chip session's droop captures, and one
+//! coordinator-side producer records from those in a fixed order —
+//! epoch, then chip index, then core — so the exported byte stream is
 //! independent of the worker-thread count.
 
 use crate::event::{chip_pid, ArgValue, Args, DroopEvent, TraceRecord};
@@ -18,12 +20,9 @@ use std::sync::Mutex;
 
 /// What a [`Tracer`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceMode {
+pub(crate) enum TraceMode {
     /// Record nothing; every call is a no-op.
     Disabled,
-    /// Record spans, instants and counters, but skip droop-event
-    /// capture (the per-cycle chip-side cost).
-    Spans,
     /// Record everything, including typed droop events.
     Full,
     /// Record everything through the bounded streaming pipeline
@@ -52,75 +51,6 @@ impl TracerState {
     }
 }
 
-/// A private, lock-free record buffer for one worker thread.
-///
-/// Workers push into their own buffer; the coordinator calls
-/// [`Tracer::merge`] in a deterministic order.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TraceBuffer {
-    records: Vec<TraceRecord>,
-}
-
-impl TraceBuffer {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a complete span.
-    #[allow(clippy::too_many_arguments)]
-    pub fn span(
-        &mut self,
-        name: impl Into<String>,
-        cat: &'static str,
-        pid: u32,
-        tid: u64,
-        ts: u64,
-        dur: u64,
-        args: Args,
-    ) {
-        self.records.push(TraceRecord::Span {
-            name: name.into(),
-            cat,
-            pid,
-            tid,
-            ts,
-            dur,
-            args,
-        });
-    }
-
-    /// Records an instant event.
-    pub fn instant(
-        &mut self,
-        name: impl Into<String>,
-        cat: &'static str,
-        pid: u32,
-        tid: u64,
-        ts: u64,
-        args: Args,
-    ) {
-        self.records.push(TraceRecord::Instant {
-            name: name.into(),
-            cat,
-            pid,
-            tid,
-            ts,
-            args,
-        });
-    }
-
-    /// Number of buffered records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the buffer is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-}
-
 /// The run-wide trace recorder. See the [module docs](self).
 #[derive(Debug)]
 pub struct Tracer {
@@ -131,17 +61,19 @@ pub struct Tracer {
 impl Tracer {
     /// A tracer that records nothing.
     pub fn disabled() -> Self {
-        Self::with_mode(TraceMode::Disabled)
-    }
-
-    /// A tracer recording spans/instants/counters but not droop events.
-    pub fn spans_only() -> Self {
-        Self::with_mode(TraceMode::Spans)
+        Self::buffered(TraceMode::Disabled)
     }
 
     /// A tracer recording everything.
     pub fn enabled() -> Self {
-        Self::with_mode(TraceMode::Full)
+        Self::buffered(TraceMode::Full)
+    }
+
+    fn buffered(mode: TraceMode) -> Self {
+        Self {
+            mode,
+            state: Mutex::new(TracerState::default()),
+        }
     }
 
     /// A streaming tracer with no sink: the ring is a flight recorder
@@ -183,23 +115,6 @@ impl Tracer {
         Self::streaming_to(Box::new(sink), cfg)
     }
 
-    /// A tracer in the given mode (`Streaming` gets the default
-    /// [`StreamConfig`], sink-less).
-    pub fn with_mode(mode: TraceMode) -> Self {
-        if mode == TraceMode::Streaming {
-            return Self::streaming(StreamConfig::default());
-        }
-        Self {
-            mode,
-            state: Mutex::new(TracerState::default()),
-        }
-    }
-
-    /// The tracer's mode.
-    pub fn mode(&self) -> TraceMode {
-        self.mode
-    }
-
     /// Whether any recording happens at all. Call sites that must build
     /// arguments (allocations) should guard on this first.
     #[inline]
@@ -207,10 +122,11 @@ impl Tracer {
         self.mode != TraceMode::Disabled
     }
 
-    /// Whether droop-event capture should be switched on chip-side.
+    /// Whether droop-event capture should be switched on chip-side:
+    /// every enabled tracer records droop events.
     #[inline]
     pub fn wants_droop_events(&self) -> bool {
-        matches!(self.mode, TraceMode::Full | TraceMode::Streaming)
+        self.is_enabled()
     }
 
     /// Whether records flow through the bounded streaming pipeline.
@@ -360,23 +276,6 @@ impl Tracer {
             ts: event.cycle,
             value: total as f64,
         });
-    }
-
-    /// Appends a worker-filled buffer. The *caller* is responsible for
-    /// merge order: call this from the coordinator, in a fixed order.
-    pub fn merge(&self, buffer: TraceBuffer) {
-        if !self.is_enabled() || buffer.is_empty() {
-            return;
-        }
-        let mut state = self.state.lock().expect("tracer lock");
-        match &mut state.stream {
-            Some(stream) => {
-                for record in buffer.records {
-                    stream.offer(record);
-                }
-            }
-            None => state.records.extend(buffer.records),
-        }
     }
 
     /// Droop events recorded so far.
@@ -533,17 +432,6 @@ mod tests {
     }
 
     #[test]
-    fn spans_only_skips_droop_events() {
-        let t = Tracer::spans_only();
-        assert!(t.is_enabled());
-        assert!(!t.wants_droop_events());
-        t.complete("x", "job", PID_JOBS, 0, 0, 10, vec![]);
-        t.droop(&droop(0, 3));
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.droops_total(), 0);
-    }
-
-    #[test]
     fn droop_emits_instant_plus_running_counter() {
         let t = Tracer::enabled();
         t.droop(&droop(1, 10));
@@ -575,20 +463,6 @@ mod tests {
         };
         assert_eq!(name, "b");
         assert_eq!((*ts, *dur), (100, 150));
-    }
-
-    #[test]
-    fn merge_appends_worker_buffers_in_call_order() {
-        let t = Tracer::enabled();
-        let mut b1 = TraceBuffer::new();
-        b1.span("first", "slice", chip_pid(0), 0, 0, 10, vec![]);
-        let mut b2 = TraceBuffer::new();
-        b2.instant("second", "slice", chip_pid(1), 0, 5, vec![]);
-        t.merge(b1);
-        t.merge(b2);
-        let records = t.records();
-        assert!(records[0].is_span());
-        assert!(records[1].is_instant());
     }
 
     #[test]

@@ -179,8 +179,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(returned > 0.0, "the burst must leave recent droops behind");
 
     // The sharded runtime (2 workers) published its live introspection
-    // section: per-shard owned/stolen slice splits, stream-ring
-    // accounting, queue depths, merge lag.
+    // section: per-shard owned/stolen slice splits, lane high-water
+    // marks, queue depths, merge lag.
     let shards = http_get(addr, "/shards")?;
     let doc = parse_json(&shards.body).map_err(|e| format!("shards JSON: {e}"))?;
     assert_eq!(
