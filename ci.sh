@@ -55,15 +55,19 @@ echo "== benchmark harness (facade API and pinned digests) =="
 # through the vsmooth facade, so the workspace steps above never build
 # it. Its tests catch a facade change that would break the benchmark,
 # and pins_match_the_inline_backend pins the trace bytes, health JSON,
-# audit JSON and report digests it measures.
+# audit JSON and report digests it measures. Format and lint it like
+# the workspace, since the steps above never see its sources.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+cargo fmt --check --manifest-path perfbench/Cargo.toml
+cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "== shard equivalence gate (coordinator vs sharded runtime) =="
 # The differential oracle for the shard-per-worker runtime: every
 # artifact class (report, trace JSON, profile JSON, health JSON, obs
 # snapshot stream, vsmooth-audit-v1 decision audit) byte-identical
-# between the in-line coordinator and
-# 1/2/4/8 shards, plus the seeded property over random job streams
+# between the in-line coordinator (the shard pool with no workers,
+# draining each grant on the reference step) and 1/2/4/8 shards on
+# the fused step, plus the seeded property over random job streams
 # with a pinned case count, plus the work-stealing stress suite with
 # job-conservation accounting and the armed invariant checker.
 PROPTEST_CASES=64 cargo test -q -p vsmooth-repro --test shard_equivalence

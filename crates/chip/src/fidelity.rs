@@ -50,18 +50,6 @@ impl Fidelity {
             _ => Ok(()),
         }
     }
-
-    /// Reads `VSMOOTH_FIDELITY` (`test` / `bench` / `full` / a number),
-    /// defaulting to `default` when unset or unparsable.
-    pub fn from_env(default: Fidelity) -> Fidelity {
-        match std::env::var("VSMOOTH_FIDELITY").ok().as_deref() {
-            Some("test") => Self::Test,
-            Some("bench") => Self::Bench,
-            Some("full") => Self::Full,
-            Some(other) => other.parse::<u64>().map(Self::Custom).unwrap_or(default),
-            None => default,
-        }
-    }
 }
 
 #[cfg(test)]

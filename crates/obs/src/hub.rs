@@ -83,7 +83,7 @@ pub struct ShardStatus {
     pub stream_dropped: u64,
 }
 
-/// Live runtime introspection of the shard-per-worker backend, behind
+/// Live runtime introspection of the shard-per-worker runtime, behind
 /// the `/shards` endpoint. This whole section is execution state —
 /// which shard ran what, how deep queues got, how long decisions
 /// took — and is the documented determinism exception: it appears
@@ -148,7 +148,7 @@ pub struct ObsSnapshot {
     /// Latest `vsmooth-profile-v1` JSON behind `/profile`.
     pub profile_json: Option<Arc<String>>,
     /// Live shard-runtime introspection behind `/shards` (absent on
-    /// coordinator-backend runs and fleet publishers).
+    /// in-line coordinator runs and fleet publishers).
     pub shards: Option<ShardsStatus>,
     /// The decision audit ring behind `/decisions`, oldest first.
     /// Folded merge-side in `(epoch, chip)` order, so — unlike

@@ -224,39 +224,6 @@ fn serve_loop(listener: TcpListener, hub: &TelemetryHub, stop: &AtomicBool) {
             10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1_000.0, 2_500.0, 5_000.0, 10_000.0, 25_000.0,
         ],
     );
-    // Shard-runtime introspection gauges, refreshed from the latest
-    // published snapshot's live `shards` section on every /metrics
-    // scrape. They live in this self-observation registry — never the
-    // run's own — because steal splits, queue high-water marks and
-    // wall-clock latency are execution facts, not schedule facts.
-    metrics.describe(
-        "serve_shard_slices",
-        "Slices executed per shard, split by claim origin (kind=owned|stolen).",
-    );
-    metrics.describe(
-        "serve_shard_lane_occupancy_hwm",
-        "High-water mark of each shard's event-lane occupancy, in pending slice records.",
-    );
-    metrics.describe(
-        "serve_cell_queue_hwm",
-        "High-water mark of each chip cell's command-queue depth.",
-    );
-    metrics.describe(
-        "serve_ownership_churn",
-        "Times a chip's slice ran on a different shard than its previous slice.",
-    );
-    metrics.describe(
-        "serve_grants",
-        "Quantum grants issued by the scheduler decision loop.",
-    );
-    metrics.describe(
-        "serve_merge_lag_epochs",
-        "Epochs the decision loop is ahead of the merge layer.",
-    );
-    metrics.describe(
-        "serve_decision_latency_us",
-        "Decision-loop wall latency summary, microseconds (stat=mean|max).",
-    );
     let mut cache = MetricsCache::default();
     loop {
         let stream = match listener.accept() {
@@ -286,22 +253,31 @@ fn serve_loop(listener: TcpListener, hub: &TelemetryHub, stop: &AtomicBool) {
 }
 
 /// Memoizes the Prometheus render of the published snapshot, keyed by
-/// snapshot identity. Snapshots are immutable, so between publishes
-/// every `/metrics` scrape can reuse one render instead of re-walking
-/// the whole series set — what keeps scrape-under-load overhead flat
-/// when clients poll faster than the coordinator publishes.
+/// snapshot identity: its metrics, and the shard-runtime gauges of its
+/// live `shards` section (empty without one). Snapshots are immutable,
+/// so between publishes every `/metrics` scrape can reuse one render
+/// instead of re-walking the whole series set — what keeps
+/// scrape-under-load overhead flat when clients poll faster than the
+/// coordinator publishes.
 #[derive(Default)]
 struct MetricsCache {
-    entry: Option<(Arc<ObsSnapshot>, String)>,
+    entry: Option<(Arc<ObsSnapshot>, String, String)>,
 }
 
 impl MetricsCache {
-    fn render(&mut self, snap: &Arc<ObsSnapshot>) -> &str {
-        let hit = matches!(&self.entry, Some((key, _)) if Arc::ptr_eq(key, snap));
+    /// The snapshot's metrics and shard gauges, rendered.
+    fn render(&mut self, snap: &Arc<ObsSnapshot>) -> (&str, &str) {
+        let hit = matches!(&self.entry, Some((key, ..)) if Arc::ptr_eq(key, snap));
         if !hit {
-            self.entry = Some((Arc::clone(snap), snap.metrics.render_prometheus()));
+            let shards = snap.shards.as_ref().map(render_shard_gauges);
+            self.entry = Some((
+                Arc::clone(snap),
+                snap.metrics.render_prometheus(),
+                shards.unwrap_or_default(),
+            ));
         }
-        &self.entry.as_ref().expect("entry just filled").1
+        let (_, metrics, shards) = self.entry.as_ref().expect("entry just filled");
+        (metrics, shards)
     }
 }
 
@@ -404,17 +380,15 @@ fn route(
                 metrics.gauge_set("obs_snapshot_staleness_ms", ms as f64);
             }
             metrics.gauge_set("obs_snapshot_publishes", hub.publishes() as f64);
-            if let Some(shards) = &snap.shards {
-                set_shard_gauges(metrics, shards);
-            }
-            // The big half of the body (the published snapshot) comes
-            // from the per-snapshot cache; only the small self-metrics
-            // registry is re-rendered per scrape (its counters move
-            // with every request).
-            let rendered = cache.render(&snap);
-            let mut body = String::with_capacity(rendered.len() + 1_024);
+            // The big half of the body (the published snapshot and its
+            // shard gauges) comes from the per-snapshot cache; only the
+            // small self-metrics registry is re-rendered per scrape
+            // (its counters move with every request).
+            let (rendered, shards) = cache.render(&snap);
+            let mut body = String::with_capacity(rendered.len() + shards.len() + 1_024);
             body.push_str(rendered);
             body.push_str(&metrics.snapshot().render_prometheus());
+            body.push_str(shards);
             (endpoint, 200, "text/plain; version=0.0.4", body)
         }
         "/healthz" => match &snap.health {
@@ -581,9 +555,42 @@ fn status_json(hub: &TelemetryHub, snap: &ObsSnapshot) -> String {
     out
 }
 
-/// Refreshes the shard-runtime introspection gauges in the server's
-/// self-observation registry from the latest published live section.
-fn set_shard_gauges(metrics: &MetricsRegistry, shards: &ShardsStatus) {
+/// Renders a snapshot's live shard section as introspection gauges,
+/// with their HELP lines. They come from the section alone — never the
+/// run's registry, since steal splits, queue high-water marks and
+/// wall-clock latency are execution facts, not schedule facts — so a
+/// snapshot without a section, or with fewer shards, serves none of an
+/// earlier snapshot's series.
+fn render_shard_gauges(shards: &ShardsStatus) -> String {
+    let metrics = MetricsRegistry::new();
+    metrics.describe(
+        "serve_shard_slices",
+        "Slices executed per shard, split by claim origin (kind=owned|stolen).",
+    );
+    metrics.describe(
+        "serve_shard_lane_occupancy_hwm",
+        "High-water mark of each shard's event-lane occupancy, in pending slice records.",
+    );
+    metrics.describe(
+        "serve_cell_queue_hwm",
+        "High-water mark of each chip cell's command-queue depth.",
+    );
+    metrics.describe(
+        "serve_ownership_churn",
+        "Times a chip's slice ran on a different shard than its previous slice.",
+    );
+    metrics.describe(
+        "serve_grants",
+        "Quantum grants issued by the scheduler decision loop.",
+    );
+    metrics.describe(
+        "serve_merge_lag_epochs",
+        "Epochs the decision loop is ahead of the merge layer.",
+    );
+    metrics.describe(
+        "serve_decision_latency_us",
+        "Decision-loop wall latency summary, microseconds (stat=mean|max).",
+    );
     for s in &shards.shards {
         let shard = s.shard.to_string();
         let shard = shard.as_str();
@@ -624,6 +631,7 @@ fn set_shard_gauges(metrics: &MetricsRegistry, shards: &ShardsStatus) {
         &[("stat", "max")],
         shards.decision_latency.max_us as f64,
     );
+    metrics.snapshot().render_prometheus()
 }
 
 fn shards_json(shards: &ShardsStatus) -> String {
@@ -905,6 +913,52 @@ mod tests {
         assert_eq!(http_get(addr, "/readyz").unwrap().status, 200);
         // No profile in this snapshot.
         assert_eq!(http_get(addr, "/profile").unwrap().status, 404);
+        server.shutdown();
+    }
+
+    #[test]
+    fn shard_gauges_follow_the_published_snapshot() {
+        let server = ObsServer::bind("127.0.0.1:0").expect("bind");
+        let addr = server.local_addr();
+        let with_shards = |n: usize| {
+            let mut snap = sample_snapshot();
+            let section = snap.shards.as_mut().unwrap();
+            section.shards = (0..n)
+                .map(|shard| ShardStatus {
+                    shard,
+                    slices_owned: 5,
+                    slices_stolen: 1,
+                    lane_occupancy_hwm: 2,
+                    stream_dropped: 0,
+                })
+                .collect();
+            snap
+        };
+        let metrics = || http_get(addr, "/metrics").unwrap().body;
+
+        server.hub().publish(with_shards(4));
+        let body = metrics();
+        assert!(body.contains("serve_shard_slices{kind=\"owned\",shard=\"3\"} 5"));
+        assert!(body.contains("# HELP serve_shard_lane_occupancy_hwm"));
+
+        // A run with no shard runtime (a coordinator run, a fleet
+        // sweep) leaves no shard series behind.
+        server.hub().publish(ObsSnapshot {
+            metrics: sample_snapshot().metrics,
+            ..ObsSnapshot::default()
+        });
+        let body = metrics();
+        assert!(body.contains("serve_jobs_completed_total 7"));
+        assert!(!body.contains("serve_shard"), "{body}");
+        assert!(!body.contains("serve_cell_queue_hwm"), "{body}");
+        assert!(!body.contains("serve_merge_lag_epochs"), "{body}");
+        assert_eq!(http_get(addr, "/shards").unwrap().status, 404);
+
+        server.hub().publish(with_shards(2));
+        let body = metrics();
+        assert!(body.contains("serve_shard_slices{kind=\"stolen\",shard=\"1\"} 1"));
+        assert!(!body.contains("shard=\"2\""), "{body}");
+        assert!(!body.contains("shard=\"3\""), "{body}");
         server.shutdown();
     }
 

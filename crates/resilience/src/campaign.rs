@@ -214,7 +214,7 @@ impl CampaignSpec {
         let mut monitor = inst.monitor.clone().map(Monitor::new);
         let capture = match inst.profile {
             Some(cfg) => Capture::Windows(margin, cfg.window),
-            None if tracer.wants_droop_events() || monitor.is_some() => Capture::Crossings(margin),
+            None if tracer.is_enabled() || monitor.is_some() => Capture::Crossings(margin),
             None => Capture::None,
         };
         // One-time ladder/uarch setup shared by every run: workers stamp

@@ -29,20 +29,20 @@ use vsmooth_trace::DecisionEvent;
 use vsmooth_workload::EventStream;
 
 /// How [`Service::run`](crate::Service::run) maps its `workers`
-/// argument onto an execution backend.
+/// argument onto the shard pool's worker threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RuntimeMode {
-    /// `workers <= 1` runs on the in-line coordinator backend,
-    /// `workers >= 2` runs one long-lived shard per worker. The
-    /// default.
+    /// `workers <= 1` runs the in-line coordinator, `workers >= 2`
+    /// runs one long-lived shard per worker. The default.
     #[default]
     Auto,
-    /// Always the single-threaded coordinator backend, whatever
-    /// `workers` says. This is the reference implementation the shard
-    /// runtime is differentially tested against: chips advance in-line
-    /// on the coordinator thread through the reference cycle loop.
+    /// Always the in-line coordinator, whatever `workers` says: a pool
+    /// with no worker threads, whose every grant drains the chip cells
+    /// on the calling thread through the reference cycle loop. This is
+    /// the reference implementation the shard runtime is
+    /// differentially tested against.
     Coordinator,
-    /// Always the shard-per-worker backend, even for `workers == 1`.
+    /// Always one shard per worker, even for `workers == 1`.
     Sharded,
 }
 

@@ -1,11 +1,13 @@
-//! Runtime introspection counters for the shard-per-worker runtime.
+//! Runtime introspection counters for the shard pool.
 //!
 //! [`RuntimeStats`] is the shared atomic scoreboard every layer of the
 //! sharded runtime feeds: shards count owned vs stolen slice
 //! executions and their event-lane occupancy high-water marks, the
 //! pump tracks chip ownership churn, the decision loop counts grants
 //! and (when obs is armed) its own wall-clock latency, and cells
-//! record command-queue depth high-water marks.
+//! record command-queue depth high-water marks. A pool with no workers
+//! (the in-line coordinator) credits its slices to slot 0 and
+//! publishes no section.
 //!
 //! Everything here is **live execution state** — which shard ran which
 //! token, how deep a queue got, how long a decision took — and is
@@ -33,7 +35,8 @@ pub(crate) struct ShardCounters {
 /// The shared introspection scoreboard of one service run.
 #[derive(Debug)]
 pub(crate) struct RuntimeStats {
-    /// One counter block per shard (the inline backend uses slot 0).
+    /// One counter block per shard (a pool with no workers uses slot
+    /// 0 for its in-line executor).
     pub shards: Vec<ShardCounters>,
     /// Per-chip command-queue depth high-water marks.
     pub cell_queue_hwm: Vec<AtomicU64>,

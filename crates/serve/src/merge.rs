@@ -18,8 +18,9 @@
 //! in epoch order, and within an epoch busy chips are walked in
 //! chip-index order. Which shard executed a slice, in what real-time
 //! order, with how much work-stealing — none of it is visible here,
-//! which is what makes every artifact byte-identical across backends
-//! and shard counts (enforced by `tests/shard_equivalence.rs`). The
+//! which is what makes every artifact byte-identical at every worker
+//! count, the in-line coordinator's none included (enforced by
+//! `tests/shard_equivalence.rs`). The
 //! single documented exception is the live shard-runtime section
 //! ([`ObsSnapshot::shards`](vsmooth_obs::ObsSnapshot)): per-shard
 //! counters read from the [`RuntimeStats`] scoreboard at publish time,
@@ -46,7 +47,7 @@ use vsmooth_chip::{DroopWindow, PHASE_MARGIN_PCT};
 use vsmooth_monitor::{EpochSample, HealthReport, Monitor, SliceRecord};
 use vsmooth_obs::{ObsConfig, ObsSnapshot, ServiceStatus};
 use vsmooth_profile::{emit_window_span, Profiler};
-use vsmooth_stats::MetricsRegistry;
+use vsmooth_stats::{MetricsRegistry, MetricsSnapshot};
 use vsmooth_trace::{chip_pid, ArgValue, DroopEvent, Tracer, PID_JOBS};
 
 /// Virtual thread id hosting `droop_window` spans on a chip timeline
@@ -97,8 +98,8 @@ pub(crate) struct Merge<'a> {
     /// The run's capture plan: which slice channels were drained and
     /// which consumers want droop events.
     drain: DrainPlan,
-    /// Whether this run executes on the sharded backend — the `shards`
-    /// section is published only then (a coordinator run has no shard
+    /// Whether the run's pool has shard workers — the `shards` section
+    /// is published only then (the in-line coordinator has no shard
     /// runtime to introspect; `/shards` answers 404).
     sharded: bool,
     /// The decision audit ring, when [`AuditConfig`] armed it. Folded
@@ -200,11 +201,6 @@ impl<'a> Merge<'a> {
         }
     }
 
-    /// The snapshot sections carrying live/audit runtime state.
-    fn shards_section(&self) -> Option<vsmooth_obs::ShardsStatus> {
-        self.sharded.then(|| self.stats.status(self.epochs_merged))
-    }
-
     /// Replays one epoch record, already [folded](Self::fold), with
     /// its busy chips' logs (in `rec.busy` order). Returns the typed
     /// overflow error when the record ends in an admission overflow,
@@ -304,7 +300,7 @@ impl<'a> Merge<'a> {
             // Slice counters land here, not at execution time: shards
             // run ahead of the merge, and obs snapshots taken at
             // publish boundaries must count exactly the slices merged
-            // so far to stay backend-independent. They accumulate
+            // so far to stay executor-independent. They accumulate
             // locally and flush before the next registry read.
             self.pending_slices += 1;
             self.pending_cycles += slice.cycles;
@@ -435,7 +431,7 @@ impl<'a> Merge<'a> {
         if let Some(m) = self.monitor.as_deref_mut() {
             // Close the monitoring epoch after the merge, with the
             // queue state placement left behind — all decision-loop
-            // state, so the sample is backend-independent.
+            // state, so the sample is executor-independent.
             m.on_epoch(EpochSample {
                 end_cycle: now + self.slice_cycles,
                 cycles: epoch_cycles,
@@ -470,26 +466,33 @@ impl<'a> Merge<'a> {
                     droops: self.droops,
                     done: false,
                 };
-                oc.hub.publish(ObsSnapshot {
-                    metrics: self.metrics.snapshot(),
-                    health: self.monitor.as_deref().map(Monitor::status),
-                    service: Some(status),
-                    fleet: None,
-                    shards: self.shards_section(),
-                    decisions: self
-                        .audit
-                        .as_ref()
-                        .map(AuditLog::events)
-                        .unwrap_or_default(),
-                    recent_droops: self.recent.iter().flatten().cloned().collect(),
-                    profile_json: self.last_profile.clone(),
-                });
-                if let Some(hook) = &oc.on_publish {
-                    hook(&oc.hub.latest());
-                }
+                self.publish(oc, status, self.metrics.snapshot());
             }
         }
         Ok(())
+    }
+
+    /// Publishes one snapshot into the obs hub — `status` and the
+    /// registry snapshot `metrics` plus the live sections as of now —
+    /// and runs the publish hook on it.
+    fn publish(&self, oc: &ObsConfig, status: ServiceStatus, metrics: MetricsSnapshot) {
+        oc.hub.publish(ObsSnapshot {
+            metrics,
+            health: self.monitor.as_deref().map(Monitor::status),
+            service: Some(status),
+            fleet: None,
+            shards: self.sharded.then(|| self.stats.status(self.epochs_merged)),
+            decisions: self
+                .audit
+                .as_ref()
+                .map(AuditLog::events)
+                .unwrap_or_default(),
+            recent_droops: self.recent.iter().flatten().cloned().collect(),
+            profile_json: self.last_profile.clone(),
+        });
+        if let Some(hook) = &oc.on_publish {
+            hook(&oc.hub.latest());
+        }
     }
 
     /// Flushes the batched slice counters into the registry. Must run
@@ -510,8 +513,8 @@ impl<'a> Merge<'a> {
 
     /// End of run: final window flushes, aggregate counters and float
     /// observations, health/profile exports, the final obs publish,
-    /// and the report. `cells` must come back from the backend in
-    /// chip order.
+    /// and the report. `cells` must come back from the pool in chip
+    /// order.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn finalize(
         mut self,
@@ -594,7 +597,7 @@ impl<'a> Merge<'a> {
             self.tracer.export_telemetry(self.metrics);
         }
         let snapshot = self.metrics.snapshot();
-        // Both backends credit every executed slice to the live
+        // Every executor credits each slice it runs to the live
         // scoreboard, so the introspection tallies must reconcile
         // exactly with the deterministic counter.
         debug_assert_eq!(
@@ -607,33 +610,18 @@ impl<'a> Merge<'a> {
             // counters, monitor gauges, attribution series included),
             // final health, and `done: true` — so post-run scrapes see
             // the finished state instead of the last periodic sample.
-            oc.hub.publish(ObsSnapshot {
-                metrics: snapshot.clone(),
-                health: self.monitor.as_deref().map(Monitor::status),
-                service: Some(ServiceStatus {
-                    epoch: epochs,
-                    virtual_cycles: now,
-                    queue_depth: 0,
-                    running_jobs: 0,
-                    jobs_submitted: self.jobs_submitted,
-                    jobs_admitted: self.admitted,
-                    jobs_completed: self.completed.len() as u64,
-                    droops: self.droops,
-                    done: true,
-                }),
-                fleet: None,
-                shards: self.shards_section(),
-                decisions: self
-                    .audit
-                    .as_ref()
-                    .map(AuditLog::events)
-                    .unwrap_or_default(),
-                recent_droops: self.recent.iter().flatten().cloned().collect(),
-                profile_json: self.last_profile.clone(),
-            });
-            if let Some(hook) = &oc.on_publish {
-                hook(&oc.hub.latest());
-            }
+            let status = ServiceStatus {
+                epoch: epochs,
+                virtual_cycles: now,
+                queue_depth: 0,
+                running_jobs: 0,
+                jobs_submitted: self.jobs_submitted,
+                jobs_admitted: self.admitted,
+                jobs_completed: self.completed.len() as u64,
+                droops: self.droops,
+                done: true,
+            };
+            self.publish(oc, status, snapshot.clone());
         }
         let completed = self.completed;
         let mean = |f: &dyn Fn(&CompletedJob) -> f64| {

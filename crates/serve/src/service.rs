@@ -10,13 +10,12 @@
 //!   and reads the telemetry book, which the merge layer folds, at
 //!   placement. It never touches an artifact sink; each epoch's
 //!   decisions are recorded as an `EpochRec` and execution is
-//!   delegated to a `Backend`.
-//! * **The execution backend** (`crate::shard`) advances chips:
-//!   in-line on this thread (the reference backend) or on a pool of
-//!   long-lived shard workers with per-shard run queues and
-//!   work-stealing (the throughput backend, see
-//!   [`RuntimeMode`]). Executors return one `SliceLog` per granted
-//!   slice.
+//!   delegated to the `ShardPool`.
+//! * **The shard pool** (`crate::shard`) builds, warms up and advances
+//!   the chips: on long-lived shard workers with per-shard run queues
+//!   and work-stealing, or, with no workers, in-line on this thread on
+//!   the reference step (the coordinator, see [`RuntimeMode`]). Either
+//!   way it returns one `SliceLog` per granted slice.
 //! * **The merge layer** (`crate::merge`) replays epoch records
 //!   against slice logs in `(epoch, chip)` order, reconstructing
 //!   metrics, trace records, monitor feed, profiler attribution and
@@ -44,15 +43,15 @@
 //! The invariance is enforced by test twice over: the in-file tests
 //! pin reports/traces/profiles/health across worker counts, and
 //! `tests/shard_equivalence.rs` differentially tests the shard runtime
-//! against the in-line coordinator backend at 1/2/4/8 shards for five
-//! artifact classes, byte for byte.
+//! against the in-line coordinator (the pool with no workers) at
+//! 1/2/4/8 shards for five artifact classes, byte for byte.
 
 use crate::audit::{AuditConfig, AuditReport};
 use crate::control::{BusyChip, CellJob, CoreSlice, EpochRec, PlaceRec, RuntimeMode, SliceLog};
 use crate::introspect::RuntimeStats;
 use crate::job::{CompletedJob, JobSpec};
 use crate::merge::{Merge, PROFILE_TID};
-use crate::shard::{Backend, ChipCell, DrainPlan};
+use crate::shard::{DrainPlan, ShardPool};
 use crate::telemetry::TelemetryBook;
 use crate::ServeError;
 use serde::{Deserialize, Serialize};
@@ -60,16 +59,13 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 use vsmooth_chip::sense::CrossingGrid;
-use vsmooth_chip::{
-    Chip, ChipConfig, ChipSession, InvariantConfig, WindowConfig, PHASE_MARGIN_PCT,
-};
+use vsmooth_chip::{ChipConfig, WindowConfig, PHASE_MARGIN_PCT};
 use vsmooth_monitor::{HealthReport, HealthSummary, Monitor, MonitorConfig};
 use vsmooth_obs::ObsConfig;
 use vsmooth_profile::Profiler;
 use vsmooth_sched::{Instruments, Observed, PairPolicy};
 use vsmooth_stats::{MetricsRegistry, MetricsSnapshot};
 use vsmooth_trace::{chip_pid, DecisionEvent, DecisionKind, Tracer, PID_JOBS, PID_MONITOR};
-use vsmooth_uarch::{IdleLoop, StimulusSource};
 use vsmooth_workload::by_name;
 
 /// Static configuration of a service instance.
@@ -97,9 +93,9 @@ pub struct ServiceConfig {
     /// report, trace and health artifacts of a run are byte-identical
     /// with or without it (enforced by test).
     pub obs: Option<ObsConfig>,
-    /// How the `workers` argument of [`Service::run`] maps onto an
-    /// execution backend; [`RuntimeMode::Auto`] (the default) uses the
-    /// shard runtime whenever `workers >= 2`.
+    /// How the `workers` argument of [`Service::run`] maps onto the
+    /// shard pool's worker threads; [`RuntimeMode::Auto`] (the
+    /// default) uses the shard runtime whenever `workers >= 2`.
     pub runtime: RuntimeMode,
     /// Arm the per-chip physical-invariant checker
     /// ([`vsmooth_chip::InvariantConfig`]) for the run; any flagged
@@ -299,12 +295,11 @@ impl Service {
     }
 
     /// Runs `jobs` to completion under `policy` and reports. `workers`
-    /// sizes the execution backend per
-    /// [`ServiceConfig::runtime`]: with the default
-    /// [`RuntimeMode::Auto`], `workers >= 2` runs one long-lived shard
-    /// worker per count (chips round-robin across shards,
-    /// work-stealing balances skew), while `workers <= 1` advances
-    /// chips in-line on the calling thread.
+    /// sizes the shard pool per [`ServiceConfig::runtime`]: with the
+    /// default [`RuntimeMode::Auto`], `workers >= 2` runs one
+    /// long-lived shard worker per count (chips round-robin across
+    /// shards, work-stealing balances skew), while `workers <= 1`
+    /// advances chips in-line on the calling thread.
     ///
     /// # Errors
     ///
@@ -414,28 +409,42 @@ impl Service {
         }
         let obs = self.cfg.obs.as_ref();
         let audit_on = self.cfg.audit.is_some();
-        let sharded = match self.cfg.runtime {
-            RuntimeMode::Auto => workers >= 2,
-            RuntimeMode::Coordinator => false,
-            RuntimeMode::Sharded => true,
+        // Shard workers; none runs the in-line coordinator.
+        let shards = match self.cfg.runtime {
+            RuntimeMode::Auto if workers >= 2 => workers,
+            RuntimeMode::Auto | RuntimeMode::Coordinator => 0,
+            RuntimeMode::Sharded => workers.max(1),
         };
         // The live introspection scoreboard: shards, cells, pump and
         // decision loop all feed it; only the per-shard obs snapshot
         // section reads it (never the deterministic report).
-        let stats = Arc::new(RuntimeStats::new(
-            if sharded { workers.max(1) } else { 1 },
-            self.cfg.chips,
-        ));
-        // The capture plan, decided once: the sessions are armed from
-        // it, executors drain it, and the merge branches on it.
-        let droop_events = tracer.wants_droop_events() || monitor.is_some() || obs.is_some();
+        let stats = Arc::new(RuntimeStats::new(shards, self.cfg.chips));
+        // The capture plan, decided once: the pool arms its sessions
+        // from it, executors drain it, and the merge branches on it.
+        let droop_events = tracer.is_enabled() || monitor.is_some() || obs.is_some();
         let drain = DrainPlan {
             crossings: droop_events || profiler.is_some(),
             droop_events,
-            windows: profiler.is_some(),
+            // Profiling arms crossing *and* window capture at the
+            // profiler's own margin. Attribution and trace spans never
+            // read the per-core current series, and windows are
+            // consumed in-service, so skip the scope's most expensive
+            // channel.
+            windows: profiler.as_ref().map(|p| WindowConfig {
+                capture_currents: false,
+                ..p.config().window
+            }),
             invariants: self.cfg.invariants,
+            margin,
         };
-        let mut cells = self.build_pool(sharded)?;
+        let mut pool = ShardPool::new(
+            &self.cfg.chip,
+            self.cfg.chips,
+            shards,
+            Arc::clone(&stats),
+            self.cfg.slice_cycles,
+            drain,
+        )?;
         if tracer.is_enabled() {
             tracer.process_name(PID_JOBS, "jobs");
             for c in 0..self.cfg.chips {
@@ -450,40 +459,6 @@ impl Service {
                 tracer.process_name(PID_MONITOR, "monitor");
             }
         }
-        if let Some(p) = &profiler {
-            // Profiling arms crossing *and* window capture at the
-            // profiler's own margin. Attribution and trace spans never
-            // read the per-core current series, and windows are
-            // consumed in-service, so skip the scope's most expensive
-            // channel.
-            let window = WindowConfig {
-                capture_currents: false,
-                ..p.config().window
-            };
-            for cell in &mut cells {
-                cell.session.enable_profiling(margin, window);
-            }
-        } else if drain.crossings {
-            for cell in &mut cells {
-                cell.session.capture_droops(margin);
-            }
-        }
-        if drain.invariants {
-            for cell in &mut cells {
-                cell.session.enable_invariants(InvariantConfig::default());
-            }
-        }
-        let mut backend = if sharded {
-            Backend::sharded(
-                cells,
-                workers.max(1),
-                Arc::clone(&stats),
-                self.cfg.slice_cycles,
-                drain,
-            )
-        } else {
-            Backend::inline(cells, Arc::clone(&stats), self.cfg.slice_cycles, drain)
-        };
         let mut merge = Merge::new(
             &metrics,
             tracer,
@@ -492,7 +467,7 @@ impl Service {
             obs,
             Arc::clone(&stats),
             drain,
-            sharded,
+            shards > 0,
             self.cfg.audit.as_ref(),
             self.cfg.chips,
             self.cfg.slice_cycles,
@@ -542,7 +517,7 @@ impl Service {
                             });
                         }
                         script.recs.push(rec);
-                        script.drain(&mut merge, &mut backend)?;
+                        script.drain(&mut merge, &mut pool)?;
                         return Err(ServeError::QueueOverflow {
                             capacity,
                             job: overflowing,
@@ -578,14 +553,14 @@ impl Service {
                 // scores see exactly the observations the historical
                 // loop would have folded by now. The rest of those
                 // epochs' replay waits until this epoch is granted.
-                script.fold_through(epochs, &mut merge, &mut backend)?;
+                script.fold_through(epochs, &mut merge, &mut pool)?;
                 self.place(
                     &mut shadows,
                     &mut ready,
                     merge.book(),
                     policy,
                     &mut rec,
-                    &mut backend,
+                    &mut pool,
                 )?;
             }
             for (chip, shadow) in shadows.iter_mut().enumerate() {
@@ -647,7 +622,7 @@ impl Service {
                 busy_chips.len() as u64,
                 std::sync::atomic::Ordering::Relaxed,
             );
-            backend.grant(epochs, &busy_chips)?;
+            pool.grant(epochs, &busy_chips)?;
             rec.queue_depth_after = ready.len();
             rec.running_after = shadows.iter().map(ShadowChip::occupied).sum();
             script.recs.push(rec);
@@ -663,13 +638,13 @@ impl Service {
             // replays the epochs placement folded, then opportunistically
             // merges every epoch whose logs are already in. Keeps obs
             // publishes flowing while shards work, bounds retained
-            // logs, and — on the in-line backend, where logs are always
-            // ready — runs the merge in exact lockstep with the
-            // historical loop.
-            script.merge_ready(&mut merge, &mut backend)?;
+            // logs, and — with no workers, where the grant already
+            // drained every cell — runs the merge in exact lockstep
+            // with the historical loop.
+            script.merge_ready(&mut merge, &mut pool)?;
         }
-        script.drain(&mut merge, &mut backend)?;
-        let cells = backend.finish()?;
+        script.drain(&mut merge, &mut pool)?;
+        let cells = pool.finish()?;
         let report = merge.finalize(
             cells,
             policy.name(),
@@ -685,47 +660,14 @@ impl Service {
         })
     }
 
-    fn build_pool(&self, fast_warmup: bool) -> Result<Vec<ChipCell>, ServeError> {
-        (0..self.cfg.chips)
-            .map(|chip_idx| {
-                let chip = Chip::new(self.cfg.chip.clone())?;
-                let seed = |core: usize| (chip_idx * 2 + core) as u64;
-                // The shard backend warms up through the fused kernel
-                // (bit-identical to the reference warmup, enforced by
-                // the fastpath tests); the in-line backend keeps the
-                // historical reference warmup literally.
-                let session = if fast_warmup {
-                    let mut w0 = IdleLoop::new(seed(0));
-                    let mut w1 = IdleLoop::new(seed(1));
-                    ChipSession::begin_fast(
-                        chip,
-                        || StimulusSource::next(&mut w0),
-                        || StimulusSource::next(&mut w1),
-                        self.cfg.slice_cycles,
-                    )?
-                } else {
-                    let mut w0 = IdleLoop::new(seed(0));
-                    let mut w1 = IdleLoop::new(seed(1));
-                    let mut warmup: Vec<&mut dyn StimulusSource> = vec![&mut w0, &mut w1];
-                    ChipSession::begin(chip, &mut warmup, self.cfg.slice_cycles)?
-                };
-                Ok(ChipCell {
-                    session,
-                    cores: [None, None],
-                    idle: [IdleLoop::new(seed(0)), IdleLoop::new(seed(1))],
-                })
-            })
-            .collect()
-    }
-
     /// Places ready jobs onto free cores: first complete half-empty
     /// chips with each one's best scoring partner, then fill empty
     /// chips with the best pair from the window, and finally let a
     /// partnerless leftover run solo rather than hold a core idle.
     ///
     /// Decisions mutate only the occupancy shadow; the chosen streams
-    /// are shipped to the backend as `AddJob` commands and the
-    /// placements recorded for the merge layer's replay.
+    /// are shipped to the pool as `AddJob` commands and the placements
+    /// recorded for the merge layer's replay.
     fn place(
         &self,
         shadows: &mut [ShadowChip],
@@ -733,7 +675,7 @@ impl Service {
         book: &TelemetryBook,
         policy: &dyn PairPolicy,
         rec: &mut EpochRec,
-        backend: &mut Backend,
+        pool: &mut ShardPool,
     ) -> Result<(), ServeError> {
         // 1. Half-empty chips: match the running job with its best
         //    available partner.
@@ -753,7 +695,7 @@ impl Service {
                 }
             }
             let job = ready.remove(best.0).expect("index in window");
-            self.start_job(shadow, chip_idx, job, "pair_resident", rec, backend)?;
+            self.start_job(shadow, chip_idx, job, "pair_resident", rec, pool)?;
         }
         // 2. Empty chips: best pair within the window.
         for (chip_idx, shadow) in shadows.iter_mut().enumerate() {
@@ -778,8 +720,8 @@ impl Service {
             // Remove the later index first so the earlier stays valid.
             let second = ready.remove(best.1).expect("index in window");
             let first = ready.remove(best.0).expect("index in window");
-            self.start_job(shadow, chip_idx, first, "best_pair", rec, backend)?;
-            self.start_job(shadow, chip_idx, second, "best_pair", rec, backend)?;
+            self.start_job(shadow, chip_idx, first, "best_pair", rec, pool)?;
+            self.start_job(shadow, chip_idx, second, "best_pair", rec, pool)?;
         }
         // 3. A single leftover with a free chip runs solo.
         if let Some((chip_idx, shadow)) = shadows
@@ -789,7 +731,7 @@ impl Service {
         {
             if ready.len() == 1 {
                 let job = ready.pop_front().expect("one job");
-                self.start_job(shadow, chip_idx, job, "solo", rec, backend)?;
+                self.start_job(shadow, chip_idx, job, "solo", rec, pool)?;
             }
         }
         Ok(())
@@ -802,7 +744,7 @@ impl Service {
         spec: JobSpec,
         reason: &'static str,
         rec: &mut EpochRec,
-        backend: &mut Backend,
+        pool: &mut ShardPool,
     ) -> Result<(), ServeError> {
         let workload = by_name(&spec.workload)
             .ok_or_else(|| ServeError::UnknownWorkload(spec.workload.clone()))?;
@@ -815,7 +757,7 @@ impl Service {
             .iter()
             .position(Option::is_none)
             .expect("free core");
-        backend.add_job(
+        pool.add_job(
             chip_idx,
             core,
             CellJob {
@@ -863,37 +805,33 @@ struct EpochScript {
 
 impl EpochScript {
     /// Folds every epoch below `bound` into the telemetry book, waiting
-    /// for their slice logs first. The logs stay with the backend for
-    /// the replay.
+    /// for their slice logs first. The logs stay with the pool for the
+    /// replay.
     fn fold_through(
         &mut self,
         bound: u64,
         merge: &mut Merge,
-        backend: &mut Backend,
+        pool: &mut ShardPool,
     ) -> Result<(), ServeError> {
-        backend.wait_through(bound)?;
+        pool.wait_through(bound)?;
         while self.folded < bound {
             let rec = &self.recs[self.folded as usize];
-            merge.fold(rec, rec.busy.iter().map(|b| backend.log(rec.index, b.chip)));
+            merge.fold(rec, rec.busy.iter().map(|b| pool.log(rec.index, b.chip)));
             self.folded += 1;
         }
         Ok(())
     }
 
     /// Replays every folded epoch not yet replayed: collects each
-    /// epoch's slice logs from the backend (in `rec.busy`'s chip order)
-    /// and hands them to the merge layer.
-    fn replay_folded(
-        &mut self,
-        merge: &mut Merge,
-        backend: &mut Backend,
-    ) -> Result<(), ServeError> {
+    /// epoch's slice logs from the pool (in `rec.busy`'s chip order) and
+    /// hands them to the merge layer.
+    fn replay_folded(&mut self, merge: &mut Merge, pool: &mut ShardPool) -> Result<(), ServeError> {
         while self.merged < self.folded {
             let rec = &self.recs[self.merged as usize];
             let logs: Vec<SliceLog> = rec
                 .busy
                 .iter()
-                .map(|b| backend.take_log(rec.index, b.chip))
+                .map(|b| pool.take_log(rec.index, b.chip))
                 .collect();
             merge.replay(rec, &logs)?;
             self.merged += 1;
@@ -903,11 +841,11 @@ impl EpochScript {
 
     /// Replays every folded epoch, then folds and replays each further
     /// epoch whose logs are already in, without blocking.
-    fn merge_ready(&mut self, merge: &mut Merge, backend: &mut Backend) -> Result<(), ServeError> {
-        self.replay_folded(merge, backend)?;
-        while self.merged < self.recs.len() as u64 && backend.ready_through(self.merged + 1)? {
-            self.fold_through(self.merged + 1, merge, backend)?;
-            self.replay_folded(merge, backend)?;
+    fn merge_ready(&mut self, merge: &mut Merge, pool: &mut ShardPool) -> Result<(), ServeError> {
+        self.replay_folded(merge, pool)?;
+        while self.merged < self.recs.len() as u64 && pool.ready_through(self.merged + 1)? {
+            self.fold_through(self.merged + 1, merge, pool)?;
+            self.replay_folded(merge, pool)?;
         }
         Ok(())
     }
@@ -916,9 +854,9 @@ impl EpochScript {
     /// at the end of a run and on a queue overflow: there it replays
     /// the epochs placement already folded, then the later ones, and
     /// the overflow record's own replay surfaces the typed error last.
-    fn drain(&mut self, merge: &mut Merge, backend: &mut Backend) -> Result<(), ServeError> {
-        self.fold_through(self.recs.len() as u64, merge, backend)?;
-        self.replay_folded(merge, backend)
+    fn drain(&mut self, merge: &mut Merge, pool: &mut ShardPool) -> Result<(), ServeError> {
+        self.fold_through(self.recs.len() as u64, merge, pool)?;
+        self.replay_folded(merge, pool)
     }
 }
 

@@ -1,29 +1,34 @@
-//! Execution backends for the service: chips packaged as
-//! self-contained cells, advanced either in-line on the coordinator
-//! thread (the reference backend) or by a pool of long-lived shard
-//! workers (the throughput backend).
+//! The service's executor: chips packaged as self-contained cells in
+//! one pool, advanced slice by slice for the decision loop.
 //!
-//! Both backends consume the same command stream ([`CellCmd`]) and
-//! produce the same logs ([`SliceLog`]); the merge layer cannot tell
-//! them apart — which is exactly the differential oracle
-//! `tests/shard_equivalence.rs` enforces. Executors only simulate and
+//! With one or more workers the pool is the shard runtime: long-lived
+//! shard threads claim chip tokens (own queue first, then steal), drain
+//! each cell's command queue ([`CellCmd`]) in FIFO order on the lean
+//! fused step ([`ChipSession::run_slice_fast`]) and send one
+//! [`SliceLog`] per grant back over the [`EventBus`]. With none,
+//! [`ShardPool::grant`] drains each granted cell itself, in chip order,
+//! on the historical dyn-dispatch reference step, so every log is in
+//! before it returns and the merge runs in lockstep with the decision
+//! loop: the in-line coordinator, the byte oracle
+//! `tests/shard_equivalence.rs` holds the shard runtime to. Both run
+//! the same cell-drain routine and hand their logs to the same pump;
+//! the merge layer cannot tell them apart. Executors only simulate and
 //! drain the captures the [`DrainPlan`] names; the merge layer makes
-//! every trace record. The shard backend advances chips on the lean
-//! fused step ([`ChipSession::run_slice_fast`], bit-identical to the
-//! reference step with window capture and the invariant checker
-//! riding along); the in-line backend keeps the
-//! historical dyn-dispatch reference step, so every sharded run is
-//! also a differential test of the fused step.
+//! every trace record. The fused step is bit-identical to the
+//! reference step (window capture and the invariant checker riding
+//! along), so every sharded run is also a differential test of it.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use crate::control::{CellCmd, CellJob, EventBus, ShardEvent, SliceLog, TokenBoard};
+use crate::control::{CellCmd, CellJob, ChipToken, EventBus, ShardEvent, SliceLog, TokenBoard};
 use crate::introspect::RuntimeStats;
 use crate::ServeError;
-use vsmooth_chip::{ChipError, ChipSession, SliceStats};
+use vsmooth_chip::{
+    Chip, ChipConfig, ChipError, ChipSession, InvariantConfig, SliceStats, WindowConfig,
+};
 use vsmooth_uarch::{IdleLoop, StimulusSource};
 
 /// One pool member: a warmed-up measurement session plus whatever is
@@ -38,6 +43,45 @@ pub(crate) struct ChipCell {
 }
 
 impl ChipCell {
+    /// Builds pool chip `index`, warms it up on its idle loops (on the
+    /// fused step when `fused`) and arms the captures `drain` names.
+    fn new(
+        cfg: &ChipConfig,
+        index: usize,
+        fused: bool,
+        slice_cycles: u64,
+        drain: &DrainPlan,
+    ) -> Result<Self, ChipError> {
+        let chip = Chip::new(cfg.clone())?;
+        let seed = |core: usize| (index * 2 + core) as u64;
+        let mut w0 = IdleLoop::new(seed(0));
+        let mut w1 = IdleLoop::new(seed(1));
+        let mut session = if fused {
+            ChipSession::begin_fast(
+                chip,
+                || StimulusSource::next(&mut w0),
+                || StimulusSource::next(&mut w1),
+                slice_cycles,
+            )?
+        } else {
+            let mut warmup: [&mut dyn StimulusSource; 2] = [&mut w0, &mut w1];
+            ChipSession::begin(chip, &mut warmup, slice_cycles)?
+        };
+        if let Some(window) = drain.windows {
+            session.enable_profiling(drain.margin, window);
+        } else if drain.crossings {
+            session.capture_droops(drain.margin);
+        }
+        if drain.invariants {
+            session.enable_invariants(InvariantConfig::default());
+        }
+        Ok(Self {
+            session,
+            cores: [None, None],
+            idle: [IdleLoop::new(seed(0)), IdleLoop::new(seed(1))],
+        })
+    }
+
     /// Advances this chip one quantum on the historical reference
     /// step; empty cores run the idle loop, exactly like an OS idle
     /// thread.
@@ -113,10 +157,10 @@ impl ChipCell {
 }
 
 /// Which per-slice channels a run captures, decided once by the
-/// service from its armed instruments. The service arms each chip
-/// session from it, executors drain exactly these channels into
-/// [`SliceLog`]s, and the merge layer branches on it, so no layer
-/// re-derives what another already decided.
+/// service from its armed instruments. The pool arms each chip session
+/// from it, executors drain exactly these channels into [`SliceLog`]s,
+/// and the merge layer branches on it, so no layer re-derives what
+/// another already decided.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct DrainPlan {
     /// Margin crossings are captured and drained: some consumer (the
@@ -125,41 +169,37 @@ pub(crate) struct DrainPlan {
     /// The tracer, monitor or obs wants each crossing as a
     /// `DroopEvent`. Implies `crossings`.
     pub droop_events: bool,
-    pub windows: bool,
+    /// Waveform windows of this shape are captured and drained (the
+    /// profiler scores them). Implies `crossings`.
+    pub windows: Option<WindowConfig>,
     pub invariants: bool,
+    /// The capture margin, in percent below nominal.
+    pub margin: f64,
 }
 
-/// The `(shard, seq, epoch, chip)` identity stamped onto one executed
-/// slice's [`SliceLog`].
-#[derive(Debug, Clone, Copy)]
-struct SliceTag {
-    shard: usize,
+/// Runs chip `chip`'s slice for `epoch` on `cell`, on the pool's step,
+/// and packages the log, stamped `seq` by executor `me`.
+fn exec_slice(
+    cell: &mut ChipCell,
+    shared: &PoolShared,
+    me: usize,
     seq: u64,
     epoch: u64,
     chip: usize,
-}
-
-/// Runs one granted slice on `cell` and packages the log. Shared by
-/// both backends; `fast` selects the kernel.
-fn exec_slice(
-    cell: &mut ChipCell,
-    fast: bool,
-    tag: SliceTag,
-    cycles: u64,
-    drain: DrainPlan,
 ) -> Result<SliceLog, ChipError> {
     let session_start = cell.session.measured_cycles();
-    let stats = if fast {
-        cell.run_fast_slice(cycles)?
+    let stats = if shared.fused {
+        cell.run_fast_slice(shared.slice_cycles)?
     } else {
-        cell.run_reference_slice(cycles)?
+        cell.run_reference_slice(shared.slice_cycles)?
     };
+    let drain = &shared.drain;
     let crossings = if drain.crossings {
         cell.session.take_droop_crossings()
     } else {
         Vec::new()
     };
-    let windows = if drain.windows {
+    let windows = if drain.windows.is_some() {
         cell.session.take_droop_windows()
     } else {
         Vec::new()
@@ -171,10 +211,10 @@ fn exec_slice(
     };
     let finished = cell.pop_finished();
     Ok(SliceLog {
-        shard: tag.shard,
-        seq: tag.seq,
-        epoch: tag.epoch,
-        chip: tag.chip,
+        shard: me,
+        seq,
+        epoch,
+        chip,
         session_start,
         stats,
         crossings,
@@ -198,6 +238,9 @@ struct PoolShared {
     stats: Arc<RuntimeStats>,
     slice_cycles: u64,
     drain: DrainPlan,
+    /// Cells warm up and run slices on the lean fused step. Only a pool
+    /// with no workers keeps the reference step, as the oracle.
+    fused: bool,
 }
 
 /// A chip cell plus its pending command queue.
@@ -205,6 +248,46 @@ struct PoolShared {
 struct CellSlot {
     cmds: VecDeque<CellCmd>,
     cell: ChipCell,
+}
+
+/// Drains the claimed chip's command queue in FIFO order under its
+/// cell lock, as executor `me`: installs placed jobs and runs one
+/// slice per grant, handing each outcome to `emit`. Returns `false`
+/// once a slice failed; the executor stops there.
+fn drain_cell(
+    shared: &PoolShared,
+    me: usize,
+    token: ChipToken,
+    seq: &mut u64,
+    mut emit: impl FnMut(ShardEvent),
+) -> bool {
+    let chip = token.chip;
+    let mut slot = shared.cells[chip].lock().expect("cell lock");
+    while let Some(cmd) = slot.cmds.pop_front() {
+        match cmd {
+            CellCmd::AddJob { core, job } => {
+                debug_assert!(
+                    slot.cell.cores[core].is_none(),
+                    "placement on occupied core"
+                );
+                slot.cell.cores[core] = Some(job);
+            }
+            CellCmd::Grant { epoch } => {
+                match exec_slice(&mut slot.cell, shared, me, *seq, epoch, chip) {
+                    Ok(log) => {
+                        shared.stats.record_slice(me, token.stolen);
+                        *seq += 1;
+                        emit(ShardEvent::Slice(log));
+                    }
+                    Err(error) => {
+                        emit(ShardEvent::Failed { error });
+                        return false;
+                    }
+                }
+            }
+        }
+    }
+    true
 }
 
 /// Rings the exit doorbell however the shard leaves `shard_main`,
@@ -218,69 +301,41 @@ impl Drop for ExitBell<'_> {
 }
 
 /// The body of one shard worker: pop a chip token (own queue first,
-/// then steal), drain that cell's command queue in FIFO order under
-/// the cell lock, publish one [`SliceLog`] per grant.
+/// then steal), drain that cell, publish each slice's outcome on the
+/// shard's bus lane.
 fn shard_main(me: usize, shared: &PoolShared) {
     let _bell = ExitBell(&shared.bus);
+    let publish = |event| {
+        let occupancy = shared.bus.publish(me, event);
+        shared.stats.shards[me]
+            .lane_hwm
+            .fetch_max(occupancy as u64, Ordering::Relaxed);
+    };
     let mut seq = 0u64;
     while let Some(token) = shared.tokens.next(me) {
-        let chip = token.chip;
-        let mut slot = shared.cells[chip].lock().expect("cell lock");
-        while let Some(cmd) = slot.cmds.pop_front() {
-            match cmd {
-                CellCmd::AddJob { core, job } => {
-                    debug_assert!(
-                        slot.cell.cores[core].is_none(),
-                        "placement on occupied core"
-                    );
-                    slot.cell.cores[core] = Some(job);
-                }
-                CellCmd::Grant { epoch } => {
-                    let tag = SliceTag {
-                        shard: me,
-                        seq,
-                        epoch,
-                        chip,
-                    };
-                    let outcome =
-                        exec_slice(&mut slot.cell, true, tag, shared.slice_cycles, shared.drain);
-                    match outcome {
-                        Ok(log) => {
-                            shared.stats.record_slice(me, token.stolen);
-                            seq += 1;
-                            let occupancy = shared.bus.publish(me, ShardEvent::Slice(log));
-                            shared.stats.shards[me]
-                                .lane_hwm
-                                .fetch_max(occupancy as u64, Ordering::Relaxed);
-                        }
-                        Err(error) => {
-                            shared.bus.publish(me, ShardEvent::Failed { error });
-                            return;
-                        }
-                    }
-                }
-            }
+        if !drain_cell(shared, me, token, &mut seq, publish) {
+            return;
         }
     }
 }
 
-/// The shard-per-worker backend: `shards` long-lived OS threads own
-/// the chip pool end-to-end for the duration of a run.
+/// The service's one executor: the chip pool plus `workers` long-lived
+/// shard threads that own it for the duration of a run, or none (see
+/// the module docs).
 #[derive(Debug)]
 pub(crate) struct ShardPool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
-    /// Chip index → owning shard (round-robin).
-    owner_of: Vec<usize>,
     /// Granted `(epoch, chip)` slices whose logs have not arrived yet.
     outstanding: BTreeSet<(u64, usize)>,
     /// Logs received but not yet consumed by the merge layer.
     received: BTreeMap<(u64, usize), SliceLog>,
     /// Bus events seen, for the doorbell wait.
     seen: u64,
-    /// Next expected per-shard sequence number: each lane is a FIFO
-    /// and each shard stamps its slices 0, 1, 2, … — so logs must
-    /// arrive in exactly that order per lane.
+    /// Next expected per-executor sequence number: each lane is a FIFO
+    /// and each executor stamps its slices 0, 1, 2, … — so logs must
+    /// arrive in exactly that order per lane. The in-line executor
+    /// stamps as lane 0.
     next_seq: Vec<u64>,
     /// Chip index → shard that executed its previous slice, for the
     /// ownership-churn introspection counter.
@@ -290,32 +345,37 @@ pub(crate) struct ShardPool {
 }
 
 impl ShardPool {
-    fn new(
-        cells: Vec<ChipCell>,
-        shards: usize,
+    /// Builds, warms up and arms `chips` cells of `chip` from `drain`,
+    /// then spawns `workers` shard threads. Chips are owned round-robin
+    /// across shards.
+    pub(crate) fn new(
+        chip: &ChipConfig,
+        chips: usize,
+        workers: usize,
         stats: Arc<RuntimeStats>,
         slice_cycles: u64,
         drain: DrainPlan,
-    ) -> Self {
-        let chips = cells.len();
-        let owner_of: Vec<usize> = (0..chips).map(|chip| chip % shards).collect();
+    ) -> Result<Self, ServeError> {
+        let fused = workers > 0;
+        let cells = (0..chips)
+            .map(|index| {
+                let cell = ChipCell::new(chip, index, fused, slice_cycles, &drain)?;
+                Ok(Mutex::new(CellSlot {
+                    cmds: VecDeque::new(),
+                    cell,
+                }))
+            })
+            .collect::<Result<_, ChipError>>()?;
         let shared = Arc::new(PoolShared {
-            cells: cells
-                .into_iter()
-                .map(|cell| {
-                    Mutex::new(CellSlot {
-                        cmds: VecDeque::new(),
-                        cell,
-                    })
-                })
-                .collect(),
-            tokens: TokenBoard::new(shards),
-            bus: EventBus::new(shards),
+            cells,
+            tokens: TokenBoard::new(workers),
+            bus: EventBus::new(workers),
             stats,
             slice_cycles,
             drain,
+            fused,
         });
-        let handles = (0..shards)
+        let handles = (0..workers)
             .map(|me| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -324,50 +384,68 @@ impl ShardPool {
                     .expect("spawn shard worker")
             })
             .collect();
-        Self {
+        Ok(Self {
             shared,
             handles,
-            owner_of,
             outstanding: BTreeSet::new(),
             received: BTreeMap::new(),
             seen: 0,
-            next_seq: vec![0; shards],
+            next_seq: vec![0; workers.max(1)],
             last_executor: vec![None; chips],
             scratch: Vec::new(),
             failure: None,
-        }
+        })
     }
 
-    /// Records the depth a cell's command queue just reached.
-    fn note_queue_depth(&self, chip: usize, depth: usize) {
+    /// Queues `cmd` at its chip cell and records the depth the queue
+    /// reached.
+    fn push_cmd(&self, chip: usize, cmd: CellCmd) {
+        let depth = {
+            let mut slot = self.shared.cells[chip].lock().expect("cell lock");
+            slot.cmds.push_back(cmd);
+            slot.cmds.len()
+        };
         self.shared.stats.cell_queue_hwm[chip].fetch_max(depth as u64, Ordering::Relaxed);
     }
 
-    fn add_job(&self, chip: usize, core: usize, job: CellJob) {
-        let depth = {
-            let mut slot = self.shared.cells[chip].lock().expect("cell lock");
-            slot.cmds.push_back(CellCmd::AddJob { core, job });
-            slot.cmds.len()
-        };
-        self.note_queue_depth(chip, depth);
+    /// Queues a placement at its chip cell.
+    pub(crate) fn add_job(&mut self, chip: usize, core: usize, job: CellJob) {
+        self.push_cmd(chip, CellCmd::AddJob { core, job });
     }
 
-    fn grant(&mut self, epoch: u64, busy: &[usize]) {
+    /// Grants `busy` chips one quantum for `epoch`: queues a grant at
+    /// each cell and hands the chip tokens to their owning shards. With
+    /// no workers, drains each granted cell here instead, in chip
+    /// order, so every log is received before this returns.
+    pub(crate) fn grant(&mut self, epoch: u64, busy: &[usize]) -> Result<(), ServeError> {
         for &chip in busy {
-            let depth = {
-                let mut slot = self.shared.cells[chip].lock().expect("cell lock");
-                slot.cmds.push_back(CellCmd::Grant { epoch });
-                slot.cmds.len()
-            };
-            self.note_queue_depth(chip, depth);
+            self.push_cmd(chip, CellCmd::Grant { epoch });
             self.outstanding.insert((epoch, chip));
         }
-        self.shared
-            .tokens
-            .push_many(busy.iter().map(|&chip| (self.owner_of[chip], chip)));
+        let workers = self.handles.len();
+        if workers > 0 {
+            self.shared
+                .tokens
+                .push_many(busy.iter().map(|&chip| (chip % workers, chip)));
+            return Ok(());
+        }
+        // Lane 0's next stamp: every earlier grant was pumped before it
+        // returned.
+        let mut seq = self.next_seq[0];
+        for &chip in busy {
+            let token = ChipToken {
+                chip,
+                stolen: false,
+            };
+            if !drain_cell(&self.shared, 0, token, &mut seq, |e| self.scratch.push(e)) {
+                break;
+            }
+        }
+        self.pump()
     }
 
-    /// Non-blocking: drains the bus into `received`.
+    /// Non-blocking: drains the bus into `received`, after any logs the
+    /// in-line executor left in `scratch`.
     fn pump(&mut self) -> Result<(), ServeError> {
         self.shared.bus.drain(&mut self.scratch);
         for event in self.scratch.drain(..) {
@@ -401,7 +479,10 @@ impl ShardPool {
         !self.outstanding.iter().any(|&(epoch, _)| epoch < bound)
     }
 
-    fn wait_through(&mut self, bound: u64) -> Result<(), ServeError> {
+    /// Blocks until every log for epochs `< bound` has arrived. A pool
+    /// whose workers have all exited (or that never had any) panics
+    /// with a log still owed instead of blocking forever.
+    pub(crate) fn wait_through(&mut self, bound: u64) -> Result<(), ServeError> {
         loop {
             self.pump()?;
             if self.has_through(bound) {
@@ -411,7 +492,33 @@ impl ShardPool {
         }
     }
 
-    fn finish(mut self) -> Result<Vec<ChipCell>, ServeError> {
+    /// Non-blocking: whether every log for epochs `< bound` is in.
+    pub(crate) fn ready_through(&mut self, bound: u64) -> Result<bool, ServeError> {
+        self.pump()?;
+        Ok(self.has_through(bound))
+    }
+
+    /// Lends the merge layer one received log for the telemetry-book
+    /// fold; the replay takes it later. Panics if absent — the caller
+    /// must have established availability first.
+    pub(crate) fn log(&self, epoch: u64, chip: usize) -> &SliceLog {
+        self.received
+            .get(&(epoch, chip))
+            .expect("granted slice log available at fold time")
+    }
+
+    /// Hands the merge layer one received log. Panics if absent — the
+    /// caller must have established availability first.
+    pub(crate) fn take_log(&mut self, epoch: u64, chip: usize) -> SliceLog {
+        self.received
+            .remove(&(epoch, chip))
+            .expect("granted slice log available at merge time")
+    }
+
+    /// Shuts the pool down and returns the cells in chip order for
+    /// end-of-run flushing (late-sealing droop windows, measured-cycle
+    /// totals).
+    pub(crate) fn finish(mut self) -> Result<Vec<ChipCell>, ServeError> {
         self.shared.tokens.shutdown();
         for handle in self.handles.drain(..) {
             handle.join().expect("shard worker panicked");
@@ -448,147 +555,63 @@ impl Drop for ShardPool {
     }
 }
 
-/// The in-line reference backend: grants execute immediately on the
-/// coordinator thread, so logs are always available and the merge
-/// layer runs in lockstep with the decision loop — the historical
-/// coordinator behavior, preserved as the differential baseline.
-#[derive(Debug)]
-pub(crate) struct InlineExec {
-    cells: Vec<ChipCell>,
-    logs: BTreeMap<(u64, usize), SliceLog>,
-    seq: u64,
-    stats: Arc<RuntimeStats>,
-    slice_cycles: u64,
-    drain: DrainPlan,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vsmooth_pdn::DecapConfig;
+    use vsmooth_workload::by_name;
 
-/// One run's execution backend; see [`RuntimeMode`](crate::RuntimeMode).
-#[derive(Debug)]
-pub(crate) enum Backend {
-    Inline(InlineExec),
-    Sharded(ShardPool),
-}
+    const SLICE: u64 = 500;
 
-impl Backend {
-    pub(crate) fn inline(
-        cells: Vec<ChipCell>,
-        stats: Arc<RuntimeStats>,
-        slice_cycles: u64,
-        drain: DrainPlan,
-    ) -> Self {
-        Self::Inline(InlineExec {
-            cells,
-            logs: BTreeMap::new(),
-            seq: 0,
-            stats,
-            slice_cycles,
-            drain,
-        })
+    fn inline_pool(chips: usize) -> ShardPool {
+        let cfg = ChipConfig::core2_duo(DecapConfig::proc100());
+        let stats = Arc::new(RuntimeStats::new(0, chips));
+        ShardPool::new(&cfg, chips, 0, stats, SLICE, DrainPlan::default()).unwrap()
     }
 
-    pub(crate) fn sharded(
-        cells: Vec<ChipCell>,
-        shards: usize,
-        stats: Arc<RuntimeStats>,
-        slice_cycles: u64,
-        drain: DrainPlan,
-    ) -> Self {
-        Self::Sharded(ShardPool::new(cells, shards, stats, slice_cycles, drain))
+    fn job(id: u64) -> CellJob {
+        CellJob {
+            id,
+            stream: by_name("429.mcf").unwrap().stream(id, SLICE),
+        }
     }
 
-    /// Queues a placement at its chip cell.
-    pub(crate) fn add_job(&mut self, chip: usize, core: usize, job: CellJob) {
-        match self {
-            Self::Inline(exec) => {
-                debug_assert!(exec.cells[chip].cores[core].is_none());
-                exec.cells[chip].cores[core] = Some(job);
+    #[test]
+    fn a_zero_worker_pool_drains_every_grant_before_returning() {
+        let mut pool = inline_pool(3);
+        assert!(
+            pool.handles.is_empty(),
+            "a zero-worker pool spawns no thread"
+        );
+        pool.add_job(0, 0, job(0));
+        pool.add_job(2, 1, job(1));
+        pool.add_job(2, 0, job(2));
+        let busy = [0, 2];
+        for epoch in 0..3 {
+            pool.grant(epoch, &busy).unwrap();
+            assert!(pool.ready_through(epoch + 1).unwrap(), "epoch {epoch}");
+            for chip in busy {
+                let log = pool.log(epoch, chip);
+                assert_eq!((log.epoch, log.chip, log.shard), (epoch, chip, 0));
+                assert_eq!(log.stats.cycles, SLICE);
             }
-            Self::Sharded(pool) => pool.add_job(chip, core, job),
+            // In-line slices are stamped in grant order on lane 0.
+            let seqs: Vec<u64> = busy.iter().map(|&c| pool.take_log(epoch, c).seq).collect();
+            assert_eq!(seqs, [2 * epoch, 2 * epoch + 1]);
         }
+        assert_eq!(pool.shared.stats.slices_total(), 6);
+        let cells = pool.finish().unwrap();
+        let measured: Vec<u64> = cells.iter().map(|c| c.session.measured_cycles()).collect();
+        assert_eq!(measured, [3 * SLICE, 0, 3 * SLICE]);
     }
 
-    /// Grants `busy` chips one quantum for `epoch`. In-line: executes
-    /// immediately. Sharded: enqueues grant commands and chip tokens.
-    pub(crate) fn grant(&mut self, epoch: u64, busy: &[usize]) -> Result<(), ServeError> {
-        match self {
-            Self::Inline(exec) => {
-                for &chip in busy {
-                    let tag = SliceTag {
-                        shard: 0,
-                        seq: exec.seq,
-                        epoch,
-                        chip,
-                    };
-                    let log = exec_slice(
-                        &mut exec.cells[chip],
-                        false,
-                        tag,
-                        exec.slice_cycles,
-                        exec.drain,
-                    )
-                    .map_err(ServeError::Chip)?;
-                    exec.stats.record_slice(0, false);
-                    exec.seq += 1;
-                    exec.logs.insert((epoch, chip), log);
-                }
-                Ok(())
-            }
-            Self::Sharded(pool) => {
-                pool.grant(epoch, busy);
-                Ok(())
-            }
-        }
-    }
-
-    /// Blocks until every log for epochs `< bound` has arrived.
-    pub(crate) fn wait_through(&mut self, bound: u64) -> Result<(), ServeError> {
-        match self {
-            Self::Inline(_) => Ok(()),
-            Self::Sharded(pool) => pool.wait_through(bound),
-        }
-    }
-
-    /// Non-blocking: whether every log for epochs `< bound` is in.
-    pub(crate) fn ready_through(&mut self, bound: u64) -> Result<bool, ServeError> {
-        match self {
-            Self::Inline(_) => Ok(true),
-            Self::Sharded(pool) => {
-                pool.pump()?;
-                Ok(pool.has_through(bound))
-            }
-        }
-    }
-
-    /// Lends the merge layer one received log for the telemetry-book
-    /// fold; the replay takes it later. Panics if absent — the caller
-    /// must have established availability first.
-    pub(crate) fn log(&self, epoch: u64, chip: usize) -> &SliceLog {
-        let logs = match self {
-            Self::Inline(exec) => &exec.logs,
-            Self::Sharded(pool) => &pool.received,
-        };
-        logs.get(&(epoch, chip))
-            .expect("granted slice log available at fold time")
-    }
-
-    /// Hands the merge layer one received log. Panics if absent — the
-    /// caller must have established availability first.
-    pub(crate) fn take_log(&mut self, epoch: u64, chip: usize) -> SliceLog {
-        let logs = match self {
-            Self::Inline(exec) => &mut exec.logs,
-            Self::Sharded(pool) => &mut pool.received,
-        };
-        logs.remove(&(epoch, chip))
-            .expect("granted slice log available at merge time")
-    }
-
-    /// Shuts the backend down and returns the cells in chip order for
-    /// end-of-run flushing (late-sealing droop windows, measured-cycle
-    /// totals).
-    pub(crate) fn finish(self) -> Result<Vec<ChipCell>, ServeError> {
-        match self {
-            Self::Inline(exec) => Ok(exec.cells),
-            Self::Sharded(pool) => pool.finish(),
-        }
+    #[test]
+    #[should_panic(expected = "all shard workers exited with granted slices still outstanding")]
+    fn a_zero_worker_pool_panics_on_a_missing_log_instead_of_blocking() {
+        let mut pool = inline_pool(1);
+        // A slice granted behind the pool's back: nothing will ever
+        // deliver its log.
+        pool.outstanding.insert((0, 0));
+        let _ = pool.wait_through(1);
     }
 }

@@ -122,13 +122,6 @@ impl Tracer {
         self.mode != TraceMode::Disabled
     }
 
-    /// Whether droop-event capture should be switched on chip-side:
-    /// every enabled tracer records droop events.
-    #[inline]
-    pub fn wants_droop_events(&self) -> bool {
-        self.is_enabled()
-    }
-
     /// Whether records flow through the bounded streaming pipeline.
     #[inline]
     pub fn is_streaming(&self) -> bool {
@@ -251,7 +244,7 @@ impl Tracer {
     /// total across the whole run). Borrows the event, so one event
     /// can also feed the monitor and the obs ring without a copy.
     pub fn droop(&self, event: &DroopEvent) {
-        if !self.wants_droop_events() {
+        if !self.is_enabled() {
             return;
         }
         let mut state = self.state.lock().expect("tracer lock");
@@ -501,9 +494,9 @@ mod tests {
     #[test]
     fn streaming_mode_wants_droop_events_and_reports_telemetry() {
         let t = Tracer::streaming(crate::stream::StreamConfig::default());
+        // Every enabled tracer records droop events.
         assert!(t.is_enabled());
         assert!(t.is_streaming());
-        assert!(t.wants_droop_events());
         assert!(Tracer::enabled().telemetry().is_none());
         t.droop(&droop(2, 40));
         assert_eq!(t.droops_total(), 1);
