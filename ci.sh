@@ -155,13 +155,13 @@ grep -q '"scaling_meets_target": true' BENCH_serve.json \
     || { echo "8-worker scaling fell below the 2.5x floor"; exit 1; }
 # Profiled-overhead ceiling: attribution must stay within 1.55x of a
 # plain run (regressed to 1.63x once; caught here since).
-awk -F': ' '/"profiled":/ { gsub(/,/, "", $2); ok = ($2 + 0 <= 1.55) }
-            END { exit !ok }' BENCH_serve.json \
+awk -F': ' '/"profiled":/ { gsub(/,/, "", $2); r = $2; ok = ($2 + 0 <= 1.55) }
+            END { if (!ok) print "BENCH_serve.json profiled = " r; exit !ok }' BENCH_serve.json \
     || { echo "profiled overhead exceeds the 1.55x ceiling"; exit 1; }
 # Introspection-overhead ceiling: the live scoreboard plus the armed
 # decision audit must cost at most 1.10x over the sharded baseline.
-awk -F': ' '/"introspection":/ { gsub(/,/, "", $2); ok = ($2 + 0 <= 1.10) }
-            END { exit !ok }' BENCH_serve.json \
+awk -F': ' '/"introspection":/ { gsub(/,/, "", $2); r = $2; ok = ($2 + 0 <= 1.10) }
+            END { if (!ok) print "BENCH_serve.json introspection = " r; exit !ok }' BENCH_serve.json \
     || { echo "introspection overhead exceeds the 1.10x ceiling"; exit 1; }
 
 echo "== obs demo (live endpoints over loopback HTTP) =="

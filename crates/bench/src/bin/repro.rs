@@ -6,6 +6,10 @@
 //! VSMOOTH_BENCH=full cargo run -p vsmooth-bench --bin repro --release
 //! ```
 //!
+//! `VSMOOTH_BENCH` picks the experiment scale: `quick`, `bench` or
+//! `full`; anything else runs a reduced-but-faithful default (10
+//! benchmarks at 10 k cycles per interval) that completes in minutes.
+//!
 //! With `--trace-out <path>` and/or `--metrics-out <path>` the run
 //! additionally executes one traced scheduling-service pass and writes
 //! a Chrome trace-event JSON (load it in `chrome://tracing` or
@@ -29,10 +33,29 @@
 //! `/profile` over loopback HTTP while the jobs execute, then the
 //! binary self-probes every endpoint and reports the statuses.
 
+use vsmooth::chip::Fidelity;
+use vsmooth::experiments::{ExperimentConfig, Lab};
 use vsmooth::monitor::MonitorConfig;
 use vsmooth::profile::ProfileConfig;
 use vsmooth::report;
 use vsmooth::{Instruments, VsmoothError};
+
+/// The experiment configuration selected by `VSMOOTH_BENCH`.
+fn scale() -> ExperimentConfig {
+    match std::env::var("VSMOOTH_BENCH").ok().as_deref() {
+        Some("full") => ExperimentConfig {
+            fidelity: Fidelity::Custom(120_000),
+            ..ExperimentConfig::bench()
+        },
+        Some("bench") => ExperimentConfig::bench(),
+        Some("quick") => ExperimentConfig::quick(),
+        _ => ExperimentConfig {
+            fidelity: Fidelity::Custom(10_000),
+            benchmarks: Some(10),
+            ..ExperimentConfig::bench()
+        },
+    }
+}
 
 fn main() -> Result<(), VsmoothError> {
     let mut trace_out: Option<String> = None;
@@ -64,7 +87,7 @@ fn main() -> Result<(), VsmoothError> {
         }
     }
 
-    let mut lab = vsmooth_bench::lab();
+    let mut lab = Lab::new(scale());
     println!(
         "vsmooth reproduction — fidelity {:?}, {} benchmarks, {} threads\n",
         lab.config().fidelity,

@@ -110,9 +110,15 @@ fn main() {
     let scaling_8w_over_1w = kcps_at(8) / kcps_at(1);
     let scaling_monotone = best_kcps.windows(2).all(|pair| pair[1] >= pair[0] * 0.97);
     let scaling_meets_target = scaling_8w_over_1w >= 2.5;
+    let best: Vec<String> = WORKER_COUNTS
+        .iter()
+        .zip(&best_kcps)
+        .map(|(workers, kc)| format!("{workers}w {kc:.0}"))
+        .collect();
     println!(
-        "serve_scaling: 8w/1w = {scaling_8w_over_1w:.2}x, \
-         monotone(3% tol) = {scaling_monotone}, meets 2.5x target = {scaling_meets_target}"
+        "serve_scaling: best-round kcycles/sec {}; 8w/1w = {scaling_8w_over_1w:.2}x, \
+         monotone(3% tol) = {scaling_monotone}, meets 2.5x target = {scaling_meets_target}",
+        best.join(", ")
     );
 
     // Armed-instrument overhead at one worker: interleaved pairs of

@@ -7,7 +7,7 @@
 //! chips from the *same* configuration, so a [`ChipBatch`] performs
 //! that setup once and stamps out ready-to-run chips by cloning the
 //! settled template — byte-for-byte the chip [`Chip::new`] would have
-//! produced, at a fraction of the cost (see the `chip_batch` bench).
+//! produced, at a fraction of the cost.
 
 use crate::chip::{Chip, ChipConfig};
 use crate::ChipError;
@@ -21,8 +21,8 @@ use crate::ChipError;
 /// use vsmooth_pdn::DecapConfig;
 ///
 /// let batch = ChipBatch::new(ChipConfig::core2_duo(DecapConfig::proc100()))?;
-/// let chips = batch.build_n(3);
-/// assert_eq!(chips.len(), 3);
+/// let chips: Vec<_> = (0..3).map(|_| batch.build()).collect();
+/// assert!(chips.iter().all(|chip| chip.config() == batch.config()));
 /// # Ok::<(), vsmooth_chip::ChipError>(())
 /// ```
 #[derive(Debug, Clone)]
@@ -52,11 +52,6 @@ impl ChipBatch {
     pub fn build(&self) -> Chip {
         self.template.clone()
     }
-
-    /// Stamps out `n` fresh chips.
-    pub fn build_n(&self, n: usize) -> Vec<Chip> {
-        (0..n).map(|_| self.build()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -78,16 +73,6 @@ mod tests {
         let fresh = run(Chip::new(cfg).unwrap());
         let stamped = run(batch.build());
         assert_eq!(fresh, stamped);
-    }
-
-    #[test]
-    fn build_n_stamps_independent_chips() {
-        let batch = ChipBatch::new(ChipConfig::core2_duo(DecapConfig::proc100())).unwrap();
-        let chips = batch.build_n(4);
-        assert_eq!(chips.len(), 4);
-        for chip in &chips {
-            assert_eq!(chip.config(), batch.config());
-        }
     }
 
     #[test]

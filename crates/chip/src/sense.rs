@@ -286,6 +286,31 @@ mod tests {
         assert_eq!(a.histogram().total(), 2);
     }
 
+    #[test]
+    fn partial_recovery_recounts_only_the_reopened_band() {
+        // Down to -10.98 %, back up to -9.28 %, down again to -11.82 %,
+        // then recovery: the partial recovery reopens 9.5-10.75 %, so
+        // only that band counts a second crossing. Proptest once shrank
+        // a failure of `grid_event_count_bounded_by_sample_count` to
+        // this input.
+        let mut samples = vec![-10.98165303791108, -9.280643106683456, -11.820851657821294];
+        samples.resize(10, 0.0);
+        let mut g = CrossingGrid::droop_grid();
+        for &d in &samples {
+            g.observe(d);
+        }
+        for t in g.thresholds() {
+            let expect = match t {
+                t if t <= 9.25 => 1,
+                t if t <= 10.75 => 2,
+                t if t <= 11.75 => 1,
+                _ => 0,
+            };
+            assert_eq!(g.events_at(t), expect, "threshold {t}");
+            assert!(g.events_at(t) <= samples.len() as u64);
+        }
+    }
+
     proptest! {
         #[test]
         fn grid_event_count_bounded_by_sample_count(

@@ -144,11 +144,6 @@ impl Monitor {
         &self.alerts
     }
 
-    /// The most recent window snapshot.
-    pub fn last_snapshot(&self) -> &WindowSnapshot {
-        &self.last
-    }
-
     /// A cheap live health view for scrape endpoints: rule phases,
     /// alert tallies, and the latest window — no alert or postmortem
     /// clones, so the coordinator can call it every epoch.

@@ -287,8 +287,6 @@ pub struct Cpx {
 impl Cpx {
     /// Zero.
     pub const ZERO: Cpx = Cpx { re: 0.0, im: 0.0 };
-    /// One.
-    pub const ONE: Cpx = Cpx { re: 1.0, im: 0.0 };
 
     /// Creates a complex number from real and imaginary parts.
     pub const fn new(re: f64, im: f64) -> Self {

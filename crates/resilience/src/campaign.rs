@@ -412,14 +412,6 @@ impl CampaignResult {
         }
         Some(pooled)
     }
-
-    /// Per-run CDFs of voltage samples (each line of Fig. 7).
-    pub fn per_run_cdfs(&self) -> Vec<(RunId, vsmooth_stats::Cdf)> {
-        self.runs
-            .iter()
-            .map(|r| (r.id.clone(), r.stats.cdf()))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -206,11 +206,6 @@ pub struct ServiceReport {
 }
 
 impl ServiceReport {
-    /// The health digest of a monitored run, if any.
-    pub fn health_snapshot(&self) -> Option<&HealthSummary> {
-        self.health.as_ref()
-    }
-
     /// Plain-text summary (the demo's output format).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -1255,7 +1250,7 @@ mod tests {
         assert_eq!(plain.completed, armed.completed);
         // One monitoring epoch per scheduling epoch, digest attached.
         assert_eq!(health.epochs, armed.epochs);
-        assert_eq!(armed.health_snapshot(), Some(&health.summary()));
+        assert_eq!(armed.health, Some(health.summary()));
         assert!(plain.health.is_none());
         // Monitor gauges landed in the embedded snapshot.
         assert!(armed

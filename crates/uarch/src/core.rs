@@ -183,11 +183,6 @@ impl Core {
         self.counters = PerfCounters::new();
     }
 
-    /// Whether the pipeline is currently stalled.
-    pub fn is_stalled(&self) -> bool {
-        matches!(self.state, CoreState::Stalled { .. })
-    }
-
     /// Advances one clock cycle under `stimulus`; returns the current
     /// draw (amperes) for this cycle.
     pub fn tick(&mut self, stimulus: CycleStimulus) -> f64 {
