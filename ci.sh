@@ -56,10 +56,13 @@ echo "== benchmark harness (facade API and pinned digests) =="
 # it. Its tests catch a facade change that would break the benchmark,
 # and pins_match_the_inline_backend pins the trace bytes, health JSON,
 # audit JSON and report digests it measures. Format and lint it like
-# the workspace, since the steps above never see its sources.
-cargo test --release --offline --manifest-path perfbench/Cargo.toml
+# the workspace, since the steps above never see its sources. Both
+# builds are --locked: a change to any crate's normal dependencies
+# would otherwise rewrite perfbench/Cargo.lock silently, and only a
+# benchmark change may touch the benchmark.
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml
 cargo fmt --check --manifest-path perfbench/Cargo.toml
-cargo clippy --offline --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
+cargo clippy --offline --locked --manifest-path perfbench/Cargo.toml --all-targets -- -D warnings
 
 echo "== shard equivalence gate (coordinator vs sharded runtime) =="
 # The differential oracle for the shard-per-worker runtime: every

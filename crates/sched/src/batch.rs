@@ -56,80 +56,88 @@ impl BatchSchedule {
 /// to the repeat constraint; `Policy::Random` samples pairs uniformly
 /// under the same constraint.
 pub fn schedule_batch(oracle: &PairOracle, policy: Policy) -> BatchSchedule {
+    let Policy::Random { seed } = policy else {
+        return greedy_batch(oracle, policy, |i, j| policy.score(oracle, i, j));
+    };
     let n = oracle.len();
     let mut counts = vec![0usize; n];
     let mut pairs = Vec::with_capacity(BATCH_COMBINATIONS);
-    match policy {
-        Policy::Random { seed } => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut rejects = 0usize;
-            while pairs.len() < BATCH_COMBINATIONS {
-                let i = rng.gen_range(0..n);
-                let j = rng.gen_range(0..n);
-                if counts[i] < MAX_REPEATS && counts[j] < MAX_REPEATS + usize::from(i == j) {
-                    counts[i] += 1;
-                    counts[j] += 1;
-                    pairs.push((i, j));
-                    rejects = 0;
-                } else {
-                    rejects += 1;
-                    if rejects > 8 * n * n {
-                        // Small pools cannot fill 50 combinations under
-                        // the repeat constraint; relax it the same way
-                        // the greedy policies do.
-                        counts.iter_mut().for_each(|c| *c = 0);
-                        rejects = 0;
-                    }
-                }
-            }
-        }
-        _ => {
-            // All ordered pairs ranked by policy score, best first.
-            let mut ranked: Vec<(usize, usize, f64)> = (0..n)
-                .flat_map(|i| (0..n).map(move |j| (i, j)))
-                .map(|(i, j)| (i, j, policy.score(oracle, i, j)))
-                .collect();
-            ranked.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite scores"));
-            // Greedy passes: keep sweeping the ranking until the batch is
-            // full (later sweeps re-use good pairs within the constraint).
-            while pairs.len() < BATCH_COMBINATIONS {
-                let before = pairs.len();
-                for &(i, j, _) in &ranked {
-                    if pairs.len() >= BATCH_COMBINATIONS {
-                        break;
-                    }
-                    let need = if i == j { 2 } else { 1 };
-                    if counts[i] + need <= MAX_REPEATS + 1 && counts[j] < MAX_REPEATS + 1 {
-                        counts[i] += 1;
-                        counts[j] += 1;
-                        pairs.push((i, j));
-                    }
-                }
-                if pairs.len() == before {
-                    // Constraint saturated: relax by resetting counts for
-                    // another sweep (small pools cannot fill 50 pairs
-                    // without repetition).
-                    counts.iter_mut().for_each(|c| *c = 0);
-                }
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rejects = 0usize;
+    while pairs.len() < BATCH_COMBINATIONS {
+        let i = rng.gen_range(0..n);
+        let j = rng.gen_range(0..n);
+        if counts[i] < MAX_REPEATS && counts[j] < MAX_REPEATS + usize::from(i == j) {
+            counts[i] += 1;
+            counts[j] += 1;
+            pairs.push((i, j));
+            rejects = 0;
+        } else {
+            rejects += 1;
+            if rejects > 8 * n * n {
+                // Small pools cannot fill 50 combinations under the
+                // repeat constraint; relax it the same way the greedy
+                // policies do.
+                counts.iter_mut().for_each(|c| *c = 0);
+                rejects = 0;
             }
         }
     }
+    evaluate(oracle, policy, pairs)
+}
+
+/// The greedy batch every deterministic policy builds: ranks all
+/// ordered pairs by `score`, best first (a stable sort, so ties keep
+/// their order), then sweeps the ranking until the batch is full,
+/// taking each pair the repeat constraint allows. Later sweeps re-use
+/// good pairs within the constraint; a sweep that takes nothing relaxes
+/// it by resetting the counts (small pools cannot fill 50 pairs without
+/// repetition). The batch is evaluated against `oracle` and labeled
+/// `policy`.
+pub(crate) fn greedy_batch(
+    oracle: &PairOracle,
+    policy: Policy,
+    score: impl Fn(usize, usize) -> f64,
+) -> BatchSchedule {
+    let n = oracle.len();
+    let mut ranked: Vec<(usize, usize, f64)> = (0..n)
+        .flat_map(|i| (0..n).map(move |j| (i, j)))
+        .map(|(i, j)| (i, j, score(i, j)))
+        .collect();
+    ranked.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite scores"));
+    let mut counts = vec![0usize; n];
+    let mut pairs = Vec::with_capacity(BATCH_COMBINATIONS);
+    while pairs.len() < BATCH_COMBINATIONS {
+        let before = pairs.len();
+        for &(i, j, _) in &ranked {
+            if pairs.len() >= BATCH_COMBINATIONS {
+                break;
+            }
+            let need = if i == j { 2 } else { 1 };
+            if counts[i] + need <= MAX_REPEATS + 1 && counts[j] < MAX_REPEATS + 1 {
+                counts[i] += 1;
+                counts[j] += 1;
+                pairs.push((i, j));
+            }
+        }
+        if pairs.len() == before {
+            counts.iter_mut().for_each(|c| *c = 0);
+        }
+    }
+    evaluate(oracle, policy, pairs)
+}
+
+/// Places `pairs` in the Fig. 18 plane: their mean droop rate and IPC,
+/// each normalized to SPECrate.
+fn evaluate(oracle: &PairOracle, policy: Policy, pairs: Vec<(usize, usize)>) -> BatchSchedule {
     let m = pairs.len() as f64;
-    let normalized_droops = pairs
-        .iter()
-        .map(|&(i, j)| oracle.normalized_droops(i, j))
-        .sum::<f64>()
-        / m;
-    let normalized_ipc = pairs
-        .iter()
-        .map(|&(i, j)| oracle.normalized_ipc(i, j))
-        .sum::<f64>()
-        / m;
+    let mean =
+        |f: &dyn Fn(usize, usize) -> f64| pairs.iter().map(|&(i, j)| f(i, j)).sum::<f64>() / m;
     BatchSchedule {
         policy,
+        normalized_droops: mean(&|i, j| oracle.normalized_droops(i, j)),
+        normalized_ipc: mean(&|i, j| oracle.normalized_ipc(i, j)),
         pairs,
-        normalized_droops,
-        normalized_ipc,
     }
 }
 

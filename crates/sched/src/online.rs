@@ -9,7 +9,7 @@
 //! drives the Droop policy from predictions instead of oracle
 //! measurements.
 
-use crate::batch::{schedule_batch, BatchSchedule};
+use crate::batch::{greedy_batch, schedule_batch, BatchSchedule};
 use crate::oracle::PairOracle;
 use crate::policy::Policy;
 use serde::{Deserialize, Serialize};
@@ -73,56 +73,11 @@ pub struct OnlineComparison {
 /// Returns `None` when the predictor cannot be trained.
 pub fn compare_online_scheduling(oracle: &PairOracle) -> Option<OnlineComparison> {
     let predictor = StallRatioPredictor::train(oracle)?;
-    // Build a shadow oracle ranking: pairs ordered by predicted droops.
-    // We reuse the greedy batch machinery by scoring through a wrapper
-    // policy evaluated on predictions.
-    let n = oracle.len();
-    let mut ranked: Vec<(usize, usize, f64)> = (0..n)
-        .flat_map(|i| (0..n).map(move |j| (i, j)))
-        .map(|(i, j)| {
-            let predicted = predictor.predict(oracle.stats(i, j).stall_ratio());
-            (i, j, -predicted)
-        })
-        .collect();
-    ranked.sort_by(|a, b| b.2.partial_cmp(&a.2).expect("finite predictions"));
-
-    // Greedy fill under the same repeat constraint as the batch module.
-    let mut counts = vec![0usize; n];
-    let mut pairs = Vec::with_capacity(crate::batch::BATCH_COMBINATIONS);
-    while pairs.len() < crate::batch::BATCH_COMBINATIONS {
-        let before = pairs.len();
-        for &(i, j, _) in &ranked {
-            if pairs.len() >= crate::batch::BATCH_COMBINATIONS {
-                break;
-            }
-            let need = if i == j { 2 } else { 1 };
-            if counts[i] + need <= crate::batch::MAX_REPEATS + 1
-                && counts[j] < crate::batch::MAX_REPEATS + 1
-            {
-                counts[i] += 1;
-                counts[j] += 1;
-                pairs.push((i, j));
-            }
-        }
-        if pairs.len() == before {
-            counts.iter_mut().for_each(|c| *c = 0);
-        }
-    }
-    let m = pairs.len() as f64;
-    let online_batch = BatchSchedule {
-        policy: Policy::Droop,
-        normalized_droops: pairs
-            .iter()
-            .map(|&(i, j)| oracle.normalized_droops(i, j))
-            .sum::<f64>()
-            / m,
-        normalized_ipc: pairs
-            .iter()
-            .map(|&(i, j)| oracle.normalized_ipc(i, j))
-            .sum::<f64>()
-            / m,
-        pairs,
-    };
+    // The oracle's greedy Droop batch, ranked by predicted droops
+    // instead of measured ones.
+    let online_batch = greedy_batch(oracle, Policy::Droop, |i, j| {
+        -predictor.predict(oracle.stats(i, j).stall_ratio())
+    });
     let oracle_batch = schedule_batch(oracle, Policy::Droop);
     let regret = online_batch.normalized_droops - oracle_batch.normalized_droops;
     Some(OnlineComparison {

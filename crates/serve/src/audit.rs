@@ -1,24 +1,27 @@
 //! The scheduler decision audit log.
 //!
 //! With [`ServiceConfig::audit`](crate::ServiceConfig) armed, the
-//! decision loop records a typed [`DecisionEvent`] for every admit,
-//! place, grant, shed and demote it takes, and the merge layer folds
-//! those events into this bounded ring *at replay time* — in
-//! `(epoch, chip)` order, like every other artifact — so the ring's
-//! contents at any publish boundary are byte-identical at any shard
-//! count. The ring exports as the `vsmooth-audit-v1` JSON artifact on
-//! the [`ServiceReport`](crate::ServiceReport), rides along in obs
+//! merge layer derives a typed [`DecisionEvent`] for every admit,
+//! place, grant, shed and demote from the decision loop's epoch script
+//! (`epoch_decisions`) and folds them into this bounded ring *at
+//! replay time* — in `(epoch, chip)` order, like every other artifact
+//! — so the ring's contents at any publish boundary are byte-identical
+//! at any shard count. The decision loop records each decision once,
+//! in its epoch record, and never builds an audit event itself. The
+//! ring exports as the `vsmooth-audit-v1` JSON artifact on the
+//! [`ServiceReport`](crate::ServiceReport), rides along in obs
 //! snapshots for the `/decisions` endpoint, and (when tracing) lands
 //! as `decision` instants on the jobs timeline.
 //!
-//! Steals never appear here: which shard serves which token is live
-//! execution state, published through the per-shard obs section
-//! instead (see [`DecisionKind::Steal`](vsmooth_trace::DecisionKind)).
+//! Which shard serves which chip is live execution state, so it never
+//! appears here; it is published through the per-shard obs section
+//! instead.
 
 use std::collections::VecDeque;
 
+use crate::control::EpochRec;
 use serde::{Deserialize, Serialize};
-use vsmooth_trace::{DecisionEvent, AUDIT_SCHEMA};
+use vsmooth_trace::{DecisionEvent, DecisionKind, AUDIT_SCHEMA};
 
 /// Arms the scheduler decision audit log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,6 +78,64 @@ impl AuditLog {
     }
 }
 
+/// Derives epoch `rec`'s decisions from its script entry, in the
+/// order the decision loop took them: each admission, each placement,
+/// then per busy chip its grant and the demotion a finishing core
+/// leaves behind, and last the shed that ended the run. Demotions are
+/// dated to the end of the quantum, `slice_cycles` after the grant.
+pub(crate) fn epoch_decisions(rec: &EpochRec, slice_cycles: u64) -> Vec<DecisionEvent> {
+    use DecisionKind::{Admit, Demote, Grant, Place, Shed};
+    let (epoch, now) = (rec.index, rec.now);
+    let at = |cycle, kind, job, chip, core, reason| DecisionEvent {
+        epoch,
+        cycle,
+        kind,
+        job,
+        chip,
+        core,
+        reason,
+    };
+    let admits =
+        (rec.admits.iter()).map(|j| at(j.arrival_cycle, Admit, Some(j.id), None, None, "arrival"));
+    let places = (rec.places.iter()).map(|p| {
+        at(
+            now,
+            Place,
+            Some(p.spec.id),
+            Some(p.chip),
+            Some(p.core),
+            p.reason,
+        )
+    });
+    let grants = rec.busy.iter().flat_map(|b| {
+        // A finishing core that leaves a running partner demotes that
+        // partner to solo execution; at most one core per chip can.
+        let demote = (0..2).find_map(|core| {
+            let (done, partner) = (b.cores[core].as_ref()?, b.cores[1 - core].as_ref()?);
+            let (job, chip) = (Some(partner.job), Some(b.chip));
+            (done.finishes && !partner.finishes).then(|| {
+                at(
+                    now + slice_cycles,
+                    Demote,
+                    job,
+                    chip,
+                    Some(1 - core),
+                    "partner_finished",
+                )
+            })
+        });
+        [
+            Some(at(now, Grant, None, Some(b.chip), None, "quantum")),
+            demote,
+        ]
+        .into_iter()
+        .flatten()
+    });
+    let shed =
+        (rec.overflow).map(|(_, job)| at(now, Shed, Some(job), None, None, "queue_overflow"));
+    admits.chain(places).chain(grants).chain(shed).collect()
+}
+
 /// The exported decision audit: the final ring contents plus totals.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AuditReport {
@@ -114,7 +175,6 @@ impl AuditReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vsmooth_trace::DecisionKind;
 
     fn event(epoch: u64) -> DecisionEvent {
         DecisionEvent {
@@ -126,6 +186,64 @@ mod tests {
             core: None,
             reason: "quantum",
         }
+    }
+
+    #[test]
+    fn decisions_derive_from_the_script_in_decision_order() {
+        use crate::control::{BusyChip, CoreSlice, PlaceRec};
+        use crate::job::JobSpec;
+        let spec = |id, arrival_cycle| JobSpec {
+            id,
+            workload: "429.mcf".into(),
+            arrival_cycle,
+        };
+        let slice = |job, finishes| {
+            Some(CoreSlice {
+                job,
+                workload: "429.mcf".into(),
+                finishes,
+            })
+        };
+        let mut rec = EpochRec::new(4, 2_400);
+        rec.admits.push(spec(5, 2_300));
+        rec.places.push(PlaceRec {
+            spec: spec(5, 2_300),
+            chip: 1,
+            core: 0,
+            reason: "pair_resident",
+        });
+        rec.busy.push(BusyChip {
+            chip: 1,
+            cores: [slice(5, false), slice(3, true)],
+        });
+        let got: Vec<String> = epoch_decisions(&rec, 600)
+            .iter()
+            .map(DecisionEvent::to_json)
+            .collect();
+        assert_eq!(
+            got,
+            [
+                r#"{"epoch":4,"cycle":2300,"kind":"admit","job":5,"chip":null,"core":null,"reason":"arrival"}"#,
+                r#"{"epoch":4,"cycle":2400,"kind":"place","job":5,"chip":1,"core":0,"reason":"pair_resident"}"#,
+                r#"{"epoch":4,"cycle":2400,"kind":"grant","job":null,"chip":1,"core":null,"reason":"quantum"}"#,
+                r#"{"epoch":4,"cycle":3000,"kind":"demote","job":5,"chip":1,"core":0,"reason":"partner_finished"}"#,
+            ]
+        );
+        // The shed closes its epoch, after the admissions before it.
+        let mut rec = EpochRec::new(0, 0);
+        rec.admits.push(spec(7, 0));
+        rec.overflow = Some((1, 8));
+        let kinds: Vec<_> = epoch_decisions(&rec, 600)
+            .iter()
+            .map(|d| (d.kind, d.job))
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                (DecisionKind::Admit, Some(7)),
+                (DecisionKind::Shed, Some(8))
+            ]
+        );
     }
 
     #[test]

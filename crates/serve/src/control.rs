@@ -3,15 +3,15 @@
 //! chip cells, the slice logs shards send back, and the event bus
 //! those logs travel over.
 //!
-//! The decision loop never touches an artifact sink (metrics, tracer,
-//! monitor, profiler, obs hub). It only *decides* — admissions,
-//! placements, grants, analytic completions — and records each epoch
-//! as an `EpochRec`. Every observable side effect is produced later
-//! by the merge layer (`crate::merge`) replaying those records against
-//! the per-chip `SliceLog`s, in exactly the order the historical
-//! single-coordinator loop produced them. Byte-identity of every
-//! artifact therefore holds by construction, regardless of which shard
-//! executed which slice when.
+//! The decision loop never touches an artifact. It only *decides* —
+//! admissions, placements, grants, analytic completions — and records
+//! each epoch as an `EpochRec`, the epoch script's one entry per epoch.
+//! Every observable side effect, the decision audit included, is
+//! derived later by the merge layer (`crate::merge`) replaying those
+//! records against the per-chip `SliceLog`s, in exactly the order the
+//! historical single-coordinator loop produced them. Byte-identity of
+//! every artifact therefore holds by construction, regardless of which
+//! shard executed which slice when.
 //!
 //! The one piece of merge state the loop reads is the telemetry book
 //! placement scores against. The merge folds each finished epoch into
@@ -25,7 +25,6 @@ use std::sync::{Condvar, Mutex};
 
 use crate::job::JobSpec;
 use vsmooth_chip::{ChipError, DroopCrossing, DroopWindow, SliceStats};
-use vsmooth_trace::DecisionEvent;
 use vsmooth_workload::EventStream;
 
 /// How [`Service::run`](crate::Service::run) maps its `workers`
@@ -52,6 +51,9 @@ pub(crate) struct PlaceRec {
     pub spec: JobSpec,
     pub chip: usize,
     pub core: usize,
+    /// Which placement pass chose it: `pair_resident`, `best_pair` or
+    /// `solo` (the audit's reason code).
+    pub reason: &'static str,
 }
 
 /// One core's resident job during an epoch's slice, plus whether the
@@ -75,8 +77,10 @@ pub(crate) struct BusyChip {
 }
 
 /// Everything the decision loop decided in one epoch — the script
-/// entry the merge layer replays. `index` is the zero-based epoch
-/// number and `now` the virtual clock at the epoch's start.
+/// entry the merge layer replays, and the only record of the epoch's
+/// decisions: the audit, queue depth and resident count are all
+/// derived from it. `index` is the zero-based epoch number and `now`
+/// the virtual clock at the epoch's start.
 #[derive(Debug, Clone)]
 pub(crate) struct EpochRec {
     pub index: u64,
@@ -92,15 +96,6 @@ pub(crate) struct EpochRec {
     pub places: Vec<PlaceRec>,
     /// Chips that run a slice this epoch, in chip-index order.
     pub busy: Vec<BusyChip>,
-    /// Ready-queue depth after placement (feeds monitor/obs).
-    pub queue_depth_after: usize,
-    /// Jobs still resident after this epoch's analytic completions.
-    pub running_after: usize,
-    /// Typed audit entries for this epoch's decisions, in decision
-    /// order. Empty unless `ServiceConfig::audit` is armed — the
-    /// decision loop records, the merge layer folds them into the
-    /// bounded [`AuditLog`](crate::audit::AuditLog) ring at replay.
-    pub decisions: Vec<DecisionEvent>,
 }
 
 impl EpochRec {
@@ -112,9 +107,6 @@ impl EpochRec {
             overflow: None,
             places: Vec::new(),
             busy: Vec::new(),
-            queue_depth_after: 0,
-            running_after: 0,
-            decisions: Vec::new(),
         }
     }
 }

@@ -1,9 +1,13 @@
-//! The merge layer: deterministic replay of the decision loop's
-//! epoch records against per-chip slice logs, reconstructing every
-//! artifact — metrics, trace records, monitor feed, profiler
+//! The merge layer: the service's one artifact owner. It owns the
+//! metrics registry, the profiler and the monitor, names the trace's
+//! processes and threads, decides the [`DrainPlan`] the executors
+//! capture for it, and replays the decision loop's epoch script
+//! against per-chip slice logs, reconstructing every artifact —
+//! metrics, trace records, decision audit, monitor feed, profiler
 //! attribution, obs snapshots, the telemetry book and the completed
 //! jobs — in exactly the order the historical single-coordinator loop
-//! produced them.
+//! produced them. [`Merge::finalize`] assembles each sealed report
+//! once and hands them back as one `Observed<ServiceReport>`.
 //!
 //! Each epoch merges in two steps. [`Merge::fold`] folds the epoch's
 //! slice telemetry into the [`TelemetryBook`], the one piece of merge
@@ -28,6 +32,10 @@
 //! are execution-dependent by design — only the total slice count
 //! reconciles deterministically (`tests/shard_stress.rs`).
 //!
+//! The script records each decision once; the replay derives the
+//! audit from it ([`epoch_decisions`](crate::audit::epoch_decisions))
+//! and counts queue depth and residents itself.
+//!
 //! The merge is the only producer of trace records: executors hand
 //! back slice logs, and the replay records every span, instant and
 //! droop event from them, slice spans included, in `(epoch, chip)`
@@ -36,23 +44,26 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
-use crate::audit::{AuditConfig, AuditLog};
+use crate::audit::{epoch_decisions, AuditLog};
 use crate::control::{EpochRec, SliceLog};
 use crate::introspect::RuntimeStats;
 use crate::job::CompletedJob;
+use crate::service::{ServiceConfig, ServiceReport};
 use crate::shard::{ChipCell, DrainPlan};
 use crate::telemetry::TelemetryBook;
 use crate::ServeError;
-use vsmooth_chip::{DroopWindow, PHASE_MARGIN_PCT};
+use vsmooth_chip::sense::CrossingGrid;
+use vsmooth_chip::{DroopWindow, WindowConfig, PHASE_MARGIN_PCT};
 use vsmooth_monitor::{EpochSample, HealthReport, Monitor, SliceRecord};
 use vsmooth_obs::{ObsConfig, ObsSnapshot, ServiceStatus};
 use vsmooth_profile::{emit_window_span, Profiler};
+use vsmooth_sched::{Instruments, Observed};
 use vsmooth_stats::{MetricsRegistry, MetricsSnapshot};
-use vsmooth_trace::{chip_pid, ArgValue, DroopEvent, Tracer, PID_JOBS};
+use vsmooth_trace::{chip_pid, ArgValue, DroopEvent, Tracer, PID_JOBS, PID_MONITOR};
 
 /// Virtual thread id hosting `droop_window` spans on a chip timeline
 /// (cores are threads 0 and 1).
-pub(crate) const PROFILE_TID: u64 = 2;
+const PROFILE_TID: u64 = 2;
 
 /// One executed slice of one chip, remembered so droop windows that
 /// seal later (their tail crosses a slice boundary, or the run ends)
@@ -80,10 +91,10 @@ struct RunMeta {
 
 /// The replay engine plus all artifact-side run state.
 pub(crate) struct Merge<'a> {
-    metrics: &'a MetricsRegistry,
+    metrics: MetricsRegistry,
     tracer: &'a Tracer,
-    profiler: Option<&'a mut Profiler>,
-    monitor: Option<&'a mut Monitor>,
+    profiler: Option<Profiler>,
+    monitor: Option<Monitor>,
     obs: Option<&'a ObsConfig>,
     publish_every: u64,
     recent_cap: usize,
@@ -95,15 +106,16 @@ pub(crate) struct Merge<'a> {
     /// The live introspection scoreboard, read (never written) at
     /// publish boundaries for the snapshot's `shards` section.
     stats: Arc<RuntimeStats>,
-    /// The run's capture plan: which slice channels were drained and
-    /// which consumers want droop events.
-    drain: DrainPlan,
+    /// The run's capture plan: which slice channels the pool arms and
+    /// executors drain, and which consumers want droop events.
+    pub(crate) drain: DrainPlan,
     /// Whether the run's pool has shard workers — the `shards` section
     /// is published only then (the in-line coordinator has no shard
     /// runtime to introspect; `/shards` answers 404).
     sharded: bool,
-    /// The decision audit ring, when [`AuditConfig`] armed it. Folded
-    /// here at replay time, so its contents are deterministic.
+    /// The decision audit ring, when `ServiceConfig::audit` armed it.
+    /// Derived and folded here at replay time, so its contents are
+    /// deterministic.
     audit: Option<AuditLog>,
     slice_cycles: u64,
     jobs_submitted: usize,
@@ -113,6 +125,8 @@ pub(crate) struct Merge<'a> {
     segs: Vec<Vec<SliceSeg>>,
     admitted: u64,
     droops: u64,
+    /// Occupied core-quanta over every merged epoch.
+    busy_core_quanta: u64,
     /// Slice counters batched between observation points: the registry
     /// is only readable at obs publishes and at finalize, so per-slice
     /// `counter_add` calls (a series lookup each) can be accumulated
@@ -121,26 +135,72 @@ pub(crate) struct Merge<'a> {
     pending_slices: u64,
     pending_cycles: u64,
     epochs_merged: u64,
+    /// The virtual clock at the end of the last merged epoch.
+    clock: u64,
     last_profile: Option<Arc<String>>,
     invariant_violations: usize,
 }
 
 impl<'a> Merge<'a> {
-    #[allow(clippy::too_many_arguments)]
+    /// Arms every instrument `cfg` and `inst` ask for — the registry
+    /// with its series descriptions, the profiler, the monitor, the
+    /// audit ring — and decides the capture plan executors drain for
+    /// them. Records nothing yet; see [`Merge::name_tracks`].
     pub(crate) fn new(
-        metrics: &'a MetricsRegistry,
+        cfg: &'a ServiceConfig,
         tracer: &'a Tracer,
-        profiler: Option<&'a mut Profiler>,
-        monitor: Option<&'a mut Monitor>,
-        obs: Option<&'a ObsConfig>,
+        inst: &Instruments,
         stats: Arc<RuntimeStats>,
-        drain: DrainPlan,
         sharded: bool,
-        audit: Option<&AuditConfig>,
-        chips: usize,
-        slice_cycles: u64,
         jobs_submitted: usize,
     ) -> Self {
+        // Capture at the grid-quantized margin so per-event logs agree
+        // exactly with the aggregate droop counts in `SliceStats`
+        // (which come from the crossing grid).
+        let margin = CrossingGrid::droop_grid().quantized_margin(PHASE_MARGIN_PCT);
+        let profiler = inst.profile.map(|p| Profiler::new(margin, p));
+        let monitor = inst.monitor.clone().map(Monitor::new);
+        let obs = cfg.obs.as_ref();
+        let droop_events = tracer.is_enabled() || monitor.is_some() || obs.is_some();
+        let drain = DrainPlan {
+            crossings: droop_events || profiler.is_some(),
+            droop_events,
+            // Profiling arms crossing *and* window capture at the
+            // profiler's own margin. Attribution and trace spans never
+            // read the per-core current series, and windows are
+            // consumed in-service, so skip the scope's most expensive
+            // channel.
+            windows: profiler.as_ref().map(|p| WindowConfig {
+                capture_currents: false,
+                ..p.config().window
+            }),
+            invariants: cfg.invariants,
+            margin,
+        };
+        let metrics = MetricsRegistry::new();
+        metrics.describe(
+            "serve_jobs_admitted_total",
+            "Jobs admitted from the submitted stream into the ready queue.",
+        );
+        metrics.describe("serve_jobs_completed_total", "Jobs run to completion.");
+        metrics.describe(
+            "serve_droops_total",
+            "Droop emergencies at the phase margin, summed over the pool.",
+        );
+        metrics.describe(
+            "droops_total",
+            "Droop emergencies observed, per pairing policy.",
+        );
+        metrics.describe(
+            "queue_wait_kcycles",
+            "Admission-queue wait per completed job, kilocycles.",
+        );
+        if cfg.audit.is_some() {
+            metrics.describe(
+                "serve_audit_events_total",
+                "Scheduler decisions folded into the audit ring.",
+            );
+        }
         let publish_every = obs.map_or(1, |o| o.publish_every.max(1));
         let recent_cap = obs.map_or(0, |o| o.recent_droops.max(1));
         let recent = obs.map(|_| VecDeque::with_capacity(recent_cap.min(1_024)));
@@ -156,20 +216,45 @@ impl<'a> Merge<'a> {
             stats,
             drain,
             sharded,
-            audit: audit.map(|a| AuditLog::new(a.capacity)),
-            slice_cycles,
+            audit: cfg.audit.as_ref().map(|a| AuditLog::new(a.capacity)),
+            slice_cycles: cfg.slice_cycles,
             jobs_submitted,
             book: TelemetryBook::new(),
             running: BTreeMap::new(),
             completed: Vec::new(),
-            segs: (0..chips).map(|_| Vec::new()).collect(),
+            segs: (0..cfg.chips).map(|_| Vec::new()).collect(),
             admitted: 0,
             droops: 0,
+            busy_core_quanta: 0,
             pending_slices: 0,
             pending_cycles: 0,
             epochs_merged: 0,
+            clock: 0,
             last_profile: None,
             invariant_violations: 0,
+        }
+    }
+
+    /// Names the trace's processes and threads: the jobs timeline, each
+    /// chip with its cores (and its `profile` thread when profiling),
+    /// and the monitor timeline when monitoring. The service calls it
+    /// once the pool is built, so a run whose chips fail to build
+    /// leaves the tracer empty.
+    pub(crate) fn name_tracks(&self) {
+        if !self.tracer.is_enabled() {
+            return;
+        }
+        self.tracer.process_name(PID_JOBS, "jobs");
+        for c in 0..self.segs.len() {
+            self.tracer.process_name(chip_pid(c), format!("chip{c}"));
+            self.tracer.thread_name(chip_pid(c), 0, "core0");
+            self.tracer.thread_name(chip_pid(c), 1, "core1");
+            if self.profiler.is_some() {
+                self.tracer.thread_name(chip_pid(c), PROFILE_TID, "profile");
+            }
+        }
+        if self.monitor.is_some() {
+            self.tracer.process_name(PID_MONITOR, "monitor");
         }
     }
 
@@ -209,30 +294,31 @@ impl<'a> Merge<'a> {
     /// left them.
     pub(crate) fn replay(&mut self, rec: &EpochRec, logs: &[SliceLog]) -> Result<(), ServeError> {
         let now = rec.now;
-        if !rec.decisions.is_empty() {
-            if let Some(log) = self.audit.as_mut() {
+        if let Some(log) = self.audit.as_mut() {
+            let decisions = epoch_decisions(rec, self.slice_cycles);
+            if !decisions.is_empty() {
                 self.metrics
-                    .counter_add("serve_audit_events_total", rec.decisions.len() as u64);
-                for d in &rec.decisions {
-                    if self.tracer.is_enabled() {
-                        let mut args = vec![("reason", ArgValue::from(d.reason))];
-                        if let Some(chip) = d.chip {
-                            args.push(("chip", ArgValue::from(chip)));
-                        }
-                        if let Some(job) = d.job {
-                            args.push(("job", ArgValue::from(job)));
-                        }
-                        self.tracer.instant(
-                            d.kind.label(),
-                            "decision",
-                            PID_JOBS,
-                            d.job.unwrap_or(0),
-                            d.cycle,
-                            args,
-                        );
+                    .counter_add("serve_audit_events_total", decisions.len() as u64);
+            }
+            for d in decisions {
+                if self.tracer.is_enabled() {
+                    let mut args = vec![("reason", ArgValue::from(d.reason))];
+                    if let Some(chip) = d.chip {
+                        args.push(("chip", ArgValue::from(chip)));
                     }
-                    log.push(d.clone());
+                    if let Some(job) = d.job {
+                        args.push(("job", ArgValue::from(job)));
+                    }
+                    self.tracer.instant(
+                        d.kind.label(),
+                        "decision",
+                        PID_JOBS,
+                        d.job.unwrap_or(0),
+                        d.cycle,
+                        args,
+                    );
                 }
+                log.push(d);
             }
         }
         for job in &rec.admits {
@@ -285,6 +371,7 @@ impl<'a> Merge<'a> {
         let mut epoch_margin_weight = 0.0f64;
         for (b, log) in rec.busy.iter().zip(logs) {
             let slice = &log.stats;
+            self.busy_core_quanta += b.cores.iter().flatten().count() as u64;
             for (core, cs) in b.cores.iter().enumerate() {
                 // The decision loop predicted this slice's completions
                 // analytically; the executor saw them for real. Any
@@ -360,7 +447,7 @@ impl<'a> Merge<'a> {
                             phase: phase.clone(),
                         });
                         self.tracer.droop(&event);
-                        if let Some(m) = self.monitor.as_deref_mut() {
+                        if let Some(m) = self.monitor.as_mut() {
                             m.on_droop(Arc::clone(&event));
                         }
                         if let Some(ring) = self.recent.as_mut() {
@@ -371,7 +458,7 @@ impl<'a> Merge<'a> {
                         }
                     }
                 }
-                if let Some(m) = self.monitor.as_deref_mut() {
+                if let Some(m) = self.monitor.as_mut() {
                     m.on_slice(SliceRecord {
                         start_cycle: now,
                         chip: b.chip,
@@ -381,7 +468,7 @@ impl<'a> Merge<'a> {
                         max_droop_pct: slice.max_droop_pct,
                     });
                 }
-                if let Some(p) = self.profiler.as_deref_mut() {
+                if let Some(p) = self.profiler.as_mut() {
                     self.segs[b.chip].push(SliceSeg {
                         session_start: slice_start,
                         virtual_start: now,
@@ -428,12 +515,15 @@ impl<'a> Merge<'a> {
                 }
             }
         }
-        if let Some(m) = self.monitor.as_deref_mut() {
-            // Close the monitoring epoch after the merge, with the
-            // queue state placement left behind — all decision-loop
-            // state, so the sample is executor-independent.
+        // The queue state placement left behind: admitted jobs not yet
+        // placed wait, and placed ones are running or completed.
+        let running_jobs = self.running.len();
+        let queue_depth = self.admitted as usize - running_jobs - self.completed.len();
+        self.clock = now + self.slice_cycles;
+        if let Some(m) = self.monitor.as_mut() {
+            // Close the monitoring epoch after the merge.
             m.on_epoch(EpochSample {
-                end_cycle: now + self.slice_cycles,
+                end_cycle: self.clock,
                 cycles: epoch_cycles,
                 droops: epoch_droops,
                 min_margin_pct: epoch_min_margin,
@@ -442,24 +532,24 @@ impl<'a> Merge<'a> {
                 } else {
                     epoch_margin_weight / epoch_cycles as f64
                 },
-                queue_depth: rec.queue_depth_after,
-                running_jobs: rec.running_after,
+                queue_depth,
+                running_jobs,
             });
         }
         self.epochs_merged += 1;
         if let Some(oc) = self.obs {
             if self.epochs_merged.is_multiple_of(self.publish_every) {
                 self.flush_slice_counters();
-                if let Some(p) = self.profiler.as_deref() {
+                if let Some(p) = &self.profiler {
                     // Refresh /profile at publish cadence, not per
                     // epoch: report assembly is the expensive part.
                     self.last_profile = Some(Arc::new(p.report().to_json()));
                 }
                 let status = ServiceStatus {
                     epoch: self.epochs_merged,
-                    virtual_cycles: now + self.slice_cycles,
-                    queue_depth: rec.queue_depth_after,
-                    running_jobs: rec.running_after,
+                    virtual_cycles: self.clock,
+                    queue_depth,
+                    running_jobs,
                     jobs_submitted: self.jobs_submitted,
                     jobs_admitted: self.admitted,
                     jobs_completed: self.completed.len() as u64,
@@ -478,7 +568,7 @@ impl<'a> Merge<'a> {
     fn publish(&self, oc: &ObsConfig, status: ServiceStatus, metrics: MetricsSnapshot) {
         oc.hub.publish(ObsSnapshot {
             metrics,
-            health: self.monitor.as_deref().map(Monitor::status),
+            health: self.monitor.as_ref().map(Monitor::status),
             service: Some(status),
             fleet: None,
             shards: self.sharded.then(|| self.stats.status(self.epochs_merged)),
@@ -512,21 +602,17 @@ impl<'a> Merge<'a> {
     }
 
     /// End of run: final window flushes, aggregate counters and float
-    /// observations, health/profile exports, the final obs publish,
-    /// and the report. `cells` must come back from the pool in chip
-    /// order.
-    #[allow(clippy::too_many_arguments)]
+    /// observations, the profile and health reports (each assembled
+    /// once, exported into the registry and sealed), the final obs
+    /// publish, and the report. `cells` must come back from the pool in
+    /// chip order.
     pub(crate) fn finalize(
         mut self,
         mut cells: Vec<ChipCell>,
         policy_name: String,
-        epochs: u64,
-        now: u64,
-        busy_core_quanta: u64,
-        chips: usize,
-    ) -> Result<crate::service::ServiceReport, ServeError> {
+    ) -> Result<Observed<ServiceReport>, ServeError> {
         self.flush_slice_counters();
-        if let Some(p) = self.profiler.as_deref_mut() {
+        if let Some(p) = self.profiler.as_mut() {
             // Seal windows whose tail was still filling at the end of
             // the run (their `truncated` flag records the early cut).
             for (chip_idx, cell) in cells.iter_mut().enumerate() {
@@ -539,52 +625,50 @@ impl<'a> Merge<'a> {
                 violations: self.invariant_violations,
             });
         }
-        self.metrics.counter_add("serve_droops_total", self.droops);
-        self.metrics
-            .counter_with("droops_total", &[("policy", &policy_name)], self.droops);
+        let metrics = &self.metrics;
+        metrics.counter_add("serve_droops_total", self.droops);
+        metrics.counter_with("droops_total", &[("policy", &policy_name)], self.droops);
         // Float observations only here, on the coordinator, in
         // completion order — see the module docs on determinism.
         for job in &self.completed {
-            self.metrics
-                .observe("serve_queue_wait_cycles", job.queue_wait_cycles() as f64);
-            self.metrics.observe(
+            metrics.observe("serve_queue_wait_cycles", job.queue_wait_cycles() as f64);
+            metrics.observe(
                 "queue_wait_kcycles",
                 job.queue_wait_cycles() as f64 / 1000.0,
             );
-            self.metrics.observe(
+            metrics.observe(
                 "job_latency_kcycles",
                 (job.finished_cycle - job.spec.arrival_cycle) as f64 / 1000.0,
             );
-            self.metrics.observe("serve_job_ipc", job.ipc());
+            metrics.observe("serve_job_ipc", job.ipc());
         }
         let chip_cycles: u64 = cells.iter().map(|c| c.session.measured_cycles()).sum();
-        let core_quanta_available = 2 * chips as u64 * epochs;
+        let (epochs, now) = (self.epochs_merged, self.clock);
+        let core_quanta_available = 2 * cells.len() as u64 * epochs;
         let utilization = if core_quanta_available == 0 {
             0.0
         } else {
-            busy_core_quanta as f64 / core_quanta_available as f64
+            self.busy_core_quanta as f64 / core_quanta_available as f64
         };
-        self.metrics
-            .gauge_set("serve_chip_utilization", utilization);
-        self.metrics
-            .gauge_set("serve_warmed_profiles", self.book.warmed() as f64);
-        if let Some(p) = self.profiler.as_deref() {
+        metrics.gauge_set("serve_chip_utilization", utilization);
+        metrics.gauge_set("serve_warmed_profiles", self.book.warmed() as f64);
+        let profile = self.profiler.as_ref().map(Profiler::report);
+        if let Some(p) = &profile {
             // Attribution series land in the same snapshot the report
             // embeds, so `droop_attribution_total{event=...}` shows up
             // in the rendered metrics and the Prometheus exposition.
-            let report = p.report();
-            report.export_metrics(self.metrics);
+            p.export_metrics(metrics);
             if self.obs.is_some() {
                 // The final /profile body includes the end-of-run
                 // flushed windows the periodic refreshes could not see.
-                self.last_profile = Some(Arc::new(report.to_json()));
+                self.last_profile = Some(Arc::new(p.to_json()));
             }
         }
-        let health = self.monitor.as_deref().map(Monitor::report);
+        let health = self.monitor.as_ref().map(Monitor::report);
         if let Some(h) = &health {
             // alerts_total{rule,severity} and the monitor_* gauges land
             // in the same snapshot the report embeds.
-            h.export_metrics(self.metrics);
+            h.export_metrics(metrics);
             if self.tracer.is_enabled() {
                 h.emit_alert_instants(self.tracer);
             }
@@ -594,9 +678,9 @@ impl<'a> Merge<'a> {
             // sampler counters land in the same snapshot the report
             // embeds. Only streaming tracers add these series, so
             // non-streaming runs keep their exact historical renders.
-            self.tracer.export_telemetry(self.metrics);
+            self.tracer.export_telemetry(metrics);
         }
-        let snapshot = self.metrics.snapshot();
+        let snapshot = metrics.snapshot();
         // Every executor credits each slice it runs to the live
         // scoreboard, so the introspection tallies must reconcile
         // exactly with the deterministic counter.
@@ -631,7 +715,7 @@ impl<'a> Merge<'a> {
                 completed.iter().map(f).sum::<f64>() / completed.len() as f64
             }
         };
-        Ok(crate::service::ServiceReport {
+        let report = ServiceReport {
             policy: policy_name,
             jobs_submitted: self.jobs_submitted,
             jobs_completed: completed.len(),
@@ -653,11 +737,15 @@ impl<'a> Merge<'a> {
             },
             mean_ipc: mean(&|j| j.ipc()),
             warmed_profiles: self.book.warmed(),
-            metrics: snapshot.render(),
             snapshot,
             completed,
             health: health.as_ref().map(HealthReport::summary),
             audit: self.audit.as_ref().map(AuditLog::report),
+        };
+        Ok(Observed {
+            report,
+            profile,
+            health,
         })
     }
 }

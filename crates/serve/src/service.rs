@@ -8,22 +8,27 @@
 //! * **The decision loop** (this module) owns all scheduling state —
 //!   the pending/ready queues and a shadow of every chip's occupancy —
 //!   and reads the telemetry book, which the merge layer folds, at
-//!   placement. It never touches an artifact sink; each epoch's
-//!   decisions are recorded as an `EpochRec` and execution is
-//!   delegated to the `ShardPool`.
+//!   placement. It only decides: each epoch's admissions, placements
+//!   (with their reason codes), grants and analytic completions are
+//!   recorded once, as an `EpochRec` in the epoch script, and
+//!   execution is delegated to the `ShardPool`. It builds no artifact
+//!   and arms no instrument.
 //! * **The shard pool** (`crate::shard`) builds, warms up and advances
 //!   the chips: on long-lived shard workers with per-shard run queues
 //!   and work-stealing, or, with no workers, in-line on this thread on
 //!   the reference step (the coordinator, see [`RuntimeMode`]). Either
 //!   way it returns one `SliceLog` per granted slice.
-//! * **The merge layer** (`crate::merge`) replays epoch records
-//!   against slice logs in `(epoch, chip)` order, reconstructing
-//!   metrics, trace records, monitor feed, profiler attribution and
-//!   obs snapshots in exactly the order the historical
-//!   single-coordinator loop produced them. The telemetry book is
-//!   folded first, on its own: before placing, the loop folds every
-//!   finished epoch into the book, grants the next epoch, and only then
-//!   replays the rest, so that replay overlaps the shards' next slice.
+//! * **The merge layer** (`crate::merge`) is the run's one artifact
+//!   owner: it arms the registry, profiler, monitor and audit ring,
+//!   decides the captures the pool drains for them, and replays epoch
+//!   records against slice logs in `(epoch, chip)` order,
+//!   reconstructing metrics, trace records, the decision audit, monitor
+//!   feed, profiler attribution and obs snapshots in exactly the order
+//!   the historical single-coordinator loop produced them. The
+//!   telemetry book is folded first, on its own: before placing, the
+//!   loop folds every finished epoch into the book, grants the next
+//!   epoch, and only then replays the rest, so that replay overlaps
+//!   the shards' next slice.
 //!
 //! # Determinism
 //!
@@ -50,22 +55,21 @@ use crate::audit::{AuditConfig, AuditReport};
 use crate::control::{BusyChip, CellJob, CoreSlice, EpochRec, PlaceRec, RuntimeMode, SliceLog};
 use crate::introspect::RuntimeStats;
 use crate::job::{CompletedJob, JobSpec};
-use crate::merge::{Merge, PROFILE_TID};
-use crate::shard::{DrainPlan, ShardPool};
+use crate::merge::Merge;
+use crate::shard::ShardPool;
 use crate::telemetry::TelemetryBook;
 use crate::ServeError;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Instant;
-use vsmooth_chip::sense::CrossingGrid;
-use vsmooth_chip::{ChipConfig, WindowConfig, PHASE_MARGIN_PCT};
-use vsmooth_monitor::{HealthReport, HealthSummary, Monitor, MonitorConfig};
+use vsmooth_chip::ChipConfig;
+use vsmooth_monitor::{HealthReport, HealthSummary, MonitorConfig};
 use vsmooth_obs::ObsConfig;
-use vsmooth_profile::Profiler;
 use vsmooth_sched::{Instruments, Observed, PairPolicy};
-use vsmooth_stats::{MetricsRegistry, MetricsSnapshot};
-use vsmooth_trace::{chip_pid, DecisionEvent, DecisionKind, Tracer, PID_JOBS, PID_MONITOR};
+use vsmooth_stats::MetricsSnapshot;
+use vsmooth_trace::Tracer;
 use vsmooth_workload::by_name;
 
 /// Static configuration of a service instance.
@@ -102,10 +106,10 @@ pub struct ServiceConfig {
     /// violation fails the run with
     /// [`ServeError::InvariantViolations`]. Off by default.
     pub invariants: bool,
-    /// Arm the scheduler decision audit log: the decision loop records
-    /// a typed [`DecisionEvent`] for every admit/place/grant/shed/
-    /// demote, folded into a bounded ring by the merge layer and
-    /// exported as the `vsmooth-audit-v1` artifact on
+    /// Arm the scheduler decision audit log ([`crate::audit`]): the
+    /// merge layer derives a typed event for every admit/place/grant/
+    /// shed/demote from the epoch script, folds it into a bounded ring
+    /// and exports the ring as the `vsmooth-audit-v1` artifact on
     /// [`ServiceReport::audit`]. Deterministic: the ring and its JSON
     /// are byte-identical at any worker count. Off by default, so
     /// unaudited reports compare equal to historical ones.
@@ -186,10 +190,8 @@ pub struct ServiceReport {
     pub mean_ipc: f64,
     /// Workload profiles with at least one real telemetry sample.
     pub warmed_profiles: usize,
-    /// Rendered metrics snapshot (text exposition format).
-    pub metrics: String,
-    /// The structured metrics snapshot `metrics` was rendered from —
-    /// for Prometheus export
+    /// The run's metrics snapshot: [`ServiceReport::render`] prints its
+    /// text exposition, and it feeds Prometheus export
     /// ([`MetricsSnapshot::render_prometheus`]) and programmatic
     /// access to labeled series and percentiles.
     pub snapshot: MetricsSnapshot,
@@ -246,7 +248,7 @@ impl ServiceReport {
                 h.epochs, h.alerts_fired, h.alerts_resolved, h.postmortems
             ));
         }
-        out.push_str(&self.metrics);
+        out.push_str(&self.snapshot.render());
         out
     }
 }
@@ -342,7 +344,7 @@ impl Service {
     ///   scored into a per-co-schedule profile (labels join the
     ///   resident workloads with `+`) and drawn as a `droop_window`
     ///   span on each chip's `profile` thread.
-    /// * `monitor`: a [`Monitor`] watches the run epoch by epoch and
+    /// * `monitor`: a health monitor watches the run epoch by epoch and
     ///   seals a `vsmooth-postmortem-v1` bundle whenever a rule fires;
     ///   the report carries its digest in [`ServiceReport::health`]
     ///   and its `alerts_total` and `monitor_*` series.
@@ -372,38 +374,6 @@ impl Service {
         }
         let off = Tracer::disabled();
         let tracer = inst.tracer.unwrap_or(&off);
-        // Capture at the grid-quantized margin so per-event logs agree
-        // exactly with the aggregate droop counts in `SliceStats`
-        // (which come from the crossing grid).
-        let margin = CrossingGrid::droop_grid().quantized_margin(PHASE_MARGIN_PCT);
-        let mut profiler = inst.profile.map(|cfg| Profiler::new(margin, cfg));
-        let mut monitor = inst.monitor.clone().map(Monitor::new);
-        let metrics = MetricsRegistry::new();
-        metrics.describe(
-            "serve_jobs_admitted_total",
-            "Jobs admitted from the submitted stream into the ready queue.",
-        );
-        metrics.describe("serve_jobs_completed_total", "Jobs run to completion.");
-        metrics.describe(
-            "serve_droops_total",
-            "Droop emergencies at the phase margin, summed over the pool.",
-        );
-        metrics.describe(
-            "droops_total",
-            "Droop emergencies observed, per pairing policy.",
-        );
-        metrics.describe(
-            "queue_wait_kcycles",
-            "Admission-queue wait per completed job, kilocycles.",
-        );
-        if self.cfg.audit.is_some() {
-            metrics.describe(
-                "serve_audit_events_total",
-                "Scheduler decisions folded into the audit ring.",
-            );
-        }
-        let obs = self.cfg.obs.as_ref();
-        let audit_on = self.cfg.audit.is_some();
         // Shard workers; none runs the in-line coordinator.
         let shards = match self.cfg.runtime {
             RuntimeMode::Auto if workers >= 2 => workers,
@@ -414,60 +384,25 @@ impl Service {
         // decision loop all feed it; only the per-shard obs snapshot
         // section reads it (never the deterministic report).
         let stats = Arc::new(RuntimeStats::new(shards, self.cfg.chips));
-        // The capture plan, decided once: the pool arms its sessions
-        // from it, executors drain it, and the merge branches on it.
-        let droop_events = tracer.is_enabled() || monitor.is_some() || obs.is_some();
-        let drain = DrainPlan {
-            crossings: droop_events || profiler.is_some(),
-            droop_events,
-            // Profiling arms crossing *and* window capture at the
-            // profiler's own margin. Attribution and trace spans never
-            // read the per-core current series, and windows are
-            // consumed in-service, so skip the scope's most expensive
-            // channel.
-            windows: profiler.as_ref().map(|p| WindowConfig {
-                capture_currents: false,
-                ..p.config().window
-            }),
-            invariants: self.cfg.invariants,
-            margin,
-        };
+        // The merge owns every artifact and decides which captures the
+        // pool arms and drains for them.
+        let mut merge = Merge::new(
+            &self.cfg,
+            tracer,
+            inst,
+            Arc::clone(&stats),
+            shards > 0,
+            jobs.len(),
+        );
         let mut pool = ShardPool::new(
             &self.cfg.chip,
             self.cfg.chips,
             shards,
             Arc::clone(&stats),
             self.cfg.slice_cycles,
-            drain,
+            merge.drain,
         )?;
-        if tracer.is_enabled() {
-            tracer.process_name(PID_JOBS, "jobs");
-            for c in 0..self.cfg.chips {
-                tracer.process_name(chip_pid(c), format!("chip{c}"));
-                tracer.thread_name(chip_pid(c), 0, "core0");
-                tracer.thread_name(chip_pid(c), 1, "core1");
-                if profiler.is_some() {
-                    tracer.thread_name(chip_pid(c), PROFILE_TID, "profile");
-                }
-            }
-            if monitor.is_some() {
-                tracer.process_name(PID_MONITOR, "monitor");
-            }
-        }
-        let mut merge = Merge::new(
-            &metrics,
-            tracer,
-            profiler.as_mut(),
-            monitor.as_mut(),
-            obs,
-            Arc::clone(&stats),
-            drain,
-            shards > 0,
-            self.cfg.audit.as_ref(),
-            self.cfg.chips,
-            self.cfg.slice_cycles,
-            jobs.len(),
-        );
+        merge.name_tracks();
         let mut pending: VecDeque<JobSpec> = {
             let mut sorted = jobs.to_vec();
             sorted.sort_by_key(|j| (j.arrival_cycle, j.id));
@@ -481,13 +416,12 @@ impl Service {
         let mut script = EpochScript::default();
         let mut now = 0u64;
         let mut epochs = 0u64;
-        let mut busy_core_quanta = 0u64;
         let mut finished_jobs = 0usize;
 
         while finished_jobs < jobs.len() {
             // Decision-loop wall latency is measured only when obs is
             // armed, so wall clocks never tick in unobserved runs.
-            let decide_start = obs.map(|_| Instant::now());
+            let decide_start = self.cfg.obs.is_some().then(Instant::now);
             let mut rec = EpochRec::new(epochs, now);
             while pending.front().is_some_and(|j| j.arrival_cycle <= now) {
                 let job = pending.pop_front().expect("front checked");
@@ -498,37 +432,14 @@ impl Service {
                         // metrics and trace state end exactly where
                         // the historical in-line loop left them, then
                         // surface the typed error.
-                        let overflowing = job.id;
-                        rec.overflow = Some((capacity, overflowing));
-                        if audit_on {
-                            rec.decisions.push(DecisionEvent {
-                                epoch: epochs,
-                                cycle: now,
-                                kind: DecisionKind::Shed,
-                                job: Some(overflowing),
-                                chip: None,
-                                core: None,
-                                reason: "queue_overflow",
-                            });
-                        }
+                        rec.overflow = Some((capacity, job.id));
                         script.recs.push(rec);
                         script.drain(&mut merge, &mut pool)?;
                         return Err(ServeError::QueueOverflow {
                             capacity,
-                            job: overflowing,
+                            job: job.id,
                         });
                     }
-                }
-                if audit_on {
-                    rec.decisions.push(DecisionEvent {
-                        epoch: epochs,
-                        cycle: job.arrival_cycle,
-                        kind: DecisionKind::Admit,
-                        job: Some(job.id),
-                        chip: None,
-                        core: None,
-                        reason: "arrival",
-                    });
                 }
                 rec.admits.push(job.clone());
                 ready.push_back(job);
@@ -559,11 +470,9 @@ impl Service {
                 )?;
             }
             for (chip, shadow) in shadows.iter_mut().enumerate() {
-                let occupied = shadow.occupied();
-                if occupied == 0 {
+                if shadow.occupied() == 0 {
                     continue;
                 }
-                busy_core_quanta += occupied as u64;
                 let mut cores = [None, None];
                 for (core, slot) in shadow.cores.iter_mut().enumerate() {
                     if let Some(job) = slot {
@@ -580,50 +489,13 @@ impl Service {
                         }
                     }
                 }
-                if audit_on {
-                    rec.decisions.push(DecisionEvent {
-                        epoch: epochs,
-                        cycle: now,
-                        kind: DecisionKind::Grant,
-                        job: None,
-                        chip: Some(chip),
-                        core: None,
-                        reason: "quantum",
-                    });
-                    // A finishing core that leaves a running partner
-                    // demotes that partner to solo execution.
-                    for (core, slot) in cores.iter().enumerate() {
-                        let finished = slot.as_ref().is_some_and(|c| c.finishes);
-                        if !finished {
-                            continue;
-                        }
-                        if let Some(partner) = &shadow.cores[1 - core] {
-                            rec.decisions.push(DecisionEvent {
-                                epoch: epochs,
-                                cycle: now + self.cfg.slice_cycles,
-                                kind: DecisionKind::Demote,
-                                job: Some(partner.spec.id),
-                                chip: Some(chip),
-                                core: Some(1 - core),
-                                reason: "partner_finished",
-                            });
-                        }
-                    }
-                }
                 rec.busy.push(BusyChip { chip, cores });
             }
             let busy_chips: Vec<usize> = rec.busy.iter().map(|b| b.chip).collect();
-            stats.grants.fetch_add(
-                busy_chips.len() as u64,
-                std::sync::atomic::Ordering::Relaxed,
-            );
+            stats.grants.fetch_add(busy_chips.len() as u64, Relaxed);
             pool.grant(epochs, &busy_chips)?;
-            rec.queue_depth_after = ready.len();
-            rec.running_after = shadows.iter().map(ShadowChip::occupied).sum();
             script.recs.push(rec);
-            stats
-                .epochs_decided
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            stats.epochs_decided.fetch_add(1, Relaxed);
             if let Some(start) = decide_start {
                 stats.record_decision_latency(start.elapsed().as_micros() as u64);
             }
@@ -639,20 +511,7 @@ impl Service {
             script.merge_ready(&mut merge, &mut pool)?;
         }
         script.drain(&mut merge, &mut pool)?;
-        let cells = pool.finish()?;
-        let report = merge.finalize(
-            cells,
-            policy.name(),
-            epochs,
-            now,
-            busy_core_quanta,
-            self.cfg.chips,
-        )?;
-        Ok(Observed {
-            report,
-            profile: profiler.map(|p| p.report()),
-            health: monitor.map(|m| m.report()),
-        })
+        merge.finalize(pool.finish()?, policy.name())
     }
 
     /// Places ready jobs onto free cores: first complete half-empty
@@ -760,21 +619,11 @@ impl Service {
                 stream,
             },
         );
-        if self.cfg.audit.is_some() {
-            rec.decisions.push(DecisionEvent {
-                epoch: rec.index,
-                cycle: rec.now,
-                kind: DecisionKind::Place,
-                job: Some(spec.id),
-                chip: Some(chip_idx),
-                core: Some(core),
-                reason,
-            });
-        }
         rec.places.push(PlaceRec {
             spec: spec.clone(),
             chip: chip_idx,
             core,
+            reason,
         });
         shadow.cores[core] = Some(ShadowJob {
             spec,
@@ -862,6 +711,7 @@ mod tests {
     use vsmooth_pdn::DecapConfig;
     use vsmooth_profile::{ProfileConfig, ProfileReport};
     use vsmooth_sched::{OnlineDroop, RandomPairing};
+    use vsmooth_stats::MetricsRegistry;
 
     fn small_cfg() -> ServiceConfig {
         let mut cfg = ServiceConfig::new(ChipConfig::core2_duo(DecapConfig::proc100()));
@@ -1252,7 +1102,7 @@ mod tests {
         assert_eq!(health.epochs, armed.epochs);
         assert_eq!(armed.health, Some(health.summary()));
         assert!(plain.health.is_none());
-        // Monitor gauges landed in the embedded snapshot.
+        // The monitor's gauges landed in the embedded snapshot.
         assert!(armed
             .snapshot
             .gauge("monitor_droop_rate_per_kilocycle")

@@ -156,11 +156,11 @@ impl ChipCell {
     }
 }
 
-/// Which per-slice channels a run captures, decided once by the
-/// service from its armed instruments. The pool arms each chip session
-/// from it, executors drain exactly these channels into [`SliceLog`]s,
-/// and the merge layer branches on it, so no layer re-derives what
-/// another already decided.
+/// Which per-slice channels a run captures, decided once by the merge
+/// layer from the run's armed instruments. The pool arms each chip
+/// session from it, executors drain exactly these channels into
+/// [`SliceLog`]s, and the merge layer branches on it, so no layer
+/// re-derives what another already decided.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct DrainPlan {
     /// Margin crossings are captured and drained: some consumer (the

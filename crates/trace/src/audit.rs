@@ -2,17 +2,21 @@
 //!
 //! The paper's §VI mitigation argument needs to know *which*
 //! co-schedule decision caused a droop. A [`DecisionEvent`] is one
-//! typed entry in that causal chain: the decision loop records every
-//! admit/place/grant/shed/demote with a reason code, the merge layer
-//! folds them into a bounded ring, and the ring exports as the
-//! `vsmooth-audit-v1` JSON artifact (and as trace instants on the
-//! jobs timeline).
+//! typed entry in that causal chain: the service's decision loop
+//! records each admission, placement (with its reason code), grant
+//! and overflow once, in its epoch script, and the merge layer derives
+//! one event per admit/place/grant/shed/demote from that script at
+//! replay time, folds them into a bounded ring, and exports the ring
+//! as the `vsmooth-audit-v1` JSON artifact (and as trace instants on
+//! the jobs timeline).
 //!
 //! The types live here — not in `vsmooth-serve` — because the obs
 //! layer renders decision rings in `/decisions` responses and obs
 //! must not depend on serve. Like every trace record, a decision
 //! event carries only virtual-cycle timestamps and deterministic
 //! fields, so audit artifacts are byte-identical at any shard count.
+//! Which shard ran which chip is live execution state and has no
+//! decision kind; the per-shard obs sections publish it instead.
 
 use std::fmt;
 
@@ -30,12 +34,6 @@ pub enum DecisionKind {
     Place,
     /// A busy chip was granted its next execution quantum.
     Grant,
-    /// A shard executed a quantum for a chip it does not own. Steals
-    /// are *live* execution events — which shard runs which token is
-    /// timing-dependent by design — so they never appear in the
-    /// deterministic audit ring; live steal counts are published in
-    /// the per-shard obs sections instead.
-    Steal,
     /// A job was shed (rejected) at the bounded admission queue.
     Shed,
     /// A resident job lost its partner and continues solo.
@@ -49,7 +47,6 @@ impl DecisionKind {
             Self::Admit => "admit",
             Self::Place => "place",
             Self::Grant => "grant",
-            Self::Steal => "steal",
             Self::Shed => "shed",
             Self::Demote => "demote",
         }

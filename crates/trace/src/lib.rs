@@ -67,4 +67,4 @@ pub use json::{parse_json, JsonValue};
 pub use stream::{
     ChromeJsonSink, DropReason, SamplerConfig, SinkStats, StreamConfig, TelemetryStats, TraceSink,
 };
-pub use tracer::{SpanGuard, Tracer};
+pub use tracer::Tracer;

@@ -244,7 +244,8 @@ pub trait TraceSink: Send {
     /// the record as [`DropReason::SinkError`] and keeps going.
     fn accept(&mut self, record: &TraceRecord) -> std::io::Result<()>;
 
-    /// Flushes buffered output and writes any trailer. Idempotent.
+    /// Flushes buffered output and writes any trailer. Idempotent,
+    /// and safe to retry after an error: the trailer is written once.
     ///
     /// # Errors
     ///
@@ -274,6 +275,7 @@ pub struct ChromeJsonSink<W: Write + Send> {
     chunk_bytes: usize,
     buf: String,
     wrote_any: bool,
+    /// The trailer has been queued (it may still be buffered).
     finished: bool,
     stats: SinkStats,
 }
@@ -331,18 +333,18 @@ impl<W: Write + Send> TraceSink for ChromeJsonSink<W> {
     }
 
     fn finish(&mut self) -> std::io::Result<()> {
-        if self.finished {
-            return Ok(());
+        // The trailer is queued once; a retry after a failed write or
+        // flush only resends whatever is still buffered.
+        if !self.finished {
+            if !self.wrote_any {
+                self.buf.push_str(TRACE_HEADER);
+                self.wrote_any = true;
+            }
+            self.buf.push_str(TRACE_FOOTER);
+            self.finished = true;
         }
-        if !self.wrote_any {
-            self.buf.push_str(TRACE_HEADER);
-            self.wrote_any = true;
-        }
-        self.buf.push_str(TRACE_FOOTER);
         self.flush_chunk()?;
-        self.writer.flush()?;
-        self.finished = true;
-        Ok(())
+        self.writer.flush()
     }
 
     fn stats(&self) -> SinkStats {
@@ -608,6 +610,43 @@ mod tests {
         sink.finish().unwrap();
         sink.finish().unwrap(); // idempotent
         assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), batch);
+    }
+
+    #[test]
+    fn finish_retried_after_a_failed_write_appends_the_trailer_once() {
+        /// Fails its first write, then writes through.
+        struct FailsOnce {
+            failed: bool,
+            out: Vec<u8>,
+        }
+        impl Write for FailsOnce {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if !self.failed {
+                    self.failed = true;
+                    return Err(std::io::Error::other("transient"));
+                }
+                self.out.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let records: Vec<TraceRecord> = (0..5).map(|i| span(PID_JOBS, 0, i)).collect();
+        let writer = FailsOnce {
+            failed: false,
+            out: Vec::new(),
+        };
+        // Chunks larger than the stream: the first write is finish's.
+        let mut sink = ChromeJsonSink::new(writer, 1 << 20);
+        for r in &records {
+            sink.accept(r).unwrap();
+        }
+        assert!(sink.finish().is_err(), "the first write fails");
+        sink.finish().expect("the retry succeeds");
+        sink.finish().expect("and stays idempotent");
+        let bytes = String::from_utf8(sink.into_inner().out).unwrap();
+        assert_eq!(bytes, crate::export::chrome_trace_json(&records));
     }
 
     #[test]

@@ -217,28 +217,6 @@ impl Tracer {
         });
     }
 
-    /// Opens a span guard keyed by a static name. The span is recorded
-    /// when the guard is [`finish`](SpanGuard::finish)ed with its end
-    /// cycle; dropping the guard without finishing records nothing
-    /// (virtual time has no implicit "now").
-    pub fn span(
-        &self,
-        name: &'static str,
-        cat: &'static str,
-        pid: u32,
-        tid: u64,
-        start_cycle: u64,
-    ) -> SpanGuard<'_> {
-        SpanGuard {
-            tracer: self,
-            name,
-            cat,
-            pid,
-            tid,
-            start: start_cycle,
-        }
-    }
-
     /// Records one typed droop event: an instant on the chip's
     /// timeline plus a `droops_total` counter sample (the running
     /// total across the whole run). Borrows the event, so one event
@@ -358,43 +336,6 @@ impl Tracer {
     }
 }
 
-/// An open span held by its creator; see [`Tracer::span`].
-#[must_use = "a span guard records nothing until finished"]
-#[derive(Debug)]
-pub struct SpanGuard<'a> {
-    tracer: &'a Tracer,
-    name: &'static str,
-    cat: &'static str,
-    pid: u32,
-    tid: u64,
-    start: u64,
-}
-
-impl SpanGuard<'_> {
-    /// The span's start cycle.
-    pub fn start_cycle(&self) -> u64 {
-        self.start
-    }
-
-    /// Closes the span at `end_cycle` and records it.
-    pub fn finish(self, end_cycle: u64) {
-        self.finish_with(end_cycle, Vec::new());
-    }
-
-    /// Closes the span at `end_cycle` with arguments.
-    pub fn finish_with(self, end_cycle: u64, args: Args) {
-        self.tracer.complete(
-            self.name,
-            self.cat,
-            self.pid,
-            self.tid,
-            self.start,
-            end_cycle.saturating_sub(self.start),
-            args,
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -419,7 +360,6 @@ mod tests {
         t.counter("c", PID_JOBS, 5, 1.0);
         t.droop(&droop(0, 7));
         t.process_name(PID_JOBS, "jobs");
-        t.span("s", "job", PID_JOBS, 0, 0).finish(4);
         assert!(t.is_empty());
         assert_eq!(t.droops_total(), 0);
     }
@@ -439,23 +379,6 @@ mod tests {
         assert_eq!(*value, 2.0);
         assert_eq!(*pid, chip_pid(1));
         assert_eq!(t.droops_total(), 2);
-    }
-
-    #[test]
-    fn span_guard_records_on_finish_only() {
-        let t = Tracer::enabled();
-        {
-            let _unfinished = t.span("a", "job", PID_JOBS, 0, 100);
-            // Dropped without finish: no record.
-        }
-        t.span("b", "job", PID_JOBS, 1, 100).finish(250);
-        let records = t.records();
-        assert_eq!(records.len(), 1);
-        let TraceRecord::Span { name, ts, dur, .. } = &records[0] else {
-            panic!("expected span");
-        };
-        assert_eq!(name, "b");
-        assert_eq!((*ts, *dur), (100, 150));
     }
 
     #[test]

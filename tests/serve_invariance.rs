@@ -226,3 +226,64 @@ fn mid_run_queue_overflow_leaves_the_same_artifacts_under_sharding() {
         assert_eq!(a.profile_json, b.profile_json, "profile at {shards} shards");
     }
 }
+
+/// The sealed `vsmooth-audit-v1` JSON of a 48-job stream on four
+/// Proc100 chips with 600-cycle slices, its ring large enough to keep
+/// every decision.
+fn stream_audit_json(workers: usize) -> String {
+    let mut cfg = ServiceConfig::new(ChipConfig::core2_duo(DecapConfig::proc100()));
+    cfg.slice_cycles = 600;
+    cfg.audit = Some(AuditConfig { capacity: 4096 });
+    let report = Service::new(cfg)
+        .expect("valid config")
+        .run(&synthetic_jobs(2010, 48, 900), &OnlineDroop, workers)
+        .expect("service run");
+    report.audit.expect("audit armed").to_json()
+}
+
+/// The job-timeline instants of a Chrome trace (`admit` instants and
+/// `decision` instants), one event per line, in record order.
+fn job_instants(trace: &str) -> String {
+    trace
+        .lines()
+        .filter(|l| l.contains("\"ph\":\"i\"") && l.contains("\"pid\":1,"))
+        .map(|l| format!("{}\n", l.trim_end_matches(',')))
+        .collect()
+}
+
+#[test]
+fn decision_audit_matches_its_goldens_at_zero_and_two_workers() {
+    // The audit is derived from the epoch script at replay time. These
+    // goldens hold that derivation to the bytes the decision loop
+    // recorded when it still pushed every event itself: the sealed
+    // ring of a full stream, and the job-timeline instants of the
+    // mid-run overflow, the only artifact that shows the shed (the
+    // error drops the report, ring included). The instants also pin
+    // how decision instants interleave with the admit instants.
+    let stream = include_str!("golden/audit_stream.json");
+    let overflow = include_str!("golden/overflow_jobs_instants.json");
+    for workers in [0usize, 2] {
+        assert!(
+            stream_audit_json(workers) == stream,
+            "stream audit JSON differs from the golden at {workers} workers"
+        );
+        let trace = overflow_mid_run(RuntimeMode::Auto, workers).trace;
+        assert!(
+            job_instants(&trace) == overflow,
+            "overflow job instants differ from the golden at {workers} workers"
+        );
+    }
+    // The goldens exercise every decision kind the loop takes.
+    for kind in ["admit", "place", "grant", "demote"] {
+        assert!(
+            stream.contains(&format!("\"kind\":\"{kind}\"")),
+            "no {kind} in the stream audit"
+        );
+    }
+    assert_eq!(
+        overflow
+            .matches("\"name\":\"shed\",\"cat\":\"decision\"")
+            .count(),
+        1
+    );
+}
