@@ -57,6 +57,19 @@ fn scale() -> ExperimentConfig {
     }
 }
 
+/// The command line `repro` accepts.
+const USAGE: &str = "usage: repro [--trace-out <path>] [--metrics-out <path>] \
+                     [--profile-out <path>] [--monitor-out <path>] [--fleet-out <path>] \
+                     [--stream-trace <path>] [--serve-http <addr>]";
+
+/// Reports a command-line error with the usage line and exits with
+/// status 2, before any simulation starts.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    eprintln!("{USAGE}");
+    std::process::exit(2);
+}
+
 fn main() -> Result<(), VsmoothError> {
     let mut trace_out: Option<String> = None;
     let mut metrics_out: Option<String> = None;
@@ -67,23 +80,22 @@ fn main() -> Result<(), VsmoothError> {
     let mut serve_http: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--trace-out" => trace_out = args.next(),
-            "--metrics-out" => metrics_out = args.next(),
-            "--profile-out" => profile_out = args.next(),
-            "--monitor-out" => monitor_out = args.next(),
-            "--fleet-out" => fleet_out = args.next(),
-            "--stream-trace" => stream_trace = args.next(),
-            "--serve-http" => serve_http = args.next(),
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: repro [--trace-out <path>] [--metrics-out <path>] \
-                     [--profile-out <path>] [--monitor-out <path>] [--fleet-out <path>] \
-                     [--stream-trace <path>] [--serve-http <addr>]"
-                );
-                std::process::exit(2);
-            }
+        let slot = match arg.as_str() {
+            "--trace-out" => &mut trace_out,
+            "--metrics-out" => &mut metrics_out,
+            "--profile-out" => &mut profile_out,
+            "--monitor-out" => &mut monitor_out,
+            "--fleet-out" => &mut fleet_out,
+            "--stream-trace" => &mut stream_trace,
+            "--serve-http" => &mut serve_http,
+            other => usage_error(&format!("unknown argument: {other}")),
+        };
+        // A flag where the value should be is a missing value, not a
+        // path: `--trace-out --metrics-out` must not write the trace to
+        // a file named `--metrics-out`.
+        match args.next() {
+            Some(value) if !value.starts_with("--") => *slot = Some(value),
+            _ => usage_error(&format!("{arg} needs a value")),
         }
     }
 

@@ -365,7 +365,7 @@ fn main() {
             let start = Instant::now();
             if checkpointed {
                 campaign
-                    .run_checkpointed(2, &ckpt_path, None, None)
+                    .run_checkpointed(2, &ckpt_path, None)
                     .expect("fleet sweep");
             } else {
                 campaign.run(2).expect("fleet sweep");

@@ -12,15 +12,18 @@
 //!     > crates/bench/tests/golden/repro_quick.txt
 //! ```
 //!
-//! A second case pins the service pass's `--profile-out` artifact, the
-//! `vsmooth-profile-v1` JSON built from every droop window the chips
-//! captured, byte for byte against
-//! `tests/golden/repro_quick_profile.json`. Its bytes do not depend on
-//! the thread count. Regenerate it the same way:
+//! A second case pins two artifacts of one invocation byte for byte:
+//! the service pass's `--profile-out` JSON (`vsmooth-profile-v1`, built
+//! from every droop window the chips captured) against
+//! `tests/golden/repro_quick_profile.json`, and the `--fleet-out`
+//! margin report of `Lab::fleet_sweep(2010, 6, 8)` (`vsmooth-fleet-v1`)
+//! against `tests/golden/repro_quick_fleet.json`. Neither depends on
+//! the thread count. Regenerate them the same way:
 //!
 //! ```text
 //! VSMOOTH_BENCH=quick cargo run --release -p vsmooth-bench --bin repro -- \
-//!     --profile-out crates/bench/tests/golden/repro_quick_profile.json
+//!     --profile-out crates/bench/tests/golden/repro_quick_profile.json \
+//!     --fleet-out crates/bench/tests/golden/repro_quick_fleet.json
 //! ```
 
 use std::process::Command;
@@ -51,26 +54,9 @@ fn quick_repro_prints_the_golden_tables() {
     assert_eq!(got.len(), want.len(), "line count differs from the golden");
 }
 
-#[test]
-fn quick_repro_writes_the_golden_profile() {
-    let path = std::env::temp_dir().join(format!(
-        "vsmooth_golden_profile_{}.json",
-        std::process::id()
-    ));
-    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .env("VSMOOTH_BENCH", "quick")
-        .arg("--profile-out")
-        .arg(&path)
-        .output()
-        .expect("repro starts");
-    assert!(
-        out.status.success(),
-        "repro failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let got = std::fs::read_to_string(&path).expect("repro wrote the profile");
-    std::fs::remove_file(&path).expect("remove the profile");
-    let want = include_str!("golden/repro_quick_profile.json");
+/// Panics at the first line of `got` that differs from `want`, then
+/// on any remaining byte difference.
+fn assert_golden(what: &str, got: &str, want: &str) {
     if let Some((i, (g, w))) = got
         .lines()
         .zip(want.lines())
@@ -78,9 +64,46 @@ fn quick_repro_writes_the_golden_profile() {
         .find(|(_, (g, w))| g != w)
     {
         panic!(
-            "profile line {} differs from the golden:\n  got:  {g}\n  want: {w}",
+            "{what} line {} differs from the golden:\n  got:  {g}\n  want: {w}",
             i + 1
         );
     }
-    assert_eq!(got, want, "profile bytes differ from the golden");
+    assert_eq!(got, want, "{what} bytes differ from the golden");
+}
+
+#[test]
+fn quick_repro_writes_the_golden_profile_and_fleet() {
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let profile = dir.join(format!("vsmooth_golden_profile_{pid}.json"));
+    let fleet = dir.join(format!("vsmooth_golden_fleet_{pid}.json"));
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .env("VSMOOTH_BENCH", "quick")
+        .arg("--profile-out")
+        .arg(&profile)
+        .arg("--fleet-out")
+        .arg(&fleet)
+        .output()
+        .expect("repro starts");
+    assert!(
+        out.status.success(),
+        "repro failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for (what, path, want) in [
+        (
+            "profile",
+            &profile,
+            include_str!("golden/repro_quick_profile.json"),
+        ),
+        (
+            "fleet",
+            &fleet,
+            include_str!("golden/repro_quick_fleet.json"),
+        ),
+    ] {
+        let got = std::fs::read_to_string(path).expect("repro wrote the artifact");
+        std::fs::remove_file(path).expect("remove the artifact");
+        assert_golden(what, &got, want);
+    }
 }

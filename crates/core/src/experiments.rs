@@ -524,8 +524,7 @@ impl Lab {
     ///
     /// # Errors
     ///
-    /// Propagates service errors, including the service's rejection of
-    /// `inst.metrics` (its report embeds its own registry).
+    /// Propagates service errors.
     pub fn serve(
         &self,
         seed: u64,

@@ -78,13 +78,13 @@ pub use vsmooth_pdn as pdn;
 pub use vsmooth_profile as profile;
 /// Typical-case design analysis and the measurement campaign.
 pub use vsmooth_resilience as resilience;
-/// The observation descriptor every run owner takes, and the result
-/// it hands back.
-pub use vsmooth_resilience::{Instruments, Observed};
 /// The noise-aware thread scheduler.
 pub use vsmooth_sched as sched;
 /// The online noise-aware scheduling service.
 pub use vsmooth_serve as serve;
+/// The observation descriptor the scheduling service takes, and the
+/// result it hands back.
+pub use vsmooth_serve::{Instruments, Observed};
 /// Statistics helpers.
 pub use vsmooth_stats as stats;
 /// Correctness tooling: differential oracles against closed-form

@@ -20,6 +20,10 @@
 //! * [`FleetReport`] — per-chip worst-case margin (virus-probed, plus
 //!   that part's guardband), droop rates, and the distribution of
 //!   *sheddable margin* against the shipped 14 % ([`report`]).
+//!
+//! A sweep's outputs are its report and its checkpoint; it records no
+//! trace, metrics or live progress. [`FleetCampaign::run`] and
+//! [`FleetCampaign::run_checkpointed`] are its only entry points.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,7 +11,6 @@ use crate::checkpoint::RunRecord;
 use crate::spec::ChipVariant;
 use std::fmt::Write as _;
 use vsmooth_resilience::WorstCaseMargin;
-use vsmooth_stats::MetricsRegistry;
 use vsmooth_trace::json;
 
 /// Schema tag of the JSON report artifact.
@@ -240,34 +239,6 @@ impl FleetReport {
         out.push_str("}\n");
         out
     }
-
-    /// Publishes the report into a [`MetricsRegistry`]: the fleet-level
-    /// run total plus per-chip margin gauges. Per-chip run/cycle/droop
-    /// *counters* are recorded during execution by
-    /// [`FleetCampaign`](crate::FleetCampaign), not here, so exporting
-    /// a report never double-counts them.
-    pub fn export_metrics(&self, metrics: &MetricsRegistry) {
-        metrics.counter_add("fleet_runs_total", self.total_runs as u64);
-        for c in &self.chips {
-            metrics.gauge_with(
-                "fleet_droop_rate_per_kcycle",
-                &[("chip", &c.id)],
-                c.droop_rate_per_kcycle,
-            );
-            metrics.gauge_with(
-                "fleet_worst_case_margin_pct",
-                &[("chip", &c.id)],
-                c.worst_case_margin_pct,
-            );
-            metrics.gauge_with(
-                "fleet_sheddable_margin_pct",
-                &[("chip", &c.id)],
-                c.sheddable_margin_pct,
-            );
-        }
-        metrics.gauge_set("fleet_sheddable_margin_mean_pct", self.sheddable.mean);
-        metrics.gauge_set("fleet_sheddable_margin_min_pct", self.sheddable.min);
-    }
 }
 
 #[cfg(test)]
@@ -323,17 +294,5 @@ mod tests {
         let row = &doc.get("chips").and_then(|c| c.as_array()).unwrap()[0];
         assert_eq!(row.get("id").and_then(|v| v.as_str()), Some("chip\"00\\"));
         assert_eq!(row.get("op").and_then(|v| v.as_str()), Some("turbo\n\"x\""));
-    }
-
-    #[test]
-    fn metrics_exports_per_chip_gauges() {
-        let rep = FleetReport::new(9, 4, vec![chip("chip00", 7.0), chip("chip01", 9.0)]);
-        let metrics = MetricsRegistry::new();
-        rep.export_metrics(&metrics);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.counter("fleet_runs_total"), 4);
-        let prom = snap.render_prometheus();
-        assert!(prom.contains("fleet_sheddable_margin_pct{chip=\"chip01\"}"));
-        assert!(prom.contains("fleet_droop_rate_per_kcycle{chip=\"chip00\"}"));
     }
 }

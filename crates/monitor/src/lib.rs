@@ -21,13 +21,13 @@
 //!   the moment an alert fires, re-validated offline by
 //!   [`validate_postmortem`].
 //! * [`Monitor`] / [`HealthReport`] — the coordinator-facing facade
-//!   armed by `Instruments::monitored` on `Service::run_with` and
-//!   `CampaignSpec::run_with`.
+//!   armed by `Instruments::monitored` on `Service::run_with`, the one
+//!   run owner that feeds it.
 //!
 //! # Determinism contract
 //!
-//! The monitor is fed exclusively by the service coordinator, in chip
-//! index and spec order, with virtual-cycle timestamps. No wall-clock
+//! The monitor is fed exclusively by the service's merge layer, in
+//! epoch and chip-index order, with virtual-cycle timestamps. No wall-clock
 //! value, thread id, or iteration-order-dependent quantity enters any
 //! decision, so alert sequences and postmortem bytes are identical
 //! for 1, 2, or 8 worker threads — enforced end to end by the

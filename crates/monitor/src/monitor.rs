@@ -75,7 +75,7 @@ impl Default for MonitorConfig {
     }
 }
 
-/// Live health monitor for one service run or campaign.
+/// Live health monitor for one service run.
 #[derive(Debug, Clone)]
 pub struct Monitor {
     recovery_cost_cycles: u64,

@@ -109,22 +109,6 @@ pub struct ShardsStatus {
     pub decision_latency: LatencyStats,
 }
 
-/// Live fleet-campaign state, published once per checkpoint chunk.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct FleetStatus {
-    /// Runs recorded in the checkpoint so far.
-    pub runs_completed: usize,
-    /// Total runs in the campaign.
-    pub runs_total: usize,
-    /// Chips in the fleet.
-    pub chips: usize,
-    /// Runs completed since the last durable checkpoint write (0 right
-    /// after a save; grows without bound when no path is configured).
-    pub checkpoint_age_runs: usize,
-    /// Durable checkpoint writes so far.
-    pub checkpoints_saved: u64,
-}
-
 /// One immutable observation of a running system: everything the
 /// scrape endpoints render, assembled coordinator-side.
 #[derive(Debug, Clone, Default)]
@@ -136,8 +120,6 @@ pub struct ObsSnapshot {
     pub health: Option<HealthStatus>,
     /// Scheduling-service counters behind `/status`.
     pub service: Option<ServiceStatus>,
-    /// Fleet-campaign progress behind `/status` (fleet publishers).
-    pub fleet: Option<FleetStatus>,
     /// The most recent droop crossings behind `/trace/recent`, oldest
     /// first. This ring is an independent coordinator-side copy; the
     /// streaming tracer's own ring is never drained on its behalf. The
@@ -148,7 +130,7 @@ pub struct ObsSnapshot {
     /// Latest `vsmooth-profile-v1` JSON behind `/profile`.
     pub profile_json: Option<Arc<String>>,
     /// Live shard-runtime introspection behind `/shards` (absent on
-    /// in-line coordinator runs and fleet publishers).
+    /// in-line coordinator runs).
     pub shards: Option<ShardsStatus>,
     /// The decision audit ring behind `/decisions`, oldest first.
     /// Folded merge-side in `(epoch, chip)` order, so — unlike

@@ -19,8 +19,9 @@
 //! * [`ObsServer`] — the scrape server: `GET /metrics` (Prometheus
 //!   text), `/healthz` (503 while a paging-severity alert fires),
 //!   `/readyz` (503 until the first publish), `/status`
-//!   (`vsmooth-obs-v1` JSON), `/trace/recent?n=N` (last N droop
-//!   crossings), `/profile` (latest `vsmooth-profile-v1` JSON),
+//!   (`vsmooth-obs-v1` JSON: service progress and health),
+//!   `/trace/recent?n=N` (last N droop crossings), `/profile`
+//!   (latest `vsmooth-profile-v1` JSON),
 //!   `/shards` (`vsmooth-obs-shards-v1` JSON, the live shard-runtime
 //!   introspection), `/decisions?n=N` (the scheduler decision audit
 //!   ring). The server self-observes: `obs_scrapes_total
@@ -55,8 +56,8 @@ mod hub;
 mod server;
 
 pub use hub::{
-    FleetStatus, LatencyStats, ObsConfig, ObsSnapshot, PublishHook, ServiceStatus, ShardStatus,
-    ShardsStatus, TelemetryHub,
+    LatencyStats, ObsConfig, ObsSnapshot, PublishHook, ServiceStatus, ShardStatus, ShardsStatus,
+    TelemetryHub,
 };
 pub use server::{
     http_get, http_send_raw, HttpResponse, ObsServer, OBS_DECISIONS_SCHEMA, OBS_SHARDS_SCHEMA,

@@ -16,7 +16,7 @@
 //! | `/metrics`         | Prometheus text: published snapshot + obs self-metrics |
 //! | `/healthz`         | health verdict; 503 while a paging alert fires  |
 //! | `/readyz`          | 200 once a snapshot has been published, else 503 |
-//! | `/status`          | `vsmooth-obs-v1` JSON: service/fleet progress   |
+//! | `/status`          | `vsmooth-obs-v1` JSON: service progress, health |
 //! | `/trace/recent?n=N`| `vsmooth-obs-trace-v1` JSON: last N droops      |
 //! | `/profile`         | latest `vsmooth-profile-v1` JSON, 404 until one |
 //! | `/shards`          | `vsmooth-obs-shards-v1` JSON: live shard-runtime introspection |
@@ -33,6 +33,7 @@ use vsmooth_stats::MetricsRegistry;
 
 use crate::hub::{ObsSnapshot, ShardsStatus, TelemetryHub};
 use vsmooth_trace::json::{escape, json_f64};
+use vsmooth_trace::{DecisionEvent, DroopEvent};
 
 /// Schema tag on the `/status` JSON document.
 pub const OBS_STATUS_SCHEMA: &str = "vsmooth-obs-v1";
@@ -78,12 +79,7 @@ impl ObsServer {
     /// Binds a fresh hub and starts the accept loop. Use
     /// `"127.0.0.1:0"` for an ephemeral loopback port.
     pub fn bind(addr: &str) -> std::io::Result<Self> {
-        Self::with_hub(addr, Arc::new(TelemetryHub::new()))
-    }
-
-    /// Binds and serves an existing hub (e.g. one shared with a fleet
-    /// campaign and a service run).
-    pub fn with_hub(addr: &str, hub: Arc<TelemetryHub>) -> std::io::Result<Self> {
+        let hub = Arc::new(TelemetryHub::new());
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -300,7 +296,7 @@ fn handle_connection(
     };
     let (endpoint, status, content_type, body) = route(&head, hub, metrics, cache);
     let _ = write_response(&mut stream, status, content_type, &body);
-    (endpoint, status_label(status))
+    (endpoint, status_text(status).0)
 }
 
 /// Buffers the request head (through the blank line). `None` on
@@ -414,19 +410,23 @@ fn route(
             }
         }
         "/status" => (endpoint, 200, "application/json", status_json(hub, &snap)),
-        "/trace/recent" => {
-            let n = match query_recent_n(query) {
-                Ok(n) => n,
-                Err(()) => {
-                    return (
-                        endpoint,
-                        400,
-                        "text/plain",
-                        "bad query: want n=<count>\n".into(),
-                    );
-                }
+        "/trace/recent" | "/decisions" => {
+            let Ok(n) = query_recent_n(query) else {
+                return (
+                    endpoint,
+                    400,
+                    "text/plain",
+                    "bad query: want n=<count>\n".into(),
+                );
             };
-            (endpoint, 200, "application/json", trace_json(&snap, n))
+            let body = if endpoint == "/decisions" {
+                let push = DecisionEvent::push_json;
+                ring_json(OBS_DECISIONS_SCHEMA, "events", &snap.decisions, n, push)
+            } else {
+                let push = |d: &Arc<DroopEvent>, out: &mut String| d.push_json(out);
+                ring_json(OBS_TRACE_SCHEMA, "droops", &snap.recent_droops, n, push)
+            };
+            (endpoint, 200, "application/json", body)
         }
         "/profile" => match &snap.profile_json {
             Some(json) => (endpoint, 200, "application/json", json.as_ref().clone()),
@@ -441,20 +441,6 @@ fn route(
                 "no shard runtime published\n".into(),
             ),
         },
-        "/decisions" => {
-            let n = match query_recent_n(query) {
-                Ok(n) => n,
-                Err(()) => {
-                    return (
-                        endpoint,
-                        400,
-                        "text/plain",
-                        "bad query: want n=<count>\n".into(),
-                    );
-                }
-            };
-            (endpoint, 200, "application/json", decisions_json(&snap, n))
-        }
         _ => unreachable!("endpoint matched above"),
     }
 }
@@ -503,23 +489,6 @@ fn status_json(hub: &TelemetryHub, snap: &ObsSnapshot) -> String {
             out.push_str(&format!("    \"done\": {}\n  }},\n", s.done));
         }
         None => out.push_str("  \"service\": null,\n"),
-    }
-    match &snap.fleet {
-        Some(f) => {
-            out.push_str("  \"fleet\": {\n");
-            out.push_str(&format!("    \"runs_completed\": {},\n", f.runs_completed));
-            out.push_str(&format!("    \"runs_total\": {},\n", f.runs_total));
-            out.push_str(&format!("    \"chips\": {},\n", f.chips));
-            out.push_str(&format!(
-                "    \"checkpoint_age_runs\": {},\n",
-                f.checkpoint_age_runs
-            ));
-            out.push_str(&format!(
-                "    \"checkpoints_saved\": {}\n  }},\n",
-                f.checkpoints_saved
-            ));
-        }
-        None => out.push_str("  \"fleet\": null,\n"),
     }
     match &snap.health {
         Some(h) => {
@@ -674,62 +643,48 @@ fn shards_json(shards: &ShardsStatus) -> String {
     out
 }
 
-fn decisions_json(snap: &ObsSnapshot, n: usize) -> String {
-    let available = snap.decisions.len();
-    let skip = available.saturating_sub(n);
-    let recent = &snap.decisions[skip..];
-    let mut out = String::with_capacity(256 + recent.len() * 112);
-    out.push_str(&format!(
-        "{{\n  \"schema\": \"{OBS_DECISIONS_SCHEMA}\",\n  \"available\": {available},\n  \"returned\": {},\n  \"events\": [\n",
-        recent.len()
-    ));
-    for (i, event) in recent.iter().enumerate() {
-        out.push_str("    ");
-        event.push_json(&mut out);
-        out.push_str(if i + 1 < recent.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-fn trace_json(snap: &ObsSnapshot, n: usize) -> String {
-    let available = snap.recent_droops.len();
-    let skip = available.saturating_sub(n);
-    let recent = &snap.recent_droops[skip..];
+/// Renders the newest `n` entries of `ring` (oldest first) as a
+/// `{schema, available, returned, <key>: [...]}` document, each entry
+/// written by `push`.
+fn ring_json<T>(
+    schema: &str,
+    key: &str,
+    ring: &[T],
+    n: usize,
+    push: impl Fn(&T, &mut String),
+) -> String {
+    let available = ring.len();
+    let recent = &ring[available.saturating_sub(n)..];
     let mut out = String::with_capacity(256 + recent.len() * 128);
     out.push_str(&format!(
-        "{{\n  \"schema\": \"{OBS_TRACE_SCHEMA}\",\n  \"available\": {available},\n  \"returned\": {},\n  \"droops\": [\n",
+        "{{\n  \"schema\": \"{schema}\",\n  \"available\": {available},\n  \"returned\": {},\n  \"{key}\": [\n",
         recent.len()
     ));
-    for (i, d) in recent.iter().enumerate() {
+    for (i, entry) in recent.iter().enumerate() {
         out.push_str("    ");
-        d.push_json(&mut out);
+        push(entry, &mut out);
         out.push_str(if i + 1 < recent.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ]\n}\n");
     out
 }
 
-fn status_label(status: u16) -> &'static str {
-    match status {
-        200 => "200",
-        400 => "400",
-        404 => "404",
-        405 => "405",
-        503 => "503",
-        _ => "other",
-    }
-}
+/// Every status the server answers with: code, scrape-counter label
+/// and reason phrase.
+const STATUSES: [(u16, &str, &str); 5] = [
+    (200, "200", "OK"),
+    (400, "400", "Bad Request"),
+    (404, "404", "Not Found"),
+    (405, "405", "Method Not Allowed"),
+    (503, "503", "Service Unavailable"),
+];
 
-fn reason(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        503 => "Service Unavailable",
-        _ => "Unknown",
-    }
+/// The scrape-counter label and reason phrase of `status`.
+fn status_text(status: u16) -> (&'static str, &'static str) {
+    STATUSES
+        .iter()
+        .find(|(code, ..)| *code == status)
+        .map_or(("other", "Unknown"), |&(_, label, reason)| (label, reason))
 }
 
 fn write_response(
@@ -741,7 +696,7 @@ fn write_response(
     write!(
         stream,
         "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
-        reason(status),
+        status_text(status).1,
         body.len()
     )?;
     stream.write_all(body.as_bytes())?;
@@ -863,6 +818,8 @@ mod tests {
         );
         let service = doc.get("service").unwrap();
         assert_eq!(service.get("epoch").and_then(|v| v.as_f64()), Some(12.0));
+        // The service is the only publisher: no fleet section.
+        assert!(doc.get("fleet").is_none());
 
         let shards = http_get(addr, "/shards").unwrap();
         assert_eq!(shards.status, 200);
@@ -941,8 +898,8 @@ mod tests {
         assert!(body.contains("serve_shard_slices{kind=\"owned\",shard=\"3\"} 5"));
         assert!(body.contains("# HELP serve_shard_lane_occupancy_hwm"));
 
-        // A run with no shard runtime (a coordinator run, a fleet
-        // sweep) leaves no shard series behind.
+        // A run with no shard runtime (a coordinator run) leaves no
+        // shard series behind.
         server.hub().publish(ObsSnapshot {
             metrics: sample_snapshot().metrics,
             ..ObsSnapshot::default()

@@ -26,10 +26,10 @@
 //! # Determinism contract
 //!
 //! Everything here is plain deterministic arithmetic over windows fed
-//! in a caller-defined order. The serve and campaign layers feed the
-//! profiler coordinator-side in a fixed order (chip index / spec
-//! order), so profile artifacts are byte-identical for any worker
-//! count — enforced by their invariance tests.
+//! in a caller-defined order. The service's merge layer feeds the
+//! profiler in a fixed order (epoch, then chip index), so profile
+//! artifacts are byte-identical for any worker count — enforced by
+//! its invariance tests.
 //!
 //! # Examples
 //!

@@ -62,8 +62,8 @@ impl NoiseProfile {
 /// Accumulates [`DroopWindow`]s into per-label [`NoiseProfile`]s plus
 /// a pooled autocorrelation for the resonance-period estimate.
 ///
-/// Feed windows in a deterministic order (the serve and campaign
-/// layers do this coordinator-side) and the resulting
+/// Feed windows in a deterministic order (the service's merge layer
+/// does) and the resulting
 /// [`ProfileReport`] — including its JSON rendering — is byte-stable.
 #[derive(Debug, Clone)]
 pub struct Profiler {

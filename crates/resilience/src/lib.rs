@@ -13,9 +13,10 @@
 //!   11 PARSEC + 29×29 pairs) with thread-parallel execution.
 //! * [`margin`] — worst-case-margin determination with the power virus
 //!   (Sec. II-C).
-//! * [`instruments`] — the observation descriptor ([`Instruments`]) and
-//!   result ([`Observed`]) shared by every run owner: campaigns here,
-//!   fleet sweeps and the scheduling service downstream.
+//!
+//! A campaign returns per-run statistics only: tracing, profiling and
+//! health monitoring are armed on the scheduling service
+//! (`vsmooth-serve`), the one run owner that is observed.
 //!
 //! # Examples
 //!
@@ -38,12 +39,10 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
-pub mod instruments;
 pub mod margin;
 pub mod model;
 
 pub use campaign::{CampaignResult, CampaignRun, CampaignSpec, RunId};
-pub use instruments::{Instruments, Observed};
 pub use margin::{measure_worst_case_margin, WorstCaseMargin};
 pub use model::{
     frequency_gain, margin_grid, margin_sweeps, performance_improvement, ImprovementHeatmap,

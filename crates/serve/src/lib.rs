@@ -18,6 +18,11 @@
 //!   [`MetricsRegistry`].
 //! * [`ServiceReport`] — the serializable, worker-count-independent
 //!   run summary.
+//! * [`Instruments`] / [`Observed`] — what a run records besides its
+//!   report (a tracer, the droop profiler, the health monitor) and the
+//!   artifacts it hands back. The service is the workspace's one
+//!   observed run owner: campaigns and fleet sweeps return their
+//!   reports only.
 //!
 //! [`PerfCounters`]: vsmooth_uarch::PerfCounters
 //! [`MetricsRegistry`]: vsmooth_stats::MetricsRegistry
@@ -45,6 +50,7 @@
 
 pub mod audit;
 pub mod control;
+pub mod instruments;
 pub(crate) mod introspect;
 pub mod job;
 pub(crate) mod merge;
@@ -54,10 +60,10 @@ pub mod telemetry;
 
 pub use audit::{AuditConfig, AuditReport};
 pub use control::RuntimeMode;
+pub use instruments::{Instruments, Observed};
 pub use job::{synthetic_jobs, CompletedJob, JobSpec};
 pub use service::{Service, ServiceConfig, ServiceReport};
 pub use telemetry::{TelemetryBook, WorkloadProfile};
-pub use vsmooth_sched::{Instruments, Observed};
 // Re-exported so callers can wire `ServiceConfig::obs` without naming
 // the obs crate directly, and read audit events without naming trace.
 pub use vsmooth_obs::{

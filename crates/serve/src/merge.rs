@@ -46,6 +46,7 @@ use std::sync::Arc;
 
 use crate::audit::{epoch_decisions, AuditLog};
 use crate::control::{EpochRec, SliceLog};
+use crate::instruments::{Instruments, Observed};
 use crate::introspect::RuntimeStats;
 use crate::job::CompletedJob;
 use crate::service::{ServiceConfig, ServiceReport};
@@ -57,7 +58,6 @@ use vsmooth_chip::{DroopWindow, WindowConfig, PHASE_MARGIN_PCT};
 use vsmooth_monitor::{EpochSample, HealthReport, Monitor, SliceRecord};
 use vsmooth_obs::{ObsConfig, ObsSnapshot, ServiceStatus};
 use vsmooth_profile::{emit_window_span, Profiler};
-use vsmooth_sched::{Instruments, Observed};
 use vsmooth_stats::{MetricsRegistry, MetricsSnapshot};
 use vsmooth_trace::{chip_pid, ArgValue, DroopEvent, Tracer, PID_JOBS, PID_MONITOR};
 
@@ -570,7 +570,6 @@ impl<'a> Merge<'a> {
             metrics,
             health: self.monitor.as_ref().map(Monitor::status),
             service: Some(status),
-            fleet: None,
             shards: self.sharded.then(|| self.stats.status(self.epochs_merged)),
             decisions: self
                 .audit

@@ -53,6 +53,7 @@
 
 use crate::audit::{AuditConfig, AuditReport};
 use crate::control::{BusyChip, CellJob, CoreSlice, EpochRec, PlaceRec, RuntimeMode, SliceLog};
+use crate::instruments::{Instruments, Observed};
 use crate::introspect::RuntimeStats;
 use crate::job::{CompletedJob, JobSpec};
 use crate::merge::Merge;
@@ -67,7 +68,7 @@ use std::time::Instant;
 use vsmooth_chip::ChipConfig;
 use vsmooth_monitor::{HealthReport, HealthSummary, MonitorConfig};
 use vsmooth_obs::ObsConfig;
-use vsmooth_sched::{Instruments, Observed, PairPolicy};
+use vsmooth_sched::PairPolicy;
 use vsmooth_stats::MetricsSnapshot;
 use vsmooth_trace::Tracer;
 use vsmooth_workload::by_name;
@@ -351,9 +352,7 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Service::run`], plus
-    /// [`ServeError::InvalidConfig`] if `inst.metrics` is set: the
-    /// service owns the registry its report embeds.
+    /// Same conditions as [`Service::run`].
     pub fn run_with(
         &self,
         jobs: &[JobSpec],
@@ -361,12 +360,6 @@ impl Service {
         workers: usize,
         inst: &Instruments,
     ) -> Result<Observed<ServiceReport>, ServeError> {
-        if inst.metrics.is_some() {
-            return Err(ServeError::InvalidConfig(
-                "a service owns the metrics registry its report embeds; \
-                 read ServiceReport::snapshot instead of arming Instruments::metrics",
-            ));
-        }
         for job in jobs {
             if by_name(&job.workload).is_none() {
                 return Err(ServeError::UnknownWorkload(job.workload.clone()));
@@ -711,7 +704,6 @@ mod tests {
     use vsmooth_pdn::DecapConfig;
     use vsmooth_profile::{ProfileConfig, ProfileReport};
     use vsmooth_sched::{OnlineDroop, RandomPairing};
-    use vsmooth_stats::MetricsRegistry;
 
     fn small_cfg() -> ServiceConfig {
         let mut cfg = ServiceConfig::new(ChipConfig::core2_duo(DecapConfig::proc100()));
@@ -741,18 +733,6 @@ mod tests {
             .run_with(jobs, &OnlineDroop, workers, &inst)
             .unwrap();
         (o.report, o.profile.unwrap())
-    }
-
-    #[test]
-    fn a_metrics_instrument_is_a_typed_config_error() {
-        let service = Service::new(small_cfg()).unwrap();
-        let metrics = MetricsRegistry::new();
-        let inst = Instruments::new().with_metrics(&metrics);
-        let jobs = synthetic_jobs(3, 2, 1_000);
-        assert!(matches!(
-            service.run_with(&jobs, &OnlineDroop, 1, &inst),
-            Err(ServeError::InvalidConfig(_))
-        ));
     }
 
     #[test]

@@ -13,9 +13,6 @@ use std::fmt::Write as _;
 /// lifecycle spans) in exported traces.
 pub const PID_JOBS: u32 = 1;
 
-/// Virtual process id of a measurement-campaign timeline.
-pub const PID_CAMPAIGN: u32 = 2;
-
 /// Virtual process id of the health-monitor timeline (alert
 /// fire/resolve instants and windowed-signal counters).
 pub const PID_MONITOR: u32 = 3;
@@ -36,7 +33,7 @@ pub fn chip_pid(chip: usize) -> u32 {
 /// context attached).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DroopEvent {
-    /// Chip (pool slot or campaign run index) the droop occurred on.
+    /// Chip (pool slot) the droop occurred on.
     pub chip: usize,
     /// Core the event is charged to. Cores share one supply rail, so
     /// the sense point is chip-wide; by convention this is `0` (the
@@ -50,8 +47,7 @@ pub struct DroopEvent {
     /// Workloads resident on the chip when the droop started, in core
     /// order.
     pub workloads: Vec<String>,
-    /// Phase label of the emitting context (e.g. `epoch42`,
-    /// `campaign`).
+    /// Phase label of the emitting context (e.g. `epoch42`).
     pub phase: String,
 }
 
@@ -133,7 +129,7 @@ pub enum TraceRecord {
     Span {
         /// Span name (e.g. workload or lifecycle stage).
         name: String,
-        /// Category tag (`job`, `slice`, `campaign-run`, …).
+        /// Category tag (`job`, `slice`, …).
         cat: &'static str,
         /// Virtual process id.
         pid: u32,
@@ -214,7 +210,6 @@ mod tests {
     #[test]
     fn chip_pids_are_disjoint_from_reserved_pids() {
         assert!(chip_pid(0) > PID_JOBS);
-        assert!(chip_pid(0) > PID_CAMPAIGN);
         assert!(chip_pid(0) > PID_MONITOR);
         assert_eq!(chip_pid(3), PID_CHIP_BASE + 3);
     }

@@ -7,8 +7,8 @@
 //! chip, at which cycle caused that emergency?" instead of end-of-run
 //! aggregates only.
 //!
-//! * [`Tracer`] — span/instant/counter recording, free when disabled
-//!   (one branch per call site, no lock taken).
+//! * [`Tracer`] — span, instant and droop-event recording, free when
+//!   disabled (one branch per call site, no lock taken).
 //! * [`DroopEvent`] — the typed emergency record: chip, core, cycle,
 //!   depth, resident workloads, phase.
 //! * [`export`] — Chrome trace-event JSON (viewable in
@@ -59,9 +59,7 @@ pub mod stream;
 pub mod tracer;
 
 pub use audit::{DecisionEvent, DecisionKind, AUDIT_SCHEMA};
-pub use event::{
-    chip_pid, ArgValue, Args, DroopEvent, TraceRecord, PID_CAMPAIGN, PID_JOBS, PID_MONITOR,
-};
+pub use event::{chip_pid, ArgValue, Args, DroopEvent, TraceRecord, PID_JOBS, PID_MONITOR};
 pub use export::{chrome_trace_json, validate_chrome_trace, TraceShape};
 pub use json::{parse_json, JsonValue};
 pub use stream::{

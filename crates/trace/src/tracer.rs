@@ -204,19 +204,6 @@ impl Tracer {
         });
     }
 
-    /// Records a counter sample.
-    pub fn counter(&self, name: impl Into<String>, pid: u32, ts: u64, value: f64) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.push(TraceRecord::Counter {
-            name: name.into(),
-            pid,
-            ts,
-            value,
-        });
-    }
-
     /// Records one typed droop event: an instant on the chip's
     /// timeline plus a `droops_total` counter sample (the running
     /// total across the whole run). Borrows the event, so one event
@@ -357,7 +344,6 @@ mod tests {
         let t = Tracer::disabled();
         t.complete("x", "job", PID_JOBS, 0, 0, 10, vec![]);
         t.instant("y", "job", PID_JOBS, 0, 5, vec![]);
-        t.counter("c", PID_JOBS, 5, 1.0);
         t.droop(&droop(0, 7));
         t.process_name(PID_JOBS, "jobs");
         assert!(t.is_empty());

@@ -57,7 +57,7 @@ fn main() -> Result<(), vsmooth::VsmoothError> {
     // Kill mid-flight: stop at the first checkpoint boundary past
     // KILL_AFTER_RUNS fresh runs. Only the checkpoint file survives.
     let _ = std::fs::remove_file(&ckpt_path);
-    let outcome = campaign.run_checkpointed(THREADS, &ckpt_path, Some(KILL_AFTER_RUNS), None)?;
+    let outcome = campaign.run_checkpointed(THREADS, &ckpt_path, Some(KILL_AFTER_RUNS))?;
     let FleetOutcome::Interrupted {
         completed, total, ..
     } = outcome
@@ -73,7 +73,7 @@ fn main() -> Result<(), vsmooth::VsmoothError> {
 
     // Resume from the durable checkpoint and finish the sweep.
     let resumed = campaign
-        .run_checkpointed(THREADS, &ckpt_path, None, None)?
+        .run_checkpointed(THREADS, &ckpt_path, None)?
         .into_report()
         .expect("resumed sweep runs to completion");
     println!(

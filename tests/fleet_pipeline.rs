@@ -11,9 +11,6 @@ use vsmooth::fleet::{
     Checkpoint, CheckpointError, FleetCampaign, FleetError, FleetOutcome, FleetReport, FleetSpec,
     CHECKPOINT_SCHEMA, REPORT_SCHEMA, SHIPPED_MARGIN_PCT,
 };
-use vsmooth::monitor::MonitorConfig;
-use vsmooth::profile::ProfileConfig;
-use vsmooth::Instruments;
 
 fn spec(seed: u64) -> FleetSpec {
     let mut spec = FleetSpec::new(seed, 6, 8);
@@ -33,7 +30,7 @@ fn tmp(tag: &str) -> PathBuf {
 /// Resumes `campaign` from `path` and runs it to completion.
 fn resume(campaign: &FleetCampaign, path: &Path) -> FleetReport {
     campaign
-        .run_checkpointed(4, path, None, None)
+        .run_checkpointed(4, path, None)
         .unwrap()
         .into_report()
         .expect("an unbounded resume completes")
@@ -46,7 +43,7 @@ fn killed_and_resumed_sweep_reports_identical_bytes() {
     let campaign = FleetCampaign::new(spec(2010)).unwrap();
     let straight = campaign.run(4).unwrap();
 
-    let outcome = campaign.run_checkpointed(4, &path, Some(15), None).unwrap();
+    let outcome = campaign.run_checkpointed(4, &path, Some(15)).unwrap();
     let FleetOutcome::Interrupted {
         completed, total, ..
     } = outcome
@@ -107,7 +104,7 @@ fn corrupted_checkpoints_fail_with_typed_errors_not_panics() {
     fs::write(&path, "{ this is not a checkpoint }").unwrap();
     let campaign = FleetCampaign::new(spec(3)).unwrap();
     assert!(matches!(
-        campaign.run_checkpointed(2, &path, None, None),
+        campaign.run_checkpointed(2, &path, None),
         Err(FleetError::Checkpoint(CheckpointError::Malformed { .. }))
     ));
     // A version-bumped schema tag → SchemaMismatch.
@@ -115,7 +112,7 @@ fn corrupted_checkpoints_fail_with_typed_errors_not_panics() {
     ckpt_text = ckpt_text.replace(CHECKPOINT_SCHEMA, "vsmooth-fleet-ckpt-v2");
     fs::write(&path, &ckpt_text).unwrap();
     assert!(matches!(
-        campaign.run_checkpointed(2, &path, None, None),
+        campaign.run_checkpointed(2, &path, None),
         Err(FleetError::Checkpoint(
             CheckpointError::SchemaMismatch { .. }
         ))
@@ -126,23 +123,10 @@ fn corrupted_checkpoints_fail_with_typed_errors_not_panics() {
         .save(&path)
         .unwrap();
     assert!(matches!(
-        campaign.run_checkpointed(2, &path, None, None),
+        campaign.run_checkpointed(2, &path, None),
         Err(FleetError::Checkpoint(CheckpointError::SpecMismatch { .. }))
     ));
     let _ = fs::remove_file(&path);
-}
-
-#[test]
-fn profile_and_monitor_instruments_are_typed_spec_errors() {
-    let campaign = FleetCampaign::new(spec(5)).unwrap();
-    let monitored = Instruments::new().monitored(MonitorConfig::default());
-    let profiled = Instruments::new().profiled(ProfileConfig::default());
-    for inst in [monitored, profiled] {
-        assert!(matches!(
-            campaign.run_with(1, &inst),
-            Err(FleetError::InvalidSpec(_))
-        ));
-    }
 }
 
 #[test]
