@@ -194,21 +194,28 @@ pub fn run_pair_with(
     chip.run_captured(&mut sources, total, cpi, capture)
 }
 
-/// Maps `f` over `items` on `threads` scoped OS threads (at least
-/// one), each claiming the next unclaimed item from a shared queue, and
-/// returns the results in input order — so independent runs fan out
-/// while everything downstream, including which error is reported
-/// first, sees one canonical order whatever the thread count.
+/// Maps `f` over `items` on up to `threads` scoped OS threads, each
+/// claiming the next unclaimed item from a shared queue, and returns
+/// the results in input order — so independent runs fan out while
+/// everything downstream, including which error is reported first, sees
+/// one canonical order whatever the thread count. It starts no more
+/// threads than there are items, and none when one worker would do:
+/// then `f` runs on the caller's thread.
 pub fn fan_out<T: Send, R: Send>(
     items: impl IntoIterator<Item = T>,
     threads: usize,
     f: impl Fn(T) -> R + Sync,
 ) -> Vec<R> {
-    let queue: Mutex<VecDeque<(usize, T)>> = Mutex::new(items.into_iter().enumerate().collect());
-    let n = queue.lock().expect("queue lock").len();
+    let queue: VecDeque<(usize, T)> = items.into_iter().enumerate().collect();
+    let n = queue.len();
+    let workers = threads.min(n);
+    if workers <= 1 {
+        return queue.into_iter().map(|(_, item)| f(item)).collect();
+    }
+    let queue = Mutex::new(queue);
     let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
     std::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
+        for _ in 0..workers {
             scope.spawn(|| loop {
                 let item = queue.lock().expect("queue lock").pop_front();
                 let Some((idx, item)) = item else { break };
@@ -329,6 +336,10 @@ mod tests {
             assert_eq!(out, (0..50u64).map(|x| x * x).collect::<Vec<_>>());
         }
         assert!(fan_out(Vec::<u8>::new(), 4, |x| x).is_empty());
+        // One worker runs every call on the caller's thread.
+        let caller = std::thread::current().id();
+        let ids = fan_out(0..5u8, 1, |_| std::thread::current().id());
+        assert!(ids.iter().all(|&id| id == caller));
     }
 
     #[test]

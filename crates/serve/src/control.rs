@@ -126,8 +126,9 @@ pub(crate) struct CellJob {
 #[derive(Debug)]
 pub(crate) enum CellCmd {
     /// Install `job` on `core` (the decision loop only targets cores
-    /// its shadow occupancy knows are free).
-    AddJob { core: usize, job: CellJob },
+    /// its shadow occupancy knows are free). Boxed, so the far more
+    /// frequent grants do not each occupy a job's worth of queue.
+    AddJob { core: usize, job: Box<CellJob> },
     /// Advance the chip one scheduling quantum for epoch `epoch`.
     Grant { epoch: u64 },
 }

@@ -270,7 +270,7 @@ fn drain_cell(
                     slot.cell.cores[core].is_none(),
                     "placement on occupied core"
                 );
-                slot.cell.cores[core] = Some(job);
+                slot.cell.cores[core] = Some(*job);
             }
             CellCmd::Grant { epoch } => {
                 match exec_slice(&mut slot.cell, shared, me, *seq, epoch, chip) {
@@ -410,6 +410,7 @@ impl ShardPool {
 
     /// Queues a placement at its chip cell.
     pub(crate) fn add_job(&mut self, chip: usize, core: usize, job: CellJob) {
+        let job = Box::new(job);
         self.push_cmd(chip, CellCmd::AddJob { core, job });
     }
 
