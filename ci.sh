@@ -36,12 +36,17 @@ cargo test -q -p vsmooth-repro --test oracle_validation
 
 echo "== fused kernel gate (fused kernel vs reference loop) =="
 # Every measurement runs one loop on the fused physics step: figures,
-# campaigns, fleet sweeps, probes, profiled windows, traces, rollbacks
-# and the serving shards. P5 holds it to the reference step bit for bit
-# on generated chips, regulators and PDNs, all three run shapes, no
-# capture, crossing captures and waveform windows of generated shapes,
-# and interval lengths that do and do not divide the warm-up; this is
-# the gate on the step every figure runs on, so it gets more cases.
+# campaigns, fleet sweeps, probes, traces and rollbacks on the complete
+# step, and the serving shards, with the crossings, waveform windows and
+# invariant checks they arm, on the lean step. P5 holds both to the
+# reference step bit for bit on generated chips, regulators and PDNs,
+# all three run shapes, and interval lengths that do and do not divide
+# the warm-up, in two parts: (a) a one-shot run's statistics against a
+# reference session's; (b) a lean session, armed as a shard arms it (no
+# capture, crossings, or windows of a generated shape, plus the
+# invariant checker in a drawn share of cases), against a reference
+# session armed alike, slice by slice. This is the gate on the steps
+# every figure and every shard runs on, so it gets more cases.
 PROPTEST_CASES=256 cargo test -q -p vsmooth-testkit --test properties_chip
 
 echo "== shared JSON module gate =="

@@ -7,7 +7,6 @@
 //! model and senses the resulting die voltage every cycle.
 
 use crate::fastpath::FastCache;
-use crate::runner::{Capture, Captured};
 use crate::session::{self, MeasureState, ReferenceStep};
 use crate::stats::RunStats;
 use crate::ChipError;
@@ -98,8 +97,9 @@ impl ChipConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`ChipError::InvalidConfig`] for zero cores or a
-    /// non-positive clock.
+    /// Returns [`ChipError::InvalidConfig`] for zero cores, a
+    /// non-positive clock or a core parameter out of range
+    /// ([`CoreConfig::validate`]).
     pub fn validate(&self) -> Result<(), ChipError> {
         if self.num_cores == 0 {
             return Err(ChipError::InvalidConfig("chip must have at least one core"));
@@ -107,7 +107,7 @@ impl ChipConfig {
         if !self.clock_hz.is_finite() || self.clock_hz <= 0.0 {
             return Err(ChipError::InvalidConfig("clock must be positive"));
         }
-        Ok(())
+        self.core.validate().map_err(ChipError::InvalidConfig)
     }
 }
 
@@ -261,8 +261,7 @@ impl Chip {
         cycles: u64,
         interval_cycles: u64,
     ) -> Result<RunStats, ChipError> {
-        self.run_inner(sources, cycles, interval_cycles, Capture::None, None, None)
-            .map(|c| c.stats)
+        self.run_inner(sources, cycles, interval_cycles, None, None)
     }
 
     /// Like [`Chip::run`], but additionally captures the raw voltage
@@ -280,64 +279,35 @@ impl Chip {
         trace_cycles: u64,
     ) -> Result<(RunStats, Vec<f64>), ChipError> {
         let mut trace = Vec::with_capacity(trace_cycles.min(cycles) as usize);
-        let captured = self.run_inner(
+        let stats = self.run_inner(
             sources,
             cycles,
             interval_cycles,
-            Capture::None,
             Some((&mut trace, trace_cycles)),
             None,
         )?;
-        Ok((captured.stats, trace))
-    }
-
-    /// Like [`Chip::run`], but also records what `capture` asks for:
-    /// every droop event at a margin (percent below nominal) as a
-    /// [`DroopCrossing`](crate::DroopCrossing) with its measured-cycle
-    /// timestamp and depth, and optionally a triggered pre/post
-    /// waveform [`DroopWindow`](crate::DroopWindow) per crossing —
-    /// per-cycle voltage deviation and per-core current around the
-    /// trigger, the counter deltas over the window and the stall
-    /// events inside it, the raw material for droop root-cause
-    /// attribution (`vsmooth-profile`).
-    ///
-    /// Windows still collecting their tail when the run ends are
-    /// force-finalized (marked
-    /// [`truncated`](crate::DroopWindow::truncated)), so exactly one
-    /// window per crossing is returned.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Chip::run`].
-    pub fn run_captured(
-        &mut self,
-        sources: &mut [&mut dyn StimulusSource],
-        cycles: u64,
-        interval_cycles: u64,
-        capture: Capture,
-    ) -> Result<Captured, ChipError> {
-        self.run_inner(sources, cycles, interval_cycles, capture, None, None)
+        Ok((stats, trace))
     }
 
     /// The one-shot measurement behind every `run*` entry point:
-    /// warm-up, then `cycles` measured cycles with whatever `capture`,
-    /// `trace` and `hook` arm.
+    /// warm-up, then `cycles` measured cycles with whatever `trace` and
+    /// `hook` arm. Crossings, windows and the invariant checker are
+    /// armed on a [`ChipSession`](crate::ChipSession) instead.
     pub(crate) fn run_inner(
         &mut self,
         sources: &mut [&mut dyn StimulusSource],
         cycles: u64,
         interval_cycles: u64,
-        capture: Capture,
         trace: Option<(&mut Vec<f64>, u64)>,
         hook: Option<&mut dyn FnMut(f64) -> crate::resilient::CycleControl>,
-    ) -> Result<Captured, ChipError> {
+    ) -> Result<RunStats, ChipError> {
         self.check_sources(sources.len())?;
         if interval_cycles == 0 {
             return Err(ChipError::InvalidConfig("interval_cycles must be non-zero"));
         }
         // Chips the fused step covers warm up and measure on it, with
-        // every observer `capture`, `trace` and `hook` arm; the others
-        // run the reference step.
+        // whatever `trace` and `hook` arm; the others run the reference
+        // step.
         let mut state;
         match FastCache::build(self) {
             Some(cache) => {
@@ -346,7 +316,6 @@ impl Chip {
                 };
                 cache.warm_up(self, || s0.next(), || s1.next());
                 state = MeasureState::new(self, interval_cycles);
-                state.arm(self, capture);
                 cache.with_step(
                     self,
                     false,
@@ -358,7 +327,6 @@ impl Chip {
             None => {
                 self.warm_up(sources);
                 state = MeasureState::new(self, interval_cycles);
-                state.arm(self, capture);
                 let mut step = ReferenceStep {
                     chip: self,
                     sources,
@@ -367,13 +335,7 @@ impl Chip {
                 state.run::<true, _>(&mut step, cycles, trace, hook);
             }
         }
-        let crossings = state.take_droop_crossings();
-        let windows = state.flush_droop_windows(self);
-        Ok(Captured {
-            stats: state.into_stats(self),
-            crossings,
-            windows,
-        })
+        Ok(state.into_stats(self))
     }
 
     /// Whether this chip's measurements run on the fused step: two
@@ -542,5 +504,17 @@ mod tests {
         let mut cfg2 = ChipConfig::core2_duo(DecapConfig::proc100());
         cfg2.clock_hz = -1.0;
         assert!(Chip::new(cfg2).is_err());
+        // A core parameter out of range is a typed error too, for a
+        // chip and for the batch every campaign and fleet run builds.
+        let mut cfg3 = ChipConfig::core2_duo(DecapConfig::proc100());
+        cfg3.core.peak_ipc = 0.0;
+        assert!(matches!(
+            Chip::new(cfg3.clone()),
+            Err(ChipError::InvalidConfig(_))
+        ));
+        assert!(matches!(
+            crate::ChipBatch::new(cfg3),
+            Err(ChipError::InvalidConfig(_))
+        ));
     }
 }

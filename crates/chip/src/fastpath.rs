@@ -17,9 +17,10 @@
 //! testkit's P5 property enforce that. The crate's one
 //! measurement loop (`MeasureState::run`) drives both steps, so on a
 //! chip [`FastCache::build`] accepts every measurement runs fused —
-//! captures, waveform windows, traces, rollback hooks, invariants, any
-//! slice length — except [`ChipSession::begin`](crate::ChipSession::begin)
-//! and [`ChipSession::run_slice`](crate::ChipSession::run_slice).
+//! one-shot runs with or without a trace or rollback hook, and session
+//! slices of any length with crossings, windows or invariants armed —
+//! except [`ChipSession::begin`](crate::ChipSession::begin) and
+//! [`ChipSession::run_slice`](crate::ChipSession::run_slice).
 //!
 //! The loop comes in two flavours, picked by `const FULL: bool`:
 //!
@@ -395,8 +396,8 @@ mod tests {
     use crate::chip::ChipConfig;
     use crate::invariant::InvariantConfig;
     use crate::resilient::{with_rollback, CycleControl};
-    use crate::runner::{Capture, Captured};
     use crate::session::ReferenceStep;
+    use crate::stats::RunStats;
     use crate::window::WindowConfig;
     use crate::ChipSession;
     use vsmooth_pdn::{DecapConfig, LadderConfig};
@@ -424,30 +425,24 @@ mod tests {
     /// The reference step's one-shot measurement, as `Chip::run_inner`
     /// runs it on chips the fused step does not cover: reference
     /// warm-up, then the measurement loop on the reference step over
-    /// every cycle, with the same observers armed.
+    /// every cycle, with the same trace and hook.
     fn reference_run(
         mut chip: Chip,
         sources: &mut [&mut dyn StimulusSource],
         cycles: u64,
         interval_cycles: u64,
-        capture: Capture,
         trace: Option<(&mut Vec<f64>, u64)>,
         hook: Option<&mut dyn FnMut(f64) -> CycleControl>,
-    ) -> Captured {
+    ) -> RunStats {
         chip.warm_up(sources);
         let mut state = MeasureState::new(&chip, interval_cycles);
-        state.arm(&chip, capture);
         let mut step = ReferenceStep {
             chip: &mut chip,
             sources,
             warmup: false,
         };
         state.run::<true, _>(&mut step, cycles, trace, hook);
-        Captured {
-            crossings: state.take_droop_crossings(),
-            windows: state.flush_droop_windows(&chip),
-            stats: state.into_stats(&chip),
-        }
+        state.into_stats(&chip)
     }
 
     /// Cycles the fused step ran on this thread during `f`.
@@ -496,42 +491,27 @@ mod tests {
             .collect()
     }
 
-    /// Measures one run shape through `Chip::run_captured` and through
-    /// the reference step, `tail` cycles past its last whole interval,
-    /// and asserts the two agree with every cycle run fused.
-    fn assert_fused_matches_reference(
-        cfg: &ChipConfig,
-        cpi: u64,
-        kind: usize,
-        capture: Capture,
-        tail: u64,
-    ) {
+    /// Measures one run shape through `Chip::run` and through the
+    /// reference step, `tail` cycles past its last whole interval, and
+    /// asserts the two agree with every cycle run fused.
+    fn assert_fused_matches_reference(cfg: &ChipConfig, cpi: u64, kind: usize, tail: u64) {
         let run = |fused: bool| {
             let (mut boxes, cycles) = shape(kind, cpi);
             let mut sources = dyn_sources(&mut boxes);
             let mut chip = Chip::new(cfg.clone()).unwrap();
             if fused {
-                fused_cycles_in(|| {
-                    let run = chip.run_captured(&mut sources, cycles + tail, cpi, capture);
-                    run.unwrap()
-                })
+                fused_cycles_in(|| chip.run(&mut sources, cycles + tail, cpi).unwrap())
             } else {
-                let run =
-                    reference_run(chip, &mut sources, cycles + tail, cpi, capture, None, None);
+                let run = reference_run(chip, &mut sources, cycles + tail, cpi, None, None);
                 (cfg.warmup_cycles + cycles + tail, run)
             }
         };
         let (fused_cycles, fused) = run(true);
         let (all_cycles, reference) = run(false);
-        let at = format!("cpi {cpi}, shape {kind}, {capture:?}, tail {tail}");
+        let at = format!("cpi {cpi}, shape {kind}, tail {tail}");
         assert_eq!(fused_cycles, all_cycles, "{at}: not every cycle ran fused");
         assert_eq!(fused, reference, "{at}");
-        if !matches!(capture, Capture::None) {
-            assert!(!fused.crossings.is_empty(), "{at}: no droops to compare");
-        }
-        if matches!(capture, Capture::Windows(..)) {
-            assert_eq!(fused.windows.len(), fused.crossings.len(), "{at}");
-        }
+        assert!(fused.emergencies(2.5) > 0, "{at}: no droops to compare");
     }
 
     #[test]
@@ -540,21 +520,11 @@ mod tests {
         // 30 000) divide the 8 000-cycle warm-up, so streams change mix
         // in mid-interval; the looping pair restarts astar inside
         // `next()`.
-        let windows = Capture::Windows(
-            2.5,
-            WindowConfig {
-                pre_cycles: 40,
-                post_cycles: 70,
-                capture_currents: true,
-            },
-        );
         for decap in [DecapConfig::proc100(), DecapConfig::proc3()] {
             let cfg = ChipConfig::core2_duo(decap);
             for cpi in [3_000, 4_000, 7_001, 30_000] {
                 for kind in 0..3 {
-                    for capture in [Capture::None, Capture::Crossings(2.5), windows] {
-                        assert_fused_matches_reference(&cfg, cpi, kind, capture, 0);
-                    }
+                    assert_fused_matches_reference(&cfg, cpi, kind, 0);
                 }
             }
         }
@@ -562,7 +532,7 @@ mod tests {
         // pushes no timeline entry; the countdown carries it fused.
         let cfg = ChipConfig::core2_duo(DecapConfig::proc100());
         for kind in 0..3 {
-            assert_fused_matches_reference(&cfg, 3_000, kind, windows, 1_234);
+            assert_fused_matches_reference(&cfg, 3_000, kind, 1_234);
         }
     }
 
@@ -587,14 +557,13 @@ mod tests {
             &mut sources,
             cycles,
             cpi,
-            Capture::None,
             Some((&mut trace, limit)),
             None,
         );
         assert_eq!(fused_cycles, 8_000 + cycles);
         assert_eq!(fused.1.len() as u64, limit);
         assert_eq!(fused.1, trace, "trace buffers diverged");
-        assert_eq!(fused.0, reference.stats);
+        assert_eq!(fused.0, reference);
     }
 
     #[test]
@@ -615,16 +584,14 @@ mod tests {
         let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut s, &mut idle];
         let c = Chip::new(cfg).unwrap();
         let reference = with_rollback(c.nominal_voltage(), margin, cost, |hook| {
-            let run = reference_run(
+            Ok(reference_run(
                 c,
                 &mut sources,
                 cycles,
                 cpi,
-                Capture::None,
                 None,
                 Some(hook),
-            );
-            Ok(run.stats)
+            ))
         })
         .unwrap();
         assert_eq!(fused_cycles, 8_000 + cycles);
@@ -654,14 +621,6 @@ mod tests {
                 fused_cycles_in(|| run(&mut c, &mut s)).0
             };
             assert_eq!(one_shot(&|c, s| drop(c.run(s, 6_000, 2_000))), all);
-            for capture in [
-                Capture::None,
-                Capture::Crossings(2.5),
-                Capture::Windows(2.5, WindowConfig::default()),
-            ] {
-                let fused = one_shot(&|c, s| drop(c.run_captured(s, 6_000, 2_000, capture)));
-                assert_eq!(fused, all, "{capture:?}");
-            }
             assert_eq!(
                 one_shot(&|c, s| drop(c.run_with_trace(s, 6_000, 2_000, 100))),
                 all
@@ -709,11 +668,7 @@ mod tests {
         assert!(!three.runs_fused());
         let [mut a, mut b] = idle_pair();
         let mut s: Vec<&mut dyn StimulusSource> = vec![&mut a, &mut b];
-        let capture = Capture::Windows(2.5, WindowConfig::default());
-        assert_eq!(
-            fused_cycles_in(|| three.run_captured(&mut s, 6_000, 2_000, capture)).0,
-            0
-        );
+        assert_eq!(fused_cycles_in(|| three.run(&mut s, 6_000, 2_000)).0, 0);
         let [mut a, mut b] = idle_pair();
         let (fused, mut session) = fused_cycles_in(|| {
             let (s0, s1) = (|| StimulusSource::next(&mut a), || IdleLoop::new(1).next());
@@ -882,7 +837,6 @@ mod tests {
             let window = WindowConfig {
                 pre_cycles: 48,
                 post_cycles: 80,
-                capture_currents: true,
             };
             session.enable_profiling(2.5, window);
             session.enable_invariants(InvariantConfig::default());

@@ -49,10 +49,7 @@ pub use probe::{
     tlb_overshoot_trace, EmpiricalImpedancePoint, EventSwing, InterferenceMatrix,
 };
 pub use resilient::ResilientRunStats;
-pub use runner::{
-    fan_out, run_pair, run_pair_with, run_workload, run_workload_with, workload_pair_intervals,
-    Capture, Captured, ChipSource,
-};
+pub use runner::{fan_out, run_pair, run_workload, workload_pair_intervals, ChipSource};
 pub use session::{ChipSession, DroopCrossing, SliceStats};
 pub use stats::{RunStats, PHASE_MARGIN_PCT};
 pub use topology::{split_vs_connected, SupplyComparison};

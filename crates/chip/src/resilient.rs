@@ -11,7 +11,6 @@
 //! methodology inside this reproduction.
 
 use crate::chip::Chip;
-use crate::runner::Capture;
 use crate::stats::RunStats;
 use crate::ChipError;
 use serde::{Deserialize, Serialize};
@@ -75,15 +74,7 @@ impl Chip {
         recovery_cost: u64,
     ) -> Result<ResilientRunStats, ChipError> {
         with_rollback(self.nominal_voltage(), margin_pct, recovery_cost, |hook| {
-            let run = self.run_inner(
-                sources,
-                cycles,
-                interval_cycles,
-                Capture::None,
-                None,
-                Some(hook),
-            )?;
-            Ok(run.stats)
+            self.run_inner(sources, cycles, interval_cycles, None, Some(hook))
         })
     }
 }

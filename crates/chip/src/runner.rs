@@ -1,12 +1,14 @@
 //! Workload runners: the building blocks for single-threaded,
-//! multi-threaded and multi-program (pair) measurements.
+//! multi-threaded and multi-program (pair) measurements. Each returns
+//! the run's [`RunStats`] and nothing else: droop crossings, waveform
+//! windows and invariant reports are armed on a
+//! [`ChipSession`](crate::ChipSession), where the serving shards
+//! capture them.
 
 use crate::batch::ChipBatch;
 use crate::chip::{Chip, ChipConfig};
 use crate::fidelity::Fidelity;
-use crate::session::DroopCrossing;
 use crate::stats::RunStats;
-use crate::window::{DroopWindow, WindowConfig};
 use crate::ChipError;
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -60,34 +62,6 @@ impl<T: ChipSource + ?Sized> ChipSource for &T {
     }
 }
 
-/// What a chip-level measurement captures besides its aggregate
-/// statistics.
-#[derive(Debug, Clone, Copy)]
-pub enum Capture {
-    /// Aggregate statistics only.
-    None,
-    /// Timestamped droop crossings at the given margin (percent below
-    /// nominal).
-    Crossings(f64),
-    /// Crossings at the given margin plus a triggered waveform window
-    /// per crossing, shaped by the [`WindowConfig`] — the capture an
-    /// attribution profiler consumes.
-    Windows(f64, WindowConfig),
-}
-
-/// A measurement's statistics plus what its [`Capture`] recorded (both
-/// lists empty under [`Capture::None`]; `windows` empty unless
-/// [`Capture::Windows`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Captured {
-    /// Aggregate run statistics.
-    pub stats: RunStats,
-    /// Every droop event at the capture margin, in cycle order.
-    pub crossings: Vec<DroopCrossing>,
-    /// One window per crossing, in trigger order.
-    pub windows: Vec<DroopWindow>,
-}
-
 /// Runs one workload to completion on the chip.
 ///
 /// Single-threaded workloads occupy core 0 while the other cores idle;
@@ -101,21 +75,6 @@ pub fn run_workload(
     workload: &Workload,
     fidelity: Fidelity,
 ) -> Result<RunStats, ChipError> {
-    run_workload_with(cfg, workload, fidelity, Capture::None).map(|c| c.stats)
-}
-
-/// Like [`run_workload`], but also records what `capture` asks for
-/// (see [`Chip::run_captured`]).
-///
-/// # Errors
-///
-/// Same conditions as [`run_workload`].
-pub fn run_workload_with(
-    cfg: &impl ChipSource,
-    workload: &Workload,
-    fidelity: Fidelity,
-    capture: Capture,
-) -> Result<Captured, ChipError> {
     fidelity.validate()?;
     let cpi = fidelity.cycles_per_interval();
     let total = u64::from(workload.total_intervals()) * cpi;
@@ -128,7 +87,7 @@ pub fn run_workload_with(
             let mut sources: Vec<&mut dyn StimulusSource> = Vec::with_capacity(num_cores);
             sources.push(&mut stream);
             sources.extend(idles.iter_mut().map(|i| i as &mut dyn StimulusSource));
-            chip.run_captured(&mut sources, total, cpi, capture)
+            chip.run(&mut sources, total, cpi)
         }
         Threading::Multi => {
             let mut streams: Vec<_> = (0..num_cores as u64)
@@ -138,7 +97,7 @@ pub fn run_workload_with(
                 .iter_mut()
                 .map(|s| s as &mut dyn StimulusSource)
                 .collect();
-            chip.run_captured(&mut sources, total, cpi, capture)
+            chip.run(&mut sources, total, cpi)
         }
     }
 }
@@ -158,22 +117,6 @@ pub fn run_pair(
     b: &Workload,
     fidelity: Fidelity,
 ) -> Result<RunStats, ChipError> {
-    run_pair_with(cfg, a, b, fidelity, Capture::None).map(|c| c.stats)
-}
-
-/// Like [`run_pair`], but also records what `capture` asks for (see
-/// [`Chip::run_captured`]).
-///
-/// # Errors
-///
-/// Same conditions as [`run_pair`].
-pub fn run_pair_with(
-    cfg: &impl ChipSource,
-    a: &Workload,
-    b: &Workload,
-    fidelity: Fidelity,
-    capture: Capture,
-) -> Result<Captured, ChipError> {
     if cfg.chip_config().num_cores != 2 {
         return Err(ChipError::InvalidConfig(
             "pair runs require a two-core chip",
@@ -191,7 +134,7 @@ pub fn run_pair_with(
     sa.set_looping(true);
     sb.set_looping(true);
     let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut sa, &mut sb];
-    chip.run_captured(&mut sources, total, cpi, capture)
+    chip.run(&mut sources, total, cpi)
 }
 
 /// Maps `f` over `items` on up to `threads` scoped OS threads, each
@@ -296,40 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn captures_only_add_records_to_the_plain_run() {
-        let w = by_name("482.sphinx3").unwrap();
-        let f = Fidelity::Custom(2_000);
-        let plain = run_workload(&cfg(), &w, f).unwrap();
-        let none = run_workload_with(&cfg(), &w, f, Capture::None).unwrap();
-        assert_eq!(none.stats, plain);
-        assert!(none.crossings.is_empty() && none.windows.is_empty());
-        let logged = run_workload_with(&cfg(), &w, f, Capture::Crossings(2.5)).unwrap();
-        assert_eq!(logged.stats, plain);
-        assert_eq!(logged.crossings.len() as u64, plain.emergencies(2.5));
-        assert!(logged.windows.is_empty());
-        let windows = Capture::Windows(2.5, WindowConfig::default());
-        let profiled = run_workload_with(&cfg(), &w, f, windows).unwrap();
-        assert_eq!(profiled.stats, plain);
-        assert_eq!(profiled.crossings, logged.crossings);
-        assert_eq!(profiled.windows.len(), profiled.crossings.len());
-    }
-
-    #[test]
-    fn pair_capture_returns_a_window_per_crossing() {
-        let a = by_name("482.sphinx3").unwrap();
-        let b = by_name("429.mcf").unwrap();
-        let capture = Capture::Windows(2.5, WindowConfig::default());
-        let c = run_pair_with(&cfg(), &a, &b, Fidelity::Custom(1_000), capture).unwrap();
-        assert_eq!(c.crossings.len() as u64, c.stats.emergencies(2.5));
-        assert_eq!(c.crossings.len(), c.windows.len());
-        for (win, ev) in c.windows.iter().zip(&c.crossings) {
-            assert!(ev.cycle < c.stats.cycles);
-            assert!(ev.depth_pct >= 2.5);
-            assert_eq!(win.trigger_cycle, ev.cycle);
-        }
-    }
-
-    #[test]
     fn fan_out_returns_results_in_input_order() {
         for threads in [0, 1, 3, 8] {
             let out = fan_out(0..50u64, threads, |x| x * x);
@@ -353,8 +262,8 @@ mod tests {
         );
         let b = by_name("429.mcf").unwrap();
         assert_eq!(
-            run_pair_with(&cfg(), &w, &b, f, Capture::Crossings(2.5)).unwrap(),
-            run_pair_with(&batch, &w, &b, f, Capture::Crossings(2.5)).unwrap()
+            run_pair(&cfg(), &w, &b, f).unwrap(),
+            run_pair(&batch, &w, &b, f).unwrap()
         );
     }
 

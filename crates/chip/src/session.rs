@@ -12,6 +12,15 @@
 //! [`RunStats`] is identical in structure to what a one-shot run
 //! produces over the same cycles.
 //!
+//! Sessions are also where captures live: droop crossings
+//! ([`ChipSession::capture_droops`]), waveform windows
+//! ([`ChipSession::enable_profiling`]) and the invariant checker
+//! ([`ChipSession::enable_invariants`]) are armed on a session and
+//! drained slice by slice, as the serving shards do. A one-shot run
+//! observes only what its production callers read: the Fig. 11 trace
+//! ([`Chip::run_with_trace`]) and the rollback hook
+//! ([`Chip::run_resilient`]).
+//!
 //! This module also holds the crate's one measurement loop
 //! (`MeasureState::run`) and one warm-up loop, generic over the physics
 //! step: the reference step (`Chip::step_cycle`, the oracle) or the
@@ -21,7 +30,6 @@
 use crate::chip::Chip;
 use crate::invariant::{InvariantConfig, InvariantReport, InvariantState, InvariantViolation};
 use crate::resilient::CycleControl;
-use crate::runner::Capture;
 use crate::sense::{CrossingGrid, VoltageSensor};
 use crate::stats::{RunStats, PHASE_MARGIN_PCT};
 use crate::window::{DroopWindow, WindowCapture, WindowConfig};
@@ -120,7 +128,8 @@ impl DroopCapture {
     }
 }
 
-/// Accumulated measurement state shared by one-shot runs and sessions.
+/// Accumulated measurement state shared by one-shot runs and sessions;
+/// only a [`ChipSession`] arms and drains its capture and checker slots.
 #[derive(Debug, Clone)]
 pub(crate) struct MeasureState {
     sensor: VoltageSensor,
@@ -152,88 +161,6 @@ impl MeasureState {
             capture: None,
             window: None,
             invariants: None,
-        }
-    }
-
-    /// Arms the invariant checker: every subsequent cycle and slice is
-    /// validated against the physics/bookkeeping invariants in
-    /// [`InvariantConfig`]. Re-arming resets the checker's baselines
-    /// and drops unread violations.
-    pub(crate) fn enable_invariants(&mut self, chip: &Chip, cfg: InvariantConfig) {
-        self.invariants = Some(InvariantState::new(&chip.cores, &self.droops, cfg));
-    }
-
-    /// Snapshot of the checker's findings (`None` when disarmed).
-    pub(crate) fn invariant_report(&self) -> Option<InvariantReport> {
-        self.invariants.as_ref().map(InvariantState::report)
-    }
-
-    /// Drains recorded violations (empty when disarmed or clean).
-    pub(crate) fn take_invariant_violations(&mut self) -> Vec<InvariantViolation> {
-        match self.invariants.as_mut() {
-            Some(inv) => inv.take_violations(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Starts logging individual [`DroopCrossing`] events at the given
-    /// margin (percent below nominal). Only cycles run after this call
-    /// are captured.
-    pub(crate) fn enable_droop_capture(&mut self, margin_pct: f64) {
-        self.capture = Some(DroopCapture {
-            margin_pct,
-            below: false,
-            events: Vec::new(),
-        });
-    }
-
-    /// Drains the captured droop events (empty if capture is off).
-    pub(crate) fn take_droop_crossings(&mut self) -> Vec<DroopCrossing> {
-        match self.capture.as_mut() {
-            Some(cap) => std::mem::take(&mut cap.events),
-            None => Vec::new(),
-        }
-    }
-
-    /// Starts triggered waveform capture: droop crossings are logged at
-    /// `margin_pct` (re-arming the event capture) and each one
-    /// additionally freezes a pre/post [`DroopWindow`].
-    pub(crate) fn enable_window_capture(
-        &mut self,
-        chip: &Chip,
-        margin_pct: f64,
-        cfg: WindowConfig,
-    ) {
-        self.enable_droop_capture(margin_pct);
-        self.window = Some(WindowCapture::new(&chip.cores, cfg));
-    }
-
-    /// Arms what a one-shot measurement's `capture` asks for.
-    pub(crate) fn arm(&mut self, chip: &Chip, capture: Capture) {
-        match capture {
-            Capture::None => {}
-            Capture::Crossings(margin) => self.enable_droop_capture(margin),
-            Capture::Windows(margin, window) => self.enable_window_capture(chip, margin, window),
-        }
-    }
-
-    /// Drains the windows whose post-trigger tail is complete.
-    pub(crate) fn take_droop_windows(&mut self) -> Vec<DroopWindow> {
-        match self.window.as_mut() {
-            Some(w) => w.take_windows(),
-            None => Vec::new(),
-        }
-    }
-
-    /// Force-finalizes in-flight windows (truncated tails) and drains
-    /// everything not yet taken.
-    pub(crate) fn flush_droop_windows(&mut self, chip: &Chip) -> Vec<DroopWindow> {
-        match self.window.as_mut() {
-            Some(w) => {
-                w.flush(&chip.cores);
-                w.take_windows()
-            }
-            None => Vec::new(),
         }
     }
 
@@ -507,17 +434,21 @@ impl ChipSession {
     /// the capture: previously captured but undrained events are
     /// dropped and the hysteresis state resets.
     pub fn capture_droops(&mut self, margin_pct: f64) {
-        self.state.enable_droop_capture(margin_pct);
+        self.state.capture = Some(DroopCapture {
+            margin_pct,
+            below: false,
+            events: Vec::new(),
+        });
     }
 
     /// Starts triggered waveform profiling: arms droop capture at
     /// `margin_pct` (like [`ChipSession::capture_droops`]) and
     /// additionally snapshots a [`DroopWindow`] around every crossing —
     /// the lead-in ring plus a post-trigger tail of per-cycle voltage
-    /// deviation, per-core current, counter deltas and stall events.
+    /// deviation, with the counter deltas and stall events over it.
     pub fn enable_profiling(&mut self, margin_pct: f64, window: WindowConfig) {
-        self.state
-            .enable_window_capture(&self.chip, margin_pct, window);
+        self.capture_droops(margin_pct);
+        self.state.window = Some(WindowCapture::new(&self.chip.cores, window));
     }
 
     /// Drains the droop events captured since the last call (empty if
@@ -525,7 +456,10 @@ impl ChipSession {
     /// are session-absolute measured cycles, so a coordinator can map
     /// them onto its own virtual timeline.
     pub fn take_droop_crossings(&mut self) -> Vec<DroopCrossing> {
-        self.state.take_droop_crossings()
+        match self.state.capture.as_mut() {
+            Some(cap) => std::mem::take(&mut cap.events),
+            None => Vec::new(),
+        }
     }
 
     /// Drains the captured windows whose post-trigger tail is complete
@@ -535,7 +469,10 @@ impl ChipSession {
     /// again later — or call [`ChipSession::flush_droop_windows`] at
     /// the end of the measurement.
     pub fn take_droop_windows(&mut self) -> Vec<DroopWindow> {
-        self.state.take_droop_windows()
+        match self.state.window.as_mut() {
+            Some(w) => w.take_windows(),
+            None => Vec::new(),
+        }
     }
 
     /// Force-finalizes in-flight windows (marked
@@ -543,7 +480,13 @@ impl ChipSession {
     /// not yet taken. Call once when the measurement ends so no
     /// triggered capture is lost.
     pub fn flush_droop_windows(&mut self) -> Vec<DroopWindow> {
-        self.state.flush_droop_windows(&self.chip)
+        match self.state.window.as_mut() {
+            Some(w) => {
+                w.flush(&self.chip.cores);
+                w.take_windows()
+            }
+            None => Vec::new(),
+        }
     }
 
     /// Arms the physics/bookkeeping invariant checker (see the
@@ -553,29 +496,28 @@ impl ChipSession {
     /// Calling again re-arms with fresh baselines and drops unread
     /// violations.
     pub fn enable_invariants(&mut self, cfg: InvariantConfig) {
-        self.state.enable_invariants(&self.chip, cfg);
+        let checker = InvariantState::new(&self.chip.cores, &self.state.droops, cfg);
+        self.state.invariants = Some(checker);
     }
 
     /// Snapshot of invariant-checker coverage and findings, or `None`
     /// if [`ChipSession::enable_invariants`] was never called.
     pub fn invariant_report(&self) -> Option<InvariantReport> {
-        self.state.invariant_report()
+        self.state.invariants.as_ref().map(InvariantState::report)
     }
 
     /// Drains recorded invariant violations (empty when the checker is
     /// disarmed or everything held).
     pub fn take_invariant_violations(&mut self) -> Vec<InvariantViolation> {
-        self.state.take_invariant_violations()
+        match self.state.invariants.as_mut() {
+            Some(inv) => inv.take_violations(),
+            None => Vec::new(),
+        }
     }
 
     /// Measured cycles so far.
     pub fn measured_cycles(&self) -> u64 {
         self.state.measured_cycles
-    }
-
-    /// The interval length this session was opened with.
-    pub fn interval_cycles(&self) -> u64 {
-        self.state.interval_cycles
     }
 
     /// The underlying chip.
@@ -866,7 +808,6 @@ mod tests {
         let wcfg = WindowConfig {
             pre_cycles: 48,
             post_cycles: 80,
-            ..Default::default()
         };
         let mut session = ChipSession::begin(chip(), &mut warm, 5_000).unwrap();
         session.enable_profiling(2.5, wcfg);
@@ -891,11 +832,6 @@ mod tests {
             assert!(win.trigger_cycle - win.start_cycle < wcfg.pre_cycles as u64);
             if !win.truncated {
                 assert_eq!(win.end_cycle() - win.trigger_cycle, wcfg.post_cycles as u64);
-            }
-            // Every per-cycle series covers the same span.
-            assert_eq!(win.core_currents.len(), 2);
-            for series in &win.core_currents {
-                assert_eq!(series.len(), win.len());
             }
             // Counter deltas span exactly the window: the cycle count
             // matches and, per core and event kind, the delta equals

@@ -4,8 +4,8 @@
 //! margin crossing, keep the waveform around it, and read off which
 //! microarchitectural events led in (Sec. III, Figs. 7–8). A
 //! `WindowCapture` rides inside the measurement loop and keeps a
-//! rolling lead-in of per-cycle voltage deviation, per-core current
-//! and per-core counter snapshots. On every
+//! rolling lead-in of per-cycle voltage deviation and per-core counter
+//! snapshots. On every
 //! [`DroopCrossing`](crate::DroopCrossing) it freezes that lead-in and
 //! keeps recording for a post-trigger tail, yielding a [`DroopWindow`]
 //! that an attribution engine (`vsmooth-profile`) can score offline.
@@ -13,9 +13,11 @@
 //! The capture is purely observational — it never feeds back into the
 //! simulation — and costs one `Option` branch per cycle when disabled.
 //! It reads only the chip's cores, never the whole chip, so the one
-//! measurement loop feeds it on either physics step: a profiled run
-//! captures on the fused step wherever the chip qualifies, and the
-//! reference step yields the same windows bit for bit.
+//! measurement loop feeds it on either physics step: a profiled
+//! session captures on the lean fused step wherever the chip qualifies
+//! ([`ChipSession::run_slice_fast`](crate::ChipSession::run_slice_fast),
+//! what the serving shards run), and the reference step yields the same
+//! windows bit for bit.
 //!
 //! # Hot-path budget
 //!
@@ -25,10 +27,10 @@
 //! bookkeeping), one counter snapshot copy per core, and a single
 //! 5-wide array compare for event detection instead of per-event keyed
 //! counter lookups. In-flight windows hold **no sample data**: the
-//! shared history rings span a full window (lead-in + tail), so a
+//! shared voltage history spans a full window (lead-in + tail), so a
 //! burst of overlapping triggers costs nothing per cycle beyond the
-//! ring pushes every armed cycle already pays — each window is
-//! materialized as one bulk copy per series when its tail completes.
+//! stores every armed cycle already pays — each window's waveform is
+//! materialized as one bulk copy when its tail completes.
 //! Full `PerfCounters` are *not* ring-buffered per cycle; the
 //! trigger-time base snapshot is reconstructed from a compact
 //! `CounterSnap` ring, field-exact with the naive approach (integer
@@ -46,13 +48,6 @@ pub struct WindowConfig {
     pub pre_cycles: usize,
     /// Samples recorded after the trigger cycle.
     pub post_cycles: usize,
-    /// Whether to record the per-core per-cycle current series. It is
-    /// the scope view's most expensive channel (one store per core per
-    /// armed cycle plus a bulk copy per window) and attribution never
-    /// reads it, so consumers that only want counters, events and the
-    /// voltage waveform can switch it off; [`DroopWindow::core_currents`]
-    /// then holds empty series.
-    pub capture_currents: bool,
 }
 
 impl Default for WindowConfig {
@@ -63,7 +58,6 @@ impl Default for WindowConfig {
         Self {
             pre_cycles: 96,
             post_cycles: 160,
-            capture_currents: true,
         }
     }
 }
@@ -81,7 +75,7 @@ pub struct WindowEvent {
 
 /// A captured pre/post waveform window around one droop crossing.
 ///
-/// Sample `i` of every per-cycle series belongs to measured cycle
+/// Sample `i` of the per-cycle voltage series belongs to measured cycle
 /// `start_cycle + i`; the trigger sits at
 /// `trigger_cycle - start_cycle`. The counter deltas span exactly the
 /// window's cycles, so for every core and event kind the delta's
@@ -101,10 +95,6 @@ pub struct DroopWindow {
     /// Per-cycle sensed voltage deviation, percent of nominal
     /// (negative = below nominal).
     pub voltage_dev_pct: Vec<f64>,
-    /// Per-core per-cycle current draw in amperes (`[core][sample]`);
-    /// every series is empty when the capture was configured with
-    /// [`WindowConfig::capture_currents`] off.
-    pub core_currents: Vec<Vec<f64>>,
     /// Per-core counter deltas over exactly the window's span.
     pub counter_deltas: Vec<PerfCounters>,
     /// Stall events inside the window, in cycle order.
@@ -137,8 +127,8 @@ impl DroopWindow {
 }
 
 /// A window still collecting its post-trigger tail. Holds no sample
-/// data of its own — the shared history rings cover a full window
-/// span, and the series are materialized in bulk at seal time.
+/// data of its own — the shared voltage history covers a full window
+/// span, and the waveform is materialized in bulk at seal time.
 #[derive(Debug, Clone)]
 struct PendingWindow {
     trigger_cycle: u64,
@@ -192,18 +182,17 @@ impl CounterSnap {
 pub(crate) struct WindowCapture {
     cfg: WindowConfig,
     cores: usize,
-    /// Rolling history over a full window span (lead-in + tail), so
-    /// any window — however many overlap in flight — materializes as
-    /// one bulk copy per series at seal time. Raw buffers sharing one
-    /// cursor: per cycle the hot path pays plain indexed stores, not
-    /// per-ring head/length bookkeeping.
+    /// Rolling voltage-deviation history over a full window span
+    /// (lead-in + tail), so any window — however many overlap in
+    /// flight — materializes as one bulk copy at seal time. A raw
+    /// buffer with its own cursor: per cycle the hot path pays a plain
+    /// indexed store, not ring head/length bookkeeping.
     dev_hist: Box<[f64]>,
-    cur_hist: Vec<Box<[f64]>>,
     /// Compact counter snapshots over the lead-in span (16 bytes per
     /// cycle per core instead of a full `PerfCounters` ring; see
     /// [`CounterSnap`]).
     snap_hist: Vec<Box<[CounterSnap]>>,
-    /// Slot in `dev_hist`/`cur_hist` written by the latest cycle.
+    /// Slot in `dev_hist` written by the latest cycle.
     pos_span: usize,
     /// Slot in `snap_hist` written by the latest cycle.
     pos_pre: usize,
@@ -233,15 +222,11 @@ impl WindowCapture {
             ..cfg
         };
         let cores = chip_cores.len();
-        let cur_cores = if cfg.capture_currents { cores } else { 0 };
         let span = cfg.pre_cycles + cfg.post_cycles;
         Self {
             cfg,
             cores,
             dev_hist: vec![0.0; span].into_boxed_slice(),
-            cur_hist: (0..cur_cores)
-                .map(|_| vec![0.0; span].into_boxed_slice())
-                .collect(),
             snap_hist: (0..cores)
                 .map(|_| vec![CounterSnap::default(); cfg.pre_cycles].into_boxed_slice())
                 .collect(),
@@ -286,7 +271,7 @@ impl WindowCapture {
         } else {
             self.pos_pre + 1
         };
-        let (ps, pp) = (self.pos_span, self.pos_pre);
+        let pp = self.pos_pre;
         // 2. Record this cycle into the lead-in history; once the
         //    snapshot buffer is full, the overwritten slot (the sample
         //    from `pre` cycles ago) becomes the base "just before the
@@ -309,12 +294,8 @@ impl WindowCapture {
                 self.base[core] = *slot;
             }
             *slot = CounterSnap::of(now);
-            // Empty when current capture is configured off.
-            if let Some(buf) = self.cur_hist.get_mut(core) {
-                buf[ps] = c.current();
-            }
         }
-        self.dev_hist[ps] = dev_pct;
+        self.dev_hist[self.pos_span] = dev_pct;
         self.seen += 1;
         self.last_cycle = cycle;
 
@@ -410,14 +391,6 @@ impl WindowCapture {
             start_cycle: p.start_cycle,
             truncated,
             voltage_dev_pct,
-            core_currents: if self.cfg.capture_currents {
-                self.cur_hist
-                    .iter()
-                    .map(|buf| tail_of(buf, self.pos_span, n))
-                    .collect()
-            } else {
-                vec![Vec::new(); self.cores]
-            },
             counter_deltas: p
                 .base
                 .iter()

@@ -62,18 +62,10 @@ fn default_threads() -> usize {
 #[derive(Debug)]
 pub struct Lab {
     cfg: ExperimentConfig,
-    campaigns: [Option<CampaignResult>; 3],
+    /// Every campaign measured so far, keyed by its decap configuration,
+    /// in the order first asked for.
+    campaigns: Vec<(DecapConfig, CampaignResult)>,
     oracle: Option<PairOracle>,
-}
-
-/// Index into the campaign cache.
-fn decap_slot(decap: &DecapConfig) -> usize {
-    match decap.percent_retained() {
-        100 => 0,
-        25 => 1,
-        3 => 2,
-        other => panic!("no campaign slot for Proc{other}"),
-    }
 }
 
 impl Lab {
@@ -81,7 +73,7 @@ impl Lab {
     pub fn new(cfg: ExperimentConfig) -> Self {
         Self {
             cfg,
-            campaigns: [None, None, None],
+            campaigns: Vec::new(),
             oracle: None,
         }
     }
@@ -108,16 +100,28 @@ impl Lab {
     ///
     /// Propagates campaign simulation errors.
     pub fn campaign(&mut self, decap: DecapConfig) -> Result<&CampaignResult, VsmoothError> {
-        let slot = decap_slot(&decap);
-        if self.campaigns[slot].is_none() {
-            let chip = self.chip(decap);
-            let spec = match self.cfg.benchmarks {
-                Some(n) => CampaignSpec::reduced(chip, self.cfg.fidelity, n),
-                None => CampaignSpec::full(chip, self.cfg.fidelity),
-            };
-            self.campaigns[slot] = Some(spec.run(self.cfg.threads)?);
-        }
-        Ok(self.campaigns[slot].as_ref().expect("just inserted"))
+        let slot = match self.campaigns.iter().position(|(d, _)| *d == decap) {
+            Some(slot) => slot,
+            None => {
+                let chip = self.chip(decap.clone());
+                let spec = match self.cfg.benchmarks {
+                    Some(n) => CampaignSpec::reduced(chip, self.cfg.fidelity, n),
+                    None => CampaignSpec::full(chip, self.cfg.fidelity),
+                };
+                self.campaigns.push((decap, spec.run(self.cfg.threads)?));
+                self.campaigns.len() - 1
+            }
+        };
+        Ok(&self.campaigns[slot].1)
+    }
+
+    /// The Proc3 campaign, which [`Lab::oracle`] has already measured.
+    fn proc3_campaign(&self) -> &CampaignResult {
+        let proc3 = DecapConfig::proc3();
+        self.campaigns
+            .iter()
+            .find_map(|(d, c)| (*d == proc3).then_some(c))
+            .expect("oracle construction measured the Proc3 campaign")
     }
 
     /// The (lazily built) Proc3 pair oracle, reusing the Proc3
@@ -438,10 +442,7 @@ impl Lab {
     /// Propagates campaign errors.
     pub fn fig19(&mut self) -> Result<Fig19, VsmoothError> {
         self.oracle()?;
-        let campaign = self.campaigns[decap_slot(&DecapConfig::proc3())]
-            .as_ref()
-            .expect("oracle construction measured the Proc3 campaign");
-        let reference = campaign.all_stats();
+        let reference = self.proc3_campaign().all_stats();
         let oracle = self.oracle.as_ref().expect("measured above");
         let droop = vsmooth_sched::scheduled_pass_counts(
             &reference,
@@ -466,10 +467,7 @@ impl Lab {
     /// Propagates campaign errors.
     pub fn tab01(&mut self) -> Result<Vec<vsmooth_sched::SpecrateRow>, VsmoothError> {
         self.oracle()?;
-        let campaign = self.campaigns[decap_slot(&DecapConfig::proc3())]
-            .as_ref()
-            .expect("oracle construction measured the Proc3 campaign");
-        let reference = campaign.all_stats();
+        let reference = self.proc3_campaign().all_stats();
         let oracle = self.oracle.as_ref().expect("measured above");
         Ok(vsmooth_sched::specrate_analysis(
             &reference,
@@ -694,5 +692,21 @@ mod tests {
             let chip = Chip::new(cfg).expect("valid chip");
             assert!(chip.runs_fused(), "{:?}", chip.config());
         }
+    }
+
+    /// Any decap configuration has a campaign, not just the paper's
+    /// Proc100, Proc25 and Proc3, and asking twice measures once.
+    #[test]
+    fn any_decap_campaign_is_measured_once_and_cached() {
+        let mut lab = Lab::new(ExperimentConfig {
+            fidelity: Fidelity::Custom(1_000),
+            threads: 1,
+            benchmarks: Some(2),
+            ..ExperimentConfig::quick()
+        });
+        let first: *const CampaignResult = lab.campaign(DecapConfig::proc75()).expect("Proc75");
+        let second: *const CampaignResult = lab.campaign(DecapConfig::proc75()).expect("cached");
+        assert!(std::ptr::eq(first, second), "re-measured a cached campaign");
+        assert_eq!(lab.campaigns.len(), 1);
     }
 }

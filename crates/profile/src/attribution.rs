@@ -61,7 +61,6 @@ pub struct DroopAttribution {
 ///     start_cycle: 90,
 ///     truncated: false,
 ///     voltage_dev_pct: vec![0.0; 20],
-///     core_currents: vec![vec![0.0; 20]; 2],
 ///     counter_deltas: vec![PerfCounters::new(); 2],
 ///     events: vec![
 ///         WindowEvent { cycle: 98, core: 0, event: StallEvent::L2Miss },
@@ -139,7 +138,6 @@ mod tests {
             start_cycle: 150,
             truncated: false,
             voltage_dev_pct: vec![0.0; 60],
-            core_currents: vec![vec![0.0; 60]; 2],
             counter_deltas: vec![PerfCounters::new(); 2],
             events,
         }

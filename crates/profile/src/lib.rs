@@ -4,9 +4,11 @@
 //! triggered by microarchitectural stall events whose current steps
 //! excite the PDN resonance (Sec. III, Figs. 7–8). The observability
 //! stack so far says *when and how many* droops occur; this crate says
-//! *why*. It consumes the triggered waveform windows the chip layer
-//! captures around every margin crossing
-//! ([`DroopWindow`](vsmooth_chip::DroopWindow)) and turns them into:
+//! *why*. It consumes the triggered waveform windows
+//! ([`DroopWindow`](vsmooth_chip::DroopWindow)) a chip session captures
+//! around every margin crossing once profiling is armed
+//! ([`ChipSession::enable_profiling`](vsmooth_chip::ChipSession::enable_profiling),
+//! as the serving shards arm it) and turns them into:
 //!
 //! * a per-droop [`DroopAttribution`] — each stall-event kind's
 //!   responsibility share, from exponentially time-decayed weighting of
@@ -34,22 +36,31 @@
 //! # Examples
 //!
 //! ```
-//! use vsmooth_chip::{run_workload_with, Capture, ChipConfig, Fidelity};
+//! use vsmooth_chip::{Chip, ChipConfig, ChipSession};
 //! use vsmooth_pdn::DecapConfig;
 //! use vsmooth_profile::{ProfileConfig, Profiler};
+//! use vsmooth_uarch::{IdleLoop, StimulusSource};
 //! use vsmooth_workload::by_name;
 //!
-//! let cfg = ChipConfig::core2_duo(DecapConfig::proc100());
+//! let chip = Chip::new(ChipConfig::core2_duo(DecapConfig::proc100()))?;
 //! let sphinx = by_name("482.sphinx3").expect("in catalog");
+//! let (mut stream, mut idle) = (sphinx.stream(0, 2_000), IdleLoop::default());
+//! let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut stream, &mut idle];
+//! let mut session = ChipSession::begin(chip, &mut sources, 2_000)?;
 //! let pcfg = ProfileConfig::default();
-//! let capture = Capture::Windows(2.5, pcfg.window);
-//! let run = run_workload_with(&cfg, &sphinx, Fidelity::Custom(2_000), capture)?;
+//! session.enable_profiling(2.5, pcfg.window);
 //! let mut profiler = Profiler::new(2.5, pcfg);
-//! for w in &run.windows {
+//! for _ in 0..sphinx.total_intervals() {
+//!     session.run_slice(&mut sources, 2_000)?;
+//!     for w in &session.take_droop_windows() {
+//!         profiler.record("482.sphinx3", w);
+//!     }
+//! }
+//! for w in &session.flush_droop_windows() {
 //!     profiler.record("482.sphinx3", w);
 //! }
 //! let report = profiler.report();
-//! assert_eq!(report.total_droops, run.stats.emergencies(2.5));
+//! assert_eq!(report.total_droops, session.finish()?.emergencies(2.5));
 //! # Ok::<(), vsmooth_chip::ChipError>(())
 //! ```
 

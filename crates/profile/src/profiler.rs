@@ -304,17 +304,25 @@ impl Profiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vsmooth_chip::{run_workload_with, Capture, ChipConfig, Fidelity};
+    use vsmooth_chip::{Chip, ChipConfig, ChipSession};
     use vsmooth_pdn::{DecapConfig, ImpedanceProfile, LadderConfig};
-    use vsmooth_uarch::StallEvent;
+    use vsmooth_uarch::{IdleLoop, StallEvent, StimulusSource};
     use vsmooth_workload::by_name;
 
+    /// sphinx3 with an idle partner on Proc100 at 4 000 cycles per
+    /// interval, profiled at 2.5 % on a reference session: its
+    /// emergencies at that margin and every window, flushed at the end.
     fn sphinx_windows() -> (u64, Vec<DroopWindow>) {
-        let cfg = ChipConfig::core2_duo(DecapConfig::proc100());
+        let chip = Chip::new(ChipConfig::core2_duo(DecapConfig::proc100())).unwrap();
         let sphinx = by_name("482.sphinx3").unwrap();
-        let capture = Capture::Windows(2.5, ProfileConfig::default().window);
-        let c = run_workload_with(&cfg, &sphinx, Fidelity::Custom(4_000), capture).unwrap();
-        (c.stats.emergencies(2.5), c.windows)
+        let (mut stream, mut idle) = (sphinx.stream(0, 4_000), IdleLoop::default());
+        let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut stream, &mut idle];
+        let mut session = ChipSession::begin(chip, &mut sources, 4_000).unwrap();
+        session.enable_profiling(2.5, ProfileConfig::default().window);
+        let cycles = u64::from(sphinx.total_intervals()) * 4_000;
+        session.run_slice(&mut sources, cycles).unwrap();
+        let windows = session.flush_droop_windows();
+        (session.finish().unwrap().emergencies(2.5), windows)
     }
 
     #[test]

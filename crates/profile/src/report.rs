@@ -283,7 +283,6 @@ mod tests {
             start_cycle: 100,
             truncated: false,
             voltage_dev_pct: vec![0.0; 40],
-            core_currents: vec![vec![0.0; 40]; 2],
             counter_deltas: vec![PerfCounters::new(); 2],
             events: vec![WindowEvent {
                 cycle: 118,

@@ -54,7 +54,7 @@ use crate::shard::{ChipCell, DrainPlan};
 use crate::telemetry::TelemetryBook;
 use crate::ServeError;
 use vsmooth_chip::sense::CrossingGrid;
-use vsmooth_chip::{DroopWindow, WindowConfig, PHASE_MARGIN_PCT};
+use vsmooth_chip::{DroopWindow, PHASE_MARGIN_PCT};
 use vsmooth_monitor::{EpochSample, HealthReport, Monitor, SliceRecord};
 use vsmooth_obs::{ObsConfig, ObsSnapshot, ServiceStatus};
 use vsmooth_profile::{emit_window_span, Profiler};
@@ -166,14 +166,8 @@ impl<'a> Merge<'a> {
             crossings: droop_events || profiler.is_some(),
             droop_events,
             // Profiling arms crossing *and* window capture at the
-            // profiler's own margin. Attribution and trace spans never
-            // read the per-core current series, and windows are
-            // consumed in-service, so skip the scope's most expensive
-            // channel.
-            windows: profiler.as_ref().map(|p| WindowConfig {
-                capture_currents: false,
-                ..p.config().window
-            }),
+            // profiler's own margin.
+            windows: profiler.as_ref().map(|p| p.config().window),
             invariants: cfg.invariants,
             margin,
         };

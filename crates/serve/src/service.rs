@@ -73,6 +73,10 @@ use vsmooth_stats::MetricsSnapshot;
 use vsmooth_trace::Tracer;
 use vsmooth_workload::by_name;
 
+/// How many queued jobs the pairing search considers at once (the FIFO
+/// prefix of the ready queue).
+const PAIRING_WINDOW: usize = 16;
+
 /// Static configuration of a service instance.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -83,9 +87,6 @@ pub struct ServiceConfig {
     /// Scheduling quantum in cycles; also the workload measurement
     /// interval, so programs end exactly on slice boundaries.
     pub slice_cycles: u64,
-    /// How many queued jobs the pairing search considers at once (the
-    /// FIFO prefix of the ready queue).
-    pub pairing_window: usize,
     /// Admission-queue bound: a run fails with
     /// [`ServeError::QueueOverflow`] when an arrival would push the
     /// ready queue past this many waiting jobs. `None` (the default)
@@ -118,14 +119,13 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A small default pool: 4 chips, 2 000-cycle quanta, window 16,
-    /// unbounded admission queue, automatic runtime selection.
+    /// A small default pool: 4 chips, 2 000-cycle quanta, unbounded
+    /// admission queue, automatic runtime selection.
     pub fn new(chip: ChipConfig) -> Self {
         Self {
             chip,
             chips: 4,
             slice_cycles: 2_000,
-            pairing_window: 16,
             queue_capacity: None,
             obs: None,
             runtime: RuntimeMode::Auto,
@@ -265,19 +265,14 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// [`ServeError::InvalidConfig`] for an empty pool, zero quantum or
-    /// zero pairing window.
+    /// [`ServeError::InvalidConfig`] for an empty pool, a zero quantum
+    /// or a zero queue capacity.
     pub fn new(cfg: ServiceConfig) -> Result<Self, ServeError> {
         if cfg.chips == 0 {
             return Err(ServeError::InvalidConfig("pool needs at least one chip"));
         }
         if cfg.slice_cycles == 0 {
             return Err(ServeError::InvalidConfig("slice_cycles must be non-zero"));
-        }
-        if cfg.pairing_window < 2 {
-            return Err(ServeError::InvalidConfig(
-                "pairing window must hold at least two jobs",
-            ));
         }
         if cfg.queue_capacity == Some(0) {
             return Err(ServeError::InvalidConfig(
@@ -532,7 +527,7 @@ impl Service {
             }
             let resident = shadow.cores.iter().flatten().next().expect("one resident");
             let resident_cand = book.candidate(resident.spec.id, &resident.spec.workload);
-            let window = ready.len().min(self.cfg.pairing_window);
+            let window = ready.len().min(PAIRING_WINDOW);
             let mut best = (0usize, f64::NEG_INFINITY);
             for (qi, job) in ready.iter().take(window).enumerate() {
                 let score =
@@ -549,7 +544,7 @@ impl Service {
             if ready.len() < 2 || shadow.occupied() != 0 {
                 continue;
             }
-            let window = ready.len().min(self.cfg.pairing_window);
+            let window = ready.len().min(PAIRING_WINDOW);
             let cands: Vec<_> = ready
                 .iter()
                 .take(window)
@@ -742,9 +737,6 @@ mod tests {
         assert!(Service::new(c).is_err());
         let mut c = small_cfg();
         c.slice_cycles = 0;
-        assert!(Service::new(c).is_err());
-        let mut c = small_cfg();
-        c.pairing_window = 1;
         assert!(Service::new(c).is_err());
         let mut c = small_cfg();
         c.queue_capacity = Some(0);

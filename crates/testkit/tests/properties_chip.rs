@@ -3,7 +3,10 @@
 
 use proptest::prelude::*;
 use vsmooth_chip::chip::VrmRegulator;
-use vsmooth_chip::{Capture, Chip, ChipConfig, ChipSession, InvariantConfig, WindowConfig};
+use vsmooth_chip::{
+    Chip, ChipConfig, ChipError, ChipSession, DroopCrossing, DroopWindow, InvariantConfig,
+    InvariantReport, SliceStats, WindowConfig,
+};
 use vsmooth_pdn::{DecapConfig, LadderConfig};
 use vsmooth_testkit::generator::{gen_chip, gen_stage, gen_workload, strategy_of};
 use vsmooth_uarch::{IdleLoop, StimulusSource};
@@ -52,9 +55,18 @@ impl Shape {
     }
 }
 
-/// One P5 scenario: a generated chip, a run shape over generated
-/// workloads, an interval length and a capture: none, crossings, or
+/// What both P5 sessions capture: nothing, crossings at a margin, or
 /// crossings plus waveform windows of a generated shape.
+#[derive(Debug, Clone, Copy)]
+enum Scope {
+    None,
+    Crossings(f64),
+    Windows(f64, WindowConfig),
+}
+
+/// One P5 scenario: a generated chip, a run shape over generated
+/// workloads, an interval length, what the sessions capture and
+/// whether they also check invariants.
 #[derive(Debug)]
 struct Scenario {
     chip: ChipConfig,
@@ -63,7 +75,14 @@ struct Scenario {
     small_pdn: bool,
     shape: Shape,
     cpi: u64,
-    capture: Capture,
+    scope: Scope,
+    /// Whether both sessions also arm the invariant checker. Drawn on
+    /// the platform ladder only: a generated 1–3-stage ladder under
+    /// the platform's core currents can swing far past the checker's
+    /// ±50 % band (by over 1 000 % on one drawn chip), which the
+    /// checker rightly flags, and such chips run the reference step on
+    /// both sessions anyway.
+    invariants: bool,
 }
 
 fn gen_scenario(rng: &mut TestRng) -> Scenario {
@@ -91,17 +110,16 @@ fn gen_scenario(rng: &mut TestRng) -> Scenario {
     let cpi = [300, 400, 1_000, 1_300][rng.below(4) as usize];
     // On the droop grid's lines, where P6 holds the capture to it.
     let margin = 0.5 + 0.25 * rng.below(19) as f64;
-    let capture = match rng.below(3) {
-        0 => Capture::None,
-        1 => Capture::Crossings(margin),
+    let scope = match rng.below(3) {
+        0 => Scope::None,
+        1 => Scope::Crossings(margin),
         // A zero lead-in is clamped to the trigger cycle; a zero tail
         // seals each window on its trigger.
-        _ => Capture::Windows(
+        _ => Scope::Windows(
             margin,
             WindowConfig {
                 pre_cycles: rng.below(160) as usize,
                 post_cycles: rng.below(240) as usize,
-                capture_currents: rng.below(2) == 0,
             },
         ),
     };
@@ -110,7 +128,23 @@ fn gen_scenario(rng: &mut TestRng) -> Scenario {
         small_pdn,
         shape,
         cpi,
-        capture,
+        scope,
+        invariants: rng.below(2) == 0 && !small_pdn,
+    }
+}
+
+impl Scenario {
+    /// Arms `session` with the scenario's capture and, if drawn, the
+    /// invariant checker.
+    fn arm(&self, session: &mut ChipSession) {
+        match self.scope {
+            Scope::None => {}
+            Scope::Crossings(margin) => session.capture_droops(margin),
+            Scope::Windows(margin, window) => session.enable_profiling(margin, window),
+        }
+        if self.invariants {
+            session.enable_invariants(InvariantConfig::default());
+        }
     }
 }
 
@@ -121,53 +155,116 @@ fn dyn_sources(boxes: &mut [Box<dyn StimulusSource>]) -> Vec<&mut dyn StimulusSo
         .collect()
 }
 
+/// Everything a session observed: per slice its summary and the
+/// crossings and windows drained right after it, then the windows the
+/// final flush truncated and the invariant report.
+#[derive(Debug)]
+struct Observed {
+    slices: Vec<(SliceStats, Vec<DroopCrossing>, Vec<DroopWindow>)>,
+    flushed: Vec<DroopWindow>,
+    invariants: Option<InvariantReport>,
+}
+
+/// Runs `slices` one-interval slices on `session` through `slice` (the
+/// reference or the lean step), draining its captures after each.
+fn observe(
+    session: &mut ChipSession,
+    slices: u32,
+    mut slice: impl FnMut(&mut ChipSession) -> SliceStats,
+) -> Observed {
+    let slices = (0..slices)
+        .map(|_| {
+            let stats = slice(session);
+            let crossings = session.take_droop_crossings();
+            (stats, crossings, session.take_droop_windows())
+        })
+        .collect();
+    Observed {
+        slices,
+        flushed: session.flush_droop_windows(),
+        invariants: session.invariant_report(),
+    }
+}
+
 proptest! {
-    /// P5 — the fused step against the reference step: a one-shot
-    /// `Chip::run_captured` (the fused step on every chip it covers)
-    /// and an interval-by-interval reference session must yield
-    /// identical statistics, droop crossings and waveform windows, on
+    /// P5 — the fused step against the reference step, on the paths
+    /// that run: (a) a one-shot `Chip::run` (the fused step on every
+    /// chip it covers, as campaigns and fleet sweeps run it) and an
+    /// interval-by-interval reference session (`begin` + `run_slice`)
+    /// must yield identical `RunStats`; (b) a lean session (`begin_fast`
+    /// + `run_slice_fast`, the serving shards' path) and that reference
+    /// session, armed alike, must yield identical per-slice
+    /// `SliceStats`, droop crossings and waveform windows, and clean
+    /// invariant reports over the same cycles and slices. Drawn on
     /// generated chips, regulators and PDNs, in all three run shapes,
     /// with no capture, a crossing capture or windows of a generated
-    /// shape (currents on and off), at intervals that do and do not
-    /// divide the warm-up.
+    /// shape, the invariant checker in half the cases on the platform
+    /// ladder, at intervals that do and do not divide the warm-up.
     #[test]
     fn sliced_measurement_equals_one_shot(sc in strategy_of(gen_scenario)) {
-        let one_shot = {
-            let mut chip = Chip::new(sc.chip.clone()).expect("chip");
-            prop_assert_eq!(chip.runs_fused(), !sc.small_pdn, "kernel routing");
-            let (mut boxes, intervals) = sc.shape.sources(sc.cpi);
-            let mut sources = dyn_sources(&mut boxes);
-            let total = u64::from(intervals) * sc.cpi;
-            chip.run_captured(&mut sources, total, sc.cpi, sc.capture).expect("run")
-        };
-
-        let (sliced, crossings, windows) = {
+        let (intervals, reference, sliced) = {
             let chip = Chip::new(sc.chip.clone()).expect("chip");
             let (mut boxes, intervals) = sc.shape.sources(sc.cpi);
             let mut sources = dyn_sources(&mut boxes);
             let mut session = ChipSession::begin(chip, &mut sources, sc.cpi).expect("begin");
-            match sc.capture {
-                Capture::None => {}
-                Capture::Crossings(margin) => session.capture_droops(margin),
-                Capture::Windows(margin, window) => session.enable_profiling(margin, window),
-            }
-            let mut windows = Vec::new();
-            for _ in 0..intervals {
-                session.run_slice(&mut sources, sc.cpi).expect("slice");
-                windows.extend(session.take_droop_windows());
-            }
-            windows.extend(session.flush_droop_windows());
-            let crossings = session.take_droop_crossings();
-            (
-                session.finish().expect("reference slices keep complete stats"),
-                crossings,
-                windows,
-            )
+            sc.arm(&mut session);
+            let observed = observe(&mut session, intervals, |session| {
+                session.run_slice(&mut sources, sc.cpi).expect("slice")
+            });
+            let stats = session.finish().expect("reference slices keep complete stats");
+            (intervals, observed, stats)
+        };
+        let total = u64::from(intervals) * sc.cpi;
+
+        let one_shot = {
+            let mut chip = Chip::new(sc.chip.clone()).expect("chip");
+            prop_assert_eq!(chip.runs_fused(), !sc.small_pdn, "kernel routing");
+            let (mut boxes, _) = sc.shape.sources(sc.cpi);
+            let mut sources = dyn_sources(&mut boxes);
+            chip.run(&mut sources, total, sc.cpi).expect("run")
         };
 
-        prop_assert_eq!(&one_shot.stats, &sliced);
-        prop_assert_eq!(&one_shot.crossings, &crossings);
-        prop_assert_eq!(&one_shot.windows, &windows);
+        let (lean, lean_end) = {
+            let chip = Chip::new(sc.chip.clone()).expect("chip");
+            let (mut boxes, _) = sc.shape.sources(sc.cpi);
+            let [s0, s1] = &mut boxes[..] else {
+                unreachable!("every shape drives two cores")
+            };
+            let mut session = ChipSession::begin_fast(chip, || s0.next(), || s1.next(), sc.cpi)
+                .expect("begin_fast");
+            sc.arm(&mut session);
+            let observed = observe(&mut session, intervals, |session| {
+                session
+                    .run_slice_fast(|| s0.next(), || s1.next(), sc.cpi)
+                    .expect("lean slice")
+            });
+            (observed, session.finish())
+        };
+
+        // (a) One-shot fused run == reference session.
+        prop_assert_eq!(&one_shot, &sliced);
+
+        // (b) Lean session == reference session, slice by slice.
+        prop_assert_eq!(&lean.slices, &reference.slices);
+        prop_assert_eq!(&lean.flushed, &reference.flushed);
+        for report in [&reference.invariants, &lean.invariants] {
+            prop_assert_eq!(report.is_some(), sc.invariants, "invariant checker arming");
+            if let Some(report) = report {
+                prop_assert!(report.is_clean(), "violations: {:?}", report.violations);
+                prop_assert_eq!(
+                    (report.cycles_checked, report.slices_checked),
+                    (total, u64::from(intervals))
+                );
+            }
+        }
+        // Every cycle of a chip the fused step covers ran lean, so the
+        // session refuses `RunStats`; the others fell back to the
+        // reference step and hand out the reference statistics.
+        if sc.small_pdn {
+            prop_assert_eq!(lean_end, Ok(sliced));
+        } else {
+            prop_assert_eq!(lean_end, Err(ChipError::IncompleteStats { lean_cycles: total }));
+        }
     }
 
     /// P6 — per-event droop capture vs aggregate grid: at any margin

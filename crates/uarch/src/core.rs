@@ -77,17 +77,49 @@ impl CoreConfig {
         }
     }
 
+    /// Checks every parameter against its range: finite non-negative
+    /// leakage, finite positive dynamic current, idle activity in
+    /// `[0, 1)`, positive peak IPC and a ramp rate in `(0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// Names the first parameter out of range.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        let ranges = [
+            (
+                self.leakage_current >= 0.0 && self.leakage_current.is_finite(),
+                "leakage current must be finite and non-negative",
+            ),
+            (
+                self.max_dynamic_current > 0.0 && self.max_dynamic_current.is_finite(),
+                "dynamic current must be finite and positive",
+            ),
+            (
+                (0.0..1.0).contains(&self.idle_activity),
+                "idle activity must lie in [0, 1)",
+            ),
+            (self.peak_ipc > 0.0, "peak IPC must be positive"),
+            (
+                self.ramp_rate > 0.0 && self.ramp_rate <= 1.0,
+                "ramp rate must lie in (0, 1]",
+            ),
+        ];
+        match ranges.into_iter().find(|&(ok, _)| !ok) {
+            Some((_, msg)) => Err(msg),
+            None => Ok(()),
+        }
+    }
+
     /// Validates the configuration.
     ///
     /// # Panics
     ///
-    /// Panics on non-finite or out-of-range parameters.
+    /// Panics on non-finite or out-of-range parameters (see
+    /// [`CoreConfig::validate`]).
     pub fn assert_valid(&self) {
-        assert!(self.leakage_current >= 0.0 && self.leakage_current.is_finite());
-        assert!(self.max_dynamic_current > 0.0 && self.max_dynamic_current.is_finite());
-        assert!((0.0..1.0).contains(&self.idle_activity));
-        assert!(self.peak_ipc > 0.0);
-        assert!(self.ramp_rate > 0.0 && self.ramp_rate <= 1.0);
+        if let Err(msg) = self.validate() {
+            panic!("invalid core configuration: {msg}");
+        }
     }
 }
 

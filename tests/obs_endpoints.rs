@@ -111,8 +111,8 @@ fn endpoints_serve_parseable_payloads_while_jobs_execute() {
 
     // Capture one deterministic mid-run observation at epoch 40 —
     // inside the sphinx3 burst, with jobs still queued and running.
-    type Captured = (String, String, String, u16);
-    let captured: Arc<Mutex<Option<Captured>>> = Arc::new(Mutex::new(None));
+    type Scraped = (String, String, String, u16);
+    let captured: Arc<Mutex<Option<Scraped>>> = Arc::new(Mutex::new(None));
     let mut obs = ObsConfig::new(server.hub());
     obs.on_publish = Some(Arc::new({
         let captured = Arc::clone(&captured);
@@ -207,8 +207,8 @@ fn shards_and_decisions_endpoints_serve_live_sections_at_every_shard_count() {
 
         // One deterministic mid-run observation, as above: scrape from
         // inside the publish hook at epoch 40, mid-burst.
-        type Captured = (String, String, String);
-        let captured: Arc<Mutex<Option<Captured>>> = Arc::new(Mutex::new(None));
+        type Scraped = (String, String, String);
+        let captured: Arc<Mutex<Option<Scraped>>> = Arc::new(Mutex::new(None));
         let mut obs = ObsConfig::new(server.hub());
         obs.on_publish = Some(Arc::new({
             let captured = Arc::clone(&captured);
