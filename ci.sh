@@ -17,6 +17,8 @@ cargo fmt --check
 rustfmt --edition 2021 --check vendor/*/src/lib.rs
 
 echo "== clippy =="
+# Every library crate root warns on `unreachable_pub`, so a `pub` item
+# that no root re-export or public module reaches fails here.
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== rustdoc (intra-doc links) =="
@@ -24,6 +26,13 @@ echo "== rustdoc (intra-doc links) =="
 # must not link private items, so deleting or hiding an item cannot
 # leave a dangling link behind.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
+echo "== public surface (every pub fn and const has a caller) =="
+# The other half of the surface rule: a `pub fn` or `pub const` that no
+# caller outside its crate names (other crates, tests/, examples/, doc
+# examples, perfbench/src/) fails, naming the item, so the dead_code
+# lint can see it once it is demoted to pub(crate).
+cargo test -q -p vsmooth-repro --test public_surface
 
 echo "== testkit gate (oracles, invariants, properties) =="
 # Differential oracles, the campaign-scale invariant sweep, and the

@@ -36,7 +36,6 @@
 use vsmooth::chip::Fidelity;
 use vsmooth::experiments::{ExperimentConfig, Lab};
 use vsmooth::monitor::MonitorConfig;
-use vsmooth::profile::ProfileConfig;
 use vsmooth::report;
 use vsmooth::{Instruments, VsmoothError};
 
@@ -197,8 +196,7 @@ fn main() -> Result<(), VsmoothError> {
         let traced = Instruments::new().traced(&tracer);
         let monitored = Instruments::new().monitored(MonitorConfig::default());
         let observed = if profile_out.is_some() {
-            let mut observed =
-                lab.serve(2010, 120, None, &traced.profiled(ProfileConfig::default()))?;
+            let mut observed = lab.serve(2010, 120, None, &traced.profiled())?;
             if monitor_out.is_some() {
                 observed.health = lab.serve(2010, 120, None, &monitored)?.health;
             }

@@ -28,7 +28,6 @@ use vsmooth::chip::ChipConfig;
 use vsmooth::fleet::{FleetCampaign, FleetSpec};
 use vsmooth::monitor::MonitorConfig;
 use vsmooth::pdn::DecapConfig;
-use vsmooth::profile::ProfileConfig;
 use vsmooth::sched::OnlineDroop;
 use vsmooth::serve::{synthetic_jobs, Service, ServiceConfig};
 use vsmooth::trace::{StreamConfig, Tracer};
@@ -149,12 +148,7 @@ fn main() {
         }),
         overhead("profiled", &|| {
             service
-                .run_with(
-                    &jobs,
-                    &OnlineDroop,
-                    1,
-                    &Instruments::new().profiled(ProfileConfig::default()),
-                )
+                .run_with(&jobs, &OnlineDroop, 1, &Instruments::new().profiled())
                 .expect("service run");
         }),
         overhead("monitored", &|| {

@@ -20,7 +20,6 @@ use std::time::{Duration, Instant};
 use vsmooth::chip::ChipConfig;
 use vsmooth::monitor::MonitorConfig;
 use vsmooth::pdn::DecapConfig;
-use vsmooth::profile::ProfileConfig;
 use vsmooth::sched::OnlineDroop;
 use vsmooth::serve::{synthetic_jobs, JobSpec, Service, ServiceConfig, ServiceReport};
 use vsmooth::trace::Tracer;
@@ -117,7 +116,7 @@ fn disabled_tracer_adds_no_measurable_overhead() {
 #[test]
 fn unprofiled_runs_pay_nothing_for_the_capture_hook() {
     let guard = Guard::new();
-    let profiled = Instruments::new().profiled(ProfileConfig::default());
+    let profiled = Instruments::new().profiled();
     guard.assert_bounded(&profiled, "profiled");
     let plain = guard.run(&Instruments::new()).report;
     let observed = guard.run(&profiled);

@@ -37,7 +37,7 @@ pub struct VrmRegulator {
 
 impl VrmRegulator {
     /// The LGA775 VRD 11.0-like regulator of the paper's platform.
-    pub fn vrd11() -> Self {
+    pub(crate) fn vrd11() -> Self {
         Self {
             offset_volts: 17e-3,
             load_line_ohms: 0.40e-3,
@@ -271,7 +271,7 @@ impl Chip {
     /// # Errors
     ///
     /// Same conditions as [`Chip::run`].
-    pub fn run_with_trace(
+    pub(crate) fn run_with_trace(
         &mut self,
         sources: &mut [&mut dyn StimulusSource],
         cycles: u64,

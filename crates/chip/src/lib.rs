@@ -25,20 +25,21 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod batch;
+mod batch;
 pub mod chip;
 pub(crate) mod fastpath;
-pub mod fidelity;
-pub mod invariant;
-pub mod probe;
-pub mod resilient;
-pub mod runner;
+mod fidelity;
+mod invariant;
+mod probe;
+mod resilient;
+mod runner;
 pub mod sense;
-pub mod session;
-pub mod stats;
-pub mod topology;
-pub mod window;
+mod session;
+mod stats;
+mod topology;
+mod window;
 
 pub use crate::batch::ChipBatch;
 pub use crate::chip::{Chip, ChipConfig};
@@ -49,7 +50,7 @@ pub use probe::{
     tlb_overshoot_trace, EmpiricalImpedancePoint, EventSwing, InterferenceMatrix,
 };
 pub use resilient::ResilientRunStats;
-pub use runner::{fan_out, run_pair, run_workload, workload_pair_intervals, ChipSource};
+pub use runner::{fan_out, run_pair, run_workload, ChipSource};
 pub use session::{ChipSession, DroopCrossing, SliceStats};
 pub use stats::{RunStats, PHASE_MARGIN_PCT};
 pub use topology::{split_vs_connected, SupplyComparison};

@@ -176,7 +176,7 @@ pub fn fan_out<T: Send, R: Send>(
 }
 
 /// Duration (in intervals) of a pair run: the longer program's length.
-pub fn workload_pair_intervals(a: &Workload, b: &Workload) -> u32 {
+pub(crate) fn workload_pair_intervals(a: &Workload, b: &Workload) -> u32 {
     a.total_intervals().max(b.total_intervals())
 }
 

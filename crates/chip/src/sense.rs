@@ -40,7 +40,7 @@ pub struct CrossingGrid {
 
 impl CrossingGrid {
     /// Number of thresholds in the standard grids.
-    pub const GRID_LEN: usize = 60;
+    pub(crate) const GRID_LEN: usize = 60;
 
     /// Standard droop grid: thresholds 0.5 % … 15.25 % in 0.25 % steps.
     pub fn droop_grid() -> Self {
@@ -103,13 +103,6 @@ impl CrossingGrid {
         }
         let idx = (((margin_pct - self.lo) / self.step).ceil() as usize).min(self.counts.len() - 1);
         self.lo + self.step * idx as f64
-    }
-
-    /// The grid thresholds in percent, ascending.
-    pub fn thresholds(&self) -> Vec<f64> {
-        (0..self.counts.len())
-            .map(|i| self.lo + self.step * i as f64)
-            .collect()
     }
 
     /// Merges event counts from another grid with identical layout.
@@ -208,6 +201,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The grid's thresholds in percent, ascending.
+    fn thresholds(g: &CrossingGrid) -> Vec<f64> {
+        (0..g.counts.len())
+            .map(|i| g.lo + g.step * i as f64)
+            .collect()
+    }
+
     #[test]
     fn grid_counts_single_excursion_once_per_threshold() {
         let mut g = CrossingGrid::droop_grid();
@@ -299,7 +299,7 @@ mod tests {
         for &d in &samples {
             g.observe(d);
         }
-        for t in g.thresholds() {
+        for t in thresholds(&g) {
             let expect = match t {
                 t if t <= 9.25 => 1,
                 t if t <= 10.75 => 2,
@@ -322,7 +322,7 @@ mod tests {
                 g.observe(d);
             }
             // Each threshold can be crossed at most once per sample.
-            for t in g.thresholds() {
+            for t in thresholds(&g) {
                 prop_assert!(g.events_at(t) <= n);
             }
         }
@@ -339,7 +339,7 @@ mod tests {
             for k in (0..=20).rev() {
                 g.observe(-depth * k as f64 / 20.0);
             }
-            for t in g.thresholds() {
+            for t in thresholds(&g) {
                 let expect = u64::from(t <= depth);
                 prop_assert_eq!(g.events_at(t), expect, "threshold {}", t);
             }

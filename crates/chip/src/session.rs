@@ -489,8 +489,8 @@ impl ChipSession {
         }
     }
 
-    /// Arms the physics/bookkeeping invariant checker (see the
-    /// [`invariant`](crate::invariant) module). Like droop capture and
+    /// Arms the physics/bookkeeping invariant checker (see
+    /// [`InvariantKind`](crate::InvariantKind)). Like droop capture and
     /// profiling, the hook is an `Option` that stays `None` unless
     /// armed — a disarmed session pays one untaken branch per cycle.
     /// Calling again re-arms with fresh baselines and drops unread

@@ -142,7 +142,7 @@ impl Checkpoint {
     }
 
     /// Whether every run of the sweep has a record.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.completed() == self.total_runs
     }
 

@@ -11,15 +11,15 @@
 //!
 //! * [`FleetSpec`] — a seeded specification expanding into per-chip
 //!   [`ChipVariant`]s and mixed single/pair job streams; the same seed
-//!   always yields the same fleet ([`spec`]).
+//!   always yields the same fleet.
 //! * [`FleetCampaign`] — the sweep runner: batched chip construction
 //!   ([`vsmooth_chip::ChipBatch`]), a worker pool per chunk, durable
 //!   `vsmooth-fleet-ckpt-v1` checkpoints and **exact** resume — a
 //!   killed-and-resumed sweep reports byte-identical results
-//!   ([`campaign`], [`checkpoint`]).
+//!   ([`Checkpoint`]).
 //! * [`FleetReport`] — per-chip worst-case margin (virus-probed, plus
 //!   that part's guardband), droop rates, and the distribution of
-//!   *sheddable margin* against the shipped 14 % ([`report`]).
+//!   *sheddable margin* against the shipped 14 %.
 //!
 //! A sweep's outputs are its report and its checkpoint; it records no
 //! trace, metrics or live progress. [`FleetCampaign::run`] and
@@ -27,16 +27,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod campaign;
-pub mod checkpoint;
-pub mod report;
-pub mod spec;
+mod campaign;
+mod checkpoint;
+mod report;
+mod spec;
 
 pub use campaign::{FleetCampaign, FleetOutcome};
 pub use checkpoint::{Checkpoint, CheckpointError, RunRecord, CHECKPOINT_SCHEMA};
 pub use report::{ChipReport, FleetDistribution, FleetReport, REPORT_SCHEMA, SHIPPED_MARGIN_PCT};
-pub use spec::{ChipVariant, FleetJob, FleetRun, FleetSpec, OperatingPoint, BASE_CLOCK_HZ};
+pub use spec::{ChipVariant, FleetJob, FleetRun, FleetSpec, OperatingPoint};
 
 use std::error::Error;
 use std::fmt;

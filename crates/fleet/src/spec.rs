@@ -23,7 +23,7 @@ use vsmooth_pdn::{DecapConfig, TechNode};
 use vsmooth_workload::{spec2006, Workload};
 
 /// Reference clock of the fleet's baseline part (the paper's E6300).
-pub const BASE_CLOCK_HZ: f64 = 1.86e9;
+pub(crate) const BASE_CLOCK_HZ: f64 = 1.86e9;
 
 /// A DVFS operating point: the pair of supply-voltage scale and core
 /// clock a chip is parked at. The voltage scale re-targets the PDN's
@@ -50,20 +50,11 @@ impl OperatingPoint {
     }
 
     /// A low-power point: 8 % undervolt at a 1.6 GHz clock.
-    pub fn eco() -> Self {
+    pub(crate) fn eco() -> Self {
         Self {
             name: "eco".to_string(),
             voltage_scale: 0.92,
             clock_hz: 1.60e9,
-        }
-    }
-
-    /// An overdrive point: 5 % overvolt at a 2.13 GHz clock.
-    pub fn turbo() -> Self {
-        Self {
-            name: "turbo".to_string(),
-            voltage_scale: 1.05,
-            clock_hz: 2.13e9,
         }
     }
 

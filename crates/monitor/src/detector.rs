@@ -21,7 +21,7 @@ pub enum Direction {
     Down,
 }
 
-/// Tuning for one [`CusumDetector`].
+/// Tuning for one CUSUM detector.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CusumConfig {
     /// EWMA smoothing factor for the baseline, in (0, 1]. Higher
@@ -49,22 +49,11 @@ impl CusumConfig {
             direction: Direction::Up,
         }
     }
-
-    /// A detector for a margin-like signal that should stay high.
-    pub fn falling(drift: f64, threshold: f64) -> Self {
-        Self {
-            alpha: 0.2,
-            drift,
-            threshold,
-            warmup: 4,
-            direction: Direction::Down,
-        }
-    }
 }
 
 /// Outcome of feeding one sample to a [`CusumDetector`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CusumDecision {
+pub(crate) struct CusumDecision {
     /// Current one-sided CUSUM statistic (0 when the signal is
     /// tracking its baseline).
     pub statistic: f64,
@@ -76,7 +65,7 @@ pub struct CusumDecision {
 
 /// One-sided CUSUM change detector over an EWMA baseline.
 #[derive(Debug, Clone)]
-pub struct CusumDetector {
+pub(crate) struct CusumDetector {
     cfg: CusumConfig,
     baseline: f64,
     samples: usize,
@@ -85,18 +74,13 @@ pub struct CusumDetector {
 
 impl CusumDetector {
     /// A detector in its warm-up state.
-    pub fn new(cfg: CusumConfig) -> Self {
+    pub(crate) fn new(cfg: CusumConfig) -> Self {
         Self {
             cfg,
             baseline: 0.0,
             samples: 0,
             s: 0.0,
         }
-    }
-
-    /// The configuration this detector runs with.
-    pub fn config(&self) -> &CusumConfig {
-        &self.cfg
     }
 
     /// Feeds one sample and returns the updated decision.
@@ -107,7 +91,7 @@ impl CusumDetector {
     /// `[0, 4 * threshold]` so recovery time stays bounded. The
     /// baseline is frozen while the statistic is non-zero — otherwise
     /// a slow ramp would be absorbed into the baseline and never fire.
-    pub fn update(&mut self, x: f64) -> CusumDecision {
+    pub(crate) fn update(&mut self, x: f64) -> CusumDecision {
         if self.samples < self.cfg.warmup {
             // Seed with a plain running mean: an EWMA from zero would
             // drag the early baseline toward zero regardless of data.
@@ -198,7 +182,11 @@ mod tests {
 
     #[test]
     fn falling_direction_fires_on_drops() {
-        let mut d = CusumDetector::new(CusumConfig::falling(0.1, 1.0));
+        let falling = CusumConfig {
+            direction: Direction::Down,
+            ..CusumConfig::rising(0.1, 1.0)
+        };
+        let mut d = CusumDetector::new(falling);
         for _ in 0..10 {
             d.update(2.0);
         }
@@ -210,7 +198,7 @@ mod tests {
             dec.statistic
         );
         // Rising values are fine for a falling detector.
-        let mut d2 = CusumDetector::new(CusumConfig::falling(0.1, 1.0));
+        let mut d2 = CusumDetector::new(falling);
         for _ in 0..10 {
             d2.update(2.0);
         }

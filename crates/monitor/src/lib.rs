@@ -10,13 +10,13 @@
 //! * [`SlidingWindow`] / [`WindowSnapshot`] — fixed-size ring-buffer
 //!   aggregation over the virtual kcycle clock: windowed droop rate,
 //!   mean/min voltage margin, throttle fraction, queue depth.
-//! * [`CusumDetector`] — EWMA baseline + one-sided CUSUM change-point
+//! * [`CusumConfig`] — EWMA baseline + one-sided CUSUM change-point
 //!   detection, fully deterministic, tunable drift/threshold.
 //! * [`SloRule`] / [`Alert`] — declarative SLO rules (thresholds,
 //!   Google-SRE-style multi-window burn rate over the
 //!   `droop_recovery_overhead_pct` budget, CUSUM anomaly rules) with
 //!   pending → firing → resolved hysteresis.
-//! * [`FlightRecorder`] / [`PostmortemBundle`] — always-on bounded
+//! * [`RecorderConfig`] / [`PostmortemBundle`] — always-on bounded
 //!   evidence rings sealed into a `vsmooth-postmortem-v1` JSON bundle
 //!   the moment an alert fires, re-validated offline by
 //!   [`validate_postmortem`].
@@ -59,21 +59,21 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod detector;
+mod detector;
 #[allow(clippy::module_inception)]
-pub mod monitor;
-pub mod recorder;
-pub mod report;
-pub mod slo;
-pub mod window;
+mod monitor;
+mod recorder;
+mod report;
+mod slo;
+mod window;
 
-pub use detector::{CusumConfig, CusumDecision, CusumDetector, Direction};
+pub use detector::{CusumConfig, Direction};
 pub use monitor::{Monitor, MonitorConfig};
 pub use recorder::{
-    validate_postmortem, FlightRecorder, PostmortemBundle, PostmortemShape, RecorderConfig,
-    SliceRecord, POSTMORTEM_SCHEMA,
+    validate_postmortem, PostmortemBundle, PostmortemShape, RecorderConfig, SliceRecord,
 };
-pub use report::{verdict, HealthReport, HealthStatus, HealthSummary, HEALTH_SCHEMA};
+pub use report::{verdict, HealthReport, HealthStatus, HealthSummary};
 pub use slo::{Alert, AlertPhase, RuleKind, Severity, Signal, SloRule};
 pub use window::{EpochSample, SlidingWindow, WindowSnapshot};

@@ -36,7 +36,7 @@ impl MonitorConfig {
     /// The standard rule set: CUSUM anomaly detection on the windowed
     /// droop rate, a two-window burn-rate rule on the droop-recovery
     /// overhead budget, and a hard floor on the worst voltage margin.
-    pub fn default_rules() -> Vec<SloRule> {
+    pub(crate) fn default_rules() -> Vec<SloRule> {
         vec![
             SloRule::anomaly(
                 "droop_rate_anomaly",

@@ -20,7 +20,7 @@ use vsmooth_trace::json::{escape, json_f64};
 use vsmooth_trace::{parse_json, DroopEvent};
 
 /// Schema tag stamped on every postmortem bundle.
-pub const POSTMORTEM_SCHEMA: &str = "vsmooth-postmortem-v1";
+pub(crate) const POSTMORTEM_SCHEMA: &str = "vsmooth-postmortem-v1";
 
 /// Ring capacities for the flight recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -65,7 +65,7 @@ pub struct SliceRecord {
 /// The droop ring holds shared events, so the service's obs ring can
 /// hold the same allocations; sealing copies them out.
 #[derive(Debug, Clone)]
-pub struct FlightRecorder {
+pub(crate) struct FlightRecorder {
     cfg: RecorderConfig,
     droops: VecDeque<Arc<DroopEvent>>,
     slices: VecDeque<SliceRecord>,
@@ -74,7 +74,7 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     /// An empty recorder with rings pre-allocated to their caps.
-    pub fn new(cfg: RecorderConfig) -> Self {
+    pub(crate) fn new(cfg: RecorderConfig) -> Self {
         Self {
             cfg,
             droops: VecDeque::with_capacity(cfg.droop_events.max(1)),
@@ -84,7 +84,7 @@ impl FlightRecorder {
     }
 
     /// Records one droop event, evicting the oldest at capacity.
-    pub fn record_droop(&mut self, event: Arc<DroopEvent>) {
+    pub(crate) fn record_droop(&mut self, event: Arc<DroopEvent>) {
         if self.cfg.droop_events == 0 {
             return;
         }
@@ -95,7 +95,7 @@ impl FlightRecorder {
     }
 
     /// Records one slice, evicting the oldest at capacity.
-    pub fn record_slice(&mut self, slice: SliceRecord) {
+    pub(crate) fn record_slice(&mut self, slice: SliceRecord) {
         if self.cfg.slices == 0 {
             return;
         }
@@ -106,7 +106,7 @@ impl FlightRecorder {
     }
 
     /// Records one window snapshot, evicting the oldest at capacity.
-    pub fn record_snapshot(&mut self, snap: WindowSnapshot) {
+    pub(crate) fn record_snapshot(&mut self, snap: WindowSnapshot) {
         if self.cfg.snapshots == 0 {
             return;
         }
@@ -116,14 +116,9 @@ impl FlightRecorder {
         self.snapshots.push_back(snap);
     }
 
-    /// Number of droop events currently retained.
-    pub fn droops_held(&self) -> usize {
-        self.droops.len()
-    }
-
     /// Freezes the rings into a postmortem for a fired alert. The
     /// recorder keeps recording afterwards; the bundle owns copies.
-    pub fn seal(&self, alert: &Alert) -> PostmortemBundle {
+    pub(crate) fn seal(&self, alert: &Alert) -> PostmortemBundle {
         PostmortemBundle {
             alert: alert.clone(),
             droop_events: self.droops.iter().map(|e| DroopEvent::clone(e)).collect(),
@@ -393,7 +388,7 @@ mod tests {
         for c in 0..10 {
             rec.record_droop(droop(c));
         }
-        assert_eq!(rec.droops_held(), 3);
+        assert_eq!(rec.droops.len(), 3);
         let bundle = rec.seal(&alert());
         assert_eq!(
             bundle

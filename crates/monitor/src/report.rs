@@ -12,7 +12,7 @@ use vsmooth_trace::json::{escape, json_f64};
 use vsmooth_trace::{ArgValue, Tracer, PID_MONITOR};
 
 /// Schema tag stamped on every health-report JSON document.
-pub const HEALTH_SCHEMA: &str = "vsmooth-health-v1";
+pub(crate) const HEALTH_SCHEMA: &str = "vsmooth-health-v1";
 
 /// Everything the monitor observed over one run.
 #[derive(Debug, Clone, PartialEq)]

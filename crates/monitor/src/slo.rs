@@ -41,7 +41,7 @@ impl Severity {
     /// single definition of "unhealthy" shared by `/healthz` (503),
     /// `ServiceReport`'s FIRING marker, and `monitor_demo`'s exit
     /// code: a run is unhealthy iff a paging-severity alert is firing.
-    pub fn pages(&self) -> bool {
+    pub(crate) fn pages(&self) -> bool {
         matches!(self, Severity::Critical)
     }
 }

@@ -217,7 +217,7 @@ impl TelemetryHub {
 
     /// Milliseconds since the most recent publish (`None` before the
     /// first one) — the snapshot staleness gauge.
-    pub fn staleness_ms(&self) -> Option<u64> {
+    pub(crate) fn staleness_ms(&self) -> Option<u64> {
         let at = self.last_publish_ms.load(Ordering::Relaxed);
         if at == u64::MAX {
             return None;
@@ -228,7 +228,7 @@ impl TelemetryHub {
 
     /// Milliseconds since the hub was created — the uptime field in
     /// `/status`.
-    pub fn uptime_ms(&self) -> u64 {
+    pub(crate) fn uptime_ms(&self) -> u64 {
         self.created.elapsed().as_millis().min(u64::MAX as u128) as u64
     }
 }
@@ -241,7 +241,7 @@ impl Default for TelemetryHub {
 
 /// Coordinator-side hook called with each snapshot right after it is
 /// published — see [`ObsConfig::on_publish`].
-pub type PublishHook = Arc<dyn Fn(&ObsSnapshot) + Send + Sync>;
+pub(crate) type PublishHook = Arc<dyn Fn(&ObsSnapshot) + Send + Sync>;
 
 /// How a service run publishes into a [`TelemetryHub`]. Stored as
 /// `ServiceConfig::obs`; when absent the run carries zero obs cost.

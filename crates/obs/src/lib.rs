@@ -51,13 +51,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod hub;
 mod server;
 
 pub use hub::{
-    LatencyStats, ObsConfig, ObsSnapshot, PublishHook, ServiceStatus, ShardStatus, ShardsStatus,
-    TelemetryHub,
+    LatencyStats, ObsConfig, ObsSnapshot, ServiceStatus, ShardStatus, ShardsStatus, TelemetryHub,
 };
 pub use server::{
     http_get, http_send_raw, HttpResponse, ObsServer, OBS_DECISIONS_SCHEMA, OBS_SHARDS_SCHEMA,

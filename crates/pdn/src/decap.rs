@@ -9,39 +9,6 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// One kind of land-side capacitor and how many of it are populated.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CapacitorBank {
-    /// Capacitance of one part, in farads.
-    pub value: f64,
-    /// Number of populated parts of this kind.
-    pub count: u32,
-}
-
-impl CapacitorBank {
-    /// Total capacitance contributed by this bank.
-    pub fn total(&self) -> f64 {
-        self.value * f64::from(self.count)
-    }
-}
-
-/// The fully populated land-side inventory (Fig. 5g): a mix of 22 µF,
-/// 2.2 µF and 1 µF parts.
-pub const FULL_INVENTORY: [CapacitorBank; 3] = [
-    CapacitorBank {
-        value: 22.0e-6,
-        count: 8,
-    },
-    CapacitorBank {
-        value: 2.2e-6,
-        count: 8,
-    },
-    CapacitorBank {
-        value: 1.0e-6,
-        count: 6,
-    },
-];
-
 /// A package-decap retention level, identified the way the paper names
 /// its altered processors (`Proc100` … `Proc0`).
 ///
@@ -58,13 +25,12 @@ pub const FULL_INVENTORY: [CapacitorBank; 3] = [
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DecapConfig {
     percent: u8,
-    banks: Vec<CapacitorBank>,
 }
 
 impl DecapConfig {
     /// Total land-side package capacitance when fully populated, in
     /// farads (≈ 200 µF for the Fig. 5g inventory).
-    pub const TOTAL_PACKAGE_CAPACITANCE: f64 = 22.0e-6 * 8.0 + 2.2e-6 * 8.0 + 1.0e-6 * 6.0;
+    pub(crate) const TOTAL_PACKAGE_CAPACITANCE: f64 = 22.0e-6 * 8.0 + 2.2e-6 * 8.0 + 1.0e-6 * 6.0;
 
     /// Retains `percent` (0–100) of every capacitor kind, mirroring the
     /// paper's "remove half of each kind" methodology.
@@ -74,14 +40,7 @@ impl DecapConfig {
     /// Panics if `percent > 100`.
     pub fn with_percent(percent: u8) -> Self {
         assert!(percent <= 100, "cannot retain more than 100% of capacitors");
-        let banks = FULL_INVENTORY
-            .iter()
-            .map(|b| CapacitorBank {
-                value: b.value,
-                count: ((f64::from(b.count) * f64::from(percent) / 100.0).round()) as u32,
-            })
-            .collect();
-        Self { percent, banks }
+        Self { percent }
     }
 
     /// All original capacitors in place (today's production system).
@@ -142,16 +101,6 @@ impl DecapConfig {
     pub fn fraction_retained(&self) -> f64 {
         (f64::from(self.percent) / 100.0).max(0.001)
     }
-
-    /// Remaining capacitor banks after removal.
-    pub fn banks(&self) -> &[CapacitorBank] {
-        &self.banks
-    }
-
-    /// Total retained capacitance in farads (by discrete part counts).
-    pub fn total_capacitance(&self) -> f64 {
-        self.banks.iter().map(CapacitorBank::total).sum()
-    }
 }
 
 impl Default for DecapConfig {
@@ -171,13 +120,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn proc100_matches_full_inventory() {
-        let c = DecapConfig::proc100();
-        assert!((c.total_capacitance() - DecapConfig::TOTAL_PACKAGE_CAPACITANCE).abs() < 1e-12);
-        assert_eq!(c.banks().len(), 3);
-    }
-
-    #[test]
     fn sweep_is_monotonically_decreasing() {
         let sweep = DecapConfig::sweep();
         assert_eq!(sweep.len(), 6);
@@ -185,22 +127,13 @@ mod tests {
             assert!(
                 w[0].fraction_retained() > w[1].fraction_retained() || w[1].percent_retained() == 0
             );
-            assert!(w[0].total_capacitance() >= w[1].total_capacitance());
         }
-    }
-
-    #[test]
-    fn proc50_removes_half_of_each_kind() {
-        let c = DecapConfig::proc50();
-        assert_eq!(c.banks()[0].count, 4);
-        assert_eq!(c.banks()[1].count, 4);
-        assert_eq!(c.banks()[2].count, 3);
     }
 
     #[test]
     fn proc0_is_clamped_but_empty() {
         let c = DecapConfig::proc0();
-        assert_eq!(c.total_capacitance(), 0.0);
+        assert_eq!(c.percent_retained(), 0);
         assert!(c.fraction_retained() > 0.0);
     }
 

@@ -99,23 +99,6 @@ impl ImpedanceProfile {
             .map(|p| p.impedance_ohms)
             .unwrap_or(0.0)
     }
-
-    /// Rescales all impedances relative to the value at `f_ref` hertz,
-    /// matching the paper's Fig. 4a presentation ("Relative to 1 MHz").
-    pub fn normalized_to(&self, f_ref: f64) -> Vec<ImpedancePoint> {
-        let z_ref = self.at(f_ref);
-        self.points
-            .iter()
-            .map(|p| ImpedancePoint {
-                frequency_hz: p.frequency_hz,
-                impedance_ohms: if z_ref > 0.0 {
-                    p.impedance_ohms / z_ref
-                } else {
-                    0.0
-                },
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -184,21 +167,6 @@ mod tests {
             "z_dc={z_dc:.2e}, sum R={:.2e}",
             cfg.total_series_resistance()
         );
-    }
-
-    #[test]
-    fn normalization_sets_reference_to_unity() {
-        let prof = profile(DecapConfig::proc100());
-        let norm = prof.normalized_to(1e6);
-        let at_ref = norm
-            .iter()
-            .min_by(|a, b| {
-                ((a.frequency_hz - 1e6).abs())
-                    .partial_cmp(&(b.frequency_hz - 1e6).abs())
-                    .unwrap()
-            })
-            .unwrap();
-        assert!((at_ref.impedance_ohms - 1.0).abs() < 1e-9);
     }
 
     #[test]

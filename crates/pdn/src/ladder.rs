@@ -83,7 +83,7 @@ pub struct LadderConfig {
 
 /// Nominal core supply voltage of the Core 2 Duo E6300 studied in the
 /// paper (VID ≈ 1.325 V).
-pub const CORE2_NOMINAL_VOLTAGE: f64 = 1.325;
+pub(crate) const CORE2_NOMINAL_VOLTAGE: f64 = 1.325;
 
 impl LadderConfig {
     /// Non-removable mid-frequency capacitance (socket cavity and
@@ -91,7 +91,7 @@ impl LadderConfig {
     /// Calibrated so the decap sweep reproduces the Fig. 6 relative
     /// swings (knee at Proc25–Proc3) and the ~5× impedance growth at
     /// 1 MHz of Fig. 4b.
-    pub const CAVITY_CAPACITANCE: f64 = 40.0e-6;
+    pub(crate) const CAVITY_CAPACITANCE: f64 = 40.0e-6;
     /// Builds a ladder from explicit stages.
     ///
     /// # Errors

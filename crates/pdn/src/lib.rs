@@ -33,27 +33,25 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod decap;
-pub mod impedance;
-pub mod ladder;
+mod decap;
+mod impedance;
+mod ladder;
 pub mod linalg;
-pub mod ringosc;
-pub mod statespace;
-pub mod technode;
+mod ringosc;
+mod statespace;
+mod technode;
 pub mod transient;
-pub mod vrm;
+mod vrm;
 
-pub use decap::{CapacitorBank, DecapConfig};
+pub use decap::DecapConfig;
 pub use impedance::{ImpedancePoint, ImpedanceProfile};
-pub use ladder::{LadderConfig, LadderStage, CORE2_NOMINAL_VOLTAGE};
+pub use ladder::{LadderConfig, LadderStage};
 pub use ringosc::{margin_frequency_sweep, MarginFrequencySeries, RingOscillator};
 pub use statespace::{DiscreteStateSpace, StateSpace};
 pub use technode::{node_swing_projection, NodeSwing, TechNode};
-pub use transient::{
-    decap_swing_sweep, reset_response, simulate_current_waveform, DecapSwing, ResetStimulus,
-    TransientResult,
-};
+pub use transient::{decap_swing_sweep, reset_response, simulate_current_waveform, DecapSwing};
 pub use vrm::VrmRipple;
 
 use std::error::Error;

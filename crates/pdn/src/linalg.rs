@@ -33,7 +33,7 @@ impl Mat {
     /// # Panics
     ///
     /// Panics if either dimension is zero.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero");
         Self {
             rows,
@@ -49,17 +49,6 @@ impl Mat {
             m[(i, i)] = 1.0;
         }
         m
-    }
-
-    /// Creates a matrix from a row-major data vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_rows(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "data length must equal rows*cols");
-        assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero");
-        Self { rows, cols, data }
     }
 
     /// Number of rows.
@@ -86,7 +75,7 @@ impl Mat {
     }
 
     /// Returns `self` scaled by `k`.
-    pub fn scaled(&self, k: f64) -> Mat {
+    pub(crate) fn scaled(&self, k: f64) -> Mat {
         let mut m = self.clone();
         for v in &mut m.data {
             *v *= k;
@@ -101,7 +90,7 @@ impl Mat {
     /// # Panics
     ///
     /// Panics if the matrix is not square or `b.len() != rows`.
-    pub fn solve(&self, b: &[f64]) -> Option<Vec<f64>> {
+    pub(crate) fn solve(&self, b: &[f64]) -> Option<Vec<f64>> {
         assert_eq!(self.rows, self.cols, "solve requires a square matrix");
         assert_eq!(b.len(), self.rows, "solve: rhs dimension mismatch");
         let n = self.rows;
@@ -155,7 +144,7 @@ impl Mat {
     /// # Panics
     ///
     /// Panics if the matrix is not square.
-    pub fn inverse(&self) -> Option<Mat> {
+    pub(crate) fn inverse(&self) -> Option<Mat> {
         assert_eq!(self.rows, self.cols, "inverse requires a square matrix");
         let n = self.rows;
         let mut out = Mat::zeros(n, n);
@@ -176,7 +165,7 @@ impl Mat {
     /// # Panics
     ///
     /// Panics if inner dimensions do not match.
-    pub fn matmul(&self, rhs: &Mat) -> Mat {
+    pub(crate) fn matmul(&self, rhs: &Mat) -> Mat {
         assert_eq!(self.cols, rhs.rows, "matmul: inner dimension mismatch");
         let mut out = Mat::zeros(self.rows, rhs.cols);
         for r in 0..self.rows {
@@ -297,11 +286,6 @@ impl Cpx {
     pub fn abs(self) -> f64 {
         self.re.hypot(self.im)
     }
-
-    /// Complex conjugate.
-    pub fn conj(self) -> Self {
-        Self::new(self.re, -self.im)
-    }
 }
 
 impl Add for Cpx {
@@ -351,7 +335,7 @@ impl std::ops::Div for Cpx {
 /// # Panics
 ///
 /// Panics if `m.len() != n*n` or `b.len() != n`.
-pub fn solve_complex(n: usize, m: &[Cpx], b: &[Cpx]) -> Option<Vec<Cpx>> {
+pub(crate) fn solve_complex(n: usize, m: &[Cpx], b: &[Cpx]) -> Option<Vec<Cpx>> {
     assert_eq!(m.len(), n * n, "solve_complex: matrix size mismatch");
     assert_eq!(b.len(), n, "solve_complex: rhs size mismatch");
     let mut a = m.to_vec();
@@ -400,6 +384,20 @@ pub fn solve_complex(n: usize, m: &[Cpx], b: &[Cpx]) -> Option<Vec<Cpx>> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl Mat {
+        /// Creates a matrix from a row-major data vector (test fixtures
+        /// here and in `statespace`).
+        ///
+        /// # Panics
+        ///
+        /// Panics if `data.len() != rows * cols`.
+        pub(crate) fn from_rows(rows: usize, cols: usize, data: Vec<f64>) -> Self {
+            assert_eq!(data.len(), rows * cols, "data length must equal rows*cols");
+            assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero");
+            Self { rows, cols, data }
+        }
+    }
 
     #[test]
     fn identity_solve_returns_rhs() {
@@ -470,7 +468,6 @@ mod tests {
         assert_eq!(s, Cpx::new(4.0, 1.0));
         let p = a * b;
         assert_eq!(p, Cpx::new(5.0, 5.0));
-        assert_eq!(a.conj(), Cpx::new(1.0, -2.0));
         assert_eq!((a - a), Cpx::ZERO);
     }
 

@@ -38,12 +38,12 @@ impl StateSpace {
     }
 
     /// Number of inputs.
-    pub fn input_dim(&self) -> usize {
+    pub(crate) fn input_dim(&self) -> usize {
         self.b.cols()
     }
 
     /// Number of outputs.
-    pub fn output_dim(&self) -> usize {
+    pub(crate) fn output_dim(&self) -> usize {
         self.c.rows()
     }
 

@@ -56,7 +56,7 @@ impl TechNode {
 
     /// Current-step amplitude for the package-response study: 50 A at
     /// 45 nm, growing inversely with Vdd for a constant power budget.
-    pub fn current_step(self) -> f64 {
+    pub(crate) fn current_step(self) -> f64 {
         50.0 * TechNode::N45.vdd() / self.vdd()
     }
 
@@ -67,7 +67,7 @@ impl TechNode {
     /// budget makes the stimulus `ΔI ∝ 1/Vdd`, so the *fractional* swing
     /// `Z·ΔI/Vdd` scales as `1/Vdd²` — doubling by 16 nm, which is the
     /// trend Fig. 1 plots.
-    pub fn projected_relative_swing(self) -> f64 {
+    pub(crate) fn projected_relative_swing(self) -> f64 {
         let r = TechNode::N45.vdd() / self.vdd();
         r * r
     }

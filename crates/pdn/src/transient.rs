@@ -46,11 +46,6 @@ impl TransientResult {
             self.max() - self.min()
         }
     }
-
-    /// Deepest droop below a reference voltage, in volts (positive).
-    pub fn max_droop_below(&self, reference: f64) -> f64 {
-        (reference - self.min()).max(0.0)
-    }
 }
 
 /// Simulates the die voltage for an arbitrary per-cycle load-current
@@ -97,7 +92,7 @@ pub fn simulate_current_waveform(
 /// boot activity surges. Durations are in clock cycles at
 /// [`CORE2_CLOCK_HZ`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ResetStimulus {
+pub(crate) struct ResetStimulus {
     /// Idle current before the reset, in amperes.
     pub idle_current: f64,
     /// Cycles of idling before the reset edge.
@@ -127,7 +122,7 @@ impl Default for ResetStimulus {
 
 impl ResetStimulus {
     /// Renders the stimulus as a per-cycle current waveform.
-    pub fn waveform(&self) -> Vec<f64> {
+    pub(crate) fn waveform(&self) -> Vec<f64> {
         let mut w = Vec::with_capacity(
             self.idle_cycles + self.off_cycles + self.ramp_cycles + self.hold_cycles,
         );
@@ -193,6 +188,11 @@ pub fn decap_swing_sweep() -> Result<Vec<DecapSwing>, PdnError> {
 mod tests {
     use super::*;
 
+    /// Deepest droop of `res` below `reference`, in volts (positive).
+    fn max_droop_below(res: &TransientResult, reference: f64) -> f64 {
+        (reference - res.min()).max(0.0)
+    }
+
     #[test]
     fn constant_current_has_negligible_swing() {
         let cfg = LadderConfig::core2_duo(DecapConfig::proc100());
@@ -209,7 +209,7 @@ mod tests {
         let res = simulate_current_waveform(&cfg, &wave, 1.0 / CORE2_CLOCK_HZ).unwrap();
         let vnom = cfg.nominal_voltage();
         // There is a visible droop...
-        assert!(res.max_droop_below(vnom) > 0.01);
+        assert!(max_droop_below(&res, vnom) > 0.01);
         // ...and the voltage recovers toward the new DC point at the end.
         let dc = vnom - 25.0 * cfg.total_series_resistance();
         let settle = *res.samples.last().unwrap();
@@ -220,7 +220,7 @@ mod tests {
     fn reset_droop_magnitude_is_plausible() {
         // Fig. 5m: Proc100 experiences a sharp ~150 mV droop.
         let res = reset_response(DecapConfig::proc100()).unwrap();
-        let droop = res.max_droop_below(crate::ladder::CORE2_NOMINAL_VOLTAGE);
+        let droop = max_droop_below(&res, crate::ladder::CORE2_NOMINAL_VOLTAGE);
         assert!(
             (0.05..0.40).contains(&droop),
             "Proc100 reset droop = {:.0} mV (expected on the order of 150 mV)",

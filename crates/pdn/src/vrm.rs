@@ -63,11 +63,6 @@ impl VrmRipple {
         }
     }
 
-    /// Peak amplitude in volts.
-    pub fn amplitude(&self) -> f64 {
-        self.amplitude
-    }
-
     /// Period in core clock cycles.
     pub fn period_cycles(&self) -> u64 {
         self.period_cycles
@@ -103,7 +98,7 @@ mod tests {
     fn offset_is_bounded_by_amplitude() {
         let r = VrmRipple::new(3e-3, 100);
         for c in 0..500 {
-            assert!(r.offset(c).abs() <= r.amplitude() + 1e-15);
+            assert!(r.offset(c).abs() <= r.amplitude + 1e-15);
         }
     }
 

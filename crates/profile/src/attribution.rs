@@ -13,11 +13,11 @@ use vsmooth_chip::DroopWindow;
 use vsmooth_uarch::StallEvent;
 
 /// Number of stall-event kinds ([`StallEvent::ALL`]).
-pub const N_EVENTS: usize = 5;
+pub(crate) const N_EVENTS: usize = 5;
 
 /// Position of `event` in [`StallEvent::ALL`] — the row index used by
 /// every per-event array in this crate.
-pub fn event_index(event: StallEvent) -> usize {
+pub(crate) fn event_index(event: StallEvent) -> usize {
     StallEvent::ALL
         .iter()
         .position(|&e| e == event)

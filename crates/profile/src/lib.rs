@@ -36,9 +36,9 @@
 //! # Examples
 //!
 //! ```
-//! use vsmooth_chip::{Chip, ChipConfig, ChipSession};
+//! use vsmooth_chip::{Chip, ChipConfig, ChipSession, WindowConfig};
 //! use vsmooth_pdn::DecapConfig;
-//! use vsmooth_profile::{ProfileConfig, Profiler};
+//! use vsmooth_profile::Profiler;
 //! use vsmooth_uarch::{IdleLoop, StimulusSource};
 //! use vsmooth_workload::by_name;
 //!
@@ -47,9 +47,8 @@
 //! let (mut stream, mut idle) = (sphinx.stream(0, 2_000), IdleLoop::default());
 //! let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut stream, &mut idle];
 //! let mut session = ChipSession::begin(chip, &mut sources, 2_000)?;
-//! let pcfg = ProfileConfig::default();
-//! session.enable_profiling(2.5, pcfg.window);
-//! let mut profiler = Profiler::new(2.5, pcfg);
+//! session.enable_profiling(2.5, WindowConfig::default());
+//! let mut profiler = Profiler::new(2.5);
 //! for _ in 0..sphinx.total_intervals() {
 //!     session.run_slice(&mut sources, 2_000)?;
 //!     for w in &session.take_droop_windows() {
@@ -66,50 +65,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod attribution;
-pub mod profiler;
-pub mod report;
+mod attribution;
+mod profiler;
+mod report;
 
-pub use attribution::{attribute, event_index, DroopAttribution};
+pub use attribution::{attribute, DroopAttribution};
 pub use profiler::{NoiseProfile, Profiler};
 pub use report::{emit_window_span, ProfileReport, WorkloadProfile};
-
-use vsmooth_chip::WindowConfig;
-
-/// Configuration of the whole profiling pipeline: capture window
-/// shape, attribution decay, depth binning and resonance search.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProfileConfig {
-    /// Shape of the triggered capture window (lead-in + tail).
-    pub window: WindowConfig,
-    /// Time constant (cycles) of the exponential decay that weighs
-    /// lead-in events: an event `dt` cycles before the crossing
-    /// contributes `exp(-dt / tau)`.
-    pub decay_tau_cycles: f64,
-    /// Width of one droop-depth bin in the events × depth matrix,
-    /// percent below the margin.
-    pub depth_bin_pct: f64,
-    /// Number of depth bins (the last bin absorbs deeper droops).
-    pub depth_bins: usize,
-    /// Longest autocorrelation lag (cycles) searched for the
-    /// resonance period.
-    pub max_lag: usize,
-}
-
-impl Default for ProfileConfig {
-    /// Defaults sized for the paper's platform: a 24-cycle decay
-    /// (stall events couple into the PDN within one or two resonance
-    /// periods), 0.5 %-wide depth bins matching the crossing grid
-    /// spacing, and a 48-cycle lag search comfortably covering the
-    /// ~9–19-cycle analytic resonance.
-    fn default() -> Self {
-        Self {
-            window: WindowConfig::default(),
-            decay_tau_cycles: 24.0,
-            depth_bin_pct: 0.5,
-            depth_bins: 6,
-            max_lag: 48,
-        }
-    }
-}

@@ -3,10 +3,26 @@
 
 use crate::attribution::{attribute_with, event_index, DroopAttribution, N_EVENTS};
 use crate::report::{ProfileReport, WorkloadProfile};
-use crate::ProfileConfig;
 use std::collections::BTreeMap;
-use vsmooth_chip::DroopWindow;
+use vsmooth_chip::{DroopWindow, WindowConfig};
 use vsmooth_uarch::PerfCounters;
+
+/// Time constant (cycles) of the exponential decay that weighs lead-in
+/// events: an event `dt` cycles before the crossing contributes
+/// `exp(-dt / tau)`. Stall events couple into the paper's PDN within
+/// one or two resonance periods.
+const DECAY_TAU_CYCLES: f64 = 24.0;
+
+/// Width of one droop-depth bin in the events × depth matrix, in
+/// percent of depth past the margin.
+const DEPTH_BIN_PCT: f64 = 0.5;
+
+/// Number of depth bins (the last bin absorbs deeper droops).
+const DEPTH_BINS: usize = 6;
+
+/// Longest autocorrelation lag (cycles) searched for the resonance
+/// period, comfortably covering the ~9–19-cycle analytic resonance.
+const MAX_LAG: usize = 48;
 
 /// Aggregated attribution for one workload (or phase) label.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -31,7 +47,8 @@ pub struct NoiseProfile {
     pub unattributed_droops: u64,
     /// Events × droop-depth share matrix: `share_matrix[e][bin]`
     /// accumulates event `e`'s shares of droops whose depth fell in
-    /// bin `bin` (bin width/count come from [`ProfileConfig`]).
+    /// bin `bin` (six 0.5 %-wide bins of depth past the margin, the last
+    /// absorbing deeper droops).
     pub share_matrix: Vec<Vec<f64>>,
     /// Raw stall-event occurrences inside the windows, per kind —
     /// comparable against `counters` by construction.
@@ -42,15 +59,15 @@ pub struct NoiseProfile {
 }
 
 impl NoiseProfile {
-    fn new(cfg: &ProfileConfig) -> Self {
+    fn new() -> Self {
         Self {
-            share_matrix: vec![vec![0.0; cfg.depth_bins]; N_EVENTS],
+            share_matrix: vec![vec![0.0; DEPTH_BINS]; N_EVENTS],
             ..Self::default()
         }
     }
 
     /// Mean captured droop depth, percent below nominal.
-    pub fn mean_depth_pct(&self) -> f64 {
+    pub(crate) fn mean_depth_pct(&self) -> f64 {
         if self.droops == 0 {
             0.0
         } else {
@@ -67,7 +84,6 @@ impl NoiseProfile {
 /// [`ProfileReport`] — including its JSON rendering — is byte-stable.
 #[derive(Debug, Clone)]
 pub struct Profiler {
-    cfg: ProfileConfig,
     margin_pct: f64,
     profiles: BTreeMap<String, NoiseProfile>,
     total_droops: u64,
@@ -98,15 +114,14 @@ pub struct Profiler {
 const ACF_POOL_BATCH: u64 = 512;
 
 impl Profiler {
-    /// A profiler for droops captured at `margin_pct`.
-    pub fn new(margin_pct: f64, cfg: ProfileConfig) -> Self {
-        let lags = cfg.max_lag.max(4) + 1;
-        let tau = cfg.decay_tau_cycles.max(f64::MIN_POSITIVE);
-        let decay = (0..cfg.window.pre_cycles.max(1) as u64)
-            .map(|dt| (-(dt as f64) / tau).exp())
+    /// A profiler for droops captured at `margin_pct` in windows of the
+    /// default [`WindowConfig`] shape.
+    pub fn new(margin_pct: f64) -> Self {
+        let lags = MAX_LAG + 1;
+        let decay = (0..WindowConfig::default().pre_cycles as u64)
+            .map(|dt| (-(dt as f64) / DECAY_TAU_CYCLES).exp())
             .collect();
         Self {
-            cfg,
             margin_pct,
             profiles: BTreeMap::new(),
             total_droops: 0,
@@ -128,11 +143,6 @@ impl Profiler {
         self.margin_pct
     }
 
-    /// The pipeline configuration.
-    pub fn config(&self) -> &ProfileConfig {
-        &self.cfg
-    }
-
     /// Windows recorded so far.
     pub fn total_windows(&self) -> u64 {
         self.total_windows
@@ -142,17 +152,15 @@ impl Profiler {
     /// returning the per-droop attribution (so callers can emit trace
     /// spans or per-job annotations without re-scoring).
     pub fn record(&mut self, label: &str, window: &DroopWindow) -> DroopAttribution {
-        let tau = self.cfg.decay_tau_cycles.max(f64::MIN_POSITIVE);
         let decay = &self.decay;
         // Table lookup for the (bounded) distances capture produces,
         // the identical `exp` for anything farther out.
         let att = attribute_with(window, |dt| match decay.get(dt as usize) {
             Some(&w) => w,
-            None => (-(dt as f64) / tau).exp(),
+            None => (-(dt as f64) / DECAY_TAU_CYCLES).exp(),
         });
         if !self.profiles.contains_key(label) {
-            self.profiles
-                .insert(label.to_string(), NoiseProfile::new(&self.cfg));
+            self.profiles.insert(label.to_string(), NoiseProfile::new());
         }
         let profile = self.profiles.get_mut(label).expect("just inserted");
         profile.droops += 1;
@@ -162,9 +170,8 @@ impl Profiler {
         }
         profile.depth_sum_pct += window.depth_pct;
         profile.max_depth_pct = profile.max_depth_pct.max(window.depth_pct);
-        let bin = (((window.depth_pct - self.margin_pct) / self.cfg.depth_bin_pct).max(0.0)
-            as usize)
-            .min(self.cfg.depth_bins - 1);
+        let bin = (((window.depth_pct - self.margin_pct) / DEPTH_BIN_PCT).max(0.0) as usize)
+            .min(DEPTH_BINS - 1);
         for (e, &share) in att.shares.iter().enumerate() {
             profile.event_shares[e] += share;
             profile.share_matrix[e][bin] += share;
@@ -219,7 +226,7 @@ impl Profiler {
         for x in &mut d {
             *x -= mean;
         }
-        let max_lag = self.cfg.max_lag.min(d.len().saturating_sub(1));
+        let max_lag = MAX_LAG.min(d.len().saturating_sub(1));
         let n = d.len();
         let mut acc = std::mem::take(&mut self.lag_scratch);
         acc.clear();
@@ -253,7 +260,7 @@ impl Profiler {
     /// local maximum (lag ≥ 2, positive correlation) of the pooled
     /// autocorrelation, refined by parabolic interpolation. `None`
     /// until enough windows show a periodicity.
-    pub fn estimated_resonance_period_cycles(&self) -> Option<f64> {
+    pub(crate) fn estimated_resonance_period_cycles(&self) -> Option<f64> {
         let r: Vec<f64> = self
             .acf
             .iter()
@@ -282,9 +289,9 @@ impl Profiler {
     pub fn report(&self) -> ProfileReport {
         ProfileReport {
             margin_pct: self.margin_pct,
-            decay_tau_cycles: self.cfg.decay_tau_cycles,
-            depth_bin_pct: self.cfg.depth_bin_pct,
-            depth_bins: self.cfg.depth_bins,
+            decay_tau_cycles: DECAY_TAU_CYCLES,
+            depth_bin_pct: DEPTH_BIN_PCT,
+            depth_bins: DEPTH_BINS,
             total_droops: self.total_droops,
             total_windows: self.total_windows,
             truncated_windows: self.truncated_windows,
@@ -318,7 +325,7 @@ mod tests {
         let (mut stream, mut idle) = (sphinx.stream(0, 4_000), IdleLoop::default());
         let mut sources: Vec<&mut dyn StimulusSource> = vec![&mut stream, &mut idle];
         let mut session = ChipSession::begin(chip, &mut sources, 4_000).unwrap();
-        session.enable_profiling(2.5, ProfileConfig::default().window);
+        session.enable_profiling(2.5, WindowConfig::default());
         let cycles = u64::from(sphinx.total_intervals()) * 4_000;
         session.run_slice(&mut sources, cycles).unwrap();
         let windows = session.flush_droop_windows();
@@ -329,7 +336,7 @@ mod tests {
     fn profile_totals_are_consistent_with_windows() {
         let (emergencies, windows) = sphinx_windows();
         assert!(!windows.is_empty(), "sphinx3 should droop past 2.5%");
-        let mut profiler = Profiler::new(2.5, ProfileConfig::default());
+        let mut profiler = Profiler::new(2.5);
         for w in &windows {
             profiler.record("482.sphinx3", w);
         }
@@ -375,7 +382,7 @@ mod tests {
         .unwrap()
         .resonance_period_cycles(chip.clock_hz);
         let (_, windows) = sphinx_windows();
-        let mut profiler = Profiler::new(2.5, ProfileConfig::default());
+        let mut profiler = Profiler::new(2.5);
         for w in &windows {
             profiler.record("482.sphinx3", w);
         }
@@ -394,7 +401,7 @@ mod tests {
     fn labels_aggregate_independently_and_sorted() {
         let (_, windows) = sphinx_windows();
         assert!(windows.len() >= 2);
-        let mut profiler = Profiler::new(2.5, ProfileConfig::default());
+        let mut profiler = Profiler::new(2.5);
         profiler.record("zeta", &windows[0]);
         profiler.record("alpha", &windows[1]);
         let report = profiler.report();

@@ -272,7 +272,7 @@ fn json_u64_array(values: &[u64]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ProfileConfig, Profiler};
+    use crate::Profiler;
     use vsmooth_chip::WindowEvent;
     use vsmooth_uarch::PerfCounters;
 
@@ -293,7 +293,7 @@ mod tests {
     }
 
     fn sample_report() -> ProfileReport {
-        let mut profiler = Profiler::new(2.5, ProfileConfig::default());
+        let mut profiler = Profiler::new(2.5);
         profiler.record("a\"b\\c", &sample_window());
         profiler.report()
     }

@@ -9,10 +9,10 @@
 //! * [`model`] — the performance model: Bowman 1.5× margin-to-frequency
 //!   scaling, recovery overhead, optimal-margin search, margin sweeps
 //!   (Fig. 8) and improvement heatmaps (Fig. 10).
-//! * [`campaign`] — the 881-run measurement campaign (29 CPU2006 +
+//! * [`CampaignSpec`] — the 881-run measurement campaign (29 CPU2006 +
 //!   11 PARSEC + 29×29 pairs) with thread-parallel execution.
-//! * [`margin`] — worst-case-margin determination with the power virus
-//!   (Sec. II-C).
+//! * [`measure_worst_case_margin`] — worst-case-margin determination
+//!   with the power virus (Sec. II-C).
 //!
 //! A campaign returns per-run statistics only: tracing, profiling and
 //! health monitoring are armed on the scheduling service
@@ -37,16 +37,17 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod campaign;
-pub mod margin;
+mod campaign;
+mod margin;
 pub mod model;
 
 pub use campaign::{CampaignResult, CampaignRun, CampaignSpec, RunId};
 pub use margin::{measure_worst_case_margin, WorstCaseMargin};
 pub use model::{
-    frequency_gain, margin_grid, margin_sweeps, performance_improvement, ImprovementHeatmap,
-    MarginSweep, BOWMAN_SCALING, RECOVERY_COSTS, WORST_CASE_MARGIN_PCT,
+    frequency_gain, margin_sweeps, performance_improvement, ImprovementHeatmap, MarginSweep,
+    RECOVERY_COSTS, WORST_CASE_MARGIN_PCT,
 };
 
 use std::error::Error;

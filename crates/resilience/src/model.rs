@@ -14,7 +14,7 @@ use vsmooth_chip::RunStats;
 
 /// Bowman et al. margin-to-frequency scaling: each percentage point of
 /// margin removed buys 1.5 points of clock frequency.
-pub const BOWMAN_SCALING: f64 = 1.5;
+pub(crate) const BOWMAN_SCALING: f64 = 1.5;
 
 /// The Core 2 Duo's measured worst-case operating voltage margin
 /// (Sec. II-C: "approximately 14% below the nominal supply voltage").
@@ -58,7 +58,7 @@ pub fn performance_improvement(stats: &RunStats, margin_pct: f64, recovery_cost:
 }
 
 /// The margin grid used for sweeps: 1 % to 14 % in quarter-point steps.
-pub fn margin_grid() -> Vec<f64> {
+pub(crate) fn margin_grid() -> Vec<f64> {
     (4..=56).map(|q| q as f64 * 0.25).collect()
 }
 

@@ -11,14 +11,14 @@
 //!   paper's oracle study uses (Sec. IV-C).
 //! * [`Policy`] — `Droop`, `IPC`, `IPC/Droopⁿ` and `Random` scheduling
 //!   policies.
-//! * [`batch`] — the 50-combination batch-schedule experiment behind
-//!   Fig. 18.
-//! * [`sliding`] — the Prog. X / Prog. Y sliding-window convolution of
-//!   Fig. 16.
-//! * [`passrate`] — the Tab. I / Fig. 19 pass-rate analysis.
-//! * [`online`] — a counter-driven (non-oracle) Droop scheduler built
-//!   on the stall-ratio correlation, the future-work extension the
-//!   paper motivates in Sec. IV-A.
+//! * [`schedule_batch`] — the 50-combination batch-schedule experiment
+//!   behind Fig. 18.
+//! * [`sliding_window`] — the Prog. X / Prog. Y sliding-window
+//!   convolution of Fig. 16.
+//! * [`scheduled_pass_counts`] — the Tab. I / Fig. 19 pass-rate analysis.
+//! * [`compare_online_scheduling`] — a counter-driven (non-oracle) Droop
+//!   scheduler built on the stall-ratio correlation, the future-work
+//!   extension the paper motivates in Sec. IV-A.
 //!
 //! # Examples
 //!
@@ -37,25 +37,21 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod batch;
-pub mod online;
-pub mod oracle;
-pub mod pairing;
-pub mod passrate;
-pub mod policy;
-pub mod sliding;
+mod batch;
+mod online;
+mod oracle;
+mod pairing;
+mod passrate;
+mod policy;
+mod sliding;
 
 pub use batch::{policy_scatter, schedule_batch, BatchSchedule, BATCH_COMBINATIONS, MAX_REPEATS};
 pub use online::{compare_online_scheduling, OnlineComparison, StallRatioPredictor};
 pub use oracle::PairOracle;
-pub use pairing::{
-    OnlineDroop, OnlineIpc, OraclePairPolicy, PairCandidate, PairPolicy, RandomPairing,
-    SameWorkload,
-};
-pub use passrate::{
-    best_partners, scheduled_pass_counts, specrate_analysis, ScheduledPassRow, SpecrateRow,
-};
+pub use pairing::{OnlineDroop, OnlineIpc, PairCandidate, PairPolicy, RandomPairing, SameWorkload};
+pub use passrate::{scheduled_pass_counts, specrate_analysis, ScheduledPassRow, SpecrateRow};
 pub use policy::Policy;
 pub use sliding::{sliding_window, SlidingWindow};
 

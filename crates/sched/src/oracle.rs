@@ -107,11 +107,6 @@ impl PairOracle {
         self.names.is_empty()
     }
 
-    /// Index of a benchmark by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == name)
-    }
-
     /// Full statistics for pair `(i, j)`.
     ///
     /// # Panics
@@ -135,12 +130,12 @@ impl PairOracle {
     }
 
     /// SPECrate droop rate for program `i` (the diagonal).
-    pub fn specrate_droops(&self, i: usize) -> f64 {
+    pub(crate) fn specrate_droops(&self, i: usize) -> f64 {
         self.droops(i, i)
     }
 
     /// SPECrate IPC for program `i`.
-    pub fn specrate_ipc(&self, i: usize) -> f64 {
+    pub(crate) fn specrate_ipc(&self, i: usize) -> f64 {
         self.ipc(i, i)
     }
 
@@ -165,12 +160,6 @@ impl PairOracle {
         } else {
             1.0
         }
-    }
-
-    /// Droop rates of all co-schedules of program `i` (the box of its
-    /// Fig. 17 boxplot).
-    pub fn coschedule_droops(&self, i: usize) -> Vec<f64> {
-        (0..self.len()).map(|j| self.droops(i, j)).collect()
     }
 }
 
@@ -198,13 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn names_resolve_to_indices() {
-        let o = small_oracle();
-        assert_eq!(o.index_of("473.astar"), Some(0));
-        assert_eq!(o.index_of("999.unknown"), None);
-    }
-
-    #[test]
     fn normalization_is_unity_on_the_diagonal() {
         let o = small_oracle();
         for i in 0..o.len() {
@@ -221,11 +203,5 @@ mod tests {
             PairOracle::measure(&chip, Fidelity::Test, &[], 1),
             Err(SchedError::EmptyPool)
         ));
-    }
-
-    #[test]
-    fn coschedule_droops_covers_all_partners() {
-        let o = small_oracle();
-        assert_eq!(o.coschedule_droops(0).len(), 3);
     }
 }

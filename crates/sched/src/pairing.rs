@@ -7,8 +7,8 @@
 //! the decision into a trait, [`PairPolicy`], whose inputs are only
 //! what a production scheduler can actually observe online: per-job
 //! EWMA telemetry derived from [`PerfCounters`]-style sampling
-//! (stall ratio, IPC, measured droop rate). Oracle-driven and online
-//! policies then become interchangeable behind the same interface.
+//! (stall ratio, IPC, measured droop rate), so the service can swap
+//! policies behind one interface.
 //!
 //! The online Droop policy leans on the paper's Fig. 15 result — a
 //! 0.97 correlation between stall ratio and droop count — so ranking
@@ -16,8 +16,6 @@
 //!
 //! [`PerfCounters`]: vsmooth_uarch::PerfCounters
 
-use crate::oracle::PairOracle;
-use crate::policy::Policy;
 use serde::{Deserialize, Serialize};
 
 /// The software-visible signals of one schedulable job.
@@ -132,39 +130,6 @@ impl PairPolicy for SameWorkload {
 
     fn score_pair(&self, a: &PairCandidate, b: &PairCandidate) -> f64 {
         f64::from(a.workload == b.workload)
-    }
-}
-
-/// Adapter running a classic oracle-table [`Policy`] behind the
-/// [`PairPolicy`] interface: candidates are looked up in the table by
-/// workload name. Pairs with any unknown workload score worst, so an
-/// oracle policy degrades gracefully on out-of-table jobs.
-#[derive(Debug, Clone)]
-pub struct OraclePairPolicy<'a> {
-    oracle: &'a PairOracle,
-    policy: Policy,
-}
-
-impl<'a> OraclePairPolicy<'a> {
-    /// Wraps `policy` over the given oracle table.
-    pub fn new(oracle: &'a PairOracle, policy: Policy) -> Self {
-        Self { oracle, policy }
-    }
-}
-
-impl PairPolicy for OraclePairPolicy<'_> {
-    fn name(&self) -> String {
-        format!("{}(oracle)", self.policy)
-    }
-
-    fn score_pair(&self, a: &PairCandidate, b: &PairCandidate) -> f64 {
-        match (
-            self.oracle.index_of(&a.workload),
-            self.oracle.index_of(&b.workload),
-        ) {
-            (Some(i), Some(j)) => self.policy.score(self.oracle, i, j),
-            _ => f64::MIN,
-        }
     }
 }
 

@@ -15,7 +15,7 @@ use vsmooth_resilience::model::{margin_sweeps, performance_improvement};
 /// Tolerance on "meeting" the expected improvement: the expectation is
 /// a suite average, so a schedule within 3 % of it has met the design
 /// target for practical purposes.
-pub const PASS_TOLERANCE: f64 = 0.97;
+pub(crate) const PASS_TOLERANCE: f64 = 0.97;
 
 /// One row of Tab. I.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -57,7 +57,7 @@ pub fn specrate_analysis(
 }
 
 /// Whether one run meets the expected improvement at `(margin, cost)`.
-pub fn passes(stats: &RunStats, margin_pct: f64, cost: u64, expected: f64) -> bool {
+pub(crate) fn passes(stats: &RunStats, margin_pct: f64, cost: u64, expected: f64) -> bool {
     performance_improvement(stats, margin_pct, cost) >= PASS_TOLERANCE * expected
 }
 
@@ -77,7 +77,7 @@ pub struct ScheduledPassRow {
 
 /// For every benchmark, the partner the policy would co-schedule it
 /// with (the best-scoring partner).
-pub fn best_partners(oracle: &PairOracle, policy: Policy) -> Vec<usize> {
+pub(crate) fn best_partners(oracle: &PairOracle, policy: Policy) -> Vec<usize> {
     (0..oracle.len())
         .map(|i| {
             (0..oracle.len())

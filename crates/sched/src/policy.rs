@@ -34,19 +34,6 @@ pub enum Policy {
 }
 
 impl Policy {
-    /// Chooses the IPC/Droopⁿ exponent for a recovery cost, small for
-    /// fine-grained recovery and large for coarse schemes.
-    pub fn ipc_over_droop_for_cost(recovery_cost: u64) -> Policy {
-        let n = match recovery_cost {
-            0..=10 => 0.25,
-            11..=100 => 0.5,
-            101..=1_000 => 1.0,
-            1_001..=10_000 => 1.5,
-            _ => 2.0,
-        };
-        Policy::IpcOverDroopN { n }
-    }
-
     /// Desirability score of pair `(i, j)` — higher is better. Random
     /// returns a constant; the batch scheduler handles its sampling.
     ///
@@ -79,20 +66,6 @@ impl fmt::Display for Policy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn exponent_grows_with_recovery_cost() {
-        let extract = |p: Policy| match p {
-            Policy::IpcOverDroopN { n } => n,
-            _ => panic!("expected IpcOverDroopN"),
-        };
-        let mut prev = 0.0;
-        for cost in [1, 100, 1_000, 10_000, 100_000] {
-            let n = extract(Policy::ipc_over_droop_for_cost(cost));
-            assert!(n >= prev, "n should grow with cost");
-            prev = n;
-        }
-    }
 
     #[test]
     fn display_names() {

@@ -66,19 +66,6 @@ impl SlidingWindow {
             .map(|(i, _)| i)
             .collect()
     }
-
-    /// Ratio of the worst to the best alignment — how much co-schedule
-    /// phase placement matters for this pair.
-    pub fn alignment_contrast(&self) -> f64 {
-        let amp = self.amplification();
-        let lo = amp.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = amp.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        if lo > 0.0 {
-            hi / lo
-        } else {
-            1.0
-        }
-    }
 }
 
 /// The first measurement interval of a workload, packaged as a
@@ -152,6 +139,19 @@ mod tests {
     use vsmooth_pdn::DecapConfig;
     use vsmooth_workload::by_name;
 
+    /// Ratio of the worst to the best alignment — how much co-schedule
+    /// phase placement matters for this pair.
+    fn alignment_contrast(sw: &SlidingWindow) -> f64 {
+        let amp = sw.amplification();
+        let lo = amp.iter().cloned().fold(f64::INFINITY, f64::min);
+        let hi = amp.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        if lo > 0.0 {
+            hi / lo
+        } else {
+            1.0
+        }
+    }
+
     #[test]
     fn astar_self_coschedule_shows_both_interference_signs() {
         // Fig. 16: sliding astar over itself yields a region where the
@@ -174,9 +174,9 @@ mod tests {
             sw.coscheduled
         );
         assert!(
-            sw.alignment_contrast() > 1.08,
+            alignment_contrast(&sw) > 1.08,
             "phase alignment should matter: contrast {:.2}",
-            sw.alignment_contrast()
+            alignment_contrast(&sw)
         );
     }
 

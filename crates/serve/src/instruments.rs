@@ -15,14 +15,14 @@
 //!     .traced(&tracer)
 //!     .monitored(MonitorConfig::default());
 //! assert!(inst.tracer.is_some() && inst.monitor.is_some());
-//! assert!(inst.profile.is_none());
+//! assert!(!inst.profile);
 //! ```
 //!
 //! There is no metrics instrument: the service owns the registry its
 //! report embeds ([`ServiceReport::snapshot`](crate::ServiceReport)).
 
 use vsmooth_monitor::{HealthReport, MonitorConfig};
-use vsmooth_profile::{ProfileConfig, ProfileReport};
+use vsmooth_profile::ProfileReport;
 use vsmooth_trace::Tracer;
 
 /// What a run records besides its own report. Every field defaults to
@@ -32,7 +32,7 @@ pub struct Instruments<'a> {
     /// Records spans, droop events and alert instants.
     pub tracer: Option<&'a Tracer>,
     /// Profiles every droop into an attribution [`ProfileReport`].
-    pub profile: Option<ProfileConfig>,
+    pub profile: bool,
     /// Watches the run with a health monitor sealing a
     /// [`HealthReport`].
     pub monitor: Option<MonitorConfig>,
@@ -51,8 +51,8 @@ impl<'a> Instruments<'a> {
     }
 
     /// Arms the droop profiler.
-    pub fn profiled(mut self, cfg: ProfileConfig) -> Self {
-        self.profile = Some(cfg);
+    pub fn profiled(mut self) -> Self {
+        self.profile = true;
         self
     }
 

@@ -65,7 +65,7 @@ pub struct CompletedJob {
 
 impl CompletedJob {
     /// Cycles spent waiting in the admission queue.
-    pub fn queue_wait_cycles(&self) -> u64 {
+    pub(crate) fn queue_wait_cycles(&self) -> u64 {
         self.started_cycle.saturating_sub(self.spec.arrival_cycle)
     }
 

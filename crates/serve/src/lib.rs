@@ -11,7 +11,7 @@
 //! not by any pre-measured table.
 //!
 //! * [`JobSpec`] / [`synthetic_jobs`] — the submission stream.
-//! * [`TelemetryBook`] — per-workload EWMA profiles built from
+//! * [`WorkloadProfile`] — per-workload EWMA profiles built from
 //!   [`PerfCounters`] slice deltas.
 //! * [`Service`] — epoch-based placement and sliced chip simulation
 //!   over a multi-worker pool, instrumented through
@@ -47,29 +47,27 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod audit;
-pub mod control;
-pub mod instruments;
+mod audit;
+mod control;
+mod instruments;
 pub(crate) mod introspect;
-pub mod job;
+mod job;
 pub(crate) mod merge;
-pub mod service;
+mod service;
 pub(crate) mod shard;
-pub mod telemetry;
+mod telemetry;
 
 pub use audit::{AuditConfig, AuditReport};
 pub use control::RuntimeMode;
 pub use instruments::{Instruments, Observed};
 pub use job::{synthetic_jobs, CompletedJob, JobSpec};
 pub use service::{Service, ServiceConfig, ServiceReport};
-pub use telemetry::{TelemetryBook, WorkloadProfile};
+pub use telemetry::WorkloadProfile;
 // Re-exported so callers can wire `ServiceConfig::obs` without naming
-// the obs crate directly, and read audit events without naming trace.
-pub use vsmooth_obs::{
-    LatencyStats, ObsConfig, ObsServer, ObsSnapshot, ShardStatus, ShardsStatus, TelemetryHub,
-};
-pub use vsmooth_trace::{DecisionEvent, DecisionKind, AUDIT_SCHEMA};
+// the obs crate directly.
+pub use vsmooth_obs::{ObsConfig, ObsServer, TelemetryHub};
 
 use std::error::Error;
 use std::fmt;

@@ -54,7 +54,7 @@ use crate::shard::{ChipCell, DrainPlan};
 use crate::telemetry::TelemetryBook;
 use crate::ServeError;
 use vsmooth_chip::sense::CrossingGrid;
-use vsmooth_chip::{DroopWindow, PHASE_MARGIN_PCT};
+use vsmooth_chip::{DroopWindow, WindowConfig, PHASE_MARGIN_PCT};
 use vsmooth_monitor::{EpochSample, HealthReport, Monitor, SliceRecord};
 use vsmooth_obs::{ObsConfig, ObsSnapshot, ServiceStatus};
 use vsmooth_profile::{emit_window_span, Profiler};
@@ -158,7 +158,7 @@ impl<'a> Merge<'a> {
         // exactly with the aggregate droop counts in `SliceStats`
         // (which come from the crossing grid).
         let margin = CrossingGrid::droop_grid().quantized_margin(PHASE_MARGIN_PCT);
-        let profiler = inst.profile.map(|p| Profiler::new(margin, p));
+        let profiler = inst.profile.then(|| Profiler::new(margin));
         let monitor = inst.monitor.clone().map(Monitor::new);
         let obs = cfg.obs.as_ref();
         let droop_events = tracer.is_enabled() || monitor.is_some() || obs.is_some();
@@ -166,8 +166,8 @@ impl<'a> Merge<'a> {
             crossings: droop_events || profiler.is_some(),
             droop_events,
             // Profiling arms crossing *and* window capture at the
-            // profiler's own margin.
-            windows: profiler.as_ref().map(|p| p.config().window),
+            // profiler's own margin, in the profiler's window shape.
+            windows: inst.profile.then(WindowConfig::default),
             invariants: cfg.invariants,
             margin,
         };

@@ -108,7 +108,7 @@ pub struct ServiceConfig {
     /// violation fails the run with
     /// [`ServeError::InvariantViolations`]. Off by default.
     pub invariants: bool,
-    /// Arm the scheduler decision audit log ([`crate::audit`]): the
+    /// Arm the scheduler decision audit log ([`AuditConfig`]): the
     /// merge layer derives a typed event for every admit/place/grant/
     /// shed/demote from the epoch script, folds it into a bounded ring
     /// and exports the ring as the `vsmooth-audit-v1` artifact on
@@ -697,7 +697,7 @@ mod tests {
     use super::*;
     use crate::job::synthetic_jobs;
     use vsmooth_pdn::DecapConfig;
-    use vsmooth_profile::{ProfileConfig, ProfileReport};
+    use vsmooth_profile::ProfileReport;
     use vsmooth_sched::{OnlineDroop, RandomPairing};
 
     fn small_cfg() -> ServiceConfig {
@@ -721,9 +721,7 @@ mod tests {
         workers: usize,
         t: &Tracer,
     ) -> (ServiceReport, ProfileReport) {
-        let inst = Instruments::new()
-            .traced(t)
-            .profiled(ProfileConfig::default());
+        let inst = Instruments::new().traced(t).profiled();
         let o = service
             .run_with(jobs, &OnlineDroop, workers, &inst)
             .unwrap();
@@ -1061,7 +1059,7 @@ mod tests {
         let service = Service::new(small_cfg()).unwrap();
         let plain = service.run(&jobs, &OnlineDroop, 2).unwrap();
         let inst = Instruments::new()
-            .profiled(ProfileConfig::default())
+            .profiled()
             .monitored(MonitorConfig::default());
         let observed = service.run_with(&jobs, &OnlineDroop, 2, &inst).unwrap();
         let (armed, health) = (observed.report, observed.health.unwrap());
@@ -1093,7 +1091,7 @@ mod tests {
             let tracer = Tracer::enabled();
             let inst = Instruments::new()
                 .traced(&tracer)
-                .profiled(ProfileConfig::default())
+                .profiled()
                 .monitored(MonitorConfig::default());
             let service = Service::new(small_cfg()).unwrap();
             let o = service

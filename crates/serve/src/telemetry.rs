@@ -72,19 +72,24 @@ impl WorkloadProfile {
 /// (the service's coordinator applies them chip-by-chip after every
 /// epoch); the book itself is plain data.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TelemetryBook {
+pub(crate) struct TelemetryBook {
     profiles: BTreeMap<String, WorkloadProfile>,
 }
 
 impl TelemetryBook {
     /// An empty book: every workload is cold.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Folds one slice observation for `workload`: the core's counter
     /// delta plus the chip-level droop rate over the slice.
-    pub fn observe(&mut self, workload: &str, delta: &PerfCounters, droops_per_kilocycle: f64) {
+    pub(crate) fn observe(
+        &mut self,
+        workload: &str,
+        delta: &PerfCounters,
+        droops_per_kilocycle: f64,
+    ) {
         if delta.cycles() == 0 {
             return;
         }
@@ -101,7 +106,7 @@ impl TelemetryBook {
     }
 
     /// The current profile for `workload` (a cold prior if unseen).
-    pub fn profile(&self, workload: &str) -> WorkloadProfile {
+    pub(crate) fn profile(&self, workload: &str) -> WorkloadProfile {
         self.profiles
             .get(workload)
             .cloned()
@@ -109,13 +114,13 @@ impl TelemetryBook {
     }
 
     /// Number of workloads with at least one real sample.
-    pub fn warmed(&self) -> usize {
+    pub(crate) fn warmed(&self) -> usize {
         self.profiles.values().filter(|p| p.samples > 0).count()
     }
 
     /// Builds the [`PairCandidate`] a scheduling policy scores: job
     /// identity plus this book's current view of its workload.
-    pub fn candidate(&self, job: u64, workload: &str) -> PairCandidate {
+    pub(crate) fn candidate(&self, job: u64, workload: &str) -> PairCandidate {
         let p = self.profile(workload);
         PairCandidate {
             job,

@@ -50,11 +50,6 @@ impl BoxplotStats {
             mean: crate::mean(&sorted),
         })
     }
-
-    /// Interquartile range (Q3 − Q1).
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 #[cfg(test)]
@@ -75,7 +70,6 @@ mod tests {
         assert_eq!(b.median, 7.0);
         assert_eq!(b.q3, 7.0);
         assert_eq!(b.max, 7.0);
-        assert_eq!(b.iqr(), 0.0);
     }
 
     proptest! {

@@ -85,26 +85,6 @@ impl Histogram {
         }
     }
 
-    /// Records `n` identical samples at value `x`.
-    pub fn record_n(&mut self, x: f64, n: u64) {
-        if !x.is_finite() || n == 0 {
-            return;
-        }
-        self.total += n;
-        self.sum += x * n as f64;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-        if x < self.lo {
-            self.underflow += n;
-        } else if x >= self.hi {
-            self.overflow += n;
-        } else {
-            let w = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = (((x - self.lo) / w) as usize).min(self.bins.len() - 1);
-            self.bins[idx] += n;
-        }
-    }
-
     /// Merges another histogram with identical binning into this one.
     ///
     /// # Panics
@@ -135,12 +115,12 @@ impl Histogram {
     }
 
     /// Number of bins.
-    pub fn bin_count(&self) -> usize {
+    pub(crate) fn bin_count(&self) -> usize {
         self.bins.len()
     }
 
     /// Raw bin counts, ascending by value.
-    pub fn bins(&self) -> &[u64] {
+    pub(crate) fn bins(&self) -> &[u64] {
         &self.bins
     }
 
@@ -149,7 +129,7 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn bin_center(&self, i: usize) -> f64 {
+    pub(crate) fn bin_center(&self, i: usize) -> f64 {
         assert!(i < self.bins.len(), "bin index out of range");
         let w = (self.hi - self.lo) / self.bins.len() as f64;
         self.lo + (i as f64 + 0.5) * w
@@ -170,11 +150,6 @@ impl Histogram {
         (self.total > 0).then_some(self.min)
     }
 
-    /// Largest recorded sample, or `None` if empty.
-    pub fn max_recorded(&self) -> Option<f64> {
-        (self.total > 0).then_some(self.max)
-    }
-
     /// Mean of all recorded samples (exact, not binned); `0.0` if empty.
     pub fn mean(&self) -> f64 {
         if self.total == 0 {
@@ -186,7 +161,7 @@ impl Histogram {
 
     /// Count of samples with value `< x` (binned approximation:
     /// whole bins strictly below the bin containing `x`, plus underflow).
-    pub fn count_below(&self, x: f64) -> u64 {
+    pub(crate) fn count_below(&self, x: f64) -> u64 {
         if x <= self.lo {
             return self.underflow;
         }
@@ -276,17 +251,6 @@ mod tests {
     }
 
     #[test]
-    fn record_n_equivalent_to_repeated_record() {
-        let mut a = Histogram::new(0.0, 1.0, 10);
-        let mut b = Histogram::new(0.0, 1.0, 10);
-        a.record_n(0.42, 5);
-        for _ in 0..5 {
-            b.record(0.42);
-        }
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn bin_center_is_midpoint() {
         let h = Histogram::new(0.0, 10.0, 10);
         assert!((h.bin_center(0) - 0.5).abs() < 1e-12);
@@ -325,15 +289,13 @@ mod tests {
         }
 
         #[test]
-        fn min_max_bound_samples(xs in proptest::collection::vec(-1e2f64..1e2, 1..100)) {
+        fn min_recorded_is_the_smallest_sample(xs in proptest::collection::vec(-1e2f64..1e2, 1..100)) {
             let mut h = Histogram::new(-10.0, 10.0, 10);
             for &x in &xs {
                 h.record(x);
             }
             let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-            let hi = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
             prop_assert_eq!(h.min_recorded().unwrap(), lo);
-            prop_assert_eq!(h.max_recorded().unwrap(), hi);
         }
     }
 }

@@ -33,19 +33,20 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod boxplot;
 mod cdf;
 mod corr;
 mod histogram;
-pub mod metrics;
+mod metrics;
 mod summary;
 
 pub use boxplot::BoxplotStats;
 pub use cdf::Cdf;
 pub use corr::{linear_fit, pearson, LinearFit};
 pub use histogram::Histogram;
-pub use metrics::{default_buckets, HistogramSummary, MetricsRegistry, MetricsSnapshot, SeriesId};
+pub use metrics::{HistogramSummary, MetricsRegistry, MetricsSnapshot, SeriesId};
 pub use summary::Summary;
 
 /// Arithmetic mean of a slice; `0.0` for an empty slice.
@@ -106,7 +107,7 @@ pub fn percentile(xs: &[f64], q: f64) -> f64 {
 }
 
 /// Percentile of already-sorted data (ascending). See [`percentile`].
-pub fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
+pub(crate) fn percentile_sorted(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }

@@ -105,7 +105,7 @@ impl SeriesId {
 /// The default histogram bucket bounds: three steps per decade
 /// (1, 2.5, 5) from 10⁻³ to 10⁶ — wide enough for percent depths,
 /// kilocycle waits and cycle latencies alike.
-pub fn default_buckets() -> Vec<f64> {
+pub(crate) fn default_buckets() -> Vec<f64> {
     let mut bounds = Vec::with_capacity(28);
     let mut decade = 1e-3;
     while decade < 1e6 {
@@ -288,7 +288,8 @@ impl MetricsRegistry {
 
     /// Declares the bucket bounds used by histogram series of `name`
     /// (must be called before the first observation to take effect;
-    /// undeclared histograms use [`default_buckets`]).
+    /// undeclared histograms use 1–2.5–5 steps per decade from 10⁻³ to
+    /// 10⁶).
     pub fn declare_buckets(&self, name: &str, bounds: &[f64]) {
         let mut sorted = bounds.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite bucket bounds"));
@@ -316,7 +317,7 @@ impl MetricsRegistry {
 
     /// Records one observation into the histogram series
     /// `name{labels…}`. Non-finite values are dropped (and counted).
-    pub fn observe_with(&self, name: &str, labels: &[(&str, &str)], value: f64) {
+    pub(crate) fn observe_with(&self, name: &str, labels: &[(&str, &str)], value: f64) {
         let id = SeriesId::new(name, labels);
         let mut map = self.histograms.lock().expect("metrics lock");
         let state = map.entry(id).or_insert_with(|| {
@@ -430,7 +431,7 @@ impl MetricsSnapshot {
     }
 
     /// The value of gauge series `name{labels…}`, if set.
-    pub fn gauge_labeled(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
+    pub(crate) fn gauge_labeled(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
         let id = SeriesId::new(name, labels);
         self.gauges.iter().find(|(k, _)| *k == id).map(|&(_, v)| v)
     }
@@ -442,7 +443,7 @@ impl MetricsSnapshot {
     }
 
     /// The summary of histogram series `name{labels…}`, if present.
-    pub fn histogram_labeled(
+    pub(crate) fn histogram_labeled(
         &self,
         name: &str,
         labels: &[(&str, &str)],

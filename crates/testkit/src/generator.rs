@@ -64,7 +64,7 @@ where
 /// # Panics
 ///
 /// Panics unless `0 < lo <= hi` and both are finite.
-pub fn log_uniform(rng: &mut TestRng, lo: f64, hi: f64) -> f64 {
+pub(crate) fn log_uniform(rng: &mut TestRng, lo: f64, hi: f64) -> f64 {
     assert!(
         lo.is_finite() && hi.is_finite() && lo > 0.0 && lo <= hi,
         "invalid log-uniform range [{lo}, {hi}]"
@@ -94,7 +94,7 @@ pub fn gen_ladder(rng: &mut TestRng) -> LadderConfig {
 
 /// A random decap-retention level, anywhere in `Proc0..=Proc100` (not
 /// just the paper's six sweep points).
-pub fn gen_decap(rng: &mut TestRng) -> DecapConfig {
+pub(crate) fn gen_decap(rng: &mut TestRng) -> DecapConfig {
     DecapConfig::with_percent(rng.below(101) as u8)
 }
 
@@ -109,7 +109,7 @@ pub fn gen_chip(rng: &mut TestRng) -> ChipConfig {
 
 /// A random valid stall-event mix (intensity and per-kilocycle rates
 /// inside the ranges the catalog workloads use).
-pub fn gen_event_mix(rng: &mut TestRng) -> EventMix {
+pub(crate) fn gen_event_mix(rng: &mut TestRng) -> EventMix {
     let mix = EventMix {
         intensity: 0.1 + 1.0 * rng.unit_f64(),
         rates: [

@@ -9,16 +9,17 @@
 //!   single-stage step/pulse responses via an exact 2×2 matrix
 //!   exponential, resonance search) that the state-space simulation
 //!   must agree with to stated tolerances.
-//! * [`reference`](mod@reference) — a brute-force reference
-//!   implementation of the batch scheduler's greedy pair selection,
+//! * [`reference_batch`] — a brute-force reference implementation of
+//!   the batch scheduler's greedy pair selection,
 //!   written as repeated argmax rather than a pre-sorted sweep, for
 //!   cross-checking `vsmooth-sched` on small workload sets.
 //! * [`generator`] — a seeded scenario generator (plain seeded-RNG
 //!   functions that double as `proptest` strategies) producing random
 //!   ladders, decap configurations, chips, workload pools and job
 //!   streams for metamorphic property suites.
-//! * [`invariantsweep`] — drives a campaign-shaped set of runs through
-//!   invariant-armed [`ChipSession`](vsmooth_chip::ChipSession)s so the
+//! * [`campaign_invariant_sweep`] — drives a campaign-shaped set of runs
+//!   through invariant-armed
+//!   [`ChipSession`](vsmooth_chip::ChipSession)s so the
 //!   physics/bookkeeping invariants are exercised across the whole
 //!   catalog, not just a hand-picked run.
 //!
@@ -38,18 +39,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod analytic;
 pub mod generator;
-pub mod invariantsweep;
-pub mod reference;
+mod invariantsweep;
+mod reference;
 
 pub use analytic::{
     impedance_magnitude, resonance, simulate_step, single_stage_pulse, single_stage_step,
 };
 pub use generator::{
-    gen_chip, gen_decap, gen_event_mix, gen_job_stream, gen_ladder, gen_stage, gen_workload,
-    gen_workload_pool, log_uniform, strategy_of, FnStrategy,
+    gen_chip, gen_job_stream, gen_ladder, gen_stage, gen_workload, gen_workload_pool, strategy_of,
 };
 pub use invariantsweep::{campaign_invariant_sweep, SweepSummary};
 pub use reference::reference_batch;

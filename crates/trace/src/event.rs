@@ -19,7 +19,7 @@ pub const PID_MONITOR: u32 = 3;
 
 /// First virtual process id assigned to chips; chip `c` exports as
 /// process [`chip_pid`]`(c)`.
-pub const PID_CHIP_BASE: u32 = 10;
+pub(crate) const PID_CHIP_BASE: u32 = 10;
 
 /// The exported virtual process id of chip `chip`.
 pub fn chip_pid(chip: usize) -> u32 {
@@ -196,11 +196,6 @@ impl TraceRecord {
     pub fn is_instant(&self) -> bool {
         matches!(self, Self::Instant { .. })
     }
-
-    /// Whether this record is a counter sample.
-    pub fn is_counter(&self) -> bool {
-        matches!(self, Self::Counter { .. })
-    }
 }
 
 #[cfg(test)]
@@ -233,7 +228,7 @@ mod tests {
             ts: 0,
             value: 1.0,
         };
-        assert!(c.is_counter());
+        assert!(!c.is_span() && !c.is_instant());
     }
 
     #[test]

@@ -144,7 +144,7 @@ pub(crate) fn push_event(out: &mut String, record: &TraceRecord) {
 
 /// Renders a record stream as a `chrome://tracing`-loadable JSON
 /// document.
-pub fn chrome_trace_json(records: &[TraceRecord]) -> String {
+pub(crate) fn chrome_trace_json(records: &[TraceRecord]) -> String {
     let mut out = String::with_capacity(64 + records.len() * 96);
     out.push_str("{\"traceEvents\":[\n");
     for (i, record) in records.iter().enumerate() {

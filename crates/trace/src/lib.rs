@@ -11,8 +11,9 @@
 //!   disabled (one branch per call site, no lock taken).
 //! * [`DroopEvent`] — the typed emergency record: chip, core, cycle,
 //!   depth, resident workloads, phase.
-//! * [`export`] — Chrome trace-event JSON (viewable in
-//!   `chrome://tracing` / Perfetto), validated offline.
+//! * [`Tracer::to_chrome_json`] — Chrome trace-event JSON (viewable in
+//!   `chrome://tracing` / Perfetto), checked offline by
+//!   [`validate_chrome_trace`].
 //! * [`json`] — the workspace's one JSON string escaper, float format
 //!   and minimal parser, shared by every artifact writer.
 //!
@@ -29,7 +30,7 @@
 //! # Examples
 //!
 //! ```
-//! use vsmooth_trace::{export, DroopEvent, Tracer, PID_JOBS};
+//! use vsmooth_trace::{validate_chrome_trace, DroopEvent, Tracer, PID_JOBS};
 //!
 //! let tracer = Tracer::enabled();
 //! tracer.process_name(PID_JOBS, "jobs");
@@ -43,26 +44,25 @@
 //!     phase: "epoch1".into(),
 //! });
 //! let json = tracer.to_chrome_json();
-//! let shape = export::validate_chrome_trace(&json).unwrap();
+//! let shape = validate_chrome_trace(&json).unwrap();
 //! assert_eq!(shape.spans, 1);
 //! assert_eq!(shape.droops, 1);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod audit;
-pub mod event;
-pub mod export;
+mod audit;
+mod event;
+mod export;
 pub mod json;
-pub mod stream;
-pub mod tracer;
+mod stream;
+mod tracer;
 
 pub use audit::{DecisionEvent, DecisionKind, AUDIT_SCHEMA};
 pub use event::{chip_pid, ArgValue, Args, DroopEvent, TraceRecord, PID_JOBS, PID_MONITOR};
-pub use export::{chrome_trace_json, validate_chrome_trace, TraceShape};
-pub use json::{parse_json, JsonValue};
-pub use stream::{
-    ChromeJsonSink, DropReason, SamplerConfig, SinkStats, StreamConfig, TelemetryStats, TraceSink,
-};
+pub use export::{validate_chrome_trace, TraceShape};
+pub use json::parse_json;
+pub use stream::{DropReason, SamplerConfig, SinkStats, StreamConfig, TelemetryStats};
 pub use tracer::Tracer;

@@ -5,7 +5,7 @@
 //! fine for a figure regeneration, fatal for a soak that never stops.
 //! A streaming tracer ([`Tracer::streaming`](crate::Tracer::streaming)
 //! and its siblings) replaces the unbounded `Vec` with a
-//! fixed-capacity ring feeding an optional [`TraceSink`]:
+//! fixed-capacity ring feeding an optional [`ChromeJsonSink`]:
 //!
 //! ```text
 //! record ──sampler──▶ ring (fixed capacity) ──watermark──▶ sink ──▶ io::Write
@@ -230,34 +230,6 @@ impl TelemetryStats {
     }
 }
 
-/// A consumer of trace records on the streaming path.
-///
-/// Sinks receive records one at a time in stream order and own their
-/// buffering; [`finish`](TraceSink::finish) flushes whatever remains
-/// and completes the output (for formats with a trailer).
-pub trait TraceSink: Send {
-    /// Accepts the next record in stream order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying writer's error; the pipeline counts
-    /// the record as [`DropReason::SinkError`] and keeps going.
-    fn accept(&mut self, record: &TraceRecord) -> std::io::Result<()>;
-
-    /// Flushes buffered output and writes any trailer. Idempotent,
-    /// and safe to retry after an error: the trailer is written once.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying writer's error.
-    fn finish(&mut self) -> std::io::Result<()>;
-
-    /// Flushing counters accumulated so far.
-    fn stats(&self) -> SinkStats {
-        SinkStats::default()
-    }
-}
-
 const TRACE_HEADER: &str = "{\"traceEvents\":[\n";
 const TRACE_FOOTER: &str =
     "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":\"virtual-cycles\"}}\n";
@@ -270,7 +242,7 @@ const TRACE_FOOTER: &str =
 /// [`chrome_trace_json`](crate::export::chrome_trace_json) on the same
 /// stream — the property the 1/2/8-worker determinism tests pin down —
 /// while holding only one chunk in memory.
-pub struct ChromeJsonSink<W: Write + Send> {
+pub(crate) struct ChromeJsonSink<W: Write> {
     writer: W,
     chunk_bytes: usize,
     buf: String,
@@ -280,10 +252,10 @@ pub struct ChromeJsonSink<W: Write + Send> {
     stats: SinkStats,
 }
 
-impl<W: Write + Send> ChromeJsonSink<W> {
+impl<W: Write> ChromeJsonSink<W> {
     /// Wraps `writer`, buffering about `chunk_bytes` rendered bytes per
     /// write.
-    pub fn new(writer: W, chunk_bytes: usize) -> Self {
+    pub(crate) fn new(writer: W, chunk_bytes: usize) -> Self {
         let chunk_bytes = chunk_bytes.max(1);
         Self {
             writer,
@@ -310,15 +282,13 @@ impl<W: Write + Send> ChromeJsonSink<W> {
         Ok(())
     }
 
-    /// Consumes the sink, returning the wrapped writer (useful for
-    /// in-memory `Vec<u8>` sinks in tests).
-    pub fn into_inner(self) -> W {
-        self.writer
-    }
-}
-
-impl<W: Write + Send> TraceSink for ChromeJsonSink<W> {
-    fn accept(&mut self, record: &TraceRecord) -> std::io::Result<()> {
+    /// Accepts the next record in stream order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the underlying writer's error; the pipeline counts
+    /// the record as [`DropReason::SinkError`] and keeps going.
+    pub(crate) fn accept(&mut self, record: &TraceRecord) -> std::io::Result<()> {
         if !self.wrote_any {
             self.buf.push_str(TRACE_HEADER);
             self.wrote_any = true;
@@ -332,7 +302,13 @@ impl<W: Write + Send> TraceSink for ChromeJsonSink<W> {
         Ok(())
     }
 
-    fn finish(&mut self) -> std::io::Result<()> {
+    /// Flushes buffered output and writes the trailer. Idempotent, and
+    /// safe to retry after an error: the trailer is written once.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the underlying writer's error.
+    pub(crate) fn finish(&mut self) -> std::io::Result<()> {
         // The trailer is queued once; a retry after a failed write or
         // flush only resends whatever is still buffered.
         if !self.finished {
@@ -345,10 +321,6 @@ impl<W: Write + Send> TraceSink for ChromeJsonSink<W> {
         }
         self.flush_chunk()?;
         self.writer.flush()
-    }
-
-    fn stats(&self) -> SinkStats {
-        self.stats.clone()
     }
 }
 
@@ -447,7 +419,7 @@ pub(crate) struct StreamState {
     /// Drain the ring to the sink once it holds this many records —
     /// below capacity, so sink-backed occupancy never reaches it.
     flush_at: usize,
-    sink: Option<Box<dyn TraceSink>>,
+    sink: Option<ChromeJsonSink<Box<dyn Write + Send>>>,
     sampler: Option<SamplerState>,
     stats: TelemetryStats,
 }
@@ -464,7 +436,10 @@ impl std::fmt::Debug for StreamState {
 }
 
 impl StreamState {
-    pub(crate) fn new(cfg: StreamConfig, sink: Option<Box<dyn TraceSink>>) -> Self {
+    pub(crate) fn new(
+        cfg: StreamConfig,
+        sink: Option<ChromeJsonSink<Box<dyn Write + Send>>>,
+    ) -> Self {
         let capacity = cfg.ring_capacity.max(1);
         Self {
             ring: VecDeque::with_capacity(capacity),
@@ -511,7 +486,7 @@ impl StreamState {
     }
 
     fn drain_to_sink(&mut self) {
-        let Some(sink) = self.sink.as_deref_mut() else {
+        let Some(sink) = &mut self.sink else {
             return;
         };
         for record in self.ring.drain(..) {
@@ -525,7 +500,7 @@ impl StreamState {
     /// Drains the ring, completes the sink, and returns final stats.
     pub(crate) fn finish(&mut self) -> std::io::Result<TelemetryStats> {
         self.drain_to_sink();
-        let result = match self.sink.as_deref_mut() {
+        let result = match &mut self.sink {
             Some(sink) => sink.finish(),
             None => Ok(()),
         };
@@ -536,8 +511,8 @@ impl StreamState {
     /// Current stats, including the sink's flushing counters.
     pub(crate) fn stats_snapshot(&self) -> TelemetryStats {
         let mut stats = self.stats.clone();
-        if let Some(sink) = self.sink.as_deref() {
-            stats.sink = sink.stats();
+        if let Some(sink) = &self.sink {
+            stats.sink = sink.stats.clone();
         }
         stats
     }
@@ -549,11 +524,6 @@ impl StreamState {
 
     pub(crate) fn buffered_len(&self) -> usize {
         self.ring.len()
-    }
-
-    /// Drains the ring's buffered records without touching the sink.
-    pub(crate) fn take_buffered(&mut self) -> Vec<TraceRecord> {
-        self.ring.drain(..).collect()
     }
 }
 
@@ -598,9 +568,8 @@ mod tests {
             sink.accept(r).unwrap();
         }
         sink.finish().unwrap();
-        let stats = sink.stats();
-        assert!(stats.flushes > 1, "expected multiple chunk writes");
-        assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), batch);
+        assert!(sink.stats.flushes > 1, "expected multiple chunk writes");
+        assert_eq!(String::from_utf8(sink.writer).unwrap(), batch);
     }
 
     #[test]
@@ -609,7 +578,7 @@ mod tests {
         let mut sink = ChromeJsonSink::new(Vec::new(), 64);
         sink.finish().unwrap();
         sink.finish().unwrap(); // idempotent
-        assert_eq!(String::from_utf8(sink.into_inner()).unwrap(), batch);
+        assert_eq!(String::from_utf8(sink.writer).unwrap(), batch);
     }
 
     #[test]
@@ -645,7 +614,7 @@ mod tests {
         assert!(sink.finish().is_err(), "the first write fails");
         sink.finish().expect("the retry succeeds");
         sink.finish().expect("and stays idempotent");
-        let bytes = String::from_utf8(sink.into_inner().out).unwrap();
+        let bytes = String::from_utf8(sink.writer.out).unwrap();
         assert_eq!(bytes, crate::export::chrome_trace_json(&records));
     }
 
@@ -656,8 +625,8 @@ mod tests {
             sink.accept(&span(PID_JOBS, 0, i)).unwrap();
         }
         sink.finish().unwrap();
-        let stats = sink.stats();
-        let written = sink.into_inner().len() as u64;
+        let stats = &sink.stats;
+        let written = sink.writer.len() as u64;
         assert_eq!(stats.bytes_flushed, written);
         assert_eq!(stats.flush_bytes.len() as u64, stats.flushes);
         assert_eq!(stats.flush_latency_us.len() as u64, stats.flushes);
@@ -697,7 +666,7 @@ mod tests {
                 chunk_bytes: 128,
                 sampler: None,
             },
-            Some(Box::new(ChromeJsonSink::new(Vec::new(), 128))),
+            Some(ChromeJsonSink::new(Box::new(Vec::new()), 128)),
         );
         for i in 0..1_000 {
             s.offer(span(PID_JOBS, 0, i));
@@ -811,7 +780,7 @@ mod tests {
                 chunk_bytes: 1, // flush (and fail) every record
                 sampler: None,
             },
-            Some(Box::new(ChromeJsonSink::new(FailingWriter, 1))),
+            Some(ChromeJsonSink::new(Box::new(FailingWriter), 1)),
         );
         for i in 0..10 {
             s.offer(span(PID_JOBS, 0, i));

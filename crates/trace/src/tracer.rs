@@ -15,7 +15,7 @@
 //! independent of the worker-thread count.
 
 use crate::event::{chip_pid, ArgValue, Args, DroopEvent, TraceRecord};
-use crate::stream::{ChromeJsonSink, StreamConfig, StreamState, TelemetryStats, TraceSink};
+use crate::stream::{ChromeJsonSink, StreamConfig, StreamState, TelemetryStats};
 use std::sync::Mutex;
 
 /// What a [`Tracer`] records.
@@ -51,7 +51,10 @@ impl TracerState {
     }
 }
 
-/// The run-wide trace recorder. See the [module docs](self).
+/// The run-wide trace recorder: disabled, buffering everything, or
+/// streaming everything through a bounded ring. Every recording method
+/// checks the mode with one plain branch first, so a disabled tracer
+/// never takes the lock.
 #[derive(Debug)]
 pub struct Tracer {
     mode: TraceMode,
@@ -80,39 +83,32 @@ impl Tracer {
     /// holding the newest `cfg.ring_capacity` records, evicting the
     /// oldest with typed drop accounting.
     pub fn streaming(cfg: StreamConfig) -> Self {
-        Self {
-            mode: TraceMode::Streaming,
-            state: Mutex::new(TracerState {
-                stream: Some(StreamState::new(cfg, None)),
-                ..TracerState::default()
-            }),
-        }
-    }
-
-    /// A streaming tracer draining through `sink`: the ring flushes at
-    /// a watermark below capacity, so memory stays bounded however
-    /// long the record stream runs.
-    pub fn streaming_to(sink: Box<dyn TraceSink>, cfg: StreamConfig) -> Self {
-        Self {
-            mode: TraceMode::Streaming,
-            state: Mutex::new(TracerState {
-                stream: Some(StreamState::new(cfg, Some(sink))),
-                ..TracerState::default()
-            }),
-        }
+        Self::with_stream(StreamState::new(cfg, None))
     }
 
     /// A streaming tracer writing Chrome trace-event JSON to `writer`
     /// in bounded chunks — byte-identical to
-    /// [`to_chrome_json`](Self::to_chrome_json) on the same stream.
-    /// Call [`finish_stream`](Self::finish_stream) to complete the
-    /// document.
+    /// [`to_chrome_json`](Self::to_chrome_json) on the same stream. The
+    /// ring flushes at a watermark below capacity, so memory stays
+    /// bounded however long the record stream runs. Call
+    /// [`finish_stream`](Self::finish_stream) to complete the document.
     pub fn streaming_to_writer(
         writer: impl std::io::Write + Send + 'static,
         cfg: StreamConfig,
     ) -> Self {
+        let writer: Box<dyn std::io::Write + Send> = Box::new(writer);
         let sink = ChromeJsonSink::new(writer, cfg.chunk_bytes);
-        Self::streaming_to(Box::new(sink), cfg)
+        Self::with_stream(StreamState::new(cfg, Some(sink)))
+    }
+
+    fn with_stream(stream: StreamState) -> Self {
+        Self {
+            mode: TraceMode::Streaming,
+            state: Mutex::new(TracerState {
+                stream: Some(stream),
+                ..TracerState::default()
+            }),
+        }
     }
 
     /// Whether any recording happens at all. Call sites that must build
@@ -266,22 +262,6 @@ impl Tracer {
         }
     }
 
-    /// Drains the buffered stream, leaving the tracer empty (the droop
-    /// running total is kept so later counter samples stay monotonic).
-    ///
-    /// The `&mut self` receiver makes the drain explicit at call sites:
-    /// unlike the read-only accessors this *consumes* the buffer, so it
-    /// demands exclusive access instead of hiding the mutation behind
-    /// the interior lock. A second take without intervening records
-    /// returns an empty stream.
-    pub fn take_records(&mut self) -> Vec<TraceRecord> {
-        let state = self.state.get_mut().expect("tracer lock");
-        match &mut state.stream {
-            Some(stream) => stream.take_buffered(),
-            None => std::mem::take(&mut state.records),
-        }
-    }
-
     /// Renders the buffered stream as Chrome trace-event JSON.
     pub fn to_chrome_json(&self) -> String {
         crate::export::chrome_trace_json(&self.records())
@@ -358,46 +338,13 @@ mod tests {
         let records = t.records();
         assert_eq!(records.len(), 4);
         assert!(records[0].is_instant());
-        assert!(records[1].is_counter());
+        assert!(matches!(records[1], TraceRecord::Counter { .. }));
         let TraceRecord::Counter { value, pid, .. } = &records[3] else {
             panic!("expected counter");
         };
         assert_eq!(*value, 2.0);
         assert_eq!(*pid, chip_pid(1));
         assert_eq!(t.droops_total(), 2);
-    }
-
-    #[test]
-    fn take_records_drains_but_keeps_droop_total() {
-        let mut t = Tracer::enabled();
-        t.droop(&droop(0, 1));
-        assert_eq!(t.take_records().len(), 2);
-        assert!(t.is_empty());
-        t.droop(&droop(0, 2));
-        let TraceRecord::Counter { value, .. } = &t.records()[1] else {
-            panic!("expected counter");
-        };
-        assert_eq!(*value, 2.0, "running total survives a drain");
-    }
-
-    #[test]
-    fn double_take_returns_an_empty_stream() {
-        // Regression for the old `take_records(&self)` API: draining
-        // through a shared reference let a reader that thought it held
-        // a snapshot silently empty the tracer for everyone else. The
-        // drain is now exclusive, and a second take yields nothing.
-        let mut t = Tracer::enabled();
-        t.complete("x", "job", PID_JOBS, 0, 0, 10, vec![]);
-        t.instant("y", "job", PID_JOBS, 0, 5, vec![]);
-        let first = t.take_records();
-        assert_eq!(first.len(), 2);
-        let second = t.take_records();
-        assert!(second.is_empty(), "second take must not re-yield records");
-        // Streaming tracers drain their ring the same way.
-        let mut s = Tracer::streaming(crate::stream::StreamConfig::default());
-        s.complete("x", "job", PID_JOBS, 0, 0, 10, vec![]);
-        assert_eq!(s.take_records().len(), 1);
-        assert!(s.take_records().is_empty());
     }
 
     #[test]

@@ -177,7 +177,7 @@ impl EventProfile {
     /// drain/refill signature; small weights model serialized loops
     /// with a single miss in flight (the paper's hand-crafted
     /// microbenchmarks).
-    pub fn weighted(&self, weight: f64) -> EventProfile {
+    pub(crate) fn weighted(&self, weight: f64) -> EventProfile {
         let w = weight.clamp(0.0, 1.0);
         EventProfile {
             stall_cycles: self.stall_cycles,

@@ -30,11 +30,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod core;
-pub mod counters;
-pub mod event;
-pub mod stimulus;
+mod core;
+mod counters;
+mod event;
+mod stimulus;
 
 pub use crate::core::{Core, CoreConfig, CycleStimulus};
 pub use counters::PerfCounters;

@@ -72,11 +72,6 @@ impl Workload {
         &self.name
     }
 
-    /// Owning suite.
-    pub fn suite(&self) -> Suite {
-        self.suite
-    }
-
     /// Threading model.
     pub fn threading(&self) -> Threading {
         self.threading
@@ -113,11 +108,6 @@ impl Workload {
             cycles_per_interval,
         )
     }
-
-    /// Duration-weighted stall-ratio estimate (software-side proxy).
-    pub fn avg_stall_ratio_estimate(&self) -> f64 {
-        self.timeline.avg_stall_ratio_estimate()
-    }
 }
 
 /// Mix builder shorthand: `[l1, l2, tlb, br, excp]` rates per kilocycle.
@@ -129,23 +119,23 @@ const fn mix(intensity: f64, rates: [f64; 5]) -> EventMix {
 mod archetype {
     use super::*;
 
-    pub const fn branchy(i: f64, br: f64) -> EventMix {
+    pub(super) const fn branchy(i: f64, br: f64) -> EventMix {
         mix(i, [12.0, 0.8, 1.0, br, 0.02])
     }
 
-    pub const fn memory(i: f64, l2: f64) -> EventMix {
+    pub(super) const fn memory(i: f64, l2: f64) -> EventMix {
         mix(i, [18.0, l2, 2.0, 8.0, 0.01])
     }
 
-    pub const fn compute(i: f64) -> EventMix {
+    pub(super) const fn compute(i: f64) -> EventMix {
         mix(i, [5.0, 0.3, 0.3, 5.0, 0.005])
     }
 
-    pub const fn streaming(i: f64, l2: f64) -> EventMix {
+    pub(super) const fn streaming(i: f64, l2: f64) -> EventMix {
         mix(i, [25.0, l2, 0.5, 2.0, 0.0])
     }
 
-    pub const fn tlb_heavy(i: f64, tlb: f64) -> EventMix {
+    pub(super) const fn tlb_heavy(i: f64, tlb: f64) -> EventMix {
         mix(i, [10.0, 3.0, tlb, 6.0, 0.01])
     }
 }
@@ -351,54 +341,26 @@ pub fn by_name(name: &str) -> Option<Workload> {
         .find(|w| w.name() == name)
 }
 
-/// Like [`by_name`], but with a typed error naming the missing
-/// workload — the right shape for config-driven callers that want to
-/// surface "unknown workload `foo`" instead of unwrapping an `Option`.
-///
-/// # Errors
-///
-/// [`WorkloadError::UnknownWorkload`] when the name is in neither
-/// suite.
-pub fn lookup(name: &str) -> Result<Workload, WorkloadError> {
-    by_name(name).ok_or_else(|| WorkloadError::UnknownWorkload(name.to_string()))
-}
-
-/// Errors from catalog lookups.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum WorkloadError {
-    /// The requested name matches no workload in either suite.
-    UnknownWorkload(String),
-}
-
-impl std::fmt::Display for WorkloadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::UnknownWorkload(name) => write!(f, "unknown workload `{name}`"),
-        }
-    }
-}
-
-impl std::error::Error for WorkloadError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::HashSet;
 
+    /// Duration-weighted stall-ratio estimate across a workload's
+    /// phases (the software-side proxy Fig. 15 plots droops against).
+    fn avg_stall_ratio_estimate(w: &Workload) -> f64 {
+        let t = w.timeline();
+        t.phases()
+            .iter()
+            .map(|p| f64::from(p.intervals) * p.mix.stall_ratio_estimate())
+            .sum::<f64>()
+            / f64::from(t.total_intervals())
+    }
+
     #[test]
     fn suite_sizes_match_paper() {
         assert_eq!(spec2006().len(), 29, "29 single-threaded CPU2006 workloads");
         assert_eq!(parsec().len(), 11, "11 Parsec programs");
-    }
-
-    #[test]
-    fn unknown_names_are_typed_errors() {
-        assert!(by_name("999.nonesuch").is_none());
-        let err = lookup("999.nonesuch").unwrap_err();
-        assert_eq!(err, WorkloadError::UnknownWorkload("999.nonesuch".into()));
-        assert!(err.to_string().contains("999.nonesuch"));
-        assert_eq!(lookup("429.mcf").unwrap().name(), "429.mcf");
     }
 
     #[test]
@@ -432,10 +394,7 @@ mod tests {
     #[test]
     fn stall_ratios_are_heterogeneous() {
         // Fig. 15: "a heterogeneous mix of noise levels".
-        let ratios: Vec<f64> = spec2006()
-            .iter()
-            .map(|w| w.avg_stall_ratio_estimate())
-            .collect();
+        let ratios: Vec<f64> = spec2006().iter().map(avg_stall_ratio_estimate).collect();
         let min = ratios.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = ratios.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         assert!(min < 0.15, "quietest stall ratio = {min:.2}");

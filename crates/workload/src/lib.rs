@@ -27,11 +27,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod catalog;
-pub mod phase;
-pub mod stream;
+mod catalog;
+mod phase;
+mod stream;
 
-pub use catalog::{by_name, lookup, parsec, spec2006, Suite, Threading, Workload, WorkloadError};
+pub use catalog::{by_name, parsec, spec2006, Suite, Threading, Workload};
 pub use phase::{EventMix, Phase, PhaseTimeline};
 pub use stream::{EventStream, PreparedMix};

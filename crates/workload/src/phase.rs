@@ -40,13 +40,13 @@ impl EventMix {
     }
 
     /// Total event rate per kilocycle.
-    pub fn total_rate(&self) -> f64 {
+    pub(crate) fn total_rate(&self) -> f64 {
         self.rates.iter().sum()
     }
 
     /// Expected stall cycles triggered per kilocycle of running
     /// execution.
-    pub fn expected_stall_per_kilocycle(&self) -> f64 {
+    pub(crate) fn expected_stall_per_kilocycle(&self) -> f64 {
         StallEvent::ALL
             .iter()
             .map(|&e| self.rate(e) * f64::from(e.profile().stall_cycles))
@@ -56,7 +56,7 @@ impl EventMix {
     /// First-order stall-ratio estimate: stall cycles accrue only
     /// against running cycles, so the ratio saturates as
     /// `S / (1000 + S)`.
-    pub fn stall_ratio_estimate(&self) -> f64 {
+    pub(crate) fn stall_ratio_estimate(&self) -> f64 {
         let s = self.expected_stall_per_kilocycle();
         s / (1000.0 + s)
     }
@@ -68,7 +68,7 @@ impl EventMix {
     /// burstiness grows with stall activity. This is the
     /// microarchitectural mechanism behind the paper's Fig. 15
     /// observation that voltage droops track the stall ratio.
-    pub fn burstiness(&self) -> f64 {
+    pub(crate) fn burstiness(&self) -> f64 {
         (0.02 + 1.0 * self.stall_ratio_estimate()).min(0.65)
     }
 
@@ -140,7 +140,7 @@ impl PhaseTimeline {
     /// The mix active during `interval` (0-based). Intervals past the
     /// end stay in the final phase (a completed program that is
     /// re-measured keeps its tail behaviour).
-    pub fn mix_at(&self, interval: u32) -> &EventMix {
+    pub(crate) fn mix_at(&self, interval: u32) -> &EventMix {
         let mut acc = 0;
         for p in &self.phases {
             acc += p.intervals;
@@ -149,16 +149,6 @@ impl PhaseTimeline {
             }
         }
         &self.phases.last().expect("timeline non-empty").mix
-    }
-
-    /// Duration-weighted average stall-ratio estimate across phases.
-    pub fn avg_stall_ratio_estimate(&self) -> f64 {
-        let total = f64::from(self.total_intervals());
-        self.phases
-            .iter()
-            .map(|p| f64::from(p.intervals) * p.mix.stall_ratio_estimate())
-            .sum::<f64>()
-            / total
     }
 }
 
@@ -224,26 +214,5 @@ mod tests {
             intervals: 0,
             mix: mix([0.0; 5]),
         }]);
-    }
-
-    #[test]
-    fn avg_stall_ratio_is_weighted() {
-        let quiet = EventMix {
-            intensity: 1.0,
-            rates: [0.0; 5],
-        };
-        let noisy = mix([0.0, 20.0, 0.0, 0.0, 0.0]);
-        let t = PhaseTimeline::new(vec![
-            Phase {
-                intervals: 1,
-                mix: quiet,
-            },
-            Phase {
-                intervals: 1,
-                mix: noisy,
-            },
-        ]);
-        let avg = t.avg_stall_ratio_estimate();
-        assert!((avg - noisy.stall_ratio_estimate() / 2.0).abs() < 1e-12);
     }
 }

@@ -147,13 +147,8 @@ impl EventStream {
         self.prepared_until = 0;
     }
 
-    /// How many times the stream has restarted (loop mode only).
-    pub fn restarts(&self) -> u64 {
-        self.restarts
-    }
-
     /// The interval the stream is currently in.
-    pub fn current_interval(&self) -> u32 {
+    pub(crate) fn current_interval(&self) -> u32 {
         (self.cycle / self.cycles_per_interval).min(u64::from(u32::MAX)) as u32
     }
 
@@ -414,7 +409,7 @@ mod tests {
         for _ in 0..750 {
             s.next();
         }
-        assert_eq!(s.restarts(), 2);
+        assert_eq!(s.restarts, 2);
         assert!(!s.is_finished());
         // Interval wraps back into the first phase.
         assert!(s.current_interval() < 3);
@@ -526,7 +521,7 @@ mod tests {
             let (a, b) = (step(cached), reference_next(reference));
             assert!(
                 bits(a) == bits(b)
-                    && cached.restarts() == reference.restarts()
+                    && cached.restarts == reference.restarts
                     && cached.current_interval() == reference.current_interval()
                     && cached.is_finished() == reference.is_finished(),
                 "{what}: diverged {c} cycles in: {a:?} vs {b:?}"
@@ -552,7 +547,7 @@ mod tests {
                 cached.set_looping(true);
                 reference.set_looping(true);
                 assert_steps_agree(&mut cached, &mut reference, cpi, next, &what);
-                assert_eq!(cached.restarts(), 1, "{what}");
+                assert_eq!(cached.restarts, 1, "{what}");
 
                 // Loop across several restarts.
                 let (mut cached, mut reference) = (w.stream(1, cpi), w.stream(1, cpi));
@@ -565,7 +560,7 @@ mod tests {
                     next,
                     &what,
                 );
-                assert_eq!(cached.restarts(), 3, "{what}");
+                assert_eq!(cached.restarts, 3, "{what}");
 
                 // Step a stream in slices through a mix prepared once per
                 // slice, as the serving shards do, slices ending at and

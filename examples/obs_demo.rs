@@ -230,7 +230,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut profiled_cfg = cfg.clone();
     profiled_cfg.obs = Some(ObsConfig::new(server.hub()));
     let service = Service::new(profiled_cfg)?;
-    let inst = Instruments::new().profiled(vsmooth::profile::ProfileConfig::default());
+    let inst = Instruments::new().profiled();
     service.run_with(&degradation_jobs(), &SameWorkload, 2, &inst)?;
     let profile = http_get(addr, "/profile")?;
     println!("GET /profile -> {} (after a profiled pass)", profile.status);

@@ -22,7 +22,7 @@
 
 use vsmooth::chip::ChipConfig;
 use vsmooth::pdn::{DecapConfig, ImpedanceProfile, LadderConfig};
-use vsmooth::profile::{ProfileConfig, ProfileReport};
+use vsmooth::profile::ProfileReport;
 use vsmooth::sched::OnlineDroop;
 use vsmooth::serve::{synthetic_jobs, Service, ServiceConfig};
 use vsmooth::Instruments;
@@ -41,7 +41,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let run = |workers: usize| -> Result<(u64, ProfileReport), Box<dyn std::error::Error>> {
         let service = Service::new(cfg.clone())?;
-        let inst = Instruments::new().profiled(ProfileConfig::default());
+        let inst = Instruments::new().profiled();
         let run = service.run_with(&jobs, &OnlineDroop, workers, &inst)?;
         Ok((run.report.droops, run.profile.expect("profiler armed")))
     };

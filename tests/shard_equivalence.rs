@@ -33,7 +33,6 @@ use vsmooth::chip::ChipConfig;
 use vsmooth::monitor::MonitorConfig;
 use vsmooth::obs::{ObsConfig, ObsSnapshot, TelemetryHub};
 use vsmooth::pdn::DecapConfig;
-use vsmooth::profile::ProfileConfig;
 use vsmooth::sched::OnlineDroop;
 use vsmooth::serve::{AuditConfig, JobSpec, RuntimeMode, Service, ServiceConfig, ServiceReport};
 use vsmooth::testkit::gen_job_stream;
@@ -117,14 +116,14 @@ fn every_backend() -> impl Iterator<Item = (RuntimeMode, usize)> {
 
 fn both_instruments() -> Instruments<'static> {
     Instruments::new()
-        .profiled(ProfileConfig::default())
+        .profiled()
         .monitored(MonitorConfig::default())
 }
 
 #[test]
 fn profile_json_matches_coordinator_at_every_shard_count() {
     let jobs = jobs(0xCAFE);
-    let profile_only = Instruments::new().profiled(ProfileConfig::default());
+    let profile_only = Instruments::new().profiled();
     let run = |runtime, workers, inst| {
         let observed = run_with(runtime, workers, &jobs, inst);
         (observed.report, observed.profile.unwrap().to_json())
