@@ -166,6 +166,7 @@ grep -q '"streaming_peak_ring_occupancy":' BENCH_serve.json
 grep -q '"streaming_dropped_total": 0' BENCH_serve.json
 grep -q '"obs_scrape_under_load":' BENCH_serve.json
 grep -q '"introspection":' BENCH_serve.json
+grep -q '"observed":' BENCH_serve.json
 # Shard-runtime scaling gates: throughput must not regress as workers
 # are added (3% adjacent tolerance, computed by the bench) and the
 # 8-worker figure must clear 2.5x the 1-worker figure. The seed repo

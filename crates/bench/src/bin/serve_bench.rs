@@ -17,19 +17,23 @@
 //! scrape server hammered by a loopback `/metrics` client, against the
 //! same monitored run unobserved; and an `introspection` row: the
 //! sharded runtime with the live scoreboard and decision audit armed,
-//! against the plain sharded baseline), a telemetry-memory comparison of
-//! Full-mode buffering vs the streaming ring, plus a fleet-sweep
-//! throughput row (runs per second with and without checkpointing to
-//! disk).
+//! against the plain sharded baseline; and an `observed` row: a
+//! streaming tracer, the monitor, an obs hub publishing every epoch
+//! and the decision audit on one fused shard, against a plain run on
+//! one fused shard), a telemetry-memory comparison of Full-mode
+//! buffering vs the streaming ring, plus a fleet-sweep throughput row
+//! (runs per second with and without checkpointing to disk).
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use vsmooth::chip::ChipConfig;
 use vsmooth::fleet::{FleetCampaign, FleetSpec};
 use vsmooth::monitor::MonitorConfig;
+use vsmooth::obs::{ObsConfig, TelemetryHub};
 use vsmooth::pdn::DecapConfig;
 use vsmooth::sched::OnlineDroop;
-use vsmooth::serve::{synthetic_jobs, Service, ServiceConfig};
+use vsmooth::serve::{synthetic_jobs, AuditConfig, RuntimeMode, Service, ServiceConfig};
 use vsmooth::trace::{StreamConfig, Tracer};
 use vsmooth::Instruments;
 
@@ -120,16 +124,20 @@ fn main() {
         best.join(", ")
     );
 
-    // Armed-instrument overhead at one worker: interleaved pairs of
-    // (plain, armed) runs of the same stream, median of per-pair
-    // ratios, so slow timing drift of the host cancels out instead of
-    // skewing whichever side happened to run later.
-    let overhead = |name: &str, run: &dyn Fn()| -> (String, f64) {
+    // Armed-instrument overhead: interleaved pairs of (plain, armed)
+    // runs of the same stream, median of per-pair ratios, so slow
+    // timing drift of the host cancels out instead of skewing whichever
+    // side happened to run later. `plain` is the one-worker plain run
+    // unless a row names its own baseline.
+    let plain_1w = || {
+        service.run(&jobs, &OnlineDroop, 1).expect("service run");
+    };
+    let overhead_over = |name: &str, plain: &dyn Fn(), run: &dyn Fn()| -> (String, f64) {
         run(); // warm up
         let mut pair_ratios = Vec::with_capacity(ROUNDS);
         for _ in 0..ROUNDS {
             let start = Instant::now();
-            service.run(&jobs, &OnlineDroop, 1).expect("service run");
+            plain();
             let plain = start.elapsed().as_secs_f64().max(1e-9);
             let start = Instant::now();
             run();
@@ -139,6 +147,7 @@ fn main() {
         println!("{name} overhead: {ratio:.2}x");
         (name.to_string(), ratio)
     };
+    let overhead = |name: &str, run: &dyn Fn()| overhead_over(name, &plain_1w, run);
     let mut ratios = vec![
         overhead("traced", &|| {
             let tracer = Tracer::enabled();
@@ -174,6 +183,44 @@ fn main() {
         }),
     ];
 
+    // Observed-serve overhead on one fused shard: a streaming tracer,
+    // the monitor, an obs hub publishing every epoch and the decision
+    // audit, against the plain run on one fused shard — the pair the
+    // benchmark's `serve_observed` and `serve` workloads run, minus its
+    // scrape client.
+    {
+        let sharded = |observed: bool| {
+            let mut cfg = ServiceConfig::new(ChipConfig::core2_duo(DecapConfig::proc100()));
+            cfg.slice_cycles = SLICE;
+            cfg.runtime = RuntimeMode::Sharded;
+            if observed {
+                cfg.obs = Some(ObsConfig::new(Arc::new(TelemetryHub::new())));
+                cfg.audit = Some(AuditConfig::default());
+            }
+            Service::new(cfg).expect("valid config")
+        };
+        let (plain, observed) = (sharded(false), sharded(true));
+        ratios.push(overhead_over(
+            "observed",
+            &|| {
+                plain.run(&jobs, &OnlineDroop, 1).expect("service run");
+            },
+            &|| {
+                let tracer = Tracer::streaming_to_writer(std::io::sink(), StreamConfig::default());
+                let inst = Instruments::new()
+                    .traced(&tracer)
+                    .monitored(MonitorConfig::default());
+                observed
+                    .run_with(&jobs, &OnlineDroop, 1, &inst)
+                    .expect("service run");
+                tracer
+                    .finish_stream()
+                    .expect("streaming tracer")
+                    .expect("flush stream");
+            },
+        ));
+    }
+
     // Scrape-under-load overhead: the monitored run with a live scrape
     // server attached and a loopback client polling `/metrics` at a
     // fixed 20 ms cadence (50 Hz — orders of magnitude hotter than any
@@ -184,8 +231,7 @@ fn main() {
     // measure CPU starvation, not serving cost.
     {
         use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Arc;
-        use vsmooth::obs::{http_get, ObsConfig, ObsServer};
+        use vsmooth::obs::{http_get, ObsServer};
 
         let server = ObsServer::bind("127.0.0.1:0").expect("bind obs server");
         let addr = server.local_addr();
@@ -267,10 +313,6 @@ fn main() {
     // (the `monitored` row already owns that). Minimum-of-pairs again:
     // the effect is small and preemptions only ever add time.
     {
-        use std::sync::Arc;
-        use vsmooth::obs::{ObsConfig, TelemetryHub};
-        use vsmooth::serve::AuditConfig;
-
         let workers = 4;
         let mut armed_cfg = ServiceConfig::new(ChipConfig::core2_duo(DecapConfig::proc100()));
         armed_cfg.slice_cycles = SLICE;

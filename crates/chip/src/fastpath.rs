@@ -37,6 +37,7 @@
 use crate::chip::Chip;
 use crate::session::{self, MeasureState, PhysicsStep, SliceStats};
 use crate::ChipError;
+use std::sync::Arc;
 use vsmooth_uarch::{Core, CycleStimulus, StimulusSource};
 
 /// Largest ripple period we precompute a lookup table for. The
@@ -336,7 +337,7 @@ impl crate::ChipSession {
         Ok(Self {
             state: MeasureState::new(&chip, interval_cycles),
             chip,
-            fast: Some(cache),
+            fast: Some(Arc::new(cache)),
             lean_cycles: 0,
         })
     }
@@ -374,7 +375,7 @@ impl crate::ChipSession {
     {
         self.chip.check_sources(2)?;
         if self.fast.is_none() {
-            self.fast = FastCache::build(&self.chip);
+            self.fast = FastCache::build(&self.chip).map(Arc::new);
         }
         let Some(cache) = self.fast.as_ref() else {
             let mut w0 = FnSource(s0);

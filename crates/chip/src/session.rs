@@ -34,6 +34,7 @@ use crate::sense::{CrossingGrid, VoltageSensor};
 use crate::stats::{RunStats, PHASE_MARGIN_PCT};
 use crate::window::{DroopWindow, WindowCapture, WindowConfig};
 use crate::ChipError;
+use std::sync::Arc;
 use vsmooth_uarch::{Core, PerfCounters, StimulusSource};
 
 /// One cycle of chip physics: stimulus, core ticks, regulator trim, PDN
@@ -357,14 +358,18 @@ impl SliceStats {
 /// assert_eq!(stats.droops_per_interval.len(), 4);
 /// # Ok::<(), vsmooth_chip::ChipError>(())
 /// ```
-#[derive(Debug)]
+///
+/// A clone is an independent session that continues from the same
+/// state, so one warm-up can open many measurements.
+#[derive(Debug, Clone)]
 pub struct ChipSession {
     pub(crate) chip: Chip,
     pub(crate) state: MeasureState,
     /// Precomputed coefficients for the fused step (`crate::fastpath`),
-    /// built on first use and reused for the session's lifetime (the
-    /// PDN matrices and ripple are immutable).
-    pub(crate) fast: Option<crate::fastpath::FastCache>,
+    /// built on first use and reused for the session's lifetime, and
+    /// shared by its clones (the PDN matrices and ripple are
+    /// immutable).
+    pub(crate) fast: Option<Arc<crate::fastpath::FastCache>>,
     /// Measured cycles run on the lean fused step, which leaves the
     /// sensor and overshoot grid behind (see [`ChipSession::finish`]).
     pub(crate) lean_cycles: u64,

@@ -226,8 +226,9 @@ mod tests {
                 core: 0,
                 cycle: i * 1_000,
                 depth_pct: 2.8,
-                workloads: vec!["482.sphinx3".into(); 2],
-                phase: format!("epoch{i}"),
+                workloads: vec!["482.sphinx3".into(); 2].into(),
+                label: "482.sphinx3+482.sphinx3".into(),
+                phase: format!("epoch{i}").into(),
             }));
             m.on_epoch(hot_sample(i * 1_000, 6));
         }

@@ -50,8 +50,9 @@ pub struct SliceRecord {
     pub start_cycle: u64,
     /// Chip the slice ran on.
     pub chip: usize,
-    /// Co-scheduled workloads, `+`-joined in core order.
-    pub label: String,
+    /// Co-scheduled workloads, `+`-joined in core order (shared with
+    /// the slice's droop events).
+    pub label: Arc<str>,
     /// Measured chip cycles in the slice.
     pub cycles: u64,
     /// Droop emergencies in the slice.
@@ -336,7 +337,8 @@ mod tests {
             core: 0,
             cycle,
             depth_pct: 2.9,
-            workloads: vec!["482.sphinx3".into(), "482.sphinx3".into()],
+            workloads: ["482.sphinx3".into(), "482.sphinx3".into()].into(),
+            label: "482.sphinx3+482.sphinx3".into(),
             phase: "epoch3".into(),
         })
     }

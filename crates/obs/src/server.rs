@@ -779,8 +779,9 @@ mod tests {
                     core: 0,
                     cycle: 600 * (i as u64 + 1),
                     depth_pct: 3.5,
-                    workloads: vec!["482.sphinx3".into()],
-                    phase: format!("epoch{i}"),
+                    workloads: ["482.sphinx3".into()].into(),
+                    label: "482.sphinx3".into(),
+                    phase: format!("epoch{i}").into(),
                 })
             })
             .collect();

@@ -44,44 +44,12 @@ pub struct DroopAttribution {
     pub dominant: Option<StallEvent>,
 }
 
-/// Scores one captured window: exponentially time-decayed weights of
-/// the lead-in events (those at or before the trigger), normalized per
-/// droop.
-///
-/// # Examples
-///
-/// ```
-/// use vsmooth_chip::{DroopWindow, WindowEvent};
-/// use vsmooth_profile::attribute;
-/// use vsmooth_uarch::{PerfCounters, StallEvent};
-///
-/// let window = DroopWindow {
-///     trigger_cycle: 100,
-///     depth_pct: 2.9,
-///     start_cycle: 90,
-///     truncated: false,
-///     voltage_dev_pct: vec![0.0; 20],
-///     counter_deltas: vec![PerfCounters::new(); 2],
-///     events: vec![
-///         WindowEvent { cycle: 98, core: 0, event: StallEvent::L2Miss },
-///         WindowEvent { cycle: 105, core: 1, event: StallEvent::L1Miss }, // after trigger
-///     ],
-/// };
-/// let att = attribute(&window, 24.0);
-/// // Only the lead-in L2 miss counts; the post-trigger L1 miss cannot
-/// // have caused the crossing.
-/// assert_eq!(att.dominant, Some(StallEvent::L2Miss));
-/// assert!((att.shares.iter().sum::<f64>() + att.unattributed - 1.0).abs() < 1e-12);
-/// ```
-pub fn attribute(window: &DroopWindow, decay_tau_cycles: f64) -> DroopAttribution {
-    let tau = decay_tau_cycles.max(f64::MIN_POSITIVE);
-    attribute_with(window, |dt| (-(dt as f64) / tau).exp())
-}
-
-/// As [`attribute`], but with the decay weight supplied per cycle
-/// distance to the trigger — [`Profiler`](crate::Profiler) memoizes
-/// `exp` over the bounded integer lead-in distances, which dominates
-/// scoring cost on event-dense windows.
+/// Scores one captured window: the lead-in events (those at or before
+/// the trigger) weighed by `weight_of` their cycle distance to the
+/// trigger, normalized per droop. [`Profiler`](crate::Profiler) weighs
+/// with an exponential decay at the τ its `vsmooth-profile-v1` JSON
+/// records, memoizing `exp` over the bounded integer lead-in distances,
+/// which dominates scoring cost on event-dense windows.
 pub(crate) fn attribute_with(
     window: &DroopWindow,
     weight_of: impl Fn(u64) -> f64,
@@ -130,6 +98,40 @@ mod tests {
     use super::*;
     use vsmooth_chip::WindowEvent;
     use vsmooth_uarch::PerfCounters;
+
+    /// Scores `window` with an exponential decay of time constant
+    /// `tau` cycles.
+    fn attribute(window: &DroopWindow, tau: f64) -> DroopAttribution {
+        attribute_with(window, |dt| (-(dt as f64) / tau).exp())
+    }
+
+    #[test]
+    fn only_lead_in_events_are_blamed() {
+        let window = DroopWindow {
+            trigger_cycle: 100,
+            depth_pct: 2.9,
+            start_cycle: 90,
+            truncated: false,
+            voltage_dev_pct: vec![0.0; 20],
+            counter_deltas: vec![PerfCounters::new(); 2],
+            events: vec![
+                WindowEvent {
+                    cycle: 98,
+                    core: 0,
+                    event: StallEvent::L2Miss,
+                },
+                // After the trigger: it cannot have caused the crossing.
+                WindowEvent {
+                    cycle: 105,
+                    core: 1,
+                    event: StallEvent::L1Miss,
+                },
+            ],
+        };
+        let att = attribute(&window, 24.0);
+        assert_eq!(att.dominant, Some(StallEvent::L2Miss));
+        assert!((att.shares.iter().sum::<f64>() + att.unattributed - 1.0).abs() < 1e-12);
+    }
 
     fn window_with(events: Vec<WindowEvent>) -> DroopWindow {
         DroopWindow {

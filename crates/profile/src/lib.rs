@@ -71,6 +71,6 @@ mod attribution;
 mod profiler;
 mod report;
 
-pub use attribution::{attribute, DroopAttribution};
+pub use attribution::DroopAttribution;
 pub use profiler::{NoiseProfile, Profiler};
 pub use report::{emit_window_span, ProfileReport, WorkloadProfile};

@@ -150,7 +150,36 @@ impl Profiler {
 
     /// Scores `window` and folds it into the profile for `label`,
     /// returning the per-droop attribution (so callers can emit trace
-    /// spans or per-job annotations without re-scoring).
+    /// spans or per-job annotations without re-scoring). Lead-in
+    /// events (those at or before the trigger) weigh `exp(-dt / τ)` at
+    /// their distance `dt` to the trigger, with the τ the report's
+    /// JSON records, normalized per droop.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use vsmooth_chip::{DroopWindow, WindowEvent};
+    /// use vsmooth_profile::Profiler;
+    /// use vsmooth_uarch::{PerfCounters, StallEvent};
+    ///
+    /// let window = DroopWindow {
+    ///     trigger_cycle: 100,
+    ///     depth_pct: 2.9,
+    ///     start_cycle: 90,
+    ///     truncated: false,
+    ///     voltage_dev_pct: vec![0.0; 20],
+    ///     counter_deltas: vec![PerfCounters::new(); 2],
+    ///     events: vec![
+    ///         WindowEvent { cycle: 98, core: 0, event: StallEvent::L2Miss },
+    ///         WindowEvent { cycle: 105, core: 1, event: StallEvent::L1Miss }, // after trigger
+    ///     ],
+    /// };
+    /// let att = Profiler::new(2.5).record("429.mcf", &window);
+    /// // Only the lead-in L2 miss counts; the post-trigger L1 miss cannot
+    /// // have caused the crossing.
+    /// assert_eq!(att.dominant, Some(StallEvent::L2Miss));
+    /// assert!((att.shares.iter().sum::<f64>() + att.unattributed - 1.0).abs() < 1e-12);
+    /// ```
     pub fn record(&mut self, label: &str, window: &DroopWindow) -> DroopAttribution {
         let decay = &self.decay;
         // Table lookup for the (bounded) distances capture produces,

@@ -239,7 +239,7 @@ pub fn emit_window_span(
             ("events", ArgValue::U64(window.events.len() as u64)),
             (
                 "dominant",
-                ArgValue::Str(att.dominant.map_or("none", |e| e.label()).to_string()),
+                ArgValue::from(att.dominant.map_or("none", |e| e.label())),
             ),
         ],
     );
@@ -358,7 +358,7 @@ mod tests {
     fn window_span_round_trips_through_tracer() {
         let tracer = Tracer::enabled();
         let window = sample_window();
-        let att = crate::attribute(&window, 24.0);
+        let att = crate::Profiler::new(2.5).record("482.sphinx3", &window);
         emit_window_span(&tracer, 10, 2, window.start_cycle, &window, &att);
         let json = tracer.to_chrome_json();
         let value = vsmooth_trace::parse_json(&json).expect("valid trace JSON");

@@ -76,7 +76,7 @@ struct SliceSeg {
     /// Virtual clock at the start of the slice.
     virtual_start: u64,
     /// Workloads resident during the slice, joined with `+`.
-    label: String,
+    label: Arc<str>,
 }
 
 /// What the merge layer knows about a job currently on a core.
@@ -363,6 +363,8 @@ impl<'a> Merge<'a> {
         let mut epoch_droops = 0u64;
         let mut epoch_min_margin = PHASE_MARGIN_PCT;
         let mut epoch_margin_weight = 0.0f64;
+        // The epoch's phase label, shared by all of its droop events.
+        let mut phase: Option<Arc<str>> = None;
         for (b, log) in rec.busy.iter().zip(logs) {
             let slice = &log.stats;
             self.busy_core_quanta += b.cores.iter().flatten().count() as u64;
@@ -415,18 +417,22 @@ impl<'a> Merge<'a> {
                 }
             }
             if self.drain.crossings {
-                let workloads: Vec<String> = b
+                // The slice's context, built once and shared by its
+                // droop events, its monitor record and its profile
+                // segment.
+                let workloads: Arc<[String]> = b
                     .cores
                     .iter()
                     .flatten()
                     .map(|cs| cs.workload.clone())
                     .collect();
+                let label: Arc<str> = workloads.join("+").into();
                 // Busy chips only ever advance one slice per epoch, so
                 // every captured crossing maps onto this slice's
                 // window of the virtual clock.
                 let slice_start = log.session_start;
                 if self.drain.droop_events {
-                    let phase = format!("epoch{}", rec.index);
+                    let phase = phase.get_or_insert_with(|| format!("epoch{}", rec.index).into());
                     for crossing in &log.crossings {
                         // One event per crossing, shared by every
                         // consumer: the tracer renders from a borrow,
@@ -437,8 +443,9 @@ impl<'a> Merge<'a> {
                             core: 0,
                             cycle: now + (crossing.cycle - slice_start),
                             depth_pct: crossing.depth_pct,
-                            workloads: workloads.clone(),
-                            phase: phase.clone(),
+                            workloads: Arc::clone(&workloads),
+                            label: Arc::clone(&label),
+                            phase: Arc::clone(phase),
                         });
                         self.tracer.droop(&event);
                         if let Some(m) = self.monitor.as_mut() {
@@ -456,7 +463,7 @@ impl<'a> Merge<'a> {
                     m.on_slice(SliceRecord {
                         start_cycle: now,
                         chip: b.chip,
-                        label: workloads.join("+"),
+                        label: Arc::clone(&label),
                         cycles: slice.cycles,
                         droops: slice.droops,
                         max_droop_pct: slice.max_droop_pct,
@@ -466,7 +473,7 @@ impl<'a> Merge<'a> {
                     self.segs[b.chip].push(SliceSeg {
                         session_start: slice_start,
                         virtual_start: now,
-                        label: workloads.join("+"),
+                        label,
                     });
                     record_windows(p, self.tracer, b.chip, &self.segs[b.chip], &log.windows);
                 }

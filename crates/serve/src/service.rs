@@ -13,11 +13,12 @@
 //!   recorded once, as an `EpochRec` in the epoch script, and
 //!   execution is delegated to the `ShardPool`. It builds no artifact
 //!   and arms no instrument.
-//! * **The shard pool** (`crate::shard`) builds, warms up and advances
-//!   the chips: on long-lived shard workers with per-shard run queues
-//!   and work-stealing, or, with no workers, in-line on this thread on
-//!   the reference step (the coordinator, see [`RuntimeMode`]). Either
-//!   way it returns one `SliceLog` per granted slice.
+//! * **The shard pool** (`crate::shard`) advances clones of the chips
+//!   the service warmed up once, on its first run: on long-lived shard
+//!   workers with per-shard run queues and work-stealing, or, with no
+//!   workers, in-line on this thread on the reference step (the
+//!   coordinator, see [`RuntimeMode`]). Either way it returns one
+//!   `SliceLog` per granted slice.
 //! * **The merge layer** (`crate::merge`) is the run's one artifact
 //!   owner: it arms the registry, profiler, monitor and audit ring,
 //!   decides the captures the pool drains for them, and replays epoch
@@ -57,15 +58,15 @@ use crate::instruments::{Instruments, Observed};
 use crate::introspect::RuntimeStats;
 use crate::job::{CompletedJob, JobSpec};
 use crate::merge::Merge;
-use crate::shard::ShardPool;
+use crate::shard::{warm_sessions, ShardPool};
 use crate::telemetry::TelemetryBook;
 use crate::ServeError;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-use vsmooth_chip::ChipConfig;
+use vsmooth_chip::{ChipConfig, ChipError, ChipSession};
 use vsmooth_monitor::{HealthReport, HealthSummary, MonitorConfig};
 use vsmooth_obs::ObsConfig;
 use vsmooth_sched::PairPolicy;
@@ -258,6 +259,9 @@ impl ServiceReport {
 #[derive(Debug)]
 pub struct Service {
     cfg: ServiceConfig,
+    /// The pool's chips, built and warmed up by the first run (or the
+    /// error that stopped it) and cloned into every run's pool.
+    warmed: OnceLock<Result<Vec<ChipSession>, ChipError>>,
 }
 
 impl Service {
@@ -279,7 +283,10 @@ impl Service {
                 "queue capacity must admit at least one job (or None for unbounded)",
             ));
         }
-        Ok(Self { cfg })
+        Ok(Self {
+            cfg,
+            warmed: OnceLock::new(),
+        })
     }
 
     /// The service's configuration.
@@ -382,14 +389,18 @@ impl Service {
             shards > 0,
             jobs.len(),
         );
+        let warmed = self
+            .warmed
+            .get_or_init(|| warm_sessions(&self.cfg.chip, self.cfg.chips, self.cfg.slice_cycles))
+            .as_ref()
+            .map_err(|e| ServeError::Chip(e.clone()))?;
         let mut pool = ShardPool::new(
-            &self.cfg.chip,
-            self.cfg.chips,
+            warmed,
             shards,
             Arc::clone(&stats),
             self.cfg.slice_cycles,
             merge.drain,
-        )?;
+        );
         merge.name_tracks();
         let mut pending: VecDeque<JobSpec> = {
             let mut sorted = jobs.to_vec();
@@ -1155,6 +1166,81 @@ mod tests {
         // Droop events were captured for the monitor even though the
         // flight recorder, not the tracer, is their consumer.
         assert_eq!(tracer.droops_total(), report.droops);
+    }
+
+    /// A service warms its chips once and every run's pool starts from
+    /// clones, so nothing one run arms or advances reaches the next. One
+    /// service runs profiled, then plain, then traced and monitored, at
+    /// 0, 1 and 2 workers — once with the invariant checker, an obs hub
+    /// and the audit armed in its config, once with nothing — and every
+    /// run's artifacts equal a fresh service's for the same call.
+    #[test]
+    fn warmed_chips_carry_nothing_between_runs() {
+        use std::sync::Mutex;
+        use vsmooth_obs::{ObsSnapshot, TelemetryHub};
+        let jobs = synthetic_jobs(23, 8, 1_000);
+        // Every snapshot a service publishes, its live `shards` section
+        // (execution state by design) left out.
+        let published = Arc::new(Mutex::new(Vec::new()));
+        let config = |armed: bool| {
+            let mut cfg = small_cfg();
+            if armed {
+                cfg.invariants = true;
+                cfg.audit = Some(AuditConfig::default());
+                let mut oc = ObsConfig::new(Arc::new(TelemetryHub::new()));
+                let sink = Arc::clone(&published);
+                oc.on_publish = Some(Arc::new(move |snap: &ObsSnapshot| {
+                    sink.lock().unwrap().push(format!(
+                        "{}{:?}",
+                        snap.metrics.render(),
+                        (
+                            &snap.health,
+                            &snap.service,
+                            &snap.recent_droops,
+                            &snap.decisions,
+                            &snap.profile_json
+                        )
+                    ));
+                }));
+                cfg.obs = Some(oc);
+            }
+            cfg
+        };
+        let artifacts = |service: &Service, call: usize, workers: usize| {
+            let tracer = Tracer::enabled();
+            let inst = match call {
+                0 => Instruments::new().profiled(),
+                1 => Instruments::new(),
+                _ => Instruments::new()
+                    .traced(&tracer)
+                    .monitored(MonitorConfig::default()),
+            };
+            let o = service
+                .run_with(&jobs, &OnlineDroop, workers, &inst)
+                .unwrap();
+            (
+                o.report.render(),
+                o.report,
+                tracer.to_chrome_json(),
+                o.profile.map(|p| p.to_json()),
+                o.health.map(|h| h.to_json()),
+                std::mem::take(&mut *published.lock().unwrap()),
+            )
+        };
+        for armed in [true, false] {
+            let warmed = Service::new(config(armed)).unwrap();
+            for workers in [0, 1, 2] {
+                for call in 0..3 {
+                    let reused = artifacts(&warmed, call, workers);
+                    let fresh = artifacts(&Service::new(config(armed)).unwrap(), call, workers);
+                    assert_eq!(armed, !reused.5.is_empty());
+                    assert_eq!(
+                        reused, fresh,
+                        "call {call} at {workers} workers, armed {armed}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

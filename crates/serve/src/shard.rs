@@ -17,6 +17,10 @@
 //! every trace record. The fused step is bit-identical to the
 //! reference step (window capture and the invariant checker riding
 //! along), so every sharded run is also a differential test of it.
+//!
+//! Either way the cells start from clones of chip sessions the service
+//! warmed up once, on the fused step ([`warm_sessions`]), whose
+//! warm-up is bit-identical to the reference step's.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::Ordering;
@@ -42,31 +46,38 @@ pub(crate) struct ChipCell {
     pub idle: [IdleLoop; 2],
 }
 
-impl ChipCell {
-    /// Builds pool chip `index`, warms it up on its idle loops (on the
-    /// fused step when `fused`) and arms the captures `drain` names.
-    fn new(
-        cfg: &ChipConfig,
-        index: usize,
-        fused: bool,
-        slice_cycles: u64,
-        drain: &DrainPlan,
-    ) -> Result<Self, ChipError> {
-        let chip = Chip::new(cfg.clone())?;
-        let seed = |core: usize| (index * 2 + core) as u64;
-        let mut w0 = IdleLoop::new(seed(0));
-        let mut w1 = IdleLoop::new(seed(1));
-        let mut session = if fused {
+/// The seed of pool chip `index`'s idle loop on `core`.
+fn idle_seed(index: usize, core: usize) -> u64 {
+    (index * 2 + core) as u64
+}
+
+/// Builds `chips` pool chips of `cfg` and warms each up on its idle
+/// loops, on the fused step (bit-identical to the reference warm-up),
+/// with intervals of `slice_cycles`. A service warms its chips once
+/// and every run's pool clones them.
+pub(crate) fn warm_sessions(
+    cfg: &ChipConfig,
+    chips: usize,
+    slice_cycles: u64,
+) -> Result<Vec<ChipSession>, ChipError> {
+    (0..chips)
+        .map(|index| {
+            let mut w0 = IdleLoop::new(idle_seed(index, 0));
+            let mut w1 = IdleLoop::new(idle_seed(index, 1));
             ChipSession::begin_fast(
-                chip,
+                Chip::new(cfg.clone())?,
                 || StimulusSource::next(&mut w0),
                 || StimulusSource::next(&mut w1),
                 slice_cycles,
-            )?
-        } else {
-            let mut warmup: [&mut dyn StimulusSource; 2] = [&mut w0, &mut w1];
-            ChipSession::begin(chip, &mut warmup, slice_cycles)?
-        };
+            )
+        })
+        .collect()
+}
+
+impl ChipCell {
+    /// Pool chip `index` from its warmed-up `session`, armed with the
+    /// captures `drain` names, its cores running fresh idle loops.
+    fn new(mut session: ChipSession, index: usize, drain: &DrainPlan) -> Self {
         if let Some(window) = drain.windows {
             session.enable_profiling(drain.margin, window);
         } else if drain.crossings {
@@ -75,11 +86,14 @@ impl ChipCell {
         if drain.invariants {
             session.enable_invariants(InvariantConfig::default());
         }
-        Ok(Self {
+        Self {
             session,
             cores: [None, None],
-            idle: [IdleLoop::new(seed(0)), IdleLoop::new(seed(1))],
-        })
+            idle: [
+                IdleLoop::new(idle_seed(index, 0)),
+                IdleLoop::new(idle_seed(index, 1)),
+            ],
+        }
     }
 
     /// Advances this chip one quantum on the historical reference
@@ -238,8 +252,8 @@ struct PoolShared {
     stats: Arc<RuntimeStats>,
     slice_cycles: u64,
     drain: DrainPlan,
-    /// Cells warm up and run slices on the lean fused step. Only a pool
-    /// with no workers keeps the reference step, as the oracle.
+    /// Cells run slices on the lean fused step. Only a pool with no
+    /// workers keeps the reference step, as the oracle.
     fused: bool,
 }
 
@@ -345,27 +359,27 @@ pub(crate) struct ShardPool {
 }
 
 impl ShardPool {
-    /// Builds, warms up and arms `chips` cells of `chip` from `drain`,
-    /// then spawns `workers` shard threads. Chips are owned round-robin
-    /// across shards.
+    /// Builds one cell per `warmed` session (a clone, armed from
+    /// `drain`), then spawns `workers` shard threads. Chips are owned
+    /// round-robin across shards.
     pub(crate) fn new(
-        chip: &ChipConfig,
-        chips: usize,
+        warmed: &[ChipSession],
         workers: usize,
         stats: Arc<RuntimeStats>,
         slice_cycles: u64,
         drain: DrainPlan,
-    ) -> Result<Self, ServeError> {
-        let fused = workers > 0;
-        let cells = (0..chips)
-            .map(|index| {
-                let cell = ChipCell::new(chip, index, fused, slice_cycles, &drain)?;
-                Ok(Mutex::new(CellSlot {
+    ) -> Self {
+        let chips = warmed.len();
+        let cells = warmed
+            .iter()
+            .enumerate()
+            .map(|(index, session)| {
+                Mutex::new(CellSlot {
                     cmds: VecDeque::new(),
-                    cell,
-                }))
+                    cell: ChipCell::new(session.clone(), index, &drain),
+                })
             })
-            .collect::<Result<_, ChipError>>()?;
+            .collect();
         let shared = Arc::new(PoolShared {
             cells,
             tokens: TokenBoard::new(workers),
@@ -373,7 +387,7 @@ impl ShardPool {
             stats,
             slice_cycles,
             drain,
-            fused,
+            fused: workers > 0,
         });
         let handles = (0..workers)
             .map(|me| {
@@ -384,7 +398,7 @@ impl ShardPool {
                     .expect("spawn shard worker")
             })
             .collect();
-        Ok(Self {
+        Self {
             shared,
             handles,
             outstanding: BTreeSet::new(),
@@ -394,7 +408,7 @@ impl ShardPool {
             last_executor: vec![None; chips],
             scratch: Vec::new(),
             failure: None,
-        })
+        }
     }
 
     /// Queues `cmd` at its chip cell and records the depth the queue
@@ -566,8 +580,9 @@ mod tests {
 
     fn inline_pool(chips: usize) -> ShardPool {
         let cfg = ChipConfig::core2_duo(DecapConfig::proc100());
+        let warmed = warm_sessions(&cfg, chips, SLICE).unwrap();
         let stats = Arc::new(RuntimeStats::new(0, chips));
-        ShardPool::new(&cfg, chips, 0, stats, SLICE, DrainPlan::default()).unwrap()
+        ShardPool::new(&warmed, 0, stats, SLICE, DrainPlan::default())
     }
 
     fn job(id: u64) -> CellJob {

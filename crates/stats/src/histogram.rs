@@ -31,7 +31,6 @@ pub struct Histogram {
     underflow: u64,
     overflow: u64,
     min: f64,
-    max: f64,
     total: u64,
     sum: f64,
 }
@@ -57,7 +56,6 @@ impl Histogram {
             underflow: 0,
             overflow: 0,
             min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
             total: 0,
             sum: 0.0,
         }
@@ -73,7 +71,6 @@ impl Histogram {
         self.total += 1;
         self.sum += x;
         self.min = self.min.min(x);
-        self.max = self.max.max(x);
         if x < self.lo {
             self.underflow += 1;
         } else if x >= self.hi {
@@ -106,7 +103,6 @@ impl Histogram {
         self.total += other.total;
         self.sum += other.sum;
         self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Total number of recorded samples (including under/overflow).

@@ -17,7 +17,7 @@ use proptest::{Strategy, TestRng};
 use vsmooth_chip::ChipConfig;
 use vsmooth_pdn::{DecapConfig, LadderConfig, LadderStage};
 use vsmooth_serve::{synthetic_jobs, JobSpec};
-use vsmooth_workload::{EventMix, Phase, PhaseTimeline, Suite, Threading, Workload};
+use vsmooth_workload::{EventMix, Phase, PhaseTimeline, Threading, Workload};
 
 /// A [`Strategy`] backed by a plain `Fn(&mut TestRng) -> T` generator.
 ///
@@ -133,12 +133,7 @@ pub fn gen_workload(rng: &mut TestRng, name: &str) -> Workload {
             mix: gen_event_mix(rng),
         })
         .collect();
-    Workload::new(
-        name,
-        Suite::Synthetic,
-        Threading::Single,
-        PhaseTimeline::new(phases),
-    )
+    Workload::new(name, Threading::Single, PhaseTimeline::new(phases))
 }
 
 /// A pool of `n` random workloads with distinct names (`gen-0`,

@@ -8,6 +8,7 @@
 use crate::json::{escape_into, json_f64};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Virtual process id of the job timeline (admission queue + per-job
 /// lifecycle spans) in exported traces.
@@ -31,6 +32,10 @@ pub fn chip_pid(chip: usize) -> u32 {
 /// *when* (virtual cycle), *how deep*, and *what was running*
 /// (PAPER.md §III — the oscilloscope events, here with scheduling
 /// context attached).
+///
+/// The context — `workloads`, `label` and `phase` — is the same for
+/// every droop of one slice, so it is shared: an event holds three
+/// reference counts, and the tracer's args hold the same strings.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DroopEvent {
     /// Chip (pool slot) the droop occurred on.
@@ -46,9 +51,11 @@ pub struct DroopEvent {
     pub depth_pct: f64,
     /// Workloads resident on the chip when the droop started, in core
     /// order.
-    pub workloads: Vec<String>,
+    pub workloads: Arc<[String]>,
+    /// `workloads` joined with `+`, the label the trace renders.
+    pub label: Arc<str>,
     /// Phase label of the emitting context (e.g. `epoch42`).
-    pub phase: String,
+    pub phase: Arc<str>,
 }
 
 impl DroopEvent {
@@ -77,8 +84,8 @@ impl DroopEvent {
 /// One value attached to a record's `args` map.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ArgValue {
-    /// A string argument.
-    Str(String),
+    /// A string argument, shareable with the event it came from.
+    Str(Arc<str>),
     /// An unsigned integer argument.
     U64(u64),
     /// A float argument (rendered with 4 decimal places).
@@ -87,13 +94,13 @@ pub enum ArgValue {
 
 impl From<String> for ArgValue {
     fn from(s: String) -> Self {
-        Self::Str(s)
+        Self::Str(s.into())
     }
 }
 
 impl From<&str> for ArgValue {
     fn from(s: &str) -> Self {
-        Self::Str(s.to_string())
+        Self::Str(s.into())
     }
 }
 

@@ -14,7 +14,7 @@
 //! through `push_event`), so it appends fixed fragments with
 //! `push_str` and integers through a digit loop instead of the `write!`
 //! formatter; floats go through the JSON module's `push_f64`, which
-//! renders exactly what `{:.4}` renders. The
+//! renders exactly what `{:.4}` renders with integer arithmetic. The
 //! `push_event_matches_the_formatter` property holds it to a
 //! `write!`-based renderer byte for byte.
 //!
@@ -230,7 +230,8 @@ mod tests {
             core: 0,
             cycle: 1_234,
             depth_pct: 2.8125,
-            workloads: vec!["429.mcf".into()],
+            workloads: ["429.mcf".into()].into(),
+            label: "429.mcf".into(),
             phase: "epoch2".into(),
         });
         t
@@ -424,11 +425,11 @@ mod tests {
             .collect()
     }
 
-    /// Integer-valued floats on both sides of the fast path's bound,
-    /// signed zeros, non-integers, NaN, the infinities and arbitrary
-    /// bit patterns (subnormals, huge magnitudes).
+    /// Integer-valued floats on both sides of 2^53, signed zeros,
+    /// non-integers, NaN, the infinities and arbitrary bit patterns
+    /// (subnormals, huge magnitudes).
     fn any_float(rng: &mut TestRng) -> f64 {
-        use crate::json::INT_FAST_PATH_BOUND as BOUND;
+        const BOUND: f64 = 9_007_199_254_740_992.0;
         let sign = if rng.below(2) == 0 { 1.0 } else { -1.0 };
         sign * match rng.below(12) {
             0 => 0.0,
@@ -471,7 +472,7 @@ mod tests {
             .map(|_| {
                 let key = KEYS[rng.below(KEYS.len() as u64) as usize];
                 let value = match rng.below(3) {
-                    0 => ArgValue::Str(hostile_string(rng)),
+                    0 => ArgValue::from(hostile_string(rng)),
                     1 => ArgValue::U64(any_u64(rng)),
                     _ => ArgValue::F64(any_float(rng)),
                 };

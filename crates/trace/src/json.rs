@@ -54,10 +54,6 @@ pub fn json_f64(x: f64) -> String {
     out
 }
 
-/// Integer-valued floats up to this magnitude (2^53) take
-/// [`push_f64`]'s digit-loop path.
-pub(crate) const INT_FAST_PATH_BOUND: f64 = 9_007_199_254_740_992.0;
-
 /// Appends `v` in decimal without the formatting machinery.
 pub(crate) fn push_u64(out: &mut String, mut v: u64) {
     let mut digits = [0u8; 20];
@@ -75,22 +71,116 @@ pub(crate) fn push_u64(out: &mut String, mut v: u64) {
     }
 }
 
-/// Appends `x` exactly as `{x:.4}` renders it. An integer-valued
-/// finite `x` with `|x| <= 2^53` is its sign, its integer digits and
-/// `.0000` — `{:.4}` prints the exact decimal value, which for such an
-/// `x` is an integer that `u64` holds exactly — so that case skips the
-/// float formatter; `-0.0` keeps its sign. NaN, the infinities, larger
-/// magnitudes and every non-integer value go through `{:.4}`.
-pub(crate) fn push_f64(out: &mut String, x: f64) {
-    if x.fract() == 0.0 && x.abs() <= INT_FAST_PATH_BOUND {
-        if x.is_sign_negative() {
-            out.push('-');
-        }
-        push_u64(out, x.abs() as u64);
-        out.push_str(".0000");
-    } else {
-        let _ = write!(out, "{x:.4}");
+/// Appends the low `width` (at most 9) decimal digits of `v`,
+/// zero-padded.
+fn push_padded(out: &mut String, mut v: u64, width: usize) {
+    let mut digits = [b'0'; 9];
+    for d in digits[..width].iter_mut().rev() {
+        *d = b'0' + (v % 10) as u8;
+        v /= 10;
     }
+    for &d in &digits[..width] {
+        out.push(char::from(d));
+    }
+}
+
+/// Appends the decimal digits of the integer `m · 2^e`, for
+/// `m < 2^53`: in a `u64` while it fits, else in base-10^9 limbs (an
+/// `f64` has at most 309 integer digits).
+fn push_pow2_multiple(out: &mut String, m: u64, e: u32) {
+    if e <= 11 {
+        push_u64(out, m << e);
+        return;
+    }
+    const BASE: u64 = 1_000_000_000;
+    // Least significant first. `m >= 2^52` here (only normal floats
+    // have `e >= 0`), so the top limb is never zero.
+    let mut limbs = vec![m % BASE, m / BASE];
+    let mut left = e;
+    while left > 0 {
+        // A limb is below 2^30, so `limb << 29` plus a carry below
+        // BASE fits in a `u64`, and the carry out stays below BASE.
+        let shift = left.min(29);
+        let mut carry = 0;
+        for limb in &mut limbs {
+            let v = (*limb << shift) + carry;
+            *limb = v % BASE;
+            carry = v / BASE;
+        }
+        if carry > 0 {
+            limbs.push(carry);
+        }
+        left -= shift;
+    }
+    let (top, rest) = limbs.split_last().expect("two limbs at least");
+    push_u64(out, *top);
+    for &limb in rest.iter().rev() {
+        push_padded(out, limb, 9);
+    }
+}
+
+/// Appends `x` exactly as `{x:.4}` renders it, with integer
+/// arithmetic alone for every finite `x`. `{:.4}` prints the exact
+/// decimal value of `x` rounded to four places, ties to even, with
+/// the sign whenever it is set (`-0.0` and negatives that round to
+/// zero print `-0.0000`). A finite `x` is exactly `m · 2^e` for
+/// integers `m < 2^53` and `e`, so:
+///
+/// * for `e >= 0`, `x` is the integer `m · 2^e`, written with `.0000`;
+/// * for `e < 0`, the integer part is `m >> -e`, and the fraction
+///   `f / 2^-e` (`f` the low `-e` bits of `m`) is `q + r / 2^-e` units
+///   of 10^-4, where `q` and `r` are the quotient and remainder of the
+///   exact product `f · 10^4` (below 2^67, so a `u128`) by `2^-e`. `q`
+///   rounds up when `r` is above half a unit, or exactly half and `q`
+///   odd — `q`'s parity is the whole number's, since 10^4 is even — and
+///   a round-up to 10^4 carries into the integer part.
+///
+/// Only NaN and the infinities reach the formatter.
+pub(crate) fn push_f64(out: &mut String, x: f64) {
+    if !x.is_finite() {
+        let _ = write!(out, "{x:.4}");
+        return;
+    }
+    if x.is_sign_negative() {
+        out.push('-');
+    }
+    let bits = x.to_bits();
+    let biased = (bits >> 52 & 0x7ff) as i32;
+    let fraction = bits & ((1 << 52) - 1);
+    // Subnormals have no implicit leading bit.
+    let (m, e) = if biased == 0 {
+        (fraction, -1074)
+    } else {
+        (fraction | 1 << 52, biased - 1075)
+    };
+    if e >= 0 {
+        push_pow2_multiple(out, m, e.unsigned_abs());
+        out.push_str(".0000");
+        return;
+    }
+    let k = e.unsigned_abs();
+    let (mut int, f) = if k < 64 {
+        (m >> k, m & ((1 << k) - 1))
+    } else {
+        (0, m)
+    };
+    let scaled = u128::from(f) * 10_000;
+    // From k = 68 on, `scaled < 2^67 <= 2^(k-1)`: under half a unit.
+    let mut q = if k < 68 {
+        let q = (scaled >> k) as u64;
+        let r = scaled & ((1 << k) - 1);
+        let half = 1 << (k - 1);
+        q + u64::from(r > half || (r == half && q & 1 == 1))
+    } else {
+        0
+    };
+    if q == 10_000 {
+        int += 1;
+        q = 0;
+    }
+    push_u64(out, int);
+    out.push('.');
+    push_padded(out, q, 4);
 }
 
 /// A parsed JSON value (offline stand-in for `serde_json::Value`).
@@ -419,6 +509,80 @@ mod tests {
         assert_eq!(json_f64(1.0), "1.0000");
         assert_eq!(json_f64(2.5), "2.5000");
         assert_eq!(json_f64(-0.12345), "-0.1235");
+    }
+
+    /// `push_f64` of `x`, checked against the formatter it replaces.
+    fn rendered(x: f64) -> String {
+        let mut out = String::new();
+        push_f64(&mut out, x);
+        assert_eq!(out, format!("{x:.4}"), "bits {:#018x}", x.to_bits());
+        out
+    }
+
+    #[test]
+    fn float_rendering_matches_the_formatter_on_its_edge_cases() {
+        let two52 = 4_503_599_627_370_496.0;
+        let two53 = 9_007_199_254_740_992.0;
+        let table = [
+            // Ties round to even.
+            (0.03125, "0.0312"),
+            (0.09375, "0.0938"),
+            (-0.03125, "-0.0312"),
+            (2.5e-5, "0.0000"),
+            (7.5e-5, "0.0001"),
+            // Round-ups that carry into the integer part.
+            (0.99995, "1.0000"),
+            (9.99995, "10.0000"),
+            (-9.99995, "-10.0000"),
+            // Subnormals, signed zeros and tiny negatives keep the sign.
+            (5e-324, "0.0000"),
+            (-5e-324, "-0.0000"),
+            (0.0, "0.0000"),
+            (-0.0, "-0.0000"),
+            (-1e-5, "-0.0000"),
+            // Around 2^52, the last magnitude with fraction bits, and 2^53.
+            (two52 - 0.5, "4503599627370495.5000"),
+            (two52, "4503599627370496.0000"),
+            (two53 - 1.0, "9007199254740991.0000"),
+            (two53, "9007199254740992.0000"),
+            (two53 + 2.0, "9007199254740994.0000"),
+            (-(two53 + 2.0), "-9007199254740994.0000"),
+            (u64::MAX as f64, "18446744073709551616.0000"),
+            (f64::NAN, "NaN"),
+            (f64::INFINITY, "inf"),
+            (f64::NEG_INFINITY, "-inf"),
+        ];
+        for (x, expected) in table {
+            assert_eq!(rendered(x), expected, "rendering {x:e}");
+        }
+        rendered(f64::MAX);
+        rendered(f64::MIN_POSITIVE);
+        rendered(-f64::MIN_POSITIVE);
+        for k in 0..64_000 {
+            rendered(f64::from(k) / 32.0);
+            rendered(-f64::from(k) / 64.0);
+            rendered(f64::from(k) / 20_000.0);
+        }
+    }
+
+    proptest! {
+        /// `push_f64` renders every float byte for byte as `{:.4}`
+        /// does: arbitrary bit patterns (subnormals, every exponent,
+        /// NaN payloads) and uniform values in [-100, 100). Case count
+        /// is pinned by `PROPTEST_CASES`.
+        #[test]
+        fn float_rendering_matches_the_formatter(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::new(seed);
+            for _ in 0..256 {
+                let bits = f64::from_bits(rng.next_u64());
+                let uniform = rng.unit_f64() * 200.0 - 100.0;
+                for x in [bits, uniform] {
+                    let mut out = String::new();
+                    push_f64(&mut out, x);
+                    prop_assert_eq!(out, format!("{x:.4}"), "bits {:#018x}", x.to_bits());
+                }
+            }
+        }
     }
 
     #[test]

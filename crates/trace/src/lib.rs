@@ -40,7 +40,8 @@
 //!     core: 0,
 //!     cycle: 2_400,
 //!     depth_pct: 2.9,
-//!     workloads: vec!["429.mcf".into()],
+//!     workloads: ["429.mcf".into()].into(),
+//!     label: "429.mcf".into(),
 //!     phase: "epoch1".into(),
 //! });
 //! let json = tracer.to_chrome_json();

@@ -16,7 +16,7 @@
 
 use crate::event::{chip_pid, ArgValue, Args, DroopEvent, TraceRecord};
 use crate::stream::{ChromeJsonSink, StreamConfig, StreamState, TelemetryStats};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// What a [`Tracer`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,7 +203,8 @@ impl Tracer {
     /// Records one typed droop event: an instant on the chip's
     /// timeline plus a `droops_total` counter sample (the running
     /// total across the whole run). Borrows the event, so one event
-    /// can also feed the monitor and the obs ring without a copy.
+    /// can also feed the monitor and the obs ring without a copy, and
+    /// its args share the event's label and phase.
     pub fn droop(&self, event: &DroopEvent) {
         if !self.is_enabled() {
             return;
@@ -220,8 +221,8 @@ impl Tracer {
             ts: event.cycle,
             args: vec![
                 ("depth_pct", ArgValue::F64(event.depth_pct)),
-                ("workloads", ArgValue::Str(event.workloads.join("+"))),
-                ("phase", ArgValue::Str(event.phase.clone())),
+                ("workloads", ArgValue::Str(Arc::clone(&event.label))),
+                ("phase", ArgValue::Str(Arc::clone(&event.phase))),
             ],
         });
         state.push(TraceRecord::Counter {
@@ -314,7 +315,8 @@ mod tests {
             core: 0,
             cycle,
             depth_pct: 2.9,
-            workloads: vec!["429.mcf".into(), "482.sphinx3".into()],
+            workloads: ["429.mcf".into(), "482.sphinx3".into()].into(),
+            label: "429.mcf+482.sphinx3".into(),
             phase: "epoch1".into(),
         }
     }

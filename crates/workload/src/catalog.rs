@@ -21,17 +21,7 @@
 use crate::phase::{EventMix, Phase, PhaseTimeline};
 use crate::stream::EventStream;
 use serde::{Deserialize, Serialize};
-
-/// Which suite a workload belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Suite {
-    /// SPEC CPU2006 (single-threaded).
-    Cpu2006,
-    /// PARSEC (multi-threaded; runs one thread per core).
-    Parsec,
-    /// Synthetic (idle loop, power virus, hand-built workloads).
-    Synthetic,
-}
+use std::sync::OnceLock;
 
 /// Whether the workload occupies one core or all cores.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -46,22 +36,15 @@ pub enum Threading {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Workload {
     name: String,
-    suite: Suite,
     threading: Threading,
     timeline: PhaseTimeline,
 }
 
 impl Workload {
     /// Creates a workload from its parts.
-    pub fn new(
-        name: impl Into<String>,
-        suite: Suite,
-        threading: Threading,
-        timeline: PhaseTimeline,
-    ) -> Self {
+    pub fn new(name: impl Into<String>, threading: Threading, timeline: PhaseTimeline) -> Self {
         Self {
             name: name.into(),
-            suite,
             threading,
             timeline,
         }
@@ -141,12 +124,7 @@ mod archetype {
 }
 
 fn flat(name: &str, intervals: u32, m: EventMix) -> Workload {
-    Workload::new(
-        name,
-        Suite::Cpu2006,
-        Threading::Single,
-        PhaseTimeline::flat(intervals, m),
-    )
+    Workload::new(name, Threading::Single, PhaseTimeline::flat(intervals, m))
 }
 
 fn phased(name: &str, phases: Vec<(u32, EventMix)>) -> Workload {
@@ -154,12 +132,7 @@ fn phased(name: &str, phases: Vec<(u32, EventMix)>) -> Workload {
         .into_iter()
         .map(|(intervals, mix)| Phase { intervals, mix })
         .collect();
-    Workload::new(
-        name,
-        Suite::Cpu2006,
-        Threading::Single,
-        PhaseTimeline::new(phases),
-    )
+    Workload::new(name, Threading::Single, PhaseTimeline::new(phases))
 }
 
 /// The 29 SPEC CPU2006 workloads of the paper's Fig. 15, in the figure's
@@ -271,9 +244,7 @@ pub fn spec2006() -> Vec<Workload> {
 /// timeline with different stream seeds).
 pub fn parsec() -> Vec<Workload> {
     use archetype::*;
-    let mt = |name: &str, timeline: PhaseTimeline| {
-        Workload::new(name, Suite::Parsec, Threading::Multi, timeline)
-    };
+    let mt = |name: &str, timeline: PhaseTimeline| Workload::new(name, Threading::Multi, timeline);
     vec![
         mt("blackscholes", PhaseTimeline::flat(10, compute(1.0))),
         mt(
@@ -333,12 +304,15 @@ pub fn parsec() -> Vec<Workload> {
     ]
 }
 
-/// Looks a workload up by name across both suites.
+/// Looks a workload up by name across both suites. The catalog is
+/// built once per process; a call clones only the workload it finds.
 pub fn by_name(name: &str) -> Option<Workload> {
-    spec2006()
-        .into_iter()
-        .chain(parsec())
+    static CATALOG: OnceLock<Vec<Workload>> = OnceLock::new();
+    CATALOG
+        .get_or_init(|| spec2006().into_iter().chain(parsec()).collect())
+        .iter()
         .find(|w| w.name() == name)
+        .cloned()
 }
 
 #[cfg(test)]

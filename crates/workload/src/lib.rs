@@ -33,6 +33,6 @@ mod catalog;
 mod phase;
 mod stream;
 
-pub use catalog::{by_name, parsec, spec2006, Suite, Threading, Workload};
+pub use catalog::{by_name, parsec, spec2006, Threading, Workload};
 pub use phase::{EventMix, Phase, PhaseTimeline};
 pub use stream::{EventStream, PreparedMix};
