@@ -16,6 +16,16 @@ cargo fmt --check
 # the same format so a routine format pass cannot edit vendored code.
 rustfmt --edition 2021 --check vendor/*/src/lib.rs
 
+echo "== nothing serializes (no source names serde) =="
+# Every artifact is written through vsmooth_trace::json and no type
+# derives a serializer. The manifests still declare the inert serde
+# stub until a benchmark change may rewrite perfbench/Cargo.lock, so
+# hold the sources to it: an import or derive naming serde fails here.
+if grep -rEn --include='*.rs' '\bserde' crates src tests examples; then
+    echo "a source file names serde; nothing serializes (DESIGN.md §5)"
+    exit 1
+fi
+
 echo "== clippy =="
 # Every library crate root warns on `unreachable_pub`, so a `pub` item
 # that no root re-export or public module reaches fails here.

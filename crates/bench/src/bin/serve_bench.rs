@@ -128,14 +128,15 @@ fn main() {
     // runs of the same stream, median of per-pair ratios, so slow
     // timing drift of the host cancels out instead of skewing whichever
     // side happened to run later. `plain` is the one-worker plain run
-    // unless a row names its own baseline.
+    // unless a row names its own baseline; `pairs` is `ROUNDS` unless a
+    // row needs more to resolve.
     let plain_1w = || {
         service.run(&jobs, &OnlineDroop, 1).expect("service run");
     };
-    let overhead_over = |name: &str, plain: &dyn Fn(), run: &dyn Fn()| -> (String, f64) {
+    let overhead_over = |name: &str, pairs: usize, plain: &dyn Fn(), run: &dyn Fn()| {
         run(); // warm up
-        let mut pair_ratios = Vec::with_capacity(ROUNDS);
-        for _ in 0..ROUNDS {
+        let mut pair_ratios = Vec::with_capacity(pairs);
+        for _ in 0..pairs {
             let start = Instant::now();
             plain();
             let plain = start.elapsed().as_secs_f64().max(1e-9);
@@ -147,7 +148,7 @@ fn main() {
         println!("{name} overhead: {ratio:.2}x");
         (name.to_string(), ratio)
     };
-    let overhead = |name: &str, run: &dyn Fn()| overhead_over(name, &plain_1w, run);
+    let overhead = |name: &str, run: &dyn Fn()| overhead_over(name, ROUNDS, &plain_1w, run);
     let mut ratios = vec![
         overhead("traced", &|| {
             let tracer = Tracer::enabled();
@@ -187,7 +188,10 @@ fn main() {
     // the monitor, an obs hub publishing every epoch and the decision
     // audit, against the plain run on one fused shard — the pair the
     // benchmark's `serve_observed` and `serve` workloads run, minus its
-    // scrape client.
+    // scrape client. Its ratio swings more between runs than the
+    // instrument rows' (1.26-1.71 over five pairs, against 1.25-1.28
+    // over thirty), so it takes the introspection row's four times the
+    // pairs.
     {
         let sharded = |observed: bool| {
             let mut cfg = ServiceConfig::new(ChipConfig::core2_duo(DecapConfig::proc100()));
@@ -202,6 +206,7 @@ fn main() {
         let (plain, observed) = (sharded(false), sharded(true));
         ratios.push(overhead_over(
             "observed",
+            ROUNDS * 4,
             &|| {
                 plain.run(&jobs, &OnlineDroop, 1).expect("service run");
             },

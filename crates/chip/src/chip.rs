@@ -10,7 +10,6 @@ use crate::fastpath::FastCache;
 use crate::session::{self, MeasureState, ReferenceStep};
 use crate::stats::RunStats;
 use crate::ChipError;
-use serde::{Deserialize, Serialize};
 use vsmooth_pdn::{DecapConfig, DiscreteStateSpace, LadderConfig, VrmRipple};
 use vsmooth_uarch::{Core, CoreConfig, StimulusSource};
 
@@ -23,7 +22,7 @@ use vsmooth_uarch::{Core, CoreConfig, StimulusSource};
 /// untouched; slow IR differences between workloads are largely
 /// regulated out. This is why the paper can use one fixed 2.3 %
 /// characterization margin across programs whose average power differs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VrmRegulator {
     /// Static set-point offset below nominal, in volts.
     pub offset_volts: f64,
@@ -59,7 +58,7 @@ impl VrmRegulator {
 }
 
 /// Static chip configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipConfig {
     /// The power-delivery network.
     pub pdn: LadderConfig,

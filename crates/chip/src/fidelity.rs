@@ -6,10 +6,8 @@
 //! cycles; the statistics of interest (droop rates, stall ratios,
 //! sample distributions) converge well below a million cycles.
 
-use serde::{Deserialize, Serialize};
-
 /// How many cycles to simulate per measurement interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Fidelity {
     /// Fast unit-test fidelity (20 k cycles/interval).
     Test,

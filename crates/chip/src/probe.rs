@@ -5,7 +5,6 @@
 
 use crate::chip::{Chip, ChipConfig};
 use crate::ChipError;
-use serde::{Deserialize, Serialize};
 use vsmooth_uarch::{IdleLoop, Microbenchmark, SquareWave, StallEvent, StimulusSource};
 
 /// Measurement window for probe runs, in cycles. Long enough for
@@ -32,7 +31,7 @@ pub fn idle_swing_pct(cfg: &ChipConfig) -> Result<f64, ChipError> {
 
 /// One bar of Fig. 12: single-core peak-to-peak swing for an event
 /// microbenchmark, relative to the idling machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EventSwing {
     /// The stimulated event.
     pub event: StallEvent,
@@ -73,7 +72,7 @@ pub fn single_core_event_swings(cfg: &ChipConfig) -> Result<Vec<EventSwing>, Chi
 /// peak-to-peak swing (relative to idle) when core 0 runs the
 /// microbenchmark for `StallEvent::ALL[i]` and core 1 the one for
 /// `StallEvent::ALL[j]`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InterferenceMatrix {
     /// Relative swings, indexed `[core0 event][core1 event]`.
     pub matrix: [[f64; 5]; 5],
@@ -153,7 +152,7 @@ pub fn tlb_overshoot_trace(cfg: &ChipConfig, trace_cycles: u64) -> Result<Vec<f6
 }
 
 /// One point of the software-loop impedance reconstruction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmpiricalImpedancePoint {
     /// Modulation frequency of the current loop, in hertz.
     pub frequency_hz: f64,

@@ -13,11 +13,10 @@
 use crate::chip::Chip;
 use crate::stats::RunStats;
 use crate::ChipError;
-use serde::{Deserialize, Serialize};
 use vsmooth_uarch::StimulusSource;
 
 /// Result of a run on a resilient chip with live error recovery.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResilientRunStats {
     /// Ordinary measurements over the whole wall-clock run (recovery
     /// periods included — the supply keeps moving during rollback).

@@ -1,7 +1,6 @@
 //! On-die voltage sensing: the software model of the paper's
 //! `VCCsense`/`VSSsense` + oscilloscope measurement chain.
 
-use serde::{Deserialize, Serialize};
 use vsmooth_stats::{Cdf, Histogram, Summary};
 
 /// Threshold grid used to count droop (or overshoot) *events* at every
@@ -26,7 +25,7 @@ use vsmooth_stats::{Cdf, Histogram, Summary};
 /// assert_eq!(g.events_at(4.9), 1);
 /// assert_eq!(g.events_at(6.0), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrossingGrid {
     /// Threshold magnitudes in percent, ascending.
     lo: f64,
@@ -121,7 +120,7 @@ impl CrossingGrid {
 
 /// The voltage sensor: per-cycle sample capture in the scope's
 /// compressed-histogram format, plus a streaming summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VoltageSensor {
     nominal: f64,
     histogram: Histogram,

@@ -1,7 +1,6 @@
 //! Aggregated statistics for one measured run.
 
 use crate::sense::{CrossingGrid, VoltageSensor};
-use serde::{Deserialize, Serialize};
 use vsmooth_stats::Cdf;
 use vsmooth_uarch::PerfCounters;
 
@@ -17,7 +16,7 @@ pub const PHASE_MARGIN_PCT: f64 = 2.3;
 /// All margin-dependent quantities (emergencies, droop rates) are
 /// derived *after* the run from the threshold grids, so a single
 /// simulation serves every margin × recovery-cost sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunStats {
     /// Simulated cycles (after warm-up).
     pub cycles: u64,

@@ -10,12 +10,11 @@
 
 use crate::chip::{Chip, ChipConfig};
 use crate::ChipError;
-use serde::{Deserialize, Serialize};
 use vsmooth_pdn::{LadderConfig, LadderStage};
 use vsmooth_uarch::{Microbenchmark, StallEvent, StimulusSource};
 
 /// Result of the split-vs-connected supply comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SupplyComparison {
     /// The stimulated event on every core.
     pub event: StallEvent,

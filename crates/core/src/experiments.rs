@@ -5,7 +5,6 @@
 //! lazily computes them once; each `figNN`/`tabNN` method then derives
 //! its figure's data. See `DESIGN.md` for the per-experiment index.
 
-use serde::{Deserialize, Serialize};
 use vsmooth_chip::{ChipConfig, Fidelity, RunStats, PHASE_MARGIN_PCT};
 use vsmooth_pdn::DecapConfig;
 use vsmooth_resilience::{CampaignResult, CampaignSpec, ImprovementHeatmap, MarginSweep, RunId};
@@ -16,7 +15,7 @@ use vsmooth_workload::spec2006;
 use crate::VsmoothError;
 
 /// Scale and fidelity knobs for the experiment suite.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentConfig {
     /// Cycles simulated per measurement interval.
     pub fidelity: Fidelity,
@@ -580,7 +579,7 @@ impl Lab {
 
 /// Fig. 4 data: two analytic impedance profiles plus the empirical
 /// software-loop reconstruction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig04 {
     /// Default number of capacitors (Proc100).
     pub full: vsmooth_pdn::ImpedanceProfile,
@@ -591,7 +590,7 @@ pub struct Fig04 {
 }
 
 /// Fig. 7 / Fig. 9 data: the pooled sample distribution of a campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampleDistribution {
     /// Which processor this distribution belongs to.
     pub decap: DecapConfig,
@@ -622,7 +621,7 @@ impl SampleDistribution {
 }
 
 /// One row of Fig. 15.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StallRow {
     /// Benchmark name.
     pub benchmark: String,
@@ -633,7 +632,7 @@ pub struct StallRow {
 }
 
 /// Fig. 15 data: per-benchmark rows plus the headline correlation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StallCorrelation {
     /// Per-benchmark measurements.
     pub rows: Vec<StallRow>,
@@ -642,7 +641,7 @@ pub struct StallCorrelation {
 }
 
 /// One row of Fig. 17.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DroopVarianceRow {
     /// Benchmark name.
     pub benchmark: String,
@@ -655,7 +654,7 @@ pub struct DroopVarianceRow {
 }
 
 /// Fig. 19 data for both policies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig19 {
     /// Droop-policy pass counts per recovery cost.
     pub droop: Vec<vsmooth_sched::ScheduledPassRow>,

@@ -11,9 +11,9 @@
 //! fields in the file are documentation only — the parser never reads
 //! them.
 //!
-//! The vendored `serde` is a no-op stub (see `vendor/serde`), so both
-//! the writer and the strict subset parser here are hand-rolled, as
-//! everywhere else in this workspace.
+//! No type in the workspace derives a serializer, so both the writer
+//! and the strict subset parser here are hand-rolled, as everywhere
+//! else in this workspace.
 
 use std::collections::BTreeMap;
 use std::error::Error;

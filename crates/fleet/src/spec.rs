@@ -16,7 +16,6 @@
 use crate::FleetError;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use vsmooth_chip::{ChipConfig, ChipError, Fidelity};
 use vsmooth_pdn::{DecapConfig, TechNode};
@@ -29,7 +28,7 @@ pub(crate) const BASE_CLOCK_HZ: f64 = 1.86e9;
 /// clock a chip is parked at. The voltage scale re-targets the PDN's
 /// regulated drive; the clock sets the discretization step (and the
 /// switching-current budget `∝ C·V·f`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperatingPoint {
     /// Human-readable P-state name (`"nominal"`, `"eco"`, …).
     pub name: String,
@@ -92,7 +91,7 @@ impl fmt::Display for OperatingPoint {
 }
 
 /// One chip of the fleet: its silicon and operating point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ChipVariant {
     /// Position in the fleet (stable across resume).
     pub index: usize,
@@ -206,7 +205,7 @@ pub struct FleetRun {
 /// // Same seed, same fleet.
 /// assert_eq!(chips, FleetSpec::new(2010, 6, 4).variants());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetSpec {
     /// Master seed for variation and job streams.
     pub seed: u64,

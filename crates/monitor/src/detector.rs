@@ -10,10 +10,8 @@
 //! coordinator order — no clocks, no randomness — so detector
 //! decisions are byte-reproducible for any worker-thread count.
 
-use serde::{Deserialize, Serialize};
-
 /// Which direction of change counts as anomalous.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Direction {
     /// Signal rising above baseline is bad (droop rate, throttle).
     Up,
@@ -22,7 +20,7 @@ pub enum Direction {
 }
 
 /// Tuning for one CUSUM detector.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CusumConfig {
     /// EWMA smoothing factor for the baseline, in (0, 1]. Higher
     /// adapts faster (and forgives slow regressions faster).
@@ -52,7 +50,7 @@ impl CusumConfig {
 }
 
 /// Outcome of feeding one sample to a [`CusumDetector`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct CusumDecision {
     /// Current one-sided CUSUM statistic (0 when the signal is
     /// tracking its baseline).

@@ -13,7 +13,6 @@
 
 use crate::slo::Alert;
 use crate::window::WindowSnapshot;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use vsmooth_trace::json::{escape, json_f64};
@@ -23,7 +22,7 @@ use vsmooth_trace::{parse_json, DroopEvent};
 pub(crate) const POSTMORTEM_SCHEMA: &str = "vsmooth-postmortem-v1";
 
 /// Ring capacities for the flight recorder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecorderConfig {
     /// Recent droop events retained.
     pub droop_events: usize,
@@ -44,7 +43,7 @@ impl Default for RecorderConfig {
 }
 
 /// One scheduling slice as the recorder remembers it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SliceRecord {
     /// Virtual clock at slice start.
     pub start_cycle: u64,
@@ -130,7 +129,7 @@ impl FlightRecorder {
 }
 
 /// The sealed evidence attached to one fired alert.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PostmortemBundle {
     /// The alert that triggered sealing (firing-time copy: no
     /// `resolved_at_cycle` even if the live alert later resolves).

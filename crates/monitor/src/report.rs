@@ -5,7 +5,6 @@
 use crate::recorder::{alert_json, PostmortemBundle};
 use crate::slo::{Alert, AlertPhase, Severity};
 use crate::window::WindowSnapshot;
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use vsmooth_stats::MetricsRegistry;
 use vsmooth_trace::json::{escape, json_f64};
@@ -31,8 +30,8 @@ pub struct HealthReport {
 }
 
 /// The compact health digest embedded in `ServiceReport` (kept small
-/// and `Serialize`/`PartialEq` so report equality checks stay cheap).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// so report equality checks stay cheap).
+#[derive(Debug, Clone, PartialEq)]
 pub struct HealthSummary {
     /// Epochs evaluated.
     pub epochs: u64,
@@ -163,7 +162,7 @@ impl HealthReport {
     /// Registers the run's health series in a metrics registry:
     /// `alerts_total{rule,severity}` per alert,
     /// `monitor_postmortems_total`, and the final windowed gauges.
-    pub fn export_metrics(&self, metrics: &MetricsRegistry) {
+    pub fn export_metrics(&self, metrics: &mut MetricsRegistry) {
         for alert in &self.alerts {
             metrics.counter_with(
                 "alerts_total",
@@ -415,8 +414,8 @@ mod tests {
     #[test]
     fn export_metrics_registers_alert_and_gauge_series() {
         let report = report_with_alert();
-        let metrics = MetricsRegistry::new();
-        report.export_metrics(&metrics);
+        let mut metrics = MetricsRegistry::new();
+        report.export_metrics(&mut metrics);
         let snap = metrics.snapshot();
         assert_eq!(
             snap.counter_labeled(

@@ -13,11 +13,10 @@
 
 use crate::detector::{CusumConfig, CusumDetector};
 use crate::window::{EpochSample, SlidingWindow, WindowSnapshot};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How loudly an alert should page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Worth a dashboard annotation.
     Info,
@@ -53,7 +52,7 @@ impl fmt::Display for Severity {
 }
 
 /// A windowed health signal a rule can reference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Signal {
     /// Droop emergencies per 1 000 chip cycles.
     DroopRate,
@@ -96,7 +95,7 @@ impl Signal {
 }
 
 /// The condition a rule evaluates each epoch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum RuleKind {
     /// Signal compared against a fixed limit.
     Threshold {
@@ -134,7 +133,7 @@ pub enum RuleKind {
 }
 
 /// One declarative alerting rule.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SloRule {
     /// Stable rule name (used as the metrics label and in JSON).
     pub name: String,
@@ -209,7 +208,7 @@ impl SloRule {
 }
 
 /// Where a rule currently sits in its lifecycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlertPhase {
     /// Condition clear.
     Idle,
@@ -231,7 +230,7 @@ impl AlertPhase {
 }
 
 /// A fired alert with the evidence window attached.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Alert {
     /// Name of the rule that fired.
     pub rule: String,

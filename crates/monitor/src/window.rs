@@ -9,11 +9,9 @@
 //! coordinator-ordered inputs, so snapshots are byte-identical for any
 //! worker-thread count.
 
-use serde::{Deserialize, Serialize};
-
 /// One scheduling epoch's worth of coordinator-side observations,
 /// aggregated over every busy chip of the pool.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochSample {
     /// Virtual clock at the end of the epoch, cycles.
     pub end_cycle: u64,
@@ -34,7 +32,7 @@ pub struct EpochSample {
 }
 
 /// Windowed health signals derived from the last `epochs` samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowSnapshot {
     /// Virtual clock at the newest sample in the window, cycles.
     pub end_cycle: u64,

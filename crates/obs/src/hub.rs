@@ -76,7 +76,8 @@ pub struct ShardStatus {
     pub slices_owned: u64,
     /// Slices executed off another shard's queue (work steals).
     pub slices_stolen: u64,
-    /// High-water mark of the shard's event-lane occupancy.
+    /// High-water mark of the shard's lane occupancy: its slice logs
+    /// sent but not yet received by the coordinator.
     pub lane_occupancy_hwm: u64,
     /// Always zero: shards build no trace records, so they drop none.
     /// Kept only because the `perfbench` harness reads it.

@@ -197,7 +197,7 @@ fn serve_loop(listener: TcpListener, hub: &TelemetryHub, stop: &AtomicBool) {
     // Self-observation lives in its own registry so it never touches
     // the published (determinism-checked) snapshot; it is appended to
     // the /metrics exposition after the snapshot's series.
-    let metrics = MetricsRegistry::new();
+    let mut metrics = MetricsRegistry::new();
     metrics.describe(
         "obs_scrapes_total",
         "HTTP requests served by the obs endpoint, per path and status.",
@@ -235,7 +235,7 @@ fn serve_loop(listener: TcpListener, hub: &TelemetryHub, stop: &AtomicBool) {
             return;
         }
         let started = Instant::now();
-        let (endpoint, status) = handle_connection(stream, hub, &metrics, &mut cache);
+        let (endpoint, status) = handle_connection(stream, hub, &mut metrics, &mut cache);
         metrics.counter_with(
             "obs_scrapes_total",
             &[("endpoint", endpoint), ("status", status)],
@@ -282,7 +282,7 @@ impl MetricsCache {
 fn handle_connection(
     mut stream: TcpStream,
     hub: &TelemetryHub,
-    metrics: &MetricsRegistry,
+    metrics: &mut MetricsRegistry,
     cache: &mut MetricsCache,
 ) -> (&'static str, &'static str) {
     let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
@@ -340,7 +340,7 @@ type Routed = (&'static str, u16, &'static str, String);
 fn route(
     head: &str,
     hub: &TelemetryHub,
-    metrics: &MetricsRegistry,
+    metrics: &mut MetricsRegistry,
     cache: &mut MetricsCache,
 ) -> Routed {
     let (method, target) = match parse_request_line(head) {
@@ -531,7 +531,7 @@ fn status_json(hub: &TelemetryHub, snap: &ObsSnapshot) -> String {
 /// snapshot without a section, or with fewer shards, serves none of an
 /// earlier snapshot's series.
 fn render_shard_gauges(shards: &ShardsStatus) -> String {
-    let metrics = MetricsRegistry::new();
+    let mut metrics = MetricsRegistry::new();
     metrics.describe(
         "serve_shard_slices",
         "Slices executed per shard, split by claim origin (kind=owned|stolen).",
@@ -711,7 +711,7 @@ mod tests {
     use vsmooth_trace::{parse_json, DecisionEvent, DecisionKind, DroopEvent};
 
     fn sample_snapshot() -> ObsSnapshot {
-        let metrics = MetricsRegistry::new();
+        let mut metrics = MetricsRegistry::new();
         metrics.counter_add("serve_jobs_completed_total", 7);
         metrics.gauge_set("chip_utilization", 0.75);
         let mut snap = ObsSnapshot {

@@ -6,7 +6,6 @@
 //! and Proc0. The land-side bank mixes 22 µF, 2.2 µF and 1 µF parts
 //! (Fig. 5g); removal takes half of each kind at a time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A package-decap retention level, identified the way the paper names
@@ -22,7 +21,7 @@ use std::fmt;
 /// assert!(p25.fraction_retained() > 0.2 && p25.fraction_retained() < 0.3);
 /// assert!(DecapConfig::proc0().fraction_retained() > 0.0); // clamped, see docs
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecapConfig {
     percent: u8,
 }

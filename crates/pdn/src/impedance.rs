@@ -9,10 +9,9 @@
 
 use crate::ladder::LadderConfig;
 use crate::PdnError;
-use serde::{Deserialize, Serialize};
 
 /// One point of an impedance profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImpedancePoint {
     /// Frequency in hertz.
     pub frequency_hz: f64,
@@ -21,7 +20,7 @@ pub struct ImpedancePoint {
 }
 
 /// An impedance-vs-frequency curve.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImpedanceProfile {
     points: Vec<ImpedancePoint>,
 }

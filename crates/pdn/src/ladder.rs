@@ -21,10 +21,9 @@ use crate::decap::DecapConfig;
 use crate::linalg::Mat;
 use crate::statespace::StateSpace;
 use crate::PdnError;
-use serde::{Deserialize, Serialize};
 
 /// One RLC ladder stage: series impedance followed by a shunt capacitor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LadderStage {
     /// Series resistance in ohms.
     pub series_r: f64,
@@ -73,7 +72,7 @@ impl LadderStage {
 /// let sys = pdn.state_space().unwrap();
 /// assert_eq!(sys.state_dim(), 8); // four stages, two states each
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LadderConfig {
     name: String,
     stages: Vec<LadderStage>,

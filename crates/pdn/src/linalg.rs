@@ -5,7 +5,6 @@
 //! elimination is entirely sufficient; no external linear-algebra
 //! dependency is warranted.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
 
@@ -20,7 +19,7 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 /// let x = vec![1.0, 2.0, 3.0];
 /// assert_eq!(i.mul_vec(&x), x);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mat {
     rows: usize,
     cols: usize,
@@ -265,7 +264,7 @@ impl fmt::Display for Mat {
 /// let one = z / z;
 /// assert!((one.re - 1.0).abs() < 1e-12 && one.im.abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Cpx {
     /// Real part.
     pub re: f64,

@@ -15,7 +15,6 @@
 //! because the overdrive `V − Vth` shrinks faster than `V`.
 
 use crate::technode::TechNode;
-use serde::{Deserialize, Serialize};
 
 /// Alpha-power-law ring-oscillator model for one technology node.
 ///
@@ -29,7 +28,7 @@ use serde::{Deserialize, Serialize};
 /// let pct = ro.peak_frequency_pct(20.0);
 /// assert!(pct < 80.0 && pct > 65.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RingOscillator {
     /// Number of inverter stages (11 in the paper's simulations).
     pub stages: u32,
@@ -84,7 +83,7 @@ impl RingOscillator {
 
 /// One series of Fig. 2: frequency retention across a margin sweep for a
 /// node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarginFrequencySeries {
     /// Technology node.
     pub node: TechNode,

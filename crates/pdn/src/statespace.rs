@@ -6,10 +6,9 @@
 //! at the core clock period, which forward Euler would not guarantee.
 
 use crate::linalg::{solve_complex, Cpx, Mat};
-use serde::{Deserialize, Serialize};
 
 /// A continuous-time LTI system.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StateSpace {
     /// State matrix (n × n).
     pub a: Mat,
@@ -132,7 +131,7 @@ impl StateSpace {
 
 /// A discretized LTI system with internal state, stepped once per clock
 /// cycle by the chip simulator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiscreteStateSpace {
     ad: Mat,
     bd: Mat,
@@ -140,7 +139,6 @@ pub struct DiscreteStateSpace {
     d: Mat,
     dt: f64,
     x: Vec<f64>,
-    #[serde(skip)]
     scratch: Vec<f64>,
 }
 

@@ -10,11 +10,10 @@
 use crate::ladder::LadderConfig;
 use crate::transient::{simulate_current_waveform, CORE2_CLOCK_HZ};
 use crate::PdnError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A CMOS process technology node with its ITRS-projected supply voltage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum TechNode {
     /// 45 nm, Vdd = 1.0 V (the paper's "today").
     N45,
@@ -80,7 +79,7 @@ impl fmt::Display for TechNode {
 }
 
 /// One point of the Fig. 1 projection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeSwing {
     /// Technology node.
     pub node: TechNode,

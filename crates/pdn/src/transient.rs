@@ -9,14 +9,13 @@
 use crate::decap::DecapConfig;
 use crate::ladder::LadderConfig;
 use crate::PdnError;
-use serde::{Deserialize, Serialize};
 
 /// Default core clock of the E6300 (1.86 GHz), used as the simulation
 /// time step.
 pub const CORE2_CLOCK_HZ: f64 = 1.86e9;
 
 /// Result of a transient PDN simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TransientResult {
     /// Die voltage at every time step, in volts.
     pub samples: Vec<f64>,
@@ -91,7 +90,7 @@ pub fn simulate_current_waveform(
 /// The canonical reset stimulus: the machine idles, power is cut, then
 /// boot activity surges. Durations are in clock cycles at
 /// [`CORE2_CLOCK_HZ`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct ResetStimulus {
     /// Idle current before the reset, in amperes.
     pub idle_current: f64,
@@ -153,7 +152,7 @@ pub fn reset_response(decap: DecapConfig) -> Result<TransientResult, PdnError> {
 
 /// One row of the Fig. 6 summary: peak-to-peak reset swing relative to
 /// the unmodified Proc100 package.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecapSwing {
     /// The decap configuration.
     pub decap: DecapConfig,

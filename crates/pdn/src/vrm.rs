@@ -6,8 +6,6 @@
 //! simulator superimposes this ripple on the VRM source voltage so that
 //! an idle machine exhibits exactly this background swing.
 
-use serde::{Deserialize, Serialize};
-
 /// A periodic triangular ripple on the regulator output.
 ///
 /// # Examples
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// let mean: f64 = (0..period).map(|c| r.offset(c)).sum::<f64>() / period as f64;
 /// assert!(mean.abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VrmRipple {
     amplitude: f64,
     period_cycles: u64,

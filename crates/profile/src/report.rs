@@ -185,7 +185,7 @@ impl ProfileReport {
     ///   each event kind (`event="none"` for unattributed droops);
     /// * `profile_windows_total` / `profile_droops_total` /
     ///   `profile_truncated_windows_total`.
-    pub fn export_metrics(&self, metrics: &MetricsRegistry) {
+    pub fn export_metrics(&self, metrics: &mut MetricsRegistry) {
         let mut dominant = [0u64; N_EVENTS];
         let mut unattributed = 0u64;
         for w in &self.workloads {
@@ -330,8 +330,8 @@ mod tests {
     #[test]
     fn metrics_export_counts_dominants() {
         let report = sample_report();
-        let metrics = MetricsRegistry::new();
-        report.export_metrics(&metrics);
+        let mut metrics = MetricsRegistry::new();
+        report.export_metrics(&mut metrics);
         let snap = metrics.snapshot();
         assert_eq!(
             snap.counter_labeled("droop_attribution_total", &[("event", "L2")]),

@@ -9,13 +9,12 @@
 //! merges results in deterministic order.
 
 use crate::CampaignError;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use vsmooth_chip::{fan_out, run_pair, run_workload, ChipBatch, ChipConfig, Fidelity, RunStats};
 use vsmooth_workload::{parsec, spec2006, Workload};
 
 /// Identifies one campaign run.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RunId {
     /// A single-threaded CPU2006 run (other core idles).
     Single(String),
@@ -172,7 +171,7 @@ impl CampaignSpec {
 }
 
 /// One completed campaign run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignRun {
     /// Which run this is.
     pub id: RunId,
@@ -181,7 +180,7 @@ pub struct CampaignRun {
 }
 
 /// All completed runs of a campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignResult {
     runs: Vec<CampaignRun>,
 }

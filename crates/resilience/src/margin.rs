@@ -6,12 +6,11 @@
 //! is direct: run the dI/dt power virus on every core and measure the
 //! deepest droop the package can produce — the margin must cover it.
 
-use serde::{Deserialize, Serialize};
 use vsmooth_chip::{ChipError, ChipSource};
 use vsmooth_uarch::{SquareWave, StimulusSource};
 
 /// Result of the worst-case margin search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorstCaseMargin {
     /// Deepest droop produced by the power virus, percent of nominal.
     pub deepest_droop_pct: f64,

@@ -9,7 +9,6 @@
 //! by 10% of the nominal voltage translates to a 15% improvement in
 //! clock frequency. We assume this 1.5× scaling factor."
 
-use serde::{Deserialize, Serialize};
 use vsmooth_chip::RunStats;
 
 /// Bowman et al. margin-to-frequency scaling: each percentage point of
@@ -64,7 +63,7 @@ pub(crate) fn margin_grid() -> Vec<f64> {
 
 /// One `(margin, improvement)` series for a fixed recovery cost —
 /// a line of Fig. 8.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MarginSweep {
     /// Recovery cost in cycles.
     pub recovery_cost: u64,
@@ -125,7 +124,7 @@ pub fn margin_sweeps(runs: &[&RunStats], costs: &[u64]) -> Vec<MarginSweep> {
 }
 
 /// A Fig. 10 heatmap: improvement over (recovery cost × margin).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImprovementHeatmap {
     /// Recovery costs (row labels).
     pub costs: Vec<u64>,

@@ -12,7 +12,6 @@ use crate::oracle::PairOracle;
 use crate::policy::Policy;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Number of pair combinations per batch schedule.
 pub const BATCH_COMBINATIONS: usize = 50;
@@ -23,7 +22,7 @@ pub const MAX_REPEATS: usize = 4;
 
 /// One evaluated batch schedule: 50 co-scheduled pairs plus its
 /// aggregate position in the Fig. 18 plane.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BatchSchedule {
     /// The policy that produced the batch.
     pub policy: Policy,

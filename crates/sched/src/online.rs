@@ -12,11 +12,10 @@
 use crate::batch::{greedy_batch, schedule_batch, BatchSchedule};
 use crate::oracle::PairOracle;
 use crate::policy::Policy;
-use serde::{Deserialize, Serialize};
 use vsmooth_stats::{linear_fit, pearson, LinearFit};
 
 /// A droop-rate predictor trained on performance-counter data only.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StallRatioPredictor {
     fit: LinearFit,
     correlation: f64,
@@ -56,7 +55,7 @@ impl StallRatioPredictor {
 
 /// Result of comparing oracle-driven and counter-driven Droop
 /// scheduling.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OnlineComparison {
     /// Batch built from true droop measurements.
     pub oracle_batch: BatchSchedule,

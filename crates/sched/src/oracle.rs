@@ -8,7 +8,6 @@
 //! we use VTune's ratio feature."
 
 use crate::SchedError;
-use serde::{Deserialize, Serialize};
 use vsmooth_chip::{fan_out, run_pair, ChipConfig, Fidelity, RunStats, PHASE_MARGIN_PCT};
 use vsmooth_workload::{spec2006, Workload};
 
@@ -17,7 +16,7 @@ use vsmooth_workload::{spec2006, Workload};
 /// Index `(i, j)` is the run with program `i` on core 0 and program `j`
 /// on core 1; the diagonal is SPECrate (a program co-scheduled with
 /// itself).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PairOracle {
     names: Vec<String>,
     /// Row-major `n × n` per-pair statistics.

@@ -16,10 +16,8 @@
 //!
 //! [`PerfCounters`]: vsmooth_uarch::PerfCounters
 
-use serde::{Deserialize, Serialize};
-
 /// The software-visible signals of one schedulable job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PairCandidate {
     /// Stable job id (used for deterministic tie-breaks and hashing).
     pub job: u64,
@@ -54,7 +52,7 @@ pub trait PairPolicy: Send + Sync {
 /// pair's combined stall ratio (Fig. 15: stall ratio tracks droops).
 /// Jobs that have already exhibited droops add their measured rate,
 /// so the estimate sharpens as telemetry accumulates.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineDroop;
 
 impl PairPolicy for OnlineDroop {
@@ -71,7 +69,7 @@ impl PairPolicy for OnlineDroop {
 }
 
 /// Online IPC policy: maximize throughput, pairing the fastest jobs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct OnlineIpc;
 
 impl PairPolicy for OnlineIpc {
@@ -87,7 +85,7 @@ impl PairPolicy for OnlineIpc {
 /// Random pairing control: a deterministic hash of the job ids stands
 /// in for a random score, so schedules stay reproducible for a fixed
 /// seed and independent of evaluation order.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RandomPairing {
     /// Seed mixed into every pair score.
     pub seed: u64,
@@ -120,7 +118,7 @@ impl PairPolicy for RandomPairing {
 /// SPECrate-style baseline: prefer pairing a workload with another
 /// instance of itself (the paper's homogeneous-multiprogramming
 /// reference point).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SameWorkload;
 
 impl PairPolicy for SameWorkload {

@@ -8,7 +8,6 @@
 
 use crate::oracle::PairOracle;
 use crate::policy::Policy;
-use serde::{Deserialize, Serialize};
 use vsmooth_chip::RunStats;
 use vsmooth_resilience::model::{margin_sweeps, performance_improvement};
 
@@ -18,7 +17,7 @@ use vsmooth_resilience::model::{margin_sweeps, performance_improvement};
 pub(crate) const PASS_TOLERANCE: f64 = 0.97;
 
 /// One row of Tab. I.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpecrateRow {
     /// Recovery cost in cycles.
     pub recovery_cost: u64,
@@ -63,7 +62,7 @@ pub(crate) fn passes(stats: &RunStats, margin_pct: f64, cost: u64, expected: f64
 
 /// One point of Fig. 19: pass counts with policy-driven partner
 /// selection instead of SPECrate self-pairing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduledPassRow {
     /// Recovery cost in cycles.
     pub recovery_cost: u64,

@@ -11,11 +11,10 @@
 //! * **Random** — the control cluster of Fig. 18.
 
 use crate::oracle::PairOracle;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A co-scheduling policy: how desirable is running a given pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Policy {
     /// Minimize chip-wide droops.
     Droop,

@@ -10,13 +10,12 @@
 //! within Prog. X."
 
 use crate::SchedError;
-use serde::{Deserialize, Serialize};
 use vsmooth_chip::{Chip, ChipConfig, Fidelity, RunStats};
 use vsmooth_uarch::{IdleLoop, StimulusSource};
 use vsmooth_workload::{EventStream, PhaseTimeline, Workload};
 
 /// Result of the sliding-window convolution of two programs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlidingWindow {
     /// Program X (runs to completion on core 0).
     pub program_x: String,

@@ -20,7 +20,6 @@
 use std::collections::VecDeque;
 
 use crate::control::EpochRec;
-use serde::{Deserialize, Serialize};
 use vsmooth_trace::{DecisionEvent, DecisionKind, AUDIT_SCHEMA};
 
 /// Arms the scheduler decision audit log.
@@ -137,7 +136,7 @@ pub(crate) fn epoch_decisions(rec: &EpochRec, slice_cycles: u64) -> Vec<Decision
 }
 
 /// The exported decision audit: the final ring contents plus totals.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditReport {
     /// Ring contents at the end of the run, oldest first.
     pub events: Vec<DecisionEvent>,

@@ -1,7 +1,7 @@
 //! Control plane of the sharded service runtime: the typed records
 //! the coordinator's decision loop emits, the commands it sends to
-//! chip cells, the slice logs shards send back, and the event bus
-//! those logs travel over.
+//! chip cells, the messages shards send back over the pool's one
+//! channel, and the token board shards claim chips from.
 //!
 //! The decision loop never touches an artifact. It only *decides* —
 //! admissions, placements, grants, analytic completions — and records
@@ -21,7 +21,7 @@
 //! carries its job's workload for that fold.
 
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 
 use crate::job::JobSpec;
 use vsmooth_chip::{ChipError, DroopCrossing, DroopWindow, SliceStats};
@@ -63,9 +63,10 @@ pub(crate) struct PlaceRec {
 #[derive(Debug, Clone)]
 pub(crate) struct CoreSlice {
     pub job: u64,
-    /// The job's workload: the telemetry-book key its slice folds
-    /// into, and the label of its slice span and droop events.
-    pub workload: String,
+    /// The job's workload, resolved once per job: the telemetry-book
+    /// key its slice folds into, and the label of its slice span and
+    /// droop events.
+    pub workload: Arc<str>,
     pub finishes: bool,
 }
 
@@ -135,8 +136,9 @@ pub(crate) enum CellCmd {
 
 /// Everything one executed slice produced, tagged `(shard, epoch,
 /// seq)`: `shard`/`seq` give the per-executor total order (each
-/// shard's lane is a FIFO), while `(epoch, chip)` is the
-/// executor-independent key the merge layer actually orders by.
+/// shard's sends arrive in the order it made them), while `(epoch,
+/// chip)` is the executor-independent key the merge layer actually
+/// orders by.
 #[derive(Debug)]
 pub(crate) struct SliceLog {
     pub shard: usize,
@@ -155,7 +157,7 @@ pub(crate) struct SliceLog {
     pub finished: [Option<u64>; 2],
 }
 
-/// One message from a shard to the coordinator.
+/// One message from an executor to the coordinator.
 #[derive(Debug)]
 pub(crate) enum ShardEvent {
     Slice(SliceLog),
@@ -164,83 +166,12 @@ pub(crate) enum ShardEvent {
     Failed {
         error: ChipError,
     },
-}
-
-#[derive(Debug, Default)]
-struct BusState {
-    /// Events published across all lanes, ever.
-    published: u64,
-    /// Shards that have exited (cleanly or by panic).
-    exited: usize,
-}
-
-/// The shard→coordinator event bus: one single-producer lane per
-/// shard (each shard is its lane's only writer; the coordinator is
-/// the only reader) plus a shared doorbell the coordinator blocks on
-/// while granted slices are still in flight.
-#[derive(Debug)]
-pub(crate) struct EventBus {
-    lanes: Vec<Mutex<VecDeque<ShardEvent>>>,
-    state: Mutex<BusState>,
-    bell: Condvar,
-}
-
-impl EventBus {
-    pub(crate) fn new(shards: usize) -> Self {
-        Self {
-            lanes: (0..shards).map(|_| Mutex::new(VecDeque::new())).collect(),
-            state: Mutex::new(BusState::default()),
-            bell: Condvar::new(),
-        }
-    }
-
-    /// Publishes `event` on `shard`'s lane and rings the doorbell.
-    /// The coordinator is the bell's only waiter, so one wake is
-    /// enough. Returns the lane's occupancy after the push so the
-    /// publisher can feed its lane high-water mark.
-    pub(crate) fn publish(&self, shard: usize, event: ShardEvent) -> usize {
-        let occupancy = {
-            let mut lane = self.lanes[shard].lock().expect("lane lock");
-            lane.push_back(event);
-            lane.len()
-        };
-        self.state.lock().expect("bus state lock").published += 1;
-        self.bell.notify_one();
-        occupancy
-    }
-
-    /// Marks one shard as exited, waking the coordinator so it can
-    /// notice missing logs instead of blocking forever.
-    pub(crate) fn shard_exited(&self) {
-        self.state.lock().expect("bus state lock").exited += 1;
-        self.bell.notify_one();
-    }
-
-    /// Drains every lane into `sink` (coordinator side, non-blocking).
-    pub(crate) fn drain(&self, sink: &mut Vec<ShardEvent>) {
-        for lane in &self.lanes {
-            let mut lane = lane.lock().expect("lane lock");
-            while let Some(event) = lane.pop_front() {
-                sink.push(event);
-            }
-        }
-    }
-
-    /// Blocks until more events have been published than the caller
-    /// has seen, updating `seen`. Panics if every shard exited while
-    /// the caller was still owed events — granted work can then never
-    /// arrive, which is a runtime bug, not a recoverable condition.
-    pub(crate) fn wait_beyond(&self, seen: &mut u64) {
-        let mut state = self.state.lock().expect("bus state lock");
-        while state.published <= *seen {
-            assert!(
-                state.exited < self.lanes.len(),
-                "all shard workers exited with granted slices still outstanding"
-            );
-            state = self.bell.wait(state).expect("bus state lock");
-        }
-        *seen = state.published;
-    }
+    /// Shard `shard` is unwinding from a panic, sent on its way out;
+    /// the run aborts with
+    /// [`ServeError::ShardFailed`](crate::ServeError).
+    Panicked {
+        shard: usize,
+    },
 }
 
 /// A claimed chip token: the chip to serve, and whether the claim
@@ -336,29 +267,6 @@ impl TokenBoard {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn event_bus_delivers_in_lane_order_and_counts() {
-        let bus = EventBus::new(2);
-        bus.publish(
-            0,
-            ShardEvent::Failed {
-                error: ChipError::InvalidConfig("a"),
-            },
-        );
-        bus.publish(
-            1,
-            ShardEvent::Failed {
-                error: ChipError::InvalidConfig("b"),
-            },
-        );
-        let mut sink = Vec::new();
-        bus.drain(&mut sink);
-        assert_eq!(sink.len(), 2);
-        let mut seen = 0;
-        bus.wait_beyond(&mut seen);
-        assert_eq!(seen, 2);
-    }
 
     #[test]
     fn token_board_prefers_own_queue_then_steals() {

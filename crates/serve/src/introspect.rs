@@ -2,10 +2,12 @@
 //!
 //! [`RuntimeStats`] is the shared atomic scoreboard every layer of the
 //! sharded runtime feeds: shards count owned vs stolen slice
-//! executions and their event-lane occupancy high-water marks, the
-//! pump tracks chip ownership churn, the decision loop counts grants
-//! and (when obs is armed) its own wall-clock latency, and cells
-//! record command-queue depth high-water marks. A pool with no workers
+//! executions and the logs they have sent that the pump has not yet
+//! received (whose high-water mark is the lane occupancy), the pump
+//! counts those receipts and tracks chip ownership churn, the
+//! decision loop counts grants and (when obs is armed) its own
+//! wall-clock latency, and cells record command-queue depth
+//! high-water marks. A pool with no workers
 //! (the in-line coordinator) credits its slices to slot 0 and
 //! publishes no section.
 //!
@@ -28,7 +30,9 @@ pub(crate) struct ShardCounters {
     pub owned: AtomicU64,
     /// Slices executed off another shard's queue (steals).
     pub stolen: AtomicU64,
-    /// High-water mark of the shard's event-lane occupancy.
+    /// Slice logs the shard has sent that the pump has not received.
+    pub in_flight: AtomicU64,
+    /// High-water mark of `in_flight`: the shard's lane occupancy.
     pub lane_hwm: AtomicU64,
 }
 
@@ -71,7 +75,8 @@ impl RuntimeStats {
         }
     }
 
-    /// Credits one executed slice to `shard`, split by claim origin.
+    /// Credits one executed slice to `shard`, split by claim origin,
+    /// and counts its log in flight until the pump receives it.
     pub(crate) fn record_slice(&self, shard: usize, stolen: bool) {
         let counters = &self.shards[shard];
         if stolen {
@@ -79,6 +84,13 @@ impl RuntimeStats {
         } else {
             counters.owned.fetch_add(1, Ordering::Relaxed);
         }
+        let in_flight = counters.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
+        counters.lane_hwm.fetch_max(in_flight, Ordering::Relaxed);
+    }
+
+    /// The pump received one of `shard`'s slice logs.
+    pub(crate) fn record_receipt(&self, shard: usize) {
+        self.shards[shard].in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Records one decision-loop latency sample, in microseconds.
@@ -143,10 +155,15 @@ mod tests {
         stats.record_slice(0, false);
         stats.record_slice(0, false);
         stats.record_slice(1, true);
-        assert_eq!(stats.slices_total(), 3);
+        stats.record_receipt(0);
+        stats.record_slice(0, false);
+        assert_eq!(stats.slices_total(), 4);
         let status = stats.status(0);
-        assert_eq!(status.shards[0].slices_owned, 2);
+        assert_eq!(status.shards[0].slices_owned, 3);
         assert_eq!(status.shards[1].slices_stolen, 1);
+        // Two of shard 0's logs were in flight at once, never three.
+        assert_eq!(status.shards[0].lane_occupancy_hwm, 2);
+        assert_eq!(status.shards[1].lane_occupancy_hwm, 1);
         assert_eq!(status.cell_queue_hwm, vec![0, 0, 0]);
     }
 

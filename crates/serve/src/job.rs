@@ -2,11 +2,10 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use vsmooth_workload::spec2006;
 
 /// One submitted job: run an instance of a catalog workload.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobSpec {
     /// Unique, monotonically increasing job id (submission order).
     pub id: u64,
@@ -45,7 +44,7 @@ pub fn synthetic_jobs(seed: u64, count: usize, mean_interarrival_cycles: u64) ->
 }
 
 /// The record the service keeps for every finished job.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompletedJob {
     /// The submission this record closes out.
     pub spec: JobSpec,

@@ -16,8 +16,7 @@
 //! * [`Service`] — epoch-based placement and sliced chip simulation
 //!   over a multi-worker pool, instrumented through
 //!   [`MetricsRegistry`].
-//! * [`ServiceReport`] — the serializable, worker-count-independent
-//!   run summary.
+//! * [`ServiceReport`] — the worker-count-independent run summary.
 //! * [`Instruments`] / [`Observed`] — what a run records besides its
 //!   report (a tracer, the droop profiler, the health monitor) and the
 //!   artifacts it hands back. The service is the workspace's one
@@ -90,6 +89,12 @@ pub enum ServeError {
     },
     /// Chip simulation failed.
     Chip(vsmooth_chip::ChipError),
+    /// A shard worker panicked: the slices it was running can never
+    /// report, so the run ends here instead of waiting for them.
+    ShardFailed {
+        /// The shard whose worker panicked.
+        shard: usize,
+    },
     /// The run was configured with
     /// [`invariants`](ServiceConfig::invariants) and the per-chip
     /// physical-invariant checker flagged violations.
@@ -109,6 +114,7 @@ impl fmt::Display for ServeError {
                 "admission queue overflow: job {job} arrived with {capacity} jobs already waiting"
             ),
             Self::Chip(e) => write!(f, "chip simulation failed: {e}"),
+            Self::ShardFailed { shard } => write!(f, "shard worker {shard} panicked"),
             Self::InvariantViolations { violations } => {
                 write!(f, "invariant checker flagged {violations} violations")
             }
@@ -145,5 +151,7 @@ mod tests {
             .contains('z'));
         let chip: ServeError = vsmooth_chip::ChipError::InvalidConfig("y").into();
         assert!(std::error::Error::source(&chip).is_some());
+        let shard = ServeError::ShardFailed { shard: 3 };
+        assert_eq!(shard.to_string(), "shard worker 3 panicked");
     }
 }

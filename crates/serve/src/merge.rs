@@ -171,7 +171,7 @@ impl<'a> Merge<'a> {
             invariants: cfg.invariants,
             margin,
         };
-        let metrics = MetricsRegistry::new();
+        let mut metrics = MetricsRegistry::new();
         metrics.describe(
             "serve_jobs_admitted_total",
             "Jobs admitted from the submitted stream into the ready queue.",
@@ -405,7 +405,7 @@ impl<'a> Merge<'a> {
                 for (core, cs) in b.cores.iter().enumerate() {
                     if let Some(cs) = cs {
                         self.tracer.complete(
-                            cs.workload.as_str(),
+                            &*cs.workload,
                             "slice",
                             chip_pid(b.chip),
                             core as u64,
@@ -420,11 +420,11 @@ impl<'a> Merge<'a> {
                 // The slice's context, built once and shared by its
                 // droop events, its monitor record and its profile
                 // segment.
-                let workloads: Arc<[String]> = b
+                let workloads: Arc<[Arc<str>]> = b
                     .cores
                     .iter()
                     .flatten()
-                    .map(|cs| cs.workload.clone())
+                    .map(|cs| Arc::clone(&cs.workload))
                     .collect();
                 let label: Arc<str> = workloads.join("+").into();
                 // Busy chips only ever advance one slice per epoch, so
@@ -625,7 +625,7 @@ impl<'a> Merge<'a> {
                 violations: self.invariant_violations,
             });
         }
-        let metrics = &self.metrics;
+        let metrics = &mut self.metrics;
         metrics.counter_add("serve_droops_total", self.droops);
         metrics.counter_with("droops_total", &[("policy", &policy_name)], self.droops);
         // Float observations only here, on the coordinator, in

@@ -61,7 +61,6 @@ use crate::merge::Merge;
 use crate::shard::{warm_sessions, ShardPool};
 use crate::telemetry::TelemetryBook;
 use crate::ServeError;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, OnceLock};
@@ -144,6 +143,9 @@ impl ServiceConfig {
 #[derive(Debug)]
 struct ShadowJob {
     spec: JobSpec,
+    /// The spec's workload name, resolved once: every slice of the job
+    /// shares it.
+    workload: Arc<str>,
     total_cycles: u64,
     executed_cycles: u64,
 }
@@ -164,7 +166,7 @@ impl ShadowChip {
 ///
 /// Deliberately excludes the worker count: the report of a run must be
 /// byte-identical however many threads simulated it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceReport {
     /// Name of the pairing policy that drove placement.
     pub policy: String,
@@ -305,7 +307,7 @@ impl Service {
     ///
     /// [`ServeError::UnknownWorkload`] if a job names a workload the
     /// catalog does not have; [`ServeError::Chip`] on simulation
-    /// failure.
+    /// failure; [`ServeError::ShardFailed`] if a shard worker panics.
     pub fn run(
         &self,
         jobs: &[JobSpec],
@@ -479,7 +481,7 @@ impl Service {
                         let finishes = job.executed_cycles >= job.total_cycles;
                         cores[core] = Some(CoreSlice {
                             job: job.spec.id,
-                            workload: job.spec.workload.clone(),
+                            workload: Arc::clone(&job.workload),
                             finishes,
                         });
                         if finishes {
@@ -625,6 +627,7 @@ impl Service {
             reason,
         });
         shadow.cores[core] = Some(ShadowJob {
+            workload: spec.workload.as_str().into(),
             spec,
             total_cycles,
             executed_cycles: 0,

@@ -5,7 +5,10 @@
 //! shard threads claim chip tokens (own queue first, then steal), drain
 //! each cell's command queue ([`CellCmd`]) in FIFO order on the lean
 //! fused step ([`ChipSession::run_slice_fast`]) and send one
-//! [`SliceLog`] per grant back over the [`EventBus`]. With none,
+//! [`SliceLog`] per grant back over the pool's one channel. A shard
+//! that panics sends [`ShardEvent::Panicked`] on its way out, so the
+//! run ends with [`ServeError::ShardFailed`] instead of waiting for a
+//! log that will never come. With none,
 //! [`ShardPool::grant`] drains each granted cell itself, in chip order,
 //! on the historical dyn-dispatch reference step, so every log is in
 //! before it returns and the merge runs in lockstep with the decision
@@ -24,10 +27,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::Ordering;
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
-use crate::control::{CellCmd, CellJob, ChipToken, EventBus, ShardEvent, SliceLog, TokenBoard};
+use crate::control::{CellCmd, CellJob, ChipToken, ShardEvent, SliceLog, TokenBoard};
 use crate::introspect::RuntimeStats;
 use crate::ServeError;
 use vsmooth_chip::{
@@ -243,7 +247,6 @@ fn exec_slice(
 struct PoolShared {
     cells: Vec<Mutex<CellSlot>>,
     tokens: TokenBoard,
-    bus: EventBus,
     /// The live introspection scoreboard, shared with obs publishes.
     /// The per-shard split of slice counts is execution-dependent
     /// (work-stealing); only the sum is deterministic. All
@@ -304,30 +307,33 @@ fn drain_cell(
     true
 }
 
-/// Rings the exit doorbell however the shard leaves `shard_main`,
-/// panic included, so the coordinator never blocks on a dead pool.
-struct ExitBell<'a>(&'a EventBus);
+/// A shard's sending end of the pool's channel. Dropped while the
+/// shard unwinds from a panic, it sends the shard's exit before the
+/// `Sender` goes, so the coordinator learns of the death instead of
+/// waiting on a log that will never come.
+struct Lane {
+    me: usize,
+    tx: Sender<ShardEvent>,
+}
 
-impl Drop for ExitBell<'_> {
+impl Drop for Lane {
     fn drop(&mut self) {
-        self.0.shard_exited();
+        if std::thread::panicking() {
+            let _ = self.tx.send(ShardEvent::Panicked { shard: self.me });
+        }
     }
 }
 
 /// The body of one shard worker: pop a chip token (own queue first,
-/// then steal), drain that cell, publish each slice's outcome on the
-/// shard's bus lane.
-fn shard_main(me: usize, shared: &PoolShared) {
-    let _bell = ExitBell(&shared.bus);
-    let publish = |event| {
-        let occupancy = shared.bus.publish(me, event);
-        shared.stats.shards[me]
-            .lane_hwm
-            .fetch_max(occupancy as u64, Ordering::Relaxed);
-    };
+/// then steal), drain that cell, send each slice's outcome to the
+/// coordinator. A send fails only once the pool is gone, and then
+/// nobody is owed the log.
+fn shard_main(lane: Lane, shared: &PoolShared) {
     let mut seq = 0u64;
-    while let Some(token) = shared.tokens.next(me) {
-        if !drain_cell(shared, me, token, &mut seq, publish) {
+    while let Some(token) = shared.tokens.next(lane.me) {
+        if !drain_cell(shared, lane.me, token, &mut seq, |event| {
+            let _ = lane.tx.send(event);
+        }) {
             return;
         }
     }
@@ -340,22 +346,24 @@ fn shard_main(me: usize, shared: &PoolShared) {
 pub(crate) struct ShardPool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
+    /// The receiving end of the channel every shard sends on. A pool
+    /// with no workers keeps no `Sender`, so its channel reads as
+    /// disconnected.
+    events: Receiver<ShardEvent>,
     /// Granted `(epoch, chip)` slices whose logs have not arrived yet.
     outstanding: BTreeSet<(u64, usize)>,
     /// Logs received but not yet consumed by the merge layer.
     received: BTreeMap<(u64, usize), SliceLog>,
-    /// Bus events seen, for the doorbell wait.
-    seen: u64,
-    /// Next expected per-executor sequence number: each lane is a FIFO
-    /// and each executor stamps its slices 0, 1, 2, … — so logs must
-    /// arrive in exactly that order per lane. The in-line executor
-    /// stamps as lane 0.
+    /// Next expected per-executor sequence number: one `Sender`'s
+    /// messages arrive in the order it sent them, and each executor
+    /// stamps its slices 0, 1, 2, … — so logs must arrive in exactly
+    /// that order per executor. The in-line executor stamps as 0.
     next_seq: Vec<u64>,
     /// Chip index → shard that executed its previous slice, for the
     /// ownership-churn introspection counter.
     last_executor: Vec<Option<usize>>,
-    scratch: Vec<ShardEvent>,
-    failure: Option<ChipError>,
+    /// The first failure received; every later call returns it.
+    failure: Option<ServeError>,
 }
 
 impl ShardPool {
@@ -383,30 +391,30 @@ impl ShardPool {
         let shared = Arc::new(PoolShared {
             cells,
             tokens: TokenBoard::new(workers),
-            bus: EventBus::new(workers),
             stats,
             slice_cycles,
             drain,
             fused: workers > 0,
         });
+        let (tx, events) = mpsc::channel();
         let handles = (0..workers)
             .map(|me| {
                 let shared = Arc::clone(&shared);
+                let lane = Lane { me, tx: tx.clone() };
                 std::thread::Builder::new()
                     .name(format!("vsmooth-shard{me}"))
-                    .spawn(move || shard_main(me, &shared))
+                    .spawn(move || shard_main(lane, &shared))
                     .expect("spawn shard worker")
             })
             .collect();
         Self {
             shared,
             handles,
+            events,
             outstanding: BTreeSet::new(),
             received: BTreeMap::new(),
-            seen: 0,
             next_seq: vec![0; workers.max(1)],
             last_executor: vec![None; chips],
-            scratch: Vec::new(),
             failure: None,
         }
     }
@@ -444,48 +452,61 @@ impl ShardPool {
                 .push_many(busy.iter().map(|&chip| (chip % workers, chip)));
             return Ok(());
         }
-        // Lane 0's next stamp: every earlier grant was pumped before it
-        // returned.
+        // Executor 0's next stamp: every earlier grant was received
+        // before it returned.
         let mut seq = self.next_seq[0];
+        // `receive` borrows the whole pool, so the drain reads the
+        // shared state through a handle of its own.
+        let shared = Arc::clone(&self.shared);
         for &chip in busy {
             let token = ChipToken {
                 chip,
                 stolen: false,
             };
-            if !drain_cell(&self.shared, 0, token, &mut seq, |e| self.scratch.push(e)) {
+            if !drain_cell(&shared, 0, token, &mut seq, |event| self.receive(event)) {
                 break;
             }
         }
         self.pump()
     }
 
-    /// Non-blocking: drains the bus into `received`, after any logs the
-    /// in-line executor left in `scratch`.
-    fn pump(&mut self) -> Result<(), ServeError> {
-        self.shared.bus.drain(&mut self.scratch);
-        for event in self.scratch.drain(..) {
-            match event {
-                ShardEvent::Slice(log) => {
-                    debug_assert_eq!(
-                        log.seq, self.next_seq[log.shard],
-                        "shard lane delivered slices out of order"
-                    );
-                    self.next_seq[log.shard] = log.seq + 1;
-                    if self.last_executor[log.chip].is_some_and(|prev| prev != log.shard) {
-                        self.shared
-                            .stats
-                            .ownership_churn
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.last_executor[log.chip] = Some(log.shard);
-                    self.outstanding.remove(&(log.epoch, log.chip));
-                    self.received.insert((log.epoch, log.chip), log);
+    /// Files one executor message: a log joins `received`, a failure
+    /// is kept (the first one wins).
+    fn receive(&mut self, event: ShardEvent) {
+        match event {
+            ShardEvent::Slice(log) => {
+                debug_assert_eq!(
+                    log.seq, self.next_seq[log.shard],
+                    "an executor's slices arrived out of order"
+                );
+                self.next_seq[log.shard] = log.seq + 1;
+                let stats = &self.shared.stats;
+                stats.record_receipt(log.shard);
+                if self.last_executor[log.chip].is_some_and(|prev| prev != log.shard) {
+                    stats.ownership_churn.fetch_add(1, Ordering::Relaxed);
                 }
-                ShardEvent::Failed { error } => self.failure = Some(error),
+                self.last_executor[log.chip] = Some(log.shard);
+                self.outstanding.remove(&(log.epoch, log.chip));
+                self.received.insert((log.epoch, log.chip), log);
+            }
+            ShardEvent::Failed { error } => {
+                self.failure.get_or_insert(ServeError::Chip(error));
+            }
+            ShardEvent::Panicked { shard } => {
+                self.failure
+                    .get_or_insert(ServeError::ShardFailed { shard });
             }
         }
-        match self.failure.clone() {
-            Some(error) => Err(ServeError::Chip(error)),
+    }
+
+    /// Non-blocking: receives every message already sent, then
+    /// returns the first failure received, if any.
+    fn pump(&mut self) -> Result<(), ServeError> {
+        while let Ok(event) = self.events.try_recv() {
+            self.receive(event);
+        }
+        match &self.failure {
+            Some(error) => Err(error.clone()),
             None => Ok(()),
         }
     }
@@ -494,16 +515,22 @@ impl ShardPool {
         !self.outstanding.iter().any(|&(epoch, _)| epoch < bound)
     }
 
-    /// Blocks until every log for epochs `< bound` has arrived. A pool
-    /// whose workers have all exited (or that never had any) panics
-    /// with a log still owed instead of blocking forever.
+    /// Blocks until every log for epochs `< bound` has arrived, or
+    /// until a shard reports a failure or a panic. A pool whose
+    /// workers have all exited without reporting one (or that never
+    /// had any) panics with a log still owed instead of blocking
+    /// forever: that is a runtime bug, not a recoverable condition.
     pub(crate) fn wait_through(&mut self, bound: u64) -> Result<(), ServeError> {
         loop {
             self.pump()?;
             if self.has_through(bound) {
                 return Ok(());
             }
-            self.shared.bus.wait_beyond(&mut self.seen);
+            let event = self
+                .events
+                .recv()
+                .expect("all shard workers exited with granted slices still outstanding");
+            self.receive(event);
         }
     }
 
@@ -535,8 +562,11 @@ impl ShardPool {
     /// totals).
     pub(crate) fn finish(mut self) -> Result<Vec<ChipCell>, ServeError> {
         self.shared.tokens.shutdown();
-        for handle in self.handles.drain(..) {
-            handle.join().expect("shard worker panicked");
+        for (shard, handle) in std::mem::take(&mut self.handles).into_iter().enumerate() {
+            if handle.join().is_err() {
+                self.failure
+                    .get_or_insert(ServeError::ShardFailed { shard });
+            }
         }
         self.pump()?;
         // `Drop` prevents moving a field out of `self`; clone the Arc,
@@ -563,7 +593,7 @@ impl Drop for ShardPool {
     fn drop(&mut self) {
         self.shared.tokens.shutdown();
         for handle in self.handles.drain(..) {
-            // A worker that panicked already published its exit; don't
+            // A worker that panicked already sent its exit; don't
             // double-panic while unwinding.
             let _ = handle.join();
         }
@@ -573,16 +603,21 @@ impl Drop for ShardPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
     use vsmooth_pdn::DecapConfig;
     use vsmooth_workload::by_name;
 
     const SLICE: u64 = 500;
 
-    fn inline_pool(chips: usize) -> ShardPool {
+    fn pool(chips: usize, workers: usize) -> ShardPool {
         let cfg = ChipConfig::core2_duo(DecapConfig::proc100());
         let warmed = warm_sessions(&cfg, chips, SLICE).unwrap();
-        let stats = Arc::new(RuntimeStats::new(0, chips));
-        ShardPool::new(&warmed, 0, stats, SLICE, DrainPlan::default())
+        let stats = Arc::new(RuntimeStats::new(workers, chips));
+        ShardPool::new(&warmed, workers, stats, SLICE, DrainPlan::default())
+    }
+
+    fn inline_pool(chips: usize) -> ShardPool {
+        pool(chips, 0)
     }
 
     fn job(id: u64) -> CellJob {
@@ -611,7 +646,7 @@ mod tests {
                 assert_eq!((log.epoch, log.chip, log.shard), (epoch, chip, 0));
                 assert_eq!(log.stats.cycles, SLICE);
             }
-            // In-line slices are stamped in grant order on lane 0.
+            // In-line slices are stamped in grant order as executor 0.
             let seqs: Vec<u64> = busy.iter().map(|&c| pool.take_log(epoch, c).seq).collect();
             assert_eq!(seqs, [2 * epoch, 2 * epoch + 1]);
         }
@@ -629,5 +664,43 @@ mod tests {
         // deliver its log.
         pool.outstanding.insert((0, 0));
         let _ = pool.wait_through(1);
+    }
+
+    /// A shard that panics on a poisoned cell ends the run with a typed
+    /// error, in bounded time, at one worker and at two. Chip 0's grant
+    /// is queued, then its cell lock is poisoned, then the tokens go
+    /// out. With two workers the test holds chip 1's cell, so shard 1
+    /// stays on its own token and chip 0's is always shard 0's.
+    #[test]
+    fn a_panicking_shard_ends_the_run_with_shard_failed() {
+        for workers in [1, 2] {
+            let mut pool = pool(workers, workers);
+            for chip in 0..workers {
+                pool.push_cmd(chip, CellCmd::Grant { epoch: 0 });
+                pool.outstanding.insert((0, chip));
+            }
+            let shared = Arc::clone(&pool.shared);
+            let _ = std::panic::catch_unwind(|| {
+                let _slot = shared.cells[0].lock();
+                panic!("poisoning chip 0's cell");
+            });
+            assert!(shared.cells[0].is_poisoned());
+            let hold = (workers > 1).then(|| shared.cells[1].lock().unwrap());
+            shared
+                .tokens
+                .push_many((0..workers).map(|chip| (chip % workers, chip)));
+            let (tx, rx) = mpsc::channel();
+            let waiter = std::thread::spawn(move || {
+                let _ = tx.send(pool.wait_through(1));
+            });
+            let outcome = rx.recv_timeout(Duration::from_secs(10));
+            drop(hold);
+            assert_eq!(
+                outcome,
+                Ok(Err(ServeError::ShardFailed { shard: 0 })),
+                "{workers} workers"
+            );
+            waiter.join().unwrap();
+        }
     }
 }

@@ -13,7 +13,6 @@
 //!
 //! [`PerfCounters`]: vsmooth_uarch::PerfCounters
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vsmooth_sched::PairCandidate;
 use vsmooth_uarch::PerfCounters;
@@ -29,7 +28,7 @@ const COLD_STALL_RATIO: f64 = 0.2;
 const COLD_IPC: f64 = 1.0;
 
 /// One workload's accumulated online profile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// EWMA of the per-slice stall ratio.
     pub stall_ratio: f64,
@@ -71,7 +70,7 @@ impl WorkloadProfile {
 /// Updates must come from a single thread in a deterministic order
 /// (the service's coordinator applies them chip-by-chip after every
 /// epoch); the book itself is plain data.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct TelemetryBook {
     profiles: BTreeMap<String, WorkloadProfile>,
 }

@@ -10,7 +10,7 @@
 //! in the test.
 
 fn main() {
-    let m = vsmooth_stats::MetricsRegistry::new();
+    let mut m = vsmooth_stats::MetricsRegistry::new();
     m.describe("droops_total", "Droop emergencies observed, per policy.");
     m.describe(
         "queue_wait_kcycles",

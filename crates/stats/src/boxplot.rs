@@ -1,8 +1,6 @@
 //! Five-number boxplot summaries (Fig. 17: droop variance across
 //! co-schedules for every CPU2006 benchmark).
 
-use serde::{Deserialize, Serialize};
-
 /// Five-number summary (min, Q1, median, Q3, max) plus the mean.
 ///
 /// # Examples
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(b.min, 1.0);
 /// assert_eq!(b.max, 5.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoxplotStats {
     /// Smallest sample.
     pub min: f64,

@@ -1,7 +1,6 @@
 //! Cumulative distribution series, as plotted in Figs. 7 and 9.
 
 use crate::Histogram;
-use serde::{Deserialize, Serialize};
 
 /// A cumulative distribution function as a series of `(value, fraction)`
 /// points, with `fraction` non-decreasing from 0 toward 1.
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(cdf.fraction_at(0.5), 0.0);
 /// assert_eq!(cdf.fraction_at(5.0), 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cdf {
     points: Vec<(f64, f64)>,
 }

@@ -1,8 +1,6 @@
 //! Correlation and least-squares fitting (Fig. 15 reports a 0.97
 //! linear correlation between droop counts and stall ratio).
 
-use serde::{Deserialize, Serialize};
-
 /// Pearson linear correlation coefficient between two equal-length series.
 ///
 /// Returns `0.0` when either series has zero variance or fewer than two
@@ -43,7 +41,7 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
 }
 
 /// Result of a least-squares line fit `y = slope * x + intercept`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearFit {
     /// Slope of the fitted line.
     pub slope: f64,

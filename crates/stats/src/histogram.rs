@@ -1,8 +1,6 @@
 //! Fixed-bin histogram, mirroring the oscilloscope's compressed sample
 //! storage used in the paper's measurement methodology (Sec. II-A).
 
-use serde::{Deserialize, Serialize};
-
 /// A fixed-bin histogram over a closed value range.
 ///
 /// Values below the range are accumulated in an underflow bucket and
@@ -23,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.total(), 3);
 /// assert!((h.min_recorded().unwrap() + 9.6).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,

@@ -1,36 +1,33 @@
 //! A lightweight metrics registry: labeled counters, gauges and
-//! fixed-bucket histograms behind one thread-safe handle.
+//! fixed-bucket histograms in one single-owner registry.
 //!
-//! Long-running subsystems (the `vsmooth-serve` scheduling service, the
-//! measurement campaign) record operational telemetry here —
-//! droops-per-1k-cycles, emergencies, queue wait, chip utilization,
-//! jobs/sec — and render a deterministic snapshot at the end, either as
-//! a plain text block ([`MetricsSnapshot::render`]) or in the
-//! Prometheus text exposition format
-//! ([`MetricsSnapshot::render_prometheus`]).
+//! The `vsmooth-serve` scheduling service records its operational
+//! telemetry here — droops-per-1k-cycles, emergencies, queue wait,
+//! chip utilization, jobs/sec — and renders a deterministic snapshot
+//! at the end, either as a plain text block
+//! ([`MetricsSnapshot::render`]) or in the Prometheus text exposition
+//! format ([`MetricsSnapshot::render_prometheus`]).
 //!
 //! Every series is identified by a [`SeriesId`]: a metric name plus a
 //! key-sorted label set, so `droops_total{policy="Droop(online)"}` and
 //! `droops_total{policy="Random"}` are distinct series that always
 //! render in the same order.
 //!
-//! Determinism contract: counters are exact integer sums, so any
-//! recording order yields the same snapshot. Gauges are last-write-wins
-//! and histograms accumulate floating-point sums, so for bit-identical
-//! reports across thread counts those two must be recorded from a
+//! Determinism contract: recording takes `&mut self`, so a registry has
+//! exactly one writer and records in that writer's order. Gauges are
+//! last-write-wins and histograms accumulate floating-point sums, so
+//! for bit-identical reports across thread counts the writer must be a
 //! deterministic point (e.g. a coordinator merging worker results in a
-//! fixed order) — which is exactly how `vsmooth-serve` uses them.
+//! fixed order) — which is exactly how `vsmooth-serve` uses it.
 //! Non-finite histogram observations are skipped (a NaN would poison
 //! `min`/`max`/`sum` forever) and tallied in a per-series
 //! dropped-samples counter instead.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Mutex;
 
 /// Identifies one series: metric name plus key-sorted labels.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SeriesId {
     /// Metric name.
     pub name: String,
@@ -119,7 +116,7 @@ pub(crate) fn default_buckets() -> Vec<f64> {
 }
 
 /// Streaming histogram state for one series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct HistogramState {
     count: u64,
     dropped: u64,
@@ -214,14 +211,16 @@ impl HistogramState {
     }
 }
 
-/// A thread-safe registry of named counters, gauges and histograms.
+/// A registry of named counters, gauges and histograms. Recording
+/// takes `&mut self`: each registry has one owner, which the compiler
+/// rather than a lock holds to a single writer.
 ///
 /// # Examples
 ///
 /// ```
 /// use vsmooth_stats::MetricsRegistry;
 ///
-/// let m = MetricsRegistry::new();
+/// let mut m = MetricsRegistry::new();
 /// m.counter_add("jobs_completed", 3);
 /// m.counter_with("droops_total", &[("policy", "droop")], 7);
 /// m.gauge_set("queue_depth", 7.0);
@@ -237,14 +236,14 @@ impl HistogramState {
 /// ```
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    counters: Mutex<BTreeMap<SeriesId, u64>>,
-    gauges: Mutex<BTreeMap<SeriesId, f64>>,
-    histograms: Mutex<BTreeMap<SeriesId, HistogramState>>,
+    counters: BTreeMap<SeriesId, u64>,
+    gauges: BTreeMap<SeriesId, f64>,
+    histograms: BTreeMap<SeriesId, HistogramState>,
     /// Declared bucket bounds by metric name ([`default_buckets`] when
     /// undeclared). Declare before the first observation.
-    bucket_bounds: Mutex<BTreeMap<String, Vec<f64>>>,
+    bucket_bounds: BTreeMap<String, Vec<f64>>,
     /// Optional help text by metric name, rendered as `# HELP` lines.
-    descriptions: Mutex<BTreeMap<String, String>>,
+    descriptions: BTreeMap<String, String>,
 }
 
 impl MetricsRegistry {
@@ -255,111 +254,75 @@ impl MetricsRegistry {
 
     /// Adds `delta` to the named unlabeled counter (creating it at
     /// zero).
-    ///
-    /// Counter sums are exact and commutative, so concurrent recording
-    /// from worker threads cannot perturb the snapshot.
-    pub fn counter_add(&self, name: &str, delta: u64) {
+    pub fn counter_add(&mut self, name: &str, delta: u64) {
         self.counter_with(name, &[], delta);
     }
 
     /// Adds `delta` to the counter series `name{labels…}`.
-    pub fn counter_with(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        let id = SeriesId::new(name, labels);
+    pub fn counter_with(&mut self, name: &str, labels: &[(&str, &str)], delta: u64) {
         *self
             .counters
-            .lock()
-            .expect("metrics lock")
-            .entry(id)
+            .entry(SeriesId::new(name, labels))
             .or_insert(0) += delta;
     }
 
     /// Sets the named unlabeled gauge (last write wins).
-    pub fn gauge_set(&self, name: &str, value: f64) {
+    pub fn gauge_set(&mut self, name: &str, value: f64) {
         self.gauge_with(name, &[], value);
     }
 
     /// Sets the gauge series `name{labels…}` (last write wins).
-    pub fn gauge_with(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.gauges
-            .lock()
-            .expect("metrics lock")
-            .insert(SeriesId::new(name, labels), value);
+    pub fn gauge_with(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
+        self.gauges.insert(SeriesId::new(name, labels), value);
     }
 
     /// Declares the bucket bounds used by histogram series of `name`
     /// (must be called before the first observation to take effect;
     /// undeclared histograms use 1–2.5–5 steps per decade from 10⁻³ to
     /// 10⁶).
-    pub fn declare_buckets(&self, name: &str, bounds: &[f64]) {
+    pub fn declare_buckets(&mut self, name: &str, bounds: &[f64]) {
         let mut sorted = bounds.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite bucket bounds"));
-        self.bucket_bounds
-            .lock()
-            .expect("metrics lock")
-            .insert(name.to_string(), sorted);
+        self.bucket_bounds.insert(name.to_string(), sorted);
     }
 
     /// Attaches help text to a metric name, emitted as a `# HELP` line
     /// before the metric's `# TYPE` line in the Prometheus render.
     /// Optional — undescribed metrics render exactly as before. Last
     /// write wins; the text applies to every labeled series of `name`.
-    pub fn describe(&self, name: &str, help: &str) {
-        self.descriptions
-            .lock()
-            .expect("metrics lock")
-            .insert(name.to_string(), help.to_string());
+    pub fn describe(&mut self, name: &str, help: &str) {
+        self.descriptions.insert(name.to_string(), help.to_string());
     }
 
     /// Records one observation into the named unlabeled histogram.
-    pub fn observe(&self, name: &str, value: f64) {
+    pub fn observe(&mut self, name: &str, value: f64) {
         self.observe_with(name, &[], value);
     }
 
     /// Records one observation into the histogram series
     /// `name{labels…}`. Non-finite values are dropped (and counted).
-    pub(crate) fn observe_with(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        let id = SeriesId::new(name, labels);
-        let mut map = self.histograms.lock().expect("metrics lock");
-        let state = map.entry(id).or_insert_with(|| {
-            let bounds = self
-                .bucket_bounds
-                .lock()
-                .expect("metrics lock")
-                .get(name)
-                .cloned()
-                .unwrap_or_else(default_buckets);
-            HistogramState::with_bounds(bounds)
-        });
-        state.observe(value);
+    pub(crate) fn observe_with(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
+        let bounds = &self.bucket_bounds;
+        self.histograms
+            .entry(SeriesId::new(name, labels))
+            .or_insert_with(|| {
+                let bounds = bounds.get(name).cloned();
+                HistogramState::with_bounds(bounds.unwrap_or_else(default_buckets))
+            })
+            .observe(value);
     }
 
     /// A point-in-time snapshot with all series sorted by id.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let counters = self
-            .counters
-            .lock()
-            .expect("metrics lock")
-            .iter()
-            .map(|(k, &v)| (k.clone(), v))
-            .collect();
-        let gauges = self
-            .gauges
-            .lock()
-            .expect("metrics lock")
-            .iter()
-            .map(|(k, &v)| (k.clone(), v))
-            .collect();
+        let counters = self.counters.iter().map(|(k, &v)| (k.clone(), v)).collect();
+        let gauges = self.gauges.iter().map(|(k, &v)| (k.clone(), v)).collect();
         let histograms = self
             .histograms
-            .lock()
-            .expect("metrics lock")
             .iter()
             .map(|(k, h)| (k.clone(), h.summary()))
             .collect();
         let descriptions = self
             .descriptions
-            .lock()
-            .expect("metrics lock")
             .iter()
             .map(|(k, v)| (k.clone(), v.clone()))
             .collect();
@@ -373,7 +336,7 @@ impl MetricsRegistry {
 }
 
 /// Summary of one histogram series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistogramSummary {
     /// Number of (finite) observations.
     pub count: u64,
@@ -396,7 +359,7 @@ pub struct HistogramSummary {
 }
 
 /// An immutable, id-sorted view of a [`MetricsRegistry`].
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// Counter values sorted by series id.
     pub counters: Vec<(SeriesId, u64)>,
@@ -549,7 +512,7 @@ mod tests {
 
     #[test]
     fn counters_accumulate_exactly() {
-        let m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::new();
         m.counter_add("a", 1);
         m.counter_add("a", 2);
         m.counter_add("b", 5);
@@ -560,23 +523,8 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_counter_adds_are_exact() {
-        let m = MetricsRegistry::new();
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    for _ in 0..1_000 {
-                        m.counter_add("hits", 1);
-                    }
-                });
-            }
-        });
-        assert_eq!(m.snapshot().counter("hits"), 8_000);
-    }
-
-    #[test]
     fn labeled_series_are_distinct_and_key_sorted() {
-        let m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::new();
         m.counter_with("droops_total", &[("policy", "droop")], 4);
         m.counter_with("droops_total", &[("policy", "random")], 9);
         // Label order at the call site must not matter.
@@ -595,7 +543,7 @@ mod tests {
 
     #[test]
     fn gauges_are_last_write_wins() {
-        let m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::new();
         m.gauge_set("depth", 3.0);
         m.gauge_set("depth", 9.0);
         assert_eq!(m.snapshot().gauge("depth"), Some(9.0));
@@ -604,7 +552,7 @@ mod tests {
 
     #[test]
     fn histograms_track_count_mean_extremes() {
-        let m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::new();
         for v in [1.0, 2.0, 6.0] {
             m.observe("wait", v);
         }
@@ -617,7 +565,7 @@ mod tests {
 
     #[test]
     fn non_finite_observations_are_dropped_not_poisonous() {
-        let m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::new();
         m.observe("wait", 2.0);
         m.observe("wait", f64::NAN);
         m.observe("wait", f64::INFINITY);
@@ -636,7 +584,7 @@ mod tests {
 
     #[test]
     fn quantiles_bracket_the_distribution() {
-        let m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::new();
         for i in 1..=1_000 {
             m.observe("lat", i as f64);
         }
@@ -651,7 +599,7 @@ mod tests {
 
     #[test]
     fn declared_buckets_sharpen_quantiles() {
-        let m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::new();
         let bounds: Vec<f64> = (0..=100).map(|i| i as f64 * 10.0).collect();
         m.declare_buckets("lat", &bounds);
         for i in 1..=1_000 {
@@ -664,7 +612,7 @@ mod tests {
 
     #[test]
     fn single_observation_has_degenerate_quantiles() {
-        let m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::new();
         m.observe("one", 42.0);
         let h = m.snapshot().histogram("one").unwrap();
         assert_eq!((h.p50, h.p95, h.p99), (42.0, 42.0, 42.0));
@@ -672,7 +620,7 @@ mod tests {
 
     #[test]
     fn render_is_sorted_and_stable() {
-        let m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::new();
         m.counter_add("z_last", 1);
         m.counter_add("a_first", 1);
         m.observe("h", 2.0);
@@ -684,7 +632,7 @@ mod tests {
 
     #[test]
     fn prometheus_rendering_has_types_and_stable_labels() {
-        let m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::new();
         m.counter_with("droops_total", &[("policy", "droop")], 4);
         m.counter_with("droops_total", &[("policy", "random")], 9);
         m.gauge_set("util", 0.5);
@@ -703,7 +651,7 @@ mod tests {
 
     #[test]
     fn described_metrics_render_help_before_type() {
-        let m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::new();
         m.describe("droops_total", "Droop emergencies per policy.");
         m.describe("queue_wait_kcycles", "Admission queue wait.");
         m.counter_with("droops_total", &[("policy", "droop")], 4);
@@ -727,7 +675,7 @@ mod tests {
 
     #[test]
     fn help_text_is_escaped_onto_one_line() {
-        let m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::new();
         m.describe("c", "line1\nline2 \\ backslash");
         m.counter_add("c", 1);
         let text = m.snapshot().render_prometheus();
@@ -742,7 +690,7 @@ mod tests {
 
     #[test]
     fn label_values_are_escaped_in_renders() {
-        let m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::new();
         m.counter_with("c", &[("k", "a\"b\\c")], 1);
         let text = m.snapshot().render_prometheus();
         assert!(text.contains("c{k=\"a\\\"b\\\\c\"} 1"));
@@ -754,7 +702,7 @@ mod tests {
         // the Prometheus exposition format requires escaped. A raw
         // newline would split the series across lines and corrupt the
         // whole scrape.
-        let m = MetricsRegistry::new();
+        let mut m = MetricsRegistry::new();
         m.counter_with("c", &[("k", "line1\nline2\\end\"q\"")], 3);
         m.gauge_with("g", &[("k", "a\nb")], 1.5);
         m.observe_with("h", &[("k", "x\ny")], 2.0);

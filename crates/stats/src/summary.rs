@@ -1,8 +1,6 @@
 //! Streaming summary statistics (Welford's algorithm), used when a full
 //! sample vector would be too large to keep (billions of cycles).
 
-use serde::{Deserialize, Serialize};
-
 /// Online mean/variance/min/max accumulator.
 ///
 /// Uses Welford's numerically stable update, so it is safe to stream
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(s.min(), Some(1.0));
 /// assert_eq!(s.max(), Some(3.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Summary {
     count: u64,
     mean: f64,

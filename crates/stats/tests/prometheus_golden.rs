@@ -9,7 +9,7 @@
 use vsmooth_stats::MetricsRegistry;
 
 fn sample_registry() -> MetricsRegistry {
-    let m = MetricsRegistry::new();
+    let mut m = MetricsRegistry::new();
     m.describe("droops_total", "Droop emergencies observed, per policy.");
     m.describe(
         "queue_wait_kcycles",

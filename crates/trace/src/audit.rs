@@ -20,13 +20,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Schema tag of the exported decision-audit JSON artifact.
 pub const AUDIT_SCHEMA: &str = "vsmooth-audit-v1";
 
 /// What kind of scheduling decision an audit entry records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionKind {
     /// A job entered the admission queue.
     Admit,
@@ -61,7 +59,7 @@ impl fmt::Display for DecisionKind {
 
 /// One scheduler decision, with enough context to reconstruct why the
 /// co-schedule looked the way it did when a droop landed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecisionEvent {
     /// Scheduling epoch the decision was taken in.
     pub epoch: u64,

@@ -6,7 +6,6 @@
 //! thread-timing-dependent may enter a record.
 
 use crate::json::{escape_into, json_f64};
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -36,7 +35,7 @@ pub fn chip_pid(chip: usize) -> u32 {
 /// The context — `workloads`, `label` and `phase` — is the same for
 /// every droop of one slice, so it is shared: an event holds three
 /// reference counts, and the tracer's args hold the same strings.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DroopEvent {
     /// Chip (pool slot) the droop occurred on.
     pub chip: usize,
@@ -51,7 +50,7 @@ pub struct DroopEvent {
     pub depth_pct: f64,
     /// Workloads resident on the chip when the droop started, in core
     /// order.
-    pub workloads: Arc<[String]>,
+    pub workloads: Arc<[Arc<str>]>,
     /// `workloads` joined with `+`, the label the trace renders.
     pub label: Arc<str>,
     /// Phase label of the emitting context (e.g. `epoch42`).
@@ -82,7 +81,7 @@ impl DroopEvent {
 }
 
 /// One value attached to a record's `args` map.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ArgValue {
     /// A string argument, shareable with the event it came from.
     Str(Arc<str>),
@@ -130,7 +129,7 @@ pub type Args = Vec<(&'static str, ArgValue)>;
 /// The variants map one-to-one onto Chrome trace-event phases:
 /// `Span` → `"X"` (complete), `Instant` → `"i"`, `Counter` → `"C"`,
 /// and the two name records → `"M"` metadata.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum TraceRecord {
     /// A complete span: `[ts, ts + dur)` on one track.
     Span {

@@ -1,8 +1,7 @@
 //! The workspace's one JSON module: the string escaper and fixed
 //! float format every artifact writer uses, plus a minimal offline
-//! reader (the vendored serde is an inert stub, so there is no
-//! `serde_json`) so tests, `ci.sh` and the checkpoint parser can read
-//! those artifacts back.
+//! reader (the workspace builds no JSON library) so tests, `ci.sh` and
+//! the checkpoint parser can read those artifacts back.
 //!
 //! Escaping writes `"` `\\` `\n` `\r` `\t` as two-character escapes,
 //! every other control character below U+0020 as `\u00XX`, and
@@ -183,7 +182,7 @@ pub(crate) fn push_f64(out: &mut String, x: f64) {
     push_padded(out, q, 4);
 }
 
-/// A parsed JSON value (offline stand-in for `serde_json::Value`).
+/// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     /// `null`.

@@ -185,7 +185,7 @@ impl TelemetryStats {
     /// counters, ring occupancy gauges, `telemetry_bytes_flushed_total`
     /// and flush size/latency histograms. Counters are cumulative-add,
     /// so export once per run, after the stream completes.
-    pub fn export_metrics(&self, metrics: &vsmooth_stats::MetricsRegistry) {
+    pub fn export_metrics(&self, metrics: &mut vsmooth_stats::MetricsRegistry) {
         metrics.counter_add("telemetry_records_seen_total", self.records_seen);
         metrics.counter_add("telemetry_records_written_total", self.records_written);
         for reason in DropReason::ALL {

@@ -297,7 +297,7 @@ impl Tracer {
     /// Exports the streaming pipeline's self-observation into
     /// `metrics` (no-op for non-streaming tracers). See
     /// [`TelemetryStats::export_metrics`] for the series emitted.
-    pub fn export_telemetry(&self, metrics: &vsmooth_stats::MetricsRegistry) {
+    pub fn export_telemetry(&self, metrics: &mut vsmooth_stats::MetricsRegistry) {
         if let Some(stats) = self.telemetry() {
             stats.export_metrics(metrics);
         }

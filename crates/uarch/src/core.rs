@@ -10,10 +10,9 @@
 
 use crate::counters::PerfCounters;
 use crate::event::{EventProfile, StallEvent};
-use serde::{Deserialize, Serialize};
 
 /// What the running software asks of the core this cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CycleStimulus {
     /// Normal execution at the given intensity (0..≈1.5): the fraction
     /// of peak issue activity the instruction mix sustains.
@@ -45,7 +44,7 @@ impl CycleStimulus {
 }
 
 /// Static core parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoreConfig {
     /// Leakage plus always-on clock-tree current, in amperes.
     pub leakage_current: f64,
@@ -129,7 +128,7 @@ impl Default for CoreConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum CoreState {
     Running,
     Stalled {
@@ -165,7 +164,7 @@ enum CoreState {
 /// }
 /// assert!(core.current() < busy);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Core {
     cfg: CoreConfig,
     state: CoreState,

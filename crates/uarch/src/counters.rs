@@ -7,7 +7,6 @@
 //! scheduling baseline (Sec. IV-C).
 
 use crate::event::StallEvent;
-use serde::{Deserialize, Serialize};
 
 /// Per-core performance counters.
 ///
@@ -23,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(c.stall_ratio(), 0.5);
 /// assert_eq!(c.ipc(), 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PerfCounters {
     cycles: u64,
     stall_cycles: u64,

@@ -8,11 +8,10 @@
 //! voltage *overshoots*; when the stall resolves, the pipeline refills
 //! with a current surge and voltage *droops*.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A pipeline-stalling microarchitectural event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum StallEvent {
     /// L1 data-cache miss that hits in the L2 (short stall).
     L1Miss,
@@ -125,7 +124,7 @@ impl fmt::Display for StallEvent {
 }
 
 /// How an event shapes core activity over time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EventProfile {
     /// Cycles the pipeline is stalled.
     pub stall_cycles: u32,

@@ -20,11 +20,10 @@
 
 use crate::phase::{EventMix, Phase, PhaseTimeline};
 use crate::stream::EventStream;
-use serde::{Deserialize, Serialize};
 use std::sync::OnceLock;
 
 /// Whether the workload occupies one core or all cores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Threading {
     /// One thread, one core.
     Single,
@@ -33,7 +32,7 @@ pub enum Threading {
 }
 
 /// A named, phase-structured workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     name: String,
     threading: Threading,

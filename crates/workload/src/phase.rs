@@ -7,7 +7,6 @@
 //! timeline of [`Phase`]s, each with an [`EventMix`] — per-kilocycle
 //! stall-event rates and an execution intensity.
 
-use serde::{Deserialize, Serialize};
 use vsmooth_uarch::StallEvent;
 
 /// Per-kilocycle stall-event rates plus execution intensity for one
@@ -16,7 +15,7 @@ use vsmooth_uarch::StallEvent;
 /// Rates are expressed per 1 000 *running* (unstalled) cycles; events
 /// cannot fire while the pipeline is already stalled, so heavy mixes
 /// saturate naturally, just like a real pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EventMix {
     /// Issue intensity while running (0..≈1.1).
     pub intensity: f64,
@@ -92,7 +91,7 @@ impl EventMix {
 
 /// One phase: an event mix sustained for a number of measurement
 /// intervals (one interval ≈ the paper's 60-second scope window).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Phase {
     /// Duration in measurement intervals.
     pub intervals: u32,
@@ -101,7 +100,7 @@ pub struct Phase {
 }
 
 /// An ordered sequence of phases covering a program's full execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseTimeline {
     phases: Vec<Phase>,
 }

@@ -115,8 +115,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Self-observation, rendered the same way as every other metric.
-    let metrics = MetricsRegistry::new();
-    stats.export_metrics(&metrics);
+    let mut metrics = MetricsRegistry::new();
+    stats.export_metrics(&mut metrics);
     let prom = metrics.snapshot().render_prometheus();
     assert!(prom.contains("telemetry_records_dropped_total{reason=\"ring_full\"} 0"));
     assert!(prom.contains("telemetry_bytes_flushed_total"));

@@ -155,7 +155,7 @@ fn postmortem_carries_the_offending_windows_evidence() {
     assert!(pm
         .droop_events
         .iter()
-        .any(|e| e.workloads.iter().any(|w| w == "482.sphinx3")));
+        .any(|e| e.workloads.iter().any(|w| &**w == "482.sphinx3")));
     assert!(pm
         .droop_events
         .iter()

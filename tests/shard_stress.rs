@@ -163,6 +163,22 @@ fn shard_slice_tallies_reconcile_with_the_slice_counter_under_stealing() {
         section.shards.iter().any(|s| s.slices_stolen > 0),
         "skewed ownership must force steals"
     );
+    // A shard's lane high-water mark counts its logs sent but not yet
+    // received: at least one once it ran a slice, never more than it
+    // ran, and none if it ran nothing.
+    for s in &section.shards {
+        let executed = s.slices_owned + s.slices_stolen;
+        let hwm = s.lane_occupancy_hwm;
+        if executed == 0 {
+            assert_eq!(hwm, 0, "shard {} ran nothing", s.shard);
+        } else {
+            assert!(
+                (1..=executed).contains(&hwm),
+                "shard {} ran {executed} slices with lane high-water mark {hwm}",
+                s.shard
+            );
+        }
+    }
     assert_eq!(
         section.grants,
         report.snapshot.counter("serve_slices_total")
