@@ -177,6 +177,10 @@ grep -q '"streaming_dropped_total": 0' BENCH_serve.json
 grep -q '"obs_scrape_under_load":' BENCH_serve.json
 grep -q '"introspection":' BENCH_serve.json
 grep -q '"observed":' BENCH_serve.json
+# Recorded, not gated: the host's core count, and the share of slices
+# the waiting coordinator drains itself on one shard.
+grep -q '"host_cores":' BENCH_serve.json
+grep -q '"coordinator_slice_share_1w":' BENCH_serve.json
 # Shard-runtime scaling gates: throughput must not regress as workers
 # are added (3% adjacent tolerance, computed by the bench) and the
 # 8-worker figure must clear 2.5x the 1-worker figure. The seed repo

@@ -22,7 +22,10 @@
 //! and the decision audit on one fused shard, against a plain run on
 //! one fused shard), a telemetry-memory comparison of Full-mode
 //! buffering vs the streaming ring, plus a fleet-sweep throughput row
-//! (runs per second with and without checkpointing to disk).
+//! (runs per second with and without checkpointing to disk). It also
+//! records the host's core count and the share of executed slices the
+//! waiting coordinator drained itself at 1 worker, read from the final
+//! `/shards` publish of the `observed` row's hub.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -192,18 +195,19 @@ fn main() {
     // instrument rows' (1.26-1.71 over five pairs, against 1.25-1.28
     // over thirty), so it takes the introspection row's four times the
     // pairs.
-    {
-        let sharded = |observed: bool| {
+    let coordinator_share = {
+        let hub = Arc::new(TelemetryHub::new());
+        let sharded = |hub: Option<&Arc<TelemetryHub>>| {
             let mut cfg = ServiceConfig::new(ChipConfig::core2_duo(DecapConfig::proc100()));
             cfg.slice_cycles = SLICE;
             cfg.runtime = RuntimeMode::Sharded;
-            if observed {
-                cfg.obs = Some(ObsConfig::new(Arc::new(TelemetryHub::new())));
+            if let Some(hub) = hub {
+                cfg.obs = Some(ObsConfig::new(Arc::clone(hub)));
                 cfg.audit = Some(AuditConfig::default());
             }
             Service::new(cfg).expect("valid config")
         };
-        let (plain, observed) = (sharded(false), sharded(true));
+        let (plain, observed) = (sharded(None), sharded(Some(&hub)));
         ratios.push(overhead_over(
             "observed",
             ROUNDS * 4,
@@ -224,7 +228,24 @@ fn main() {
                     .expect("flush stream");
             },
         ));
-    }
+        // The last observed run's final publish: the slices its waiting
+        // coordinator drained itself, as a share of every slice run.
+        let snapshot = hub.latest();
+        let section = snapshot
+            .shards
+            .as_ref()
+            .expect("a sharded run publishes /shards");
+        let shard_slices: u64 = section
+            .shards
+            .iter()
+            .map(|s| s.slices_owned + s.slices_stolen)
+            .sum();
+        let share =
+            section.coordinator_slices as f64 / (shard_slices + section.coordinator_slices) as f64;
+        println!("coordinator slice share at 1 worker: {share:.3}");
+        share
+    };
+    let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
 
     // Scrape-under-load overhead: the monitored run with a live scrape
     // server attached and a loopback client polling `/metrics` at a
@@ -428,9 +449,13 @@ fn main() {
 
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"vsmooth-serve-bench-v1\",\n");
+    out.push_str(&format!("  \"host_cores\": {host_cores},\n"));
     out.push_str(&format!("  \"jobs\": {JOBS},\n"));
     out.push_str(&format!("  \"rounds\": {ROUNDS},\n"));
     out.push_str(&format!("  \"slice_cycles\": {SLICE},\n"));
+    out.push_str(&format!(
+        "  \"coordinator_slice_share_1w\": {coordinator_share:.3},\n"
+    ));
     out.push_str("  \"throughput\": [\n");
     for (i, (workers, ms, kcps)) in rows.iter().enumerate() {
         out.push_str(&format!(

@@ -90,15 +90,21 @@ pub struct ShardStatus {
 /// took — and is the documented determinism exception: it appears
 /// only in published snapshots, never in the run's registry or
 /// report. The one pinned reconciliation: the sum of every shard's
-/// `slices_owned + slices_stolen` equals `serve_slices_total`.
+/// `slices_owned + slices_stolen`, plus `coordinator_slices`, equals
+/// `serve_slices_total`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ShardsStatus {
-    /// Per-shard counters, in shard order.
+    /// Per-shard counters, in shard order: one entry per shard worker
+    /// thread.
     pub shards: Vec<ShardStatus>,
+    /// Slices the coordinator executed itself, draining queued cells
+    /// while it waited on the shards.
+    pub coordinator_slices: u64,
     /// Per-chip command-queue depth high-water marks, in chip order.
     pub cell_queue_hwm: Vec<u64>,
-    /// Times a chip's slice executed on a different shard than its
-    /// previous slice (token ownership churn under stealing).
+    /// Times a chip's slice executed on a different executor (a shard
+    /// or the coordinator) than its previous slice (token ownership
+    /// churn under stealing).
     pub ownership_churn: u64,
     /// Quantum grants issued by the decision loop.
     pub grants: u64,

@@ -541,12 +541,16 @@ fn render_shard_gauges(shards: &ShardsStatus) -> String {
         "High-water mark of each shard's event-lane occupancy, in pending slice records.",
     );
     metrics.describe(
+        "serve_coordinator_slices",
+        "Slices the coordinator executed itself while it waited on the shards.",
+    );
+    metrics.describe(
         "serve_cell_queue_hwm",
         "High-water mark of each chip cell's command-queue depth.",
     );
     metrics.describe(
         "serve_ownership_churn",
-        "Times a chip's slice ran on a different shard than its previous slice.",
+        "Times a chip's slice ran on a different executor (a shard or the coordinator) than its previous slice.",
     );
     metrics.describe(
         "serve_grants",
@@ -579,6 +583,7 @@ fn render_shard_gauges(shards: &ShardsStatus) -> String {
             s.lane_occupancy_hwm as f64,
         );
     }
+    metrics.gauge_set("serve_coordinator_slices", shards.coordinator_slices as f64);
     for (chip, hwm) in shards.cell_queue_hwm.iter().enumerate() {
         let chip = chip.to_string();
         metrics.gauge_with(
@@ -618,6 +623,10 @@ fn shards_json(shards: &ShardsStatus) -> String {
     out.push_str(&format!(
         "  \"ownership_churn\": {},\n",
         shards.ownership_churn
+    ));
+    out.push_str(&format!(
+        "  \"coordinator_slices\": {},\n",
+        shards.coordinator_slices
     ));
     out.push_str(&format!(
         "  \"decision_latency\": {{\"count\": {}, \"mean_us\": {}, \"max_us\": {}}},\n",
@@ -746,6 +755,7 @@ mod tests {
                     stream_dropped: 0,
                 },
             ],
+            coordinator_slices: 7,
             cell_queue_hwm: vec![2, 2, 1],
             ownership_churn: 4,
             grants: 24,
@@ -803,6 +813,8 @@ mod tests {
         assert!(metrics.body.contains("serve_shard_slices{"));
         assert!(metrics.body.contains("# HELP serve_merge_lag_epochs"));
         assert!(metrics.body.contains("serve_merge_lag_epochs 1"));
+        assert!(metrics.body.contains("# HELP serve_coordinator_slices"));
+        assert!(metrics.body.contains("serve_coordinator_slices 7"));
         assert!(metrics.body.contains("# HELP serve_decision_latency_us"));
         assert!(metrics
             .content_type
@@ -831,6 +843,11 @@ mod tests {
         );
         let per_shard = doc.get("shards").and_then(|v| v.as_array()).unwrap();
         assert_eq!(per_shard.len(), 2);
+        // The coordinator is a tally of its own, not a shard entry.
+        assert_eq!(
+            doc.get("coordinator_slices").and_then(|v| v.as_f64()),
+            Some(7.0)
+        );
         assert_eq!(
             per_shard[0].get("slices_owned").and_then(|v| v.as_f64()),
             Some(10.0)
@@ -909,6 +926,7 @@ mod tests {
         assert!(body.contains("serve_jobs_completed_total 7"));
         assert!(!body.contains("serve_shard"), "{body}");
         assert!(!body.contains("serve_cell_queue_hwm"), "{body}");
+        assert!(!body.contains("serve_coordinator_slices"), "{body}");
         assert!(!body.contains("serve_merge_lag_epochs"), "{body}");
         assert_eq!(http_get(addr, "/shards").unwrap().status, 404);
 

@@ -1,7 +1,8 @@
 //! Control plane of the sharded service runtime: the typed records
 //! the coordinator's decision loop emits, the commands it sends to
 //! chip cells, the messages shards send back over the pool's one
-//! channel, and the token board shards claim chips from.
+//! channel, and the token board shards (and the waiting coordinator)
+//! claim chips from.
 //!
 //! The decision loop never touches an artifact. It only *decides* —
 //! admissions, placements, grants, analytic completions — and records
@@ -41,7 +42,10 @@ pub enum RuntimeMode {
     /// the reference implementation the shard runtime is
     /// differentially tested against.
     Coordinator,
-    /// Always one shard per worker, even for `workers == 1`.
+    /// Always one shard per worker, even for `workers == 1`. The
+    /// calling thread, which runs the decision loop and the merge,
+    /// also drains queued chip cells whenever it would otherwise wait
+    /// on the shards, so one worker runs the kernel on two threads.
     Sharded,
 }
 
@@ -187,7 +191,9 @@ pub(crate) struct ChipToken {
 /// protocol. A shard prefers its own queue and steals round-robin
 /// from the others when it runs dry, so one hot shard's backlog is
 /// spread across the pool without ever reordering a single chip's
-/// command stream (ordering lives in the cell's FIFO, not here).
+/// command stream (ordering lives in the cell's FIFO, not here). The
+/// shards take the oldest tokens; the waiting coordinator takes the
+/// newest ([`TokenBoard::try_take`]), from the other end.
 #[derive(Debug)]
 pub(crate) struct TokenBoard {
     state: Mutex<TokenState>,
@@ -196,7 +202,10 @@ pub(crate) struct TokenBoard {
 
 #[derive(Debug)]
 struct TokenState {
-    queues: Vec<VecDeque<usize>>,
+    /// Per-shard queues of `(stamp, chip)` tokens, oldest first. The
+    /// stamp counts pushes, so it orders tokens across queues.
+    queues: Vec<VecDeque<(u64, usize)>>,
+    next_stamp: u64,
     shutdown: bool,
 }
 
@@ -205,6 +214,7 @@ impl TokenBoard {
         Self {
             state: Mutex::new(TokenState {
                 queues: (0..shards).map(|_| VecDeque::new()).collect(),
+                next_stamp: 0,
                 shutdown: false,
             }),
             cv: Condvar::new(),
@@ -220,7 +230,9 @@ impl TokenBoard {
         let mut state = self.state.lock().expect("token lock");
         let mut pushed = 0usize;
         for (owner, chip) in tokens {
-            state.queues[owner].push_back(chip);
+            let stamp = state.next_stamp;
+            state.next_stamp += 1;
+            state.queues[owner].push_back((stamp, chip));
             pushed += 1;
         }
         let wakes = pushed.min(state.queues.len());
@@ -238,7 +250,7 @@ impl TokenBoard {
     pub(crate) fn next(&self, me: usize) -> Option<ChipToken> {
         let mut state = self.state.lock().expect("token lock");
         loop {
-            if let Some(chip) = state.queues[me].pop_front() {
+            if let Some((_, chip)) = state.queues[me].pop_front() {
                 return Some(ChipToken {
                     chip,
                     stolen: false,
@@ -246,7 +258,7 @@ impl TokenBoard {
             }
             let n = state.queues.len();
             for offset in 1..n {
-                if let Some(chip) = state.queues[(me + offset) % n].pop_front() {
+                if let Some((_, chip)) = state.queues[(me + offset) % n].pop_front() {
                     return Some(ChipToken { chip, stolen: true });
                 }
             }
@@ -255,6 +267,24 @@ impl TokenBoard {
             }
             state = self.cv.wait(state).expect("token lock");
         }
+    }
+
+    /// Non-blocking, for the waiting coordinator: offers the newest
+    /// token on the board to `claim` and takes it off only if `claim`
+    /// accepts it. The offer happens under the board lock, so a token
+    /// `claim` refuses never leaves the board, and no shard can miss
+    /// it and steal another shard's token meanwhile. `claim` must not
+    /// block: it runs while every shard is locked out of the board.
+    pub(crate) fn try_take<T>(&self, claim: impl FnOnce(usize) -> Option<T>) -> Option<T> {
+        let mut state = self.state.lock().expect("token lock");
+        let queue = state
+            .queues
+            .iter_mut()
+            .max_by_key(|queue| queue.back().map(|&(stamp, _)| stamp))?;
+        let &(_, chip) = queue.back()?;
+        let claimed = claim(chip)?;
+        queue.pop_back();
+        Some(claimed)
     }
 
     /// Lets every shard drain its remaining tokens and exit.
@@ -291,6 +321,26 @@ mod tests {
         board.shutdown();
         assert_eq!(board.next(1), None);
         assert_eq!(board.next(0), None);
+    }
+
+    #[test]
+    fn try_take_offers_the_newest_token_and_keeps_a_refused_one() {
+        let board = TokenBoard::new(2);
+        board.push_many([(0, 4), (1, 5), (0, 6)]);
+        // The newest token is chip 6, at the back of shard 0's queue;
+        // refused, it stays where it was.
+        assert_eq!(board.try_take(|chip| (chip == 5).then_some(chip)), None);
+        assert_eq!(board.try_take(Some), Some(6));
+        assert_eq!(board.try_take(Some), Some(5));
+        // The shards still take the oldest token first.
+        assert_eq!(
+            board.next(1),
+            Some(ChipToken {
+                chip: 4,
+                stolen: true
+            })
+        );
+        assert_eq!(board.try_take(Some), None::<usize>);
     }
 
     #[test]

@@ -3,48 +3,56 @@
 //! [`RuntimeStats`] is the shared atomic scoreboard every layer of the
 //! sharded runtime feeds: shards count owned vs stolen slice
 //! executions and the logs they have sent that the pump has not yet
-//! received (whose high-water mark is the lane occupancy), the pump
-//! counts those receipts and tracks chip ownership churn, the
-//! decision loop counts grants and (when obs is armed) its own
-//! wall-clock latency, and cells record command-queue depth
-//! high-water marks. A pool with no workers
-//! (the in-line coordinator) credits its slices to slot 0 and
-//! publishes no section.
+//! received (whose high-water mark is the lane occupancy), the
+//! coordinator counts the slices it drains itself while it waits on
+//! the shards, the pump counts receipts and tracks chip ownership
+//! churn, the decision loop counts grants and (when obs is armed) its
+//! own wall-clock latency, and cells record command-queue depth
+//! high-water marks. A pool with no workers (the in-line coordinator)
+//! credits every slice to the coordinator and publishes no section.
 //!
 //! Everything here is **live execution state** — which shard ran which
 //! token, how deep a queue got, how long a decision took — and is
 //! therefore published *only* through the per-shard obs snapshot
 //! section ([`ObsSnapshot::shards`](vsmooth_obs::ObsSnapshot)), never
 //! through the determinism-pinned run registry. The one deterministic
-//! fact it carries — total slices executed — reconciles exactly with
-//! `serve_slices_total` (asserted in `tests/shard_stress.rs`).
+//! fact it carries — total slices executed, by the shards and the
+//! coordinator together — reconciles exactly with `serve_slices_total`
+//! (asserted in `tests/shard_stress.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use vsmooth_obs::{LatencyStats, ShardStatus, ShardsStatus};
 
-/// Per-shard execution counters.
+/// Per-executor execution counters.
 #[derive(Debug, Default)]
 pub(crate) struct ShardCounters {
-    /// Slices executed off the shard's own token queue.
+    /// Slices executed off the executor's own token queue.
     pub owned: AtomicU64,
     /// Slices executed off another shard's queue (steals).
     pub stolen: AtomicU64,
-    /// Slice logs the shard has sent that the pump has not received.
+    /// Slice logs the executor has made that the pump has not received.
     pub in_flight: AtomicU64,
     /// High-water mark of `in_flight`: the shard's lane occupancy.
     pub lane_hwm: AtomicU64,
 }
 
+impl ShardCounters {
+    fn slices(&self) -> u64 {
+        self.owned.load(Ordering::Relaxed) + self.stolen.load(Ordering::Relaxed)
+    }
+}
+
 /// The shared introspection scoreboard of one service run.
 #[derive(Debug)]
 pub(crate) struct RuntimeStats {
-    /// One counter block per shard (a pool with no workers uses slot
-    /// 0 for its in-line executor).
-    pub shards: Vec<ShardCounters>,
+    /// One counter block per executor: the shards in shard order, then
+    /// the coordinator, executor `shards` (executor 0 of a pool with no
+    /// workers).
+    pub executors: Vec<ShardCounters>,
     /// Per-chip command-queue depth high-water marks.
     pub cell_queue_hwm: Vec<AtomicU64>,
-    /// Times a chip's slice ran on a different shard than its
+    /// Times a chip's slice ran on a different executor than its
     /// previous slice (token ownership churn under stealing).
     pub ownership_churn: AtomicU64,
     /// Quantum grants issued by the decision loop.
@@ -62,9 +70,7 @@ pub(crate) struct RuntimeStats {
 impl RuntimeStats {
     pub(crate) fn new(shards: usize, chips: usize) -> Self {
         Self {
-            shards: (0..shards.max(1))
-                .map(|_| ShardCounters::default())
-                .collect(),
+            executors: (0..=shards).map(|_| ShardCounters::default()).collect(),
             cell_queue_hwm: (0..chips).map(|_| AtomicU64::new(0)).collect(),
             ownership_churn: AtomicU64::new(0),
             grants: AtomicU64::new(0),
@@ -75,10 +81,10 @@ impl RuntimeStats {
         }
     }
 
-    /// Credits one executed slice to `shard`, split by claim origin,
-    /// and counts its log in flight until the pump receives it.
-    pub(crate) fn record_slice(&self, shard: usize, stolen: bool) {
-        let counters = &self.shards[shard];
+    /// Credits one executed slice to executor `me`, split by claim
+    /// origin, and counts its log in flight until the pump receives it.
+    pub(crate) fn record_slice(&self, me: usize, stolen: bool) {
+        let counters = &self.executors[me];
         if stolen {
             counters.stolen.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -88,9 +94,9 @@ impl RuntimeStats {
         counters.lane_hwm.fetch_max(in_flight, Ordering::Relaxed);
     }
 
-    /// The pump received one of `shard`'s slice logs.
-    pub(crate) fn record_receipt(&self, shard: usize) {
-        self.shards[shard].in_flight.fetch_sub(1, Ordering::Relaxed);
+    /// The pump received one of executor `me`'s slice logs.
+    pub(crate) fn record_receipt(&self, me: usize) {
+        self.executors[me].in_flight.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Records one decision-loop latency sample, in microseconds.
@@ -100,20 +106,22 @@ impl RuntimeStats {
         self.decision_max_us.fetch_max(micros, Ordering::Relaxed);
     }
 
-    /// Total slices executed across every shard, both claim origins.
+    /// Total slices executed across every executor, both claim
+    /// origins.
     pub(crate) fn slices_total(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| s.owned.load(Ordering::Relaxed) + s.stolen.load(Ordering::Relaxed))
-            .sum()
+        self.executors.iter().map(ShardCounters::slices).sum()
     }
 
-    /// Snapshots the scoreboard into the published obs section.
-    /// `epochs_merged` comes from the merge layer (lag = decided −
-    /// merged).
+    /// Snapshots the scoreboard into the published obs section: one
+    /// entry per shard, and the coordinator's slices as a tally of
+    /// their own. `epochs_merged` comes from the merge layer (lag =
+    /// decided − merged).
     pub(crate) fn status(&self, epochs_merged: u64) -> ShardsStatus {
-        let shards = self
-            .shards
+        let (coordinator, shards) = self
+            .executors
+            .split_last()
+            .expect("the coordinator's counter block");
+        let shards = shards
             .iter()
             .enumerate()
             .map(|(i, counters)| ShardStatus {
@@ -127,6 +135,7 @@ impl RuntimeStats {
         let epochs_decided = self.epochs_decided.load(Ordering::Relaxed);
         ShardsStatus {
             shards,
+            coordinator_slices: coordinator.slices(),
             cell_queue_hwm: self
                 .cell_queue_hwm
                 .iter()
@@ -157,10 +166,14 @@ mod tests {
         stats.record_slice(1, true);
         stats.record_receipt(0);
         stats.record_slice(0, false);
-        assert_eq!(stats.slices_total(), 4);
+        // Executor 2 is the coordinator.
+        stats.record_slice(2, true);
+        assert_eq!(stats.slices_total(), 5);
         let status = stats.status(0);
+        assert_eq!(status.shards.len(), 2, "one entry per shard");
         assert_eq!(status.shards[0].slices_owned, 3);
         assert_eq!(status.shards[1].slices_stolen, 1);
+        assert_eq!(status.coordinator_slices, 1);
         // Two of shard 0's logs were in flight at once, never three.
         assert_eq!(status.shards[0].lane_occupancy_hwm, 2);
         assert_eq!(status.shards[1].lane_occupancy_hwm, 1);

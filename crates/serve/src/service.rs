@@ -18,7 +18,10 @@
 //!   workers with per-shard run queues and work-stealing, or, with no
 //!   workers, in-line on this thread on the reference step (the
 //!   coordinator, see [`RuntimeMode`]). Either way it returns one
-//!   `SliceLog` per granted slice.
+//!   `SliceLog` per granted slice. With workers, this thread is an
+//!   executor too: whenever the loop must wait for a slice log, it
+//!   drains a queued chip cell itself instead of sleeping, so on one
+//!   shard the kernel runs on two threads.
 //! * **The merge layer** (`crate::merge`) is the run's one artifact
 //!   owner: it arms the registry, profiler, monitor and audit ring,
 //!   decides the captures the pool drains for them, and replays epoch
@@ -42,7 +45,8 @@
 //!   decision that reads it.
 //! * Executors only advance disjoint chips; their logs are keyed
 //!   `(epoch, chip)` and merged in that order regardless of which
-//!   shard ran what, when, or how much work was stolen.
+//!   executor (a shard or this thread) ran what, when, or how much
+//!   work was stolen.
 //! * Every float observation (gauges, histograms, EWMA folds) is
 //!   recorded by the merge layer in a fixed order.
 //!
@@ -1025,15 +1029,16 @@ mod tests {
         assert_eq!(status.jobs_completed, observed.jobs_completed as u64);
         assert_eq!(status.droops, observed.droops);
         // A sharded run publishes the live introspection section, and
-        // its per-shard slice tallies reconcile exactly with the
-        // deterministic slice counter.
+        // its per-shard slice tallies plus the coordinator's reconcile
+        // exactly with the deterministic slice counter.
         let shards = last.shards.as_ref().expect("sharded run publishes /shards");
         assert_eq!(
             shards
                 .shards
                 .iter()
                 .map(|s| s.slices_owned + s.slices_stolen)
-                .sum::<u64>(),
+                .sum::<u64>()
+                + shards.coordinator_slices,
             observed.snapshot.counter("serve_slices_total")
         );
         assert_eq!(last.health.as_ref().map(|h| h.epochs), Some(health.epochs));

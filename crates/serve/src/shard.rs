@@ -8,14 +8,20 @@
 //! [`SliceLog`] per grant back over the pool's one channel. A shard
 //! that panics sends [`ShardEvent::Panicked`] on its way out, so the
 //! run ends with [`ServeError::ShardFailed`] instead of waiting for a
-//! log that will never come. With none,
-//! [`ShardPool::grant`] drains each granted cell itself, in chip order,
-//! on the historical dyn-dispatch reference step, so every log is in
-//! before it returns and the merge runs in lockstep with the decision
-//! loop: the in-line coordinator, the byte oracle
-//! `tests/shard_equivalence.rs` holds the shard runtime to. Both run
-//! the same cell-drain routine and hand their logs to the same pump;
-//! the merge layer cannot tell them apart. Executors only simulate and
+//! log that will never come. The coordinator is an executor too: when
+//! [`ShardPool::wait_through`] would block on the channel, it first
+//! claims the newest token on the board whose cell it can lock at once
+//! and drains that cell itself, on the same step, as executor
+//! `workers`, filing each log as it makes it. It never waits for a
+//! cell lock: a busy or poisoned cell's token stays on the board for a
+//! shard. With no workers, [`ShardPool::grant`] drains each granted
+//! cell itself, in chip order, on the historical dyn-dispatch reference
+//! step, so every log is in before it returns and the merge runs in
+//! lockstep with the decision loop: the in-line coordinator, the byte
+//! oracle `tests/shard_equivalence.rs` holds the shard runtime to.
+//! Every executor runs the same cell-drain routine, and the
+//! coordinator's two drains share one caller-side routine; the merge
+//! layer cannot tell executors apart. Executors only simulate and
 //! drain the captures the [`DrainPlan`] names; the merge layer makes
 //! every trace record. The fused step is bit-identical to the
 //! reference step (window capture and the invariant checker riding
@@ -28,7 +34,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use crate::control::{CellCmd, CellJob, ChipToken, ShardEvent, SliceLog, TokenBoard};
@@ -41,8 +47,8 @@ use vsmooth_uarch::{IdleLoop, StimulusSource};
 
 /// One pool member: a warmed-up measurement session plus whatever is
 /// running on its two cores. Cells own their chips end-to-end; only
-/// the executing context (coordinator or one shard at a time) touches
-/// them.
+/// the executor holding the cell lock (a shard or the coordinator)
+/// touches them.
 #[derive(Debug)]
 pub(crate) struct ChipCell {
     pub session: ChipSession,
@@ -267,19 +273,20 @@ struct CellSlot {
     cell: ChipCell,
 }
 
-/// Drains the claimed chip's command queue in FIFO order under its
-/// cell lock, as executor `me`: installs placed jobs and runs one
-/// slice per grant, handing each outcome to `emit`. Returns `false`
-/// once a slice failed; the executor stops there.
+/// Drains the claimed chip's command queue in FIFO order, as executor
+/// `me`, from the cell `slot` whose lock the executor holds: installs
+/// placed jobs and runs one slice per grant, handing each outcome to
+/// `emit`. Returns `false` once a slice failed; the executor stops
+/// there.
 fn drain_cell(
     shared: &PoolShared,
+    slot: &mut CellSlot,
     me: usize,
     token: ChipToken,
     seq: &mut u64,
     mut emit: impl FnMut(ShardEvent),
 ) -> bool {
     let chip = token.chip;
-    let mut slot = shared.cells[chip].lock().expect("cell lock");
     while let Some(cmd) = slot.cmds.pop_front() {
         match cmd {
             CellCmd::AddJob { core, job } => {
@@ -327,11 +334,13 @@ impl Drop for Lane {
 /// The body of one shard worker: pop a chip token (own queue first,
 /// then steal), drain that cell, send each slice's outcome to the
 /// coordinator. A send fails only once the pool is gone, and then
-/// nobody is owed the log.
+/// nobody is owed the log. A shard waits for a busy cell's lock and
+/// panics on a poisoned one, which its [`Lane`] reports.
 fn shard_main(lane: Lane, shared: &PoolShared) {
     let mut seq = 0u64;
     while let Some(token) = shared.tokens.next(lane.me) {
-        if !drain_cell(shared, lane.me, token, &mut seq, |event| {
+        let mut slot = shared.cells[token.chip].lock().expect("cell lock");
+        if !drain_cell(shared, &mut slot, lane.me, token, &mut seq, |event| {
             let _ = lane.tx.send(event);
         }) {
             return;
@@ -340,8 +349,9 @@ fn shard_main(lane: Lane, shared: &PoolShared) {
 }
 
 /// The service's one executor: the chip pool plus `workers` long-lived
-/// shard threads that own it for the duration of a run, or none (see
-/// the module docs).
+/// shard threads that own it for the duration of a run, or none, and
+/// the coordinator that drains cells while it waits (see the module
+/// docs).
 #[derive(Debug)]
 pub(crate) struct ShardPool {
     shared: Arc<PoolShared>,
@@ -357,9 +367,11 @@ pub(crate) struct ShardPool {
     /// Next expected per-executor sequence number: one `Sender`'s
     /// messages arrive in the order it sent them, and each executor
     /// stamps its slices 0, 1, 2, … — so logs must arrive in exactly
-    /// that order per executor. The in-line executor stamps as 0.
+    /// that order per executor. Slot `workers` is the coordinator's,
+    /// which files its logs as it makes them, so its slot is also its
+    /// next stamp.
     next_seq: Vec<u64>,
-    /// Chip index → shard that executed its previous slice, for the
+    /// Chip index → executor that ran its previous slice, for the
     /// ownership-churn introspection counter.
     last_executor: Vec<Option<usize>>,
     /// The first failure received; every later call returns it.
@@ -413,17 +425,22 @@ impl ShardPool {
             events,
             outstanding: BTreeSet::new(),
             received: BTreeMap::new(),
-            next_seq: vec![0; workers.max(1)],
+            next_seq: vec![0; workers + 1],
             last_executor: vec![None; chips],
             failure: None,
         }
     }
 
     /// Queues `cmd` at its chip cell and records the depth the queue
-    /// reached.
+    /// reached. A cell poisoned by a shard that panicked holding it
+    /// takes the command all the same: that shard's death ends the run
+    /// with [`ServeError::ShardFailed`] at the next wait, and nothing
+    /// drains a poisoned cell.
     fn push_cmd(&self, chip: usize, cmd: CellCmd) {
         let depth = {
-            let mut slot = self.shared.cells[chip].lock().expect("cell lock");
+            let mut slot = self.shared.cells[chip]
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
             slot.cmds.push_back(cmd);
             slot.cmds.len()
         };
@@ -452,22 +469,58 @@ impl ShardPool {
                 .push_many(busy.iter().map(|&chip| (chip % workers, chip)));
             return Ok(());
         }
-        // Executor 0's next stamp: every earlier grant was received
-        // before it returned.
-        let mut seq = self.next_seq[0];
         // `receive` borrows the whole pool, so the drain reads the
         // shared state through a handle of its own.
         let shared = Arc::clone(&self.shared);
         for &chip in busy {
+            // Only this thread touches the cells. A cell it cannot lock
+            // keeps its log owed, and the wait for it panics.
+            let Ok(mut slot) = shared.cells[chip].try_lock() else {
+                break;
+            };
             let token = ChipToken {
                 chip,
                 stolen: false,
             };
-            if !drain_cell(&shared, 0, token, &mut seq, |event| self.receive(event)) {
+            if !self.drain_here(&shared, &mut slot, token) {
                 break;
             }
         }
         self.pump()
+    }
+
+    /// The coordinator's drain, shared by a zero-worker grant and the
+    /// help of [`ShardPool::wait_through`]: drains the cell `slot`,
+    /// which this thread has locked, as executor `workers` (executor 0
+    /// of a pool with no workers), filing each log straight into
+    /// `receive`. Returns `false` once a slice failed.
+    fn drain_here(&mut self, shared: &PoolShared, slot: &mut CellSlot, token: ChipToken) -> bool {
+        let me = self.handles.len();
+        let mut seq = self.next_seq[me];
+        drain_cell(shared, slot, me, token, &mut seq, |event| {
+            self.receive(event)
+        })
+    }
+
+    /// Drains one queued cell on this thread instead of sleeping on the
+    /// shards: claims the newest token on the board if its cell lock is
+    /// free at once. A busy or poisoned cell is not waited for and its
+    /// token stays on the board for a shard. Returns whether a cell
+    /// was claimed; a slice that failed there is kept as the run's
+    /// failure, which the wait's next pump returns.
+    fn help(&mut self) -> bool {
+        let shared = Arc::clone(&self.shared);
+        let Some((chip, mut slot)) = shared
+            .tokens
+            .try_take(|chip| shared.cells[chip].try_lock().ok().map(|slot| (chip, slot)))
+        else {
+            return false;
+        };
+        // The coordinator owns no queue: every token it claims came off
+        // a shard's.
+        let token = ChipToken { chip, stolen: true };
+        self.drain_here(&shared, &mut slot, token);
+        true
     }
 
     /// Files one executor message: a log joins `received`, a failure
@@ -516,15 +569,21 @@ impl ShardPool {
     }
 
     /// Blocks until every log for epochs `< bound` has arrived, or
-    /// until a shard reports a failure or a panic. A pool whose
-    /// workers have all exited without reporting one (or that never
-    /// had any) panics with a log still owed instead of blocking
-    /// forever: that is a runtime bug, not a recoverable condition.
+    /// until a shard reports a failure or a panic. Before each block,
+    /// the coordinator drains whatever queued cell it can lock at once
+    /// ([`ShardPool::help`]), so it runs kernel slices while it would
+    /// otherwise sleep. A pool whose workers have all exited without
+    /// reporting one (or that never had any) panics with a log still
+    /// owed instead of blocking forever: that is a runtime bug, not a
+    /// recoverable condition.
     pub(crate) fn wait_through(&mut self, bound: u64) -> Result<(), ServeError> {
         loop {
             self.pump()?;
             if self.has_through(bound) {
                 return Ok(());
+            }
+            if self.help() {
+                continue;
             }
             let event = self
                 .events
@@ -578,6 +637,8 @@ impl ShardPool {
             .cells
             .into_iter()
             .map(|slot| {
+                // Only a shard's panic poisons a cell, and the pump
+                // above has then returned that shard's failure.
                 let slot = slot.into_inner().expect("cell lock");
                 debug_assert!(slot.cmds.is_empty(), "commands left undrained at shutdown");
                 slot.cell
@@ -604,6 +665,7 @@ impl Drop for ShardPool {
 mod tests {
     use super::*;
     use std::time::Duration;
+    use vsmooth_obs::ShardsStatus;
     use vsmooth_pdn::DecapConfig;
     use vsmooth_workload::by_name;
 
@@ -702,5 +764,91 @@ mod tests {
             );
             waiter.join().unwrap();
         }
+    }
+
+    /// Poisons `chip`'s cell the way a shard that panicked holding it
+    /// would.
+    fn poison(shared: &PoolShared, chip: usize) {
+        let _ = std::panic::catch_unwind(|| {
+            let _slot = shared.cells[chip].lock();
+            panic!("poisoning chip {chip}'s cell");
+        });
+        assert!(shared.cells[chip].is_poisoned());
+    }
+
+    /// A grant that reaches a dead shard's poisoned cell queues its
+    /// command instead of panicking the caller, and the wait ends with
+    /// that shard's typed failure. The test holds chips 1 and 2, each
+    /// shard's own token, so both shards park on them first; it then
+    /// releases chip 2, shard 0's, so shard 0 is the one that takes
+    /// chip 0's token.
+    #[test]
+    fn a_grant_to_a_poisoned_cell_ends_the_run_with_shard_failed() {
+        let mut pool = pool(3, 2);
+        let shared = Arc::clone(&pool.shared);
+        let held_1 = shared.cells[1].lock().unwrap();
+        let held_2 = shared.cells[2].lock().unwrap();
+        shared.tokens.push_many([(0, 2), (1, 1)]);
+        poison(&shared, 0);
+        pool.grant(0, &[0]).unwrap();
+        let (tx, rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let _ = tx.send(pool.wait_through(1));
+        });
+        drop(held_2);
+        let outcome = rx.recv_timeout(Duration::from_secs(10));
+        drop(held_1);
+        assert_eq!(outcome, Ok(Err(ServeError::ShardFailed { shard: 0 })));
+        waiter.join().unwrap();
+    }
+
+    /// The waiting coordinator drains a queued cell itself, as executor
+    /// `workers`, and neither blocks on a busy cell nor keeps its
+    /// token. The test holds chips 0 and 2. The shard takes the oldest
+    /// token, chip 0, and is stuck on it; the coordinator must take the
+    /// newest, chip 1, and run its slice meanwhile. Its next offer,
+    /// chip 2, is held: a coordinator that waited for that lock would
+    /// run chip 2's slice itself once the test lets go, and one that
+    /// kept the token would leave chip 2's log owed forever.
+    #[test]
+    fn the_waiting_coordinator_drains_a_cell_the_shard_has_not_reached() {
+        let mut pool = pool(3, 1);
+        for chip in 0..3 {
+            pool.push_cmd(chip, CellCmd::Grant { epoch: 0 });
+            pool.outstanding.insert((0, chip));
+        }
+        let shared = Arc::clone(&pool.shared);
+        let held_0 = shared.cells[0].lock().unwrap();
+        let held_2 = shared.cells[2].lock().unwrap();
+        shared.tokens.push_many([(0, 0), (0, 2), (0, 1)]);
+        let (tx, rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let outcome = pool.wait_through(1);
+            let _ = tx.send((outcome, pool));
+        });
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        let wait_for = |what: &str, done: &dyn Fn(&ShardsStatus) -> bool| {
+            while !done(&shared.stats.status(0)) {
+                assert!(std::time::Instant::now() < deadline, "{what}");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        wait_for("the coordinator ran no slice", &|s| {
+            s.coordinator_slices > 0
+        });
+        let status = shared.stats.status(0);
+        assert_eq!(status.coordinator_slices, 1);
+        assert_eq!(status.shards[0].slices_owned, 0, "the shard is stuck");
+        drop(held_0);
+        wait_for("the shard ran no slice", &|s| s.shards[0].slices_owned > 0);
+        drop(held_2);
+        let (outcome, pool) = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the wait ends once the cells are free");
+        assert_eq!(outcome, Ok(()));
+        let executors: Vec<usize> = (0..3).map(|chip| pool.log(0, chip).shard).collect();
+        assert_eq!(executors, [0, 1, 0], "chip 1 ran on the coordinator");
+        assert_eq!(shared.stats.status(0).coordinator_slices, 1);
+        waiter.join().unwrap();
     }
 }

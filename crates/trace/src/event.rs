@@ -6,6 +6,7 @@
 //! thread-timing-dependent may enter a record.
 
 use crate::json::{escape_into, json_f64};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -150,8 +151,9 @@ pub enum TraceRecord {
     },
     /// A point event.
     Instant {
-        /// Event name.
-        name: String,
+        /// Event name: borrowed when it is a constant, like every
+        /// droop instant's.
+        name: Cow<'static, str>,
         /// Category tag.
         cat: &'static str,
         /// Virtual process id.
@@ -165,8 +167,9 @@ pub enum TraceRecord {
     },
     /// A sampled counter series value.
     Counter {
-        /// Counter name.
-        name: String,
+        /// Counter name: borrowed when it is a constant, like every
+        /// `droops_total` sample's.
+        name: Cow<'static, str>,
         /// Virtual process id the series belongs to.
         pid: u32,
         /// Sample time, in virtual cycles.

@@ -495,7 +495,7 @@ mod tests {
                 args: any_args(rng),
             },
             1 => TraceRecord::Instant {
-                name: hostile_string(rng),
+                name: hostile_string(rng).into(),
                 cat,
                 pid: any_u32(rng),
                 tid: any_u64(rng),
@@ -503,7 +503,7 @@ mod tests {
                 args: any_args(rng),
             },
             2 => TraceRecord::Counter {
-                name: hostile_string(rng),
+                name: hostile_string(rng).into(),
                 pid: any_u32(rng),
                 ts: any_u64(rng),
                 value: any_float(rng),

@@ -16,6 +16,7 @@
 
 use crate::event::{chip_pid, ArgValue, Args, DroopEvent, TraceRecord};
 use crate::stream::{ChromeJsonSink, StreamConfig, StreamState, TelemetryStats};
+use std::borrow::Cow;
 use std::sync::{Arc, Mutex};
 
 /// What a [`Tracer`] records.
@@ -177,10 +178,11 @@ impl Tracer {
         });
     }
 
-    /// Records an instant event.
+    /// Records an instant event. A `&'static str` name is borrowed,
+    /// not copied.
     pub fn instant(
         &self,
-        name: impl Into<String>,
+        name: impl Into<Cow<'static, str>>,
         cat: &'static str,
         pid: u32,
         tid: u64,
@@ -214,7 +216,7 @@ impl Tracer {
         let total = state.droops_total;
         let pid = chip_pid(event.chip);
         state.push(TraceRecord::Instant {
-            name: "droop".into(),
+            name: Cow::Borrowed("droop"),
             cat: "droop",
             pid,
             tid: event.core as u64,
@@ -226,7 +228,7 @@ impl Tracer {
             ],
         });
         state.push(TraceRecord::Counter {
-            name: "droops_total".into(),
+            name: Cow::Borrowed("droops_total"),
             pid,
             ts: event.cycle,
             value: total as f64,

@@ -300,7 +300,8 @@ fn obs_snapshot_stream_matches_coordinator_at_every_shard_count() {
         }
         // The live introspection section is the documented exception:
         // published only by the shard runtime, but its slice tallies
-        // at the final (done) publish are pinned by the slice counter.
+        // (the shards' plus the coordinator's) at the final (done)
+        // publish are pinned by the slice counter.
         let last = sharded.last().unwrap();
         assert!(last.service.as_ref().unwrap().done);
         let section = last.shards.as_ref().expect("shard runtime publishes");
@@ -309,7 +310,8 @@ fn obs_snapshot_stream_matches_coordinator_at_every_shard_count() {
                 .shards
                 .iter()
                 .map(|s| s.slices_owned + s.slices_stolen)
-                .sum::<u64>(),
+                .sum::<u64>()
+                + section.coordinator_slices,
             last.metrics.counter("serve_slices_total"),
             "final per-shard slice sum diverged at {shards} shards"
         );

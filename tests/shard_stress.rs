@@ -146,16 +146,18 @@ fn shard_slice_tallies_reconcile_with_the_slice_counter_under_stealing() {
     let snap = last.lock().unwrap().take().expect("final publish seen");
     let section = snap.shards.as_ref().expect("shard runtime publishes");
     assert_eq!(section.shards.len(), SHARDS);
-    // The live owned/stolen split sums exactly to the deterministic
+    // The live owned/stolen split, plus the slices the waiting
+    // coordinator drained itself, sums exactly to the deterministic
     // slice counter — no slice lost, none double-counted.
     assert_eq!(
         section
             .shards
             .iter()
             .map(|s| s.slices_owned + s.slices_stolen)
-            .sum::<u64>(),
+            .sum::<u64>()
+            + section.coordinator_slices,
         report.snapshot.counter("serve_slices_total"),
-        "per-shard slice tallies must reconcile with serve_slices_total"
+        "per-shard and coordinator slice tallies must reconcile with serve_slices_total"
     );
     // Only 3 chips own tokens, so at least one of the other 5 shards
     // progressed by stealing.
