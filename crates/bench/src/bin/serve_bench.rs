@@ -10,7 +10,10 @@
 //!
 //! Shape (`vsmooth-serve-bench-v1`): per worker count the median
 //! wall-clock milliseconds and simulated kilocycles per second over
-//! `ROUNDS` runs of an identical job stream, plus the median per-pair
+//! `ROUNDS` runs of an identical job stream, a `one_shard` row (the
+//! median and fastest kilocycles per second of one fused shard, the
+//! runtime perfbench's `serve` runs, over `ROUNDS * 4` runs; the `1w`
+//! throughput row runs the pool with no workers), plus the median per-pair
 //! overhead ratio of each armed instrument over interleaved plain runs
 //! (including the bounded-memory streaming trace pipeline and an
 //! `obs_scrape_under_load` row: a monitored run publishing into a live
@@ -127,6 +130,23 @@ fn main() {
         best.join(", ")
     );
 
+    // One fused shard (`RuntimeMode::Sharded`, 1 worker) is the runtime
+    // perfbench's `serve` runs. The `1w` row above does not show it: at
+    // one worker `Auto` runs the pool with no workers, on the reference
+    // step. The `observed` row takes it as its baseline, and the
+    // ungated `one_shard` row times it after the gated rows.
+    let sharded = |hub: Option<&Arc<TelemetryHub>>| {
+        let mut cfg = ServiceConfig::new(ChipConfig::core2_duo(DecapConfig::proc100()));
+        cfg.slice_cycles = SLICE;
+        cfg.runtime = RuntimeMode::Sharded;
+        if let Some(hub) = hub {
+            cfg.obs = Some(ObsConfig::new(Arc::clone(hub)));
+            cfg.audit = Some(AuditConfig::default());
+        }
+        Service::new(cfg).expect("valid config")
+    };
+    let one_shard = sharded(None);
+
     // Armed-instrument overhead: interleaved pairs of (plain, armed)
     // runs of the same stream, median of per-pair ratios, so slow
     // timing drift of the host cancels out instead of skewing whichever
@@ -197,22 +217,12 @@ fn main() {
     // pairs.
     let coordinator_share = {
         let hub = Arc::new(TelemetryHub::new());
-        let sharded = |hub: Option<&Arc<TelemetryHub>>| {
-            let mut cfg = ServiceConfig::new(ChipConfig::core2_duo(DecapConfig::proc100()));
-            cfg.slice_cycles = SLICE;
-            cfg.runtime = RuntimeMode::Sharded;
-            if let Some(hub) = hub {
-                cfg.obs = Some(ObsConfig::new(Arc::clone(hub)));
-                cfg.audit = Some(AuditConfig::default());
-            }
-            Service::new(cfg).expect("valid config")
-        };
-        let (plain, observed) = (sharded(None), sharded(Some(&hub)));
+        let observed = sharded(Some(&hub));
         ratios.push(overhead_over(
             "observed",
             ROUNDS * 4,
             &|| {
-                plain.run(&jobs, &OnlineDroop, 1).expect("service run");
+                one_shard.run(&jobs, &OnlineDroop, 1).expect("service run");
             },
             &|| {
                 let tracer = Tracer::streaming_to_writer(std::io::sink(), StreamConfig::default());
@@ -375,6 +385,29 @@ fn main() {
         ratios.push(("introspection".to_string(), ratio));
     }
 
+    // The `one_shard` row: the median and fastest of `ROUNDS * 4` runs.
+    // It runs after the gated rows so that its runs cannot shift their
+    // ratios.
+    let one_shard_runs = ROUNDS * 4;
+    let (one_shard_median, one_shard_best) = {
+        one_shard.run(&jobs, &OnlineDroop, 1).expect("service run"); // warm up
+        let samples: Vec<f64> = (0..one_shard_runs)
+            .map(|_| {
+                let start = Instant::now();
+                let report = one_shard.run(&jobs, &OnlineDroop, 1).expect("service run");
+                let secs = start.elapsed().as_secs_f64().max(1e-9);
+                assert_eq!(report.chip_cycles, warm.chip_cycles, "schedule drifted");
+                report.chip_cycles as f64 / 1e3 / secs
+            })
+            .collect();
+        let best = samples.iter().copied().fold(0.0, f64::max);
+        (median(samples), best)
+    };
+    println!(
+        "one_shard: {one_shard_median:.0} kcycles/sec median, {one_shard_best:.0} fastest \
+         ({one_shard_runs} runs)"
+    );
+
     // Peak telemetry memory: Full mode buffers every record until the
     // run ends; the streaming pipeline's working set is its fixed ring.
     let full_records = {
@@ -464,7 +497,13 @@ fn main() {
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
-    out.push_str("  ],\n  \"scaling\": {\n");
+    out.push_str("  ],\n");
+    out.push_str(&format!(
+        "  \"one_shard\": {{\"runs\": {one_shard_runs}, \
+         \"median_kcycles_per_sec\": {one_shard_median:.1}, \
+         \"best_kcycles_per_sec\": {one_shard_best:.1}}},\n"
+    ));
+    out.push_str("  \"scaling\": {\n");
     out.push_str(&format!(
         "    \"scaling_8w_over_1w\": {scaling_8w_over_1w:.3},\n"
     ));

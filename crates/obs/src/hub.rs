@@ -97,7 +97,7 @@ pub struct ShardsStatus {
     /// Per-shard counters, in shard order: one entry per shard worker
     /// thread.
     pub shards: Vec<ShardStatus>,
-    /// Slices the coordinator executed itself, draining queued cells
+    /// Slices the coordinator executed itself, running queued slices
     /// while it waited on the shards.
     pub coordinator_slices: u64,
     /// Per-chip command-queue depth high-water marks, in chip order.

@@ -44,8 +44,8 @@ pub enum RuntimeMode {
     Coordinator,
     /// Always one shard per worker, even for `workers == 1`. The
     /// calling thread, which runs the decision loop and the merge,
-    /// also drains queued chip cells whenever it would otherwise wait
-    /// on the shards, so one worker runs the kernel on two threads.
+    /// also runs queued slices whenever it would otherwise wait on the
+    /// shards, so one worker runs the kernel on two threads.
     Sharded,
 }
 
@@ -124,10 +124,12 @@ pub(crate) struct CellJob {
     pub stream: EventStream,
 }
 
-/// A command queued at a chip cell, drained FIFO under the cell lock
-/// by whichever shard processes the chip's next token. FIFO order is
-/// what makes work-stealing safe: a stolen token replays the cell's
-/// history exactly as the owning shard would have.
+/// A command queued at a chip cell. The queue has a lock of its own,
+/// held for one push or pop; the executor holding the cell's execution
+/// lock pops the commands in FIFO order, each claim through the chip's
+/// next grant. FIFO order is what makes work-stealing safe: whichever
+/// executor claims a chip's token replays the cell's history exactly as
+/// the owning shard would have.
 #[derive(Debug)]
 pub(crate) enum CellCmd {
     /// Install `job` on `core` (the decision loop only targets cores
@@ -187,13 +189,14 @@ pub(crate) struct ChipToken {
 }
 
 /// The token board: per-shard queues of chip tokens (a token means
-/// "this chip has queued commands to drain") plus the work-stealing
+/// "this chip has one queued grant to run") plus the work-stealing
 /// protocol. A shard prefers its own queue and steals round-robin
 /// from the others when it runs dry, so one hot shard's backlog is
 /// spread across the pool without ever reordering a single chip's
-/// command stream (ordering lives in the cell's FIFO, not here). The
-/// shards take the oldest tokens; the waiting coordinator takes the
-/// newest ([`TokenBoard::try_take`]), from the other end.
+/// command stream (ordering lives in the cell's FIFO, not here; a
+/// chip's tokens are interchangeable). The shards take the oldest
+/// tokens; the waiting coordinator is offered the newest first
+/// ([`TokenBoard::try_take`]), from the other end.
 #[derive(Debug)]
 pub(crate) struct TokenBoard {
     state: Mutex<TokenState>,
@@ -269,22 +272,42 @@ impl TokenBoard {
         }
     }
 
-    /// Non-blocking, for the waiting coordinator: offers the newest
-    /// token on the board to `claim` and takes it off only if `claim`
-    /// accepts it. The offer happens under the board lock, so a token
-    /// `claim` refuses never leaves the board, and no shard can miss
-    /// it and steal another shard's token meanwhile. `claim` must not
-    /// block: it runs while every shard is locked out of the board.
-    pub(crate) fn try_take<T>(&self, claim: impl FnOnce(usize) -> Option<T>) -> Option<T> {
+    /// Non-blocking, for the waiting coordinator: offers `claim` every
+    /// chip with a queued token, newest token first and each chip once,
+    /// and takes the offered token off the board at the first chip
+    /// `claim` accepts. The offers happen under the board lock, so a
+    /// refused token never leaves its place, no shard can miss it and
+    /// steal another shard's token meanwhile, and none allocates.
+    /// `claim` must not block: it runs while every shard is locked out
+    /// of the board.
+    pub(crate) fn try_take<T>(&self, mut claim: impl FnMut(usize) -> Option<T>) -> Option<T> {
         let mut state = self.state.lock().expect("token lock");
-        let queue = state
-            .queues
-            .iter_mut()
-            .max_by_key(|queue| queue.back().map(|&(stamp, _)| stamp))?;
-        let &(_, chip) = queue.back()?;
-        let claimed = claim(chip)?;
-        queue.pop_back();
-        Some(claimed)
+        let queues = &mut state.queues;
+        let mut below = u64::MAX;
+        loop {
+            // The newest token older than the last one offered; each
+            // queue is in stamp order.
+            let (queue, index) = (0..queues.len())
+                .filter_map(|q| {
+                    let older = queues[q].partition_point(|&(stamp, _)| stamp < below);
+                    Some((q, older.checked_sub(1)?))
+                })
+                .max_by_key(|&(q, index)| queues[q][index].0)?;
+            let (stamp, chip) = queues[queue][index];
+            below = stamp;
+            // A newer token of the same chip was offered already.
+            let offered = queues
+                .iter()
+                .flatten()
+                .any(|&(other_stamp, other)| other == chip && other_stamp > stamp);
+            if offered {
+                continue;
+            }
+            if let Some(claimed) = claim(chip) {
+                queues[queue].remove(index);
+                return Some(claimed);
+            }
+        }
     }
 
     /// Lets every shard drain its remaining tokens and exit.
@@ -324,23 +347,32 @@ mod tests {
     }
 
     #[test]
-    fn try_take_offers_the_newest_token_and_keeps_a_refused_one() {
+    fn try_take_offers_each_chip_newest_first_and_keeps_refused_tokens() {
         let board = TokenBoard::new(2);
-        board.push_many([(0, 4), (1, 5), (0, 6)]);
-        // The newest token is chip 6, at the back of shard 0's queue;
-        // refused, it stays where it was.
-        assert_eq!(board.try_take(|chip| (chip == 5).then_some(chip)), None);
-        assert_eq!(board.try_take(Some), Some(6));
-        assert_eq!(board.try_take(Some), Some(5));
-        // The shards still take the oldest token first.
-        assert_eq!(
-            board.next(1),
-            Some(ChipToken {
-                chip: 4,
-                stolen: true
-            })
-        );
-        assert_eq!(board.try_take(Some), None::<usize>);
+        // Stamps 0-4: shard 0 holds chips 4, 6, 4; shard 1 chips 5, 5.
+        board.push_many([(0, 4), (1, 5), (0, 6), (1, 5), (0, 4)]);
+        let offers = |board: &TokenBoard| {
+            let mut offered = Vec::new();
+            let taken = board.try_take(|chip| {
+                offered.push(chip);
+                None::<usize>
+            });
+            assert_eq!(taken, None, "every offer was refused");
+            offered
+        };
+        // Each chip once, at its newest token, across both queues.
+        assert_eq!(offers(&board), [4, 5, 6]);
+        // The first chip accepted gives up its newest token, stamp 3.
+        assert_eq!(board.try_take(|chip| (chip != 4).then_some(chip)), Some(5));
+        // The refused tokens stayed in place: the shards still take
+        // the oldest, own queue first, then steal.
+        let mut taken = Vec::new();
+        for _ in 0..4 {
+            let token = board.next(0).expect("a token is left");
+            taken.push((token.chip, token.stolen));
+        }
+        assert_eq!(taken, [(4, false), (6, false), (4, false), (5, true)]);
+        assert_eq!(offers(&board), []);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! sharded runtime feeds: shards count owned vs stolen slice
 //! executions and the logs they have sent that the pump has not yet
 //! received (whose high-water mark is the lane occupancy), the
-//! coordinator counts the slices it drains itself while it waits on
+//! coordinator counts the slices it runs itself while it waits on
 //! the shards, the pump counts receipts and tracks chip ownership
 //! churn, the decision loop counts grants and (when obs is armed) its
 //! own wall-clock latency, and cells record command-queue depth

@@ -20,8 +20,8 @@
 //!   coordinator, see [`RuntimeMode`]). Either way it returns one
 //!   `SliceLog` per granted slice. With workers, this thread is an
 //!   executor too: whenever the loop must wait for a slice log, it
-//!   drains a queued chip cell itself instead of sleeping, so on one
-//!   shard the kernel runs on two threads.
+//!   runs a queued slice itself instead of sleeping, so on one shard
+//!   the kernel runs on two threads.
 //! * **The merge layer** (`crate::merge`) is the run's one artifact
 //!   owner: it arms the registry, profiler, monitor and audit ring,
 //!   decides the captures the pool drains for them, and replays epoch
@@ -510,8 +510,8 @@ impl Service {
             // replays the epochs placement folded, then opportunistically
             // merges every epoch whose logs are already in. Keeps obs
             // publishes flowing while shards work, bounds retained
-            // logs, and — with no workers, where the grant already
-            // drained every cell — runs the merge in exact lockstep
+            // logs, and — with no workers, where the grant already ran
+            // every granted slice — runs the merge in exact lockstep
             // with the historical loop.
             script.merge_ready(&mut merge, &mut pool)?;
         }

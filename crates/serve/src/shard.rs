@@ -1,24 +1,33 @@
 //! The service's executor: chips packaged as self-contained cells in
 //! one pool, advanced slice by slice for the decision loop.
 //!
+//! Each chip has two locks. Its command queue ([`CellCmd`]) has a lock
+//! of its own, taken only to push or pop one command, so a placement or
+//! grant never waits for a slice. The cell lock is the execution lock:
+//! whichever executor holds it owns the chip, pops its queued commands
+//! in FIFO order and runs its slice.
+//!
 //! With one or more workers the pool is the shard runtime: long-lived
-//! shard threads claim chip tokens (own queue first, then steal), drain
-//! each cell's command queue ([`CellCmd`]) in FIFO order on the lean
-//! fused step ([`ChipSession::run_slice_fast`]) and send one
-//! [`SliceLog`] per grant back over the pool's one channel. A shard
-//! that panics sends [`ShardEvent::Panicked`] on its way out, so the
-//! run ends with [`ServeError::ShardFailed`] instead of waiting for a
-//! log that will never come. The coordinator is an executor too: when
-//! [`ShardPool::wait_through`] would block on the channel, it first
-//! claims the newest token on the board whose cell it can lock at once
-//! and drains that cell itself, on the same step, as executor
-//! `workers`, filing each log as it makes it. It never waits for a
-//! cell lock: a busy or poisoned cell's token stays on the board for a
-//! shard. With no workers, [`ShardPool::grant`] drains each granted
-//! cell itself, in chip order, on the historical dyn-dispatch reference
-//! step, so every log is in before it returns and the merge runs in
-//! lockstep with the decision loop: the in-line coordinator, the byte
-//! oracle `tests/shard_equivalence.rs` holds the shard runtime to.
+//! shard threads claim chip tokens (own queue first, then steal). A
+//! token stands for one queued grant: the executor that claims it
+//! installs the placements queued ahead of that grant, runs its one
+//! slice on the lean fused step ([`ChipSession::run_slice_fast`]),
+//! releases the cell and sends the [`SliceLog`] back over the pool's
+//! one channel. A shard that panics sends [`ShardEvent::Panicked`] on
+//! its way out, so the run ends with [`ServeError::ShardFailed`]
+//! instead of waiting for a log that will never come. The coordinator
+//! is an executor too: when [`ShardPool::wait_through`] would block on
+//! the channel, it first claims a token whose cell it can lock at once
+//! (the board offers every queued chip, newest token first) and runs
+//! that slice itself, on the same step, as executor `workers`, filing
+//! the log as it makes it. It never waits for a cell lock: a busy or
+//! poisoned cell's token stays on the board for a shard, and the
+//! coordinator sleeps only when every queued chip is refused. With no
+//! workers, [`ShardPool::grant`] runs each granted slice itself, in
+//! chip order, on the historical dyn-dispatch reference step, so every
+//! log is in before it returns and the merge runs in lockstep with the
+//! decision loop: the in-line coordinator, the byte oracle
+//! `tests/shard_equivalence.rs` holds the shard runtime to.
 //! Every executor runs the same cell-drain routine, and the
 //! coordinator's two drains share one caller-side routine; the merge
 //! layer cannot tell executors apart. Executors only simulate and
@@ -34,7 +43,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 use crate::control::{CellCmd, CellJob, ChipToken, ShardEvent, SliceLog, TokenBoard};
@@ -251,7 +260,12 @@ fn exec_slice(
 /// State shared between the coordinator and the shard workers.
 #[derive(Debug)]
 struct PoolShared {
-    cells: Vec<Mutex<CellSlot>>,
+    /// Per chip, the execution lock: the executor holding it owns the
+    /// chip for one claim.
+    cells: Vec<Mutex<ChipCell>>,
+    /// Per chip, the pending commands, oldest first. Each lock is held
+    /// for one push or one pop, never across a slice.
+    queues: Vec<Mutex<VecDeque<CellCmd>>>,
     tokens: TokenBoard,
     /// The live introspection scoreboard, shared with obs publishes.
     /// The per-shard split of slice counts is execution-dependent
@@ -266,48 +280,56 @@ struct PoolShared {
     fused: bool,
 }
 
-/// A chip cell plus its pending command queue.
-#[derive(Debug)]
-struct CellSlot {
-    cmds: VecDeque<CellCmd>,
-    cell: ChipCell,
+impl PoolShared {
+    /// Chip `chip`'s command queue. Nothing panics while holding it, so
+    /// a poisoned queue still holds whole commands.
+    fn queue(&self, chip: usize) -> MutexGuard<'_, VecDeque<CellCmd>> {
+        self.queues[chip]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Pops chip `chip`'s oldest command. The guard never leaves this
+    /// function, so no executor holds the queue lock across a slice and
+    /// a push never waits for one.
+    fn pop_cmd(&self, chip: usize) -> Option<CellCmd> {
+        self.queue(chip).pop_front()
+    }
 }
 
-/// Drains the claimed chip's command queue in FIFO order, as executor
-/// `me`, from the cell `slot` whose lock the executor holds: installs
-/// placed jobs and runs one slice per grant, handing each outcome to
-/// `emit`. Returns `false` once a slice failed; the executor stops
-/// there.
+/// Serves one claim of the chip `token` names, as executor `me`, on
+/// `cell`, whose execution lock the executor holds: pops the chip's
+/// commands in FIFO order, installing placed jobs, up to and including
+/// one grant, whose slice it runs and hands to `emit`. Returns `false`
+/// once a slice failed; the executor stops there.
 fn drain_cell(
     shared: &PoolShared,
-    slot: &mut CellSlot,
+    cell: &mut ChipCell,
     me: usize,
     token: ChipToken,
     seq: &mut u64,
     mut emit: impl FnMut(ShardEvent),
 ) -> bool {
     let chip = token.chip;
-    while let Some(cmd) = slot.cmds.pop_front() {
+    while let Some(cmd) = shared.pop_cmd(chip) {
         match cmd {
             CellCmd::AddJob { core, job } => {
-                debug_assert!(
-                    slot.cell.cores[core].is_none(),
-                    "placement on occupied core"
-                );
-                slot.cell.cores[core] = Some(*job);
+                debug_assert!(cell.cores[core].is_none(), "placement on occupied core");
+                cell.cores[core] = Some(*job);
             }
             CellCmd::Grant { epoch } => {
-                match exec_slice(&mut slot.cell, shared, me, *seq, epoch, chip) {
+                return match exec_slice(cell, shared, me, *seq, epoch, chip) {
                     Ok(log) => {
                         shared.stats.record_slice(me, token.stolen);
                         *seq += 1;
                         emit(ShardEvent::Slice(log));
+                        true
                     }
                     Err(error) => {
                         emit(ShardEvent::Failed { error });
-                        return false;
+                        false
                     }
-                }
+                };
             }
         }
     }
@@ -332,15 +354,15 @@ impl Drop for Lane {
 }
 
 /// The body of one shard worker: pop a chip token (own queue first,
-/// then steal), drain that cell, send each slice's outcome to the
+/// then steal), run that chip's next slice, send its outcome to the
 /// coordinator. A send fails only once the pool is gone, and then
 /// nobody is owed the log. A shard waits for a busy cell's lock and
 /// panics on a poisoned one, which its [`Lane`] reports.
 fn shard_main(lane: Lane, shared: &PoolShared) {
     let mut seq = 0u64;
     while let Some(token) = shared.tokens.next(lane.me) {
-        let mut slot = shared.cells[token.chip].lock().expect("cell lock");
-        if !drain_cell(shared, &mut slot, lane.me, token, &mut seq, |event| {
+        let mut cell = shared.cells[token.chip].lock().expect("cell lock");
+        if !drain_cell(shared, &mut cell, lane.me, token, &mut seq, |event| {
             let _ = lane.tx.send(event);
         }) {
             return;
@@ -393,15 +415,11 @@ impl ShardPool {
         let cells = warmed
             .iter()
             .enumerate()
-            .map(|(index, session)| {
-                Mutex::new(CellSlot {
-                    cmds: VecDeque::new(),
-                    cell: ChipCell::new(session.clone(), index, &drain),
-                })
-            })
+            .map(|(index, session)| Mutex::new(ChipCell::new(session.clone(), index, &drain)))
             .collect();
         let shared = Arc::new(PoolShared {
             cells,
+            queues: (0..chips).map(|_| Mutex::default()).collect(),
             tokens: TokenBoard::new(workers),
             stats,
             slice_cycles,
@@ -431,18 +449,18 @@ impl ShardPool {
         }
     }
 
-    /// Queues `cmd` at its chip cell and records the depth the queue
-    /// reached. A cell poisoned by a shard that panicked holding it
-    /// takes the command all the same: that shard's death ends the run
-    /// with [`ServeError::ShardFailed`] at the next wait, and nothing
-    /// drains a poisoned cell.
+    /// Queues `cmd` at its chip's command queue and records the depth
+    /// the queue reached. Only the queue lock is taken, so the push
+    /// never waits for a slice running on the cell, and a cell poisoned
+    /// by a shard that panicked holding it takes the command all the
+    /// same: that shard's death ends the run with
+    /// [`ServeError::ShardFailed`] at the next wait, and nothing drains
+    /// a poisoned cell.
     fn push_cmd(&self, chip: usize, cmd: CellCmd) {
         let depth = {
-            let mut slot = self.shared.cells[chip]
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            slot.cmds.push_back(cmd);
-            slot.cmds.len()
+            let mut queue = self.shared.queue(chip);
+            queue.push_back(cmd);
+            queue.len()
         };
         self.shared.stats.cell_queue_hwm[chip].fetch_max(depth as u64, Ordering::Relaxed);
     }
@@ -454,9 +472,9 @@ impl ShardPool {
     }
 
     /// Grants `busy` chips one quantum for `epoch`: queues a grant at
-    /// each cell and hands the chip tokens to their owning shards. With
-    /// no workers, drains each granted cell here instead, in chip
-    /// order, so every log is received before this returns.
+    /// each cell and hands one token per grant to the chip's owning
+    /// shard. With no workers, runs each granted slice here instead, in
+    /// chip order, so every log is received before this returns.
     pub(crate) fn grant(&mut self, epoch: u64, busy: &[usize]) -> Result<(), ServeError> {
         for &chip in busy {
             self.push_cmd(chip, CellCmd::Grant { epoch });
@@ -475,14 +493,14 @@ impl ShardPool {
         for &chip in busy {
             // Only this thread touches the cells. A cell it cannot lock
             // keeps its log owed, and the wait for it panics.
-            let Ok(mut slot) = shared.cells[chip].try_lock() else {
+            let Ok(mut cell) = shared.cells[chip].try_lock() else {
                 break;
             };
             let token = ChipToken {
                 chip,
                 stolen: false,
             };
-            if !self.drain_here(&shared, &mut slot, token) {
+            if !self.drain_here(&shared, &mut cell, token) {
                 break;
             }
         }
@@ -490,36 +508,37 @@ impl ShardPool {
     }
 
     /// The coordinator's drain, shared by a zero-worker grant and the
-    /// help of [`ShardPool::wait_through`]: drains the cell `slot`,
+    /// help of [`ShardPool::wait_through`]: serves one claim on `cell`,
     /// which this thread has locked, as executor `workers` (executor 0
-    /// of a pool with no workers), filing each log straight into
+    /// of a pool with no workers), filing the log straight into
     /// `receive`. Returns `false` once a slice failed.
-    fn drain_here(&mut self, shared: &PoolShared, slot: &mut CellSlot, token: ChipToken) -> bool {
+    fn drain_here(&mut self, shared: &PoolShared, cell: &mut ChipCell, token: ChipToken) -> bool {
         let me = self.handles.len();
         let mut seq = self.next_seq[me];
-        drain_cell(shared, slot, me, token, &mut seq, |event| {
+        drain_cell(shared, cell, me, token, &mut seq, |event| {
             self.receive(event)
         })
     }
 
-    /// Drains one queued cell on this thread instead of sleeping on the
-    /// shards: claims the newest token on the board if its cell lock is
-    /// free at once. A busy or poisoned cell is not waited for and its
-    /// token stays on the board for a shard. Returns whether a cell
-    /// was claimed; a slice that failed there is kept as the run's
-    /// failure, which the wait's next pump returns.
+    /// Runs one queued slice on this thread instead of sleeping on the
+    /// shards: claims the first chip the board offers (newest token
+    /// first) whose cell lock is free at once. A busy or poisoned cell
+    /// is not waited for and its tokens stay on the board for a shard.
+    /// Returns whether a token was claimed; a slice that failed there
+    /// is kept as the run's failure, which the wait's next pump
+    /// returns.
     fn help(&mut self) -> bool {
         let shared = Arc::clone(&self.shared);
-        let Some((chip, mut slot)) = shared
+        let Some((chip, mut cell)) = shared
             .tokens
-            .try_take(|chip| shared.cells[chip].try_lock().ok().map(|slot| (chip, slot)))
+            .try_take(|chip| shared.cells[chip].try_lock().ok().map(|cell| (chip, cell)))
         else {
             return false;
         };
         // The coordinator owns no queue: every token it claims came off
         // a shard's.
         let token = ChipToken { chip, stolen: true };
-        self.drain_here(&shared, &mut slot, token);
+        self.drain_here(&shared, &mut cell, token);
         true
     }
 
@@ -570,9 +589,9 @@ impl ShardPool {
 
     /// Blocks until every log for epochs `< bound` has arrived, or
     /// until a shard reports a failure or a panic. Before each block,
-    /// the coordinator drains whatever queued cell it can lock at once
-    /// ([`ShardPool::help`]), so it runs kernel slices while it would
-    /// otherwise sleep. A pool whose workers have all exited without
+    /// the coordinator runs a queued slice on any cell it can lock at
+    /// once ([`ShardPool::help`]), so it runs kernel slices while it
+    /// would otherwise sleep. A pool whose workers have all exited without
     /// reporting one (or that never had any) panics with a log still
     /// owed instead of blocking forever: that is a runtime bug, not a
     /// recoverable condition.
@@ -633,16 +652,16 @@ impl ShardPool {
         let shared = Arc::clone(&self.shared);
         drop(self);
         let shared = Arc::try_unwrap(shared).expect("all shard handles joined");
+        debug_assert!(
+            (0..shared.queues.len()).all(|chip| shared.queue(chip).is_empty()),
+            "commands left undrained at shutdown"
+        );
+        // Only a shard's panic poisons a cell, and the pump above has
+        // then returned that shard's failure.
         Ok(shared
             .cells
             .into_iter()
-            .map(|slot| {
-                // Only a shard's panic poisons a cell, and the pump
-                // above has then returned that shard's failure.
-                let slot = slot.into_inner().expect("cell lock");
-                debug_assert!(slot.cmds.is_empty(), "commands left undrained at shutdown");
-                slot.cell
-            })
+            .map(|cell| cell.into_inner().expect("cell lock"))
             .collect())
     }
 }
@@ -776,6 +795,62 @@ mod tests {
         assert!(shared.cells[chip].is_poisoned());
     }
 
+    /// A placement and a grant take only the chip's queue lock, so
+    /// neither waits for the slice an executor is running on the cell.
+    /// The test holds chip 0's cell, as a shard holds it mid-slice,
+    /// while a helper thread places a job there and grants both chips.
+    #[test]
+    fn a_grant_never_waits_for_a_running_slice() {
+        let mut pool = pool(2, 1);
+        let shared = Arc::clone(&pool.shared);
+        let held = shared.cells[0].lock().unwrap();
+        let (tx, rx) = mpsc::channel();
+        let granter = std::thread::spawn(move || {
+            pool.add_job(0, 0, job(0));
+            pool.grant(0, &[0, 1]).unwrap();
+            let _ = tx.send(());
+            pool
+        });
+        let granted = rx.recv_timeout(Duration::from_secs(10));
+        drop(held);
+        assert_eq!(granted, Ok(()), "the grant waited for the held cell");
+        let mut pool = granter.join().unwrap();
+        assert_eq!(pool.wait_through(1), Ok(()));
+        for chip in 0..2 {
+            let log = pool.log(0, chip);
+            assert_eq!((log.epoch, log.chip), (0, chip));
+        }
+    }
+
+    /// A claim installs the placements queued ahead of the chip's next
+    /// grant and runs that one slice, and it runs and emits the slice
+    /// without holding the chip's queue lock, so a push never waits for
+    /// a slice.
+    #[test]
+    fn a_claim_runs_one_slice_without_its_queue_lock() {
+        let mut pool = inline_pool(1);
+        pool.add_job(0, 0, job(0));
+        pool.push_cmd(0, CellCmd::Grant { epoch: 0 });
+        pool.push_cmd(0, CellCmd::Grant { epoch: 1 });
+        let shared = &pool.shared;
+        let mut cell = shared.cells[0].lock().unwrap();
+        let token = ChipToken {
+            chip: 0,
+            stolen: false,
+        };
+        let mut emitted = Vec::new();
+        let ran = drain_cell(shared, &mut cell, 0, token, &mut 0, |event| {
+            let ShardEvent::Slice(log) = event else {
+                panic!("the slice failed");
+            };
+            emitted.push((log.epoch, shared.queues[0].try_lock().is_ok()));
+        });
+        assert!(ran);
+        assert_eq!(emitted, [(0, true)], "one slice, queue lock free");
+        assert_eq!(shared.queue(0).len(), 1, "epoch 1's grant is left");
+        assert!(cell.cores[0].is_some(), "the placement was installed");
+    }
+
     /// A grant that reaches a dead shard's poisoned cell queues its
     /// command instead of panicking the caller, and the wait ends with
     /// that shard's typed failure. The test holds chips 1 and 2, each
@@ -849,6 +924,48 @@ mod tests {
         let executors: Vec<usize> = (0..3).map(|chip| pool.log(0, chip).shard).collect();
         assert_eq!(executors, [0, 1, 0], "chip 1 ran on the coordinator");
         assert_eq!(shared.stats.status(0).coordinator_slices, 1);
+        waiter.join().unwrap();
+    }
+
+    /// The board offers the waiting coordinator every queued chip, not
+    /// just the newest token's. The test holds chips 0 and 2, tokens
+    /// pushed 0, 1, 2: the shard is stuck on chip 0, the newest token's
+    /// cell is busy, and the coordinator must run chip 1's slice
+    /// instead of sleeping.
+    #[test]
+    fn the_waiting_coordinator_runs_an_older_chip_when_the_newest_is_held() {
+        let mut pool = pool(3, 1);
+        for chip in 0..3 {
+            pool.push_cmd(chip, CellCmd::Grant { epoch: 0 });
+            pool.outstanding.insert((0, chip));
+        }
+        let shared = Arc::clone(&pool.shared);
+        let held_0 = shared.cells[0].lock().unwrap();
+        let held_2 = shared.cells[2].lock().unwrap();
+        shared.tokens.push_many([(0, 0), (0, 1), (0, 2)]);
+        let (tx, rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let outcome = pool.wait_through(1);
+            let _ = tx.send((outcome, pool));
+        });
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while shared.stats.status(0).coordinator_slices == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the coordinator ran no slice"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let status = shared.stats.status(0);
+        assert_eq!(status.coordinator_slices, 1);
+        assert_eq!(status.shards[0].slices_owned, 0, "the shard is stuck");
+        drop(held_0);
+        drop(held_2);
+        let (outcome, pool) = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the wait ends once the cells are free");
+        assert_eq!(outcome, Ok(()));
+        assert_eq!(pool.log(0, 1).shard, 1, "chip 1 ran on the coordinator");
         waiter.join().unwrap();
     }
 }
