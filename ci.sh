@@ -99,11 +99,18 @@ echo "== shard equivalence gate (coordinator vs sharded runtime) =="
 # between the in-line coordinator (the shard pool with no workers,
 # draining each grant on the reference step) and 1/2/4/8 shards on
 # the fused step, plus the seeded property over random job streams
-# with a pinned case count, plus the work-stealing stress suite with
-# job-conservation accounting and the armed invariant checker.
+# with a pinned case count, plus the stress suite (eight shards and
+# the coordinator popping one run queue) with job-conservation
+# accounting and the armed invariant checker. Last, the seeded
+# property of the claim protocol every executor follows: a chooser on
+# one thread interleaves placements, grants and the parts of 1-8
+# virtual executors' steps, and each chip must sit on the run queue at
+# most once, every claim must find its cell free, and every grant must
+# yield exactly one log.
 PROPTEST_CASES=64 cargo test -q -p vsmooth-repro --test shard_equivalence
 cargo test -q -p vsmooth-repro --test shard_stress
 cargo test -q -p vsmooth-repro --test serve_invariance
+PROPTEST_CASES=64 cargo test -q -p vsmooth-serve --lib the_claim_protocol_queues_each_chip_at_most_once
 
 echo "== trace demo (artifact validation) =="
 # The demo itself asserts 1/2/8-worker byte-determinism and trace

@@ -72,9 +72,10 @@ impl LatencyStats {
 pub struct ShardStatus {
     /// Shard index.
     pub shard: usize,
-    /// Slices executed off the shard's own token queue.
+    /// Slices of chips whose home shard (`chip % workers`) is this
+    /// shard.
     pub slices_owned: u64,
-    /// Slices executed off another shard's queue (work steals).
+    /// Slices of chips homed on another shard.
     pub slices_stolen: u64,
     /// High-water mark of the shard's lane occupancy: its slice logs
     /// sent but not yet received by the coordinator.
@@ -103,8 +104,9 @@ pub struct ShardsStatus {
     /// Per-chip command-queue depth high-water marks, in chip order.
     pub cell_queue_hwm: Vec<u64>,
     /// Times a chip's slice executed on a different executor (a shard
-    /// or the coordinator) than its previous slice (token ownership
-    /// churn under stealing).
+    /// or the coordinator) than its previous slice: every executor pops
+    /// chips off one run queue, so a chip leaves its home shard
+    /// (`chip % workers`) whenever another executor pops it first.
     pub ownership_churn: u64,
     /// Quantum grants issued by the decision loop.
     pub grants: u64,

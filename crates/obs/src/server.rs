@@ -526,7 +526,7 @@ fn status_json(hub: &TelemetryHub, snap: &ObsSnapshot) -> String {
 
 /// Renders a snapshot's live shard section as introspection gauges,
 /// with their HELP lines. They come from the section alone — never the
-/// run's registry, since steal splits, queue high-water marks and
+/// run's registry, since owned/stolen splits, queue high-water marks and
 /// wall-clock latency are execution facts, not schedule facts — so a
 /// snapshot without a section, or with fewer shards, serves none of an
 /// earlier snapshot's series.
@@ -534,7 +534,7 @@ fn render_shard_gauges(shards: &ShardsStatus) -> String {
     let mut metrics = MetricsRegistry::new();
     metrics.describe(
         "serve_shard_slices",
-        "Slices executed per shard, split by claim origin (kind=owned|stolen).",
+        "Slices executed per shard: kind=owned on the chip's home shard (chip % workers), kind=stolen otherwise.",
     );
     metrics.describe(
         "serve_shard_lane_occupancy_hwm",

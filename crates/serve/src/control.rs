@@ -1,8 +1,7 @@
 //! Control plane of the sharded service runtime: the typed records
 //! the coordinator's decision loop emits, the commands it sends to
 //! chip cells, the messages shards send back over the pool's one
-//! channel, and the token board shards (and the waiting coordinator)
-//! claim chips from.
+//! channel, and the run queue every executor pops chips from.
 //!
 //! The decision loop never touches an artifact. It only *decides* —
 //! admissions, placements, grants, analytic completions — and records
@@ -22,7 +21,7 @@
 //! carries its job's workload for that fold.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::job::JobSpec;
 use vsmooth_chip::{ChipError, DroopCrossing, DroopWindow, SliceStats};
@@ -126,10 +125,10 @@ pub(crate) struct CellJob {
 
 /// A command queued at a chip cell. The queue has a lock of its own,
 /// held for one push or pop; the executor holding the cell's execution
-/// lock pops the commands in FIFO order, each claim through the chip's
-/// next grant. FIFO order is what makes work-stealing safe: whichever
-/// executor claims a chip's token replays the cell's history exactly as
-/// the owning shard would have.
+/// lock pops the commands in FIFO order, each step through the chip's
+/// next grant. FIFO order is what lets any executor run any chip:
+/// whichever executor pops a chip replays the cell's history exactly as
+/// any other would have.
 #[derive(Debug)]
 pub(crate) enum CellCmd {
     /// Install `job` on `core` (the decision loop only targets cores
@@ -180,140 +179,86 @@ pub(crate) enum ShardEvent {
     },
 }
 
-/// A claimed chip token: the chip to serve, and whether the claim
-/// came off another shard's queue (a steal).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct ChipToken {
-    pub chip: usize,
-    pub stolen: bool,
-}
-
-/// The token board: per-shard queues of chip tokens (a token means
-/// "this chip has one queued grant to run") plus the work-stealing
-/// protocol. A shard prefers its own queue and steals round-robin
-/// from the others when it runs dry, so one hot shard's backlog is
-/// spread across the pool without ever reordering a single chip's
-/// command stream (ordering lives in the cell's FIFO, not here; a
-/// chip's tokens are interchangeable). The shards take the oldest
-/// tokens; the waiting coordinator is offered the newest first
-/// ([`TokenBoard::try_take`]), from the other end.
-#[derive(Debug)]
-pub(crate) struct TokenBoard {
-    state: Mutex<TokenState>,
+/// The pool's run queue: chips with a grant waiting, oldest first.
+/// The pool's claim protocol keeps each chip on it at most once: a
+/// grant queues its chip only if no executor has it scheduled, and the
+/// executor that ran one of its slices re-queues it only if another
+/// grant waits. Every executor pops from here; a chip's commands keep
+/// their order in its cell queue, so whichever executor pops it runs
+/// the right slice.
+#[derive(Debug, Default)]
+pub(crate) struct RunQueue {
+    state: Mutex<RunState>,
     cv: Condvar,
 }
 
-#[derive(Debug)]
-struct TokenState {
-    /// Per-shard queues of `(stamp, chip)` tokens, oldest first. The
-    /// stamp counts pushes, so it orders tokens across queues.
-    queues: Vec<VecDeque<(u64, usize)>>,
-    next_stamp: u64,
+#[derive(Debug, Default)]
+struct RunState {
+    chips: VecDeque<usize>,
+    /// Executors parked in a blocking [`RunQueue::pop`].
+    parked: usize,
     shutdown: bool,
 }
 
-impl TokenBoard {
-    pub(crate) fn new(shards: usize) -> Self {
-        Self {
-            state: Mutex::new(TokenState {
-                queues: (0..shards).map(|_| VecDeque::new()).collect(),
-                next_stamp: 0,
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
-        }
+impl RunQueue {
+    /// The queue's state. Nothing panics while holding its lock, so a
+    /// poisoned one still holds whole entries.
+    fn state(&self) -> MutexGuard<'_, RunState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Enqueues chip tokens onto their owners' queues in one critical
-    /// section. One parked shard is woken per token (capped at the
-    /// pool size): any shard can serve any token via the steal sweep,
-    /// and waking the whole pool for a handful of tokens just burns
-    /// context switches on small machines.
-    pub(crate) fn push_many(&self, tokens: impl IntoIterator<Item = (usize, usize)>) {
-        let mut state = self.state.lock().expect("token lock");
-        let mut pushed = 0usize;
-        for (owner, chip) in tokens {
-            let stamp = state.next_stamp;
-            state.next_stamp += 1;
-            state.queues[owner].push_back((stamp, chip));
-            pushed += 1;
-        }
-        let wakes = pushed.min(state.queues.len());
+    /// Appends `chips` in one critical section and wakes one parked
+    /// executor per chip, no more than are parked.
+    pub(crate) fn push(&self, chips: &[usize]) {
+        let mut state = self.state();
+        state.chips.extend(chips);
+        let wakes = chips.len().min(state.parked);
         drop(state);
         for _ in 0..wakes {
             self.cv.notify_one();
         }
     }
 
-    /// The next chip token for shard `me`: its own queue first, then a
-    /// round-robin steal sweep. Blocks when every queue is empty and
-    /// returns `None` only after shutdown. The claim reports whether
-    /// it came off another shard's queue, feeding the per-shard
-    /// owned/stolen introspection counters.
-    pub(crate) fn next(&self, me: usize) -> Option<ChipToken> {
-        let mut state = self.state.lock().expect("token lock");
+    /// The oldest queued chip. With `block`, waits while the queue is
+    /// empty and returns `None` only once it is shut down and drained;
+    /// without, returns `None` whenever it is empty.
+    pub(crate) fn pop(&self, block: bool) -> Option<usize> {
+        let mut state = self.state();
         loop {
-            if let Some((_, chip)) = state.queues[me].pop_front() {
-                return Some(ChipToken {
-                    chip,
-                    stolen: false,
-                });
+            if let Some(chip) = state.chips.pop_front() {
+                return Some(chip);
             }
-            let n = state.queues.len();
-            for offset in 1..n {
-                if let Some((_, chip)) = state.queues[(me + offset) % n].pop_front() {
-                    return Some(ChipToken { chip, stolen: true });
-                }
-            }
-            if state.shutdown {
+            if !block || state.shutdown {
                 return None;
             }
-            state = self.cv.wait(state).expect("token lock");
+            state.parked += 1;
+            state = self.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
+            state.parked -= 1;
         }
     }
 
-    /// Non-blocking, for the waiting coordinator: offers `claim` every
-    /// chip with a queued token, newest token first and each chip once,
-    /// and takes the offered token off the board at the first chip
-    /// `claim` accepts. The offers happen under the board lock, so a
-    /// refused token never leaves its place, no shard can miss it and
-    /// steal another shard's token meanwhile, and none allocates.
-    /// `claim` must not block: it runs while every shard is locked out
-    /// of the board.
-    pub(crate) fn try_take<T>(&self, mut claim: impl FnMut(usize) -> Option<T>) -> Option<T> {
-        let mut state = self.state.lock().expect("token lock");
-        let queues = &mut state.queues;
-        let mut below = u64::MAX;
-        loop {
-            // The newest token older than the last one offered; each
-            // queue is in stamp order.
-            let (queue, index) = (0..queues.len())
-                .filter_map(|q| {
-                    let older = queues[q].partition_point(|&(stamp, _)| stamp < below);
-                    Some((q, older.checked_sub(1)?))
-                })
-                .max_by_key(|&(q, index)| queues[q][index].0)?;
-            let (stamp, chip) = queues[queue][index];
-            below = stamp;
-            // A newer token of the same chip was offered already.
-            let offered = queues
-                .iter()
-                .flatten()
-                .any(|&(other_stamp, other)| other == chip && other_stamp > stamp);
-            if offered {
-                continue;
-            }
-            if let Some(claimed) = claim(chip) {
-                queues[queue].remove(index);
-                return Some(claimed);
-            }
-        }
-    }
-
-    /// Lets every shard drain its remaining tokens and exit.
+    /// Lets every executor drain what is queued and stop.
     pub(crate) fn shutdown(&self) {
-        self.state.lock().expect("token lock").shutdown = true;
+        self.state().shutdown = true;
         self.cv.notify_all();
+    }
+}
+
+#[cfg(test)]
+impl RunQueue {
+    /// The queued chips, oldest first.
+    pub(crate) fn queued(&self) -> Vec<usize> {
+        self.state().chips.iter().copied().collect()
+    }
+
+    /// Poisons the queue's lock, as a panic inside its critical
+    /// section would.
+    pub(crate) fn poison(&self) {
+        let _ = std::panic::catch_unwind(|| {
+            let _state = self.state.lock();
+            panic!("poisoning the run queue");
+        });
+        assert!(self.state.is_poisoned());
     }
 }
 
@@ -322,72 +267,44 @@ mod tests {
     use super::*;
 
     #[test]
-    fn token_board_prefers_own_queue_then_steals() {
-        let board = TokenBoard::new(2);
-        board.push_many([(0, 7), (1, 9)]);
-        // Shard 1 takes its own token first, then steals shard 0's —
-        // and the claims say which was which.
-        assert_eq!(
-            board.next(1),
-            Some(ChipToken {
-                chip: 9,
-                stolen: false
-            })
-        );
-        assert_eq!(
-            board.next(1),
-            Some(ChipToken {
-                chip: 7,
-                stolen: true
-            })
-        );
-        board.shutdown();
-        assert_eq!(board.next(1), None);
-        assert_eq!(board.next(0), None);
+    fn the_run_queue_pops_the_oldest_chip_first() {
+        let run = RunQueue::default();
+        run.push(&[7, 9]);
+        run.push(&[]);
+        run.push(&[3]);
+        let popped: Vec<_> = std::iter::from_fn(|| run.pop(false)).collect();
+        assert_eq!(popped, [7, 9, 3]);
+        assert_eq!(run.pop(false), None, "an empty queue does not block");
     }
 
     #[test]
-    fn try_take_offers_each_chip_newest_first_and_keeps_refused_tokens() {
-        let board = TokenBoard::new(2);
-        // Stamps 0-4: shard 0 holds chips 4, 6, 4; shard 1 chips 5, 5.
-        board.push_many([(0, 4), (1, 5), (0, 6), (1, 5), (0, 4)]);
-        let offers = |board: &TokenBoard| {
-            let mut offered = Vec::new();
-            let taken = board.try_take(|chip| {
-                offered.push(chip);
-                None::<usize>
-            });
-            assert_eq!(taken, None, "every offer was refused");
-            offered
-        };
-        // Each chip once, at its newest token, across both queues.
-        assert_eq!(offers(&board), [4, 5, 6]);
-        // The first chip accepted gives up its newest token, stamp 3.
-        assert_eq!(board.try_take(|chip| (chip != 4).then_some(chip)), Some(5));
-        // The refused tokens stayed in place: the shards still take
-        // the oldest, own queue first, then steal.
-        let mut taken = Vec::new();
-        for _ in 0..4 {
-            let token = board.next(0).expect("a token is left");
-            taken.push((token.chip, token.stolen));
-        }
-        assert_eq!(taken, [(4, false), (6, false), (4, false), (5, true)]);
-        assert_eq!(offers(&board), []);
+    fn a_push_wakes_a_parked_executor() {
+        let run = RunQueue::default();
+        std::thread::scope(|scope| {
+            let parked = scope.spawn(|| run.pop(true));
+            run.push(&[5]);
+            assert_eq!(parked.join().unwrap(), Some(5));
+        });
     }
 
     #[test]
     fn shutdown_drains_before_stopping() {
-        let board = TokenBoard::new(1);
-        board.push_many([(0, 3)]);
-        board.shutdown();
-        // Remaining tokens are still served after shutdown.
-        assert_eq!(
-            board.next(0),
-            Some(ChipToken {
-                chip: 3,
-                stolen: false
-            })
-        );
-        assert_eq!(board.next(0), None);
+        let run = RunQueue::default();
+        run.push(&[3]);
+        run.shutdown();
+        // Queued chips are still served after shutdown.
+        assert_eq!(run.pop(true), Some(3));
+        assert_eq!(run.pop(true), None);
+    }
+
+    #[test]
+    fn a_poisoned_run_queue_keeps_its_chips() {
+        let run = RunQueue::default();
+        run.push(&[1, 2]);
+        run.poison();
+        run.push(&[4]);
+        assert_eq!(run.queued(), [1, 2, 4]);
+        run.shutdown();
+        assert_eq!(run.pop(true), Some(1));
     }
 }

@@ -1,8 +1,9 @@
 //! Runtime introspection counters for the shard pool.
 //!
 //! [`RuntimeStats`] is the shared atomic scoreboard every layer of the
-//! sharded runtime feeds: shards count owned vs stolen slice
-//! executions and the logs they have sent that the pump has not yet
+//! sharded runtime feeds: shards count the slices they run, owned when
+//! the chip's home shard (`chip % workers`) ran it and stolen
+//! otherwise, and the logs they have sent that the pump has not yet
 //! received (whose high-water mark is the lane occupancy), the
 //! coordinator counts the slices it runs itself while it waits on
 //! the shards, the pump counts receipts and tracks chip ownership
@@ -12,7 +13,7 @@
 //! credits every slice to the coordinator and publishes no section.
 //!
 //! Everything here is **live execution state** — which shard ran which
-//! token, how deep a queue got, how long a decision took — and is
+//! slice, how deep a queue got, how long a decision took — and is
 //! therefore published *only* through the per-shard obs snapshot
 //! section ([`ObsSnapshot::shards`](vsmooth_obs::ObsSnapshot)), never
 //! through the determinism-pinned run registry. The one deterministic
@@ -27,9 +28,10 @@ use vsmooth_obs::{LatencyStats, ShardStatus, ShardsStatus};
 /// Per-executor execution counters.
 #[derive(Debug, Default)]
 pub(crate) struct ShardCounters {
-    /// Slices executed off the executor's own token queue.
+    /// Slices of chips whose home shard (`chip % workers`) is this
+    /// executor.
     pub owned: AtomicU64,
-    /// Slices executed off another shard's queue (steals).
+    /// Slices of chips homed on another shard.
     pub stolen: AtomicU64,
     /// Slice logs the executor has made that the pump has not received.
     pub in_flight: AtomicU64,
@@ -53,7 +55,7 @@ pub(crate) struct RuntimeStats {
     /// Per-chip command-queue depth high-water marks.
     pub cell_queue_hwm: Vec<AtomicU64>,
     /// Times a chip's slice ran on a different executor than its
-    /// previous slice (token ownership churn under stealing).
+    /// previous slice.
     pub ownership_churn: AtomicU64,
     /// Quantum grants issued by the decision loop.
     pub grants: AtomicU64,
@@ -81,14 +83,17 @@ impl RuntimeStats {
         }
     }
 
-    /// Credits one executed slice to executor `me`, split by claim
-    /// origin, and counts its log in flight until the pump receives it.
-    pub(crate) fn record_slice(&self, me: usize, stolen: bool) {
+    /// Credits one executed slice of chip `chip` to executor `me`,
+    /// owned when `me` is the chip's home shard (`chip % shards`; a pool
+    /// with no workers owns every chip) and stolen otherwise, and counts
+    /// its log in flight until the pump receives it.
+    pub(crate) fn record_slice(&self, me: usize, chip: usize) {
+        let shards = self.executors.len() - 1;
         let counters = &self.executors[me];
-        if stolen {
-            counters.stolen.fetch_add(1, Ordering::Relaxed);
-        } else {
+        if chip % shards.max(1) == me {
             counters.owned.fetch_add(1, Ordering::Relaxed);
+        } else {
+            counters.stolen.fetch_add(1, Ordering::Relaxed);
         }
         let in_flight = counters.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
         counters.lane_hwm.fetch_max(in_flight, Ordering::Relaxed);
@@ -106,8 +111,7 @@ impl RuntimeStats {
         self.decision_max_us.fetch_max(micros, Ordering::Relaxed);
     }
 
-    /// Total slices executed across every executor, both claim
-    /// origins.
+    /// Total slices executed across every executor, owned and stolen.
     pub(crate) fn slices_total(&self) -> u64 {
         self.executors.iter().map(ShardCounters::slices).sum()
     }
@@ -161,13 +165,14 @@ mod tests {
     #[test]
     fn slices_reconcile_across_origins() {
         let stats = RuntimeStats::new(2, 3);
-        stats.record_slice(0, false);
-        stats.record_slice(0, false);
-        stats.record_slice(1, true);
+        // Chips 0 and 2 are homed on shard 0, chip 1 on shard 1.
+        stats.record_slice(0, 0);
+        stats.record_slice(0, 2);
+        stats.record_slice(1, 0);
         stats.record_receipt(0);
-        stats.record_slice(0, false);
-        // Executor 2 is the coordinator.
-        stats.record_slice(2, true);
+        stats.record_slice(0, 0);
+        // Executor 2 is the coordinator, the home of no chip.
+        stats.record_slice(2, 1);
         assert_eq!(stats.slices_total(), 5);
         let status = stats.status(0);
         assert_eq!(status.shards.len(), 2, "one entry per shard");

@@ -20,15 +20,15 @@
 //!
 //! The replay is keyed by `(epoch, chip)`: epoch records are replayed
 //! in epoch order, and within an epoch busy chips are walked in
-//! chip-index order. Which shard executed a slice, in what real-time
-//! order, with how much work-stealing — none of it is visible here,
+//! chip-index order. Which executor ran a slice, and in what real-time
+//! order — none of it is visible here,
 //! which is what makes every artifact byte-identical at every worker
 //! count, the in-line coordinator's none included (enforced by
 //! `tests/shard_equivalence.rs`). The
 //! single documented exception is the live shard-runtime section
 //! ([`ObsSnapshot::shards`](vsmooth_obs::ObsSnapshot)): per-shard
 //! counters read from the [`RuntimeStats`] scoreboard at publish time,
-//! whose steal split, queue high-water marks and wall-clock latencies
+//! whose owned/stolen split, queue high-water marks and wall-clock latencies
 //! are execution-dependent by design — only the total slice count
 //! reconciles deterministically (`tests/shard_stress.rs`).
 //!

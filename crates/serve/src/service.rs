@@ -15,13 +15,13 @@
 //!   and arms no instrument.
 //! * **The shard pool** (`crate::shard`) advances clones of the chips
 //!   the service warmed up once, on its first run: on long-lived shard
-//!   workers with per-shard run queues and work-stealing, or, with no
+//!   workers that pop granted chips off one run queue, or, with no
 //!   workers, in-line on this thread on the reference step (the
 //!   coordinator, see [`RuntimeMode`]). Either way it returns one
 //!   `SliceLog` per granted slice. With workers, this thread is an
 //!   executor too: whenever the loop must wait for a slice log, it
-//!   runs a queued slice itself instead of sleeping, so on one shard
-//!   the kernel runs on two threads.
+//!   pops and runs a queued slice itself instead of sleeping, so on one
+//!   shard the kernel runs on two threads.
 //! * **The merge layer** (`crate::merge`) is the run's one artifact
 //!   owner: it arms the registry, profiler, monitor and audit ring,
 //!   decides the captures the pool drains for them, and replays epoch
@@ -45,8 +45,7 @@
 //!   decision that reads it.
 //! * Executors only advance disjoint chips; their logs are keyed
 //!   `(epoch, chip)` and merged in that order regardless of which
-//!   executor (a shard or this thread) ran what, when, or how much
-//!   work was stolen.
+//!   executor (a shard or this thread) ran what, or when.
 //! * Every float observation (gauges, histograms, EWMA folds) is
 //!   recorded by the merge layer in a fixed order.
 //!
@@ -303,8 +302,8 @@ impl Service {
     /// Runs `jobs` to completion under `policy` and reports. `workers`
     /// sizes the shard pool per [`ServiceConfig::runtime`]: with the
     /// default [`RuntimeMode::Auto`], `workers >= 2` runs one
-    /// long-lived shard worker per count (chips round-robin across
-    /// shards, work-stealing balances skew), while `workers <= 1`
+    /// long-lived shard worker per count (every worker pops granted
+    /// chips off one run queue), while `workers <= 1`
     /// advances chips in-line on the calling thread.
     ///
     /// # Errors

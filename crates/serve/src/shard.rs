@@ -3,40 +3,43 @@
 //!
 //! Each chip has two locks. Its command queue ([`CellCmd`]) has a lock
 //! of its own, taken only to push or pop one command, so a placement or
-//! grant never waits for a slice. The cell lock is the execution lock:
-//! whichever executor holds it owns the chip, pops its queued commands
-//! in FIFO order and runs its slice.
+//! grant never waits for a slice; the same lock keeps the chip's place
+//! in the claim protocol below. The cell lock is the execution lock:
+//! the executor holding it owns the chip, pops its queued commands in
+//! FIFO order and runs its slice.
 //!
-//! With one or more workers the pool is the shard runtime: long-lived
-//! shard threads claim chip tokens (own queue first, then steal). A
-//! token stands for one queued grant: the executor that claims it
-//! installs the placements queued ahead of that grant, runs its one
-//! slice on the lean fused step ([`ChipSession::run_slice_fast`]),
-//! releases the cell and sends the [`SliceLog`] back over the pool's
-//! one channel. A shard that panics sends [`ShardEvent::Panicked`] on
-//! its way out, so the run ends with [`ServeError::ShardFailed`]
-//! instead of waiting for a log that will never come. The coordinator
-//! is an executor too: when [`ShardPool::wait_through`] would block on
-//! the channel, it first claims a token whose cell it can lock at once
-//! (the board offers every queued chip, newest token first) and runs
-//! that slice itself, on the same step, as executor `workers`, filing
-//! the log as it makes it. It never waits for a cell lock: a busy or
-//! poisoned cell's token stays on the board for a shard, and the
-//! coordinator sleeps only when every queued chip is refused. With no
-//! workers, [`ShardPool::grant`] runs each granted slice itself, in
-//! chip order, on the historical dyn-dispatch reference step, so every
-//! log is in before it returns and the merge runs in lockstep with the
-//! decision loop: the in-line coordinator, the byte oracle
-//! `tests/shard_equivalence.rs` holds the shard runtime to.
-//! Every executor runs the same cell-drain routine, and the
-//! coordinator's two drains share one caller-side routine; the merge
-//! layer cannot tell executors apart. Executors only simulate and
-//! drain the captures the [`DrainPlan`] names; the merge layer makes
-//! every trace record. The fused step is bit-identical to the
+//! Every executor runs one step: pop a runnable chip off the pool's
+//! [`RunQueue`], take its cell, install the placements queued ahead of
+//! the chip's next grant, run that one slice, release the cell, and put
+//! the chip back on the queue if another grant waits. A chip is
+//! *scheduled* from the grant that queues it until the step that finds
+//! no grant left, and it is on the queue at most once, so no two
+//! executors ever hold it: its cell is free by construction, and no
+//! executor waits for a cell lock. Three hosts drive the step:
+//!
+//! * with one or more workers, long-lived shard threads, which block
+//!   while the queue is empty, run the lean fused step
+//!   ([`ChipSession::run_slice_fast`]) and send each [`SliceLog`] back
+//!   over the pool's one channel. A shard that panics sends
+//!   [`ShardEvent::Panicked`] on its way out, so the run ends with
+//!   [`ServeError::ShardFailed`] instead of waiting for a log that will
+//!   never come;
+//! * the waiting coordinator: before [`ShardPool::wait_through`] would
+//!   block on the channel, it steps without blocking, as executor
+//!   `workers`, on the same fused step, filing each log as it makes it;
+//! * with no workers, [`ShardPool::grant`], which steps until the queue
+//!   is empty, on the historical dyn-dispatch reference step, so every
+//!   log is in before it returns and the merge runs in lockstep with
+//!   the decision loop: the in-line coordinator, the byte oracle
+//!   `tests/shard_equivalence.rs` holds the shard runtime to.
+//!
+//! The merge layer cannot tell executors apart. Executors only simulate
+//! and drain the captures the [`DrainPlan`] names; the merge layer
+//! makes every trace record. The fused step is bit-identical to the
 //! reference step (window capture and the invariant checker riding
 //! along), so every sharded run is also a differential test of it.
 //!
-//! Either way the cells start from clones of chip sessions the service
+//! Every pool's cells start from clones of chip sessions the service
 //! warmed up once, on the fused step ([`warm_sessions`]), whose
 //! warm-up is bit-identical to the reference step's.
 
@@ -46,7 +49,7 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-use crate::control::{CellCmd, CellJob, ChipToken, ShardEvent, SliceLog, TokenBoard};
+use crate::control::{CellCmd, CellJob, RunQueue, ShardEvent, SliceLog};
 use crate::introspect::RuntimeStats;
 use crate::ServeError;
 use vsmooth_chip::{
@@ -257,21 +260,35 @@ fn exec_slice(
     })
 }
 
+/// Chip `chip`'s pending commands and its place in the claim protocol,
+/// under one lock, held for one push or pop.
+#[derive(Debug, Default)]
+struct ChipQueue {
+    /// The commands, oldest first.
+    cmds: VecDeque<CellCmd>,
+    /// Grants among `cmds`: slices granted and not yet claimed.
+    grants: usize,
+    /// The chip is on the run queue or an executor holds it. A grant
+    /// queues the chip only while this is unset, and the executor that
+    /// ran one of its slices unsets it once no grant is left.
+    scheduled: bool,
+}
+
 /// State shared between the coordinator and the shard workers.
 #[derive(Debug)]
 struct PoolShared {
     /// Per chip, the execution lock: the executor holding it owns the
-    /// chip for one claim.
+    /// chip for one step.
     cells: Vec<Mutex<ChipCell>>,
-    /// Per chip, the pending commands, oldest first. Each lock is held
-    /// for one push or one pop, never across a slice.
-    queues: Vec<Mutex<VecDeque<CellCmd>>>,
-    tokens: TokenBoard,
+    /// Per chip, the pending commands and the claim state. Each lock is
+    /// held for one push or one pop, never across a slice.
+    queues: Vec<Mutex<ChipQueue>>,
+    /// The scheduled chips no executor holds, oldest first.
+    run: RunQueue,
     /// The live introspection scoreboard, shared with obs publishes.
-    /// The per-shard split of slice counts is execution-dependent
-    /// (work-stealing); only the sum is deterministic. All
-    /// determinism-pinned metrics are recorded by the merge layer,
-    /// never here.
+    /// The per-executor split of slice counts is execution-dependent;
+    /// only the sum is deterministic. All determinism-pinned metrics
+    /// are recorded by the merge layer, never here.
     stats: Arc<RuntimeStats>,
     slice_cycles: u64,
     drain: DrainPlan,
@@ -280,37 +297,122 @@ struct PoolShared {
     fused: bool,
 }
 
+/// What one executor step did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// Ran a slice and emitted its log.
+    Ran,
+    /// Ran a slice that failed and emitted the failure; stop.
+    Failed,
+    /// Found the run queue empty (blocking: shut down and drained).
+    Idle,
+    /// Popped this chip, whose cell refused `try_lock`: a panic poisoned
+    /// it, and only a test or a broken protocol queues such a chip.
+    Refused(usize),
+}
+
 impl PoolShared {
-    /// Chip `chip`'s command queue. Nothing panics while holding it, so
-    /// a poisoned queue still holds whole commands.
-    fn queue(&self, chip: usize) -> MutexGuard<'_, VecDeque<CellCmd>> {
+    /// Chip `chip`'s queue. Nothing panics while holding it, so a
+    /// poisoned queue still holds whole commands and a true count.
+    fn queue(&self, chip: usize) -> MutexGuard<'_, ChipQueue> {
         self.queues[chip]
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Queues `cmd` at chip `chip`, records the depth the queue reached,
+    /// and returns whether the chip must go on the run queue: a grant
+    /// schedules a chip no executor has scheduled. Only the queue lock
+    /// is taken, so a push never waits for a slice, nor for a poisoned
+    /// cell, whose dead shard never released its chip.
+    fn push_cmd(&self, chip: usize, cmd: CellCmd) -> bool {
+        let mut queue = self.queue(chip);
+        let mut runnable = false;
+        if let CellCmd::Grant { .. } = cmd {
+            queue.grants += 1;
+            runnable = !queue.scheduled;
+            queue.scheduled = true;
+        }
+        queue.cmds.push_back(cmd);
+        let depth = queue.cmds.len() as u64;
+        drop(queue);
+        self.stats.cell_queue_hwm[chip].fetch_max(depth, Ordering::Relaxed);
+        runnable
+    }
+
+    /// Queues a grant for `epoch` at each chip in `busy` and puts the
+    /// chips this schedules on the run queue, in `busy` order.
+    fn grant(&self, epoch: u64, busy: &[usize]) {
+        let mut runnable = Vec::new();
+        for &chip in busy {
+            if self.push_cmd(chip, CellCmd::Grant { epoch }) {
+                runnable.push(chip);
+            }
+        }
+        self.run.push(&runnable);
     }
 
     /// Pops chip `chip`'s oldest command. The guard never leaves this
     /// function, so no executor holds the queue lock across a slice and
     /// a push never waits for one.
     fn pop_cmd(&self, chip: usize) -> Option<CellCmd> {
-        self.queue(chip).pop_front()
+        let mut queue = self.queue(chip);
+        let cmd = queue.cmds.pop_front();
+        if let Some(CellCmd::Grant { .. }) = cmd {
+            queue.grants -= 1;
+        }
+        cmd
+    }
+
+    /// Ends a step on chip `chip`, after its cell is released: puts the
+    /// chip back on the run queue if another grant waits, and otherwise
+    /// unschedules it, so the next grant queues it.
+    fn release(&self, chip: usize) {
+        let requeue = {
+            let mut queue = self.queue(chip);
+            queue.scheduled = queue.grants > 0;
+            queue.scheduled
+        };
+        if requeue {
+            self.run.push(&[chip]);
+        }
+    }
+
+    /// One executor step, the only routine a host drives: pops a
+    /// runnable chip (waiting for one if `block`), takes its cell, runs
+    /// the chip's next slice as executor `me` through [`drain_cell`],
+    /// handing the outcome to `emit`, and releases the cell and the
+    /// chip. The cell lock is only ever tried: no other executor holds
+    /// a scheduled chip's cell.
+    fn step(&self, me: usize, block: bool, seq: &mut u64, emit: impl FnMut(ShardEvent)) -> Step {
+        let Some(chip) = self.run.pop(block) else {
+            return Step::Idle;
+        };
+        let Ok(mut cell) = self.cells[chip].try_lock() else {
+            return Step::Refused(chip);
+        };
+        if !drain_cell(self, &mut cell, me, chip, seq, emit) {
+            return Step::Failed;
+        }
+        drop(cell);
+        self.release(chip);
+        Step::Ran
     }
 }
 
-/// Serves one claim of the chip `token` names, as executor `me`, on
-/// `cell`, whose execution lock the executor holds: pops the chip's
-/// commands in FIFO order, installing placed jobs, up to and including
-/// one grant, whose slice it runs and hands to `emit`. Returns `false`
-/// once a slice failed; the executor stops there.
+/// Serves one step on chip `chip`, as executor `me`, on `cell`, whose
+/// execution lock the executor holds: pops the chip's commands in FIFO
+/// order, installing placed jobs, up to and including one grant, whose
+/// slice it runs and hands to `emit`. Returns `false` once a slice
+/// failed; the executor stops there.
 fn drain_cell(
     shared: &PoolShared,
     cell: &mut ChipCell,
     me: usize,
-    token: ChipToken,
+    chip: usize,
     seq: &mut u64,
     mut emit: impl FnMut(ShardEvent),
 ) -> bool {
-    let chip = token.chip;
     while let Some(cmd) = shared.pop_cmd(chip) {
         match cmd {
             CellCmd::AddJob { core, job } => {
@@ -320,7 +422,7 @@ fn drain_cell(
             CellCmd::Grant { epoch } => {
                 return match exec_slice(cell, shared, me, *seq, epoch, chip) {
                     Ok(log) => {
-                        shared.stats.record_slice(me, token.stolen);
+                        shared.stats.record_slice(me, chip);
                         *seq += 1;
                         emit(ShardEvent::Slice(log));
                         true
@@ -353,19 +455,21 @@ impl Drop for Lane {
     }
 }
 
-/// The body of one shard worker: pop a chip token (own queue first,
-/// then steal), run that chip's next slice, send its outcome to the
-/// coordinator. A send fails only once the pool is gone, and then
-/// nobody is owed the log. A shard waits for a busy cell's lock and
-/// panics on a poisoned one, which its [`Lane`] reports.
+/// The body of one shard worker: step, blocking while the run queue is
+/// empty, until shutdown drains it or a slice fails, and send each
+/// outcome to the coordinator. A send fails only once the pool is gone,
+/// and then nobody is owed the log. A shard panics on a cell that
+/// refuses its lock, which its [`Lane`] reports.
 fn shard_main(lane: Lane, shared: &PoolShared) {
     let mut seq = 0u64;
-    while let Some(token) = shared.tokens.next(lane.me) {
-        let mut cell = shared.cells[token.chip].lock().expect("cell lock");
-        if !drain_cell(shared, &mut cell, lane.me, token, &mut seq, |event| {
+    loop {
+        let step = shared.step(lane.me, true, &mut seq, |event| {
             let _ = lane.tx.send(event);
-        }) {
-            return;
+        });
+        match step {
+            Step::Ran => {}
+            Step::Failed | Step::Idle => return,
+            Step::Refused(chip) => panic!("chip {chip}'s cell refused its lock"),
         }
     }
 }
@@ -402,8 +506,7 @@ pub(crate) struct ShardPool {
 
 impl ShardPool {
     /// Builds one cell per `warmed` session (a clone, armed from
-    /// `drain`), then spawns `workers` shard threads. Chips are owned
-    /// round-robin across shards.
+    /// `drain`), then spawns `workers` shard threads.
     pub(crate) fn new(
         warmed: &[ChipSession],
         workers: usize,
@@ -411,7 +514,6 @@ impl ShardPool {
         slice_cycles: u64,
         drain: DrainPlan,
     ) -> Self {
-        let chips = warmed.len();
         let cells = warmed
             .iter()
             .enumerate()
@@ -419,8 +521,8 @@ impl ShardPool {
             .collect();
         let shared = Arc::new(PoolShared {
             cells,
-            queues: (0..chips).map(|_| Mutex::default()).collect(),
-            tokens: TokenBoard::new(workers),
+            queues: warmed.iter().map(|_| Mutex::default()).collect(),
+            run: RunQueue::default(),
             stats,
             slice_cycles,
             drain,
@@ -444,102 +546,49 @@ impl ShardPool {
             outstanding: BTreeSet::new(),
             received: BTreeMap::new(),
             next_seq: vec![0; workers + 1],
-            last_executor: vec![None; chips],
+            last_executor: vec![None; warmed.len()],
             failure: None,
         }
-    }
-
-    /// Queues `cmd` at its chip's command queue and records the depth
-    /// the queue reached. Only the queue lock is taken, so the push
-    /// never waits for a slice running on the cell, and a cell poisoned
-    /// by a shard that panicked holding it takes the command all the
-    /// same: that shard's death ends the run with
-    /// [`ServeError::ShardFailed`] at the next wait, and nothing drains
-    /// a poisoned cell.
-    fn push_cmd(&self, chip: usize, cmd: CellCmd) {
-        let depth = {
-            let mut queue = self.shared.queue(chip);
-            queue.push_back(cmd);
-            queue.len()
-        };
-        self.shared.stats.cell_queue_hwm[chip].fetch_max(depth as u64, Ordering::Relaxed);
     }
 
     /// Queues a placement at its chip cell.
     pub(crate) fn add_job(&mut self, chip: usize, core: usize, job: CellJob) {
         let job = Box::new(job);
-        self.push_cmd(chip, CellCmd::AddJob { core, job });
+        self.shared.push_cmd(chip, CellCmd::AddJob { core, job });
     }
 
     /// Grants `busy` chips one quantum for `epoch`: queues a grant at
-    /// each cell and hands one token per grant to the chip's owning
-    /// shard. With no workers, runs each granted slice here instead, in
-    /// chip order, so every log is received before this returns.
+    /// each cell and puts each chip no executor has scheduled on the run
+    /// queue. With no workers, steps here until the queue is empty, so
+    /// every log is received before this returns.
     pub(crate) fn grant(&mut self, epoch: u64, busy: &[usize]) -> Result<(), ServeError> {
-        for &chip in busy {
-            self.push_cmd(chip, CellCmd::Grant { epoch });
-            self.outstanding.insert((epoch, chip));
-        }
-        let workers = self.handles.len();
-        if workers > 0 {
-            self.shared
-                .tokens
-                .push_many(busy.iter().map(|&chip| (chip % workers, chip)));
+        self.outstanding
+            .extend(busy.iter().map(|&chip| (epoch, chip)));
+        self.shared.grant(epoch, busy);
+        if !self.handles.is_empty() {
             return Ok(());
         }
-        // `receive` borrows the whole pool, so the drain reads the
-        // shared state through a handle of its own.
-        let shared = Arc::clone(&self.shared);
-        for &chip in busy {
-            // Only this thread touches the cells. A cell it cannot lock
-            // keeps its log owed, and the wait for it panics.
-            let Ok(mut cell) = shared.cells[chip].try_lock() else {
-                break;
-            };
-            let token = ChipToken {
-                chip,
-                stolen: false,
-            };
-            if !self.drain_here(&shared, &mut cell, token) {
-                break;
-            }
-        }
+        while self.failure.is_none() && self.help() {}
         self.pump()
     }
 
-    /// The coordinator's drain, shared by a zero-worker grant and the
-    /// help of [`ShardPool::wait_through`]: serves one claim on `cell`,
-    /// which this thread has locked, as executor `workers` (executor 0
-    /// of a pool with no workers), filing the log straight into
-    /// `receive`. Returns `false` once a slice failed.
-    fn drain_here(&mut self, shared: &PoolShared, cell: &mut ChipCell, token: ChipToken) -> bool {
-        let me = self.handles.len();
-        let mut seq = self.next_seq[me];
-        drain_cell(shared, cell, me, token, &mut seq, |event| {
-            self.receive(event)
-        })
-    }
-
-    /// Runs one queued slice on this thread instead of sleeping on the
-    /// shards: claims the first chip the board offers (newest token
-    /// first) whose cell lock is free at once. A busy or poisoned cell
-    /// is not waited for and its tokens stay on the board for a shard.
-    /// Returns whether a token was claimed; a slice that failed there
-    /// is kept as the run's failure, which the wait's next pump
-    /// returns.
+    /// Runs one step on this thread without blocking, as executor
+    /// `workers` (executor 0 of a pool with no workers), filing what it
+    /// emits straight into `receive`. Returns whether it ran a slice.
+    /// It never waits for a cell lock nor unwraps one: a refused chip
+    /// goes back on the run queue for a shard, whose panic ends the run.
     fn help(&mut self) -> bool {
         let shared = Arc::clone(&self.shared);
-        let Some((chip, mut cell)) = shared
-            .tokens
-            .try_take(|chip| shared.cells[chip].try_lock().ok().map(|cell| (chip, cell)))
-        else {
-            return false;
-        };
-        // The coordinator owns no queue: every token it claims came off
-        // a shard's.
-        let token = ChipToken { chip, stolen: true };
-        self.drain_here(&shared, &mut cell, token);
-        true
+        let me = self.handles.len();
+        let mut seq = self.next_seq[me];
+        match shared.step(me, false, &mut seq, |event| self.receive(event)) {
+            Step::Ran | Step::Failed => true,
+            Step::Idle => false,
+            Step::Refused(chip) => {
+                shared.run.push(&[chip]);
+                false
+            }
+        }
     }
 
     /// Files one executor message: a log joins `received`, a failure
@@ -588,10 +637,10 @@ impl ShardPool {
     }
 
     /// Blocks until every log for epochs `< bound` has arrived, or
-    /// until a shard reports a failure or a panic. Before each block,
-    /// the coordinator runs a queued slice on any cell it can lock at
-    /// once ([`ShardPool::help`]), so it runs kernel slices while it
-    /// would otherwise sleep. A pool whose workers have all exited without
+    /// until a shard reports a failure or a panic. While the run queue
+    /// has a chip, the coordinator steps ([`ShardPool::help`]) instead
+    /// of blocking, so it runs kernel slices while it would otherwise
+    /// sleep. A pool whose workers have all exited without
     /// reporting one (or that never had any) panics with a log still
     /// owed instead of blocking forever: that is a runtime bug, not a
     /// recoverable condition.
@@ -639,7 +688,7 @@ impl ShardPool {
     /// end-of-run flushing (late-sealing droop windows, measured-cycle
     /// totals).
     pub(crate) fn finish(mut self) -> Result<Vec<ChipCell>, ServeError> {
-        self.shared.tokens.shutdown();
+        self.shared.run.shutdown();
         for (shard, handle) in std::mem::take(&mut self.handles).into_iter().enumerate() {
             if handle.join().is_err() {
                 self.failure
@@ -653,7 +702,7 @@ impl ShardPool {
         drop(self);
         let shared = Arc::try_unwrap(shared).expect("all shard handles joined");
         debug_assert!(
-            (0..shared.queues.len()).all(|chip| shared.queue(chip).is_empty()),
+            (0..shared.queues.len()).all(|chip| shared.queue(chip).cmds.is_empty()),
             "commands left undrained at shutdown"
         );
         // Only a shard's panic poisons a cell, and the pump above has
@@ -667,11 +716,11 @@ impl ShardPool {
 }
 
 /// Early error returns (queue overflow, chip failure) drop the pool
-/// with workers still parked on the token board; release them and wait,
+/// with workers still parked on the run queue; release them and wait,
 /// or they would outlive the run holding the shared state.
 impl Drop for ShardPool {
     fn drop(&mut self) {
-        self.shared.tokens.shutdown();
+        self.shared.run.shutdown();
         for handle in self.handles.drain(..) {
             // A worker that panicked already sent its exit; don't
             // double-panic while unwinding.
@@ -683,18 +732,21 @@ impl Drop for ShardPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
-    use vsmooth_obs::ShardsStatus;
+    use proptest::prelude::*;
+    use std::time::{Duration, Instant};
     use vsmooth_pdn::DecapConfig;
     use vsmooth_workload::by_name;
 
     const SLICE: u64 = 500;
 
-    fn pool(chips: usize, workers: usize) -> ShardPool {
+    fn warmed(chips: usize) -> Vec<ChipSession> {
         let cfg = ChipConfig::core2_duo(DecapConfig::proc100());
-        let warmed = warm_sessions(&cfg, chips, SLICE).unwrap();
+        warm_sessions(&cfg, chips, SLICE).unwrap()
+    }
+
+    fn pool(chips: usize, workers: usize) -> ShardPool {
         let stats = Arc::new(RuntimeStats::new(workers, chips));
-        ShardPool::new(&warmed, workers, stats, SLICE, DrainPlan::default())
+        ShardPool::new(&warmed(chips), workers, stats, SLICE, DrainPlan::default())
     }
 
     fn inline_pool(chips: usize) -> ShardPool {
@@ -747,42 +799,26 @@ mod tests {
         let _ = pool.wait_through(1);
     }
 
-    /// A shard that panics on a poisoned cell ends the run with a typed
-    /// error, in bounded time, at one worker and at two. Chip 0's grant
-    /// is queued, then its cell lock is poisoned, then the tokens go
-    /// out. With two workers the test holds chip 1's cell, so shard 1
-    /// stays on its own token and chip 0's is always shard 0's.
-    #[test]
-    fn a_panicking_shard_ends_the_run_with_shard_failed() {
-        for workers in [1, 2] {
-            let mut pool = pool(workers, workers);
-            for chip in 0..workers {
-                pool.push_cmd(chip, CellCmd::Grant { epoch: 0 });
-                pool.outstanding.insert((0, chip));
-            }
-            let shared = Arc::clone(&pool.shared);
-            let _ = std::panic::catch_unwind(|| {
-                let _slot = shared.cells[0].lock();
-                panic!("poisoning chip 0's cell");
-            });
-            assert!(shared.cells[0].is_poisoned());
-            let hold = (workers > 1).then(|| shared.cells[1].lock().unwrap());
-            shared
-                .tokens
-                .push_many((0..workers).map(|chip| (chip % workers, chip)));
-            let (tx, rx) = mpsc::channel();
-            let waiter = std::thread::spawn(move || {
-                let _ = tx.send(pool.wait_through(1));
-            });
-            let outcome = rx.recv_timeout(Duration::from_secs(10));
-            drop(hold);
-            assert_eq!(
-                outcome,
-                Ok(Err(ServeError::ShardFailed { shard: 0 })),
-                "{workers} workers"
-            );
-            waiter.join().unwrap();
+    /// Polls `done` every millisecond, failing with `what` after ten
+    /// seconds.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    /// The shard whose thread has ended, once one has: the run's own
+    /// record of which shard died.
+    fn dead_shard(pool: &ShardPool) -> usize {
+        wait_until("no shard died", || {
+            pool.handles.iter().any(JoinHandle::is_finished)
+        });
+        pool.handles
+            .iter()
+            .position(JoinHandle::is_finished)
+            .expect("a shard ended")
     }
 
     /// Poisons `chip`'s cell the way a shard that panicked holding it
@@ -795,34 +831,112 @@ mod tests {
         assert!(shared.cells[chip].is_poisoned());
     }
 
-    /// A placement and a grant take only the chip's queue lock, so
-    /// neither waits for the slice an executor is running on the cell.
-    /// The test holds chip 0's cell, as a shard holds it mid-slice,
-    /// while a helper thread places a job there and grants both chips.
+    /// A shard that panics on a poisoned cell ends the run with a typed
+    /// error naming it, in bounded time, at one worker and at two.
+    /// Chip 0's cell is poisoned before its grant, so whichever shard
+    /// pops it panics; the test reads which one died from the run and
+    /// only then lets the coordinator wait, so the coordinator cannot
+    /// pop chip 0 first.
+    #[test]
+    fn a_panicking_shard_ends_the_run_with_shard_failed() {
+        for workers in [1, 2] {
+            let mut pool = pool(workers, workers);
+            poison(&pool.shared, 0);
+            let busy: Vec<usize> = (0..workers).collect();
+            pool.grant(0, &busy).unwrap();
+            let dead = dead_shard(&pool);
+            let (tx, rx) = mpsc::channel();
+            let waiter = std::thread::spawn(move || {
+                let _ = tx.send(pool.wait_through(1));
+            });
+            assert_eq!(
+                rx.recv_timeout(Duration::from_secs(10)),
+                Ok(Err(ServeError::ShardFailed { shard: dead })),
+                "{workers} workers"
+            );
+            waiter.join().unwrap();
+        }
+    }
+
+    /// A grant that reaches the cell a dead shard poisoned queues its
+    /// command instead of panicking the caller. The shard never released
+    /// chip 0, so the chip stays scheduled and off the run queue: the
+    /// dead shard strands only the chip it held. The wait ends with that
+    /// shard's typed failure, at one worker and at two.
+    #[test]
+    fn a_grant_to_a_poisoned_cell_ends_the_run_with_shard_failed() {
+        for workers in [1, 2] {
+            let mut pool = pool(2, workers);
+            let shared = Arc::clone(&pool.shared);
+            poison(&shared, 0);
+            pool.grant(0, &[0]).unwrap();
+            let dead = dead_shard(&pool);
+            pool.grant(1, &[0, 1]).unwrap();
+            {
+                let queue = shared.queue(0);
+                assert!(queue.scheduled, "the dead shard still holds chip 0");
+                assert_eq!(queue.grants, 2, "both of chip 0's grants are queued");
+            }
+            assert!(!shared.run.queued().contains(&0), "chip 0 is not queued");
+            let (tx, rx) = mpsc::channel();
+            let waiter = std::thread::spawn(move || {
+                let _ = tx.send(pool.wait_through(2));
+            });
+            assert_eq!(
+                rx.recv_timeout(Duration::from_secs(10)),
+                Ok(Err(ServeError::ShardFailed { shard: dead })),
+                "{workers} workers"
+            );
+            waiter.join().unwrap();
+        }
+    }
+
+    /// The coordinator never unwraps a cell lock: in a pool with no
+    /// workers, a grant to a poisoned cell returns without running it
+    /// and puts the chip back on the run queue, its log still owed.
+    #[test]
+    fn the_coordinator_puts_a_poisoned_cell_back_instead_of_running_it() {
+        let mut pool = inline_pool(2);
+        poison(&pool.shared, 0);
+        assert_eq!(pool.grant(0, &[0, 1]), Ok(()));
+        assert_eq!(pool.shared.run.queued(), [1, 0]);
+        assert!(pool.received.is_empty(), "no slice ran");
+        assert_eq!(pool.outstanding.len(), 2);
+    }
+
+    /// A placement and a grant take only the chip's queue lock and the
+    /// run queue's, so neither waits for the slice an executor is
+    /// running on the cell. The test acts as the executor that popped
+    /// chip 0 for epoch 0 and holds its cell mid-slice, while a helper
+    /// thread places a job there and grants both chips. Once the test
+    /// lets the chip go, with grants left, it is queued again.
     #[test]
     fn a_grant_never_waits_for_a_running_slice() {
         let mut pool = pool(2, 1);
         let shared = Arc::clone(&pool.shared);
+        assert!(shared.push_cmd(0, CellCmd::Grant { epoch: 0 }));
+        pool.outstanding.insert((0, 0));
         let held = shared.cells[0].lock().unwrap();
         let (tx, rx) = mpsc::channel();
         let granter = std::thread::spawn(move || {
             pool.add_job(0, 0, job(0));
-            pool.grant(0, &[0, 1]).unwrap();
+            pool.grant(1, &[0, 1]).unwrap();
             let _ = tx.send(());
             pool
         });
         let granted = rx.recv_timeout(Duration::from_secs(10));
         drop(held);
+        shared.release(0);
         assert_eq!(granted, Ok(()), "the grant waited for the held cell");
         let mut pool = granter.join().unwrap();
-        assert_eq!(pool.wait_through(1), Ok(()));
-        for chip in 0..2 {
-            let log = pool.log(0, chip);
-            assert_eq!((log.epoch, log.chip), (0, chip));
+        assert_eq!(pool.wait_through(2), Ok(()));
+        for (epoch, chip) in [(0, 0), (1, 0), (1, 1)] {
+            let log = pool.log(epoch, chip);
+            assert_eq!((log.epoch, log.chip), (epoch, chip));
         }
     }
 
-    /// A claim installs the placements queued ahead of the chip's next
+    /// A step installs the placements queued ahead of the chip's next
     /// grant and runs that one slice, and it runs and emits the slice
     /// without holding the chip's queue lock, so a push never waits for
     /// a slice.
@@ -830,16 +944,12 @@ mod tests {
     fn a_claim_runs_one_slice_without_its_queue_lock() {
         let mut pool = inline_pool(1);
         pool.add_job(0, 0, job(0));
-        pool.push_cmd(0, CellCmd::Grant { epoch: 0 });
-        pool.push_cmd(0, CellCmd::Grant { epoch: 1 });
         let shared = &pool.shared;
+        shared.push_cmd(0, CellCmd::Grant { epoch: 0 });
+        shared.push_cmd(0, CellCmd::Grant { epoch: 1 });
         let mut cell = shared.cells[0].lock().unwrap();
-        let token = ChipToken {
-            chip: 0,
-            stolen: false,
-        };
         let mut emitted = Vec::new();
-        let ran = drain_cell(shared, &mut cell, 0, token, &mut 0, |event| {
+        let ran = drain_cell(shared, &mut cell, 0, 0, &mut 0, |event| {
             let ShardEvent::Slice(log) = event else {
                 panic!("the slice failed");
             };
@@ -847,125 +957,267 @@ mod tests {
         });
         assert!(ran);
         assert_eq!(emitted, [(0, true)], "one slice, queue lock free");
-        assert_eq!(shared.queue(0).len(), 1, "epoch 1's grant is left");
+        assert_eq!(shared.queue(0).cmds.len(), 1, "epoch 1's grant is left");
+        assert_eq!(shared.queue(0).grants, 1);
         assert!(cell.cores[0].is_some(), "the placement was installed");
     }
 
-    /// A grant that reaches a dead shard's poisoned cell queues its
-    /// command instead of panicking the caller, and the wait ends with
-    /// that shard's typed failure. The test holds chips 1 and 2, each
-    /// shard's own token, so both shards park on them first; it then
-    /// releases chip 2, shard 0's, so shard 0 is the one that takes
-    /// chip 0's token.
+    /// A chip goes on the run queue once, however many grants wait for
+    /// it, and the step that runs one of them puts it back, behind the
+    /// chips queued meanwhile, only while another waits.
     #[test]
-    fn a_grant_to_a_poisoned_cell_ends_the_run_with_shard_failed() {
-        let mut pool = pool(3, 2);
-        let shared = Arc::clone(&pool.shared);
-        let held_1 = shared.cells[1].lock().unwrap();
-        let held_2 = shared.cells[2].lock().unwrap();
-        shared.tokens.push_many([(0, 2), (1, 1)]);
-        poison(&shared, 0);
-        pool.grant(0, &[0]).unwrap();
-        let (tx, rx) = mpsc::channel();
-        let waiter = std::thread::spawn(move || {
-            let _ = tx.send(pool.wait_through(1));
-        });
-        drop(held_2);
-        let outcome = rx.recv_timeout(Duration::from_secs(10));
-        drop(held_1);
-        assert_eq!(outcome, Ok(Err(ServeError::ShardFailed { shard: 0 })));
-        waiter.join().unwrap();
+    fn a_chip_is_on_the_run_queue_at_most_once() {
+        let pool = inline_pool(2);
+        let shared = &pool.shared;
+        for epoch in 0..3 {
+            shared.grant(epoch, &[0]);
+        }
+        shared.grant(3, &[1, 0]);
+        assert_eq!(shared.run.queued(), [0, 1]);
+        let mut ran = Vec::new();
+        let mut seq = 0;
+        while shared.step(0, false, &mut seq, |event| {
+            if let ShardEvent::Slice(log) = event {
+                ran.push((log.chip, log.epoch));
+            }
+        }) == Step::Ran
+        {
+            let queued = shared.run.queued();
+            assert!(queued.len() <= 1 || queued[0] != queued[1], "{queued:?}");
+        }
+        assert_eq!(ran, [(0, 0), (1, 3), (0, 1), (0, 2), (0, 3)]);
+        assert!((0..2).all(|chip| !shared.queue(chip).scheduled));
     }
 
-    /// The waiting coordinator drains a queued cell itself, as executor
-    /// `workers`, and neither blocks on a busy cell nor keeps its
-    /// token. The test holds chips 0 and 2. The shard takes the oldest
-    /// token, chip 0, and is stuck on it; the coordinator must take the
-    /// newest, chip 1, and run its slice meanwhile. Its next offer,
-    /// chip 2, is held: a coordinator that waited for that lock would
-    /// run chip 2's slice itself once the test lets go, and one that
-    /// kept the token would leave chip 2's log owed forever.
+    /// The run queue's lock recovers from poisoning as the command
+    /// queues' do: with it poisoned, grants and their wait still bring
+    /// in every log, at zero workers and at one.
+    #[test]
+    fn a_poisoned_run_queue_still_runs_every_grant() {
+        for workers in [0, 1] {
+            let mut pool = pool(2, workers);
+            pool.shared.run.poison();
+            pool.add_job(0, 0, job(0));
+            for epoch in 0..2 {
+                pool.grant(epoch, &[0, 1]).unwrap();
+            }
+            assert_eq!(pool.wait_through(2), Ok(()), "{workers} workers");
+            for epoch in 0..2 {
+                for chip in 0..2 {
+                    assert_eq!(pool.take_log(epoch, chip).chip, chip);
+                }
+            }
+            assert!(pool.finish().is_ok(), "{workers} workers");
+        }
+    }
+
+    /// The waiting coordinator runs queued slices itself, as executor
+    /// `workers`, while the shard is stuck. The test holds chip 0's
+    /// queue lock, then schedules chip 0 and queues it: the shard pops
+    /// it, takes its cell and blocks on the queue lock, mid-step. Chips
+    /// 1 and 2 are granted behind it, and the coordinator must run both
+    /// while the shard is stuck, then sleep until the shard's log comes.
     #[test]
     fn the_waiting_coordinator_drains_a_cell_the_shard_has_not_reached() {
         let mut pool = pool(3, 1);
-        for chip in 0..3 {
-            pool.push_cmd(chip, CellCmd::Grant { epoch: 0 });
-            pool.outstanding.insert((0, chip));
-        }
         let shared = Arc::clone(&pool.shared);
-        let held_0 = shared.cells[0].lock().unwrap();
-        let held_2 = shared.cells[2].lock().unwrap();
-        shared.tokens.push_many([(0, 0), (0, 2), (0, 1)]);
+        pool.outstanding.extend((0..3).map(|chip| (0, chip)));
+        assert!(shared.push_cmd(0, CellCmd::Grant { epoch: 0 }));
+        let held = shared.queue(0);
+        shared.run.push(&[0]);
+        wait_until("the shard did not pop chip 0", || {
+            shared.run.queued().is_empty()
+        });
+        shared.grant(0, &[1, 2]);
         let (tx, rx) = mpsc::channel();
         let waiter = std::thread::spawn(move || {
             let outcome = pool.wait_through(1);
             let _ = tx.send((outcome, pool));
         });
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        let wait_for = |what: &str, done: &dyn Fn(&ShardsStatus) -> bool| {
-            while !done(&shared.stats.status(0)) {
-                assert!(std::time::Instant::now() < deadline, "{what}");
-                std::thread::sleep(Duration::from_millis(1));
-            }
-        };
-        wait_for("the coordinator ran no slice", &|s| {
-            s.coordinator_slices > 0
+        wait_until("the coordinator did not run both slices", || {
+            shared.stats.status(0).coordinator_slices == 2
         });
         let status = shared.stats.status(0);
-        assert_eq!(status.coordinator_slices, 1);
         assert_eq!(status.shards[0].slices_owned, 0, "the shard is stuck");
-        drop(held_0);
-        wait_for("the shard ran no slice", &|s| s.shards[0].slices_owned > 0);
-        drop(held_2);
+        drop(held);
         let (outcome, pool) = rx
             .recv_timeout(Duration::from_secs(10))
-            .expect("the wait ends once the cells are free");
+            .expect("the wait ends once the shard is free");
         assert_eq!(outcome, Ok(()));
         let executors: Vec<usize> = (0..3).map(|chip| pool.log(0, chip).shard).collect();
-        assert_eq!(executors, [0, 1, 0], "chip 1 ran on the coordinator");
-        assert_eq!(shared.stats.status(0).coordinator_slices, 1);
+        assert_eq!(executors, [0, 1, 1], "chips 1 and 2 ran on the coordinator");
         waiter.join().unwrap();
     }
 
-    /// The board offers the waiting coordinator every queued chip, not
-    /// just the newest token's. The test holds chips 0 and 2, tokens
-    /// pushed 0, 1, 2: the shard is stuck on chip 0, the newest token's
-    /// cell is busy, and the coordinator must run chip 1's slice
-    /// instead of sleeping.
-    #[test]
-    fn the_waiting_coordinator_runs_an_older_chip_when_the_newest_is_held() {
-        let mut pool = pool(3, 1);
-        for chip in 0..3 {
-            pool.push_cmd(chip, CellCmd::Grant { epoch: 0 });
-            pool.outstanding.insert((0, chip));
-        }
-        let shared = Arc::clone(&pool.shared);
-        let held_0 = shared.cells[0].lock().unwrap();
-        let held_2 = shared.cells[2].lock().unwrap();
-        shared.tokens.push_many([(0, 0), (0, 1), (0, 2)]);
-        let (tx, rx) = mpsc::channel();
-        let waiter = std::thread::spawn(move || {
-            let outcome = pool.wait_through(1);
-            let _ = tx.send((outcome, pool));
-        });
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while shared.stats.status(0).coordinator_slices == 0 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "the coordinator ran no slice"
+    /// A virtual executor of the seeded host, between two operations:
+    /// idle, holding the cell of a chip it popped, or done with the
+    /// chip's slice and its cell but yet to release the chip. These are
+    /// the three parts of [`PoolShared::step`].
+    enum Virtual<'a> {
+        Idle,
+        Holding(usize, MutexGuard<'a, ChipCell>),
+        Ran(usize),
+    }
+
+    /// Checks the claim protocol's invariants between two operations:
+    /// each chip is on the run queue at most once, a queued chip has a
+    /// grant waiting, a chip is scheduled exactly when it is queued or
+    /// an executor has it, and no grant waits on an unscheduled chip.
+    fn check_claims(shared: &PoolShared, executors: &[Virtual]) -> Result<(), TestCaseError> {
+        let queued = shared.run.queued();
+        for chip in 0..shared.queues.len() {
+            let on_queue = queued.iter().filter(|&&c| c == chip).count();
+            prop_assert!(on_queue <= 1, "chip {} queued {} times", chip, on_queue);
+            let held = executors.iter().any(|v| match v {
+                Virtual::Holding(c, _) | Virtual::Ran(c) => *c == chip,
+                Virtual::Idle => false,
+            });
+            let queue = shared.queue(chip);
+            prop_assert!(
+                on_queue == 0 || queue.grants > 0,
+                "chip {} is queued with no grant waiting",
+                chip
             );
-            std::thread::sleep(Duration::from_millis(1));
+            prop_assert!(
+                !(held && on_queue > 0),
+                "chip {} is queued while held",
+                chip
+            );
+            prop_assert_eq!(
+                queue.scheduled,
+                held || on_queue > 0,
+                "chip {} scheduled",
+                chip
+            );
+            prop_assert!(
+                queue.grants == 0 || queue.scheduled,
+                "chip {} stranded",
+                chip
+            );
         }
-        let status = shared.stats.status(0);
-        assert_eq!(status.coordinator_slices, 1);
-        assert_eq!(status.shards[0].slices_owned, 0, "the shard is stuck");
-        drop(held_0);
-        drop(held_2);
-        let (outcome, pool) = rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("the wait ends once the cells are free");
-        assert_eq!(outcome, Ok(()));
-        assert_eq!(pool.log(0, 1).shard, 1, "chip 1 ran on the coordinator");
-        waiter.join().unwrap();
+        Ok(())
+    }
+
+    proptest! {
+        /// The claim protocol under interleavings a seeded chooser picks
+        /// on one thread: placements, grants of any subset of 1–4 chips,
+        /// and the three parts of a step by any of 1–8 virtual
+        /// executors. After every operation the protocol's invariants
+        /// hold ([`check_claims`]), and every claim takes its cell with
+        /// `try_lock` on the first try. Once the chooser stops and the
+        /// executors drain the queue, every granted `(epoch, chip)` has
+        /// exactly one log, each chip's in epoch order, every job ended
+        /// on the slice the decision loop predicts, and every queue is
+        /// empty. The case count is pinned by `PROPTEST_CASES`.
+        #[test]
+        fn the_claim_protocol_queues_each_chip_at_most_once(
+            seed in 0u64..u64::MAX,
+            chips in 1usize..=4,
+            workers in 1usize..=8,
+            ops in 20usize..300,
+        ) {
+            // A pool with no threads of its own, its counters sized for
+            // the virtual executors.
+            let stats = Arc::new(RuntimeStats::new(workers, chips));
+            let pool = ShardPool::new(&warmed(chips), 0, stats, SLICE, DrainPlan::default());
+            let shared = &pool.shared;
+            let mut rng = TestRng::new(seed);
+            let mut executors: Vec<Virtual> = (0..workers).map(|_| Virtual::Idle).collect();
+            let mut seqs = vec![0u64; workers];
+            // The decision loop's shadow: per core, the resident job and
+            // the slices it has left.
+            let mut shadow = vec![[None::<(u64, u64)>; 2]; chips];
+            let mut jobs = 0u64;
+            let mut granted = BTreeMap::new();
+            let mut logs = Vec::new();
+            // Operation `ops` grants every chip, so every placement is
+            // drained; after it the executors only step, until the
+            // queue is drained.
+            for op in 0.. {
+                let quiet = executors.iter().all(|v| matches!(v, Virtual::Idle))
+                    && shared.run.queued().is_empty();
+                if op > ops && quiet {
+                    break;
+                }
+                let choice = match op.cmp(&ops) {
+                    std::cmp::Ordering::Less => rng.below(8),
+                    std::cmp::Ordering::Equal => 1,
+                    std::cmp::Ordering::Greater => 7,
+                };
+                match choice {
+                    0 => {
+                        let chip = rng.below(chips as u64) as usize;
+                        let core = rng.below(2) as usize;
+                        if shadow[chip][core].is_none() {
+                            let job = job(jobs);
+                            let slices = job.stream.total_cycles() / SLICE;
+                            shadow[chip][core] = Some((jobs, slices));
+                            jobs += 1;
+                            shared.push_cmd(chip, CellCmd::AddJob { core, job: Box::new(job) });
+                        }
+                    }
+                    1 | 2 => {
+                        let all = (1 << chips) - 1;
+                        let mask = if op == ops { all } else { 1 + rng.below(all) };
+                        let busy: Vec<usize> = (0..chips).filter(|c| mask >> c & 1 == 1).collect();
+                        let epoch = granted.len() as u64;
+                        for &chip in &busy {
+                            let mut finished = [None, None];
+                            for (slot, out) in shadow[chip].iter_mut().zip(&mut finished) {
+                                if let Some((job, left)) = slot {
+                                    *left -= 1;
+                                    if *left == 0 {
+                                        *out = Some(*job);
+                                        *slot = None;
+                                    }
+                                }
+                            }
+                            granted.insert((epoch, chip), finished);
+                        }
+                        shared.grant(epoch, &busy);
+                    }
+                    _ => {
+                        let me = rng.below(workers as u64) as usize;
+                        executors[me] = match std::mem::replace(&mut executors[me], Virtual::Idle) {
+                            Virtual::Idle => match shared.run.pop(false) {
+                                Some(chip) => {
+                                    let cell = shared.cells[chip].try_lock();
+                                    prop_assert!(cell.is_ok(), "chip {}'s cell was taken", chip);
+                                    Virtual::Holding(chip, cell.unwrap())
+                                }
+                                None => Virtual::Idle,
+                            },
+                            Virtual::Holding(chip, mut cell) => {
+                                let ran = drain_cell(shared, &mut cell, me, chip, &mut seqs[me], |event| {
+                                    logs.push(event);
+                                });
+                                prop_assert!(ran, "chip {}'s slice failed", chip);
+                                Virtual::Ran(chip)
+                            }
+                            Virtual::Ran(chip) => {
+                                shared.release(chip);
+                                Virtual::Idle
+                            }
+                        };
+                    }
+                }
+                check_claims(shared, &executors)?;
+            }
+            let mut last = vec![None; chips];
+            let mut seen = BTreeMap::new();
+            for event in logs {
+                let ShardEvent::Slice(log) = event else {
+                    return Err(TestCaseError::fail("a slice failed"));
+                };
+                prop_assert!(last[log.chip] < Some(log.epoch), "chip {} out of epoch order", log.chip);
+                last[log.chip] = Some(log.epoch);
+                prop_assert!(seen.insert((log.epoch, log.chip), log.finished).is_none());
+            }
+            prop_assert_eq!(seen, granted);
+            for chip in 0..chips {
+                let queue = shared.queue(chip);
+                prop_assert!(queue.cmds.is_empty() && queue.grants == 0 && !queue.scheduled);
+            }
+        }
     }
 }

@@ -21,7 +21,7 @@
 //!
 //! The single documented exception is `ObsSnapshot::shards`: the
 //! per-shard introspection section is live execution state
-//! (work-stealing splits, queue depths, wall latency) and published
+//! (owned/stolen splits, queue depths, wall latency) and published
 //! only by the shard runtime. Its slice tallies must still *sum* to
 //! `serve_slices_total` at the final publish.
 

@@ -1,22 +1,24 @@
 //! Tier-1 concurrency stress for the shard-per-worker runtime: eight
-//! shards under deliberately skewed token ownership, so most of the
-//! pool can only make progress by work-stealing, across several
-//! seeded job streams.
+//! shards and the waiting coordinator popping chips off one run queue,
+//! across several seeded job streams. A slice counts as owned when the
+//! chip's home shard (`chip % workers`) runs it and as stolen when any
+//! other shard does.
 //!
 //! Two regimes are covered:
 //!
 //! * **hot burst** — every job arrives at cycle 0 against a 3-chip
-//!   pool, so 3 token owners are hot and 5 shards only ever steal;
+//!   pool, so 3 shards are home to a chip and the other 5, homing
+//!   none, run only stolen slices;
 //! * **trickle** — sparse arrivals against an 8-chip pool, so usually
-//!   one chip is busy and its owner's queue is the only non-empty one.
+//!   one chip is busy and whichever executor pops it runs its slice.
 //!
 //! The invariant-checked variant additionally arms the vsmooth-chip
 //! physical-invariant checker on every cell; the shards check on the
 //! fused step and the coordinator on the reference step, so both steps
 //! are covered.
 //!
-//! Conservation is the oracle: no job is lost or duplicated under
-//! stealing — admitted == completed == submitted, completed ids are
+//! Conservation is the oracle: no job is lost or duplicated whichever
+//! executor runs a slice — admitted == completed == submitted, completed ids are
 //! exactly the submitted ids, executed cycles reconcile with the
 //! slice counters, and the whole report still matches the coordinator
 //! byte for byte.
@@ -93,7 +95,8 @@ fn hot_burst_under_eight_shards_conserves_every_job() {
             .unwrap()
             .run(&jobs, &OnlineDroop, 1)
             .unwrap();
-        // 3 chips own all the tokens; shards 3..8 can only steal.
+        // 3 chips: shards 3..8 home none, so every slice they run is
+        // stolen.
         let sharded = Service::new(config(3, false, RuntimeMode::Sharded))
             .unwrap()
             .run(&jobs, &OnlineDroop, SHARDS)
@@ -126,7 +129,7 @@ fn shard_slice_tallies_reconcile_with_the_slice_counter_under_stealing() {
     use std::sync::{Arc, Mutex};
     use vsmooth::obs::{ObsConfig, ObsSnapshot, TelemetryHub};
 
-    // Hot burst over 3 chips with 8 shards: 5 shards can only steal,
+    // Hot burst over 3 chips with 8 shards: 5 shards home no chip,
     // so the per-shard introspection section must show stolen slices
     // and still account for every executed slice exactly once.
     let jobs = hot_burst(5, 24);
@@ -159,8 +162,8 @@ fn shard_slice_tallies_reconcile_with_the_slice_counter_under_stealing() {
         report.snapshot.counter("serve_slices_total"),
         "per-shard and coordinator slice tallies must reconcile with serve_slices_total"
     );
-    // Only 3 chips own tokens, so at least one of the other 5 shards
-    // progressed by stealing.
+    // Only shards 0..3 are home to a chip, and every shard pops the
+    // same run queue, so some slice ran away from its home shard.
     assert!(
         section.shards.iter().any(|s| s.slices_stolen > 0),
         "skewed ownership must force steals"
