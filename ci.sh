@@ -100,13 +100,14 @@ echo "== shard equivalence gate (coordinator vs sharded runtime) =="
 # draining each grant on the reference step) and 1/2/4/8 shards on
 # the fused step, plus the seeded property over random job streams
 # with a pinned case count, plus the stress suite (eight shards and
-# the coordinator popping one run queue) with job-conservation
+# the coordinator claiming chips from one pool) with job-conservation
 # accounting and the armed invariant checker. Last, the seeded
 # property of the claim protocol every executor follows: a chooser on
 # one thread interleaves placements, grants and the parts of 1-8
-# virtual executors' steps, and each chip must sit on the run queue at
-# most once, every claim must find its cell free, and every grant must
-# yield exactly one log.
+# virtual executors' steps, and each chip must be runnable at most
+# once, a claim must own its chip's cell (out of its slot exactly
+# while the claim is held), and every grant must yield exactly one
+# log.
 PROPTEST_CASES=64 cargo test -q -p vsmooth-repro --test shard_equivalence
 cargo test -q -p vsmooth-repro --test shard_stress
 cargo test -q -p vsmooth-repro --test serve_invariance
@@ -188,7 +189,7 @@ grep -q 'status schema vsmooth-obs-v1' target/ci_obs_demo.out
 grep -q 'GET /profile -> 200' target/ci_obs_demo.out
 grep -q 'GET /shards -> 200' target/ci_obs_demo.out \
     || { echo "/shards scrape failed"; exit 1; }
-grep -q 'schema vsmooth-obs-shards-v1' target/ci_obs_demo.out
+grep -q 'schema vsmooth-obs-shards-v2' target/ci_obs_demo.out
 grep -Eq 'GET /decisions\?n=6 -> 200' target/ci_obs_demo.out
 grep -q 'malformed request -> 400' target/ci_obs_demo.out
 grep -q 'unknown path -> 404' target/ci_obs_demo.out

@@ -245,11 +245,7 @@ fn main() {
             .shards
             .as_ref()
             .expect("a sharded run publishes /shards");
-        let shard_slices: u64 = section
-            .shards
-            .iter()
-            .map(|s| s.slices_owned + s.slices_stolen)
-            .sum();
+        let shard_slices: u64 = section.shards.iter().map(|s| s.slices).sum();
         let share =
             section.coordinator_slices as f64 / (shard_slices + section.coordinator_slices) as f64;
         println!("coordinator slice share at 1 worker: {share:.3}");

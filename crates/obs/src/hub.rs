@@ -72,11 +72,8 @@ impl LatencyStats {
 pub struct ShardStatus {
     /// Shard index.
     pub shard: usize,
-    /// Slices of chips whose home shard (`chip % workers`) is this
-    /// shard.
-    pub slices_owned: u64,
-    /// Slices of chips homed on another shard.
-    pub slices_stolen: u64,
+    /// Slices this shard ran.
+    pub slices: u64,
     /// High-water mark of the shard's lane occupancy: its slice logs
     /// sent but not yet received by the coordinator.
     pub lane_occupancy_hwm: u64,
@@ -87,12 +84,11 @@ pub struct ShardStatus {
 
 /// Live runtime introspection of the shard-per-worker runtime, behind
 /// the `/shards` endpoint. This whole section is execution state —
-/// which shard ran what, how deep queues got, how long decisions
-/// took — and is the documented determinism exception: it appears
-/// only in published snapshots, never in the run's registry or
+/// which executor ran how many slices, how deep queues got, how long
+/// decisions took — and is the documented determinism exception: it
+/// appears only in published snapshots, never in the run's registry or
 /// report. The one pinned reconciliation: the sum of every shard's
-/// `slices_owned + slices_stolen`, plus `coordinator_slices`, equals
-/// `serve_slices_total`.
+/// `slices`, plus `coordinator_slices`, equals `serve_slices_total`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ShardsStatus {
     /// Per-shard counters, in shard order: one entry per shard worker
@@ -103,11 +99,6 @@ pub struct ShardsStatus {
     pub coordinator_slices: u64,
     /// Per-chip command-queue depth high-water marks, in chip order.
     pub cell_queue_hwm: Vec<u64>,
-    /// Times a chip's slice executed on a different executor (a shard
-    /// or the coordinator) than its previous slice: every executor pops
-    /// chips off one run queue, so a chip leaves its home shard
-    /// (`chip % workers`) whenever another executor pops it first.
-    pub ownership_churn: u64,
     /// Quantum grants issued by the decision loop.
     pub grants: u64,
     /// Epochs the decision loop has finished deciding.

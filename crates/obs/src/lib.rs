@@ -22,7 +22,7 @@
 //!   (`vsmooth-obs-v1` JSON: service progress and health),
 //!   `/trace/recent?n=N` (last N droop crossings), `/profile`
 //!   (latest `vsmooth-profile-v1` JSON),
-//!   `/shards` (`vsmooth-obs-shards-v1` JSON, the live shard-runtime
+//!   `/shards` (`vsmooth-obs-shards-v2` JSON, the live shard-runtime
 //!   introspection), `/decisions?n=N` (the scheduler decision audit
 //!   ring). The server self-observes: `obs_scrapes_total
 //!   {endpoint,status}`, a scrape latency histogram, a snapshot

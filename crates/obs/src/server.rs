@@ -19,7 +19,7 @@
 //! | `/status`          | `vsmooth-obs-v1` JSON: service progress, health |
 //! | `/trace/recent?n=N`| `vsmooth-obs-trace-v1` JSON: last N droops      |
 //! | `/profile`         | latest `vsmooth-profile-v1` JSON, 404 until one |
-//! | `/shards`          | `vsmooth-obs-shards-v1` JSON: live shard-runtime introspection |
+//! | `/shards`          | `vsmooth-obs-shards-v2` JSON: live shard-runtime introspection |
 //! | `/decisions?n=N`   | `vsmooth-obs-decisions-v1` JSON: last N audit decisions |
 
 use std::io::{Read, Write};
@@ -40,7 +40,7 @@ pub const OBS_STATUS_SCHEMA: &str = "vsmooth-obs-v1";
 /// Schema tag on the `/trace/recent` JSON document.
 pub const OBS_TRACE_SCHEMA: &str = "vsmooth-obs-trace-v1";
 /// Schema tag on the `/shards` JSON document.
-pub const OBS_SHARDS_SCHEMA: &str = "vsmooth-obs-shards-v1";
+pub const OBS_SHARDS_SCHEMA: &str = "vsmooth-obs-shards-v2";
 /// Schema tag on the `/decisions` JSON document.
 pub const OBS_DECISIONS_SCHEMA: &str = "vsmooth-obs-decisions-v1";
 
@@ -526,16 +526,13 @@ fn status_json(hub: &TelemetryHub, snap: &ObsSnapshot) -> String {
 
 /// Renders a snapshot's live shard section as introspection gauges,
 /// with their HELP lines. They come from the section alone — never the
-/// run's registry, since owned/stolen splits, queue high-water marks and
-/// wall-clock latency are execution facts, not schedule facts — so a
-/// snapshot without a section, or with fewer shards, serves none of an
-/// earlier snapshot's series.
+/// run's registry, since per-executor slice counts, queue high-water
+/// marks and wall-clock latency are execution facts, not schedule
+/// facts — so a snapshot without a section, or with fewer shards,
+/// serves none of an earlier snapshot's series.
 fn render_shard_gauges(shards: &ShardsStatus) -> String {
     let mut metrics = MetricsRegistry::new();
-    metrics.describe(
-        "serve_shard_slices",
-        "Slices executed per shard: kind=owned on the chip's home shard (chip % workers), kind=stolen otherwise.",
-    );
+    metrics.describe("serve_shard_slices", "Slices executed per shard.");
     metrics.describe(
         "serve_shard_lane_occupancy_hwm",
         "High-water mark of each shard's event-lane occupancy, in pending slice records.",
@@ -547,10 +544,6 @@ fn render_shard_gauges(shards: &ShardsStatus) -> String {
     metrics.describe(
         "serve_cell_queue_hwm",
         "High-water mark of each chip cell's command-queue depth.",
-    );
-    metrics.describe(
-        "serve_ownership_churn",
-        "Times a chip's slice ran on a different executor (a shard or the coordinator) than its previous slice.",
     );
     metrics.describe(
         "serve_grants",
@@ -567,16 +560,7 @@ fn render_shard_gauges(shards: &ShardsStatus) -> String {
     for s in &shards.shards {
         let shard = s.shard.to_string();
         let shard = shard.as_str();
-        metrics.gauge_with(
-            "serve_shard_slices",
-            &[("shard", shard), ("kind", "owned")],
-            s.slices_owned as f64,
-        );
-        metrics.gauge_with(
-            "serve_shard_slices",
-            &[("shard", shard), ("kind", "stolen")],
-            s.slices_stolen as f64,
-        );
+        metrics.gauge_with("serve_shard_slices", &[("shard", shard)], s.slices as f64);
         metrics.gauge_with(
             "serve_shard_lane_occupancy_hwm",
             &[("shard", shard)],
@@ -592,7 +576,6 @@ fn render_shard_gauges(shards: &ShardsStatus) -> String {
             *hwm as f64,
         );
     }
-    metrics.gauge_set("serve_ownership_churn", shards.ownership_churn as f64);
     metrics.gauge_set("serve_grants", shards.grants as f64);
     metrics.gauge_set("serve_merge_lag_epochs", shards.merge_lag_epochs as f64);
     metrics.gauge_with(
@@ -621,10 +604,6 @@ fn shards_json(shards: &ShardsStatus) -> String {
         shards.merge_lag_epochs
     ));
     out.push_str(&format!(
-        "  \"ownership_churn\": {},\n",
-        shards.ownership_churn
-    ));
-    out.push_str(&format!(
         "  \"coordinator_slices\": {},\n",
         shards.coordinator_slices
     ));
@@ -639,11 +618,9 @@ fn shards_json(shards: &ShardsStatus) -> String {
     out.push_str("  \"shards\": [\n");
     for (i, s) in shards.shards.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"shard\": {}, \"slices_owned\": {}, \"slices_stolen\": {}, \
-             \"lane_occupancy_hwm\": {}}}{}\n",
+            "    {{\"shard\": {}, \"slices\": {}, \"lane_occupancy_hwm\": {}}}{}\n",
             s.shard,
-            s.slices_owned,
-            s.slices_stolen,
+            s.slices,
             s.lane_occupancy_hwm,
             if i + 1 < shards.shards.len() { "," } else { "" }
         ));
@@ -742,22 +719,19 @@ mod tests {
             shards: vec![
                 ShardStatus {
                     shard: 0,
-                    slices_owned: 10,
-                    slices_stolen: 2,
+                    slices: 12,
                     lane_occupancy_hwm: 3,
                     stream_dropped: 0,
                 },
                 ShardStatus {
                     shard: 1,
-                    slices_owned: 12,
-                    slices_stolen: 0,
+                    slices: 12,
                     lane_occupancy_hwm: 2,
                     stream_dropped: 0,
                 },
             ],
             coordinator_slices: 7,
             cell_queue_hwm: vec![2, 2, 1],
-            ownership_churn: 4,
             grants: 24,
             epochs_decided: 12,
             merge_lag_epochs: 1,
@@ -849,8 +823,8 @@ mod tests {
             Some(7.0)
         );
         assert_eq!(
-            per_shard[0].get("slices_owned").and_then(|v| v.as_f64()),
-            Some(10.0)
+            per_shard[0].get("slices").and_then(|v| v.as_f64()),
+            Some(12.0)
         );
         assert_eq!(doc.get("grants").and_then(|v| v.as_f64()), Some(24.0));
         let latency = doc.get("decision_latency").unwrap();
@@ -901,8 +875,7 @@ mod tests {
             section.shards = (0..n)
                 .map(|shard| ShardStatus {
                     shard,
-                    slices_owned: 5,
-                    slices_stolen: 1,
+                    slices: 5 + shard as u64,
                     lane_occupancy_hwm: 2,
                     stream_dropped: 0,
                 })
@@ -913,7 +886,7 @@ mod tests {
 
         server.hub().publish(with_shards(4));
         let body = metrics();
-        assert!(body.contains("serve_shard_slices{kind=\"owned\",shard=\"3\"} 5"));
+        assert!(body.contains("serve_shard_slices{shard=\"3\"} 8"));
         assert!(body.contains("# HELP serve_shard_lane_occupancy_hwm"));
 
         // A run with no shard runtime (a coordinator run) leaves no
@@ -932,7 +905,7 @@ mod tests {
 
         server.hub().publish(with_shards(2));
         let body = metrics();
-        assert!(body.contains("serve_shard_slices{kind=\"stolen\",shard=\"1\"} 1"));
+        assert!(body.contains("serve_shard_slices{shard=\"1\"} 6"));
         assert!(!body.contains("shard=\"2\""), "{body}");
         assert!(!body.contains("shard=\"3\""), "{body}");
         server.shutdown();

@@ -1,7 +1,7 @@
 //! Control plane of the sharded service runtime: the typed records
 //! the coordinator's decision loop emits, the commands it sends to
-//! chip cells, the messages shards send back over the pool's one
-//! channel, and the run queue every executor pops chips from.
+//! chip cells, and the messages shards send back over the pool's one
+//! channel.
 //!
 //! The decision loop never touches an artifact. It only *decides* —
 //! admissions, placements, grants, analytic completions — and records
@@ -20,8 +20,7 @@
 //! replay to overlap the shards' next slice. Each `CoreSlice`
 //! carries its job's workload for that fold.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use crate::job::JobSpec;
 use vsmooth_chip::{ChipError, DroopCrossing, DroopWindow, SliceStats};
@@ -123,12 +122,11 @@ pub(crate) struct CellJob {
     pub stream: EventStream,
 }
 
-/// A command queued at a chip cell. The queue has a lock of its own,
-/// held for one push or pop; the executor holding the cell's execution
-/// lock pops the commands in FIFO order, each step through the chip's
-/// next grant. FIFO order is what lets any executor run any chip:
-/// whichever executor pops a chip replays the cell's history exactly as
-/// any other would have.
+/// A command queued at a chip. The executor that claims the chip pops
+/// its commands in FIFO order, each claim through the chip's next
+/// grant. FIFO order is what lets any executor run any chip: whichever
+/// executor claims a chip replays the cell's history exactly as any
+/// other would have.
 #[derive(Debug)]
 pub(crate) enum CellCmd {
     /// Install `job` on `core` (the decision loop only targets cores
@@ -139,15 +137,12 @@ pub(crate) enum CellCmd {
     Grant { epoch: u64 },
 }
 
-/// Everything one executed slice produced, tagged `(shard, epoch,
-/// seq)`: `shard`/`seq` give the per-executor total order (each
-/// shard's sends arrive in the order it made them), while `(epoch,
-/// chip)` is the executor-independent key the merge layer actually
-/// orders by.
+/// Everything one executed slice produced. `(epoch, chip)` is the key
+/// the merge layer orders by; `shard` names the executor that ran it,
+/// which only the live introspection counters read.
 #[derive(Debug)]
 pub(crate) struct SliceLog {
     pub shard: usize,
-    pub seq: u64,
     pub epoch: u64,
     pub chip: usize,
     /// Session clock at the start of the slice.
@@ -177,134 +172,4 @@ pub(crate) enum ShardEvent {
     Panicked {
         shard: usize,
     },
-}
-
-/// The pool's run queue: chips with a grant waiting, oldest first.
-/// The pool's claim protocol keeps each chip on it at most once: a
-/// grant queues its chip only if no executor has it scheduled, and the
-/// executor that ran one of its slices re-queues it only if another
-/// grant waits. Every executor pops from here; a chip's commands keep
-/// their order in its cell queue, so whichever executor pops it runs
-/// the right slice.
-#[derive(Debug, Default)]
-pub(crate) struct RunQueue {
-    state: Mutex<RunState>,
-    cv: Condvar,
-}
-
-#[derive(Debug, Default)]
-struct RunState {
-    chips: VecDeque<usize>,
-    /// Executors parked in a blocking [`RunQueue::pop`].
-    parked: usize,
-    shutdown: bool,
-}
-
-impl RunQueue {
-    /// The queue's state. Nothing panics while holding its lock, so a
-    /// poisoned one still holds whole entries.
-    fn state(&self) -> MutexGuard<'_, RunState> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Appends `chips` in one critical section and wakes one parked
-    /// executor per chip, no more than are parked.
-    pub(crate) fn push(&self, chips: &[usize]) {
-        let mut state = self.state();
-        state.chips.extend(chips);
-        let wakes = chips.len().min(state.parked);
-        drop(state);
-        for _ in 0..wakes {
-            self.cv.notify_one();
-        }
-    }
-
-    /// The oldest queued chip. With `block`, waits while the queue is
-    /// empty and returns `None` only once it is shut down and drained;
-    /// without, returns `None` whenever it is empty.
-    pub(crate) fn pop(&self, block: bool) -> Option<usize> {
-        let mut state = self.state();
-        loop {
-            if let Some(chip) = state.chips.pop_front() {
-                return Some(chip);
-            }
-            if !block || state.shutdown {
-                return None;
-            }
-            state.parked += 1;
-            state = self.cv.wait(state).unwrap_or_else(PoisonError::into_inner);
-            state.parked -= 1;
-        }
-    }
-
-    /// Lets every executor drain what is queued and stop.
-    pub(crate) fn shutdown(&self) {
-        self.state().shutdown = true;
-        self.cv.notify_all();
-    }
-}
-
-#[cfg(test)]
-impl RunQueue {
-    /// The queued chips, oldest first.
-    pub(crate) fn queued(&self) -> Vec<usize> {
-        self.state().chips.iter().copied().collect()
-    }
-
-    /// Poisons the queue's lock, as a panic inside its critical
-    /// section would.
-    pub(crate) fn poison(&self) {
-        let _ = std::panic::catch_unwind(|| {
-            let _state = self.state.lock();
-            panic!("poisoning the run queue");
-        });
-        assert!(self.state.is_poisoned());
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn the_run_queue_pops_the_oldest_chip_first() {
-        let run = RunQueue::default();
-        run.push(&[7, 9]);
-        run.push(&[]);
-        run.push(&[3]);
-        let popped: Vec<_> = std::iter::from_fn(|| run.pop(false)).collect();
-        assert_eq!(popped, [7, 9, 3]);
-        assert_eq!(run.pop(false), None, "an empty queue does not block");
-    }
-
-    #[test]
-    fn a_push_wakes_a_parked_executor() {
-        let run = RunQueue::default();
-        std::thread::scope(|scope| {
-            let parked = scope.spawn(|| run.pop(true));
-            run.push(&[5]);
-            assert_eq!(parked.join().unwrap(), Some(5));
-        });
-    }
-
-    #[test]
-    fn shutdown_drains_before_stopping() {
-        let run = RunQueue::default();
-        run.push(&[3]);
-        run.shutdown();
-        // Queued chips are still served after shutdown.
-        assert_eq!(run.pop(true), Some(3));
-        assert_eq!(run.pop(true), None);
-    }
-
-    #[test]
-    fn a_poisoned_run_queue_keeps_its_chips() {
-        let run = RunQueue::default();
-        run.push(&[1, 2]);
-        run.poison();
-        run.push(&[4]);
-        assert_eq!(run.queued(), [1, 2, 4]);
-        run.shutdown();
-        assert_eq!(run.pop(true), Some(1));
-    }
 }

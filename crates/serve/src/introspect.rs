@@ -1,16 +1,15 @@
 //! Runtime introspection counters for the shard pool.
 //!
 //! [`RuntimeStats`] is the shared atomic scoreboard every layer of the
-//! sharded runtime feeds: shards count the slices they run, owned when
-//! the chip's home shard (`chip % workers`) ran it and stolen
-//! otherwise, and the logs they have sent that the pump has not yet
-//! received (whose high-water mark is the lane occupancy), the
-//! coordinator counts the slices it runs itself while it waits on
-//! the shards, the pump counts receipts and tracks chip ownership
-//! churn, the decision loop counts grants and (when obs is armed) its
-//! own wall-clock latency, and cells record command-queue depth
-//! high-water marks. A pool with no workers (the in-line coordinator)
-//! credits every slice to the coordinator and publishes no section.
+//! sharded runtime feeds: shards count the slices they run and the
+//! logs they have sent that the pump has not yet received (whose
+//! high-water mark is the lane occupancy), the coordinator counts the
+//! slices it runs itself while it waits on the shards, the pump counts
+//! receipts, the decision loop counts grants and (when obs is armed)
+//! its own wall-clock latency, and the pool records each chip's
+//! command-queue depth high-water mark. A pool with no workers (the
+//! in-line coordinator) credits every slice to the coordinator and
+//! publishes no section.
 //!
 //! Everything here is **live execution state** — which shard ran which
 //! slice, how deep a queue got, how long a decision took — and is
@@ -28,21 +27,12 @@ use vsmooth_obs::{LatencyStats, ShardStatus, ShardsStatus};
 /// Per-executor execution counters.
 #[derive(Debug, Default)]
 pub(crate) struct ShardCounters {
-    /// Slices of chips whose home shard (`chip % workers`) is this
-    /// executor.
-    pub owned: AtomicU64,
-    /// Slices of chips homed on another shard.
-    pub stolen: AtomicU64,
+    /// Slices the executor ran.
+    pub slices: AtomicU64,
     /// Slice logs the executor has made that the pump has not received.
     pub in_flight: AtomicU64,
     /// High-water mark of `in_flight`: the shard's lane occupancy.
     pub lane_hwm: AtomicU64,
-}
-
-impl ShardCounters {
-    fn slices(&self) -> u64 {
-        self.owned.load(Ordering::Relaxed) + self.stolen.load(Ordering::Relaxed)
-    }
 }
 
 /// The shared introspection scoreboard of one service run.
@@ -54,9 +44,6 @@ pub(crate) struct RuntimeStats {
     pub executors: Vec<ShardCounters>,
     /// Per-chip command-queue depth high-water marks.
     pub cell_queue_hwm: Vec<AtomicU64>,
-    /// Times a chip's slice ran on a different executor than its
-    /// previous slice.
-    pub ownership_churn: AtomicU64,
     /// Quantum grants issued by the decision loop.
     pub grants: AtomicU64,
     /// Epochs the decision loop has finished deciding.
@@ -74,7 +61,6 @@ impl RuntimeStats {
         Self {
             executors: (0..=shards).map(|_| ShardCounters::default()).collect(),
             cell_queue_hwm: (0..chips).map(|_| AtomicU64::new(0)).collect(),
-            ownership_churn: AtomicU64::new(0),
             grants: AtomicU64::new(0),
             epochs_decided: AtomicU64::new(0),
             decision_count: AtomicU64::new(0),
@@ -83,18 +69,11 @@ impl RuntimeStats {
         }
     }
 
-    /// Credits one executed slice of chip `chip` to executor `me`,
-    /// owned when `me` is the chip's home shard (`chip % shards`; a pool
-    /// with no workers owns every chip) and stolen otherwise, and counts
-    /// its log in flight until the pump receives it.
-    pub(crate) fn record_slice(&self, me: usize, chip: usize) {
-        let shards = self.executors.len() - 1;
+    /// Credits one executed slice to executor `me` and counts its log
+    /// in flight until the pump receives it.
+    pub(crate) fn record_slice(&self, me: usize) {
         let counters = &self.executors[me];
-        if chip % shards.max(1) == me {
-            counters.owned.fetch_add(1, Ordering::Relaxed);
-        } else {
-            counters.stolen.fetch_add(1, Ordering::Relaxed);
-        }
+        counters.slices.fetch_add(1, Ordering::Relaxed);
         let in_flight = counters.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
         counters.lane_hwm.fetch_max(in_flight, Ordering::Relaxed);
     }
@@ -111,9 +90,12 @@ impl RuntimeStats {
         self.decision_max_us.fetch_max(micros, Ordering::Relaxed);
     }
 
-    /// Total slices executed across every executor, owned and stolen.
+    /// Total slices executed across every executor.
     pub(crate) fn slices_total(&self) -> u64 {
-        self.executors.iter().map(ShardCounters::slices).sum()
+        self.executors
+            .iter()
+            .map(|counters| counters.slices.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Snapshots the scoreboard into the published obs section: one
@@ -130,8 +112,7 @@ impl RuntimeStats {
             .enumerate()
             .map(|(i, counters)| ShardStatus {
                 shard: i,
-                slices_owned: counters.owned.load(Ordering::Relaxed),
-                slices_stolen: counters.stolen.load(Ordering::Relaxed),
+                slices: counters.slices.load(Ordering::Relaxed),
                 lane_occupancy_hwm: counters.lane_hwm.load(Ordering::Relaxed),
                 stream_dropped: 0,
             })
@@ -139,13 +120,12 @@ impl RuntimeStats {
         let epochs_decided = self.epochs_decided.load(Ordering::Relaxed);
         ShardsStatus {
             shards,
-            coordinator_slices: coordinator.slices(),
+            coordinator_slices: coordinator.slices.load(Ordering::Relaxed),
             cell_queue_hwm: self
                 .cell_queue_hwm
                 .iter()
                 .map(|hwm| hwm.load(Ordering::Relaxed))
                 .collect(),
-            ownership_churn: self.ownership_churn.load(Ordering::Relaxed),
             grants: self.grants.load(Ordering::Relaxed),
             epochs_decided,
             merge_lag_epochs: epochs_decided.saturating_sub(epochs_merged),
@@ -163,21 +143,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slices_reconcile_across_origins() {
+    fn slices_reconcile_across_executors() {
         let stats = RuntimeStats::new(2, 3);
-        // Chips 0 and 2 are homed on shard 0, chip 1 on shard 1.
-        stats.record_slice(0, 0);
-        stats.record_slice(0, 2);
-        stats.record_slice(1, 0);
+        stats.record_slice(0);
+        stats.record_slice(0);
+        stats.record_slice(1);
         stats.record_receipt(0);
-        stats.record_slice(0, 0);
-        // Executor 2 is the coordinator, the home of no chip.
-        stats.record_slice(2, 1);
+        stats.record_slice(0);
+        // Executor 2 is the coordinator.
+        stats.record_slice(2);
         assert_eq!(stats.slices_total(), 5);
         let status = stats.status(0);
         assert_eq!(status.shards.len(), 2, "one entry per shard");
-        assert_eq!(status.shards[0].slices_owned, 3);
-        assert_eq!(status.shards[1].slices_stolen, 1);
+        assert_eq!(status.shards[0].slices, 3);
+        assert_eq!(status.shards[1].slices, 1);
         assert_eq!(status.coordinator_slices, 1);
         // Two of shard 0's logs were in flight at once, never three.
         assert_eq!(status.shards[0].lane_occupancy_hwm, 2);

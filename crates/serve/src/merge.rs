@@ -28,9 +28,10 @@
 //! single documented exception is the live shard-runtime section
 //! ([`ObsSnapshot::shards`](vsmooth_obs::ObsSnapshot)): per-shard
 //! counters read from the [`RuntimeStats`] scoreboard at publish time,
-//! whose owned/stolen split, queue high-water marks and wall-clock latencies
-//! are execution-dependent by design — only the total slice count
-//! reconciles deterministically (`tests/shard_stress.rs`).
+//! whose per-executor slice counts, queue high-water marks and
+//! wall-clock latencies are execution-dependent by design — only the
+//! total slice count reconciles deterministically
+//! (`tests/shard_stress.rs`).
 //!
 //! The script records each decision once; the replay derives the
 //! audit from it ([`epoch_decisions`](crate::audit::epoch_decisions))

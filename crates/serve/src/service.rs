@@ -15,13 +15,13 @@
 //!   and arms no instrument.
 //! * **The shard pool** (`crate::shard`) advances clones of the chips
 //!   the service warmed up once, on its first run: on long-lived shard
-//!   workers that pop granted chips off one run queue, or, with no
+//!   workers that claim granted chips from one pool, or, with no
 //!   workers, in-line on this thread on the reference step (the
 //!   coordinator, see [`RuntimeMode`]). Either way it returns one
 //!   `SliceLog` per granted slice. With workers, this thread is an
 //!   executor too: whenever the loop must wait for a slice log, it
-//!   pops and runs a queued slice itself instead of sleeping, so on one
-//!   shard the kernel runs on two threads.
+//!   claims and runs a runnable slice itself instead of sleeping, so on
+//!   one shard the kernel runs on two threads.
 //! * **The merge layer** (`crate::merge`) is the run's one artifact
 //!   owner: it arms the registry, profiler, monitor and audit ring,
 //!   decides the captures the pool drains for them, and replays epoch
@@ -302,8 +302,8 @@ impl Service {
     /// Runs `jobs` to completion under `policy` and reports. `workers`
     /// sizes the shard pool per [`ServiceConfig::runtime`]: with the
     /// default [`RuntimeMode::Auto`], `workers >= 2` runs one
-    /// long-lived shard worker per count (every worker pops granted
-    /// chips off one run queue), while `workers <= 1`
+    /// long-lived shard worker per count (every worker claims granted
+    /// chips from one pool), while `workers <= 1`
     /// advances chips in-line on the calling thread.
     ///
     /// # Errors
@@ -1032,12 +1032,7 @@ mod tests {
         // exactly with the deterministic slice counter.
         let shards = last.shards.as_ref().expect("sharded run publishes /shards");
         assert_eq!(
-            shards
-                .shards
-                .iter()
-                .map(|s| s.slices_owned + s.slices_stolen)
-                .sum::<u64>()
-                + shards.coordinator_slices,
+            shards.shards.iter().map(|s| s.slices).sum::<u64>() + shards.coordinator_slices,
             observed.snapshot.counter("serve_slices_total")
         );
         assert_eq!(last.health.as_ref().map(|h| h.epochs), Some(health.epochs));

@@ -1,24 +1,33 @@
 //! The service's executor: chips packaged as self-contained cells in
 //! one pool, advanced slice by slice for the decision loop.
 //!
-//! Each chip has two locks. Its command queue ([`CellCmd`]) has a lock
-//! of its own, taken only to push or pop one command, so a placement or
-//! grant never waits for a slice; the same lock keeps the chip's place
-//! in the claim protocol below. The cell lock is the execution lock:
-//! the executor holding it owns the chip, pops its queued commands in
-//! FIFO order and runs its slice.
+//! The pool has one lock and one condvar. Under the lock, each chip's
+//! slot holds its queued commands ([`CellCmd`]) in FIFO order, its
+//! grant count, its place in the claim protocol below and, while no
+//! executor has claimed the chip, its cell; beside the slots sit the
+//! FIFO of runnable chips, the count of parked executors and the
+//! shutdown flag. No critical section runs a slice, so a placement or a
+//! grant never waits for one.
 //!
-//! Every executor runs one step: pop a runnable chip off the pool's
-//! [`RunQueue`], take its cell, install the placements queued ahead of
-//! the chip's next grant, run that one slice, release the cell, and put
-//! the chip back on the queue if another grant waits. A chip is
-//! *scheduled* from the grant that queues it until the step that finds
-//! no grant left, and it is on the queue at most once, so no two
-//! executors ever hold it: its cell is free by construction, and no
-//! executor waits for a cell lock. Three hosts drive the step:
+//! Every executor runs one step, in three parts:
+//!
+//! * **claim**, one critical section: pop the oldest runnable chip,
+//!   take its cell out of its slot, and pop its commands through its
+//!   next grant;
+//! * **slice**, with no lock held: install the placements and run the
+//!   granted slice;
+//! * **release**, one critical section: put the cell back, and make the
+//!   chip runnable again only if another grant waits.
+//!
+//! A chip is *scheduled* from the grant that makes it runnable until the
+//! release that finds no grant left, and it is runnable at most once, so
+//! no two executors ever claim it: the executor holding the claim owns
+//! the chip's cell outright. A runnable chip with no grant queued, or
+//! whose cell is claimed, is a protocol bug, and its claim panics once
+//! the lock is dropped. Three hosts drive the step:
 //!
 //! * with one or more workers, long-lived shard threads, which block
-//!   while the queue is empty, run the lean fused step
+//!   while nothing is runnable, run the lean fused step
 //!   ([`ChipSession::run_slice_fast`]) and send each [`SliceLog`] back
 //!   over the pool's one channel. A shard that panics sends
 //!   [`ShardEvent::Panicked`] on its way out, so the run ends with
@@ -27,8 +36,8 @@
 //! * the waiting coordinator: before [`ShardPool::wait_through`] would
 //!   block on the channel, it steps without blocking, as executor
 //!   `workers`, on the same fused step, filing each log as it makes it;
-//! * with no workers, [`ShardPool::grant`], which steps until the queue
-//!   is empty, on the historical dyn-dispatch reference step, so every
+//! * with no workers, [`ShardPool::grant`], which steps until nothing
+//!   is runnable, on the historical dyn-dispatch reference step, so every
 //!   log is in before it returns and the merge runs in lockstep with
 //!   the decision loop: the in-line coordinator, the byte oracle
 //!   `tests/shard_equivalence.rs` holds the shard runtime to.
@@ -46,10 +55,10 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-use crate::control::{CellCmd, CellJob, RunQueue, ShardEvent, SliceLog};
+use crate::control::{CellCmd, CellJob, ShardEvent, SliceLog};
 use crate::introspect::RuntimeStats;
 use crate::ServeError;
 use vsmooth_chip::{
@@ -59,7 +68,7 @@ use vsmooth_uarch::{IdleLoop, StimulusSource};
 
 /// One pool member: a warmed-up measurement session plus whatever is
 /// running on its two cores. Cells own their chips end-to-end; only
-/// the executor holding the cell lock (a shard or the coordinator)
+/// the executor holding the chip's claim (a shard or the coordinator)
 /// touches them.
 #[derive(Debug)]
 pub(crate) struct ChipCell {
@@ -214,12 +223,11 @@ pub(crate) struct DrainPlan {
 }
 
 /// Runs chip `chip`'s slice for `epoch` on `cell`, on the pool's step,
-/// and packages the log, stamped `seq` by executor `me`.
+/// and packages the log as executor `me`'s.
 fn exec_slice(
     cell: &mut ChipCell,
     shared: &PoolShared,
     me: usize,
-    seq: u64,
     epoch: u64,
     chip: usize,
 ) -> Result<SliceLog, ChipError> {
@@ -248,7 +256,6 @@ fn exec_slice(
     let finished = cell.pop_finished();
     Ok(SliceLog {
         shard: me,
-        seq,
         epoch,
         chip,
         session_start,
@@ -260,31 +267,125 @@ fn exec_slice(
     })
 }
 
-/// Chip `chip`'s pending commands and its place in the claim protocol,
-/// under one lock, held for one push or pop.
+/// One chip's slot in the pool state: its pending commands, its place
+/// in the claim protocol and, while no executor has claimed the chip,
+/// its cell.
 #[derive(Debug, Default)]
-struct ChipQueue {
+struct ChipSlot {
     /// The commands, oldest first.
     cmds: VecDeque<CellCmd>,
     /// Grants among `cmds`: slices granted and not yet claimed.
     grants: usize,
-    /// The chip is on the run queue or an executor holds it. A grant
-    /// queues the chip only while this is unset, and the executor that
-    /// ran one of its slices unsets it once no grant is left.
+    /// The chip is runnable or claimed. A grant makes the chip runnable
+    /// only while this is unset, and the release that finds no grant
+    /// left unsets it.
     scheduled: bool,
+    /// The chip's cell, out of its slot exactly while an executor holds
+    /// the chip's claim.
+    cell: Option<Box<ChipCell>>,
+}
+
+impl ChipSlot {
+    /// Takes chip `chip`'s claim: its cell, and its commands through its
+    /// next grant. Takes nothing if no grant is queued or the cell is
+    /// already claimed.
+    fn take_claim(&mut self, chip: usize) -> Option<Claim> {
+        if self.grants == 0 {
+            return None;
+        }
+        let cell = self.cell.take()?;
+        self.grants -= 1;
+        let mut placements = Vec::new();
+        loop {
+            match self.cmds.pop_front()? {
+                CellCmd::AddJob { core, job } => placements.push((core, job)),
+                CellCmd::Grant { epoch } => {
+                    return Some(Claim {
+                        chip,
+                        epoch,
+                        cell,
+                        placements,
+                    })
+                }
+            }
+        }
+    }
+}
+
+/// Everything behind the pool's one lock.
+#[derive(Debug, Default)]
+struct PoolState {
+    chips: Vec<ChipSlot>,
+    /// The scheduled chips no executor has claimed, oldest first.
+    runnable: VecDeque<usize>,
+    /// Executors parked in a blocking claim.
+    parked: usize,
+    shutdown: bool,
+}
+
+impl PoolState {
+    /// Queues `cmd` at chip `chip` and returns the depth its queue
+    /// reached. A grant to a chip nobody has scheduled makes it
+    /// runnable.
+    fn push(&mut self, chip: usize, cmd: CellCmd) -> usize {
+        let slot = &mut self.chips[chip];
+        if let CellCmd::Grant { .. } = cmd {
+            slot.grants += 1;
+            if !std::mem::replace(&mut slot.scheduled, true) {
+                self.runnable.push_back(chip);
+            }
+        }
+        slot.cmds.push_back(cmd);
+        slot.cmds.len()
+    }
+}
+
+/// An executor's claim on one chip, from claim to release: the chip's
+/// cell, which the executor owns meanwhile, the placements queued ahead
+/// of the grant, and the grant's epoch.
+#[derive(Debug)]
+struct Claim {
+    chip: usize,
+    epoch: u64,
+    cell: Box<ChipCell>,
+    placements: Vec<(usize, Box<CellJob>)>,
+}
+
+impl Claim {
+    /// The slice part of a step, with no lock held: installs the
+    /// placements and runs the granted slice as executor `me`, handing
+    /// its log to `emit`. Returns `false` once the slice failed; the
+    /// executor stops there.
+    fn run(&mut self, shared: &PoolShared, me: usize, mut emit: impl FnMut(ShardEvent)) -> bool {
+        for (core, job) in std::mem::take(&mut self.placements) {
+            debug_assert!(
+                self.cell.cores[core].is_none(),
+                "placement on occupied core"
+            );
+            self.cell.cores[core] = Some(*job);
+        }
+        match exec_slice(&mut self.cell, shared, me, self.epoch, self.chip) {
+            Ok(log) => {
+                shared.stats.record_slice(me);
+                emit(ShardEvent::Slice(log));
+                true
+            }
+            Err(error) => {
+                emit(ShardEvent::Failed { error });
+                false
+            }
+        }
+    }
 }
 
 /// State shared between the coordinator and the shard workers.
 #[derive(Debug)]
 struct PoolShared {
-    /// Per chip, the execution lock: the executor holding it owns the
-    /// chip for one step.
-    cells: Vec<Mutex<ChipCell>>,
-    /// Per chip, the pending commands and the claim state. Each lock is
-    /// held for one push or one pop, never across a slice.
-    queues: Vec<Mutex<ChipQueue>>,
-    /// The scheduled chips no executor holds, oldest first.
-    run: RunQueue,
+    /// The pool's one lock. Every critical section moves a few pointers
+    /// and counts; none runs a slice.
+    state: Mutex<PoolState>,
+    /// Wakes executors parked in a blocking claim.
+    ready: Condvar,
     /// The live introspection scoreboard, shared with obs publishes.
     /// The per-executor split of slice counts is execution-dependent;
     /// only the sum is deterministic. All determinism-pinned metrics
@@ -304,138 +405,113 @@ enum Step {
     Ran,
     /// Ran a slice that failed and emitted the failure; stop.
     Failed,
-    /// Found the run queue empty (blocking: shut down and drained).
+    /// Found no runnable chip (blocking: shut down and drained).
     Idle,
-    /// Popped this chip, whose cell refused `try_lock`: a panic poisoned
-    /// it, and only a test or a broken protocol queues such a chip.
-    Refused(usize),
 }
 
 impl PoolShared {
-    /// Chip `chip`'s queue. Nothing panics while holding it, so a
-    /// poisoned queue still holds whole commands and a true count.
-    fn queue(&self, chip: usize) -> MutexGuard<'_, ChipQueue> {
-        self.queues[chip]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+    /// The pool state. Nothing panics while holding its lock, so a
+    /// poisoned one still holds whole commands and true counts.
+    fn state(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Queues `cmd` at chip `chip`, records the depth the queue reached,
-    /// and returns whether the chip must go on the run queue: a grant
-    /// schedules a chip no executor has scheduled. Only the queue lock
-    /// is taken, so a push never waits for a slice, nor for a poisoned
-    /// cell, whose dead shard never released its chip.
-    fn push_cmd(&self, chip: usize, cmd: CellCmd) -> bool {
-        let mut queue = self.queue(chip);
-        let mut runnable = false;
-        if let CellCmd::Grant { .. } = cmd {
-            queue.grants += 1;
-            runnable = !queue.scheduled;
-            queue.scheduled = true;
-        }
-        queue.cmds.push_back(cmd);
-        let depth = queue.cmds.len() as u64;
-        drop(queue);
-        self.stats.cell_queue_hwm[chip].fetch_max(depth, Ordering::Relaxed);
-        runnable
+    /// Queues a placement at chip `chip` and records the depth its queue
+    /// reached.
+    fn place(&self, chip: usize, core: usize, job: Box<CellJob>) {
+        let depth = self.state().push(chip, CellCmd::AddJob { core, job });
+        self.stats.cell_queue_hwm[chip].fetch_max(depth as u64, Ordering::Relaxed);
     }
 
-    /// Queues a grant for `epoch` at each chip in `busy` and puts the
-    /// chips this schedules on the run queue, in `busy` order.
+    /// Queues a grant for `epoch` at each chip in `busy`, in one critical
+    /// section that makes each chip nobody has scheduled runnable, in
+    /// `busy` order, then wakes one parked executor per chip it made
+    /// runnable, no more than are parked.
     fn grant(&self, epoch: u64, busy: &[usize]) {
-        let mut runnable = Vec::new();
+        let mut state = self.state();
+        let runnable = state.runnable.len();
         for &chip in busy {
-            if self.push_cmd(chip, CellCmd::Grant { epoch }) {
-                runnable.push(chip);
+            let depth = state.push(chip, CellCmd::Grant { epoch });
+            self.stats.cell_queue_hwm[chip].fetch_max(depth as u64, Ordering::Relaxed);
+        }
+        let wakes = (state.runnable.len() - runnable).min(state.parked);
+        drop(state);
+        for _ in 0..wakes {
+            self.ready.notify_one();
+        }
+    }
+
+    /// The claim part of a step, one critical section: pops the oldest
+    /// runnable chip, takes its cell and pops its commands through its
+    /// next grant. With `block`, waits while nothing is runnable and
+    /// returns `None` only once the pool is shut down and drained;
+    /// without, returns `None` whenever nothing is runnable. A runnable
+    /// chip with no grant queued, or whose cell is claimed, is a
+    /// protocol bug: the claim panics, once the lock is dropped.
+    fn claim(&self, block: bool) -> Option<Claim> {
+        let mut state = self.state();
+        let chip = loop {
+            if let Some(chip) = state.runnable.pop_front() {
+                break chip;
             }
-        }
-        self.run.push(&runnable);
-    }
-
-    /// Pops chip `chip`'s oldest command. The guard never leaves this
-    /// function, so no executor holds the queue lock across a slice and
-    /// a push never waits for one.
-    fn pop_cmd(&self, chip: usize) -> Option<CellCmd> {
-        let mut queue = self.queue(chip);
-        let cmd = queue.cmds.pop_front();
-        if let Some(CellCmd::Grant { .. }) = cmd {
-            queue.grants -= 1;
-        }
-        cmd
-    }
-
-    /// Ends a step on chip `chip`, after its cell is released: puts the
-    /// chip back on the run queue if another grant waits, and otherwise
-    /// unschedules it, so the next grant queues it.
-    fn release(&self, chip: usize) {
-        let requeue = {
-            let mut queue = self.queue(chip);
-            queue.scheduled = queue.grants > 0;
-            queue.scheduled
+            if !block || state.shutdown {
+                return None;
+            }
+            state.parked += 1;
+            state = self
+                .ready
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            state.parked -= 1;
         };
-        if requeue {
-            self.run.push(&[chip]);
+        let claim = state.chips[chip].take_claim(chip);
+        drop(state);
+        Some(claim.unwrap_or_else(|| {
+            panic!("chip {chip} was runnable with no grant queued or its cell claimed")
+        }))
+    }
+
+    /// The release part of a step, one critical section: puts the cell
+    /// back and, if another grant waits, makes the chip runnable again
+    /// and wakes a parked executor for it; otherwise unschedules the
+    /// chip, so the next grant makes it runnable.
+    fn release(&self, claim: Claim) {
+        let mut guard = self.state();
+        let state = &mut *guard;
+        let slot = &mut state.chips[claim.chip];
+        slot.cell = Some(claim.cell);
+        slot.scheduled = slot.grants > 0;
+        if slot.scheduled {
+            state.runnable.push_back(claim.chip);
+        }
+        let wake = slot.scheduled && state.parked > 0;
+        drop(guard);
+        if wake {
+            self.ready.notify_one();
         }
     }
 
-    /// One executor step, the only routine a host drives: pops a
-    /// runnable chip (waiting for one if `block`), takes its cell, runs
-    /// the chip's next slice as executor `me` through [`drain_cell`],
-    /// handing the outcome to `emit`, and releases the cell and the
-    /// chip. The cell lock is only ever tried: no other executor holds
-    /// a scheduled chip's cell.
-    fn step(&self, me: usize, block: bool, seq: &mut u64, emit: impl FnMut(ShardEvent)) -> Step {
-        let Some(chip) = self.run.pop(block) else {
+    /// One executor step, the only routine a host drives: claims a
+    /// runnable chip (waiting for one if `block`), runs its slice as
+    /// executor `me` with no lock held, handing the outcome to `emit`,
+    /// and releases the chip. An executor whose slice failed keeps its
+    /// claim; the run ends on the failure.
+    fn step(&self, me: usize, block: bool, emit: impl FnMut(ShardEvent)) -> Step {
+        let Some(mut claim) = self.claim(block) else {
             return Step::Idle;
         };
-        let Ok(mut cell) = self.cells[chip].try_lock() else {
-            return Step::Refused(chip);
-        };
-        if !drain_cell(self, &mut cell, me, chip, seq, emit) {
+        if !claim.run(self, me, emit) {
             return Step::Failed;
         }
-        drop(cell);
-        self.release(chip);
+        self.release(claim);
         Step::Ran
     }
-}
 
-/// Serves one step on chip `chip`, as executor `me`, on `cell`, whose
-/// execution lock the executor holds: pops the chip's commands in FIFO
-/// order, installing placed jobs, up to and including one grant, whose
-/// slice it runs and hands to `emit`. Returns `false` once a slice
-/// failed; the executor stops there.
-fn drain_cell(
-    shared: &PoolShared,
-    cell: &mut ChipCell,
-    me: usize,
-    chip: usize,
-    seq: &mut u64,
-    mut emit: impl FnMut(ShardEvent),
-) -> bool {
-    while let Some(cmd) = shared.pop_cmd(chip) {
-        match cmd {
-            CellCmd::AddJob { core, job } => {
-                debug_assert!(cell.cores[core].is_none(), "placement on occupied core");
-                cell.cores[core] = Some(*job);
-            }
-            CellCmd::Grant { epoch } => {
-                return match exec_slice(cell, shared, me, *seq, epoch, chip) {
-                    Ok(log) => {
-                        shared.stats.record_slice(me, chip);
-                        *seq += 1;
-                        emit(ShardEvent::Slice(log));
-                        true
-                    }
-                    Err(error) => {
-                        emit(ShardEvent::Failed { error });
-                        false
-                    }
-                };
-            }
-        }
+    /// Lets every executor drain what is runnable and stop.
+    fn shutdown(&self) {
+        self.state().shutdown = true;
+        self.ready.notify_all();
     }
-    true
 }
 
 /// A shard's sending end of the pool's channel. Dropped while the
@@ -455,28 +531,21 @@ impl Drop for Lane {
     }
 }
 
-/// The body of one shard worker: step, blocking while the run queue is
-/// empty, until shutdown drains it or a slice fails, and send each
-/// outcome to the coordinator. A send fails only once the pool is gone,
-/// and then nobody is owed the log. A shard panics on a cell that
-/// refuses its lock, which its [`Lane`] reports.
+/// The body of one shard worker: step, blocking while nothing is
+/// runnable, until shutdown drains the pool or a slice fails, and send
+/// each outcome to the coordinator. A send fails only once the pool is
+/// gone, and then nobody is owed the log. A claim that breaks the
+/// protocol panics, which the shard's [`Lane`] reports.
 fn shard_main(lane: Lane, shared: &PoolShared) {
-    let mut seq = 0u64;
-    loop {
-        let step = shared.step(lane.me, true, &mut seq, |event| {
-            let _ = lane.tx.send(event);
-        });
-        match step {
-            Step::Ran => {}
-            Step::Failed | Step::Idle => return,
-            Step::Refused(chip) => panic!("chip {chip}'s cell refused its lock"),
-        }
-    }
+    while shared.step(lane.me, true, |event| {
+        let _ = lane.tx.send(event);
+    }) == Step::Ran
+    {}
 }
 
 /// The service's one executor: the chip pool plus `workers` long-lived
 /// shard threads that own it for the duration of a run, or none, and
-/// the coordinator that drains cells while it waits (see the module
+/// the coordinator that runs slices while it waits (see the module
 /// docs).
 #[derive(Debug)]
 pub(crate) struct ShardPool {
@@ -490,16 +559,6 @@ pub(crate) struct ShardPool {
     outstanding: BTreeSet<(u64, usize)>,
     /// Logs received but not yet consumed by the merge layer.
     received: BTreeMap<(u64, usize), SliceLog>,
-    /// Next expected per-executor sequence number: one `Sender`'s
-    /// messages arrive in the order it sent them, and each executor
-    /// stamps its slices 0, 1, 2, … — so logs must arrive in exactly
-    /// that order per executor. Slot `workers` is the coordinator's,
-    /// which files its logs as it makes them, so its slot is also its
-    /// next stamp.
-    next_seq: Vec<u64>,
-    /// Chip index → executor that ran its previous slice, for the
-    /// ownership-churn introspection counter.
-    last_executor: Vec<Option<usize>>,
     /// The first failure received; every later call returns it.
     failure: Option<ServeError>,
 }
@@ -514,15 +573,20 @@ impl ShardPool {
         slice_cycles: u64,
         drain: DrainPlan,
     ) -> Self {
-        let cells = warmed
+        let chips = warmed
             .iter()
             .enumerate()
-            .map(|(index, session)| Mutex::new(ChipCell::new(session.clone(), index, &drain)))
+            .map(|(index, session)| ChipSlot {
+                cell: Some(Box::new(ChipCell::new(session.clone(), index, &drain))),
+                ..ChipSlot::default()
+            })
             .collect();
         let shared = Arc::new(PoolShared {
-            cells,
-            queues: warmed.iter().map(|_| Mutex::default()).collect(),
-            run: RunQueue::default(),
+            state: Mutex::new(PoolState {
+                chips,
+                ..PoolState::default()
+            }),
+            ready: Condvar::new(),
             stats,
             slice_cycles,
             drain,
@@ -545,22 +609,19 @@ impl ShardPool {
             events,
             outstanding: BTreeSet::new(),
             received: BTreeMap::new(),
-            next_seq: vec![0; workers + 1],
-            last_executor: vec![None; warmed.len()],
             failure: None,
         }
     }
 
-    /// Queues a placement at its chip cell.
+    /// Queues a placement at its chip.
     pub(crate) fn add_job(&mut self, chip: usize, core: usize, job: CellJob) {
-        let job = Box::new(job);
-        self.shared.push_cmd(chip, CellCmd::AddJob { core, job });
+        self.shared.place(chip, core, Box::new(job));
     }
 
     /// Grants `busy` chips one quantum for `epoch`: queues a grant at
-    /// each cell and puts each chip no executor has scheduled on the run
-    /// queue. With no workers, steps here until the queue is empty, so
-    /// every log is received before this returns.
+    /// each chip and makes each chip nobody has scheduled runnable. With
+    /// no workers, steps here until nothing is runnable, so every log is
+    /// received before this returns.
     pub(crate) fn grant(&mut self, epoch: u64, busy: &[usize]) -> Result<(), ServeError> {
         self.outstanding
             .extend(busy.iter().map(|&chip| (epoch, chip)));
@@ -575,20 +636,10 @@ impl ShardPool {
     /// Runs one step on this thread without blocking, as executor
     /// `workers` (executor 0 of a pool with no workers), filing what it
     /// emits straight into `receive`. Returns whether it ran a slice.
-    /// It never waits for a cell lock nor unwraps one: a refused chip
-    /// goes back on the run queue for a shard, whose panic ends the run.
     fn help(&mut self) -> bool {
         let shared = Arc::clone(&self.shared);
         let me = self.handles.len();
-        let mut seq = self.next_seq[me];
-        match shared.step(me, false, &mut seq, |event| self.receive(event)) {
-            Step::Ran | Step::Failed => true,
-            Step::Idle => false,
-            Step::Refused(chip) => {
-                shared.run.push(&[chip]);
-                false
-            }
-        }
+        shared.step(me, false, |event| self.receive(event)) != Step::Idle
     }
 
     /// Files one executor message: a log joins `received`, a failure
@@ -596,17 +647,7 @@ impl ShardPool {
     fn receive(&mut self, event: ShardEvent) {
         match event {
             ShardEvent::Slice(log) => {
-                debug_assert_eq!(
-                    log.seq, self.next_seq[log.shard],
-                    "an executor's slices arrived out of order"
-                );
-                self.next_seq[log.shard] = log.seq + 1;
-                let stats = &self.shared.stats;
-                stats.record_receipt(log.shard);
-                if self.last_executor[log.chip].is_some_and(|prev| prev != log.shard) {
-                    stats.ownership_churn.fetch_add(1, Ordering::Relaxed);
-                }
-                self.last_executor[log.chip] = Some(log.shard);
+                self.shared.stats.record_receipt(log.shard);
                 self.outstanding.remove(&(log.epoch, log.chip));
                 self.received.insert((log.epoch, log.chip), log);
             }
@@ -637,9 +678,9 @@ impl ShardPool {
     }
 
     /// Blocks until every log for epochs `< bound` has arrived, or
-    /// until a shard reports a failure or a panic. While the run queue
-    /// has a chip, the coordinator steps ([`ShardPool::help`]) instead
-    /// of blocking, so it runs kernel slices while it would otherwise
+    /// until a shard reports a failure or a panic. While a chip is
+    /// runnable, the coordinator steps ([`ShardPool::help`]) instead of
+    /// blocking, so it runs kernel slices while it would otherwise
     /// sleep. A pool whose workers have all exited without
     /// reporting one (or that never had any) panics with a log still
     /// owed instead of blocking forever: that is a runtime bug, not a
@@ -688,7 +729,7 @@ impl ShardPool {
     /// end-of-run flushing (late-sealing droop windows, measured-cycle
     /// totals).
     pub(crate) fn finish(mut self) -> Result<Vec<ChipCell>, ServeError> {
-        self.shared.run.shutdown();
+        self.shared.shutdown();
         for (shard, handle) in std::mem::take(&mut self.handles).into_iter().enumerate() {
             if handle.join().is_err() {
                 self.failure
@@ -701,31 +742,53 @@ impl ShardPool {
         let shared = Arc::clone(&self.shared);
         drop(self);
         let shared = Arc::try_unwrap(shared).expect("all shard handles joined");
+        let state = shared
+            .state
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
         debug_assert!(
-            (0..shared.queues.len()).all(|chip| shared.queue(chip).cmds.is_empty()),
+            state.chips.iter().all(|slot| slot.cmds.is_empty()),
             "commands left undrained at shutdown"
         );
-        // Only a shard's panic poisons a cell, and the pump above has
-        // then returned that shard's failure.
-        Ok(shared
-            .cells
+        // Only an executor that died or failed keeps a claim, and the
+        // pump above has then returned its failure.
+        Ok(state
+            .chips
             .into_iter()
-            .map(|cell| cell.into_inner().expect("cell lock"))
+            .map(|slot| *slot.cell.expect("every claim released"))
             .collect())
     }
 }
 
 /// Early error returns (queue overflow, chip failure) drop the pool
-/// with workers still parked on the run queue; release them and wait,
-/// or they would outlive the run holding the shared state.
+/// with workers still parked in a claim; release them and wait, or
+/// they would outlive the run holding the shared state.
 impl Drop for ShardPool {
     fn drop(&mut self) {
-        self.shared.run.shutdown();
+        self.shared.shutdown();
         for handle in self.handles.drain(..) {
             // A worker that panicked already sent its exit; don't
             // double-panic while unwinding.
             let _ = handle.join();
         }
+    }
+}
+
+#[cfg(test)]
+impl PoolShared {
+    /// The runnable chips, oldest first.
+    fn runnable(&self) -> Vec<usize> {
+        self.state().runnable.iter().copied().collect()
+    }
+
+    /// Poisons the pool lock, as a panic inside a critical section
+    /// would.
+    fn poison(&self) {
+        let _ = std::panic::catch_unwind(|| {
+            let _state = self.state.lock();
+            panic!("poisoning the pool lock");
+        });
+        assert!(self.state.is_poisoned());
     }
 }
 
@@ -775,13 +838,10 @@ mod tests {
             pool.grant(epoch, &busy).unwrap();
             assert!(pool.ready_through(epoch + 1).unwrap(), "epoch {epoch}");
             for chip in busy {
-                let log = pool.log(epoch, chip);
+                let log = pool.take_log(epoch, chip);
                 assert_eq!((log.epoch, log.chip, log.shard), (epoch, chip, 0));
                 assert_eq!(log.stats.cycles, SLICE);
             }
-            // In-line slices are stamped in grant order as executor 0.
-            let seqs: Vec<u64> = busy.iter().map(|&c| pool.take_log(epoch, c).seq).collect();
-            assert_eq!(seqs, [2 * epoch, 2 * epoch + 1]);
         }
         assert_eq!(pool.shared.stats.slices_total(), 6);
         let cells = pool.finish().unwrap();
@@ -821,102 +881,92 @@ mod tests {
             .expect("a shard ended")
     }
 
-    /// Poisons `chip`'s cell the way a shard that panicked holding it
-    /// would.
-    fn poison(shared: &PoolShared, chip: usize) {
-        let _ = std::panic::catch_unwind(|| {
-            let _slot = shared.cells[chip].lock();
-            panic!("poisoning chip {chip}'s cell");
-        });
-        assert!(shared.cells[chip].is_poisoned());
+    /// Makes `chip` runnable with no grant queued, the state only a
+    /// protocol bug reaches, and wakes every parked shard: whichever
+    /// claims the chip panics.
+    fn break_protocol(shared: &PoolShared, chip: usize) {
+        let mut state = shared.state();
+        state.chips[chip].scheduled = true;
+        state.runnable.push_back(chip);
+        drop(state);
+        shared.ready.notify_all();
     }
 
-    /// A shard that panics on a poisoned cell ends the run with a typed
-    /// error naming it, in bounded time, at one worker and at two.
-    /// Chip 0's cell is poisoned before its grant, so whichever shard
-    /// pops it panics; the test reads which one died from the run and
-    /// only then lets the coordinator wait, so the coordinator cannot
-    /// pop chip 0 first.
+    /// Runs `pool.wait_through(bound)` on a thread of its own and
+    /// returns its outcome, failing after ten seconds.
+    fn bounded_wait(mut pool: ShardPool, bound: u64) -> Result<(), ServeError> {
+        let (tx, rx) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let _ = tx.send(pool.wait_through(bound));
+        });
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the wait ended within ten seconds");
+        waiter.join().unwrap();
+        outcome
+    }
+
+    /// A claim that finds no grant panics, and the shard that made it
+    /// ends the run with a typed error naming it, in bounded time, at
+    /// one worker and at two. The test reads which shard died from the
+    /// run, and only then grants and lets the coordinator wait, so the
+    /// grant cannot mend the broken chip first.
     #[test]
     fn a_panicking_shard_ends_the_run_with_shard_failed() {
         for workers in [1, 2] {
             let mut pool = pool(workers, workers);
-            poison(&pool.shared, 0);
+            break_protocol(&pool.shared, 0);
+            let dead = dead_shard(&pool);
             let busy: Vec<usize> = (0..workers).collect();
             pool.grant(0, &busy).unwrap();
-            let dead = dead_shard(&pool);
-            let (tx, rx) = mpsc::channel();
-            let waiter = std::thread::spawn(move || {
-                let _ = tx.send(pool.wait_through(1));
-            });
             assert_eq!(
-                rx.recv_timeout(Duration::from_secs(10)),
-                Ok(Err(ServeError::ShardFailed { shard: dead })),
+                bounded_wait(pool, 1),
+                Err(ServeError::ShardFailed { shard: dead }),
                 "{workers} workers"
             );
-            waiter.join().unwrap();
         }
     }
 
-    /// A grant that reaches the cell a dead shard poisoned queues its
-    /// command instead of panicking the caller. The shard never released
-    /// chip 0, so the chip stays scheduled and off the run queue: the
-    /// dead shard strands only the chip it held. The wait ends with that
-    /// shard's typed failure, at one worker and at two.
+    /// A grant to the chip a dead shard stranded only queues: the chip
+    /// stays scheduled and never runnable again, so nothing claims it,
+    /// and the grant does not panic the caller. The wait ends with the
+    /// dead shard's typed failure, at one worker and at two.
     #[test]
-    fn a_grant_to_a_poisoned_cell_ends_the_run_with_shard_failed() {
+    fn a_grant_to_a_stranded_chip_ends_the_run_with_shard_failed() {
         for workers in [1, 2] {
             let mut pool = pool(2, workers);
-            let shared = Arc::clone(&pool.shared);
-            poison(&shared, 0);
-            pool.grant(0, &[0]).unwrap();
+            break_protocol(&pool.shared, 0);
             let dead = dead_shard(&pool);
+            pool.grant(0, &[0]).unwrap();
             pool.grant(1, &[0, 1]).unwrap();
             {
-                let queue = shared.queue(0);
-                assert!(queue.scheduled, "the dead shard still holds chip 0");
-                assert_eq!(queue.grants, 2, "both of chip 0's grants are queued");
+                let state = pool.shared.state();
+                let slot = &state.chips[0];
+                assert!(slot.scheduled, "chip 0 is still scheduled");
+                assert_eq!(slot.grants, 2, "both of chip 0's grants are queued");
+                assert!(!state.runnable.contains(&0), "chip 0 is not runnable");
             }
-            assert!(!shared.run.queued().contains(&0), "chip 0 is not queued");
-            let (tx, rx) = mpsc::channel();
-            let waiter = std::thread::spawn(move || {
-                let _ = tx.send(pool.wait_through(2));
-            });
             assert_eq!(
-                rx.recv_timeout(Duration::from_secs(10)),
-                Ok(Err(ServeError::ShardFailed { shard: dead })),
+                bounded_wait(pool, 2),
+                Err(ServeError::ShardFailed { shard: dead }),
                 "{workers} workers"
             );
-            waiter.join().unwrap();
         }
     }
 
-    /// The coordinator never unwraps a cell lock: in a pool with no
-    /// workers, a grant to a poisoned cell returns without running it
-    /// and puts the chip back on the run queue, its log still owed.
-    #[test]
-    fn the_coordinator_puts_a_poisoned_cell_back_instead_of_running_it() {
-        let mut pool = inline_pool(2);
-        poison(&pool.shared, 0);
-        assert_eq!(pool.grant(0, &[0, 1]), Ok(()));
-        assert_eq!(pool.shared.run.queued(), [1, 0]);
-        assert!(pool.received.is_empty(), "no slice ran");
-        assert_eq!(pool.outstanding.len(), 2);
-    }
-
-    /// A placement and a grant take only the chip's queue lock and the
-    /// run queue's, so neither waits for the slice an executor is
-    /// running on the cell. The test acts as the executor that popped
-    /// chip 0 for epoch 0 and holds its cell mid-slice, while a helper
+    /// A placement and a grant take only the pool lock, which no claim
+    /// holds, so neither waits for a claimed chip's slice. The test
+    /// claims chip 0 for epoch 0 and holds the claim while a helper
     /// thread places a job there and grants both chips. Once the test
-    /// lets the chip go, with grants left, it is queued again.
+    /// runs and releases its claim, with a grant left, the chip is
+    /// runnable again and the wait brings in every log.
     #[test]
-    fn a_grant_never_waits_for_a_running_slice() {
-        let mut pool = pool(2, 1);
+    fn a_grant_never_waits_for_a_held_claim() {
+        let mut pool = inline_pool(2);
         let shared = Arc::clone(&pool.shared);
-        assert!(shared.push_cmd(0, CellCmd::Grant { epoch: 0 }));
+        shared.grant(0, &[0]);
         pool.outstanding.insert((0, 0));
-        let held = shared.cells[0].lock().unwrap();
+        let mut claim = shared.claim(false).expect("chip 0 is runnable");
         let (tx, rx) = mpsc::channel();
         let granter = std::thread::spawn(move || {
             pool.add_job(0, 0, job(0));
@@ -925,10 +975,14 @@ mod tests {
             pool
         });
         let granted = rx.recv_timeout(Duration::from_secs(10));
-        drop(held);
-        shared.release(0);
-        assert_eq!(granted, Ok(()), "the grant waited for the held cell");
+        let mut events = Vec::new();
+        assert!(claim.run(&shared, 0, |event| events.push(event)));
+        shared.release(claim);
+        assert_eq!(granted, Ok(()), "the grant waited for the held claim");
         let mut pool = granter.join().unwrap();
+        for event in events {
+            pool.receive(event);
+        }
         assert_eq!(pool.wait_through(2), Ok(()));
         for (epoch, chip) in [(0, 0), (1, 0), (1, 1)] {
             let log = pool.log(epoch, chip);
@@ -936,67 +990,113 @@ mod tests {
         }
     }
 
-    /// A step installs the placements queued ahead of the chip's next
-    /// grant and runs that one slice, and it runs and emits the slice
-    /// without holding the chip's queue lock, so a push never waits for
-    /// a slice.
+    /// A claim takes the chip's cell and the placements queued ahead of
+    /// its grant, and leaves later grants queued; its slice installs
+    /// the placements and runs that one slice with the pool lock free.
     #[test]
-    fn a_claim_runs_one_slice_without_its_queue_lock() {
+    fn a_claim_installs_its_placements_and_runs_one_slice_with_the_pool_lock_free() {
         let mut pool = inline_pool(1);
         pool.add_job(0, 0, job(0));
         let shared = &pool.shared;
-        shared.push_cmd(0, CellCmd::Grant { epoch: 0 });
-        shared.push_cmd(0, CellCmd::Grant { epoch: 1 });
-        let mut cell = shared.cells[0].lock().unwrap();
+        shared.grant(0, &[0]);
+        shared.grant(1, &[0]);
+        let mut claim = shared.claim(false).expect("chip 0 is runnable");
+        assert_eq!((claim.chip, claim.epoch, claim.placements.len()), (0, 0, 1));
+        {
+            let state = shared.state();
+            let slot = &state.chips[0];
+            assert_eq!(slot.cmds.len(), 1, "epoch 1's grant is left");
+            assert_eq!(slot.grants, 1);
+            assert!(slot.cell.is_none(), "the claim holds the cell");
+        }
         let mut emitted = Vec::new();
-        let ran = drain_cell(shared, &mut cell, 0, 0, &mut 0, |event| {
+        let ran = claim.run(shared, 0, |event| {
             let ShardEvent::Slice(log) = event else {
                 panic!("the slice failed");
             };
-            emitted.push((log.epoch, shared.queues[0].try_lock().is_ok()));
+            emitted.push((log.epoch, shared.state.try_lock().is_ok()));
         });
         assert!(ran);
-        assert_eq!(emitted, [(0, true)], "one slice, queue lock free");
-        assert_eq!(shared.queue(0).cmds.len(), 1, "epoch 1's grant is left");
-        assert_eq!(shared.queue(0).grants, 1);
-        assert!(cell.cores[0].is_some(), "the placement was installed");
+        assert_eq!(emitted, [(0, true)], "one slice, pool lock free");
+        assert!(claim.cell.cores[0].is_some(), "the placement was installed");
     }
 
-    /// A chip goes on the run queue once, however many grants wait for
-    /// it, and the step that runs one of them puts it back, behind the
-    /// chips queued meanwhile, only while another waits.
     #[test]
-    fn a_chip_is_on_the_run_queue_at_most_once() {
+    fn claims_take_the_oldest_runnable_chip_first() {
+        let pool = inline_pool(4);
+        let shared = &pool.shared;
+        shared.grant(0, &[2, 0]);
+        shared.grant(0, &[]);
+        shared.grant(0, &[3]);
+        let claimed: Vec<usize> = std::iter::from_fn(|| shared.claim(false))
+            .map(|claim| claim.chip)
+            .collect();
+        assert_eq!(claimed, [2, 0, 3]);
+        assert!(shared.claim(false).is_none(), "an idle pool does not block");
+    }
+
+    /// A chip is runnable once, however many grants wait for it, and the
+    /// step that runs one of them makes it runnable again, behind the
+    /// chips made runnable meanwhile, only while another waits.
+    #[test]
+    fn a_chip_is_runnable_at_most_once() {
         let pool = inline_pool(2);
         let shared = &pool.shared;
         for epoch in 0..3 {
             shared.grant(epoch, &[0]);
         }
         shared.grant(3, &[1, 0]);
-        assert_eq!(shared.run.queued(), [0, 1]);
+        assert_eq!(shared.runnable(), [0, 1]);
         let mut ran = Vec::new();
-        let mut seq = 0;
-        while shared.step(0, false, &mut seq, |event| {
+        while shared.step(0, false, |event| {
             if let ShardEvent::Slice(log) = event {
                 ran.push((log.chip, log.epoch));
             }
         }) == Step::Ran
         {
-            let queued = shared.run.queued();
-            assert!(queued.len() <= 1 || queued[0] != queued[1], "{queued:?}");
+            let runnable = shared.runnable();
+            assert!(
+                runnable.len() <= 1 || runnable[0] != runnable[1],
+                "{runnable:?}"
+            );
         }
         assert_eq!(ran, [(0, 0), (1, 3), (0, 1), (0, 2), (0, 3)]);
-        assert!((0..2).all(|chip| !shared.queue(chip).scheduled));
+        assert!(shared.state().chips.iter().all(|slot| !slot.scheduled));
     }
 
-    /// The run queue's lock recovers from poisoning as the command
-    /// queues' do: with it poisoned, grants and their wait still bring
-    /// in every log, at zero workers and at one.
     #[test]
-    fn a_poisoned_run_queue_still_runs_every_grant() {
+    fn a_grant_wakes_a_parked_executor() {
+        let pool = inline_pool(6);
+        let shared = &pool.shared;
+        std::thread::scope(|scope| {
+            let parked = scope.spawn(|| shared.claim(true).map(|claim| claim.chip));
+            wait_until("the executor did not park", || shared.state().parked == 1);
+            shared.grant(0, &[5]);
+            assert_eq!(parked.join().unwrap(), Some(5));
+        });
+    }
+
+    #[test]
+    fn shutdown_drains_before_stopping() {
+        let pool = inline_pool(1);
+        let shared = &pool.shared;
+        shared.grant(0, &[0]);
+        shared.shutdown();
+        // A runnable chip is still claimed after shutdown.
+        let claim = shared.claim(true).expect("the runnable chip");
+        shared.release(claim);
+        assert!(shared.claim(true).is_none());
+    }
+
+    /// Nothing panics while holding the pool lock, and every use of it
+    /// goes through `PoisonError::into_inner`: with it poisoned, a
+    /// placement, grants and their wait still bring in every log, at
+    /// zero workers and at one.
+    #[test]
+    fn a_poisoned_pool_lock_still_runs_every_grant() {
         for workers in [0, 1] {
             let mut pool = pool(2, workers);
-            pool.shared.run.poison();
+            pool.shared.poison();
             pool.add_job(0, 0, job(0));
             for epoch in 0..2 {
                 pool.grant(epoch, &[0, 1]).unwrap();
@@ -1007,91 +1107,77 @@ mod tests {
                     assert_eq!(pool.take_log(epoch, chip).chip, chip);
                 }
             }
-            assert!(pool.finish().is_ok(), "{workers} workers");
+            let cells = pool.finish().unwrap();
+            assert!(cells[0].cores[0].is_some(), "the placement was installed");
         }
     }
 
-    /// The waiting coordinator runs queued slices itself, as executor
-    /// `workers`, while the shard is stuck. The test holds chip 0's
-    /// queue lock, then schedules chip 0 and queues it: the shard pops
-    /// it, takes its cell and blocks on the queue lock, mid-step. Chips
-    /// 1 and 2 are granted behind it, and the coordinator must run both
-    /// while the shard is stuck, then sleep until the shard's log comes.
+    /// The waiting coordinator runs runnable slices itself, as executor
+    /// `workers`. The seam: the pool is shut down while nothing is
+    /// runnable, so its only shard exits and only the coordinator can
+    /// step; a runnable chip is still claimed after shutdown. The test
+    /// joins the shard and leaves a finished stand-in in its place, so
+    /// the coordinator keeps its executor number.
     #[test]
-    fn the_waiting_coordinator_drains_a_cell_the_shard_has_not_reached() {
+    fn the_waiting_coordinator_runs_runnable_slices_itself() {
         let mut pool = pool(3, 1);
-        let shared = Arc::clone(&pool.shared);
-        pool.outstanding.extend((0..3).map(|chip| (0, chip)));
-        assert!(shared.push_cmd(0, CellCmd::Grant { epoch: 0 }));
-        let held = shared.queue(0);
-        shared.run.push(&[0]);
-        wait_until("the shard did not pop chip 0", || {
-            shared.run.queued().is_empty()
-        });
-        shared.grant(0, &[1, 2]);
-        let (tx, rx) = mpsc::channel();
-        let waiter = std::thread::spawn(move || {
-            let outcome = pool.wait_through(1);
-            let _ = tx.send((outcome, pool));
-        });
-        wait_until("the coordinator did not run both slices", || {
-            shared.stats.status(0).coordinator_slices == 2
-        });
-        let status = shared.stats.status(0);
-        assert_eq!(status.shards[0].slices_owned, 0, "the shard is stuck");
-        drop(held);
-        let (outcome, pool) = rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("the wait ends once the shard is free");
-        assert_eq!(outcome, Ok(()));
+        pool.shared.shutdown();
+        let shard = std::mem::replace(&mut pool.handles[0], std::thread::spawn(|| {}));
+        shard.join().unwrap();
+        pool.grant(0, &[0, 1, 2]).unwrap();
+        assert_eq!(pool.wait_through(1), Ok(()));
         let executors: Vec<usize> = (0..3).map(|chip| pool.log(0, chip).shard).collect();
-        assert_eq!(executors, [0, 1, 1], "chips 1 and 2 ran on the coordinator");
-        waiter.join().unwrap();
+        assert_eq!(executors, [1, 1, 1], "every slice ran on the coordinator");
+        let status = pool.shared.stats.status(0);
+        assert_eq!(status.coordinator_slices, 3);
+        assert_eq!(status.shards[0].slices, 0);
     }
 
     /// A virtual executor of the seeded host, between two operations:
-    /// idle, holding the cell of a chip it popped, or done with the
-    /// chip's slice and its cell but yet to release the chip. These are
-    /// the three parts of [`PoolShared::step`].
-    enum Virtual<'a> {
+    /// idle, holding a claim whose slice is yet to run, or holding a
+    /// claim whose slice ran and is yet to be released. These are the
+    /// three parts of [`PoolShared::step`].
+    enum Virtual {
         Idle,
-        Holding(usize, MutexGuard<'a, ChipCell>),
-        Ran(usize),
+        Claimed(Claim),
+        Ran(Claim),
     }
 
     /// Checks the claim protocol's invariants between two operations:
-    /// each chip is on the run queue at most once, a queued chip has a
-    /// grant waiting, a chip is scheduled exactly when it is queued or
-    /// an executor has it, and no grant waits on an unscheduled chip.
+    /// each chip is runnable at most once, a runnable chip has a grant
+    /// waiting, a chip is scheduled exactly when it is runnable or
+    /// claimed, no grant waits on an unscheduled chip, and a chip's cell
+    /// is in its slot exactly when no executor holds its claim.
     fn check_claims(shared: &PoolShared, executors: &[Virtual]) -> Result<(), TestCaseError> {
-        let queued = shared.run.queued();
-        for chip in 0..shared.queues.len() {
-            let on_queue = queued.iter().filter(|&&c| c == chip).count();
-            prop_assert!(on_queue <= 1, "chip {} queued {} times", chip, on_queue);
+        let state = shared.state();
+        for (chip, slot) in state.chips.iter().enumerate() {
+            let runnable = state.runnable.iter().filter(|&&c| c == chip).count();
+            prop_assert!(runnable <= 1, "chip {} runnable {} times", chip, runnable);
             let held = executors.iter().any(|v| match v {
-                Virtual::Holding(c, _) | Virtual::Ran(c) => *c == chip,
+                Virtual::Claimed(claim) | Virtual::Ran(claim) => claim.chip == chip,
                 Virtual::Idle => false,
             });
-            let queue = shared.queue(chip);
             prop_assert!(
-                on_queue == 0 || queue.grants > 0,
-                "chip {} is queued with no grant waiting",
+                runnable == 0 || slot.grants > 0,
+                "chip {} is runnable with no grant waiting",
                 chip
             );
             prop_assert!(
-                !(held && on_queue > 0),
-                "chip {} is queued while held",
+                !(held && runnable > 0),
+                "chip {} is runnable while claimed",
                 chip
             );
             prop_assert_eq!(
-                queue.scheduled,
-                held || on_queue > 0,
+                slot.scheduled,
+                held || runnable > 0,
                 "chip {} scheduled",
                 chip
             );
-            prop_assert!(
-                queue.grants == 0 || queue.scheduled,
-                "chip {} stranded",
+            prop_assert!(slot.grants == 0 || slot.scheduled, "chip {} stranded", chip);
+            prop_assert_eq!(
+                slot.cell.is_some(),
+                !held,
+                "chip {}'s cell in its slot",
                 chip
             );
         }
@@ -1101,14 +1187,15 @@ mod tests {
     proptest! {
         /// The claim protocol under interleavings a seeded chooser picks
         /// on one thread: placements, grants of any subset of 1–4 chips,
-        /// and the three parts of a step by any of 1–8 virtual
-        /// executors. After every operation the protocol's invariants
-        /// hold ([`check_claims`]), and every claim takes its cell with
-        /// `try_lock` on the first try. Once the chooser stops and the
-        /// executors drain the queue, every granted `(epoch, chip)` has
-        /// exactly one log, each chip's in epoch order, every job ended
-        /// on the slice the decision loop predicts, and every queue is
-        /// empty. The case count is pinned by `PROPTEST_CASES`.
+        /// and the three parts of a step (claim, slice, release) by any
+        /// of 1–8 virtual executors. After every operation the
+        /// protocol's invariants hold ([`check_claims`]); every claim
+        /// finds a grant and its cell, or it panics. Once the chooser
+        /// stops and the executors drain the pool, every granted
+        /// `(epoch, chip)` has exactly one log, each chip's in epoch
+        /// order, every job ended on the slice the decision loop
+        /// predicts, and every chip is idle with its cell home. The case
+        /// count is pinned by `PROPTEST_CASES`.
         #[test]
         fn the_claim_protocol_queues_each_chip_at_most_once(
             seed in 0u64..u64::MAX,
@@ -1123,7 +1210,6 @@ mod tests {
             let shared = &pool.shared;
             let mut rng = TestRng::new(seed);
             let mut executors: Vec<Virtual> = (0..workers).map(|_| Virtual::Idle).collect();
-            let mut seqs = vec![0u64; workers];
             // The decision loop's shadow: per core, the resident job and
             // the slices it has left.
             let mut shadow = vec![[None::<(u64, u64)>; 2]; chips];
@@ -1131,11 +1217,11 @@ mod tests {
             let mut granted = BTreeMap::new();
             let mut logs = Vec::new();
             // Operation `ops` grants every chip, so every placement is
-            // drained; after it the executors only step, until the
-            // queue is drained.
+            // claimed; after it the executors only step, until the pool
+            // is drained.
             for op in 0.. {
                 let quiet = executors.iter().all(|v| matches!(v, Virtual::Idle))
-                    && shared.run.queued().is_empty();
+                    && shared.runnable().is_empty();
                 if op > ops && quiet {
                     break;
                 }
@@ -1153,7 +1239,7 @@ mod tests {
                             let slices = job.stream.total_cycles() / SLICE;
                             shadow[chip][core] = Some((jobs, slices));
                             jobs += 1;
-                            shared.push_cmd(chip, CellCmd::AddJob { core, job: Box::new(job) });
+                            shared.place(chip, core, Box::new(job));
                         }
                     }
                     1 | 2 => {
@@ -1179,23 +1265,17 @@ mod tests {
                     _ => {
                         let me = rng.below(workers as u64) as usize;
                         executors[me] = match std::mem::replace(&mut executors[me], Virtual::Idle) {
-                            Virtual::Idle => match shared.run.pop(false) {
-                                Some(chip) => {
-                                    let cell = shared.cells[chip].try_lock();
-                                    prop_assert!(cell.is_ok(), "chip {}'s cell was taken", chip);
-                                    Virtual::Holding(chip, cell.unwrap())
-                                }
+                            Virtual::Idle => match shared.claim(false) {
+                                Some(claim) => Virtual::Claimed(claim),
                                 None => Virtual::Idle,
                             },
-                            Virtual::Holding(chip, mut cell) => {
-                                let ran = drain_cell(shared, &mut cell, me, chip, &mut seqs[me], |event| {
-                                    logs.push(event);
-                                });
-                                prop_assert!(ran, "chip {}'s slice failed", chip);
-                                Virtual::Ran(chip)
+                            Virtual::Claimed(mut claim) => {
+                                let ran = claim.run(shared, me, |event| logs.push(event));
+                                prop_assert!(ran, "chip {}'s slice failed", claim.chip);
+                                Virtual::Ran(claim)
                             }
-                            Virtual::Ran(chip) => {
-                                shared.release(chip);
+                            Virtual::Ran(claim) => {
+                                shared.release(claim);
                                 Virtual::Idle
                             }
                         };
@@ -1214,9 +1294,10 @@ mod tests {
                 prop_assert!(seen.insert((log.epoch, log.chip), log.finished).is_none());
             }
             prop_assert_eq!(seen, granted);
-            for chip in 0..chips {
-                let queue = shared.queue(chip);
-                prop_assert!(queue.cmds.is_empty() && queue.grants == 0 && !queue.scheduled);
+            let state = shared.state();
+            for slot in &state.chips {
+                prop_assert!(slot.cmds.is_empty() && slot.grants == 0 && !slot.scheduled);
+                prop_assert!(slot.cell.is_some());
             }
         }
     }

@@ -27,24 +27,13 @@ fn sample_registry() -> MetricsRegistry {
     }
     // The shard-introspection shapes the obs server renders: a HELP'd
     // labeled gauge family and a HELP'd plain gauge.
-    m.describe(
-        "serve_shard_slices",
-        "Slices executed per shard, split by claim origin (kind=owned|stolen).",
-    );
+    m.describe("serve_shard_slices", "Slices executed per shard.");
     m.describe(
         "serve_merge_lag_epochs",
-        "Epochs decided by the scheduler but not yet merged.",
+        "Epochs the decision loop is ahead of the merge layer.",
     );
-    m.gauge_with(
-        "serve_shard_slices",
-        &[("shard", "0"), ("kind", "owned")],
-        31.0,
-    );
-    m.gauge_with(
-        "serve_shard_slices",
-        &[("shard", "0"), ("kind", "stolen")],
-        2.0,
-    );
+    m.gauge_with("serve_shard_slices", &[("shard", "0")], 31.0);
+    m.gauge_with("serve_shard_slices", &[("shard", "1")], 2.0);
     m.gauge_set("serve_merge_lag_epochs", 1.0);
     m
 }

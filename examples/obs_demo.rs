@@ -179,20 +179,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(returned > 0.0, "the burst must leave recent droops behind");
 
     // The sharded runtime (2 workers) published its live introspection
-    // section: per-shard owned/stolen slice splits, lane high-water
-    // marks, queue depths, merge lag.
+    // section: per-shard slice counts, lane high-water marks, queue
+    // depths, merge lag.
     let shards = http_get(addr, "/shards")?;
     let doc = parse_json(&shards.body).map_err(|e| format!("shards JSON: {e}"))?;
     assert_eq!(
         doc.get("schema").and_then(|v| v.as_str()),
-        Some("vsmooth-obs-shards-v1")
+        Some("vsmooth-obs-shards-v2")
     );
     let sections = doc
         .get("shards")
         .and_then(|v| v.as_array())
         .ok_or("shards array missing")?;
     println!(
-        "GET /shards -> {} ({} shard sections, schema vsmooth-obs-shards-v1)",
+        "GET /shards -> {} ({} shard sections, schema vsmooth-obs-shards-v2)",
         shards.status,
         sections.len()
     );

@@ -248,7 +248,7 @@ fn shards_and_decisions_endpoints_serve_live_sections_at_every_shard_count() {
             .clone()
             .expect("epoch 40 must publish");
 
-        // vsmooth-obs-shards-v1: one section per shard worker, live.
+        // vsmooth-obs-shards-v2: one section per shard worker, live.
         let doc = parse_json(&shards_body).expect("shards JSON parses");
         assert_eq!(
             doc.get("schema").and_then(|v| v.as_str()),

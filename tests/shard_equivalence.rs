@@ -21,7 +21,7 @@
 //!
 //! The single documented exception is `ObsSnapshot::shards`: the
 //! per-shard introspection section is live execution state
-//! (owned/stolen splits, queue depths, wall latency) and published
+//! (per-executor slice counts, queue depths, wall latency) and published
 //! only by the shard runtime. Its slice tallies must still *sum* to
 //! `serve_slices_total` at the final publish.
 
@@ -306,12 +306,7 @@ fn obs_snapshot_stream_matches_coordinator_at_every_shard_count() {
         assert!(last.service.as_ref().unwrap().done);
         let section = last.shards.as_ref().expect("shard runtime publishes");
         assert_eq!(
-            section
-                .shards
-                .iter()
-                .map(|s| s.slices_owned + s.slices_stolen)
-                .sum::<u64>()
-                + section.coordinator_slices,
+            section.shards.iter().map(|s| s.slices).sum::<u64>() + section.coordinator_slices,
             last.metrics.counter("serve_slices_total"),
             "final per-shard slice sum diverged at {shards} shards"
         );
