@@ -19,7 +19,7 @@
 //! `obs_scrape_under_load` row: a monitored run publishing into a live
 //! scrape server hammered by a loopback `/metrics` client, against the
 //! same monitored run unobserved; and an `introspection` row: the
-//! sharded runtime with the live scoreboard and decision audit armed,
+//! sharded runtime with the live counters and decision audit armed,
 //! against the plain sharded baseline; and an `observed` row: a
 //! streaming tracer, the monitor, an obs hub publishing every epoch
 //! and the decision audit on one fused shard, against a plain run on
@@ -334,12 +334,12 @@ fn main() {
     }
 
     // Introspection + audit overhead on the sharded runtime: the
-    // monitored sharded run with the live scoreboard feeding obs
+    // monitored sharded run with the live counters feeding obs
     // publishes and the decision audit armed, against the same
     // monitored sharded run without them. A *monitored* denominator
     // (the same convention as the obs row above) keeps droop-crossing
     // capture armed on both sides, so the row isolates exactly what
-    // this layer adds — the atomic counters, the per-epoch decision
+    // this layer adds — the pool's live counters, the per-epoch decision
     // records, the merge-side audit fold, and the snapshot publishes —
     // rather than re-measuring the cost of arming crossing capture
     // (the `monitored` row already owns that). Minimum-of-pairs again:

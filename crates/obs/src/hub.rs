@@ -75,7 +75,7 @@ pub struct ShardStatus {
     /// Slices this shard ran.
     pub slices: u64,
     /// High-water mark of the shard's lane occupancy: its slice logs
-    /// sent but not yet received by the coordinator.
+    /// filed but not yet collected by the coordinator.
     pub lane_occupancy_hwm: u64,
     /// Always zero: shards build no trace records, so they drop none.
     /// Kept only because the `perfbench` harness reads it.

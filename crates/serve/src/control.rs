@@ -1,7 +1,7 @@
 //! Control plane of the sharded service runtime: the typed records
-//! the coordinator's decision loop emits, the commands it sends to
-//! chip cells, and the messages shards send back over the pool's one
-//! channel.
+//! the coordinator's decision loop emits, the commands it queues at
+//! chip cells, and the slice logs executors file back under the pool
+//! lock.
 //!
 //! The decision loop never touches an artifact. It only *decides* —
 //! admissions, placements, grants, analytic completions — and records
@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use crate::job::JobSpec;
-use vsmooth_chip::{ChipError, DroopCrossing, DroopWindow, SliceStats};
+use vsmooth_chip::{DroopCrossing, DroopWindow, SliceStats};
 use vsmooth_workload::EventStream;
 
 /// How [`Service::run`](crate::Service::run) maps its `workers`
@@ -155,21 +155,4 @@ pub(crate) struct SliceLog {
     /// *executor* observed it — cross-checked in debug builds against
     /// the decision loop's analytic completion prediction.
     pub finished: [Option<u64>; 2],
-}
-
-/// One message from an executor to the coordinator.
-#[derive(Debug)]
-pub(crate) enum ShardEvent {
-    Slice(SliceLog),
-    /// Chip simulation failed; the run aborts with
-    /// [`ServeError::Chip`](crate::ServeError).
-    Failed {
-        error: ChipError,
-    },
-    /// Shard `shard` is unwinding from a panic, sent on its way out;
-    /// the run aborts with
-    /// [`ServeError::ShardFailed`](crate::ServeError).
-    Panicked {
-        shard: usize,
-    },
 }

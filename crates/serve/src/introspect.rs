@@ -1,15 +1,18 @@
 //! Runtime introspection counters for the shard pool.
 //!
-//! [`RuntimeStats`] is the shared atomic scoreboard every layer of the
-//! sharded runtime feeds: shards count the slices they run and the
-//! logs they have sent that the pump has not yet received (whose
-//! high-water mark is the lane occupancy), the coordinator counts the
-//! slices it runs itself while it waits on the shards, the pump counts
-//! receipts, the decision loop counts grants and (when obs is armed)
-//! its own wall-clock latency, and the pool records each chip's
-//! command-queue depth high-water mark. A pool with no workers (the
-//! in-line coordinator) credits every slice to the coordinator and
-//! publishes no section.
+//! Each counter lives beside state its writers already share, so none
+//! needs synchronisation of its own. Each executor's
+//! [`ExecutorCounters`] sit in the pool state, under the pool lock: the
+//! release that files a slice's log counts the slice and the log, and
+//! the coordinator's collection empties every executor's lane (its logs
+//! filed and not yet collected, whose high-water mark is the lane
+//! occupancy). Each chip's command-queue depth high-water mark sits in
+//! its slot there too. The decision loop's [`DecisionCounters`] —
+//! grants, epochs decided and (when obs is armed) its own wall-clock
+//! latency — are a plain field of the pool, which only the
+//! coordinator's thread touches. A pool with no workers (the in-line
+//! coordinator) credits every slice to the coordinator and publishes no
+//! section.
 //!
 //! Everything here is **live execution state** — which shard ran which
 //! slice, how deep a queue got, how long a decision took — and is
@@ -20,120 +23,81 @@
 //! coordinator together — reconciles exactly with `serve_slices_total`
 //! (asserted in `tests/shard_stress.rs`).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use vsmooth_obs::{LatencyStats, ShardStatus, ShardsStatus};
 
-/// Per-executor execution counters.
-#[derive(Debug, Default)]
-pub(crate) struct ShardCounters {
+/// One executor's counters, kept in the pool state.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ExecutorCounters {
     /// Slices the executor ran.
-    pub slices: AtomicU64,
-    /// Slice logs the executor has made that the pump has not received.
-    pub in_flight: AtomicU64,
-    /// High-water mark of `in_flight`: the shard's lane occupancy.
-    pub lane_hwm: AtomicU64,
+    pub slices: u64,
+    /// The executor's slice logs filed and not yet collected.
+    pub filed: u64,
+    /// High-water mark of `filed`: the executor's lane occupancy.
+    pub lane_hwm: u64,
 }
 
-/// The shared introspection scoreboard of one service run.
-#[derive(Debug)]
-pub(crate) struct RuntimeStats {
-    /// One counter block per executor: the shards in shard order, then
-    /// the coordinator, executor `shards` (executor 0 of a pool with no
-    /// workers).
-    pub executors: Vec<ShardCounters>,
-    /// Per-chip command-queue depth high-water marks.
-    pub cell_queue_hwm: Vec<AtomicU64>,
-    /// Quantum grants issued by the decision loop.
-    pub grants: AtomicU64,
+impl ExecutorCounters {
+    /// Counts one slice run and its log filed.
+    pub(crate) fn record_filed(&mut self) {
+        self.slices += 1;
+        self.filed += 1;
+        self.lane_hwm = self.lane_hwm.max(self.filed);
+    }
+}
+
+/// The decision loop's counters.
+#[derive(Debug, Default)]
+pub(crate) struct DecisionCounters {
+    /// Quantum grants issued.
+    pub grants: u64,
     /// Epochs the decision loop has finished deciding.
-    pub epochs_decided: AtomicU64,
-    /// Decision-loop latency samples (wall microseconds; recorded
-    /// only when obs publishing is armed, so wall time never leaks
-    /// into unobserved runs).
-    pub decision_count: AtomicU64,
-    pub decision_total_us: AtomicU64,
-    pub decision_max_us: AtomicU64,
+    pub epochs_decided: u64,
+    /// Decision-loop latency samples (wall microseconds; recorded only
+    /// when obs publishing is armed, so wall time never leaks into
+    /// unobserved runs).
+    pub latency: LatencyStats,
 }
 
-impl RuntimeStats {
-    pub(crate) fn new(shards: usize, chips: usize) -> Self {
-        Self {
-            executors: (0..=shards).map(|_| ShardCounters::default()).collect(),
-            cell_queue_hwm: (0..chips).map(|_| AtomicU64::new(0)).collect(),
-            grants: AtomicU64::new(0),
-            epochs_decided: AtomicU64::new(0),
-            decision_count: AtomicU64::new(0),
-            decision_total_us: AtomicU64::new(0),
-            decision_max_us: AtomicU64::new(0),
-        }
-    }
-
-    /// Credits one executed slice to executor `me` and counts its log
-    /// in flight until the pump receives it.
-    pub(crate) fn record_slice(&self, me: usize) {
-        let counters = &self.executors[me];
-        counters.slices.fetch_add(1, Ordering::Relaxed);
-        let in_flight = counters.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
-        counters.lane_hwm.fetch_max(in_flight, Ordering::Relaxed);
-    }
-
-    /// The pump received one of executor `me`'s slice logs.
-    pub(crate) fn record_receipt(&self, me: usize) {
-        self.executors[me].in_flight.fetch_sub(1, Ordering::Relaxed);
-    }
-
+impl DecisionCounters {
     /// Records one decision-loop latency sample, in microseconds.
-    pub(crate) fn record_decision_latency(&self, micros: u64) {
-        self.decision_count.fetch_add(1, Ordering::Relaxed);
-        self.decision_total_us.fetch_add(micros, Ordering::Relaxed);
-        self.decision_max_us.fetch_max(micros, Ordering::Relaxed);
+    pub(crate) fn record_latency(&mut self, micros: u64) {
+        self.latency.count += 1;
+        self.latency.total_us += micros;
+        self.latency.max_us = self.latency.max_us.max(micros);
     }
 
-    /// Total slices executed across every executor.
-    pub(crate) fn slices_total(&self) -> u64 {
-        self.executors
-            .iter()
-            .map(|counters| counters.slices.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Snapshots the scoreboard into the published obs section: one
-    /// entry per shard, and the coordinator's slices as a tally of
-    /// their own. `epochs_merged` comes from the merge layer (lag =
-    /// decided − merged).
-    pub(crate) fn status(&self, epochs_merged: u64) -> ShardsStatus {
-        let (coordinator, shards) = self
-            .executors
+    /// Assembles the published section: one entry per shard from
+    /// `executors`, whose last block, the coordinator's, is a tally of
+    /// its own, each chip's `cell_queue_hwm`, and the lag behind
+    /// `epochs_merged`, which comes from the merge layer (lag = decided
+    /// − merged).
+    pub(crate) fn status(
+        &self,
+        executors: &[ExecutorCounters],
+        cell_queue_hwm: Vec<u64>,
+        epochs_merged: u64,
+    ) -> ShardsStatus {
+        let (coordinator, shards) = executors
             .split_last()
             .expect("the coordinator's counter block");
         let shards = shards
             .iter()
             .enumerate()
-            .map(|(i, counters)| ShardStatus {
-                shard: i,
-                slices: counters.slices.load(Ordering::Relaxed),
-                lane_occupancy_hwm: counters.lane_hwm.load(Ordering::Relaxed),
+            .map(|(shard, counters)| ShardStatus {
+                shard,
+                slices: counters.slices,
+                lane_occupancy_hwm: counters.lane_hwm,
                 stream_dropped: 0,
             })
             .collect();
-        let epochs_decided = self.epochs_decided.load(Ordering::Relaxed);
         ShardsStatus {
             shards,
-            coordinator_slices: coordinator.slices.load(Ordering::Relaxed),
-            cell_queue_hwm: self
-                .cell_queue_hwm
-                .iter()
-                .map(|hwm| hwm.load(Ordering::Relaxed))
-                .collect(),
-            grants: self.grants.load(Ordering::Relaxed),
-            epochs_decided,
-            merge_lag_epochs: epochs_decided.saturating_sub(epochs_merged),
-            decision_latency: LatencyStats {
-                count: self.decision_count.load(Ordering::Relaxed),
-                total_us: self.decision_total_us.load(Ordering::Relaxed),
-                max_us: self.decision_max_us.load(Ordering::Relaxed),
-            },
+            coordinator_slices: coordinator.slices,
+            cell_queue_hwm,
+            grants: self.grants,
+            epochs_decided: self.epochs_decided,
+            merge_lag_epochs: self.epochs_decided.saturating_sub(epochs_merged),
+            decision_latency: self.latency,
         }
     }
 }
@@ -144,21 +108,23 @@ mod tests {
 
     #[test]
     fn slices_reconcile_across_executors() {
-        let stats = RuntimeStats::new(2, 3);
-        stats.record_slice(0);
-        stats.record_slice(0);
-        stats.record_slice(1);
-        stats.record_receipt(0);
-        stats.record_slice(0);
+        let mut executors = [ExecutorCounters::default(); 3];
+        executors[0].record_filed();
+        executors[0].record_filed();
+        executors[1].record_filed();
+        // A collection empties every lane.
+        for counters in &mut executors {
+            counters.filed = 0;
+        }
+        executors[0].record_filed();
         // Executor 2 is the coordinator.
-        stats.record_slice(2);
-        assert_eq!(stats.slices_total(), 5);
-        let status = stats.status(0);
+        executors[2].record_filed();
+        let status = DecisionCounters::default().status(&executors, vec![0, 0, 0], 0);
         assert_eq!(status.shards.len(), 2, "one entry per shard");
         assert_eq!(status.shards[0].slices, 3);
         assert_eq!(status.shards[1].slices, 1);
         assert_eq!(status.coordinator_slices, 1);
-        // Two of shard 0's logs were in flight at once, never three.
+        // Two of shard 0's logs were filed at once, never three.
         assert_eq!(status.shards[0].lane_occupancy_hwm, 2);
         assert_eq!(status.shards[1].lane_occupancy_hwm, 1);
         assert_eq!(status.cell_queue_hwm, vec![0, 0, 0]);
@@ -166,11 +132,13 @@ mod tests {
 
     #[test]
     fn latency_and_lag_summaries() {
-        let stats = RuntimeStats::new(1, 1);
-        stats.record_decision_latency(10);
-        stats.record_decision_latency(30);
-        stats.epochs_decided.store(8, Ordering::Relaxed);
-        let status = stats.status(5);
+        let mut decisions = DecisionCounters {
+            epochs_decided: 8,
+            ..DecisionCounters::default()
+        };
+        decisions.record_latency(10);
+        decisions.record_latency(30);
+        let status = decisions.status(&[ExecutorCounters::default(); 2], vec![0], 5);
         assert_eq!(status.merge_lag_epochs, 3);
         assert_eq!(status.decision_latency.count, 2);
         assert_eq!(status.decision_latency.total_us, 40);

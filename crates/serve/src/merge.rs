@@ -27,10 +27,10 @@
 //! `tests/shard_equivalence.rs`). The
 //! single documented exception is the live shard-runtime section
 //! ([`ObsSnapshot::shards`](vsmooth_obs::ObsSnapshot)): per-shard
-//! counters read from the [`RuntimeStats`] scoreboard at publish time,
-//! whose per-executor slice counts, queue high-water marks and
-//! wall-clock latencies are execution-dependent by design — only the
-//! total slice count reconciles deterministically
+//! counters the pool assembles under its lock at publish time
+//! ([`ShardPool::status`]), whose per-executor slice counts, queue
+//! high-water marks and wall-clock latencies are execution-dependent by
+//! design — only the total slice count reconciles deterministically
 //! (`tests/shard_stress.rs`).
 //!
 //! The script records each decision once; the replay derives the
@@ -48,16 +48,15 @@ use std::sync::Arc;
 use crate::audit::{epoch_decisions, AuditLog};
 use crate::control::{EpochRec, SliceLog};
 use crate::instruments::{Instruments, Observed};
-use crate::introspect::RuntimeStats;
 use crate::job::CompletedJob;
 use crate::service::{ServiceConfig, ServiceReport};
-use crate::shard::{ChipCell, DrainPlan};
+use crate::shard::{DrainPlan, ShardPool};
 use crate::telemetry::TelemetryBook;
 use crate::ServeError;
 use vsmooth_chip::sense::CrossingGrid;
 use vsmooth_chip::{DroopWindow, WindowConfig, PHASE_MARGIN_PCT};
 use vsmooth_monitor::{EpochSample, HealthReport, Monitor, SliceRecord};
-use vsmooth_obs::{ObsConfig, ObsSnapshot, ServiceStatus};
+use vsmooth_obs::{ObsConfig, ObsSnapshot, ServiceStatus, ShardsStatus};
 use vsmooth_profile::{emit_window_span, Profiler};
 use vsmooth_stats::{MetricsRegistry, MetricsSnapshot};
 use vsmooth_trace::{chip_pid, ArgValue, DroopEvent, Tracer, PID_JOBS, PID_MONITOR};
@@ -104,16 +103,9 @@ pub(crate) struct Merge<'a> {
     /// exporter-owned). Each event is shared with the monitor's flight
     /// recorder and every snapshot published while it is in the ring.
     recent: Option<VecDeque<Arc<DroopEvent>>>,
-    /// The live introspection scoreboard, read (never written) at
-    /// publish boundaries for the snapshot's `shards` section.
-    stats: Arc<RuntimeStats>,
     /// The run's capture plan: which slice channels the pool arms and
     /// executors drain, and which consumers want droop events.
     pub(crate) drain: DrainPlan,
-    /// Whether the run's pool has shard workers — the `shards` section
-    /// is published only then (the in-line coordinator has no shard
-    /// runtime to introspect; `/shards` answers 404).
-    sharded: bool,
     /// The decision audit ring, when `ServiceConfig::audit` armed it.
     /// Derived and folded here at replay time, so its contents are
     /// deterministic.
@@ -151,8 +143,6 @@ impl<'a> Merge<'a> {
         cfg: &'a ServiceConfig,
         tracer: &'a Tracer,
         inst: &Instruments,
-        stats: Arc<RuntimeStats>,
-        sharded: bool,
         jobs_submitted: usize,
     ) -> Self {
         // Capture at the grid-quantized margin so per-event logs agree
@@ -208,9 +198,7 @@ impl<'a> Merge<'a> {
             publish_every,
             recent_cap,
             recent,
-            stats,
             drain,
-            sharded,
             audit: cfg.audit.as_ref().map(|a| AuditLog::new(a.capacity)),
             slice_cycles: cfg.slice_cycles,
             jobs_submitted,
@@ -282,12 +270,18 @@ impl<'a> Merge<'a> {
     }
 
     /// Replays one epoch record, already [folded](Self::fold), with
-    /// its busy chips' logs (in `rec.busy` order). Returns the typed
+    /// its busy chips' logs (in `rec.busy` order); a publish reads the
+    /// live `shards` section from `pool`. Returns the typed
     /// overflow error when the record ends in an admission overflow,
     /// after replaying the admissions that preceded it — leaving
     /// metrics and trace state exactly as the historical in-line loop
     /// left them.
-    pub(crate) fn replay(&mut self, rec: &EpochRec, logs: &[SliceLog]) -> Result<(), ServeError> {
+    pub(crate) fn replay(
+        &mut self,
+        rec: &EpochRec,
+        logs: &[SliceLog],
+        pool: &ShardPool,
+    ) -> Result<(), ServeError> {
         let now = rec.now;
         if let Some(log) = self.audit.as_mut() {
             let decisions = epoch_decisions(rec, self.slice_cycles);
@@ -558,21 +552,28 @@ impl<'a> Merge<'a> {
                     droops: self.droops,
                     done: false,
                 };
-                self.publish(oc, status, self.metrics.snapshot());
+                let shards = pool.status(self.epochs_merged);
+                self.publish(oc, status, self.metrics.snapshot(), shards);
             }
         }
         Ok(())
     }
 
-    /// Publishes one snapshot into the obs hub — `status` and the
-    /// registry snapshot `metrics` plus the live sections as of now —
-    /// and runs the publish hook on it.
-    fn publish(&self, oc: &ObsConfig, status: ServiceStatus, metrics: MetricsSnapshot) {
+    /// Publishes one snapshot into the obs hub — `status`, the registry
+    /// snapshot `metrics` and the pool's `shards` section plus the live
+    /// sections as of now — and runs the publish hook on it.
+    fn publish(
+        &self,
+        oc: &ObsConfig,
+        status: ServiceStatus,
+        metrics: MetricsSnapshot,
+        shards: Option<ShardsStatus>,
+    ) {
         oc.hub.publish(ObsSnapshot {
             metrics,
             health: self.monitor.as_ref().map(Monitor::status),
             service: Some(status),
-            shards: self.sharded.then(|| self.stats.status(self.epochs_merged)),
+            shards,
             decisions: self
                 .audit
                 .as_ref()
@@ -602,16 +603,19 @@ impl<'a> Merge<'a> {
         }
     }
 
-    /// End of run: final window flushes, aggregate counters and float
+    /// End of run, once every log is merged: the pool's cells and final
+    /// counters, final window flushes, aggregate counters and float
     /// observations, the profile and health reports (each assembled
     /// once, exported into the registry and sealed), the final obs
-    /// publish, and the report. `cells` must come back from the pool in
-    /// chip order.
+    /// publish, and the report.
     pub(crate) fn finalize(
         mut self,
-        mut cells: Vec<ChipCell>,
+        pool: ShardPool,
         policy_name: String,
     ) -> Result<Observed<ServiceReport>, ServeError> {
+        let shards = pool.status(self.epochs_merged);
+        let slices_run = pool.slices_total();
+        let mut cells = pool.finish()?;
         self.flush_slice_counters();
         if let Some(p) = self.profiler.as_mut() {
             // Seal windows whose tail was still filling at the end of
@@ -682,11 +686,11 @@ impl<'a> Merge<'a> {
             self.tracer.export_telemetry(metrics);
         }
         let snapshot = metrics.snapshot();
-        // Every executor credits each slice it runs to the live
-        // scoreboard, so the introspection tallies must reconcile
-        // exactly with the deterministic counter.
+        // Every executor's release counts the slice it files, so the
+        // introspection tallies must reconcile exactly with the
+        // deterministic counter.
         debug_assert_eq!(
-            self.stats.slices_total(),
+            slices_run,
             snapshot.counter("serve_slices_total"),
             "introspection slice tallies drifted from serve_slices_total"
         );
@@ -706,7 +710,7 @@ impl<'a> Merge<'a> {
                 droops: self.droops,
                 done: true,
             };
-            self.publish(oc, status, snapshot.clone());
+            self.publish(oc, status, snapshot.clone(), shards);
         }
         let completed = self.completed;
         let mean = |f: &dyn Fn(&CompletedJob) -> f64| {

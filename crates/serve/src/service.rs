@@ -17,9 +17,10 @@
 //!   the service warmed up once, on its first run: on long-lived shard
 //!   workers that claim granted chips from one pool, or, with no
 //!   workers, in-line on this thread on the reference step (the
-//!   coordinator, see [`RuntimeMode`]). Either way it returns one
-//!   `SliceLog` per granted slice. With workers, this thread is an
-//!   executor too: whenever the loop must wait for a slice log, it
+//!   coordinator, see [`RuntimeMode`]). Either way every executor files
+//!   one `SliceLog` per granted slice under the pool's one lock, and
+//!   this thread collects them from there. With workers, this thread is
+//!   an executor too: whenever the loop must wait for a slice log, it
 //!   claims and runs a runnable slice itself instead of sleeping, so on
 //!   one shard the kernel runs on two threads.
 //! * **The merge layer** (`crate::merge`) is the run's one artifact
@@ -58,14 +59,12 @@
 use crate::audit::{AuditConfig, AuditReport};
 use crate::control::{BusyChip, CellJob, CoreSlice, EpochRec, PlaceRec, RuntimeMode, SliceLog};
 use crate::instruments::{Instruments, Observed};
-use crate::introspect::RuntimeStats;
 use crate::job::{CompletedJob, JobSpec};
 use crate::merge::Merge;
 use crate::shard::{warm_sessions, ShardPool};
 use crate::telemetry::TelemetryBook;
 use crate::ServeError;
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use vsmooth_chip::{ChipConfig, ChipError, ChipSession};
@@ -380,32 +379,15 @@ impl Service {
             RuntimeMode::Auto | RuntimeMode::Coordinator => 0,
             RuntimeMode::Sharded => workers.max(1),
         };
-        // The live introspection scoreboard: shards, cells, pump and
-        // decision loop all feed it; only the per-shard obs snapshot
-        // section reads it (never the deterministic report).
-        let stats = Arc::new(RuntimeStats::new(shards, self.cfg.chips));
         // The merge owns every artifact and decides which captures the
         // pool arms and drains for them.
-        let mut merge = Merge::new(
-            &self.cfg,
-            tracer,
-            inst,
-            Arc::clone(&stats),
-            shards > 0,
-            jobs.len(),
-        );
+        let mut merge = Merge::new(&self.cfg, tracer, inst, jobs.len());
         let warmed = self
             .warmed
             .get_or_init(|| warm_sessions(&self.cfg.chip, self.cfg.chips, self.cfg.slice_cycles))
             .as_ref()
             .map_err(|e| ServeError::Chip(e.clone()))?;
-        let mut pool = ShardPool::new(
-            warmed,
-            shards,
-            Arc::clone(&stats),
-            self.cfg.slice_cycles,
-            merge.drain,
-        );
+        let mut pool = ShardPool::new(warmed, shards, self.cfg.slice_cycles, merge.drain);
         merge.name_tracks();
         let mut pending: VecDeque<JobSpec> = {
             let mut sorted = jobs.to_vec();
@@ -496,12 +478,10 @@ impl Service {
                 rec.busy.push(BusyChip { chip, cores });
             }
             let busy_chips: Vec<usize> = rec.busy.iter().map(|b| b.chip).collect();
-            stats.grants.fetch_add(busy_chips.len() as u64, Relaxed);
             pool.grant(epochs, &busy_chips)?;
             script.recs.push(rec);
-            stats.epochs_decided.fetch_add(1, Relaxed);
             if let Some(start) = decide_start {
-                stats.record_decision_latency(start.elapsed().as_micros() as u64);
+                pool.record_decision_latency(start.elapsed().as_micros() as u64);
             }
             now += self.cfg.slice_cycles;
             epochs += 1;
@@ -515,7 +495,7 @@ impl Service {
             script.merge_ready(&mut merge, &mut pool)?;
         }
         script.drain(&mut merge, &mut pool)?;
-        merge.finalize(pool.finish()?, policy.name())
+        merge.finalize(pool, policy.name())
     }
 
     /// Places ready jobs onto free cores: first complete half-empty
@@ -682,7 +662,7 @@ impl EpochScript {
                 .iter()
                 .map(|b| pool.take_log(rec.index, b.chip))
                 .collect();
-            merge.replay(rec, &logs)?;
+            merge.replay(rec, &logs, pool)?;
             self.merged += 1;
         }
         Ok(())

@@ -1,13 +1,15 @@
 //! The service's executor: chips packaged as self-contained cells in
 //! one pool, advanced slice by slice for the decision loop.
 //!
-//! The pool has one lock and one condvar. Under the lock, each chip's
+//! The pool has one lock and two condvars. Under the lock, each chip's
 //! slot holds its queued commands ([`CellCmd`]) in FIFO order, its
-//! grant count, its place in the claim protocol below and, while no
-//! executor has claimed the chip, its cell; beside the slots sit the
-//! FIFO of runnable chips, the count of parked executors and the
-//! shutdown flag. No critical section runs a slice, so a placement or a
-//! grant never waits for one.
+//! grant count, its queue's high-water mark, its place in the claim
+//! protocol below and, while no executor has claimed the chip, its
+//! cell; beside the slots sit the FIFO of runnable chips, the count of
+//! parked executors and the shutdown flag, and the run's results: the
+//! [`SliceLog`]s filed and not yet collected, the first failure, and
+//! each executor's counters. No critical section runs a slice, so a
+//! placement or a grant never waits for one.
 //!
 //! Every executor runs one step, in three parts:
 //!
@@ -16,36 +18,41 @@
 //!   next grant;
 //! * **slice**, with no lock held: install the placements and run the
 //!   granted slice;
-//! * **release**, one critical section: put the cell back, and make the
-//!   chip runnable again only if another grant waits.
+//! * **release**, one critical section: put the cell back, file the
+//!   slice's log, and make the chip runnable again only if another
+//!   grant waits. A slice that fails files its error instead and keeps
+//!   its claim.
 //!
 //! A chip is *scheduled* from the grant that makes it runnable until the
 //! release that finds no grant left, and it is runnable at most once, so
 //! no two executors ever claim it: the executor holding the claim owns
-//! the chip's cell outright. A runnable chip with no grant queued, or
+//! the chip's cell outright. A log is filed in the critical section
+//! that brings its cell home, so once every granted log is collected,
+//! every cell is in its slot. A runnable chip with no grant queued, or
 //! whose cell is claimed, is a protocol bug, and its claim panics once
 //! the lock is dropped. Three hosts drive the step:
 //!
 //! * with one or more workers, long-lived shard threads, which block
-//!   while nothing is runnable, run the lean fused step
-//!   ([`ChipSession::run_slice_fast`]) and send each [`SliceLog`] back
-//!   over the pool's one channel. A shard that panics sends
-//!   [`ShardEvent::Panicked`] on its way out, so the run ends with
-//!   [`ServeError::ShardFailed`] instead of waiting for a log that will
-//!   never come;
+//!   while nothing is runnable and run the lean fused step
+//!   ([`ChipSession::run_slice_fast`]). A shard that panics files
+//!   [`ServeError::ShardFailed`] on its way out, so the run ends with
+//!   it instead of waiting for a log that will never come;
 //! * the waiting coordinator: before [`ShardPool::wait_through`] would
-//!   block on the channel, it steps without blocking, as executor
-//!   `workers`, on the same fused step, filing each log as it makes it;
+//!   block, it steps without blocking, as executor `workers`, on the
+//!   same fused step;
 //! * with no workers, [`ShardPool::grant`], which steps until nothing
 //!   is runnable, on the historical dyn-dispatch reference step, so every
 //!   log is in before it returns and the merge runs in lockstep with
 //!   the decision loop: the in-line coordinator, the byte oracle
 //!   `tests/shard_equivalence.rs` holds the shard runtime to.
 //!
-//! The merge layer cannot tell executors apart. Executors only simulate
-//! and drain the captures the [`DrainPlan`] names; the merge layer
-//! makes every trace record. The fused step is bit-identical to the
-//! reference step (window capture and the invariant checker riding
+//! Every log takes one path to the merge layer, whichever host made it:
+//! the coordinator collects the filed logs in one critical section, and
+//! waits on the second condvar only while nothing is filed, runnable or
+//! failed. The merge layer cannot tell executors apart. Executors only
+//! simulate and drain the captures the [`DrainPlan`] names; the merge
+//! layer makes every trace record. The fused step is bit-identical to
+//! the reference step (window capture and the invariant checker riding
 //! along), so every sharded run is also a differential test of it.
 //!
 //! Every pool's cells start from clones of chip sessions the service
@@ -53,17 +60,17 @@
 //! warm-up is bit-identical to the reference step's.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::atomic::Ordering;
-use std::sync::mpsc::{self, Receiver, Sender};
+use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-use crate::control::{CellCmd, CellJob, ShardEvent, SliceLog};
-use crate::introspect::RuntimeStats;
+use crate::control::{CellCmd, CellJob, SliceLog};
+use crate::introspect::{DecisionCounters, ExecutorCounters};
 use crate::ServeError;
 use vsmooth_chip::{
     Chip, ChipConfig, ChipError, ChipSession, InvariantConfig, SliceStats, WindowConfig,
 };
+use vsmooth_obs::ShardsStatus;
 use vsmooth_uarch::{IdleLoop, StimulusSource};
 
 /// One pool member: a warmed-up measurement session plus whatever is
@@ -222,51 +229,6 @@ pub(crate) struct DrainPlan {
     pub margin: f64,
 }
 
-/// Runs chip `chip`'s slice for `epoch` on `cell`, on the pool's step,
-/// and packages the log as executor `me`'s.
-fn exec_slice(
-    cell: &mut ChipCell,
-    shared: &PoolShared,
-    me: usize,
-    epoch: u64,
-    chip: usize,
-) -> Result<SliceLog, ChipError> {
-    let session_start = cell.session.measured_cycles();
-    let stats = if shared.fused {
-        cell.run_fast_slice(shared.slice_cycles)?
-    } else {
-        cell.run_reference_slice(shared.slice_cycles)?
-    };
-    let drain = &shared.drain;
-    let crossings = if drain.crossings {
-        cell.session.take_droop_crossings()
-    } else {
-        Vec::new()
-    };
-    let windows = if drain.windows.is_some() {
-        cell.session.take_droop_windows()
-    } else {
-        Vec::new()
-    };
-    let invariant_violations = if drain.invariants {
-        cell.session.take_invariant_violations().len()
-    } else {
-        0
-    };
-    let finished = cell.pop_finished();
-    Ok(SliceLog {
-        shard: me,
-        epoch,
-        chip,
-        session_start,
-        stats,
-        crossings,
-        windows,
-        invariant_violations,
-        finished,
-    })
-}
-
 /// One chip's slot in the pool state: its pending commands, its place
 /// in the claim protocol and, while no executor has claimed the chip,
 /// its cell.
@@ -274,6 +236,8 @@ fn exec_slice(
 struct ChipSlot {
     /// The commands, oldest first.
     cmds: VecDeque<CellCmd>,
+    /// The deepest `cmds` has been: the chip's queue high-water mark.
+    queue_hwm: u64,
     /// Grants among `cmds`: slices granted and not yet claimed.
     grants: usize,
     /// The chip is runnable or claimed. A grant makes the chip runnable
@@ -321,13 +285,22 @@ struct PoolState {
     /// Executors parked in a blocking claim.
     parked: usize,
     shutdown: bool,
+    /// Slice logs filed by releases and not yet collected.
+    filed: Vec<SliceLog>,
+    /// The first failure filed: a failed slice's or a panicking shard's.
+    failure: Option<ServeError>,
+    /// One counter block per executor: the shards in shard order, then
+    /// the coordinator, executor `workers` (executor 0 of a pool with no
+    /// workers).
+    executors: Vec<ExecutorCounters>,
+    /// The coordinator waits to collect; the next release wakes it.
+    collecting: bool,
 }
 
 impl PoolState {
-    /// Queues `cmd` at chip `chip` and returns the depth its queue
-    /// reached. A grant to a chip nobody has scheduled makes it
-    /// runnable.
-    fn push(&mut self, chip: usize, cmd: CellCmd) -> usize {
+    /// Queues `cmd` at chip `chip`. A grant to a chip nobody has
+    /// scheduled makes it runnable.
+    fn push(&mut self, chip: usize, cmd: CellCmd) {
         let slot = &mut self.chips[chip];
         if let CellCmd::Grant { .. } = cmd {
             slot.grants += 1;
@@ -336,7 +309,7 @@ impl PoolState {
             }
         }
         slot.cmds.push_back(cmd);
-        slot.cmds.len()
+        slot.queue_hwm = slot.queue_hwm.max(slot.cmds.len() as u64);
     }
 }
 
@@ -353,28 +326,48 @@ struct Claim {
 
 impl Claim {
     /// The slice part of a step, with no lock held: installs the
-    /// placements and runs the granted slice as executor `me`, handing
-    /// its log to `emit`. Returns `false` once the slice failed; the
-    /// executor stops there.
-    fn run(&mut self, shared: &PoolShared, me: usize, mut emit: impl FnMut(ShardEvent)) -> bool {
+    /// placements, runs the granted slice on the pool's step and drains
+    /// the captures the [`DrainPlan`] names into a log made as executor
+    /// `me`'s.
+    fn run(&mut self, shared: &PoolShared, me: usize) -> Result<SliceLog, ChipError> {
+        let cell = &mut *self.cell;
         for (core, job) in std::mem::take(&mut self.placements) {
-            debug_assert!(
-                self.cell.cores[core].is_none(),
-                "placement on occupied core"
-            );
-            self.cell.cores[core] = Some(*job);
+            debug_assert!(cell.cores[core].is_none(), "placement on occupied core");
+            cell.cores[core] = Some(*job);
         }
-        match exec_slice(&mut self.cell, shared, me, self.epoch, self.chip) {
-            Ok(log) => {
-                shared.stats.record_slice(me);
-                emit(ShardEvent::Slice(log));
-                true
-            }
-            Err(error) => {
-                emit(ShardEvent::Failed { error });
-                false
-            }
-        }
+        let session_start = cell.session.measured_cycles();
+        let stats = if shared.fused {
+            cell.run_fast_slice(shared.slice_cycles)?
+        } else {
+            cell.run_reference_slice(shared.slice_cycles)?
+        };
+        let drain = &shared.drain;
+        let crossings = if drain.crossings {
+            cell.session.take_droop_crossings()
+        } else {
+            Vec::new()
+        };
+        let windows = if drain.windows.is_some() {
+            cell.session.take_droop_windows()
+        } else {
+            Vec::new()
+        };
+        let invariant_violations = if drain.invariants {
+            cell.session.take_invariant_violations().len()
+        } else {
+            0
+        };
+        Ok(SliceLog {
+            shard: me,
+            epoch: self.epoch,
+            chip: self.chip,
+            session_start,
+            stats,
+            crossings,
+            windows,
+            invariant_violations,
+            finished: cell.pop_finished(),
+        })
     }
 }
 
@@ -386,27 +379,13 @@ struct PoolShared {
     state: Mutex<PoolState>,
     /// Wakes executors parked in a blocking claim.
     ready: Condvar,
-    /// The live introspection scoreboard, shared with obs publishes.
-    /// The per-executor split of slice counts is execution-dependent;
-    /// only the sum is deterministic. All determinism-pinned metrics
-    /// are recorded by the merge layer, never here.
-    stats: Arc<RuntimeStats>,
+    /// Wakes the coordinator waiting to collect.
+    collected: Condvar,
     slice_cycles: u64,
     drain: DrainPlan,
     /// Cells run slices on the lean fused step. Only a pool with no
     /// workers keeps the reference step, as the oracle.
     fused: bool,
-}
-
-/// What one executor step did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Step {
-    /// Ran a slice and emitted its log.
-    Ran,
-    /// Ran a slice that failed and emitted the failure; stop.
-    Failed,
-    /// Found no runnable chip (blocking: shut down and drained).
-    Idle,
 }
 
 impl PoolShared {
@@ -416,11 +395,9 @@ impl PoolShared {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Queues a placement at chip `chip` and records the depth its queue
-    /// reached.
+    /// Queues a placement at chip `chip`.
     fn place(&self, chip: usize, core: usize, job: Box<CellJob>) {
-        let depth = self.state().push(chip, CellCmd::AddJob { core, job });
-        self.stats.cell_queue_hwm[chip].fetch_max(depth as u64, Ordering::Relaxed);
+        self.state().push(chip, CellCmd::AddJob { core, job });
     }
 
     /// Queues a grant for `epoch` at each chip in `busy`, in one critical
@@ -431,8 +408,7 @@ impl PoolShared {
         let mut state = self.state();
         let runnable = state.runnable.len();
         for &chip in busy {
-            let depth = state.push(chip, CellCmd::Grant { epoch });
-            self.stats.cell_queue_hwm[chip].fetch_max(depth as u64, Ordering::Relaxed);
+            state.push(chip, CellCmd::Grant { epoch });
         }
         let wakes = (state.runnable.len() - runnable).min(state.parked);
         drop(state);
@@ -472,12 +448,16 @@ impl PoolShared {
     }
 
     /// The release part of a step, one critical section: puts the cell
-    /// back and, if another grant waits, makes the chip runnable again
-    /// and wakes a parked executor for it; otherwise unschedules the
-    /// chip, so the next grant makes it runnable.
-    fn release(&self, claim: Claim) {
+    /// back, files `log` and counts it to its executor, and, if another
+    /// grant waits, makes the chip runnable again and wakes a parked
+    /// executor for it; otherwise unschedules the chip, so the next
+    /// grant makes it runnable. Wakes the coordinator if it waits to
+    /// collect.
+    fn release(&self, claim: Claim, log: SliceLog) {
         let mut guard = self.state();
         let state = &mut *guard;
+        state.executors[log.shard].record_filed();
+        state.filed.push(log);
         let slot = &mut state.chips[claim.chip];
         slot.cell = Some(claim.cell);
         slot.scheduled = slot.grants > 0;
@@ -485,26 +465,42 @@ impl PoolShared {
             state.runnable.push_back(claim.chip);
         }
         let wake = slot.scheduled && state.parked > 0;
+        let collector = std::mem::take(&mut state.collecting);
         drop(guard);
         if wake {
             self.ready.notify_one();
         }
+        if collector {
+            self.collected.notify_one();
+        }
+    }
+
+    /// Files `error` as the run's failure, unless one is filed already,
+    /// and wakes the coordinator; failures are rare, so it always does.
+    fn fail(&self, error: ServeError) {
+        self.state().failure.get_or_insert(error);
+        self.collected.notify_one();
     }
 
     /// One executor step, the only routine a host drives: claims a
     /// runnable chip (waiting for one if `block`), runs its slice as
-    /// executor `me` with no lock held, handing the outcome to `emit`,
-    /// and releases the chip. An executor whose slice failed keeps its
-    /// claim; the run ends on the failure.
-    fn step(&self, me: usize, block: bool, emit: impl FnMut(ShardEvent)) -> Step {
+    /// executor `me` with no lock held, and releases the chip with its
+    /// log. Returns whether it ran a slice. A slice that fails files its
+    /// error and keeps its claim; the run ends on the failure.
+    fn step(&self, me: usize, block: bool) -> bool {
         let Some(mut claim) = self.claim(block) else {
-            return Step::Idle;
+            return false;
         };
-        if !claim.run(self, me, emit) {
-            return Step::Failed;
+        match claim.run(self, me) {
+            Ok(log) => {
+                self.release(claim, log);
+                true
+            }
+            Err(error) => {
+                self.fail(ServeError::Chip(error));
+                false
+            }
         }
-        self.release(claim);
-        Step::Ran
     }
 
     /// Lets every executor drain what is runnable and stop.
@@ -514,33 +510,15 @@ impl PoolShared {
     }
 }
 
-/// A shard's sending end of the pool's channel. Dropped while the
-/// shard unwinds from a panic, it sends the shard's exit before the
-/// `Sender` goes, so the coordinator learns of the death instead of
-/// waiting on a log that will never come.
-struct Lane {
-    me: usize,
-    tx: Sender<ShardEvent>,
-}
-
-impl Drop for Lane {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            let _ = self.tx.send(ShardEvent::Panicked { shard: self.me });
-        }
-    }
-}
-
 /// The body of one shard worker: step, blocking while nothing is
-/// runnable, until shutdown drains the pool or a slice fails, and send
-/// each outcome to the coordinator. A send fails only once the pool is
-/// gone, and then nobody is owed the log. A claim that breaks the
-/// protocol panics, which the shard's [`Lane`] reports.
-fn shard_main(lane: Lane, shared: &PoolShared) {
-    while shared.step(lane.me, true, |event| {
-        let _ = lane.tx.send(event);
-    }) == Step::Ran
-    {}
+/// runnable, until shutdown drains the pool or a slice fails. A claim
+/// that breaks the protocol panics; the shard then files
+/// [`ServeError::ShardFailed`] and ends.
+fn shard_main(shared: &PoolShared, me: usize) {
+    let steps = AssertUnwindSafe(|| while shared.step(me, true) {});
+    if std::panic::catch_unwind(steps).is_err() {
+        shared.fail(ServeError::ShardFailed { shard: me });
+    }
 }
 
 /// The service's one executor: the chip pool plus `workers` long-lived
@@ -551,16 +529,12 @@ fn shard_main(lane: Lane, shared: &PoolShared) {
 pub(crate) struct ShardPool {
     shared: Arc<PoolShared>,
     handles: Vec<JoinHandle<()>>,
-    /// The receiving end of the channel every shard sends on. A pool
-    /// with no workers keeps no `Sender`, so its channel reads as
-    /// disconnected.
-    events: Receiver<ShardEvent>,
-    /// Granted `(epoch, chip)` slices whose logs have not arrived yet.
+    /// Granted `(epoch, chip)` slices whose logs are not collected yet.
     outstanding: BTreeSet<(u64, usize)>,
-    /// Logs received but not yet consumed by the merge layer.
+    /// Logs collected but not yet consumed by the merge layer.
     received: BTreeMap<(u64, usize), SliceLog>,
-    /// The first failure received; every later call returns it.
-    failure: Option<ServeError>,
+    /// The decision loop's live counters, which only this thread touches.
+    decisions: DecisionCounters,
 }
 
 impl ShardPool {
@@ -569,7 +543,6 @@ impl ShardPool {
     pub(crate) fn new(
         warmed: &[ChipSession],
         workers: usize,
-        stats: Arc<RuntimeStats>,
         slice_cycles: u64,
         drain: DrainPlan,
     ) -> Self {
@@ -584,32 +557,30 @@ impl ShardPool {
         let shared = Arc::new(PoolShared {
             state: Mutex::new(PoolState {
                 chips,
+                executors: vec![ExecutorCounters::default(); workers + 1],
                 ..PoolState::default()
             }),
             ready: Condvar::new(),
-            stats,
+            collected: Condvar::new(),
             slice_cycles,
             drain,
             fused: workers > 0,
         });
-        let (tx, events) = mpsc::channel();
         let handles = (0..workers)
             .map(|me| {
                 let shared = Arc::clone(&shared);
-                let lane = Lane { me, tx: tx.clone() };
                 std::thread::Builder::new()
                     .name(format!("vsmooth-shard{me}"))
-                    .spawn(move || shard_main(lane, &shared))
+                    .spawn(move || shard_main(&shared, me))
                     .expect("spawn shard worker")
             })
             .collect();
         Self {
             shared,
             handles,
-            events,
             outstanding: BTreeSet::new(),
             received: BTreeMap::new(),
-            failure: None,
+            decisions: DecisionCounters::default(),
         }
     }
 
@@ -618,93 +589,91 @@ impl ShardPool {
         self.shared.place(chip, core, Box::new(job));
     }
 
-    /// Grants `busy` chips one quantum for `epoch`: queues a grant at
-    /// each chip and makes each chip nobody has scheduled runnable. With
-    /// no workers, steps here until nothing is runnable, so every log is
-    /// received before this returns.
+    /// Grants `busy` chips one quantum for `epoch`, the last decision of
+    /// the epoch: queues a grant at each chip, makes each chip nobody has
+    /// scheduled runnable, and counts the grants and the decided epoch.
+    /// With no workers, steps here until nothing is runnable, so every
+    /// log is collected before this returns.
     pub(crate) fn grant(&mut self, epoch: u64, busy: &[usize]) -> Result<(), ServeError> {
         self.outstanding
             .extend(busy.iter().map(|&chip| (epoch, chip)));
+        self.decisions.grants += busy.len() as u64;
+        self.decisions.epochs_decided += 1;
         self.shared.grant(epoch, busy);
         if !self.handles.is_empty() {
             return Ok(());
         }
-        while self.failure.is_none() && self.help() {}
-        self.pump()
+        while self.help() {}
+        self.collect(false)
     }
 
     /// Runs one step on this thread without blocking, as executor
-    /// `workers` (executor 0 of a pool with no workers), filing what it
-    /// emits straight into `receive`. Returns whether it ran a slice.
-    fn help(&mut self) -> bool {
-        let shared = Arc::clone(&self.shared);
-        let me = self.handles.len();
-        shared.step(me, false, |event| self.receive(event)) != Step::Idle
+    /// `workers` (executor 0 of a pool with no workers). Returns whether
+    /// it ran a slice.
+    fn help(&self) -> bool {
+        self.shared.step(self.handles.len(), false)
     }
 
-    /// Files one executor message: a log joins `received`, a failure
-    /// is kept (the first one wins).
-    fn receive(&mut self, event: ShardEvent) {
-        match event {
-            ShardEvent::Slice(log) => {
-                self.shared.stats.record_receipt(log.shard);
-                self.outstanding.remove(&(log.epoch, log.chip));
-                self.received.insert((log.epoch, log.chip), log);
+    /// Moves every filed log into `received`, in one critical section,
+    /// and returns the first failure filed, if any. With `block`, first
+    /// waits while nothing is filed, runnable or failed. A pool with no
+    /// workers would wait there forever with a log still owed, which is
+    /// a runtime bug, not a recoverable condition: it panics instead,
+    /// once the lock is dropped.
+    fn collect(&mut self, block: bool) -> Result<(), ServeError> {
+        let mut state = self.shared.state();
+        while block
+            && state.filed.is_empty()
+            && state.runnable.is_empty()
+            && state.failure.is_none()
+        {
+            if self.handles.is_empty() {
+                drop(state);
+                panic!("all shard workers exited with granted slices still outstanding");
             }
-            ShardEvent::Failed { error } => {
-                self.failure.get_or_insert(ServeError::Chip(error));
-            }
-            ShardEvent::Panicked { shard } => {
-                self.failure
-                    .get_or_insert(ServeError::ShardFailed { shard });
-            }
+            state.collecting = true;
+            state = self
+                .shared
+                .collected
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
         }
+        for executor in &mut state.executors {
+            executor.filed = 0;
+        }
+        for log in state.filed.drain(..) {
+            self.outstanding.remove(&(log.epoch, log.chip));
+            self.received.insert((log.epoch, log.chip), log);
+        }
+        state.failure.clone().map_or(Ok(()), Err)
     }
 
-    /// Non-blocking: receives every message already sent, then
-    /// returns the first failure received, if any.
-    fn pump(&mut self) -> Result<(), ServeError> {
-        while let Ok(event) = self.events.try_recv() {
-            self.receive(event);
-        }
-        match &self.failure {
-            Some(error) => Err(error.clone()),
-            None => Ok(()),
-        }
-    }
-
+    /// Whether every log for epochs `< bound` is in. `outstanding` is
+    /// ordered by `(epoch, chip)`, so its first key decides.
     fn has_through(&self, bound: u64) -> bool {
-        !self.outstanding.iter().any(|&(epoch, _)| epoch < bound)
+        self.outstanding
+            .first()
+            .is_none_or(|&(epoch, _)| epoch >= bound)
     }
 
-    /// Blocks until every log for epochs `< bound` has arrived, or
-    /// until a shard reports a failure or a panic. While a chip is
-    /// runnable, the coordinator steps ([`ShardPool::help`]) instead of
-    /// blocking, so it runs kernel slices while it would otherwise
-    /// sleep. A pool whose workers have all exited without
-    /// reporting one (or that never had any) panics with a log still
-    /// owed instead of blocking forever: that is a runtime bug, not a
-    /// recoverable condition.
+    /// Blocks until every log for epochs `< bound` is in, or until an
+    /// executor files a failure. While a chip is runnable, the
+    /// coordinator steps ([`ShardPool::help`]) instead of blocking, so
+    /// it runs kernel slices while it would otherwise sleep.
     pub(crate) fn wait_through(&mut self, bound: u64) -> Result<(), ServeError> {
+        let mut block = false;
         loop {
-            self.pump()?;
+            self.collect(block)?;
             if self.has_through(bound) {
                 return Ok(());
             }
-            if self.help() {
-                continue;
-            }
-            let event = self
-                .events
-                .recv()
-                .expect("all shard workers exited with granted slices still outstanding");
-            self.receive(event);
+            block = !self.help();
         }
     }
 
     /// Non-blocking: whether every log for epochs `< bound` is in.
     pub(crate) fn ready_through(&mut self, bound: u64) -> Result<bool, ServeError> {
-        self.pump()?;
+        self.collect(false)?;
         Ok(self.has_through(bound))
     }
 
@@ -725,50 +694,62 @@ impl ShardPool {
             .expect("granted slice log available at merge time")
     }
 
-    /// Shuts the pool down and returns the cells in chip order for
-    /// end-of-run flushing (late-sealing droop windows, measured-cycle
-    /// totals).
-    pub(crate) fn finish(mut self) -> Result<Vec<ChipCell>, ServeError> {
-        self.shared.shutdown();
-        for (shard, handle) in std::mem::take(&mut self.handles).into_iter().enumerate() {
-            if handle.join().is_err() {
-                self.failure
-                    .get_or_insert(ServeError::ShardFailed { shard });
-            }
+    /// Records one decision-loop latency sample, in microseconds.
+    pub(crate) fn record_decision_latency(&mut self, micros: u64) {
+        self.decisions.record_latency(micros);
+    }
+
+    /// Slices run by every executor together.
+    pub(crate) fn slices_total(&self) -> u64 {
+        self.shared.state().executors.iter().map(|e| e.slices).sum()
+    }
+
+    /// The live `/shards` section, its lag measured against the merge
+    /// layer's `epochs_merged`; `None` for a pool with no workers, which
+    /// has no shard runtime to introspect.
+    pub(crate) fn status(&self, epochs_merged: u64) -> Option<ShardsStatus> {
+        if self.handles.is_empty() {
+            return None;
         }
-        self.pump()?;
-        // `Drop` prevents moving a field out of `self`; clone the Arc,
-        // let the (now trivial) destructor run, then unwrap.
-        let shared = Arc::clone(&self.shared);
-        drop(self);
-        let shared = Arc::try_unwrap(shared).expect("all shard handles joined");
-        let state = shared
-            .state
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
+        let state = self.shared.state();
+        let queue_hwm = state.chips.iter().map(|slot| slot.queue_hwm).collect();
+        Some(
+            self.decisions
+                .status(&state.executors, queue_hwm, epochs_merged),
+        )
+    }
+
+    /// Returns the cells in chip order for end-of-run flushing
+    /// (late-sealing droop windows, measured-cycle totals), or the first
+    /// failure filed. A log is filed only once its cell is home, so with
+    /// every granted log in, every cell is in its slot; the pool shuts
+    /// down as it drops.
+    pub(crate) fn finish(mut self) -> Result<Vec<ChipCell>, ServeError> {
+        self.collect(false)?;
+        debug_assert!(self.outstanding.is_empty(), "granted logs still owed");
+        let mut state = self.shared.state();
         debug_assert!(
             state.chips.iter().all(|slot| slot.cmds.is_empty()),
             "commands left undrained at shutdown"
         );
-        // Only an executor that died or failed keeps a claim, and the
-        // pump above has then returned its failure.
         Ok(state
             .chips
-            .into_iter()
-            .map(|slot| *slot.cell.expect("every claim released"))
+            .iter_mut()
+            .map(|slot| *slot.cell.take().expect("every claim released"))
             .collect())
     }
 }
 
 /// Early error returns (queue overflow, chip failure) drop the pool
-/// with workers still parked in a claim; release them and wait, or
-/// they would outlive the run holding the shared state.
+/// with workers still parked in a claim, and `finish` leaves them
+/// there; release them and wait, or they would outlive the run holding
+/// the shared state.
 impl Drop for ShardPool {
     fn drop(&mut self) {
         self.shared.shutdown();
         for handle in self.handles.drain(..) {
-            // A worker that panicked already sent its exit; don't
-            // double-panic while unwinding.
+            // A shard that panicked filed its failure and ended; its
+            // join cannot fail.
             let _ = handle.join();
         }
     }
@@ -796,6 +777,7 @@ impl PoolShared {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::sync::mpsc;
     use std::time::{Duration, Instant};
     use vsmooth_pdn::DecapConfig;
     use vsmooth_workload::by_name;
@@ -808,8 +790,7 @@ mod tests {
     }
 
     fn pool(chips: usize, workers: usize) -> ShardPool {
-        let stats = Arc::new(RuntimeStats::new(workers, chips));
-        ShardPool::new(&warmed(chips), workers, stats, SLICE, DrainPlan::default())
+        ShardPool::new(&warmed(chips), workers, SLICE, DrainPlan::default())
     }
 
     fn inline_pool(chips: usize) -> ShardPool {
@@ -843,7 +824,7 @@ mod tests {
                 assert_eq!(log.stats.cycles, SLICE);
             }
         }
-        assert_eq!(pool.shared.stats.slices_total(), 6);
+        assert_eq!(pool.slices_total(), 6);
         let cells = pool.finish().unwrap();
         let measured: Vec<u64> = cells.iter().map(|c| c.session.measured_cycles()).collect();
         assert_eq!(measured, [3 * SLICE, 0, 3 * SLICE]);
@@ -975,14 +956,10 @@ mod tests {
             pool
         });
         let granted = rx.recv_timeout(Duration::from_secs(10));
-        let mut events = Vec::new();
-        assert!(claim.run(&shared, 0, |event| events.push(event)));
-        shared.release(claim);
+        let log = claim.run(&shared, 0).expect("the slice runs");
+        shared.release(claim, log);
         assert_eq!(granted, Ok(()), "the grant waited for the held claim");
         let mut pool = granter.join().unwrap();
-        for event in events {
-            pool.receive(event);
-        }
         assert_eq!(pool.wait_through(2), Ok(()));
         for (epoch, chip) in [(0, 0), (1, 0), (1, 1)] {
             let log = pool.log(epoch, chip);
@@ -992,7 +969,8 @@ mod tests {
 
     /// A claim takes the chip's cell and the placements queued ahead of
     /// its grant, and leaves later grants queued; its slice installs
-    /// the placements and runs that one slice with the pool lock free.
+    /// the placements and runs that one slice while the test holds the
+    /// pool lock, so the slice never takes it.
     #[test]
     fn a_claim_installs_its_placements_and_runs_one_slice_with_the_pool_lock_free() {
         let mut pool = inline_pool(1);
@@ -1009,15 +987,16 @@ mod tests {
             assert_eq!(slot.grants, 1);
             assert!(slot.cell.is_none(), "the claim holds the cell");
         }
-        let mut emitted = Vec::new();
-        let ran = claim.run(shared, 0, |event| {
-            let ShardEvent::Slice(log) = event else {
-                panic!("the slice failed");
-            };
-            emitted.push((log.epoch, shared.state.try_lock().is_ok()));
+        let ran = std::thread::scope(|scope| {
+            // Held on this thread, and dropped before the scope joins the
+            // slice's thread if the wait fails.
+            let _state = shared.state();
+            let slice = scope.spawn(|| claim.run(shared, 0));
+            wait_until("the slice waited for the pool lock", || slice.is_finished());
+            slice.join().unwrap()
         });
-        assert!(ran);
-        assert_eq!(emitted, [(0, true)], "one slice, pool lock free");
+        let log = ran.expect("the slice runs");
+        assert_eq!((log.epoch, log.chip, log.stats.cycles), (0, 0, SLICE));
         assert!(claim.cell.cores[0].is_some(), "the placement was installed");
     }
 
@@ -1047,19 +1026,19 @@ mod tests {
         }
         shared.grant(3, &[1, 0]);
         assert_eq!(shared.runnable(), [0, 1]);
-        let mut ran = Vec::new();
-        while shared.step(0, false, |event| {
-            if let ShardEvent::Slice(log) = event {
-                ran.push((log.chip, log.epoch));
-            }
-        }) == Step::Ran
-        {
+        while shared.step(0, false) {
             let runnable = shared.runnable();
             assert!(
                 runnable.len() <= 1 || runnable[0] != runnable[1],
                 "{runnable:?}"
             );
         }
+        let ran: Vec<(usize, u64)> = shared
+            .state()
+            .filed
+            .iter()
+            .map(|log| (log.chip, log.epoch))
+            .collect();
         assert_eq!(ran, [(0, 0), (1, 3), (0, 1), (0, 2), (0, 3)]);
         assert!(shared.state().chips.iter().all(|slot| !slot.scheduled));
     }
@@ -1083,8 +1062,9 @@ mod tests {
         shared.grant(0, &[0]);
         shared.shutdown();
         // A runnable chip is still claimed after shutdown.
-        let claim = shared.claim(true).expect("the runnable chip");
-        shared.release(claim);
+        let mut claim = shared.claim(true).expect("the runnable chip");
+        let log = claim.run(shared, 0).expect("the slice runs");
+        shared.release(claim, log);
         assert!(shared.claim(true).is_none());
     }
 
@@ -1128,57 +1108,77 @@ mod tests {
         assert_eq!(pool.wait_through(1), Ok(()));
         let executors: Vec<usize> = (0..3).map(|chip| pool.log(0, chip).shard).collect();
         assert_eq!(executors, [1, 1, 1], "every slice ran on the coordinator");
-        let status = pool.shared.stats.status(0);
+        let status = pool.status(0).expect("a pool with a worker publishes");
         assert_eq!(status.coordinator_slices, 3);
         assert_eq!(status.shards[0].slices, 0);
     }
 
     /// A virtual executor of the seeded host, between two operations:
     /// idle, holding a claim whose slice is yet to run, or holding a
-    /// claim whose slice ran and is yet to be released. These are the
-    /// three parts of [`PoolShared::step`].
+    /// claim whose slice ran and whose log is yet to be filed by the
+    /// release. These are the three parts of [`PoolShared::step`].
     enum Virtual {
         Idle,
         Claimed(Claim),
-        Ran(Claim),
+        Ran(Claim, SliceLog),
+    }
+
+    impl Virtual {
+        /// The claim this executor holds, if any.
+        fn claim(&self) -> Option<&Claim> {
+            match self {
+                Virtual::Idle => None,
+                Virtual::Claimed(claim) | Virtual::Ran(claim, _) => Some(claim),
+            }
+        }
     }
 
     /// Checks the claim protocol's invariants between two operations:
     /// each chip is runnable at most once, a runnable chip has a grant
     /// waiting, a chip is scheduled exactly when it is runnable or
-    /// claimed, no grant waits on an unscheduled chip, and a chip's cell
-    /// is in its slot exactly when no executor holds its claim.
+    /// claimed, no grant waits on an unscheduled chip, a chip's cell is
+    /// in its slot exactly when no executor holds its claim, and no
+    /// filed log's slice is still held: a log is filed only once its
+    /// cell is home, which `ShardPool::finish` relies on.
     fn check_claims(shared: &PoolShared, executors: &[Virtual]) -> Result<(), TestCaseError> {
         let state = shared.state();
+        let held: Vec<&Claim> = executors.iter().filter_map(Virtual::claim).collect();
         for (chip, slot) in state.chips.iter().enumerate() {
             let runnable = state.runnable.iter().filter(|&&c| c == chip).count();
             prop_assert!(runnable <= 1, "chip {} runnable {} times", chip, runnable);
-            let held = executors.iter().any(|v| match v {
-                Virtual::Claimed(claim) | Virtual::Ran(claim) => claim.chip == chip,
-                Virtual::Idle => false,
-            });
+            let claimed = held.iter().any(|claim| claim.chip == chip);
             prop_assert!(
                 runnable == 0 || slot.grants > 0,
                 "chip {} is runnable with no grant waiting",
                 chip
             );
             prop_assert!(
-                !(held && runnable > 0),
+                !(claimed && runnable > 0),
                 "chip {} is runnable while claimed",
                 chip
             );
             prop_assert_eq!(
                 slot.scheduled,
-                held || runnable > 0,
+                claimed || runnable > 0,
                 "chip {} scheduled",
                 chip
             );
             prop_assert!(slot.grants == 0 || slot.scheduled, "chip {} stranded", chip);
             prop_assert_eq!(
                 slot.cell.is_some(),
-                !held,
+                !claimed,
                 "chip {}'s cell in its slot",
                 chip
+            );
+        }
+        for log in &state.filed {
+            prop_assert!(
+                !held
+                    .iter()
+                    .any(|claim| (claim.epoch, claim.chip) == (log.epoch, log.chip)),
+                "epoch {}'s log of chip {} was filed while its claim is held",
+                log.epoch,
+                log.chip
             );
         }
         Ok(())
@@ -1191,9 +1191,9 @@ mod tests {
         /// of 1–8 virtual executors. After every operation the
         /// protocol's invariants hold ([`check_claims`]); every claim
         /// finds a grant and its cell, or it panics. Once the chooser
-        /// stops and the executors drain the pool, every granted
-        /// `(epoch, chip)` has exactly one log, each chip's in epoch
-        /// order, every job ended on the slice the decision loop
+        /// stops and the executors drain the pool, the pool's filed list
+        /// holds exactly one log per granted `(epoch, chip)`, each chip's
+        /// in epoch order, every job ended on the slice the decision loop
         /// predicts, and every chip is idle with its cell home. The case
         /// count is pinned by `PROPTEST_CASES`.
         #[test]
@@ -1205,9 +1205,9 @@ mod tests {
         ) {
             // A pool with no threads of its own, its counters sized for
             // the virtual executors.
-            let stats = Arc::new(RuntimeStats::new(workers, chips));
-            let pool = ShardPool::new(&warmed(chips), 0, stats, SLICE, DrainPlan::default());
+            let pool = ShardPool::new(&warmed(chips), 0, SLICE, DrainPlan::default());
             let shared = &pool.shared;
+            shared.state().executors.resize(workers, ExecutorCounters::default());
             let mut rng = TestRng::new(seed);
             let mut executors: Vec<Virtual> = (0..workers).map(|_| Virtual::Idle).collect();
             // The decision loop's shadow: per core, the resident job and
@@ -1215,7 +1215,6 @@ mod tests {
             let mut shadow = vec![[None::<(u64, u64)>; 2]; chips];
             let mut jobs = 0u64;
             let mut granted = BTreeMap::new();
-            let mut logs = Vec::new();
             // Operation `ops` grants every chip, so every placement is
             // claimed; after it the executors only step, until the pool
             // is drained.
@@ -1269,13 +1268,15 @@ mod tests {
                                 Some(claim) => Virtual::Claimed(claim),
                                 None => Virtual::Idle,
                             },
-                            Virtual::Claimed(mut claim) => {
-                                let ran = claim.run(shared, me, |event| logs.push(event));
-                                prop_assert!(ran, "chip {}'s slice failed", claim.chip);
-                                Virtual::Ran(claim)
-                            }
-                            Virtual::Ran(claim) => {
-                                shared.release(claim);
+                            Virtual::Claimed(mut claim) => match claim.run(shared, me) {
+                                Ok(log) => Virtual::Ran(claim, log),
+                                Err(_) => {
+                                    let failed = format!("chip {}'s slice failed", claim.chip);
+                                    return Err(TestCaseError::fail(failed));
+                                }
+                            },
+                            Virtual::Ran(claim, log) => {
+                                shared.release(claim, log);
                                 Virtual::Idle
                             }
                         };
@@ -1283,12 +1284,10 @@ mod tests {
                 }
                 check_claims(shared, &executors)?;
             }
+            let filed = std::mem::take(&mut shared.state().filed);
             let mut last = vec![None; chips];
             let mut seen = BTreeMap::new();
-            for event in logs {
-                let ShardEvent::Slice(log) = event else {
-                    return Err(TestCaseError::fail("a slice failed"));
-                };
+            for log in filed {
                 prop_assert!(last[log.chip] < Some(log.epoch), "chip {} out of epoch order", log.chip);
                 last[log.chip] = Some(log.epoch);
                 prop_assert!(seen.insert((log.epoch, log.chip), log.finished).is_none());

@@ -154,8 +154,8 @@ fn shard_slice_tallies_reconcile_with_the_slice_counter() {
         report.snapshot.counter("serve_slices_total"),
         "per-shard and coordinator slice tallies must reconcile with serve_slices_total"
     );
-    // A shard's lane high-water mark counts its logs sent but not yet
-    // received: at least one once it ran a slice, never more than it
+    // A shard's lane high-water mark counts its logs filed but not yet
+    // collected: at least one once it ran a slice, never more than it
     // ran, and none if it ran nothing.
     for s in &section.shards {
         let executed = s.slices;
