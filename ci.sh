@@ -77,6 +77,12 @@ PROPTEST_CASES=512 cargo test -q -p vsmooth-trace --lib json
 # property holds every record kind, hostile strings and edge-case
 # floats to a formatter-based renderer byte for byte.
 PROPTEST_CASES=512 cargo test -q -p vsmooth-trace --lib export
+# A sink-backed stream holds rendered records instead of a ring of
+# records; its property holds the written bytes and every telemetry
+# stat, after each record and at finish, to a copy of that record ring
+# over random streams, ring sizes, chunk sizes, sampling and failing
+# writers.
+PROPTEST_CASES=256 cargo test -q -p vsmooth-trace --lib rendered_ring_matches_the_record_ring
 
 echo "== benchmark harness (facade API and pinned digests) =="
 # perfbench/ is a workspace of its own that drives the program only

@@ -1,7 +1,8 @@
 //! The [`Monitor`]: one object the service coordinator feeds.
 //!
-//! The coordinator calls [`Monitor::on_droop`] per captured droop
-//! crossing, [`Monitor::on_slice`] per finished scheduling slice, and
+//! The coordinator calls [`Monitor::on_droops`] with each slice's
+//! captured droop crossings, [`Monitor::on_slice`] per finished
+//! scheduling slice, and
 //! [`Monitor::on_epoch`] once per epoch with the aggregated
 //! [`EpochSample`]. `on_epoch` is where everything happens: the
 //! sliding window advances, a [`WindowSnapshot`] is cut, every SLO
@@ -16,7 +17,7 @@ use crate::report::{HealthReport, HealthStatus};
 use crate::slo::{Alert, AlertPhase, RuleEvent, RuleState, Severity, Signal, SloRule};
 use crate::window::{EpochSample, SlidingWindow, WindowSnapshot};
 use std::sync::Arc;
-use vsmooth_trace::DroopEvent;
+use vsmooth_trace::DroopBatch;
 
 /// Configuration for one [`Monitor`].
 #[derive(Debug, Clone, PartialEq)]
@@ -105,10 +106,11 @@ impl Monitor {
         }
     }
 
-    /// Feeds one droop crossing into the flight recorder, which keeps
-    /// the shared event (no copy) until a postmortem seals it.
-    pub fn on_droop(&mut self, event: Arc<DroopEvent>) {
-        self.recorder.record_droop(event);
+    /// Feeds one slice's droop crossings into the flight recorder,
+    /// which keeps the shared batch (no copy) until its crossings age
+    /// out or a postmortem seals them.
+    pub fn on_droops(&mut self, batch: Arc<DroopBatch>) {
+        self.recorder.record_droops(batch);
     }
 
     /// Feeds one finished scheduling slice into the flight recorder.
@@ -221,14 +223,12 @@ mod tests {
             m.on_epoch(hot_sample(i * 1_000, 0));
         }
         for i in 10..20u64 {
-            m.on_droop(Arc::new(DroopEvent {
+            m.on_droops(Arc::new(DroopBatch {
                 chip: 0,
-                core: 0,
-                cycle: i * 1_000,
-                depth_pct: 2.8,
                 workloads: vec!["482.sphinx3".into(); 2].into(),
                 label: "482.sphinx3+482.sphinx3".into(),
                 phase: format!("epoch{i}").into(),
+                crossings: vec![(i * 1_000, 2.8)],
             }));
             m.on_epoch(hot_sample(i * 1_000, 6));
         }

@@ -1,7 +1,7 @@
 //! The flight recorder: always-on bounded evidence rings and the
 //! sealed postmortem bundle.
 //!
-//! While the monitor runs, recent [`DroopEvent`]s, slice records, and
+//! While the monitor runs, recent droop crossings, slice records, and
 //! window snapshots accumulate in fixed-capacity rings (oldest entries
 //! evicted first, like an aircraft flight recorder). The moment an
 //! alert fires, [`FlightRecorder::seal`] freezes the rings into a
@@ -16,7 +16,7 @@ use crate::window::WindowSnapshot;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use vsmooth_trace::json::{escape, json_f64};
-use vsmooth_trace::{parse_json, DroopEvent};
+use vsmooth_trace::{parse_json, BatchRing, DroopBatch, DroopEvent};
 
 /// Schema tag stamped on every postmortem bundle.
 pub(crate) const POSTMORTEM_SCHEMA: &str = "vsmooth-postmortem-v1";
@@ -24,7 +24,7 @@ pub(crate) const POSTMORTEM_SCHEMA: &str = "vsmooth-postmortem-v1";
 /// Ring capacities for the flight recorder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecorderConfig {
-    /// Recent droop events retained.
+    /// Recent droop crossings retained.
     pub droop_events: usize,
     /// Recent per-chip slice records retained.
     pub slices: usize,
@@ -62,36 +62,33 @@ pub struct SliceRecord {
 
 /// Bounded rings of recent evidence, always on while monitoring.
 ///
-/// The droop ring holds shared events, so the service's obs ring can
-/// hold the same allocations; sealing copies them out.
+/// The droop ring holds shared per-slice batches, so the service's obs
+/// ring can hold the same allocations; sealing expands the newest
+/// crossings into events.
 #[derive(Debug, Clone)]
 pub(crate) struct FlightRecorder {
     cfg: RecorderConfig,
-    droops: VecDeque<Arc<DroopEvent>>,
+    droops: BatchRing<DroopBatch>,
     slices: VecDeque<SliceRecord>,
     snapshots: VecDeque<WindowSnapshot>,
 }
 
 impl FlightRecorder {
-    /// An empty recorder with rings pre-allocated to their caps.
+    /// An empty recorder with its slice and snapshot rings
+    /// pre-allocated to their caps.
     pub(crate) fn new(cfg: RecorderConfig) -> Self {
         Self {
             cfg,
-            droops: VecDeque::with_capacity(cfg.droop_events.max(1)),
+            droops: BatchRing::new(cfg.droop_events),
             slices: VecDeque::with_capacity(cfg.slices.max(1)),
             snapshots: VecDeque::with_capacity(cfg.snapshots.max(1)),
         }
     }
 
-    /// Records one droop event, evicting the oldest at capacity.
-    pub(crate) fn record_droop(&mut self, event: Arc<DroopEvent>) {
-        if self.cfg.droop_events == 0 {
-            return;
-        }
-        if self.droops.len() == self.cfg.droop_events {
-            self.droops.pop_front();
-        }
-        self.droops.push_back(event);
+    /// Records one slice's droop crossings, evicting the oldest beyond
+    /// capacity.
+    pub(crate) fn record_droops(&mut self, batch: Arc<DroopBatch>) {
+        self.droops.push(batch);
     }
 
     /// Records one slice, evicting the oldest at capacity.
@@ -121,7 +118,7 @@ impl FlightRecorder {
     pub(crate) fn seal(&self, alert: &Alert) -> PostmortemBundle {
         PostmortemBundle {
             alert: alert.clone(),
-            droop_events: self.droops.iter().map(|e| DroopEvent::clone(e)).collect(),
+            droop_events: self.droops.iter().collect(),
             slices: self.slices.iter().cloned().collect(),
             snapshots: self.snapshots.iter().cloned().collect(),
         }
@@ -330,15 +327,13 @@ mod tests {
     use super::*;
     use crate::slo::Severity;
 
-    fn droop(cycle: u64) -> Arc<DroopEvent> {
-        Arc::new(DroopEvent {
+    fn droops(cycles: impl IntoIterator<Item = u64>) -> Arc<DroopBatch> {
+        Arc::new(DroopBatch {
             chip: 0,
-            core: 0,
-            cycle,
-            depth_pct: 2.9,
             workloads: ["482.sphinx3".into(), "482.sphinx3".into()].into(),
             label: "482.sphinx3+482.sphinx3".into(),
             phase: "epoch3".into(),
+            crossings: cycles.into_iter().map(|c| (c, 2.9)).collect(),
         })
     }
 
@@ -364,9 +359,7 @@ mod tests {
 
     fn recorder_with_evidence() -> FlightRecorder {
         let mut rec = FlightRecorder::new(RecorderConfig::default());
-        for c in 0..5 {
-            rec.record_droop(droop(10_000 + c * 100));
-        }
+        rec.record_droops(droops((0..5).map(|c| 10_000 + c * 100)));
         rec.record_slice(SliceRecord {
             start_cycle: 10_000,
             chip: 0,
@@ -386,9 +379,11 @@ mod tests {
             slices: 2,
             snapshots: 2,
         });
-        for c in 0..10 {
-            rec.record_droop(droop(c));
-        }
+        // The newest batch's two crossings plus the last of the batch
+        // before it, which is cut inside.
+        rec.record_droops(droops(0..4));
+        rec.record_droops(droops(4..8));
+        rec.record_droops(droops(8..10));
         assert_eq!(rec.droops.len(), 3);
         let bundle = rec.seal(&alert());
         assert_eq!(
@@ -455,7 +450,7 @@ mod tests {
             slices: 0,
             snapshots: 0,
         });
-        rec.record_droop(droop(1));
+        rec.record_droops(droops([1]));
         rec.record_slice(SliceRecord {
             start_cycle: 0,
             chip: 0,

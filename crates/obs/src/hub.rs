@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use vsmooth_monitor::HealthStatus;
 use vsmooth_stats::MetricsSnapshot;
-use vsmooth_trace::{DecisionEvent, DroopEvent};
+use vsmooth_trace::{BatchRing, DecisionEvent, DroopBatch};
 
 /// Live scheduling-service state published alongside the metrics
 /// snapshot, rendered by the `/status` endpoint.
@@ -122,20 +122,21 @@ pub struct ObsSnapshot {
     pub service: Option<ServiceStatus>,
     /// The most recent droop crossings behind `/trace/recent`, oldest
     /// first. This ring is an independent coordinator-side copy; the
-    /// streaming tracer's own ring is never drained on its behalf. The
-    /// events are shared with the publisher's ring (and the monitor's
-    /// flight recorder), so a publish costs a refcount bump per event,
-    /// not a deep copy.
-    pub recent_droops: Vec<Arc<DroopEvent>>,
+    /// streaming tracer's own ring is never drained on its behalf. It
+    /// holds per-slice batches shared with the publisher's ring (and
+    /// the monitor's flight recorder), so a publish costs a refcount
+    /// bump per batch, not per crossing.
+    pub recent_droops: BatchRing<DroopBatch>,
     /// Latest `vsmooth-profile-v1` JSON behind `/profile`.
     pub profile_json: Option<Arc<String>>,
     /// Live shard-runtime introspection behind `/shards` (absent on
     /// in-line coordinator runs).
     pub shards: Option<ShardsStatus>,
-    /// The decision audit ring behind `/decisions`, oldest first.
-    /// Folded merge-side in `(epoch, chip)` order, so — unlike
-    /// `shards` — this section is deterministic at any shard count.
-    pub decisions: Vec<DecisionEvent>,
+    /// The decision audit ring behind `/decisions`, oldest first, as
+    /// per-epoch batches shared with the audit log. Folded merge-side
+    /// in `(epoch, chip)` order, so — unlike `shards` — this section is
+    /// deterministic at any shard count.
+    pub decisions: BatchRing<Vec<DecisionEvent>>,
 }
 
 /// The snapshot exchange. One writer (the coordinator) swaps in

@@ -33,7 +33,7 @@ use vsmooth_stats::MetricsRegistry;
 
 use crate::hub::{ObsSnapshot, ShardsStatus, TelemetryHub};
 use vsmooth_trace::json::{escape, json_f64};
-use vsmooth_trace::{DecisionEvent, DroopEvent};
+use vsmooth_trace::{Batch, BatchRing, DecisionEvent, DroopEvent};
 
 /// Schema tag on the `/status` JSON document.
 pub const OBS_STATUS_SCHEMA: &str = "vsmooth-obs-v1";
@@ -423,7 +423,7 @@ fn route(
                 let push = DecisionEvent::push_json;
                 ring_json(OBS_DECISIONS_SCHEMA, "events", &snap.decisions, n, push)
             } else {
-                let push = |d: &Arc<DroopEvent>, out: &mut String| d.push_json(out);
+                let push = DroopEvent::push_json;
                 ring_json(OBS_TRACE_SCHEMA, "droops", &snap.recent_droops, n, push)
             };
             (endpoint, 200, "application/json", body)
@@ -535,7 +535,7 @@ fn render_shard_gauges(shards: &ShardsStatus) -> String {
     metrics.describe("serve_shard_slices", "Slices executed per shard.");
     metrics.describe(
         "serve_shard_lane_occupancy_hwm",
-        "High-water mark of each shard's event-lane occupancy, in pending slice records.",
+        "High-water mark of each shard's slice logs filed under the pool lock and not yet collected.",
     );
     metrics.describe(
         "serve_coordinator_slices",
@@ -632,24 +632,23 @@ fn shards_json(shards: &ShardsStatus) -> String {
 /// Renders the newest `n` entries of `ring` (oldest first) as a
 /// `{schema, available, returned, <key>: [...]}` document, each entry
 /// written by `push`.
-fn ring_json<T>(
+fn ring_json<B: Batch>(
     schema: &str,
     key: &str,
-    ring: &[T],
+    ring: &BatchRing<B>,
     n: usize,
-    push: impl Fn(&T, &mut String),
+    push: impl Fn(&B::Item, &mut String),
 ) -> String {
     let available = ring.len();
-    let recent = &ring[available.saturating_sub(n)..];
-    let mut out = String::with_capacity(256 + recent.len() * 128);
+    let returned = n.min(available);
+    let mut out = String::with_capacity(256 + returned * 128);
     out.push_str(&format!(
-        "{{\n  \"schema\": \"{schema}\",\n  \"available\": {available},\n  \"returned\": {},\n  \"{key}\": [\n",
-        recent.len()
+        "{{\n  \"schema\": \"{schema}\",\n  \"available\": {available},\n  \"returned\": {returned},\n  \"{key}\": [\n"
     ));
-    for (i, entry) in recent.iter().enumerate() {
+    for (i, entry) in ring.newest(n).enumerate() {
         out.push_str("    ");
-        push(entry, &mut out);
-        out.push_str(if i + 1 < recent.len() { ",\n" } else { "\n" });
+        push(&entry, &mut out);
+        out.push_str(if i + 1 < returned { ",\n" } else { "\n" });
     }
     out.push_str("  ]\n}\n");
     out
@@ -694,7 +693,7 @@ mod tests {
     use super::*;
     use crate::hub::{LatencyStats, ServiceStatus, ShardStatus};
     use vsmooth_monitor::{HealthStatus, Severity, WindowSnapshot};
-    use vsmooth_trace::{parse_json, DecisionEvent, DecisionKind, DroopEvent};
+    use vsmooth_trace::{parse_json, DecisionEvent, DecisionKind, DroopBatch};
 
     fn sample_snapshot() -> ObsSnapshot {
         let mut metrics = MetricsRegistry::new();
@@ -741,7 +740,8 @@ mod tests {
                 max_us: 90,
             },
         });
-        snap.decisions = (0..4)
+        snap.decisions = BatchRing::new(256);
+        let decisions: Vec<DecisionEvent> = (0..4)
             .map(|i| DecisionEvent {
                 epoch: i,
                 cycle: i * 600,
@@ -756,19 +756,17 @@ mod tests {
                 reason: if i % 2 == 0 { "arrival" } else { "quantum" },
             })
             .collect();
-        snap.recent_droops = (0..5)
-            .map(|i| {
-                Arc::new(DroopEvent {
-                    chip: 0,
-                    core: 0,
-                    cycle: 600 * (i as u64 + 1),
-                    depth_pct: 3.5,
-                    workloads: ["482.sphinx3".into()].into(),
-                    label: "482.sphinx3".into(),
-                    phase: format!("epoch{i}").into(),
-                })
-            })
-            .collect();
+        snap.decisions.push(Arc::new(decisions));
+        snap.recent_droops = BatchRing::new(256);
+        for i in 0..5 {
+            snap.recent_droops.push(Arc::new(DroopBatch {
+                chip: 0,
+                workloads: ["482.sphinx3".into()].into(),
+                label: "482.sphinx3".into(),
+                phase: format!("epoch{i}").into(),
+                crossings: vec![(600 * (i + 1), 3.5)],
+            }));
+        }
         snap
     }
 
@@ -887,7 +885,10 @@ mod tests {
         server.hub().publish(with_shards(4));
         let body = metrics();
         assert!(body.contains("serve_shard_slices{shard=\"3\"} 8"));
-        assert!(body.contains("# HELP serve_shard_lane_occupancy_hwm"));
+        assert!(body.contains(
+            "\n# HELP serve_shard_lane_occupancy_hwm High-water mark of each shard's slice logs \
+             filed under the pool lock and not yet collected.\n"
+        ));
 
         // A run with no shard runtime (a coordinator run) leaves no
         // shard series behind.

@@ -17,10 +17,10 @@
 //! appears here; it is published through the per-shard obs section
 //! instead.
 
-use std::collections::VecDeque;
+use std::sync::Arc;
 
 use crate::control::EpochRec;
-use vsmooth_trace::{DecisionEvent, DecisionKind, AUDIT_SCHEMA};
+use vsmooth_trace::{BatchRing, DecisionEvent, DecisionKind, AUDIT_SCHEMA};
 
 /// Arms the scheduler decision audit log.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,41 +36,40 @@ impl Default for AuditConfig {
     }
 }
 
-/// The bounded decision ring the merge layer folds into.
+/// The bounded decision ring the merge layer folds into: per-epoch
+/// batches, which every obs publish shares instead of copying.
 #[derive(Debug, Clone)]
 pub(crate) struct AuditLog {
-    ring: VecDeque<DecisionEvent>,
+    ring: BatchRing<Vec<DecisionEvent>>,
     total: u64,
     capacity: usize,
 }
 
 impl AuditLog {
     pub(crate) fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         Self {
-            ring: VecDeque::with_capacity(capacity.min(1024)),
+            ring: BatchRing::new(capacity),
             total: 0,
-            capacity: capacity.max(1),
+            capacity,
         }
     }
 
-    /// Appends one event, evicting the oldest when full.
-    pub(crate) fn push(&mut self, event: DecisionEvent) {
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(event);
-        self.total += 1;
+    /// Appends one epoch's events, evicting the oldest beyond capacity.
+    pub(crate) fn push(&mut self, events: Vec<DecisionEvent>) {
+        self.total += events.len() as u64;
+        self.ring.push(Arc::new(events));
     }
 
-    /// The ring's current contents, oldest first.
-    pub(crate) fn events(&self) -> Vec<DecisionEvent> {
-        self.ring.iter().cloned().collect()
+    /// The ring, shared with whoever clones it.
+    pub(crate) fn ring(&self) -> &BatchRing<Vec<DecisionEvent>> {
+        &self.ring
     }
 
     /// Seals the ring into the exportable report.
     pub(crate) fn report(&self) -> AuditReport {
         AuditReport {
-            events: self.events(),
+            events: self.ring.iter().collect(),
             total: self.total,
             capacity: self.capacity,
         }
@@ -248,9 +247,8 @@ mod tests {
     #[test]
     fn ring_evicts_oldest_and_keeps_counting() {
         let mut log = AuditLog::new(2);
-        for epoch in 0..5 {
-            log.push(event(epoch));
-        }
+        log.push(vec![event(0), event(1)]);
+        log.push(vec![event(2), event(3), event(4)]);
         let report = log.report();
         assert_eq!(report.total, 5);
         assert_eq!(report.events.len(), 2);
@@ -261,8 +259,7 @@ mod tests {
     #[test]
     fn json_carries_the_schema_and_every_event() {
         let mut log = AuditLog::new(8);
-        log.push(event(0));
-        log.push(event(1));
+        log.push(vec![event(0), event(1)]);
         let json = log.report().to_json();
         assert!(json.contains("\"schema\": \"vsmooth-audit-v1\""));
         assert!(json.contains("\"total\": 2"));

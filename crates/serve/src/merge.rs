@@ -42,7 +42,7 @@
 //! droop event from them, slice spans included, in `(epoch, chip)`
 //! order.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::audit::{epoch_decisions, AuditLog};
@@ -59,7 +59,7 @@ use vsmooth_monitor::{EpochSample, HealthReport, Monitor, SliceRecord};
 use vsmooth_obs::{ObsConfig, ObsSnapshot, ServiceStatus, ShardsStatus};
 use vsmooth_profile::{emit_window_span, Profiler};
 use vsmooth_stats::{MetricsRegistry, MetricsSnapshot};
-use vsmooth_trace::{chip_pid, ArgValue, DroopEvent, Tracer, PID_JOBS, PID_MONITOR};
+use vsmooth_trace::{chip_pid, ArgValue, BatchRing, DroopBatch, Tracer, PID_JOBS, PID_MONITOR};
 
 /// Virtual thread id hosting `droop_window` spans on a chip timeline
 /// (cores are threads 0 and 1).
@@ -97,12 +97,12 @@ pub(crate) struct Merge<'a> {
     monitor: Option<Monitor>,
     obs: Option<&'a ObsConfig>,
     publish_every: u64,
-    recent_cap: usize,
     /// The /trace/recent ring: an independent coordinator-side copy
     /// of recent crossings (the tracer's own ring stays
-    /// exporter-owned). Each event is shared with the monitor's flight
-    /// recorder and every snapshot published while it is in the ring.
-    recent: Option<VecDeque<Arc<DroopEvent>>>,
+    /// exporter-owned). Each slice's batch is shared with the monitor's
+    /// flight recorder and every snapshot published while it is in the
+    /// ring.
+    recent: Option<BatchRing<DroopBatch>>,
     /// The run's capture plan: which slice channels the pool arms and
     /// executors drain, and which consumers want droop events.
     pub(crate) drain: DrainPlan,
@@ -187,8 +187,7 @@ impl<'a> Merge<'a> {
             );
         }
         let publish_every = obs.map_or(1, |o| o.publish_every.max(1));
-        let recent_cap = obs.map_or(0, |o| o.recent_droops.max(1));
-        let recent = obs.map(|_| VecDeque::with_capacity(recent_cap.min(1_024)));
+        let recent = obs.map(|o| BatchRing::new(o.recent_droops.max(1)));
         Self {
             metrics,
             tracer,
@@ -196,7 +195,6 @@ impl<'a> Merge<'a> {
             monitor,
             obs,
             publish_every,
-            recent_cap,
             recent,
             drain,
             audit: cfg.audit.as_ref().map(|a| AuditLog::new(a.capacity)),
@@ -289,8 +287,8 @@ impl<'a> Merge<'a> {
                 self.metrics
                     .counter_add("serve_audit_events_total", decisions.len() as u64);
             }
-            for d in decisions {
-                if self.tracer.is_enabled() {
+            if self.tracer.is_enabled() {
+                for d in &decisions {
                     let mut args = vec![("reason", ArgValue::from(d.reason))];
                     if let Some(chip) = d.chip {
                         args.push(("chip", ArgValue::from(chip)));
@@ -307,8 +305,8 @@ impl<'a> Merge<'a> {
                         args,
                     );
                 }
-                log.push(d);
             }
+            log.push(decisions);
         }
         for job in &rec.admits {
             self.metrics.counter_add("serve_jobs_admitted_total", 1);
@@ -426,32 +424,27 @@ impl<'a> Merge<'a> {
                 // every captured crossing maps onto this slice's
                 // window of the virtual clock.
                 let slice_start = log.session_start;
-                if self.drain.droop_events {
+                if self.drain.droop_events && !log.crossings.is_empty() {
                     let phase = phase.get_or_insert_with(|| format!("epoch{}", rec.index).into());
-                    for crossing in &log.crossings {
-                        // One event per crossing, shared by every
-                        // consumer: the tracer renders from a borrow,
-                        // the flight recorder and the obs ring hold
-                        // the same allocation.
-                        let event = Arc::new(DroopEvent {
-                            chip: b.chip,
-                            core: 0,
-                            cycle: now + (crossing.cycle - slice_start),
-                            depth_pct: crossing.depth_pct,
-                            workloads: Arc::clone(&workloads),
-                            label: Arc::clone(&label),
-                            phase: Arc::clone(phase),
-                        });
-                        self.tracer.droop(&event);
-                        if let Some(m) = self.monitor.as_mut() {
-                            m.on_droop(Arc::clone(&event));
-                        }
-                        if let Some(ring) = self.recent.as_mut() {
-                            if ring.len() == self.recent_cap {
-                                ring.pop_front();
-                            }
-                            ring.push_back(event);
-                        }
+                    // One batch per slice, shared by every consumer:
+                    // the tracer renders from a borrow, the flight
+                    // recorder and the obs ring hold the same
+                    // allocation.
+                    let batch = Arc::new(DroopBatch {
+                        chip: b.chip,
+                        workloads: Arc::clone(&workloads),
+                        label: Arc::clone(&label),
+                        phase: Arc::clone(phase),
+                        crossings: (log.crossings.iter())
+                            .map(|c| (now + (c.cycle - slice_start), c.depth_pct))
+                            .collect(),
+                    });
+                    self.tracer.droops(&batch);
+                    if let Some(m) = self.monitor.as_mut() {
+                        m.on_droops(Arc::clone(&batch));
+                    }
+                    if let Some(ring) = self.recent.as_mut() {
+                        ring.push(batch);
                     }
                 }
                 if let Some(m) = self.monitor.as_mut() {
@@ -574,12 +567,10 @@ impl<'a> Merge<'a> {
             health: self.monitor.as_ref().map(Monitor::status),
             service: Some(status),
             shards,
-            decisions: self
-                .audit
-                .as_ref()
-                .map(AuditLog::events)
+            decisions: (self.audit.as_ref())
+                .map(|a| a.ring().clone())
                 .unwrap_or_default(),
-            recent_droops: self.recent.iter().flatten().cloned().collect(),
+            recent_droops: self.recent.clone().unwrap_or_default(),
             profile_json: self.last_profile.clone(),
         });
         if let Some(hook) = &oc.on_publish {

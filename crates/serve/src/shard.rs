@@ -218,8 +218,8 @@ pub(crate) struct DrainPlan {
     /// Margin crossings are captured and drained: some consumer (the
     /// tracer, profiler, monitor or obs) reads them.
     pub crossings: bool,
-    /// The tracer, monitor or obs wants each crossing as a
-    /// `DroopEvent`. Implies `crossings`.
+    /// The tracer, monitor or obs wants each slice's crossings as a
+    /// `DroopBatch`. Implies `crossings`.
     pub droop_events: bool,
     /// Waveform windows of this shape are captured and drained (the
     /// profiler scores them). Implies `crossings`.

@@ -33,9 +33,11 @@ pub fn chip_pid(chip: usize) -> u32 {
 /// (PAPER.md §III — the oscilloscope events, here with scheduling
 /// context attached).
 ///
-/// The context — `workloads`, `label` and `phase` — is the same for
-/// every droop of one slice, so it is shared: an event holds three
-/// reference counts, and the tracer's args hold the same strings.
+/// This is the per-crossing value postmortems hold and the JSON
+/// renderers emit; the live pipeline carries crossings a slice at a
+/// time as a [`DroopBatch`] and expands one with
+/// [`DroopBatch::event`]. The context — `workloads`, `label` and
+/// `phase` — is the batch's, held by reference count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DroopEvent {
     /// Chip (pool slot) the droop occurred on.
@@ -78,6 +80,76 @@ impl DroopEvent {
         out.push_str("], \"phase\": \"");
         escape_into(&self.phase, out);
         out.push_str("\"}");
+    }
+}
+
+/// One slice's droop crossings on one chip, with the context they
+/// share: the resident workloads, their label and the epoch's phase.
+///
+/// The merge builds one batch per slice that crossed the margin and
+/// shares it by reference count. The tracer renders every crossing's
+/// records from it ([`Tracer::droops`](crate::Tracer::droops)), and
+/// the monitor's flight recorder and the obs `/trace/recent` ring
+/// hold it in a [`BatchRing`](crate::BatchRing), so a crossing costs
+/// no allocation of its own. Every crossing is charged to core 0, the
+/// shared rail (see [`DroopEvent::core`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct DroopBatch {
+    /// Chip (pool slot) the slice ran on.
+    pub chip: usize,
+    /// Workloads resident during the slice, in core order.
+    pub workloads: Arc<[Arc<str>]>,
+    /// `workloads` joined with `+`, the label the trace renders.
+    pub label: Arc<str>,
+    /// Phase label of the slice's epoch (e.g. `epoch42`).
+    pub phase: Arc<str>,
+    /// Each downward margin crossing as `(virtual cycle, depth_pct)`,
+    /// in cycle order.
+    pub crossings: Vec<(u64, f64)>,
+}
+
+impl DroopBatch {
+    /// Crossing `i` as a standalone event.
+    pub fn event(&self, i: usize) -> DroopEvent {
+        let (cycle, depth_pct) = self.crossings[i];
+        DroopEvent {
+            chip: self.chip,
+            core: 0,
+            cycle,
+            depth_pct,
+            workloads: Arc::clone(&self.workloads),
+            label: Arc::clone(&self.label),
+            phase: Arc::clone(&self.phase),
+        }
+    }
+
+    /// The two records crossing `i` makes once the run's droop count
+    /// reaches `total`: a `droop` instant on the chip's timeline and a
+    /// `droops_total` counter sample. The buffering modes keep these;
+    /// a sink-backed stream renders the same bytes without them.
+    pub(crate) fn records(&self, i: usize, total: u64) -> [TraceRecord; 2] {
+        let (ts, depth_pct) = self.crossings[i];
+        let pid = chip_pid(self.chip);
+        [
+            TraceRecord::Instant {
+                name: Cow::Borrowed("droop"),
+                cat: "droop",
+                pid,
+                tid: 0,
+                ts,
+                args: vec![
+                    ("depth_pct", ArgValue::F64(depth_pct)),
+                    ("workloads", ArgValue::Str(Arc::clone(&self.label))),
+                    ("phase", ArgValue::Str(Arc::clone(&self.phase))),
+                ],
+            },
+            TraceRecord::Counter {
+                name: Cow::Borrowed("droops_total"),
+                pid,
+                ts,
+                value: total as f64,
+            },
+        ]
     }
 }
 

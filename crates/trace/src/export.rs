@@ -114,14 +114,7 @@ pub(crate) fn push_event(out: &mut String, record: &TraceRecord) {
             pid,
             ts,
             value,
-        } => {
-            push_str_field(out, "name", name);
-            out.push_str(",\"ph\":\"C\"");
-            push_ids(out, *pid, None, *ts);
-            out.push_str(",\"args\":{\"value\":");
-            push_f64(out, *value);
-            out.push('}');
-        }
+        } => push_counter_fields(out, name, *pid, *ts, *value),
         TraceRecord::ProcessName { pid, name } => {
             out.push_str("\"name\":\"process_name\",\"ph\":\"M\",\"pid\":");
             push_u64(out, u64::from(*pid));
@@ -140,6 +133,51 @@ pub(crate) fn push_event(out: &mut String, record: &TraceRecord) {
         }
     }
     out.push('}');
+}
+
+fn push_counter_fields(out: &mut String, name: &str, pid: u32, ts: u64, value: f64) {
+    push_str_field(out, "name", name);
+    out.push_str(",\"ph\":\"C\"");
+    push_ids(out, pid, None, ts);
+    out.push_str(",\"args\":{\"value\":");
+    push_f64(out, value);
+    out.push('}');
+}
+
+/// Renders a counter sample as [`push_event`] renders the
+/// `TraceRecord::Counter` of the same fields.
+pub(crate) fn push_counter(out: &mut String, name: &str, pid: u32, ts: u64, value: f64) {
+    out.push('{');
+    push_counter_fields(out, name, pid, ts, value);
+    out.push('}');
+}
+
+/// Appends the tail every droop instant of one batch shares — its
+/// `workloads` label and `phase` args, escaped once, closing the args
+/// and the event — for [`push_droop_instant`].
+pub(crate) fn push_droop_context(out: &mut String, label: &str, phase: &str) {
+    out.push(',');
+    push_str_field(out, "workloads", label);
+    out.push(',');
+    push_str_field(out, "phase", phase);
+    out.push_str("}}");
+}
+
+/// Renders one crossing's `droop` instant as [`push_event`] renders the
+/// instant [`DroopBatch::records`](crate::DroopBatch) makes of it, with
+/// `context` from [`push_droop_context`].
+pub(crate) fn push_droop_instant(
+    out: &mut String,
+    pid: u32,
+    ts: u64,
+    depth_pct: f64,
+    context: &str,
+) {
+    out.push_str("{\"name\":\"droop\",\"cat\":\"droop\",\"ph\":\"i\",\"s\":\"t\"");
+    push_ids(out, pid, Some(0), ts);
+    out.push_str(",\"args\":{\"depth_pct\":");
+    push_f64(out, depth_pct);
+    out.push_str(context);
 }
 
 /// Renders a record stream as a `chrome://tracing`-loadable JSON
@@ -207,7 +245,7 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceShape, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{DroopEvent, PID_JOBS};
+    use crate::event::{DroopBatch, PID_JOBS};
     use crate::tracer::Tracer;
     use proptest::prelude::*;
 
@@ -225,14 +263,12 @@ mod tests {
             vec![("chip", 1usize.into()), ("ipc", 0.75.into())],
         );
         t.instant("admit", "job", PID_JOBS, 3, 100, vec![]);
-        t.droop(&DroopEvent {
+        t.droops(&DroopBatch {
             chip: 1,
-            core: 0,
-            cycle: 1_234,
-            depth_pct: 2.8125,
             workloads: ["429.mcf".into()].into(),
             label: "429.mcf".into(),
             phase: "epoch2".into(),
+            crossings: vec![(1_234, 2.8125)],
         });
         t
     }
@@ -522,7 +558,8 @@ mod tests {
 
     proptest! {
         /// `push_event` renders every record byte for byte as the
-        /// `write!`-based renderer does. Case count is pinned by
+        /// `write!`-based renderer does, and so do the droop fast paths
+        /// the records of a random crossing. Case count is pinned by
         /// `PROPTEST_CASES`.
         #[test]
         fn push_event_matches_the_formatter(seed in 0u64..u64::MAX) {
@@ -534,6 +571,25 @@ mod tests {
                 formatter::push_event(&mut reference, &record);
                 prop_assert_eq!(fast, reference, "record {:?}", record);
             }
+            let batch = DroopBatch {
+                chip: rng.below(1 << 20) as usize,
+                workloads: [].into(),
+                label: hostile_string(&mut rng).into(),
+                phase: hostile_string(&mut rng).into(),
+                crossings: vec![(any_u64(&mut rng), any_float(&mut rng))],
+            };
+            let total = any_u64(&mut rng);
+            let (ts, depth_pct) = batch.crossings[0];
+            let pid = crate::event::chip_pid(batch.chip);
+            let (mut context, mut fast, mut reference) =
+                (String::new(), String::new(), String::new());
+            push_droop_context(&mut context, &batch.label, &batch.phase);
+            push_droop_instant(&mut fast, pid, ts, depth_pct, &context);
+            push_counter(&mut fast, "droops_total", pid, ts, total as f64);
+            for record in &batch.records(0, total) {
+                formatter::push_event(&mut reference, record);
+            }
+            prop_assert_eq!(fast, reference, "batch {:?}", batch);
         }
     }
 }

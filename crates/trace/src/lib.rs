@@ -11,6 +11,9 @@
 //!   disabled (one branch per call site, no lock taken).
 //! * [`DroopEvent`] — the typed emergency record: chip, core, cycle,
 //!   depth, resident workloads, phase.
+//! * [`DroopBatch`] and [`BatchRing`] — one slice's crossings with
+//!   their shared context, and the bounded ring of shared batches the
+//!   monitor, the obs endpoints and the decision audit keep.
 //! * [`Tracer::to_chrome_json`] — Chrome trace-event JSON (viewable in
 //!   `chrome://tracing` / Perfetto), checked offline by
 //!   [`validate_chrome_trace`].
@@ -30,24 +33,22 @@
 //! # Examples
 //!
 //! ```
-//! use vsmooth_trace::{validate_chrome_trace, DroopEvent, Tracer, PID_JOBS};
+//! use vsmooth_trace::{validate_chrome_trace, DroopBatch, Tracer, PID_JOBS};
 //!
 //! let tracer = Tracer::enabled();
 //! tracer.process_name(PID_JOBS, "jobs");
 //! tracer.complete("429.mcf", "job", PID_JOBS, 0, 1_000, 5_000, vec![]);
-//! tracer.droop(&DroopEvent {
+//! tracer.droops(&DroopBatch {
 //!     chip: 0,
-//!     core: 0,
-//!     cycle: 2_400,
-//!     depth_pct: 2.9,
 //!     workloads: ["429.mcf".into()].into(),
 //!     label: "429.mcf".into(),
 //!     phase: "epoch1".into(),
+//!     crossings: vec![(2_400, 2.9), (2_460, 3.1)],
 //! });
 //! let json = tracer.to_chrome_json();
 //! let shape = validate_chrome_trace(&json).unwrap();
 //! assert_eq!(shape.spans, 1);
-//! assert_eq!(shape.droops, 1);
+//! assert_eq!(shape.droops, 2);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -58,12 +59,16 @@ mod audit;
 mod event;
 mod export;
 pub mod json;
+mod ring;
 mod stream;
 mod tracer;
 
 pub use audit::{DecisionEvent, DecisionKind, AUDIT_SCHEMA};
-pub use event::{chip_pid, ArgValue, Args, DroopEvent, TraceRecord, PID_JOBS, PID_MONITOR};
+pub use event::{
+    chip_pid, ArgValue, Args, DroopBatch, DroopEvent, TraceRecord, PID_JOBS, PID_MONITOR,
+};
 pub use export::{validate_chrome_trace, TraceShape};
 pub use json::parse_json;
+pub use ring::{Batch, BatchRing};
 pub use stream::{DropReason, SamplerConfig, SinkStats, StreamConfig, TelemetryStats};
 pub use tracer::Tracer;

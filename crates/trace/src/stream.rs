@@ -13,7 +13,18 @@
 //!        SampledOut        RingFull            (typed drop accounting)
 //! ```
 //!
-//! * [`ChromeJsonSink`] renders records incrementally in the exact byte
+//! What the ring holds depends on the sink. Without one it is a flight
+//! recorder of [`TraceRecord`]s, read back by
+//! [`Tracer::records`](crate::Tracer::records). With one, nothing
+//! reads records back, so each record is rendered when it is offered
+//! and the ring parks its bytes and end offset; a droop's two records
+//! are rendered straight from its [`DroopBatch`], so no record is ever
+//! built for it. The drain still runs at the record-count watermark
+//! and hands the sink one record at a time, so bytes, chunk boundaries
+//! and every [`TelemetryStats`] field advance exactly as a ring of
+//! records rendered at the drain would make them.
+//!
+//! * [`ChromeJsonSink`] takes rendered records in the exact byte
 //!   format of [`chrome_trace_json`](crate::export::chrome_trace_json)
 //!   and flushes bounded chunks to any `io::Write` — the streamed file
 //!   is byte-identical to the batch export of the same record stream.
@@ -34,8 +45,8 @@
 //! (operational metrics); it never enters the trace byte stream, so
 //! streamed traces keep the crate's determinism contract.
 
-use crate::event::TraceRecord;
-use crate::export::push_event;
+use crate::event::{chip_pid, DroopBatch, TraceRecord};
+use crate::export::{push_counter, push_droop_context, push_droop_instant, push_event};
 use std::collections::VecDeque;
 use std::io::Write;
 use std::time::Instant;
@@ -155,7 +166,8 @@ pub struct TelemetryStats {
     /// Sampler decisions forced to keep (metadata, droops, retention
     /// windows).
     pub sampler_forced: u64,
-    /// Highest ring occupancy observed.
+    /// Most records the ring held at once: records kept for read-back
+    /// without a sink, rendered records parked for the drain with one.
     pub peak_ring_occupancy: usize,
     /// The ring's fixed capacity.
     pub ring_capacity: usize,
@@ -236,8 +248,8 @@ const TRACE_FOOTER: &str =
 
 /// Incremental Chrome trace-event JSON writer.
 ///
-/// Renders each record with the same formatting routine as the batch
-/// exporter and flushes bounded chunks to the wrapped writer, so
+/// Takes each record rendered by the batch exporter's formatting
+/// routines and flushes bounded chunks to the wrapped writer, so
 /// `header + records + footer` is byte-for-byte the output of
 /// [`chrome_trace_json`](crate::export::chrome_trace_json) on the same
 /// stream — the property the 1/2/8-worker determinism tests pin down —
@@ -282,20 +294,20 @@ impl<W: Write> ChromeJsonSink<W> {
         Ok(())
     }
 
-    /// Accepts the next record in stream order.
+    /// Accepts the next record in stream order, already rendered.
     ///
     /// # Errors
     ///
     /// Propagates the underlying writer's error; the pipeline counts
     /// the record as [`DropReason::SinkError`] and keeps going.
-    pub(crate) fn accept(&mut self, record: &TraceRecord) -> std::io::Result<()> {
+    pub(crate) fn accept(&mut self, rendered: &str) -> std::io::Result<()> {
         if !self.wrote_any {
             self.buf.push_str(TRACE_HEADER);
             self.wrote_any = true;
         } else {
             self.buf.push_str(",\n");
         }
-        push_event(&mut self.buf, record);
+        self.buf.push_str(rendered);
         if self.buf.len() >= self.chunk_bytes {
             self.flush_chunk()?;
         }
@@ -345,6 +357,44 @@ enum Decision {
     Dropped,
 }
 
+/// What the sampler reads of a record: its kind and timeline.
+#[derive(Debug, Clone, Copy)]
+enum SampleKey {
+    /// A process or thread name.
+    Meta,
+    /// A droop instant (`cat == "droop"`).
+    Droop { pid: u32, ts: u64 },
+    /// A span or other instant on thread `tid`; a counter samples as
+    /// thread 0 of its pid.
+    Timeline { pid: u32, tid: u64, ts: u64 },
+}
+
+impl SampleKey {
+    fn of(record: &TraceRecord) -> Self {
+        match record {
+            TraceRecord::ProcessName { .. } | TraceRecord::ThreadName { .. } => Self::Meta,
+            TraceRecord::Instant {
+                cat: "droop",
+                pid,
+                ts,
+                ..
+            } => Self::Droop { pid: *pid, ts: *ts },
+            TraceRecord::Span { pid, tid, ts, .. } | TraceRecord::Instant { pid, tid, ts, .. } => {
+                Self::Timeline {
+                    pid: *pid,
+                    tid: *tid,
+                    ts: *ts,
+                }
+            }
+            TraceRecord::Counter { pid, ts, .. } => Self::Timeline {
+                pid: *pid,
+                tid: 0,
+                ts: *ts,
+            },
+        }
+    }
+}
+
 /// Live sampler state: the config plus per-pid retention deadlines.
 #[derive(Debug, Clone)]
 struct SamplerState {
@@ -370,32 +420,23 @@ impl SamplerState {
         (key % 1024) < u64::from(self.cfg.keep_per_1024)
     }
 
-    fn decide(&mut self, record: &TraceRecord) -> Decision {
-        match record {
+    fn decide(&mut self, key: SampleKey) -> Decision {
+        match key {
             // Metadata names are tiny and make every sampled timeline
             // readable; always keep them.
-            TraceRecord::ProcessName { .. } | TraceRecord::ThreadName { .. } => Decision::Forced,
-            TraceRecord::Instant { cat, pid, ts, .. } if *cat == "droop" => {
+            SampleKey::Meta => Decision::Forced,
+            SampleKey::Droop { pid, ts } => {
                 // A droop is the signal the whole pipeline exists for:
                 // keep it and open the tail-retention window on its pid.
                 let until = ts.saturating_add(self.cfg.droop_retain_cycles);
-                let slot = self.retain_until.entry(*pid).or_insert(0);
+                let slot = self.retain_until.entry(pid).or_insert(0);
                 *slot = (*slot).max(until);
                 Decision::Forced
             }
-            TraceRecord::Span { pid, tid, ts, .. } | TraceRecord::Instant { pid, tid, ts, .. } => {
-                if self.in_retention(*pid, *ts) {
+            SampleKey::Timeline { pid, tid, ts } => {
+                if self.in_retention(pid, ts) {
                     Decision::Forced
-                } else if self.keeps_timeline(*pid, *tid) {
-                    Decision::Kept
-                } else {
-                    Decision::Dropped
-                }
-            }
-            TraceRecord::Counter { pid, ts, .. } => {
-                if self.in_retention(*pid, *ts) {
-                    Decision::Forced
-                } else if self.keeps_timeline(*pid, 0) {
+                } else if self.keeps_timeline(pid, tid) {
                     Decision::Kept
                 } else {
                     Decision::Dropped
@@ -414,22 +455,92 @@ impl SamplerState {
 /// The live streaming pipeline owned by a streaming
 /// [`Tracer`](crate::Tracer): sampler, ring, optional sink, stats.
 pub(crate) struct StreamState {
-    ring: VecDeque<TraceRecord>,
+    ring: Ring,
     capacity: usize,
     /// Drain the ring to the sink once it holds this many records —
     /// below capacity, so sink-backed occupancy never reaches it.
     flush_at: usize,
-    sink: Option<ChromeJsonSink<Box<dyn Write + Send>>>,
     sampler: Option<SamplerState>,
     stats: TelemetryStats,
+}
+
+/// Where a stream's admitted records wait.
+enum Ring {
+    /// No sink: a flight recorder of records for read-back, evicting
+    /// its oldest at capacity.
+    Records(VecDeque<TraceRecord>),
+    /// A sink: records rendered on offer, parked until the drain.
+    Rendered(Held),
+}
+
+/// Bytes a rendered record is assumed to take when sizing the held
+/// buffer: a droop instant renders to about 130 bytes and its counter
+/// to about 80, so a stream of them fills the buffer without regrowing
+/// it.
+const RECORD_BYTES: usize = 128;
+
+/// A sink-backed stream's ring: the rendered bytes of every parked
+/// record, back to back, and the end offset of each.
+struct Held {
+    sink: ChromeJsonSink<Box<dyn Write + Send>>,
+    bytes: String,
+    ends: Vec<usize>,
+    /// The args tail of the droop batch being offered, escaped once.
+    context: String,
+}
+
+impl Held {
+    /// Parks the record just rendered onto `bytes`, draining every
+    /// parked record once `flush_at` are parked.
+    fn park(&mut self, flush_at: usize, stats: &mut TelemetryStats) {
+        self.ends.push(self.bytes.len());
+        stats.peak_ring_occupancy = stats.peak_ring_occupancy.max(self.ends.len());
+        if self.ends.len() >= flush_at {
+            self.drain(stats);
+        }
+    }
+
+    /// Hands the parked records to the sink one at a time, so its chunk
+    /// boundaries and per-record error accounting are those of a ring
+    /// of records rendered here.
+    fn drain(&mut self, stats: &mut TelemetryStats) {
+        let mut start = 0;
+        for &end in &self.ends {
+            match self.sink.accept(&self.bytes[start..end]) {
+                Ok(()) => stats.records_written += 1,
+                Err(_) => stats.dropped_sink_error += 1,
+            }
+            start = end;
+        }
+        self.bytes.clear();
+        self.ends.clear();
+    }
+}
+
+/// Counts one offered record and runs the sampler on it; `false` when
+/// the sampler drops it.
+fn admit(sampler: &mut Option<SamplerState>, stats: &mut TelemetryStats, key: SampleKey) -> bool {
+    stats.records_seen += 1;
+    let Some(sampler) = sampler else {
+        return true;
+    };
+    match sampler.decide(key) {
+        Decision::Kept => stats.sampler_kept += 1,
+        Decision::Forced => stats.sampler_forced += 1,
+        Decision::Dropped => {
+            stats.dropped_sampled += 1;
+            return false;
+        }
+    }
+    true
 }
 
 impl std::fmt::Debug for StreamState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamState")
-            .field("ring_len", &self.ring.len())
+            .field("ring_len", &self.buffered_len())
             .field("capacity", &self.capacity)
-            .field("has_sink", &self.sink.is_some())
+            .field("has_sink", &matches!(self.ring, Ring::Rendered(_)))
             .field("stats", &self.stats)
             .finish()
     }
@@ -441,11 +552,20 @@ impl StreamState {
         sink: Option<ChromeJsonSink<Box<dyn Write + Send>>>,
     ) -> Self {
         let capacity = cfg.ring_capacity.max(1);
+        let flush_at = (capacity * 3 / 4).max(1);
+        let ring = match sink {
+            Some(sink) => Ring::Rendered(Held {
+                sink,
+                bytes: String::with_capacity(flush_at * RECORD_BYTES),
+                ends: Vec::with_capacity(flush_at),
+                context: String::new(),
+            }),
+            None => Ring::Records(VecDeque::with_capacity(capacity)),
+        };
         Self {
-            ring: VecDeque::with_capacity(capacity),
+            ring,
             capacity,
-            flush_at: (capacity * 3 / 4).max(1),
-            sink,
+            flush_at,
             sampler: cfg.sampler.map(SamplerState::new),
             stats: TelemetryStats {
                 ring_capacity: capacity,
@@ -454,55 +574,71 @@ impl StreamState {
         }
     }
 
-    /// Offers one record to the pipeline (the single funnel every
-    /// recording method routes through in streaming mode).
+    /// Offers one record to the pipeline (the funnel every recording
+    /// method but the droop batch routes through in streaming mode).
     pub(crate) fn offer(&mut self, record: TraceRecord) {
-        self.stats.records_seen += 1;
-        if let Some(sampler) = &mut self.sampler {
-            match sampler.decide(&record) {
-                Decision::Kept => self.stats.sampler_kept += 1,
-                Decision::Forced => self.stats.sampler_forced += 1,
-                Decision::Dropped => {
-                    self.stats.dropped_sampled += 1;
-                    return;
+        if !admit(&mut self.sampler, &mut self.stats, SampleKey::of(&record)) {
+            return;
+        }
+        match &mut self.ring {
+            Ring::Records(ring) => {
+                if ring.len() == self.capacity {
+                    ring.pop_front();
+                    self.stats.dropped_ring_full += 1;
                 }
+                ring.push_back(record);
+                self.stats.peak_ring_occupancy = self.stats.peak_ring_occupancy.max(ring.len());
             }
-        }
-        if self.ring.len() == self.capacity {
-            if self.sink.is_some() {
-                // Unreachable through the watermark below; drain anyway
-                // rather than drop if a caller shrinks `flush_at`.
-                self.drain_to_sink();
-            } else {
-                self.ring.pop_front();
-                self.stats.dropped_ring_full += 1;
+            Ring::Rendered(held) => {
+                push_event(&mut held.bytes, &record);
+                held.park(self.flush_at, &mut self.stats);
             }
-        }
-        self.ring.push_back(record);
-        self.stats.peak_ring_occupancy = self.stats.peak_ring_occupancy.max(self.ring.len());
-        if self.sink.is_some() && self.ring.len() >= self.flush_at {
-            self.drain_to_sink();
         }
     }
 
-    fn drain_to_sink(&mut self) {
-        let Some(sink) = &mut self.sink else {
+    /// Offers every crossing of `batch`: its `droop` instant, then the
+    /// `droops_total` counter at `total`, which counts every crossing,
+    /// kept or not. A sink-backed stream renders both straight from the
+    /// batch.
+    pub(crate) fn offer_droops(&mut self, batch: &DroopBatch, total: &mut u64) {
+        let Ring::Rendered(held) = &mut self.ring else {
+            for i in 0..batch.crossings.len() {
+                *total += 1;
+                for record in batch.records(i, *total) {
+                    self.offer(record);
+                }
+            }
             return;
         };
-        for record in self.ring.drain(..) {
-            match sink.accept(&record) {
-                Ok(()) => self.stats.records_written += 1,
-                Err(_) => self.stats.dropped_sink_error += 1,
+        let pid = chip_pid(batch.chip);
+        held.context.clear();
+        push_droop_context(&mut held.context, &batch.label, &batch.phase);
+        for &(ts, depth_pct) in &batch.crossings {
+            *total += 1;
+            if admit(
+                &mut self.sampler,
+                &mut self.stats,
+                SampleKey::Droop { pid, ts },
+            ) {
+                push_droop_instant(&mut held.bytes, pid, ts, depth_pct, &held.context);
+                held.park(self.flush_at, &mut self.stats);
+            }
+            let counter = SampleKey::Timeline { pid, tid: 0, ts };
+            if admit(&mut self.sampler, &mut self.stats, counter) {
+                push_counter(&mut held.bytes, "droops_total", pid, ts, *total as f64);
+                held.park(self.flush_at, &mut self.stats);
             }
         }
     }
 
     /// Drains the ring, completes the sink, and returns final stats.
     pub(crate) fn finish(&mut self) -> std::io::Result<TelemetryStats> {
-        self.drain_to_sink();
-        let result = match &mut self.sink {
-            Some(sink) => sink.finish(),
-            None => Ok(()),
+        let result = match &mut self.ring {
+            Ring::Rendered(held) => {
+                held.drain(&mut self.stats);
+                held.sink.finish()
+            }
+            Ring::Records(_) => Ok(()),
         };
         let stats = self.stats_snapshot();
         result.map(|()| stats)
@@ -511,19 +647,27 @@ impl StreamState {
     /// Current stats, including the sink's flushing counters.
     pub(crate) fn stats_snapshot(&self) -> TelemetryStats {
         let mut stats = self.stats.clone();
-        if let Some(sink) = &self.sink {
-            stats.sink = sink.stats.clone();
+        if let Ring::Rendered(held) = &self.ring {
+            stats.sink = held.sink.stats.clone();
         }
         stats
     }
 
-    /// Records currently buffered in the ring (oldest first).
+    /// Records the ring keeps for read-back (oldest first): a sink-less
+    /// ring's, and none for a sink-backed one, which holds only bytes.
     pub(crate) fn buffered(&self) -> Vec<TraceRecord> {
-        self.ring.iter().cloned().collect()
+        match &self.ring {
+            Ring::Records(ring) => ring.iter().cloned().collect(),
+            Ring::Rendered(_) => Vec::new(),
+        }
     }
 
+    /// Records in the ring now, rendered or not.
     pub(crate) fn buffered_len(&self) -> usize {
-        self.ring.len()
+        match &self.ring {
+            Ring::Records(ring) => ring.len(),
+            Ring::Rendered(held) => held.ends.len(),
+        }
     }
 }
 
@@ -542,6 +686,13 @@ mod tests {
             dur: 10,
             args: vec![],
         }
+    }
+
+    /// `record` rendered as the sink takes it.
+    fn rendered(record: &TraceRecord) -> String {
+        let mut out = String::new();
+        push_event(&mut out, record);
+        out
     }
 
     fn droop_instant(pid: u32, ts: u64) -> TraceRecord {
@@ -565,7 +716,7 @@ mod tests {
         // Tiny chunks force many flushes; bytes must still agree.
         let mut sink = ChromeJsonSink::new(Vec::new(), 64);
         for r in &records {
-            sink.accept(r).unwrap();
+            sink.accept(&rendered(r)).unwrap();
         }
         sink.finish().unwrap();
         assert!(sink.stats.flushes > 1, "expected multiple chunk writes");
@@ -609,7 +760,7 @@ mod tests {
         // Chunks larger than the stream: the first write is finish's.
         let mut sink = ChromeJsonSink::new(writer, 1 << 20);
         for r in &records {
-            sink.accept(r).unwrap();
+            sink.accept(&rendered(r)).unwrap();
         }
         assert!(sink.finish().is_err(), "the first write fails");
         sink.finish().expect("the retry succeeds");
@@ -622,7 +773,7 @@ mod tests {
     fn sink_stats_account_for_every_byte() {
         let mut sink = ChromeJsonSink::new(Vec::new(), 32);
         for i in 0..20 {
-            sink.accept(&span(PID_JOBS, 0, i)).unwrap();
+            sink.accept(&rendered(&span(PID_JOBS, 0, i))).unwrap();
         }
         sink.finish().unwrap();
         let stats = &sink.stats;
@@ -793,5 +944,375 @@ mod tests {
             stats.records_written + stats.dropped_sink_error,
             stats.records_seen
         );
+    }
+
+    /// The stream as it was before a sink-backed ring held rendered
+    /// records: a ring of [`TraceRecord`]s, rendered one by one into the
+    /// sink when it drains. The oracle for the rendered ring.
+    mod reference {
+        use crate::event::TraceRecord;
+        use crate::export::push_event;
+        use crate::stream::{mix64, SamplerConfig, SinkStats, StreamConfig, TelemetryStats};
+        use std::collections::{BTreeMap, VecDeque};
+        use std::io::Write;
+
+        const HEADER: &str = "{\"traceEvents\":[\n";
+        const FOOTER: &str =
+            "\n],\"displayTimeUnit\":\"ms\",\"otherData\":{\"clock\":\"virtual-cycles\"}}\n";
+
+        struct Sink<W: Write> {
+            writer: W,
+            chunk_bytes: usize,
+            buf: String,
+            wrote_any: bool,
+            finished: bool,
+            stats: SinkStats,
+        }
+
+        impl<W: Write> Sink<W> {
+            fn flush_chunk(&mut self) -> std::io::Result<()> {
+                if self.buf.is_empty() {
+                    return Ok(());
+                }
+                self.writer.write_all(self.buf.as_bytes())?;
+                self.stats.bytes_flushed += self.buf.len() as u64;
+                self.stats.flushes += 1;
+                self.stats.flush_bytes.push(self.buf.len() as f64);
+                self.stats.flush_latency_us.push(0.0);
+                self.buf.clear();
+                Ok(())
+            }
+
+            fn accept(&mut self, record: &TraceRecord) -> std::io::Result<()> {
+                if !self.wrote_any {
+                    self.buf.push_str(HEADER);
+                    self.wrote_any = true;
+                } else {
+                    self.buf.push_str(",\n");
+                }
+                push_event(&mut self.buf, record);
+                if self.buf.len() >= self.chunk_bytes {
+                    self.flush_chunk()?;
+                }
+                Ok(())
+            }
+
+            fn finish(&mut self) -> std::io::Result<()> {
+                if !self.finished {
+                    if !self.wrote_any {
+                        self.buf.push_str(HEADER);
+                        self.wrote_any = true;
+                    }
+                    self.buf.push_str(FOOTER);
+                    self.finished = true;
+                }
+                self.flush_chunk()?;
+                self.writer.flush()
+            }
+        }
+
+        struct Sampler {
+            cfg: SamplerConfig,
+            retain_until: BTreeMap<u32, u64>,
+        }
+
+        impl Sampler {
+            fn keeps_timeline(&self, pid: u32, tid: u64) -> bool {
+                let key = mix64(
+                    self.cfg
+                        .seed
+                        .wrapping_add(mix64((u64::from(pid) << 32) ^ tid)),
+                );
+                (key % 1024) < u64::from(self.cfg.keep_per_1024)
+            }
+
+            fn in_retention(&self, pid: u32, ts: u64) -> bool {
+                self.retain_until
+                    .get(&pid)
+                    .is_some_and(|&until| ts <= until)
+            }
+
+            /// `Some(forced)` to keep the record, `None` to drop it.
+            fn decide(&mut self, record: &TraceRecord) -> Option<bool> {
+                let (pid, tid, ts) = match record {
+                    TraceRecord::ProcessName { .. } | TraceRecord::ThreadName { .. } => {
+                        return Some(true)
+                    }
+                    TraceRecord::Instant { cat, pid, ts, .. } if *cat == "droop" => {
+                        let until = ts.saturating_add(self.cfg.droop_retain_cycles);
+                        let slot = self.retain_until.entry(*pid).or_insert(0);
+                        *slot = (*slot).max(until);
+                        return Some(true);
+                    }
+                    TraceRecord::Span { pid, tid, ts, .. }
+                    | TraceRecord::Instant { pid, tid, ts, .. } => (*pid, *tid, *ts),
+                    TraceRecord::Counter { pid, ts, .. } => (*pid, 0, *ts),
+                };
+                if self.in_retention(pid, ts) {
+                    Some(true)
+                } else if self.keeps_timeline(pid, tid) {
+                    Some(false)
+                } else {
+                    None
+                }
+            }
+        }
+
+        pub(super) struct RecordStream<W: Write> {
+            ring: VecDeque<TraceRecord>,
+            flush_at: usize,
+            sink: Sink<W>,
+            sampler: Option<Sampler>,
+            stats: TelemetryStats,
+        }
+
+        impl<W: Write> RecordStream<W> {
+            pub(super) fn new(cfg: StreamConfig, writer: W) -> Self {
+                let capacity = cfg.ring_capacity.max(1);
+                Self {
+                    ring: VecDeque::new(),
+                    flush_at: (capacity * 3 / 4).max(1),
+                    sink: Sink {
+                        writer,
+                        chunk_bytes: cfg.chunk_bytes.max(1),
+                        buf: String::new(),
+                        wrote_any: false,
+                        finished: false,
+                        stats: SinkStats::default(),
+                    },
+                    sampler: cfg.sampler.map(|cfg| Sampler {
+                        cfg,
+                        retain_until: BTreeMap::new(),
+                    }),
+                    stats: TelemetryStats {
+                        ring_capacity: capacity,
+                        ..TelemetryStats::default()
+                    },
+                }
+            }
+
+            pub(super) fn offer(&mut self, record: TraceRecord) {
+                self.stats.records_seen += 1;
+                if let Some(sampler) = &mut self.sampler {
+                    match sampler.decide(&record) {
+                        Some(false) => self.stats.sampler_kept += 1,
+                        Some(true) => self.stats.sampler_forced += 1,
+                        None => {
+                            self.stats.dropped_sampled += 1;
+                            return;
+                        }
+                    }
+                }
+                self.ring.push_back(record);
+                self.stats.peak_ring_occupancy =
+                    self.stats.peak_ring_occupancy.max(self.ring.len());
+                if self.ring.len() >= self.flush_at {
+                    self.drain();
+                }
+            }
+
+            fn drain(&mut self) {
+                for record in self.ring.drain(..) {
+                    match self.sink.accept(&record) {
+                        Ok(()) => self.stats.records_written += 1,
+                        Err(_) => self.stats.dropped_sink_error += 1,
+                    }
+                }
+            }
+
+            pub(super) fn stats(&self) -> TelemetryStats {
+                TelemetryStats {
+                    sink: self.sink.stats.clone(),
+                    ..self.stats.clone()
+                }
+            }
+
+            pub(super) fn finish(&mut self) -> std::io::Result<TelemetryStats> {
+                self.drain();
+                let result = self.sink.finish();
+                result.map(|()| self.stats())
+            }
+        }
+    }
+
+    /// A writer into a shared buffer that fails the write calls its
+    /// schedule marks, and its flushes when told to.
+    struct ScriptedWriter {
+        out: std::sync::Arc<std::sync::Mutex<Vec<u8>>>,
+        fail_writes: Vec<bool>,
+        fail_flush: bool,
+        calls: usize,
+    }
+
+    impl Write for ScriptedWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let fail = self.fail_writes.get(self.calls).copied().unwrap_or(false);
+            self.calls += 1;
+            if fail {
+                return Err(std::io::Error::other("scripted failure"));
+            }
+            self.out.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            if self.fail_flush {
+                return Err(std::io::Error::other("scripted flush failure"));
+            }
+            Ok(())
+        }
+    }
+
+    /// `stats` with each flush latency, the one wall-clock field,
+    /// zeroed: both sides must still record one per flush.
+    fn without_wall_clock(mut stats: TelemetryStats) -> TelemetryStats {
+        stats.sink.flush_latency_us.fill(0.0);
+        stats
+    }
+
+    fn any_name(rng: &mut proptest::prelude::TestRng) -> String {
+        const PARTS: [&str; 6] = ["429.mcf", "+", "\"", "\\", "\n", "é"];
+        (0..rng.below(4))
+            .map(|_| PARTS[rng.below(PARTS.len() as u64) as usize])
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// A sink-backed stream holding rendered records writes the
+        /// bytes, and reports after every record and at finish the
+        /// telemetry, that a ring of records rendered at the drain
+        /// does: over random spans, instants, droop batches recorded
+        /// through the `Tracer`, counters and name records, ring
+        /// capacities 1–64, chunks of 1–4096 bytes, the sampler on or
+        /// off, and writers failing on chosen writes and flushes. Case
+        /// count is pinned by `PROPTEST_CASES`.
+        #[test]
+        fn rendered_ring_matches_the_record_ring(seed in 0u64..u64::MAX) {
+            use crate::event::{chip_pid, ArgValue, DroopBatch};
+            use crate::Tracer;
+            use std::borrow::Cow;
+            use std::sync::{Arc, Mutex};
+
+            let mut rng = proptest::prelude::TestRng::new(seed);
+            let cfg = StreamConfig {
+                ring_capacity: 1 + rng.below(64) as usize,
+                chunk_bytes: 1 + rng.below(4096) as usize,
+                sampler: (rng.below(2) == 0).then(|| SamplerConfig {
+                    seed: rng.next_u64(),
+                    keep_per_1024: rng.below(1025) as u32,
+                    droop_retain_cycles: rng.below(400),
+                }),
+            };
+            let fail_rate = [0, 0, 1, 4, 16][rng.below(5) as usize];
+            let fail_writes: Vec<bool> = (0..1024)
+                .map(|_| fail_rate == 1 || (fail_rate > 1 && rng.below(fail_rate) == 0))
+                .collect();
+            let fail_flush = rng.below(4) == 0;
+            let writer = |out: &Arc<Mutex<Vec<u8>>>| ScriptedWriter {
+                out: Arc::clone(out),
+                fail_writes: fail_writes.clone(),
+                fail_flush,
+                calls: 0,
+            };
+            let (live_out, reference_out) = (Arc::default(), Arc::default());
+            let tracer = Tracer::streaming_to_writer(writer(&live_out), cfg);
+            let mut reference = reference::RecordStream::new(cfg, writer(&reference_out));
+            let mut droops_total = 0u64;
+            for _ in 0..rng.below(160) {
+                let pid = 10 + rng.below(3) as u32;
+                let tid = rng.below(3);
+                let ts = rng.below(2_000);
+                match rng.below(6) {
+                    0 => {
+                        let (name, dur) = (any_name(&mut rng), rng.below(500));
+                        let args = vec![("job", ArgValue::U64(rng.below(9)))];
+                        tracer.complete(name.clone(), "slice", pid, tid, ts, dur, args.clone());
+                        reference.offer(TraceRecord::Span {
+                            name, cat: "slice", pid, tid, ts, dur, args,
+                        });
+                    }
+                    1 => {
+                        let cat = ["job", "droop", "decision"][rng.below(3) as usize];
+                        let args = vec![("workload", ArgValue::from(any_name(&mut rng)))];
+                        tracer.instant("admit", cat, pid, tid, ts, args.clone());
+                        reference.offer(TraceRecord::Instant {
+                            name: Cow::Borrowed("admit"), cat, pid, tid, ts, args,
+                        });
+                    }
+                    2 => {
+                        let label: Arc<str> = any_name(&mut rng).into();
+                        let batch = DroopBatch {
+                            chip: pid as usize - 10,
+                            workloads: [Arc::clone(&label)].into(),
+                            label,
+                            phase: format!("epoch{}", rng.below(50)).into(),
+                            crossings: (0..rng.below(5))
+                                .map(|k| (ts + 7 * k, 2.5 + rng.unit_f64() * 3.0))
+                                .collect(),
+                        };
+                        tracer.droops(&batch);
+                        for &(ts, depth_pct) in &batch.crossings {
+                            droops_total += 1;
+                            let pid = chip_pid(batch.chip);
+                            reference.offer(TraceRecord::Instant {
+                                name: Cow::Borrowed("droop"),
+                                cat: "droop",
+                                pid,
+                                tid: 0,
+                                ts,
+                                args: vec![
+                                    ("depth_pct", ArgValue::F64(depth_pct)),
+                                    ("workloads", ArgValue::Str(Arc::clone(&batch.label))),
+                                    ("phase", ArgValue::Str(Arc::clone(&batch.phase))),
+                                ],
+                            });
+                            reference.offer(TraceRecord::Counter {
+                                name: Cow::Borrowed("droops_total"),
+                                pid,
+                                ts,
+                                value: droops_total as f64,
+                            });
+                        }
+                    }
+                    3 => {
+                        let record = TraceRecord::Counter {
+                            name: Cow::Borrowed("queue_depth"),
+                            pid,
+                            ts,
+                            value: rng.below(9) as f64,
+                        };
+                        tracer.push(record.clone());
+                        reference.offer(record);
+                    }
+                    4 => {
+                        let name = any_name(&mut rng);
+                        tracer.process_name(pid, name.clone());
+                        reference.offer(TraceRecord::ProcessName { pid, name });
+                    }
+                    _ => {
+                        let name = any_name(&mut rng);
+                        tracer.thread_name(pid, tid, name.clone());
+                        reference.offer(TraceRecord::ThreadName { pid, tid, name });
+                    }
+                }
+                proptest::prop_assert_eq!(
+                    without_wall_clock(tracer.telemetry().unwrap()),
+                    reference.stats()
+                );
+            }
+            let live = tracer.finish_stream().unwrap();
+            let expected = reference.finish();
+            proptest::prop_assert_eq!(live.is_ok(), expected.is_ok());
+            proptest::prop_assert_eq!(
+                without_wall_clock(tracer.telemetry().unwrap()),
+                reference.stats()
+            );
+            if let (Ok(live), Ok(expected)) = (live, expected) {
+                proptest::prop_assert_eq!(without_wall_clock(live), expected);
+            }
+            proptest::prop_assert_eq!(tracer.droops_total(), droops_total);
+            let live_bytes = live_out.lock().unwrap().clone();
+            let reference_bytes = reference_out.lock().unwrap().clone();
+            proptest::prop_assert!(live_bytes == reference_bytes, "written bytes diverged");
+        }
     }
 }

@@ -14,10 +14,10 @@
 //! epoch, then chip index, then core — so the exported byte stream is
 //! independent of the worker-thread count.
 
-use crate::event::{chip_pid, ArgValue, Args, DroopEvent, TraceRecord};
+use crate::event::{Args, DroopBatch, TraceRecord};
 use crate::stream::{ChromeJsonSink, StreamConfig, StreamState, TelemetryStats};
 use std::borrow::Cow;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// What a [`Tracer`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,10 +88,12 @@ impl Tracer {
     }
 
     /// A streaming tracer writing Chrome trace-event JSON to `writer`
-    /// in bounded chunks — byte-identical to
-    /// [`to_chrome_json`](Self::to_chrome_json) on the same stream. The
-    /// ring flushes at a watermark below capacity, so memory stays
-    /// bounded however long the record stream runs. Call
+    /// in bounded chunks — byte-identical to what
+    /// [`to_chrome_json`](Self::to_chrome_json) renders of the same
+    /// stream in a buffering tracer. Records are rendered as they
+    /// arrive and their bytes parked in the ring, which drains at a
+    /// watermark below capacity, so memory stays bounded however long
+    /// the record stream runs. Call
     /// [`finish_stream`](Self::finish_stream) to complete the document.
     pub fn streaming_to_writer(
         writer: impl std::io::Write + Send + 'static,
@@ -125,7 +127,7 @@ impl Tracer {
         self.mode == TraceMode::Streaming
     }
 
-    fn push(&self, record: TraceRecord) {
+    pub(crate) fn push(&self, record: TraceRecord) {
         self.state.lock().expect("tracer lock").push(record);
     }
 
@@ -202,37 +204,28 @@ impl Tracer {
         });
     }
 
-    /// Records one typed droop event: an instant on the chip's
-    /// timeline plus a `droops_total` counter sample (the running
-    /// total across the whole run). Borrows the event, so one event
-    /// can also feed the monitor and the obs ring without a copy, and
-    /// its args share the event's label and phase.
-    pub fn droop(&self, event: &DroopEvent) {
+    /// Records every crossing of one slice's droop batch: an instant
+    /// on the chip's timeline plus a `droops_total` counter sample (the
+    /// running total across the whole run). Borrows the batch, so the
+    /// same allocation can also feed the monitor and the obs ring. A
+    /// sink-backed stream renders both records straight from the batch,
+    /// escaping its label and phase once; the buffering modes keep
+    /// records whose args share the batch's strings.
+    pub fn droops(&self, batch: &DroopBatch) {
         if !self.is_enabled() {
             return;
         }
-        let mut state = self.state.lock().expect("tracer lock");
-        state.droops_total += 1;
-        let total = state.droops_total;
-        let pid = chip_pid(event.chip);
-        state.push(TraceRecord::Instant {
-            name: Cow::Borrowed("droop"),
-            cat: "droop",
-            pid,
-            tid: event.core as u64,
-            ts: event.cycle,
-            args: vec![
-                ("depth_pct", ArgValue::F64(event.depth_pct)),
-                ("workloads", ArgValue::Str(Arc::clone(&event.label))),
-                ("phase", ArgValue::Str(Arc::clone(&event.phase))),
-            ],
-        });
-        state.push(TraceRecord::Counter {
-            name: Cow::Borrowed("droops_total"),
-            pid,
-            ts: event.cycle,
-            value: total as f64,
-        });
+        let mut guard = self.state.lock().expect("tracer lock");
+        let state = &mut *guard;
+        match &mut state.stream {
+            Some(stream) => stream.offer_droops(batch, &mut state.droops_total),
+            None => {
+                for i in 0..batch.crossings.len() {
+                    state.droops_total += 1;
+                    state.records.extend(batch.records(i, state.droops_total));
+                }
+            }
+        }
     }
 
     /// Droop events recorded so far.
@@ -240,9 +233,10 @@ impl Tracer {
         self.state.lock().expect("tracer lock").droops_total
     }
 
-    /// Number of records currently buffered in memory (for a sink-fed
-    /// streaming tracer this is the ring's residue, not the stream
-    /// total — see [`telemetry`](Self::telemetry) for the totals).
+    /// Number of records held in memory: every record of a buffering
+    /// tracer, the ring of a sink-less stream, and the rendered records
+    /// a sink-backed stream has parked for its next drain — not the
+    /// stream total (see [`telemetry`](Self::telemetry) for that).
     pub fn len(&self) -> usize {
         let state = self.state.lock().expect("tracer lock");
         match &state.stream {
@@ -256,7 +250,10 @@ impl Tracer {
         self.len() == 0
     }
 
-    /// A copy of the buffered record stream, in record order.
+    /// A copy of the records held for read-back, in record order:
+    /// everything a buffering tracer recorded, or a sink-less stream's
+    /// ring. A sink-backed stream keeps only rendered bytes, so it
+    /// returns none; its records are in the sink's output.
     pub fn records(&self) -> Vec<TraceRecord> {
         let state = self.state.lock().expect("tracer lock");
         match &state.stream {
@@ -265,7 +262,8 @@ impl Tracer {
         }
     }
 
-    /// Renders the buffered stream as Chrome trace-event JSON.
+    /// Renders the [records](Self::records) held for read-back as
+    /// Chrome trace-event JSON.
     pub fn to_chrome_json(&self) -> String {
         crate::export::chrome_trace_json(&self.records())
     }
@@ -309,17 +307,15 @@ impl Tracer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::PID_JOBS;
+    use crate::event::{chip_pid, PID_JOBS};
 
-    fn droop(chip: usize, cycle: u64) -> DroopEvent {
-        DroopEvent {
+    fn droops(chip: usize, cycles: &[u64]) -> DroopBatch {
+        DroopBatch {
             chip,
-            core: 0,
-            cycle,
-            depth_pct: 2.9,
             workloads: ["429.mcf".into(), "482.sphinx3".into()].into(),
             label: "429.mcf+482.sphinx3".into(),
             phase: "epoch1".into(),
+            crossings: cycles.iter().map(|&c| (c, 2.9)).collect(),
         }
     }
 
@@ -328,7 +324,7 @@ mod tests {
         let t = Tracer::disabled();
         t.complete("x", "job", PID_JOBS, 0, 0, 10, vec![]);
         t.instant("y", "job", PID_JOBS, 0, 5, vec![]);
-        t.droop(&droop(0, 7));
+        t.droops(&droops(0, &[7]));
         t.process_name(PID_JOBS, "jobs");
         assert!(t.is_empty());
         assert_eq!(t.droops_total(), 0);
@@ -337,8 +333,7 @@ mod tests {
     #[test]
     fn droop_emits_instant_plus_running_counter() {
         let t = Tracer::enabled();
-        t.droop(&droop(1, 10));
-        t.droop(&droop(1, 30));
+        t.droops(&droops(1, &[10, 30]));
         let records = t.records();
         assert_eq!(records.len(), 4);
         assert!(records[0].is_instant());
@@ -358,7 +353,7 @@ mod tests {
         assert!(t.is_enabled());
         assert!(t.is_streaming());
         assert!(Tracer::enabled().telemetry().is_none());
-        t.droop(&droop(2, 40));
+        t.droops(&droops(2, &[40]));
         assert_eq!(t.droops_total(), 1);
         assert_eq!(t.len(), 2);
         let stats = t.telemetry().expect("streaming tracers have stats");

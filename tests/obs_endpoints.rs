@@ -16,11 +16,12 @@ use vsmooth::chip::ChipConfig;
 use vsmooth::monitor::{
     CusumConfig, HealthReport, MonitorConfig, RecorderConfig, Severity, Signal, SloRule,
 };
-use vsmooth::obs::{http_get, http_send_raw, ObsConfig, ObsServer, ObsSnapshot};
+use vsmooth::obs::{http_get, http_send_raw, ObsConfig, ObsServer, ObsSnapshot, TelemetryHub};
 use vsmooth::pdn::DecapConfig;
-use vsmooth::sched::SameWorkload;
-use vsmooth::serve::{JobSpec, Service, ServiceConfig, ServiceReport};
-use vsmooth::trace::{parse_json, Tracer};
+use vsmooth::sched::{OnlineDroop, SameWorkload};
+use vsmooth::serve::{synthetic_jobs, AuditConfig, JobSpec, Service, ServiceConfig, ServiceReport};
+use vsmooth::trace::{parse_json, StreamConfig, Tracer};
+use vsmooth::Instruments;
 
 /// Virtual cycle at which the noisy burst begins.
 const NOISY_AT: u64 = 14_000;
@@ -382,4 +383,67 @@ fn hostile_requests_get_4xx_and_the_server_keeps_serving() {
         .body
         .contains("obs_scrapes_total{endpoint=\"unknown\",status=\"404\"} 1"));
     server.shutdown();
+}
+
+/// The `/trace/recent?n=256` and `/decisions?n=256` bodies of the final
+/// publish of `synthetic_jobs(2010, 48, 900)` on the 4-chip Proc100
+/// pool with 600-cycle slices and every instrument armed (a streaming
+/// tracer, the profiler, the monitor, obs publishing every epoch, the
+/// audit and the invariant checker), captured through
+/// `ObsConfig::on_publish` and served from a hub of its own.
+fn final_ring_bodies() -> (String, String) {
+    let last = Arc::new(Mutex::new(None));
+    let mut cfg = ServiceConfig::new(ChipConfig::core2_duo(DecapConfig::proc100()));
+    cfg.slice_cycles = 600;
+    cfg.invariants = true;
+    cfg.audit = Some(AuditConfig::default());
+    let mut oc = ObsConfig::new(Arc::new(TelemetryHub::new()));
+    let sink = Arc::clone(&last);
+    oc.on_publish = Some(Arc::new(move |snap: &ObsSnapshot| {
+        if snap.service.as_ref().is_some_and(|s| s.done) {
+            *sink.lock().unwrap() = Some(snap.clone());
+        }
+    }));
+    cfg.obs = Some(oc);
+    let tracer = Tracer::streaming_to_writer(std::io::sink(), StreamConfig::default());
+    let inst = Instruments::new()
+        .traced(&tracer)
+        .profiled()
+        .monitored(MonitorConfig::default());
+    Service::new(cfg)
+        .expect("valid config")
+        .run_with(&synthetic_jobs(2010, 48, 900), &OnlineDroop, 1, &inst)
+        .expect("service run");
+    let snap = last.lock().unwrap().take().expect("a final publish");
+    let server = ObsServer::bind("127.0.0.1:0").expect("bind");
+    server.hub().publish(snap);
+    let get = |path: &str| {
+        let resp = http_get(server.local_addr(), path).expect("scrape");
+        assert_eq!(resp.status, 200, "{path}");
+        resp.body
+    };
+    let bodies = (get("/trace/recent?n=256"), get("/decisions?n=256"));
+    server.shutdown();
+    bodies
+}
+
+#[test]
+fn recent_and_decision_bodies_match_their_goldens() {
+    // The shard-equivalence suite compares these bodies across shard
+    // counts; the goldens pin their bytes, so a change that moved them
+    // at every shard count alike still fails here.
+    let (recent, decisions) = final_ring_bodies();
+    assert!(
+        recent == include_str!("golden/obs_trace_recent.json"),
+        "/trace/recent body differs from its golden"
+    );
+    assert!(
+        decisions == include_str!("golden/obs_decisions.json"),
+        "/decisions body differs from its golden"
+    );
+    // Both rings are full, so the bodies cross batch boundaries.
+    for body in [&recent, &decisions] {
+        let doc = parse_json(body).expect("ring JSON parses");
+        assert_eq!(doc.get("returned").and_then(|v| v.as_f64()), Some(256.0));
+    }
 }
